@@ -146,6 +146,13 @@ func (p *Paillier) Precompute() error {
 // Precomputed reports whether the fixed-base table has been built.
 func (p *Paillier) Precomputed() bool { return p.pre.Load() != nil }
 
+// ReleasePrecomputed drops the fixed-base table and the randomizer pool —
+// 3.8 MB per key at 512-bit primes. Calls in flight keep the table they
+// loaded and later ones rebuild it on demand through Precompute, so a
+// caller that knows the key will not encrypt for a while (a plan whose
+// ciphertext is now cached) can hand the memory back.
+func (p *Paillier) ReleasePrecomputed() { p.pre.Store(nil) }
+
 // newRandomizer derives one fresh randomizer from the fixed-base table.
 func (pre *paillierPrecomp) newRandomizer() (*big.Int, error) {
 	max := new(big.Int).Lsh(big.NewInt(1), uint(pre.fb.expBits))

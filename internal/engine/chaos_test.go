@@ -152,6 +152,22 @@ func TestChaosSuite(t *testing.T) {
 			var injected, panics, clean int
 			for qi, q := range tpch.Queries() {
 				k := kinds[(qi+wi)%len(kinds)]
+				// The miss runs unfaulted, so the faulted run is the plan's
+				// second execution — the one that fills the ciphertext column
+				// cache — and the rotation aborts fills at every kind of point.
+				requireOracle := func(stage string) {
+					t.Helper()
+					faults.Ops, faults.Edges = nil, nil
+					resp, err := eng.Query(q.SQL)
+					if err != nil {
+						t.Fatalf("Q%d/%s %s: %v", q.Num, k.name, stage, err)
+					}
+					if g := canon(resp.Table); !bytes.Equal(g, want[q.Num]) {
+						t.Fatalf("Q%d/%s %s: result differs from the oracle\ngot:\n%s\nwant:\n%s",
+							q.Num, k.name, stage, g, want[q.Num])
+					}
+				}
+				requireOracle("miss")
 				k.arm(faults)
 				resp, err := eng.Query(q.SQL)
 				var pe *exec.PanicError
@@ -173,6 +189,10 @@ func TestChaosSuite(t *testing.T) {
 						q.Num, k.name, err)
 				}
 				assertNoSpillOrphans(t, cfg.SpillDir)
+				// An aborted fill publishes nothing: the run after it (a fresh
+				// fill, or served if the fill completed before the fault) is
+				// still the oracle's.
+				requireOracle("run after the fault")
 			}
 			// Non-vacuity: the rotation must actually have fired faults of
 			// both failing kinds, and the panic counter must account for
@@ -266,6 +286,18 @@ func TestCancellationSweep(t *testing.T) {
 		}
 		cancel()
 		assertNoSpillOrphans(t, cfg.SpillDir)
+
+		// Pass 2 was the plan's second execution — the fill of its ciphertext
+		// column cache — so the cancel landed mid-fill. Nothing partial may
+		// have been published: the next run is still the oracle's.
+		faults.Ops = nil
+		resp, err = eng.Query(q.SQL)
+		if err != nil {
+			t.Fatalf("Q%d after the cancelled fill: %v", q.Num, err)
+		}
+		if g, w := canon(resp.Table), canon(want.Table); !bytes.Equal(g, w) {
+			t.Fatalf("Q%d after the cancelled fill differs from the oracle", q.Num)
+		}
 	}
 	if cancelled == 0 {
 		t.Error("no run observed its cancellation — the sweep was vacuous")

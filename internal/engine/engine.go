@@ -242,69 +242,6 @@ type preparedQuery struct {
 	// and everyone else keeps executing the current plan.
 	replanGen  int
 	replanning atomic.Bool
-
-	// paillierPKs are the distinct Paillier public keys the plan encrypts
-	// under, collected at preparation. A cache hit means this exact plan is
-	// about to encrypt again, so it kicks a background refill of each key's
-	// randomizer pool: the expensive message-independent exponentiations run
-	// off the encryption path while the query executes.
-	paillierPKs []*crypto.Paillier
-	refilling   atomic.Bool
-	refillDone  atomic.Pointer[chan struct{}]
-}
-
-// refillRandomizerCount is how many pooled randomizers one cache hit tops
-// each of the plan's Paillier keys up by (the pool itself caps the total).
-const refillRandomizerCount = 256
-
-// refillRandomizers starts at most one background randomizer refill for the
-// plan's Paillier keys; a refill already in flight is left alone. The
-// channel stored in refillDone closes when the fill completes (tests and
-// shutdown hooks can wait on it; queries never do).
-func (pq *preparedQuery) refillRandomizers() {
-	if len(pq.paillierPKs) == 0 || !pq.refilling.CompareAndSwap(false, true) {
-		return
-	}
-	done := make(chan struct{})
-	pq.refillDone.Store(&done)
-	go func() {
-		defer close(done)
-		defer pq.refilling.Store(false)
-		for _, pk := range pq.paillierPKs {
-			_ = pk.PrecomputeRandomizers(refillRandomizerCount)
-		}
-	}()
-}
-
-// paillierKeysOf collects the distinct Paillier public keys the extended
-// plan's encryption nodes use, resolved against the full key store.
-func paillierKeysOf(root algebra.Node, keys *crypto.KeyStore) []*crypto.Paillier {
-	var pks []*crypto.Paillier
-	seen := make(map[*crypto.Paillier]struct{})
-	var walk func(n algebra.Node)
-	walk = func(n algebra.Node) {
-		if enc, ok := n.(*algebra.Encrypt); ok {
-			for _, a := range enc.Attrs {
-				if enc.Schemes[a] != algebra.SchemePaillier {
-					continue
-				}
-				ring, err := keys.Get(enc.KeyIDs[a])
-				if err != nil || ring.PK == nil {
-					continue
-				}
-				if _, dup := seen[ring.PK]; dup {
-					continue
-				}
-				seen[ring.PK] = struct{}{}
-				pks = append(pks, ring.PK)
-			}
-		}
-		for _, c := range n.Children() {
-			walk(c)
-		}
-	}
-	walk(root)
-	return pks
 }
 
 // recordObserved stores the actual output cardinality of every extended-plan
@@ -444,7 +381,6 @@ func (e *Engine) query(ctx context.Context, query string, tr *obs.Trace) (_ *Res
 	}
 	if hit {
 		e.met.hits.Inc()
-		pq.refillRandomizers()
 	} else {
 		e.met.misses.Inc()
 	}
@@ -613,14 +549,13 @@ func (e *Engine) prepare(stmt *sql.SelectStmt, version uint64, pol authz.Viewer,
 	sort.Slice(executors, func(i, j int) bool { return executors[i] < executors[j] })
 
 	return &preparedQuery{
-		version:     version,
-		plan:        plan,
-		result:      res,
-		network:     nw,
-		keys:        full,
-		consts:      consts,
-		executors:   executors,
-		paillierPKs: paillierKeysOf(res.Extended.Root, full),
+		version:   version,
+		plan:      plan,
+		result:    res,
+		network:   nw,
+		keys:      full,
+		consts:    consts,
+		executors: executors,
 	}, nil
 }
 

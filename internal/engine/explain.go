@@ -33,8 +33,11 @@ type ExplainNode struct {
 	TimeNs  int64 `json:"time_ns"`
 	// MorselClaims is the per-worker morsel distribution when the operator
 	// ran morsel-parallel; nil otherwise.
-	MorselClaims []int64        `json:"morsel_claims,omitempty"`
-	Children     []*ExplainNode `json:"children,omitempty"`
+	MorselClaims []int64 `json:"morsel_claims,omitempty"`
+	// Cached marks an encrypt operator that served its ciphertext from the
+	// plan's ciphertext column cache in this run instead of encrypting.
+	Cached   bool           `json:"cached,omitempty"`
+	Children []*ExplainNode `json:"children,omitempty"`
 }
 
 // ExplainEdge is one inter-subject shipment of the traced run.
@@ -123,6 +126,7 @@ func buildExplanation(query string, resp *Response, pq *preparedQuery, tr *obs.T
 			en.Batches = sp.Batches()
 			en.TimeNs = sp.Nanos()
 			en.MorselClaims = sp.MorselClaims()
+			en.Cached = sp.Cached()
 		}
 		for _, c := range n.Children() {
 			en.Children = append(en.Children, build(c))
@@ -182,6 +186,9 @@ func (x *Explanation) Text() string {
 			n.EstRows, n.Rows, n.Batches, time.Duration(n.TimeNs))
 		if len(n.MorselClaims) > 0 {
 			fmt.Fprintf(&b, " morsels=%v", n.MorselClaims)
+		}
+		if n.Cached {
+			b.WriteString(" cached")
 		}
 		b.WriteString(")\n")
 		for i, c := range n.Children {

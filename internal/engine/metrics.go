@@ -194,6 +194,21 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 		return float64(exec.ReadDictStats().WirePlainBytes)
 	}, obs.L("layout", "plain"))
 
+	// Ciphertext column cache (exec.ReadEncCacheStats): process-global like
+	// the dictionary stats. Bytes fall when a plan holding a fill is collected.
+	r.GaugeFunc("mpq_exec_enc_cache_bytes",
+		"Bytes of ciphertext held by the ciphertext column caches of live prepared plans.",
+		func() float64 { return float64(exec.ReadEncCacheStats().Bytes) })
+	const encCacheHelp = "Executions of encrypt-over-scan operators by cache outcome: stream (encrypted, nothing kept), fill (encrypted, output collected for publication), serve (served from the cache, no crypto calls)."
+	encCache := func(outcome string, read func(exec.EncCacheStats) uint64) {
+		r.CounterFunc("mpq_exec_enc_cache_total", encCacheHelp, func() float64 {
+			return float64(read(exec.ReadEncCacheStats()))
+		}, obs.L("outcome", outcome))
+	}
+	encCache("stream", func(s exec.EncCacheStats) uint64 { return s.Stream })
+	encCache("fill", func(s exec.EncCacheStats) uint64 { return s.Fill })
+	encCache("serve", func(s exec.EncCacheStats) uint64 { return s.Serve })
+
 	// Out-of-core execution: process-global spill counters (bridged like the
 	// dictionary stats) plus this engine's configured budget.
 	const spillHelp = "Serialized bytes moved between budgeted operators and spill runs, by direction."

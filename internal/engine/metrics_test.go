@@ -73,6 +73,8 @@ func TestMetricsRegistry(t *testing.T) {
 		"# TYPE mpq_engine_cached_plans gauge",
 		"mpq_crypto_values_total{scheme=",
 		"mpq_paillier_randomizer_pool_total{result=",
+		"# TYPE mpq_exec_enc_cache_bytes gauge",
+		`mpq_exec_enc_cache_total{outcome="fill"}`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"testing"
-	"time"
 
-	"mpq/internal/crypto"
 	"mpq/internal/exec"
 	"mpq/internal/tpch"
 )
@@ -149,52 +147,5 @@ func TestAdaptiveBatchMatches(t *testing.T) {
 		if g, w := canon(got.Table), canon(want.Table); !bytes.Equal(g, w) {
 			t.Errorf("Q%d: adaptive-batch result differs\ngot:\n%s\nwant:\n%s", num, g, w)
 		}
-	}
-}
-
-// TestCacheHitRefillsRandomizerPool proves a plan-cache hit on a
-// Paillier-encrypting plan kicks a background randomizer refill: the
-// prepared plan records the Paillier keys, the refill completes, and a
-// subsequent execution draws pooled randomizers (pool hits increase).
-func TestCacheHitRefillsRandomizerPool(t *testing.T) {
-	eng, err := New(testConfig(t, tpch.UAPenc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	q1 := querySQL(t, 1) // Paillier SUM aggregation
-	resp, pq, err := eng.query(nil, q1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.CacheHit {
-		t.Fatal("first execution reported a cache hit")
-	}
-	if len(pq.paillierPKs) == 0 {
-		t.Fatal("prepared Q1 recorded no Paillier keys")
-	}
-
-	hit, _, err := eng.query(nil, q1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hit.CacheHit {
-		t.Fatal("second execution missed the plan cache")
-	}
-	done := pq.refillDone.Load()
-	if done == nil {
-		t.Fatal("cache hit started no randomizer refill")
-	}
-	select {
-	case <-*done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("randomizer refill did not complete")
-	}
-
-	before := crypto.ReadStats().PaillierPoolHits
-	if _, _, err := eng.query(nil, q1, nil); err != nil {
-		t.Fatal(err)
-	}
-	if after := crypto.ReadStats().PaillierPoolHits; after <= before {
-		t.Errorf("no pooled randomizers served after refill (hits %d -> %d)", before, after)
 	}
 }

@@ -68,7 +68,6 @@ func (e *Engine) queryStream(ctx context.Context, query string, tr *obs.Trace, y
 	}
 	if hit {
 		e.met.hits.Inc()
-		pq.refillRandomizers()
 	} else {
 		e.met.misses.Inc()
 	}

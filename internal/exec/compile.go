@@ -43,6 +43,11 @@ func (e *Executor) Build(n algebra.Node) (Operator, error) {
 			x.sp = sp
 		case *groupByOp:
 			x.sp = sp
+		case *cachedEncryptOp:
+			x.sp = sp
+			if p, ok := x.stream.(*parallelOp); ok {
+				p.sp = sp
+			}
 		}
 		op = &traceOp{inner: op, sp: sp}
 	}
@@ -66,6 +71,17 @@ func (e *Executor) buildNode(n algebra.Node) (Operator, error) {
 		s.ctx = e.Ctx
 		return s, nil
 	}
+	if enc, ok := n.(*algebra.Encrypt); ok {
+		if t := e.encCacheTable(enc); t != nil {
+			return e.buildCachedEncrypt(enc, t)
+		}
+	}
+	return e.compileNode(n)
+}
+
+// compileNode compiles n itself: morsel-parallel when its shape and size
+// qualify, otherwise the sequential operator.
+func (e *Executor) compileNode(n algebra.Node) (Operator, error) {
 	if e.parWorkers() > 1 {
 		op, ok, err := e.buildParallel(n)
 		if err != nil {
@@ -348,7 +364,16 @@ func (e *Executor) buildEncrypt(enc *algebra.Encrypt) (Operator, error) {
 	if err != nil {
 		return nil, err
 	}
-	in := child.Schema()
+	cols, err := e.encCols(enc, child.Schema())
+	if err != nil {
+		return nil, err
+	}
+	return &encryptOp{child: child, e: e, cols: cols}, nil
+}
+
+// encCols resolves an encrypt node against its input schema: per attribute
+// the scheme, the key ring, and the schema positions to rewrite.
+func (e *Executor) encCols(enc *algebra.Encrypt, in []algebra.Attr) ([]encCol, error) {
 	cols := make([]encCol, 0, len(enc.Attrs))
 	for _, a := range enc.Attrs {
 		scheme := enc.Schemes[a]
@@ -367,7 +392,55 @@ func (e *Executor) buildEncrypt(enc *algebra.Encrypt) (Operator, error) {
 		}
 		cols = append(cols, newEncCol(a, scheme, ring, idx))
 	}
-	return &encryptOp{child: child, e: e, cols: cols}, nil
+	return cols, nil
+}
+
+// encCacheTable returns the table enc's operator would read through the
+// ciphertext column cache: the child must be a bare scan of one of this
+// executor's base tables (not a spliced exchange or sub-result), and the
+// per-value oracle path always encrypts. nil means compile uncached.
+func (e *Executor) encCacheTable(enc *algebra.Encrypt) *Table {
+	b, ok := enc.Child.(*algebra.Base)
+	if !ok || e.enc == nil || e.ValueCrypto {
+		return nil
+	}
+	if _, ok := e.Sources[b]; ok {
+		return nil
+	}
+	if _, ok := e.Materialized[b]; ok {
+		return nil
+	}
+	return e.Tables[b.Name]
+}
+
+// buildCachedEncrypt compiles an encrypt-over-scan node behind the
+// ciphertext column cache. The streaming operator is compiled exactly as it
+// would be uncached (so every build-time check still runs); the bare scan
+// is compiled beside it only when there is a published fill to serve, so a
+// streaming run builds — and traces — exactly the operators it always did.
+func (e *Executor) buildCachedEncrypt(enc *algebra.Encrypt, t *Table) (Operator, error) {
+	stream, err := e.compileNode(enc)
+	if err != nil {
+		return nil, err
+	}
+	cols, err := e.encCols(enc, stream.Schema())
+	if err != nil {
+		return nil, err
+	}
+	op := &cachedEncryptOp{cache: e.enc, node: enc, t: t, stream: stream}
+	for _, c := range cols {
+		op.rings = append(op.rings, c.ring)
+		op.encIdx = append(op.encIdx, c.idx...)
+		if c.scheme == algebra.SchemePaillier {
+			op.phe = append(op.phe, c.ring.PK)
+		}
+	}
+	if e.enc.published(enc) {
+		if op.scan, err = e.Build(enc.Child); err != nil {
+			return nil, err
+		}
+	}
+	return op, nil
 }
 
 func (e *Executor) buildDecrypt(dec *algebra.Decrypt) (Operator, error) {

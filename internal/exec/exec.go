@@ -106,6 +106,13 @@ type Executor struct {
 	// operator in a shim firing the configured errors, panics, and delays
 	// at batch boundaries. nil (the default) leaves the pipeline untouched.
 	Faults *FaultPoints
+	// enc is the ciphertext column cache of the prepared plan this executor
+	// serves (see encCache): encrypt operators directly over a base scan
+	// keep their output there on the second execution and serve it from the
+	// third. NewExecutor creates it and Clone shares it, so it lives and dies
+	// with one subject of one prepared network; nil (a literal Executor)
+	// always encrypts.
+	enc *encCache
 }
 
 // ConstCache maps value-comparison conditions to their encrypted literals.
@@ -118,12 +125,14 @@ func NewExecutor() *Executor {
 		Keys:   crypto.NewKeyStore(),
 		UDFs:   make(map[string]UDFFunc),
 		Consts: make(ConstCache),
+		enc:    new(encCache),
 	}
 }
 
 // Clone returns an executor sharing the receiver's durable state — tables
-// and key material, which Run never mutates — with fresh per-execution
-// state (dispatched constants, materialized sub-results) and a private copy
+// and key material, which Run never mutates, and the ciphertext column
+// cache, which synchronizes itself — with fresh per-execution state
+// (dispatched constants, materialized sub-results) and a private copy
 // of the UDF registry (the distributed simulator merges network-wide UDFs
 // into it per run). Concurrent plan executions each run on their own clone
 // of a subject's long-lived executor, so evaluation never races on shared
@@ -151,6 +160,7 @@ func (e *Executor) Clone() *Executor {
 		Trace:         e.Trace,
 		Ctx:           e.Ctx,
 		Faults:        e.Faults,
+		enc:           e.enc,
 	}
 }
 

@@ -212,24 +212,9 @@ func (e *Executor) planChain(n algebra.Node) (*chain, bool, error) {
 		if !ok || err != nil {
 			return nil, false, err
 		}
-		in := c.schema
-		cols := make([]encCol, 0, len(x.Attrs))
-		for _, a := range x.Attrs {
-			scheme := x.Schemes[a]
-			if scheme == "" {
-				scheme = algebra.SchemeDeterministic
-			}
-			ring, err := e.Keys.Get(x.KeyIDs[a])
-			if err != nil {
-				return nil, false, fmt.Errorf("exec: encrypting %s: %w", a, err)
-			}
-			var idx []int
-			for ci, sa := range in {
-				if sa == a {
-					idx = append(idx, ci)
-				}
-			}
-			cols = append(cols, newEncCol(a, scheme, ring, idx))
+		cols, err := e.encCols(x, c.schema)
+		if err != nil {
+			return nil, false, err
 		}
 		ce := e.chainExecutor()
 		c.steps = append(c.steps, func(child Operator) Operator {

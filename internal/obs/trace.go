@@ -34,6 +34,7 @@ type Span struct {
 	batches atomic.Int64
 	nanos   atomic.Int64
 	claims  []atomic.Int64 // per-worker morsel claims; nil for serial ops
+	cached  atomic.Bool    // the operator served a cache instead of computing
 }
 
 // Edge accounts one provider→provider (or provider→user) data transfer.
@@ -122,6 +123,13 @@ func (s *Span) Batches() int64 { return s.batches.Load() }
 // For parallel operators this is the merge-side wait, not summed worker
 // time.
 func (s *Span) Nanos() int64 { return s.nanos.Load() }
+
+// MarkCached records that the operator served its rows from a cache (the
+// ciphertext column cache of an encrypt operator) instead of computing them.
+func (s *Span) MarkCached() { s.cached.Store(true) }
+
+// Cached reports whether MarkCached was called.
+func (s *Span) Cached() bool { return s.cached.Load() }
 
 // InitWorkers sizes the per-worker morsel claim counters. Safe to call
 // once per execution before workers start.
