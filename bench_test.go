@@ -136,7 +136,7 @@ func BenchmarkAblationStrategies(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			minVis += cost.OfPlan(extMin.Root, assignment.ExtendedExecutor(extMin),
+			minVis += cost.OfPlan(extMin.Root, extMin.Assign.Executor,
 				extMin.Schemes, extMin.Profiles, m).Total()
 		}
 	}
@@ -160,7 +160,7 @@ func userOnlyCost(sys *core.System, an *core.Analysis, m *cost.Model, plan *plan
 	if err != nil {
 		return 0
 	}
-	return cost.OfPlan(ext.Root, assignment.ExtendedExecutor(ext), ext.Schemes, ext.Profiles, m).Total()
+	return cost.OfPlan(ext.Root, ext.Assign.Executor, ext.Schemes, ext.Profiles, m).Total()
 }
 
 // BenchmarkExhaustiveVsDP validates the optimizer: exhaustive enumeration
@@ -389,7 +389,7 @@ func BenchmarkDistributedExecution(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := nw.Execute(res.Extended, consts); err != nil {
+		if _, _, err := nw.ExecuteParallel(res.Extended, consts); err != nil {
 			b.Fatal(err)
 		}
 	}

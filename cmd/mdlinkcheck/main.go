@@ -22,6 +22,10 @@ import (
 // unnecessary: image links point at files too and are worth checking.
 var linkRe = regexp.MustCompile(`\[[^\]]*\]\(([^)\s]+)\)`)
 
+// codeSpanRe matches inline code spans: markdown renders their content
+// literally, so a quoted plan rendering such as `σ[…](⟦reqH⟧)` is not a link.
+var codeSpanRe = regexp.MustCompile("`[^`\n]*`")
+
 // headingRe matches ATX headings.
 var headingRe = regexp.MustCompile(`(?m)^#{1,6}\s+(.+?)\s*$`)
 
@@ -103,7 +107,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "mdlinkcheck: %v\n", err)
 			os.Exit(1)
 		}
-		for _, m := range linkRe.FindAllStringSubmatch(string(buf), -1) {
+		for _, m := range linkRe.FindAllStringSubmatch(codeSpanRe.ReplaceAllString(string(buf), ""), -1) {
 			link := m[1]
 			if strings.HasPrefix(link, "http://") || strings.HasPrefix(link, "https://") ||
 				strings.HasPrefix(link, "mailto:") {

@@ -53,8 +53,6 @@ func main() {
 		scenario   = flag.String("scenario", "UAPenc", "authorization scenario: UA, UAPenc, or UAPmix")
 		sf         = flag.Float64("sf", 0.01, "TPC-H scale factor")
 		seed       = flag.Int64("seed", 1, "data generator seed")
-		sequential = flag.Bool("sequential", false, "use the sequential distributed runtime")
-		mat        = flag.Bool("materializing", false, "use the legacy whole-relation interior instead of the batch pipeline")
 		batchSize  = flag.Int("batch", 0, "pipeline batch size in rows (0 = default)")
 		workers    = flag.Int("workers", 0, "morsel worker pool size per fragment (0 or 1 = single-threaded)")
 		cacheSize  = flag.Int("cache", 0, "authorized-plan cache entries (0 = default, negative disables)")
@@ -85,8 +83,6 @@ func main() {
 
 	log.Printf("mpqd: generating TPC-H data (sf=%g seed=%d scenario=%s)", *sf, *seed, sc)
 	cfg := engine.TPCHConfig(sc, *sf, *seed)
-	cfg.Sequential = *sequential
-	cfg.Materializing = *mat
 	cfg.BatchSize = *batchSize
 	cfg.Workers = *workers
 	cfg.CacheSize = *cacheSize

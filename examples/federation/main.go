@@ -12,6 +12,7 @@ import (
 	"crypto/rsa"
 	"fmt"
 	"log"
+	"sort"
 
 	"mpq/internal/algebra"
 	"mpq/internal/assignment"
@@ -112,7 +113,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	got, err := nw.Execute(res.Extended, consts)
+	got, _, err := nw.ExecuteParallel(res.Extended, consts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -148,6 +149,11 @@ func main() {
 	preview2 := exec.Table{Schema: final.Schema, Rows: final.Rows[:show]}
 	fmt.Print(preview2.Format(headers))
 
+	// The ledger fills in completion order; print it in a stable one.
+	sort.Slice(nw.Transfers, func(i, j int) bool {
+		a, b := nw.Transfers[i], nw.Transfers[j]
+		return a.From < b.From || a.From == b.From && a.Rows < b.Rows
+	})
 	fmt.Printf("\n== Network ledger: %d transfers, %d bytes total ==\n", len(nw.Transfers), nw.TotalBytes())
 	for _, t := range nw.Transfers {
 		fmt.Printf("  %s → %s: %d rows, %d bytes (for %s)\n", t.From, t.To, t.Rows, t.Bytes, trunc(t.Op, 48))

@@ -11,6 +11,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"sort"
 
 	"mpq/internal/algebra"
 	"mpq/internal/assignment"
@@ -104,7 +105,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	got, err := nw.Execute(res.Extended, consts)
+	got, _, err := nw.ExecuteParallel(res.Extended, consts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -117,6 +118,8 @@ func main() {
 	fmt.Println("\n== Result (decrypted at the user) ==")
 	fmt.Print(final.Format([]string{"T", "avg(P)"}))
 
+	// The ledger fills in completion order; print it in a stable one.
+	sort.Slice(nw.Transfers, func(i, j int) bool { return nw.Transfers[i].From > nw.Transfers[j].From })
 	fmt.Printf("\n== Transfers ==\n")
 	for _, tr := range nw.Transfers {
 		fmt.Printf("  %s → %s: %d rows, %d bytes\n", tr.From, tr.To, tr.Rows, tr.Bytes)

@@ -77,7 +77,7 @@ func Optimize(sys *core.System, an *core.Analysis, m *cost.Model, opts Options) 
 		if err != nil {
 			return nil, err
 		}
-		br = cost.OfPlan(ext.Root, ExtendedExecutor(ext), ext.Schemes, ext.Profiles, m)
+		br = cost.OfPlan(ext.Root, ext.Assign.Executor, ext.Schemes, ext.Profiles, m)
 		if br.Seconds > opts.MaxSeconds {
 			return nil, fmt.Errorf("assignment: no assignment meets the %.1fs performance threshold (best %.1fs)",
 				opts.MaxSeconds, br.Seconds)
@@ -124,7 +124,7 @@ func refine(sys *core.System, an *core.Analysis, m *cost.Model, lambda core.Assi
 		if err != nil {
 			return nil, cost.Breakdown{}, err
 		}
-		return ext, cost.OfPlan(ext.Root, ExtendedExecutor(ext), ext.Schemes, ext.Profiles, m), nil
+		return ext, cost.OfPlan(ext.Root, ext.Assign.Executor, ext.Schemes, ext.Profiles, m), nil
 	}
 	bestExt, bestBr, err := exact(lambda)
 	if err != nil {
@@ -166,17 +166,6 @@ func refine(sys *core.System, an *core.Analysis, m *cost.Model, lambda core.Assi
 		}
 	}
 	return bestExt, bestBr, nil
-}
-
-// ExtendedExecutor builds a cost.Executor for an extended plan: assignees
-// for operations, authorities for base relations.
-func ExtendedExecutor(ext *core.ExtendedPlan) cost.Executor {
-	return func(n algebra.Node) authz.Subject {
-		if b, ok := n.(*algebra.Base); ok {
-			return authz.Subject(b.Host())
-		}
-		return ext.Assign[n]
-	}
 }
 
 // chooseAssignment runs the DP minimizing economic cost.
@@ -517,7 +506,7 @@ func Exhaustive(sys *core.System, an *core.Analysis, m *cost.Model) (*Result, er
 			if err != nil {
 				return err
 			}
-			br := cost.OfPlan(ext.Root, ExtendedExecutor(ext), ext.Schemes, ext.Profiles, m)
+			br := cost.OfPlan(ext.Root, ext.Assign.Executor, ext.Schemes, ext.Profiles, m)
 			if br.Total() < bestCost {
 				cp := make(core.Assignment, len(lambda))
 				for k, v := range lambda {

@@ -87,7 +87,7 @@ func TestOptimizeAlwaysAuthorizedAndBeatsUserOnly(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: user extension: %v", seed, err)
 		}
-		userCost := cost.OfPlan(extU.Root, ExtendedExecutor(extU), extU.Schemes, extU.Profiles, m).Total()
+		userCost := cost.OfPlan(extU.Root, extU.Assign.Executor, extU.Schemes, extU.Profiles, m).Total()
 		if res.Cost.Total() > userCost*1.000001 {
 			t.Fatalf("seed %d: optimizer (%.6g) worse than all-user (%.6g)",
 				seed, res.Cost.Total(), userCost)

@@ -99,7 +99,7 @@ func (s *System) ExtendMinVisibility(an *Analysis, lambda Assignment) (*Extended
 			cNode, cProf := build(c)
 			encSet := cProf.VP.Diff(ap)
 			if !encSet.Empty() {
-				cNode, cProf = s.addEncrypt(ext, cNode, cProf, encSet, s.executorOf(c, lambda), c)
+				cNode, cProf = s.addEncrypt(ext, cNode, cProf, encSet, lambda.Executor(c), c)
 			}
 			decSet := ap.Intersect(cProf.VE)
 			if !decSet.Empty() {

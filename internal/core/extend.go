@@ -13,8 +13,20 @@ import (
 
 // Assignment maps every non-leaf node of a query plan to the subject that
 // executes it (the λ function of Definition 4.2). Leaf nodes have no
-// assignee: base relations remain with their data authority.
+// assignee: base relations stay where they are hosted (see Executor).
 type Assignment map[algebra.Node]authz.Subject
+
+// Executor returns the subject at which node n runs: the hosting subject of
+// a base relation (its data authority, or the storage provider of a remotely
+// stored relation), λ(n) for every operation. Cost pricing, plan extension,
+// key distribution, fragment partitioning, dispatch, and EXPLAIN all place
+// nodes by this one rule.
+func (a Assignment) Executor(n algebra.Node) authz.Subject {
+	if b, ok := n.(*algebra.Base); ok {
+		return authz.Subject(b.Host())
+	}
+	return a[n]
+}
 
 // Key is one encryption key established for a query plan execution
 // (Definition 6.1): it covers a cluster of attributes (an intersection of
@@ -126,7 +138,7 @@ func (s *System) build(an *Analysis, lambda Assignment, n algebra.Node, ancestor
 		aSet := impAdd.Intersect(cProf.VP).Intersect(childAncestorsE)
 		encSet = encSet.Union(aSet)
 		if !encSet.Empty() {
-			cNode, cProf = s.addEncrypt(ext, cNode, cProf, encSet, s.executorOf(c, lambda), c)
+			cNode, cProf = s.addEncrypt(ext, cNode, cProf, encSet, lambda.Executor(c), c)
 		}
 
 		// Rule (i): decryption of the attributes the operation needs in
@@ -183,7 +195,7 @@ func (s *System) build(an *Analysis, lambda Assignment, n algebra.Node, ancestor
 					_, p := vis(i)
 					if !p.Empty() {
 						newChildren[i], childProfiles[i] = s.addEncrypt(
-							ext, newChildren[i], childProfiles[i], p, s.executorOf(c, lambda), c)
+							ext, newChildren[i], childProfiles[i], p, lambda.Executor(c), c)
 					}
 				}
 			} else {
@@ -278,16 +290,6 @@ func comparedPairs(n algebra.Node) [][2]algebra.Attr {
 		}
 	}
 	return out
-}
-
-// executorOf returns the subject that produces the relation of original
-// node c: its assignee, or the hosting subject for a base relation (the
-// data authority, or the storage provider for remotely stored relations).
-func (s *System) executorOf(c algebra.Node, lambda Assignment) authz.Subject {
-	if b, ok := c.(*algebra.Base); ok {
-		return authz.Subject(b.Host())
-	}
-	return lambda[c]
 }
 
 // implicitAdditions returns the attributes that executing n adds to the

@@ -10,8 +10,8 @@ import (
 	"mpq/internal/profile"
 )
 
-// Executor resolves the subject that executes a node: the assignee for
-// operations, the data authority for base relations.
+// Executor resolves the subject that executes a node (for an extended plan,
+// core.Assignment.Executor).
 type Executor func(algebra.Node) authz.Subject
 
 // Breakdown is the costed execution of a plan: the Section 7 decomposition

@@ -7,7 +7,7 @@ import (
 
 // Crypto microbenchmarks: the per-value entry points against the batched
 // ones, and Paillier with and without the fixed-base/randomizer-pool
-// precomputation. BENCH_crypto.json records a measured run.
+// precomputation. Recorded per-value costs are bench's crypto.*_ns_per_value.
 
 const benchBatch = 1024
 

@@ -32,16 +32,22 @@ func examplePolicy() *authz.Policy {
 	return p
 }
 
+// runningPlan builds the running example's plan over the given Hosp leaf
+// and returns its four operations, root last.
+func runningPlan(hosp *algebra.Base) (sel, join, grp, hav algebra.Node) {
+	ins := algebra.NewBase("Ins", "I", []algebra.Attr{iC, iP}, 5000, nil)
+	sel = algebra.NewSelect(hosp, &algebra.CmpAV{A: hD, Op: sql.OpEq, V: sql.StringValue("stroke")}, 0.1)
+	join = algebra.NewJoin(sel, ins, &algebra.CmpAA{L: hS, Op: sql.OpEq, R: iC}, 0.0002)
+	grp = algebra.NewGroupBy1(join, []algebra.Attr{hT}, sql.AggAvg, iP, false, 10)
+	hav = algebra.NewSelect(grp, &algebra.CmpAV{A: iP, Op: sql.OpGt, V: sql.NumberValue(100), Agg: sql.AggAvg}, 0.5)
+	return
+}
+
 // figure7aPlan builds the running example extended per Figure 7(a).
 func figure7aPlan(t *testing.T) (*core.System, *core.ExtendedPlan) {
 	t.Helper()
 	sys := core.NewSystem(examplePolicy(), "H", "I", "U", "X", "Y")
-	hosp := algebra.NewBase("Hosp", "H", []algebra.Attr{hS, hD, hT}, 1000, nil)
-	ins := algebra.NewBase("Ins", "I", []algebra.Attr{iC, iP}, 5000, nil)
-	sel := algebra.NewSelect(hosp, &algebra.CmpAV{A: hD, Op: sql.OpEq, V: sql.StringValue("stroke")}, 0.1)
-	join := algebra.NewJoin(sel, ins, &algebra.CmpAA{L: hS, Op: sql.OpEq, R: iC}, 0.0002)
-	grp := algebra.NewGroupBy1(join, []algebra.Attr{hT}, sql.AggAvg, iP, false, 10)
-	hav := algebra.NewSelect(grp, &algebra.CmpAV{A: iP, Op: sql.OpGt, V: sql.NumberValue(100), Agg: sql.AggAvg}, 0.5)
+	sel, join, grp, hav := runningPlan(algebra.NewBase("Hosp", "H", []algebra.Attr{hS, hD, hT}, 1000, nil))
 	an := sys.Analyze(hav, nil)
 	ext, err := sys.Extend(an, core.Assignment{sel: "H", join: "X", grp: "X", hav: "Y"})
 	if err != nil {
@@ -108,6 +114,41 @@ func TestFigure8Partition(t *testing.T) {
 	}
 	if d.Format() == "" {
 		t.Errorf("empty dispatch format")
+	}
+}
+
+// TestPartitionOutsourcedRelation: a relation stored at a provider is
+// scanned where it is hosted. On the examples/outsourced plan (Hosp of
+// authority H stored, partially encrypted, at W; the selection assigned to
+// W) the dispatch must not ask H to ship Hosp — W's authorization forbids
+// the plaintext and the runtime reads the stored form at W — so there is no
+// fragment at H and the scan sits inside W's request.
+func TestPartitionOutsourcedRelation(t *testing.T) {
+	pol := examplePolicy()
+	pol.MustGrant("Hosp", "W", []string{"T"}, []string{"S", "B", "D"}) // exactly the stored form
+	sys := core.NewSystem(pol, "H", "I", "U", "W", "X", "Y")
+	sel, join, grp, hav := runningPlan(algebra.NewStoredBase("Hosp", "H", "W",
+		[]algebra.Attr{hS, hD, hT}, []algebra.Attr{hS, hD}, "kStore", 1000, nil))
+	ext, err := sys.Extend(sys.Analyze(hav, nil), core.Assignment{sel: "W", join: "Y", grp: "Y", hav: "Y"})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	d := Partition(ext)
+	var atW *Fragment
+	for _, f := range d.Fragments {
+		switch f.Subject {
+		case "H":
+			t.Errorf("fragment at the authority H, which hosts nothing: %s", f.SQL)
+		case "W":
+			atW = f
+		}
+	}
+	if atW == nil {
+		t.Fatalf("no fragment at the storage provider W:\n%s", d.Format())
+	}
+	if len(atW.Inputs) != 0 || !strings.Contains(atW.SQL, "(Hosp)") {
+		t.Errorf("W's request does not scan the stored relation itself: %s", atW.SQL)
 	}
 }
 

@@ -25,7 +25,8 @@ type Fragment struct {
 	Subject authz.Subject
 	Root    algebra.Node // subtree root within the extended plan
 	// Inputs are the fragments whose results this fragment consumes, in
-	// operand order. Base relations read locally are not inputs.
+	// operand order. Base relations read where they are hosted are not
+	// inputs.
 	Inputs []*Fragment
 	// KeyIDs are the query-plan keys communicated to the subject for this
 	// fragment (Definition 6.1: keys go to the subjects performing the
@@ -43,22 +44,11 @@ type Dispatch struct {
 	Fragments []*Fragment
 }
 
-// Executor resolves the subject executing a node of an extended plan: the
-// assignee for operations, the data authority for base relations.
-func Executor(ext *core.ExtendedPlan) func(algebra.Node) authz.Subject {
-	return func(n algebra.Node) authz.Subject {
-		if b, ok := n.(*algebra.Base); ok {
-			return authz.Subject(b.Authority)
-		}
-		return ext.Assign[n]
-	}
-}
-
 // Partition splits an extended plan into per-subject fragments.
 func Partition(ext *core.ExtendedPlan) *Dispatch {
 	d := &Dispatch{}
 	counter := make(map[authz.Subject]int)
-	executor := Executor(ext)
+	executor := ext.Assign.Executor
 
 	var build func(n algebra.Node) *Fragment
 	build = func(n algebra.Node) *Fragment {

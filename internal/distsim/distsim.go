@@ -1,8 +1,6 @@
 package distsim
 
 import (
-	"context"
-	"fmt"
 	"sync"
 	"time"
 
@@ -17,10 +15,10 @@ import (
 
 // LinkDelay models the wide-area links between subjects: every transfer
 // stalls for RTT plus the serialization time of its bytes before the
-// consumer proceeds. The zero value (nil pointer on the network) keeps the
-// seed's instantaneous links. Under the parallel runtime, transfers on
-// independent subtrees overlap each other and the producers' computation,
-// exactly as in a real multi-cloud deployment.
+// consumer proceeds. The zero value (nil pointer on the network) keeps
+// links instantaneous. Transfers on independent subtrees overlap each other
+// and the producers' computation, exactly as in a real multi-cloud
+// deployment.
 type LinkDelay struct {
 	RTT         time.Duration
 	BytesPerSec float64
@@ -39,8 +37,8 @@ func (d *LinkDelay) delayFor(bytes int64) time.Duration {
 
 // Transfer records one inter-subject shipment of an intermediate relation:
 // one ledger entry per cross-subject plan edge, whether the relation moved
-// in one piece (sequential and materializing runtimes) or as a stream of
-// row batches (Batches > 1) whose bytes were accounted per batch.
+// as a stream of row batches (Batches > 1) whose bytes were accounted per
+// batch or in one piece (the Materializing reference).
 type Transfer struct {
 	From, To authz.Subject
 	Rows     int
@@ -50,10 +48,9 @@ type Transfer struct {
 }
 
 // Network is the set of subjects and the transfer ledger of one execution.
-// Registration (AddSubject, Subject, DistributeKeys) and the parallel
-// runtime are safe for concurrent use; the sequential Execute mutates the
-// subjects' executors and must not run concurrently on the same network —
-// long-lived services execute every run on a Clone instead.
+// Registration (AddSubject, Subject, DistributeKeys) and execution are safe
+// for concurrent use; long-lived services still execute every run on a
+// Clone so each run reads its own ledger and trace.
 type Network struct {
 	mu       sync.Mutex // guards subjects
 	subjects map[authz.Subject]*exec.Executor
@@ -64,15 +61,15 @@ type Network struct {
 	// BatchSize is the pipeline batch size handed to subject executors and
 	// the streaming exchanges (0 means exec.DefaultBatchSize).
 	BatchSize int
-	// Materializing selects the legacy whole-relation runtime: subject
-	// executors evaluate row at a time and ExecuteParallel ships complete
-	// sub-results. Kept as the equivalence oracle and benchmark baseline.
+	// Materializing selects the whole-relation runtime: subject executors
+	// evaluate row at a time and ExecuteParallel ships complete sub-results.
+	// Kept as the reference for the equivalence tests.
 	Materializing bool
 	// CryptoWorkers sizes the intra-batch crypto worker pool of every
 	// subject executor (0 = GOMAXPROCS, negative disables).
 	CryptoWorkers int
 	// ValueCrypto forces subject executors onto the per-value crypto path
-	// (the batched-crypto equivalence oracle and benchmark baseline).
+	// (the batched crypto engine's reference for the equivalence tests).
 	ValueCrypto bool
 	// Workers sizes each subject's morsel worker pool: fragments split
 	// their table-anchored pipeline segments into fixed row-ranges executed
@@ -228,9 +225,8 @@ func (nw *Network) record(t Transfer) {
 func (nw *Network) DistributeKeys(ext *core.ExtendedPlan, paillierBits int) (*crypto.KeyStore, error) {
 	full := crypto.NewKeyStore()
 	participants := make(map[authz.Subject]struct{})
-	executor := extExecutor(ext)
 	algebra.PostOrder(ext.Root, func(n algebra.Node) {
-		participants[executor(n)] = struct{}{}
+		participants[ext.Assign.Executor(n)] = struct{}{}
 	})
 	for _, k := range ext.Keys {
 		ring, ok := nw.preRings[k.ID]
@@ -254,113 +250,6 @@ func (nw *Network) DistributeKeys(ext *core.ExtendedPlan, paillierBits int) (*cr
 		}
 	}
 	return full, nil
-}
-
-func extExecutor(ext *core.ExtendedPlan) func(algebra.Node) authz.Subject {
-	return func(n algebra.Node) authz.Subject {
-		if b, ok := n.(*algebra.Base); ok {
-			return authz.Subject(b.Host())
-		}
-		return ext.Assign[n]
-	}
-}
-
-// Execute runs the extended plan across the network: every node is
-// evaluated by its executing subject, and operand relations produced by a
-// different subject are shipped (and recorded in the ledger). consts holds
-// the dispatched encrypted predicate constants.
-func (nw *Network) Execute(ext *core.ExtendedPlan, consts exec.ConstCache) (*exec.Table, error) {
-	return nw.ExecuteCtx(nil, ext, consts)
-}
-
-// ExecuteCtx is Execute under a context: cancellation is probed before every
-// node evaluation and at every batch boundary inside the subject executors,
-// a panic anywhere in evaluation is caught and returned as an
-// *exec.PanicError, and spill runs abandoned on the abort path are swept.
-// A nil context behaves exactly like Execute.
-func (nw *Network) ExecuteCtx(ctx context.Context, ext *core.ExtendedPlan, consts exec.ConstCache) (_ *exec.Table, err error) {
-	executor := extExecutor(ext)
-	results := make(map[algebra.Node]*exec.Table)
-	runMem, runSpill, sweep := nw.runResources()
-	defer sweep()
-	defer func() {
-		if r := recover(); r != nil {
-			err = exec.NewPanicError("sequential execution", r)
-		}
-	}()
-	runCtx := ctx
-	if ctx != nil && ctx.Done() == nil {
-		runCtx = nil // context.Background etc: keep the zero-cost path
-	}
-	var faultOps *exec.FaultPoints
-	if nw.Faults != nil {
-		faultOps = nw.Faults.Ops
-	}
-	var evaluate func(n algebra.Node) error
-	evaluate = func(n algebra.Node) error {
-		if runCtx != nil {
-			select {
-			case <-runCtx.Done():
-				return context.Cause(runCtx)
-			default:
-			}
-		}
-		subj := executor(n)
-		ex := nw.Subject(subj)
-		ex.Consts = consts
-		ex.BatchSize = nw.BatchSize
-		ex.Materializing = nw.Materializing
-		ex.CryptoWorkers = nw.CryptoWorkers
-		ex.ValueCrypto = nw.ValueCrypto
-		ex.Workers = nw.Workers
-		ex.MorselRows = nw.MorselRows
-		ex.Mem = runMem
-		ex.Spill = runSpill
-		ex.AdaptiveBatch = nw.AdaptiveBatch
-		ex.Trace = nw.Trace
-		ex.Ctx = runCtx
-		ex.Faults = faultOps
-		for name, fn := range nw.UDFs {
-			ex.UDFs[name] = fn
-		}
-		if ex.Materialized == nil {
-			ex.Materialized = make(map[algebra.Node]*exec.Table)
-		}
-		for _, c := range n.Children() {
-			if err := evaluate(c); err != nil {
-				return err
-			}
-			ct := results[c]
-			if cs := executor(c); cs != subj {
-				t := Transfer{
-					From: cs, To: subj, Rows: ct.Len(), Bytes: tableBytes(ct), Op: n.Op(),
-				}
-				nw.record(t)
-				d := nw.Delay.delayFor(t.Bytes)
-				if d > 0 {
-					time.Sleep(d)
-				}
-				if nw.Trace != nil {
-					nw.Trace.AddEdge(obs.Edge{
-						From: string(cs), To: string(subj), Op: n.Op(),
-						Rows: int64(t.Rows), Bytes: t.Bytes, Batches: 1,
-						WaitNanos: d.Nanoseconds(),
-					})
-				}
-			}
-			ex.Materialized[c] = ct
-		}
-		out, err := ex.Run(n)
-		if err != nil {
-			return fmt.Errorf("distsim: %s at %s: %w", n.Op(), subj, err)
-		}
-		results[n] = out
-		return nil
-	}
-	if err := evaluate(ext.Root); err != nil {
-		return nil, err
-	}
-	return results[ext.Root], nil
 }
 
 // TotalBytes returns the total bytes shipped between subjects.

@@ -136,7 +136,7 @@ func TestDistributedRunningExample(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := nw.Execute(ext, consts)
+	got, _, err := nw.ExecuteParallel(ext, consts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestDistributedMatchesCentralizedOnVariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := nw.Execute(ext, consts)
+		got, _, err := nw.ExecuteParallel(ext, consts)
 		if err != nil {
 			t.Fatalf("assignment %d: %v\n%s", i, err, algebra.Format(ext.Root, nil))
 		}
@@ -342,7 +342,7 @@ func TestUDFOverNetwork(t *testing.T) {
 	if _, err := nw.DistributeKeys(ext, testPaillierBits); err != nil {
 		t.Fatal(err)
 	}
-	got, err := nw.Execute(ext, nil)
+	got, _, err := nw.ExecuteParallel(ext, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,16 +7,18 @@
 // verifies end to end that the authorization-driven extension computes the
 // same answers as a trusted centralized execution.
 //
-// Three runtimes execute one prepared Network:
+// One runtime executes a prepared Network, with one reference beside it:
 //
-//   - Execute: sequential, fragment by fragment, materializing each
-//     sub-result before shipping it (the reference runtime).
 //   - ExecuteStream: one worker goroutine per fragment, exchanging columnar
 //     exec.Batch values over bounded channels; transfer latency overlaps
 //     upstream computation batch by batch, and the ledger accounts each
 //     edge's bytes per shipped batch (batchBytes walks the column vectors).
-//   - ExecuteParallel: ExecuteStream with the root materialized back into a
+//     ExecuteParallel is ExecuteStream with the root collected back into a
 //     table, for callers that want the whole relation.
+//   - Materializing (a Network field, not an entry point): ExecuteParallel
+//     ships every fragment's complete sub-result in one piece over the
+//     row-at-a-time interior — the reference the equivalence tests compare
+//     the streaming runtime against.
 //
 // See docs/ARCHITECTURE.md at the repository root for how fragments,
 // channel exchanges, and the transfer ledger fit into the full pipeline.

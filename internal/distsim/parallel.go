@@ -13,17 +13,15 @@ import (
 	"mpq/internal/obs"
 )
 
-// The parallel runtime replaces the sequential recursion of Execute with
-// one worker goroutine per plan fragment: a fragment is the maximal
-// connected subtree of the extended plan executed by a single subject (the
-// same decomposition dispatch.Partition renders as Figure 8 sub-queries).
-// Workers exchange sub-results over channels, so independent subtrees — the
-// two sides of a join assigned to different providers, the per-authority
-// scans feeding a user-side aggregate — evaluate concurrently, while the
-// operations inside one fragment keep their sequential order (they form a
-// chain on one subject's executor). Every cross-fragment shipment is
-// recorded in the transfer ledger exactly as under sequential execution,
-// in completion order.
+// Execution runs one worker goroutine per plan fragment: a fragment is the
+// maximal connected subtree of the extended plan executed by a single
+// subject (the same decomposition dispatch.Partition renders as Figure 8
+// sub-queries). Workers exchange sub-results over channels, so independent
+// subtrees — the two sides of a join assigned to different providers, the
+// per-authority scans feeding a user-side aggregate — evaluate concurrently,
+// while the operations inside one fragment form a chain on one subject's
+// executor. Every cross-fragment shipment is recorded in the transfer
+// ledger, in completion order.
 
 // fragInput is one frontier edge of a fragment: the producing fragment,
 // the plan node it evaluates, and the consuming operation (for the ledger
@@ -53,7 +51,7 @@ type fragResult struct {
 // partitionFragments splits the extended plan into maximal same-subject
 // fragments, inputs before consumers (post-order over the fragment DAG).
 func partitionFragments(ext *core.ExtendedPlan) []*fragment {
-	executor := extExecutor(ext)
+	executor := ext.Assign.Executor
 	var frags []*fragment
 
 	var build func(n algebra.Node) *fragment
@@ -89,17 +87,17 @@ func partitionFragments(ext *core.ExtendedPlan) []*fragment {
 // network itself is not otherwise mutated, so concurrent ExecuteParallel
 // calls on one prepared network are safe.
 //
-// By default fragments exchange row batches over channels as they are
-// produced (ExecuteStream); with Materializing set, each fragment ships its
-// complete sub-result in one piece — the legacy runtime, kept as the
-// equivalence oracle and benchmark baseline.
+// Fragments exchange row batches over channels as they are produced
+// (ExecuteStream); with Materializing set, each fragment ships its complete
+// sub-result in one piece — the reference the equivalence tests compare
+// against.
 func (nw *Network) ExecuteParallel(ext *core.ExtendedPlan, consts exec.ConstCache) (*exec.Table, []Transfer, error) {
 	return nw.ExecuteParallelCtx(nil, ext, consts)
 }
 
 // ExecuteParallelCtx is ExecuteParallel under a context: the streaming
 // default inherits ExecuteStreamCtx's batch-bounded cancellation and
-// fragment-boundary panic isolation; the materializing oracle probes the
+// fragment-boundary panic isolation; the materializing reference probes the
 // context between plan nodes and catches fragment panics as that
 // fragment's error. A nil context behaves exactly like ExecuteParallel.
 func (nw *Network) ExecuteParallelCtx(ctx context.Context, ext *core.ExtendedPlan, consts exec.ConstCache) (*exec.Table, []Transfer, error) {

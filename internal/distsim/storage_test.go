@@ -68,7 +68,7 @@ func TestStoredEncryptedBaseDistributed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := nw.Execute(ext, consts)
+	got, _, err := nw.ExecuteParallel(ext, consts)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, algebra.Format(ext.Root, nil))
 	}

@@ -58,15 +58,16 @@ func streamFixture(t *testing.T) (*Network, *core.ExtendedPlan, *exec.Executor, 
 	return nw, ext, user, consts
 }
 
-// TestExecuteStreamMatchesSequential: the batch-streaming fragment workers
-// compute the same relation as the sequential whole-table recursion, and
-// the per-edge ledger entries carry the same row and byte totals with the
-// batch split recorded.
-func TestExecuteStreamMatchesSequential(t *testing.T) {
+// TestExecuteStreamMatchesMaterializing: the batch-streaming fragment
+// workers compute the same relation as the whole-relation Materializing
+// reference, and the per-edge ledger entries carry the same row totals with
+// the batch split recorded.
+func TestExecuteStreamMatchesMaterializing(t *testing.T) {
 	nw, ext, user, consts := streamFixture(t)
 
-	seqNet := nw.Clone()
-	wantEnc, err := seqNet.Execute(ext, consts)
+	ref := nw.Clone()
+	ref.Materializing = true
+	wantEnc, wantTransfers, err := ref.ExecuteParallel(ext, consts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,10 +104,10 @@ func TestExecuteStreamMatchesSequential(t *testing.T) {
 		}
 	}
 
-	// Ledger: same cross-subject edges with the same totals as sequential
-	// execution, bytes accounted per batch.
+	// Ledger: same cross-subject edges with the same totals as the
+	// reference, bytes accounted per batch.
 	wantEdges := map[string]int64{}
-	for _, tr := range seqNet.Transfers {
+	for _, tr := range wantTransfers {
 		wantEdges[string(tr.From)+"→"+string(tr.To)] += int64(tr.Rows)
 	}
 	gotEdges := map[string]int64{}
@@ -198,8 +199,9 @@ func TestExecuteStreamEmptyProductDrainsProbe(t *testing.T) {
 func TestExecuteStreamConcurrent(t *testing.T) {
 	nw, ext, user, consts := streamFixture(t)
 
-	seqNet := nw.Clone()
-	wantEnc, err := seqNet.Execute(ext, consts)
+	ref := nw.Clone()
+	ref.Materializing = true
+	wantEnc, _, err := ref.ExecuteParallel(ext, consts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,4 +249,6 @@ func TestExecuteStreamConcurrent(t *testing.T) {
 
 type errRowCount struct{ got, want int }
 
-func (e errRowCount) Error() string { return "streamed row count differs from sequential result" }
+func (e errRowCount) Error() string {
+	return "streamed row count differs from the materializing reference"
+}

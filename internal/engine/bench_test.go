@@ -6,16 +6,14 @@ import (
 	"mpq/internal/tpch"
 )
 
-// The engine benchmarks compare the two axes the service adds over the
-// seed's one-shot pipeline: plan caching (cold re-plans every query, cached
-// reuses the authorized plan) and the distributed runtime (sequential
-// recursion vs parallel fragment workers). cmd/engbench runs the closed-loop
-// throughput version of these and records BENCH_engine.json.
+// The engine benchmarks isolate what plan caching saves: cold re-runs the
+// full authorize/extend/assign/key pipeline on every query, cached reuses
+// the authorized plan. They are test-code microbenchmarks; the recorded
+// end-to-end numbers come from bash bench/run.sh (see bench/README.md).
 
-func benchEngine(b *testing.B, sequential bool, cached bool) {
+func benchEngine(b *testing.B, cached bool) {
 	cfg := TPCHConfig(tpch.UAPenc, testSF, testSeed)
 	cfg.PaillierBits = testPaillierBits
-	cfg.Sequential = sequential
 	if !cached {
 		cfg.CacheSize = -1
 	}
@@ -37,12 +35,10 @@ func benchEngine(b *testing.B, sequential bool, cached bool) {
 	}
 }
 
-func BenchmarkQueryColdSequential(b *testing.B)   { benchEngine(b, true, false) }
-func BenchmarkQueryColdParallel(b *testing.B)     { benchEngine(b, false, false) }
-func BenchmarkQueryCachedSequential(b *testing.B) { benchEngine(b, true, true) }
-func BenchmarkQueryCachedParallel(b *testing.B)   { benchEngine(b, false, true) }
+func BenchmarkQueryCold(b *testing.B)   { benchEngine(b, false) }
+func BenchmarkQueryCached(b *testing.B) { benchEngine(b, true) }
 
-// BenchmarkQueryConcurrentClients measures cached parallel throughput under
+// BenchmarkQueryConcurrentClients measures cached throughput under
 // concurrent load (RunParallel spawns GOMAXPROCS clients).
 func BenchmarkQueryConcurrentClients(b *testing.B) {
 	cfg := TPCHConfig(tpch.UAPenc, testSF, testSeed)

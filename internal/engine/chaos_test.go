@@ -373,56 +373,48 @@ func TestCallerDeadlineOverridesDefault(t *testing.T) {
 }
 
 // TestPanicIsolation proves a panic inside execution never kills the
-// process on either runtime: it surfaces as a typed *exec.PanicError naming
-// the boundary, counts in the panic metric, and the engine keeps serving
-// correct results afterwards — including from the now-cached plan.
+// process: it surfaces as a typed *exec.PanicError naming the boundary,
+// counts in the panic metric, and the engine keeps serving correct results
+// afterwards — including from the now-cached plan.
 func TestPanicIsolation(t *testing.T) {
-	for _, sequential := range []bool{false, true} {
-		sequential := sequential
-		name := "parallel"
-		if sequential {
-			name = "sequential"
+	t.Run("parallel", func(t *testing.T) {
+		faults := &distsim.Faults{}
+		cfg := testConfig(t, tpch.UAPenc)
+		cfg.Faults = faults
+		eng, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			faults := &distsim.Faults{}
-			cfg := testConfig(t, tpch.UAPenc)
-			cfg.Sequential = sequential
-			cfg.Faults = faults
-			eng, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			q6 := querySQL(t, 6)
-			want, err := eng.Query(q6) // unfaulted baseline, also caches the plan
-			if err != nil {
-				t.Fatal(err)
-			}
+		q6 := querySQL(t, 6)
+		want, err := eng.Query(q6) // unfaulted baseline, also caches the plan
+		if err != nil {
+			t.Fatal(err)
+		}
 
-			faults.Ops = &exec.FaultPoints{Ops: map[string]exec.FaultSpec{
-				"*": {Kind: exec.FaultPanic, NthBatch: 1},
-			}}
-			_, err = eng.Query(q6)
-			var pe *exec.PanicError
-			if !errors.As(err, &pe) {
-				t.Fatalf("panic run returned %v, want *exec.PanicError", err)
-			}
-			if kind := ClassifyErr(err); kind != KindPanic {
-				t.Errorf("ClassifyErr = %q, want %q", kind, KindPanic)
-			}
-			if got := eng.met.panics.Value(); got != 1 {
-				t.Errorf("mpq_engine_panics_recovered_total = %d, want 1", got)
-			}
+		faults.Ops = &exec.FaultPoints{Ops: map[string]exec.FaultSpec{
+			"*": {Kind: exec.FaultPanic, NthBatch: 1},
+		}}
+		_, err = eng.Query(q6)
+		var pe *exec.PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("panic run returned %v, want *exec.PanicError", err)
+		}
+		if kind := ClassifyErr(err); kind != KindPanic {
+			t.Errorf("ClassifyErr = %q, want %q", kind, KindPanic)
+		}
+		if got := eng.met.panics.Value(); got != 1 {
+			t.Errorf("mpq_engine_panics_recovered_total = %d, want 1", got)
+		}
 
-			faults.Ops = nil
-			got, err := eng.Query(q6)
-			if err != nil {
-				t.Fatalf("engine unusable after recovered panic: %v", err)
-			}
-			if g, w := canon(got.Table), canon(want.Table); !bytes.Equal(g, w) {
-				t.Errorf("post-panic result differs from pre-panic baseline")
-			}
-		})
-	}
+		faults.Ops = nil
+		got, err := eng.Query(q6)
+		if err != nil {
+			t.Fatalf("engine unusable after recovered panic: %v", err)
+		}
+		if g, w := canon(got.Table), canon(want.Table); !bytes.Equal(g, w) {
+			t.Errorf("post-panic result differs from pre-panic baseline")
+		}
+	})
 }
 
 // TestAdmissionControl exercises the gate deterministically: one query is
@@ -535,6 +527,85 @@ func TestAdmissionControl(t *testing.T) {
 	}
 	if got := eng.met.admitted.Value(); got != 2 {
 		t.Errorf("admission admitted counter = %d, want 2 (warmup + held)", got)
+	}
+}
+
+// TestAdmissionClosedLoop is the overload claim by counts: 8 closed-loop
+// clients against a 2-slot engine, with no queue and with a 2-deep queue,
+// each issuing a fixed number of submissions. Every operator batch is
+// delayed, so a running query holds its slot while the other clients arrive
+// and the overload does not depend on the scheduler. The engine must keep
+// completing queries, shed the excess with ErrOverloaded/ErrQueueTimeout and
+// nothing else, account every submission once, and leave no goroutine
+// behind.
+func TestAdmissionClosedLoop(t *testing.T) {
+	const clients, perClient, maxConcurrent = 8, 4, 2
+	for _, queue := range []int{0, 2} {
+		t.Run(fmt.Sprintf("queue%d", queue), func(t *testing.T) {
+			faults := &distsim.Faults{}
+			cfg := testConfig(t, tpch.UAPenc)
+			cfg.Faults = faults
+			cfg.MaxConcurrent = maxConcurrent
+			cfg.MaxQueue = queue
+			cfg.QueueWait = 20 * time.Millisecond
+			eng, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q6 := querySQL(t, 6)
+			if _, err := eng.Query(q6); err != nil { // warm the plan outside the gate test
+				t.Fatal(err)
+			}
+			faults.Ops = &exec.FaultPoints{Ops: map[string]exec.FaultSpec{
+				"*": {Kind: exec.FaultDelay, Prob: 1, Delay: 5 * time.Millisecond},
+			}}
+
+			base := runtime.NumGoroutine()
+			var completed, rejected atomic.Uint64
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					for i := 0; i < perClient; i++ {
+						_, err := eng.Query(q6)
+						switch {
+						case err == nil:
+							completed.Add(1)
+						case errors.Is(err, ErrOverloaded), errors.Is(err, ErrQueueTimeout):
+							rejected.Add(1)
+						default:
+							t.Errorf("overloaded engine failed with %v, want ErrOverloaded or ErrQueueTimeout", err)
+						}
+					}
+				}()
+			}
+			close(start)
+			wg.Wait()
+			waitGoroutines(t, base)
+
+			done, shed := completed.Load(), rejected.Load()
+			if done == 0 {
+				t.Error("an overloaded engine stopped serving entirely")
+			}
+			if shed == 0 {
+				t.Errorf("%d clients against cap %d + queue %d produced no rejections", clients, maxConcurrent, queue)
+			}
+			if done+shed != clients*perClient {
+				t.Errorf("completed %d + rejected %d != %d submissions", done, shed, clients*perClient)
+			}
+			if got := eng.met.rejected.Value() + eng.met.queueTimeouts.Value(); got != shed {
+				t.Errorf("admission rejected+queue_timeout counters = %d, clients saw %d", got, shed)
+			}
+			if got := eng.met.admitted.Value(); got != done+1 {
+				t.Errorf("admission admitted counter = %d, want %d (completed + warmup)", got, done+1)
+			}
+			if n := len(eng.adm.slots); n != 0 {
+				t.Errorf("inflight gauge reads %d after all clients finished, want 0", n)
+			}
+		})
 	}
 }
 

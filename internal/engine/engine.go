@@ -53,7 +53,7 @@ type Config struct {
 	CryptoWorkers int
 	// ValueCrypto forces the per-value crypto path inside the batch
 	// pipeline (one EncryptValue/DecryptValue call per cell): the batched
-	// crypto engine's equivalence oracle and benchmark baseline.
+	// crypto engine's reference for the equivalence tests.
 	ValueCrypto bool
 	// LinkDelay, when set, simulates wide-area link latency on every
 	// inter-subject transfer (see distsim.LinkDelay).
@@ -61,15 +61,12 @@ type Config struct {
 	// CacheSize bounds the authorized-plan cache (entries). 0 means the
 	// default (256); negative disables caching.
 	CacheSize int
-	// Sequential selects the legacy sequential runtime instead of the
-	// parallel fragment workers (the benchmark baseline).
-	Sequential bool
 	// BatchSize is the number of rows per pipeline batch exchanged between
 	// operators and fragment workers (0 means exec.DefaultBatchSize).
 	BatchSize int
-	// Materializing selects the legacy whole-relation interior — row-at-a-
-	// time operators and complete sub-result shipments — instead of the
-	// batch pipeline: the equivalence oracle and benchmark baseline.
+	// Materializing selects the whole-relation interior — row-at-a-time
+	// operators and complete sub-result shipments — instead of the batch
+	// pipeline: the reference for the equivalence tests.
 	Materializing bool
 	// Workers sizes each subject's morsel worker pool: table-anchored
 	// pipeline segments (and group-by builds above them) split into fixed
@@ -167,7 +164,7 @@ type Engine struct {
 	cache  *planCache
 
 	// met owns the metrics registry; every engine counter lives there (see
-	// metrics.go) so Stats, /metrics, and engbench read one source of truth.
+	// metrics.go) so Stats and /metrics read one source of truth.
 	met *engineMetrics
 
 	// adm is the admission gate (nil when MaxConcurrent is unset).
@@ -389,16 +386,7 @@ func (e *Engine) query(ctx context.Context, query string, tr *obs.Trace) (_ *Res
 	execStart := time.Now()
 	run := pq.network.Clone()
 	run.Trace = tr
-	var (
-		table     *exec.Table
-		transfers []distsim.Transfer
-	)
-	if e.cfg.Sequential {
-		table, err = run.ExecuteCtx(ctx, pq.result.Extended, pq.consts)
-		transfers = run.Transfers
-	} else {
-		table, transfers, err = run.ExecuteParallelCtx(ctx, pq.result.Extended, pq.consts)
-	}
+	table, transfers, err := run.ExecuteParallelCtx(ctx, pq.result.Extended, pq.consts)
 	if err != nil {
 		e.countFailure(err)
 		return nil, nil, err

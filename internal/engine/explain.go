@@ -108,17 +108,11 @@ func (e *Engine) QueryTracedCtx(ctx context.Context, query string) (*Response, *
 // buildExplanation assembles the report from a completed traced run.
 func buildExplanation(query string, resp *Response, pq *preparedQuery, tr *obs.Trace) *Explanation {
 	ext := pq.result.Extended
-	subjectOf := func(n algebra.Node) string {
-		if b, ok := n.(*algebra.Base); ok {
-			return b.Host()
-		}
-		return string(ext.Assign[n])
-	}
 	var build func(n algebra.Node) *ExplainNode
 	build = func(n algebra.Node) *ExplainNode {
 		en := &ExplainNode{
 			Op:      n.Op(),
-			Subject: subjectOf(n),
+			Subject: string(ext.Assign.Executor(n)),
 			EstRows: n.Stats().Rows,
 		}
 		if sp := tr.ByRef(n); sp != nil {

@@ -9,9 +9,9 @@ import (
 )
 
 // engineMetrics is the engine's registry-backed instrumentation: every
-// counter the engine maintained as a bare atomic now lives in an
-// obs.Registry, so the same numbers drive Stats (stable JSON), the /metrics
-// Prometheus exposition, and the engbench report without double bookkeeping.
+// engine counter lives in an obs.Registry, so the same numbers drive Stats
+// (stable JSON) and the /metrics Prometheus exposition without double
+// bookkeeping.
 // Process-global crypto counters and the plan cache are bridged in as
 // CounterFunc/GaugeFunc collectors read at scrape time.
 type engineMetrics struct {

@@ -21,8 +21,8 @@ import (
 // Queries with an ORDER BY cannot stream past the sort: their rows are
 // drained, sorted, and then replayed to yield in batches, so the first row
 // arrives only after execution completes. The same holds under the
-// Sequential and Materializing runtimes, which have no streaming interior.
-// A yield error aborts the run and is returned.
+// Materializing reference, which has no streaming interior. A yield error
+// aborts the run and is returned.
 func (e *Engine) QueryStream(query string, yield func(headers []string, rows [][]exec.Value) error) (*Response, error) {
 	return e.QueryStreamCtx(nil, query, yield)
 }
@@ -102,15 +102,10 @@ func (e *Engine) queryStream(ctx context.Context, query string, tr *obs.Trace, y
 
 	run := pq.network.Clone()
 	run.Trace = tr
-	if e.cfg.Sequential || e.cfg.Materializing {
+	if e.cfg.Materializing {
 		// No streaming interior: execute, finalize, replay in batches.
 		var table *exec.Table
-		if e.cfg.Sequential {
-			table, err = run.ExecuteCtx(ctx, pq.result.Extended, pq.consts)
-			resp.Transfers = run.Transfers
-		} else {
-			table, resp.Transfers, err = run.ExecuteParallelCtx(ctx, pq.result.Extended, pq.consts)
-		}
+		table, resp.Transfers, err = run.ExecuteParallelCtx(ctx, pq.result.Extended, pq.consts)
 		if err == nil && tr != nil {
 			pq.recordObserved(tr)
 		}

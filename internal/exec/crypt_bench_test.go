@@ -12,7 +12,7 @@ import (
 // operator path against the column-wise batch path, per scheme. The batch
 // path additionally amortizes the exec-level costs — plaintext encoding
 // arena, Cipher allocation, ring cipher resolution — on top of the crypto
-// package's batched primitives. BENCH_crypto.json records a measured run.
+// package's batched primitives.
 
 const benchPaillierPrimeBits = 256
 

@@ -24,10 +24,10 @@
 //     single-threaded execution (see docs/ARCHITECTURE.md, "Morsel-driven
 //     parallelism").
 //
-//   - The legacy row-at-a-time materializing evaluator (Executor.Run with
+//   - The row-at-a-time materializing evaluator (Executor.Run with
 //     Materializing set): every operator materializes its full result and
-//     resolves references per row. It is retained as the equivalence
-//     oracle and benchmark baseline, never as a hot path.
+//     resolves references per row. It is retained as the reference for the
+//     equivalence tests, never as a hot path.
 //
 // See docs/ARCHITECTURE.md at the repository root for the batch contract,
 // the operator inventory, and a worked end-to-end query trace.

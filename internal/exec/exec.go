@@ -43,9 +43,9 @@ type Executor struct {
 	// BatchSize is the number of rows per pipeline batch (0 means
 	// DefaultBatchSize).
 	BatchSize int
-	// Materializing selects the legacy row-at-a-time, whole-table
-	// evaluator instead of the batch pipeline. It is kept as the reference
-	// oracle for equivalence tests and as the benchmark baseline.
+	// Materializing selects the row-at-a-time, whole-table evaluator
+	// instead of the batch pipeline. It is kept as the reference for the
+	// equivalence tests.
 	Materializing bool
 	// CryptoWorkers sizes the intra-batch worker pool of the encrypt and
 	// decrypt operators: 0 means GOMAXPROCS, negative disables the pool.
@@ -53,8 +53,7 @@ type Executor struct {
 	CryptoWorkers int
 	// ValueCrypto forces the batch pipeline's encrypt/decrypt operators
 	// onto the per-value crypto path (EncryptValue/DecryptValue per cell):
-	// the equivalence oracle and benchmark baseline for the batched crypto
-	// engine.
+	// the batched crypto engine's reference for the equivalence tests.
 	ValueCrypto bool
 	// Workers sizes the morsel worker pool: when > 1, pipeline segments
 	// anchored at a table scan (scan, filter, project, UDF, encrypt,

@@ -1320,8 +1320,8 @@ func (o *encryptOp) Close() error           { return o.child.Close() }
 // arena-allocated, large columns fanned out to the worker pool), and the
 // symmetric schemes' results land directly in a ciphertext-byte column —
 // no per-cell Cipher allocation. Untouched columns are forwarded. The
-// ValueCrypto knob keeps the per-value path as the equivalence oracle and
-// benchmark baseline.
+// ValueCrypto knob keeps the per-value path as the reference for the
+// equivalence tests.
 func (o *encryptOp) Next() (*Batch, error) {
 	b, err := o.child.Next()
 	if b == nil || err != nil {
@@ -1422,8 +1422,8 @@ func (o *decryptOp) Close() error           { return o.child.Close() }
 // column metadata — no per-cell grouping needed), generic columns group
 // their cipher cells by scheme and key first, and the decrypted cells land
 // in a freshly typed column. Untouched columns are forwarded. The
-// ValueCrypto knob keeps the per-value path as the equivalence oracle and
-// benchmark baseline.
+// ValueCrypto knob keeps the per-value path as the reference for the
+// equivalence tests.
 func (o *decryptOp) Next() (*Batch, error) {
 	b, err := o.child.Next()
 	if b == nil || err != nil {

@@ -21,14 +21,15 @@
 //	internal/crypto     deterministic/randomized AES, Paillier, OPE (batched, fixed-base precompute)
 //	internal/exec       execution engine, incl. computation over ciphertexts
 //	internal/dispatch   Figure 8 sub-queries, signed/sealed envelopes
-//	internal/distsim    distributed execution simulation (sequential + parallel runtimes)
+//	internal/distsim    distributed execution simulation (streaming fragment workers + a materializing reference)
 //	internal/engine     long-lived concurrent query service: plan cache, versioned authz
 //	internal/tpch       the §7 workload: schema, generator, 22 queries, scenarios
 //
 // The cmd directory holds the executables: cmd/mpqd serves queries over
-// HTTP/JSON on a long-lived engine, cmd/engbench measures engine
-// throughput, cmd/authqry explains authorization decisions, and
-// cmd/tpchbench reproduces the Section 7 economic evaluation.
+// HTTP/JSON on a long-lived engine, cmd/authqry explains authorization
+// decisions, and cmd/tpchbench reproduces the Section 7 economic
+// evaluation. The bench directory is the repository's benchmark
+// (BENCHMARK.json, bash bench/run.sh).
 package mpq
 
 import (
