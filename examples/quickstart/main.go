@@ -113,8 +113,15 @@ func main() {
 	fmt.Println("\n== Plaintext execution ==")
 	fmt.Print(baseline.Format(headers))
 
+	// One ring per plan key; only keys of Paillier-encrypted attributes
+	// need a Paillier key pair.
 	for _, k := range res.Extended.Keys {
-		ring, err := crypto.NewKeyRing(k.ID, 256)
+		var ring *crypto.KeyRing
+		if res.Extended.NeedsPaillier(k) {
+			ring, err = crypto.NewKeyRing(k.ID, 256)
+		} else {
+			ring, err = crypto.NewSymmetricKeyRing(k.ID)
+		}
 		if err != nil {
 			log.Fatal(err)
 		}

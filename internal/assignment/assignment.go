@@ -289,39 +289,40 @@ func touchedAttrs(n algebra.Node) algebra.AttrSet {
 // dpEntry is the best known solution for executing a subtree with its root
 // operation at a given subject.
 type dpEntry struct {
+	subj   authz.Subject
 	cost   float64
-	choice []authz.Subject // chosen subject per child (operations only)
+	choice []int // per child, the index of the chosen entry in best[child]
 }
 
 // chooseAssignmentBy runs the DP. When byTime is true it minimizes the
-// estimated wall-clock time instead of the economic cost.
+// estimated wall-clock time instead of the economic cost. Ties go to the
+// first subject in candidate order, so one plan always gets one assignment.
 func chooseAssignmentBy(sys *core.System, an *core.Analysis, m *cost.Model, byTime bool) core.Assignment {
 	hints := schemeHints(an)
-	// best[n][s] = minimal objective for the subtree rooted at n when n is
-	// executed by s (for leaves: by the data authority, single entry).
-	best := make(map[algebra.Node]map[authz.Subject]dpEntry)
+	// best[n] holds, in sorted subject order, the minimal objective for the
+	// subtree rooted at n per subject executing n (for leaves: the data
+	// authority, single entry).
+	best := make(map[algebra.Node][]dpEntry)
 
 	algebra.PostOrder(an.Root, func(n algebra.Node) {
-		entry := make(map[authz.Subject]dpEntry)
 		children := n.Children()
 		if len(children) == 0 {
 			b := n.(*algebra.Base)
 			host := authz.Subject(b.Host())
-			entry[host] = dpEntry{cost: leafCost(b, m, host, byTime)}
-			best[n] = entry
+			best[n] = []dpEntry{{subj: host, cost: leafCost(b, m, host, byTime)}}
 			return
 		}
+		var entries []dpEntry
 		for _, s := range an.Candidates[n] {
 			total := opCost(an, n, s, m, byTime, hints)
-			choice := make([]authz.Subject, len(children))
+			choice := make([]int, len(children))
 			feasible := true
 			for i, c := range children {
 				bestC := math.Inf(1)
-				var bestS authz.Subject
-				for cs, e := range best[c] {
-					v := e.cost + edgeCost(an, c, cs, n, s, m, byTime, hints)
+				for j, e := range best[c] {
+					v := e.cost + edgeCost(an, c, e.subj, n, s, m, byTime, hints)
 					if v < bestC {
-						bestC, bestS = v, cs
+						bestC, choice[i] = v, j
 					}
 				}
 				if math.IsInf(bestC, 1) {
@@ -329,40 +330,38 @@ func chooseAssignmentBy(sys *core.System, an *core.Analysis, m *cost.Model, byTi
 					break
 				}
 				total += bestC
-				choice[i] = bestS
 			}
 			if feasible {
-				entry[s] = dpEntry{cost: total, choice: choice}
+				entries = append(entries, dpEntry{subj: s, cost: total, choice: choice})
 			}
 		}
-		best[n] = entry
+		best[n] = entries
 	})
 
 	// Pick the root subject, adding the delivery edge to the user.
-	var rootS authz.Subject
+	var root dpEntry
 	bestV := math.Inf(1)
-	for s, e := range best[an.Root] {
-		v := e.cost + deliveryCost(an, an.Root, s, m, byTime)
+	for _, e := range best[an.Root] {
+		v := e.cost + deliveryCost(an, an.Root, e.subj, m, byTime)
 		if v < bestV {
-			bestV, rootS = v, s
+			bestV, root = v, e
 		}
 	}
 
 	// Walk back down recording choices.
 	lambda := make(core.Assignment)
-	var assignDown func(n algebra.Node, s authz.Subject)
-	assignDown = func(n algebra.Node, s authz.Subject) {
+	var assignDown func(n algebra.Node, e dpEntry)
+	assignDown = func(n algebra.Node, e dpEntry) {
 		children := n.Children()
 		if len(children) == 0 {
 			return
 		}
-		lambda[n] = s
-		e := best[n][s]
+		lambda[n] = e.subj
 		for i, c := range children {
-			assignDown(c, e.choice[i])
+			assignDown(c, best[c][e.choice[i]])
 		}
 	}
-	assignDown(an.Root, rootS)
+	assignDown(an.Root, root)
 	return lambda
 }
 

@@ -215,3 +215,42 @@ func TestCostBreakdownComponents(t *testing.T) {
 		t.Errorf("formatting failed")
 	}
 }
+
+// TestDPBreaksTiesInSubjectOrder prices two providers identically and
+// grants them identical views, so every DP state has an exact tie between
+// them: the DP must pick the first in subject order every time, never
+// whichever map iteration happens to visit first.
+func TestDPBreaksTiesInSubjectOrder(t *testing.T) {
+	pol := authz.NewPolicy()
+	pol.MustGrant("Hosp", "H", []string{"S", "B", "D", "T"}, nil)
+	pol.MustGrant("Ins", "I", []string{"C", "P"}, nil)
+	pol.MustGrant("Hosp", "U", []string{"S", "D", "T"}, nil)
+	pol.MustGrant("Ins", "U", []string{"C", "P"}, nil)
+	for _, p := range []authz.Subject{"X", "Y"} {
+		pol.MustGrant("Hosp", p, []string{"D", "T"}, []string{"S"})
+		pol.MustGrant("Ins", p, []string{"P"}, []string{"C"})
+	}
+	sys := core.NewSystem(pol, "H", "I", "U", "X", "Y")
+	an := sys.Analyze(examplePlan(), nil)
+	// X and Y are both unlisted: they share the model's default price.
+	m := cost.NewPaperModel("U", []authz.Subject{"H", "I"}, nil)
+	first := chooseAssignment(sys, an, m)
+	usesX := false
+	for _, s := range first {
+		if s == "Y" {
+			t.Fatalf("tie broken towards Y: %v", first)
+		}
+		usesX = usesX || s == "X"
+	}
+	if !usesX {
+		t.Fatalf("no provider assigned, so no tie was exercised: %v", first)
+	}
+	for i := 0; i < 20; i++ {
+		got := chooseAssignment(sys, an, m)
+		for n, s := range first {
+			if got[n] != s {
+				t.Fatalf("run %d: λ(%s) = %s, run 0 chose %s", i, n.Op(), got[n], s)
+			}
+		}
+	}
+}

@@ -38,6 +38,19 @@ type Key struct {
 	Holders []authz.Subject
 }
 
+// NeedsPaillier reports whether key k covers an attribute encrypted under
+// Paillier, i.e. whether its ring needs a Paillier key pair (Section 5 gives
+// each attribute the weakest scheme its operations allow, so only keys of
+// homomorphically aggregated attributes do).
+func (ext *ExtendedPlan) NeedsPaillier(k Key) bool {
+	for a := range k.Attrs {
+		if ext.Schemes[a] == algebra.SchemePaillier {
+			return true
+		}
+	}
+	return false
+}
+
 // ExtendedPlan is a minimally extended authorized query plan (Definition
 // 5.4) together with its assignment (covering the injected encryption and
 // decryption operations), the per-attribute encryption schemes, the

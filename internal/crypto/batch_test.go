@@ -215,31 +215,6 @@ func TestPaillierBatchDecryptIdentical(t *testing.T) {
 	}
 }
 
-func TestPaillierRandomizerPool(t *testing.T) {
-	pk, err := GeneratePaillier(96)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pk.PrecomputeRandomizers(32); err != nil {
-		t.Fatal(err)
-	}
-	<-pk.BackgroundRandomizers(8)
-	ms := make([]*big.Int, 48)
-	for i := range ms {
-		ms[i] = big.NewInt(int64(i - 20))
-	}
-	cts, err := pk.EncryptBatch(ms) // drains the pool, then fixed-base
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, m := range ms {
-		got, err := pk.Decrypt(cts[i])
-		if err != nil || got.Cmp(m) != 0 {
-			t.Errorf("pooled Decrypt(batch[%d]) = %v, %v; want %v", i, got, err, m)
-		}
-	}
-}
-
 // Concurrent precomputation and encryption on a shared key must be safe
 // (exec's worker pool encrypts one column from several goroutines).
 func TestPaillierConcurrentBatch(t *testing.T) {

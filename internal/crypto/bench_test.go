@@ -6,8 +6,7 @@ import (
 )
 
 // Crypto microbenchmarks: the per-value entry points against the batched
-// ones, and Paillier with and without the fixed-base/randomizer-pool
-// precomputation. Recorded per-value costs are bench's crypto.*_ns_per_value.
+// ones, and Paillier with and without the fixed-base table. Recorded per-value costs are bench's crypto.*_ns_per_value.
 
 const benchBatch = 1024
 
@@ -147,7 +146,7 @@ func BenchmarkPaillierEncryptValue(b *testing.B) {
 }
 
 // BenchmarkPaillierEncryptBatch measures EncryptBatch with the fixed-base
-// table built (sustained batch throughput, empty randomizer pool).
+// table built (sustained batch throughput).
 func BenchmarkPaillierEncryptBatch(b *testing.B) {
 	pk, err := GeneratePaillier(benchPaillierBits)
 	if err != nil {
@@ -161,29 +160,6 @@ func BenchmarkPaillierEncryptBatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i += batch {
-		if _, err := pk.EncryptBatch(ms); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPaillierEncryptPooled measures encryption consuming pooled
-// randomizers (the generation cost moved off the encryption path).
-func BenchmarkPaillierEncryptPooled(b *testing.B) {
-	pk, err := GeneratePaillier(benchPaillierBits)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const batch = 64
-	ms := benchPaillierMessages(batch)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += batch {
-		b.StopTimer()
-		if err := pk.PrecomputeRandomizers(batch); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
 		if _, err := pk.EncryptBatch(ms); err != nil {
 			b.Fatal(err)
 		}

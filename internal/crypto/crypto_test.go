@@ -2,6 +2,7 @@ package crypto
 
 import (
 	"bytes"
+	"errors"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -295,6 +296,39 @@ func TestKeyRing(t *testing.T) {
 	}
 	if _, err := pub.PK.Encrypt(big.NewInt(1)); err != nil {
 		t.Errorf("public ring should encrypt with Paillier: %v", err)
+	}
+}
+
+func TestSymmetricKeyRing(t *testing.T) {
+	before := ReadStats().PaillierKeygens
+	kr, err := NewSymmetricKeyRing("kS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !kr.CanDecrypt() || kr.PK != nil {
+		t.Fatalf("symmetric ring = %+v", kr)
+	}
+	if _, err := kr.Det(); err != nil {
+		t.Errorf("det via symmetric ring: %v", err)
+	}
+	if _, err := kr.Paillier(); !errors.Is(err, ErrNoPaillier) {
+		t.Errorf("Paillier() = %v, want ErrNoPaillier", err)
+	}
+	if pub := kr.Public(); pub.ID != "kS" || pub.PK != nil || pub.CanDecrypt() {
+		t.Errorf("Public() of a symmetric ring = %+v", pub)
+	}
+	if got := ReadStats().PaillierKeygens - before; got != 0 {
+		t.Errorf("symmetric ring generated %d Paillier pairs", got)
+	}
+	full, err := NewKeyRing("kP", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pk, err := full.Paillier(); err != nil || pk != full.PK {
+		t.Errorf("Paillier() on a full ring = %v, %v", pk, err)
+	}
+	if got := ReadStats().PaillierKeygens - before; got != 1 {
+		t.Errorf("NewKeyRing counted %d Paillier keygens, want 1", got)
 	}
 }
 

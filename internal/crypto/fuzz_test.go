@@ -1,7 +1,6 @@
 package crypto
 
 import (
-	"bytes"
 	"math/big"
 	"testing"
 )
@@ -24,7 +23,10 @@ func FuzzMarshal(f *testing.F) {
 	if blob, err := full.Public().Marshal(); err == nil {
 		f.Add(blob)
 	}
-	sym := &KeyRing{ID: "kSym", Master: bytes.Repeat([]byte{7}, KeySize)}
+	sym, err := NewSymmetricKeyRing("kSym")
+	if err != nil {
+		f.Fatal(err)
+	}
 	if blob, err := sym.Marshal(); err == nil {
 		f.Add(blob)
 	}

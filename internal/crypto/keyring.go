@@ -1,6 +1,7 @@
 package crypto
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 )
@@ -15,9 +16,11 @@ const DefaultPaillierBits = 512
 
 // KeyRing holds the key material of one query-plan key (Definition 6.1):
 // a symmetric master key from which the deterministic, randomized, and OPE
-// schemes derive subkeys, plus a Paillier key pair for additive aggregation.
-// A KeyRing may be public-only (Paillier public part, no symmetric master),
-// modelling a provider that can add ciphertexts but decrypt nothing.
+// schemes derive subkeys, plus — only when the key covers an attribute
+// aggregated homomorphically — a Paillier key pair. A KeyRing may be
+// symmetric-only (PK nil) or public-only (Paillier public part, no
+// symmetric master), modelling a provider that can add ciphertexts but
+// decrypt nothing.
 //
 // The derived ciphers — subkey HKDF and AES key schedule included — are
 // built once on first use and cached, so the batch encrypt/decrypt path
@@ -44,23 +47,52 @@ func (c *onceCell[T]) get(build func() (T, error)) (T, error) {
 	return c.val, c.err
 }
 
-// NewKeyRing generates the key material for one query-plan key.
+// ErrNoPaillier reports a Paillier operation on a ring that carries no
+// Paillier key.
+var ErrNoPaillier = errors.New("crypto: no Paillier key")
+
+// NewKeyRing generates the key material for one query-plan key whose
+// attributes need Paillier: a symmetric master and a key pair with primes
+// of the given bit size.
 func NewKeyRing(id string, paillierBits int) (*KeyRing, error) {
+	ring, err := NewSymmetricKeyRing(id)
+	if err != nil {
+		return nil, err
+	}
+	if ring.PK, err = GeneratePaillier(paillierBits); err != nil {
+		return nil, err
+	}
+	return ring, nil
+}
+
+// NewSymmetricKeyRing generates the key material for one query-plan key
+// whose attributes use only the symmetric schemes: a fresh master, no
+// Paillier key pair.
+func NewSymmetricKeyRing(id string) (*KeyRing, error) {
 	master, err := NewKey()
 	if err != nil {
 		return nil, err
 	}
-	pk, err := GeneratePaillier(paillierBits)
-	if err != nil {
-		return nil, err
-	}
-	return &KeyRing{ID: id, Master: master, PK: pk}, nil
+	return &KeyRing{ID: id, Master: master}, nil
 }
 
 // Public returns a copy of the ring a computation-only provider receives:
-// the Paillier public key, no symmetric material.
+// the Paillier public key (if the ring has one), no symmetric material.
 func (k *KeyRing) Public() *KeyRing {
-	return &KeyRing{ID: k.ID, PK: k.PK.Public()}
+	pub := &KeyRing{ID: k.ID}
+	if k.PK != nil {
+		pub.PK = k.PK.Public()
+	}
+	return pub
+}
+
+// Paillier returns the ring's Paillier key, or an error wrapping
+// ErrNoPaillier when the ring is symmetric-only.
+func (k *KeyRing) Paillier() (*Paillier, error) {
+	if k.PK == nil {
+		return nil, fmt.Errorf("crypto: key %s: %w", k.ID, ErrNoPaillier)
+	}
+	return k.PK, nil
 }
 
 // CanDecrypt reports whether the ring holds symmetric key material.

@@ -1,6 +1,7 @@
 package crypto
 
 import (
+	"errors"
 	"math/big"
 	"testing"
 )
@@ -64,6 +65,33 @@ func TestKeyRingMarshalPublicOnly(t *testing.T) {
 	sum, err := kr.PK.Decrypt(got.PK.Add(c1, c2))
 	if err != nil || sum.Int64() != 12 {
 		t.Errorf("public add interop = %v, %v", sum, err)
+	}
+}
+
+func TestKeyRingMarshalSymmetricOnly(t *testing.T) {
+	kr, err := NewSymmetricKeyRing("kS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := kr.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := UnmarshalKeyRing(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.ID != "kS" || !got.CanDecrypt() || got.PK != nil {
+		t.Fatalf("round trip = %+v", got)
+	}
+	d1, _ := kr.Det()
+	d2, _ := got.Det()
+	ct, _ := d1.Encrypt([]byte("v"))
+	if pt, err := d2.Decrypt(ct); err != nil || string(pt) != "v" {
+		t.Errorf("det interop failed: %v", err)
+	}
+	if _, err := got.Paillier(); !errors.Is(err, ErrNoPaillier) {
+		t.Errorf("Paillier() on a symmetric-only ring = %v, want ErrNoPaillier", err)
 	}
 }
 

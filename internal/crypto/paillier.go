@@ -36,10 +36,9 @@ type Paillier struct {
 	hp, hq     *big.Int // Lp(g^(p-1) mod p²)⁻¹ mod p and the q analogue
 	qInvP      *big.Int // q⁻¹ mod p (Garner recombination)
 
-	// Precomputation state (fixed-base randomizer table and pool), built
-	// lazily; see paillier_precomp.go.
+	// Fixed-base randomizer table, built lazily; see paillier_precomp.go.
 	preMu sync.Mutex
-	pre   atomic.Pointer[paillierPrecomp]
+	pre   atomic.Pointer[fixedBase]
 }
 
 // ErrNoPrivateKey reports a decryption attempted with a public-only key.
@@ -86,6 +85,7 @@ func GeneratePaillier(bits int) (*Paillier, error) {
 		if !pk.initCRT(p, q) {
 			continue // degenerate pair; retry
 		}
+		cryptoStats.paillierKeygens.Add(1)
 		return pk, nil
 	}
 }
@@ -145,8 +145,8 @@ func (p *Paillier) Encrypt(m *big.Int) (*big.Int, error) {
 	if new(big.Int).Abs(m).Cmp(half) >= 0 {
 		return nil, fmt.Errorf("crypto: paillier: message magnitude exceeds n/2")
 	}
-	// r^n mod n² for a fresh randomizer r: pooled/fixed-base when the key
-	// has been precomputed, else the textbook full-width exponentiation.
+	// r^n mod n² for a fresh randomizer r: fixed-base when the key has been
+	// precomputed, else the textbook full-width exponentiation.
 	rn, err := p.randomizer()
 	if err != nil {
 		return nil, err

@@ -21,8 +21,7 @@ var cryptoStats struct {
 	encryptBatches atomic.Uint64 // batch/arena encrypt calls, all schemes
 	decryptBatches atomic.Uint64 // batch decrypt calls, all schemes
 
-	poolHits   atomic.Uint64 // Paillier randomizers served from the pool
-	poolMisses atomic.Uint64 // randomizers computed on demand (table or textbook)
+	paillierKeygens atomic.Uint64 // Paillier key pairs generated
 }
 
 // Stats is a point-in-time snapshot of the package counters.
@@ -34,23 +33,26 @@ type Stats struct {
 
 	EncryptBatches, DecryptBatches uint64 // batch/arena calls across schemes
 
-	PaillierPoolHits, PaillierPoolMisses uint64 // randomizer pool behavior
+	PaillierKeygens uint64 // Paillier key pairs generated
+
+	// PaillierPoolHits is always 0: the randomizer pool it counted is gone.
+	// The field stays for readers compiled against it.
+	PaillierPoolHits uint64
 }
 
 // ReadStats snapshots the process-global crypto counters.
 func ReadStats() Stats {
 	return Stats{
-		DetEncrypts:        cryptoStats.detEncrypts.Load(),
-		DetDecrypts:        cryptoStats.detDecrypts.Load(),
-		RndEncrypts:        cryptoStats.rndEncrypts.Load(),
-		RndDecrypts:        cryptoStats.rndDecrypts.Load(),
-		OPEEncrypts:        cryptoStats.opeEncrypts.Load(),
-		OPEDecrypts:        cryptoStats.opeDecrypts.Load(),
-		PheEncrypts:        cryptoStats.pheEncrypts.Load(),
-		PheDecrypts:        cryptoStats.pheDecrypts.Load(),
-		EncryptBatches:     cryptoStats.encryptBatches.Load(),
-		DecryptBatches:     cryptoStats.decryptBatches.Load(),
-		PaillierPoolHits:   cryptoStats.poolHits.Load(),
-		PaillierPoolMisses: cryptoStats.poolMisses.Load(),
+		DetEncrypts:     cryptoStats.detEncrypts.Load(),
+		DetDecrypts:     cryptoStats.detDecrypts.Load(),
+		RndEncrypts:     cryptoStats.rndEncrypts.Load(),
+		RndDecrypts:     cryptoStats.rndDecrypts.Load(),
+		OPEEncrypts:     cryptoStats.opeEncrypts.Load(),
+		OPEDecrypts:     cryptoStats.opeDecrypts.Load(),
+		PheEncrypts:     cryptoStats.pheEncrypts.Load(),
+		PheDecrypts:     cryptoStats.pheDecrypts.Load(),
+		EncryptBatches:  cryptoStats.encryptBatches.Load(),
+		DecryptBatches:  cryptoStats.decryptBatches.Load(),
+		PaillierKeygens: cryptoStats.paillierKeygens.Load(),
 	}
 }

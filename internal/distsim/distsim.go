@@ -219,9 +219,11 @@ func (nw *Network) record(t Transfer) {
 // DistributeKeys generates the key rings of an extended plan and hands each
 // subject exactly the material it is entitled to: full rings to the holders
 // recorded in the plan's keys (the subjects performing encryptions and
-// decryptions), public-only rings to every other participant (enough to
-// accumulate Paillier ciphertexts, nothing more). It returns the full rings
-// for the dispatching user.
+// decryptions) and, for keys of Paillier-encrypted attributes, public-only
+// rings to every other participant (enough to accumulate Paillier
+// ciphertexts, nothing more). Only those keys get a Paillier key pair; the
+// others are symmetric-only. It returns the full rings for the dispatching
+// user.
 func (nw *Network) DistributeKeys(ext *core.ExtendedPlan, paillierBits int) (*crypto.KeyStore, error) {
 	full := crypto.NewKeyStore()
 	participants := make(map[authz.Subject]struct{})
@@ -229,10 +231,15 @@ func (nw *Network) DistributeKeys(ext *core.ExtendedPlan, paillierBits int) (*cr
 		participants[ext.Assign.Executor(n)] = struct{}{}
 	})
 	for _, k := range ext.Keys {
+		paillier := ext.NeedsPaillier(k)
 		ring, ok := nw.preRings[k.ID]
 		if !ok {
 			var err error
-			ring, err = crypto.NewKeyRing(k.ID, paillierBits)
+			if paillier {
+				ring, err = crypto.NewKeyRing(k.ID, paillierBits)
+			} else {
+				ring, err = crypto.NewSymmetricKeyRing(k.ID)
+			}
 			if err != nil {
 				return nil, err
 			}
@@ -242,6 +249,9 @@ func (nw *Network) DistributeKeys(ext *core.ExtendedPlan, paillierBits int) (*cr
 		for _, h := range k.Holders {
 			holders[h] = struct{}{}
 			nw.Subject(h).Keys.Add(ring)
+		}
+		if !paillier {
+			continue
 		}
 		for p := range participants {
 			if _, isHolder := holders[p]; !isHolder {

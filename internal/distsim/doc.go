@@ -2,8 +2,9 @@
 // assigned query plan across subjects: each subject runs its operations on
 // its own executor (holding only its tables and the keys distributed to it
 // per Definition 6.1), sub-results travel over accounted network links, and
-// providers operating on encrypted data receive Paillier public parts and
-// pre-encrypted predicate constants — never decryption keys. The simulation
+// providers operating on encrypted data receive Paillier public parts (for
+// the keys of homomorphically aggregated attributes only) and pre-encrypted
+// predicate constants — never decryption keys. The simulation
 // verifies end to end that the authorization-driven extension computes the
 // same answers as a trusted centralized execution.
 //

@@ -149,13 +149,10 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 		return float64(crypto.ReadStats().DecryptBatches)
 	}, obs.L("dir", "decrypt"))
 
-	const poolHelp = "Paillier encryption randomizers by provenance: served from the precomputed pool, or computed on demand."
-	r.CounterFunc("mpq_paillier_randomizer_pool_total", poolHelp, func() float64 {
-		return float64(crypto.ReadStats().PaillierPoolHits)
-	}, obs.L("result", "hit"))
-	r.CounterFunc("mpq_paillier_randomizer_pool_total", poolHelp, func() float64 {
-		return float64(crypto.ReadStats().PaillierPoolMisses)
-	}, obs.L("result", "miss"))
+	r.CounterFunc("mpq_crypto_paillier_keygens_total",
+		"Paillier key pairs generated (one per plan key of a homomorphically aggregated attribute).", func() float64 {
+			return float64(crypto.ReadStats().PaillierKeygens)
+		})
 
 	// Dictionary-encoding counters are process-global exec atomics, bridged
 	// like the crypto bill: how many string columns execute on codes, the

@@ -72,7 +72,7 @@ func TestMetricsRegistry(t *testing.T) {
 		`mpq_engine_phase_seconds_bucket{phase="execute",le="+Inf"}`,
 		"# TYPE mpq_engine_cached_plans gauge",
 		"mpq_crypto_values_total{scheme=",
-		"mpq_paillier_randomizer_pool_total{result=",
+		"# TYPE mpq_crypto_paillier_keygens_total counter",
 		"# TYPE mpq_exec_enc_cache_bytes gauge",
 		`mpq_exec_enc_cache_total{outcome="fill"}`,
 	} {

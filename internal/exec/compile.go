@@ -384,6 +384,11 @@ func (e *Executor) encCols(enc *algebra.Encrypt, in []algebra.Attr) ([]encCol, e
 		if err != nil {
 			return nil, fmt.Errorf("exec: encrypting %s: %w", a, err)
 		}
+		if scheme == algebra.SchemePaillier {
+			if _, err := ring.Paillier(); err != nil {
+				return nil, fmt.Errorf("exec: encrypting %s: %w", a, err)
+			}
+		}
 		var idx []int
 		for ci, sa := range in {
 			if sa == a {
@@ -432,7 +437,11 @@ func (e *Executor) buildCachedEncrypt(enc *algebra.Encrypt, t *Table) (Operator,
 		op.rings = append(op.rings, c.ring)
 		op.encIdx = append(op.encIdx, c.idx...)
 		if c.scheme == algebra.SchemePaillier {
-			op.phe = append(op.phe, c.ring.PK)
+			pk, err := c.ring.Paillier()
+			if err != nil {
+				return nil, err
+			}
+			op.phe = append(op.phe, pk)
 		}
 	}
 	if e.enc.published(enc) {

@@ -105,8 +105,12 @@ func encryptColumnPar(e *Executor, ring *crypto.KeyRing, scheme algebra.Scheme, 
 		minChunk = cryptoParMinPaillier
 		// Build the fixed-base table once, outside the pool, so chunks
 		// never race to construct it back to back.
-		if len(vals) >= minChunk && ring.PK != nil {
-			if err := ring.PK.Precompute(); err != nil {
+		if len(vals) >= minChunk {
+			pk, err := ring.Paillier()
+			if err != nil {
+				return err
+			}
+			if err := pk.Precompute(); err != nil {
 				return err
 			}
 		}
@@ -237,14 +241,17 @@ func encryptColumnInto(ring *crypto.KeyRing, scheme algebra.Scheme, vals, dst []
 			dst[i] = Enc(&cs[i])
 		}
 	case algebra.SchemePaillier:
+		pk, err := ring.Paillier()
+		if err != nil {
+			return err
+		}
 		ms := make([]*big.Int, len(vals))
 		for i, v := range vals {
-			var err error
 			if ms[i], err = pheEncode(v); err != nil {
 				return err
 			}
 		}
-		cts, err := ring.PK.EncryptBatch(ms)
+		cts, err := pk.EncryptBatch(ms)
 		if err != nil {
 			return err
 		}
@@ -381,12 +388,13 @@ func decryptCells(ring *crypto.KeyRing, scheme algebra.Scheme, cells []cell, row
 			rows[c.ri][c.ci] = v
 		}
 	case algebra.SchemePaillier:
-		if !ring.PK.HasPrivate() {
-			return fmt.Errorf("exec: key %s lacks the Paillier private part", ring.ID)
+		pk, err := pheDecrypter(ring)
+		if err != nil {
+			return err
 		}
 		for _, c := range cells {
 			ct := rows[c.ri][c.ci].C
-			m, err := ring.PK.Decrypt(ct.Phe)
+			m, err := pk.Decrypt(ct.Phe)
 			if err != nil {
 				return err
 			}
@@ -570,12 +578,13 @@ func decryptPosCells(ring *crypto.KeyRing, scheme algebra.Scheme, pos []int32, v
 		}
 		return nil
 	case algebra.SchemePaillier:
-		if !ring.PK.HasPrivate() {
-			return fmt.Errorf("exec: key %s lacks the Paillier private part", ring.ID)
+		pk, err := pheDecrypter(ring)
+		if err != nil {
+			return err
 		}
 		for _, p := range pos {
 			ct := vals[p].C
-			m, err := ring.PK.Decrypt(ct.Phe)
+			m, err := pk.Decrypt(ct.Phe)
 			if err != nil {
 				return err
 			}
@@ -588,6 +597,18 @@ func decryptPosCells(ring *crypto.KeyRing, scheme algebra.Scheme, pos []int32, v
 		return nil
 	}
 	return fmt.Errorf("exec: unknown scheme %q", scheme)
+}
+
+// pheDecrypter returns the ring's Paillier key if it can decrypt.
+func pheDecrypter(ring *crypto.KeyRing) (*crypto.Paillier, error) {
+	pk, err := ring.Paillier()
+	if err != nil {
+		return nil, err
+	}
+	if !pk.HasPrivate() {
+		return nil, fmt.Errorf("exec: key %s lacks the Paillier private part", ring.ID)
+	}
+	return pk, nil
 }
 
 // decryptGroups resolves each group's ring through resolve and decrypts all

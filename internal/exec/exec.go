@@ -523,11 +523,15 @@ func EncryptValue(ring *crypto.KeyRing, scheme algebra.Scheme, v Value) (Value, 
 		}
 		c.Data = o.Encrypt(enc)
 	case algebra.SchemePaillier:
+		pk, err := ring.Paillier()
+		if err != nil {
+			return Value{}, err
+		}
 		m, err := pheEncode(v)
 		if err != nil {
 			return Value{}, err
 		}
-		ct, err := ring.PK.Encrypt(m)
+		ct, err := pk.Encrypt(m)
 		if err != nil {
 			return Value{}, err
 		}
@@ -614,10 +618,11 @@ func decryptCipher(ring *crypto.KeyRing, c *Cipher) (Value, error) {
 		}
 		return opeDecode(enc, c.Plain)
 	case algebra.SchemePaillier:
-		if !ring.PK.HasPrivate() {
-			return Value{}, fmt.Errorf("exec: key %s lacks the Paillier private part", c.KeyID)
+		pk, err := pheDecrypter(ring)
+		if err != nil {
+			return Value{}, err
 		}
-		m, err := ring.PK.Decrypt(c.Phe)
+		m, err := pk.Decrypt(c.Phe)
 		if err != nil {
 			return Value{}, err
 		}
@@ -738,11 +743,15 @@ func (a *accumulator) add(e *Executor, sp algebra.AggSpec, v Value) error {
 			if err != nil {
 				return err
 			}
+			pk, err := ring.Paillier()
+			if err != nil {
+				return err
+			}
 			if a.phe == nil {
 				a.phe = v.C.Phe
 				a.pheC = v.C
 			} else {
-				a.phe = ring.PK.Add(a.phe, v.C.Phe)
+				a.phe = pk.Add(a.phe, v.C.Phe)
 			}
 			return nil
 		}

@@ -1,0 +1,70 @@
+package exec
+
+import (
+	"errors"
+	"math/big"
+	"testing"
+
+	"mpq/internal/algebra"
+	"mpq/internal/crypto"
+	"mpq/internal/sql"
+)
+
+// TestPaillierOverSymmetricRingIsTypedError drives every Paillier entry
+// point of the executor with a symmetric-only ring (a key whose attributes
+// need no Paillier pair, so none was generated): each must return an error
+// wrapping crypto.ErrNoPaillier, never dereference the missing key.
+func TestPaillierOverSymmetricRingIsTypedError(t *testing.T) {
+	sym, err := crypto.NewSymmetricKeyRing("kS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewExecutor()
+	e.Keys.Add(sym)
+	v := algebra.A("R", "v")
+	tbl := NewTable([]algebra.Attr{v})
+	vals := make([]Value, 32)
+	for i := range vals {
+		vals[i] = Int(int64(i))
+		tbl.Append([]Value{vals[i]})
+	}
+	e.Tables["R"] = tbl
+	enc := algebra.NewEncrypt(algebra.NewBase("R", "A", []algebra.Attr{v}, 32, nil), []algebra.Attr{v})
+	enc.Schemes[v] = algebra.SchemePaillier
+	enc.KeyIDs[v] = "kS"
+
+	// A Paillier ciphertext under kS, as a provider holding a PK-less ring
+	// for the key would receive it.
+	ct := func() *Cipher {
+		return &Cipher{Scheme: algebra.SchemePaillier, KeyID: "kS", Phe: big.NewInt(5), Div: 1, Plain: KInt}
+	}
+	sum := algebra.AggSpec{Func: sql.AggSum, Attr: v}
+	withSum := func() *groupAcc { return &groupAcc{fn: sql.AggSum, count: 1, phe: big.NewInt(3), pheC: ct()} }
+
+	for name, run := range map[string]func() error{
+		"EncryptValue": func() error { _, err := EncryptValue(sym, algebra.SchemePaillier, Int(1)); return err },
+		"EncryptColumn": func() error {
+			_, err := EncryptColumn(sym, algebra.SchemePaillier, vals[:4])
+			return err
+		},
+		"encryptColumnPar": func() error {
+			return encryptColumnPar(e, sym, algebra.SchemePaillier, vals, make([]Value, len(vals)))
+		},
+		"Build(Encrypt)": func() error { _, err := e.Build(enc); return err },
+		"DecryptValue":   func() error { _, err := e.DecryptValue(ct()); return err },
+		"DecryptRows":    func() error { _, err := e.DecryptRows([][]Value{{Enc(ct())}}); return err },
+		"decryptColumn": func() error {
+			col := NewColumn([]Value{Enc(ct()), Enc(ct())})
+			_, err := e.decryptColumn(&col, e.Keys.Get)
+			return err
+		},
+		"accumulator.add": func() error { return newAccumulator(sql.AggSum).add(e, sum, Enc(ct())) },
+		"groupAcc.add":    func() error { return withSum().add(Enc(ct()), false, e.ringCache()) },
+		"groupAcc.merge":  func() error { return withSum().merge(withSum(), e.ringCache()) },
+		"groupAcc.absorb": func() error { return withSum().absorb(1, Enc(ct()), e.ringCache()) },
+	} {
+		if err := run(); !errors.Is(err, crypto.ErrNoPaillier) {
+			t.Errorf("%s over a symmetric-only ring: err = %v, want ErrNoPaillier", name, err)
+		}
+	}
+}

@@ -596,6 +596,15 @@ func (e *Executor) ringCache() ringFn {
 	}
 }
 
+// pheKey resolves the Paillier key of a key id through ring.
+func pheKey(ring ringFn, keyID string) (*crypto.Paillier, error) {
+	r, err := ring(keyID)
+	if err != nil {
+		return nil, err
+	}
+	return r.Paillier()
+}
+
 // groupAcc is the per-group accumulator of one aggregate. It runs in one of
 // two modes: fold mode (the sequential build and the final merge target)
 // keeps the classical running state, while gather mode (the per-morsel
@@ -633,7 +642,7 @@ func (acc *groupAcc) add(v Value, gather bool, ring ringFn) error {
 			if v.C.Scheme != algebra.SchemePaillier {
 				return fmt.Errorf("exec: %s over %s ciphertext", acc.fn, v.C.Scheme)
 			}
-			r, err := ring(v.C.KeyID)
+			pk, err := pheKey(ring, v.C.KeyID)
 			if err != nil {
 				return err
 			}
@@ -643,7 +652,7 @@ func (acc *groupAcc) add(v Value, gather bool, ring ringFn) error {
 				acc.phe = new(big.Int).Set(v.C.Phe)
 				acc.pheC = v.C
 			} else {
-				r.PK.AddTo(acc.phe, v.C.Phe)
+				pk.AddTo(acc.phe, v.C.Phe)
 			}
 			return nil
 		}
@@ -777,11 +786,11 @@ func (acc *groupAcc) merge(p *groupAcc, ring ringFn) error {
 			if acc.phe == nil {
 				acc.phe, acc.pheC = p.phe, p.pheC // the partial owns its product
 			} else {
-				r, err := ring(acc.pheC.KeyID)
+				pk, err := pheKey(ring, acc.pheC.KeyID)
 				if err != nil {
 					return err
 				}
-				r.PK.AddTo(acc.phe, p.phe)
+				pk.AddTo(acc.phe, p.phe)
 			}
 		}
 		return nil

@@ -315,11 +315,11 @@ func (acc *groupAcc) absorb(count int64, payload Value, ring ringFn) error {
 				acc.pheC = payload.C
 				return nil
 			}
-			r, err := ring(payload.C.KeyID)
+			pk, err := pheKey(ring, payload.C.KeyID)
 			if err != nil {
 				return err
 			}
-			r.PK.AddTo(acc.phe, payload.C.Phe)
+			pk.AddTo(acc.phe, payload.C.Phe)
 			return nil
 		}
 		f, err := payload.AsFloat()
