@@ -42,6 +42,7 @@ import (
 	"mpq/internal/distsim"
 	"mpq/internal/engine"
 	"mpq/internal/exec"
+	"mpq/internal/planner"
 	"mpq/internal/tpch"
 )
 
@@ -63,7 +64,7 @@ func main() {
 		spillDir   = flag.String("spilldir", "", "directory for spill runs (default: the OS temp dir)")
 		partial    = flag.Bool("partial", false, "fold pre-shuffle partial aggregates at producing subjects")
 		adaptive   = flag.Bool("adaptive", false, "adaptive scan batch sizing (grow from small first batches)")
-		plannerMod = flag.String("planner", "", "planner mode: cost (default), greedy, or adaptive (greedy + re-optimization of cached plans from observed cardinalities)")
+		plannerMod = flag.String("planner", "", "planner mode: cost (default; FROM-order joins, textbook estimates) or greedy (joins ordered from predicate patterns)")
 		pprofOn    = flag.Bool("pprof", false, "mount net/http/pprof handlers under /debug/pprof/")
 		timeout    = flag.Duration("timeout", 0, "default per-query deadline; ?timeout= overrides per request (0 = none)")
 		maxConc    = flag.Int("max-concurrent", 0, "in-flight query cap; overloads get 429/503 instead of queueing unboundedly (0 = unlimited)")
@@ -91,7 +92,7 @@ func main() {
 	cfg.SpillDir = *spillDir
 	cfg.PartialShuffle = *partial
 	cfg.AdaptiveBatch = *adaptive
-	cfg.PlannerMode = *plannerMod
+	cfg.PlannerMode = planner.Mode(*plannerMod)
 	cfg.QueryTimeout = *timeout
 	cfg.MaxConcurrent = *maxConc
 	cfg.MaxQueue = *maxQueue

@@ -127,26 +127,6 @@ func (c *Catalog) Resolve(column string, candidates []string) (Attr, error) {
 	}
 }
 
-// WithRowOverrides returns a catalog view with the row estimates of the
-// named relations replaced (e.g. by cardinalities observed during a traced
-// execution). Relations without an override are shared with the receiver;
-// overridden ones are shallow clones, so the view is safe to plan against
-// while the original catalog keeps serving other queries. Negative override
-// values are ignored.
-func (c *Catalog) WithRowOverrides(rows map[string]float64) *Catalog {
-	out := NewCatalog()
-	for name, rel := range c.rels {
-		if r, ok := rows[name]; ok && r >= 0 {
-			clone := *rel
-			clone.Rows = r
-			out.rels[name] = &clone
-		} else {
-			out.rels[name] = rel
-		}
-	}
-	return out
-}
-
 // TypesOf returns the column type of every attribute in the catalog.
 func (c *Catalog) TypesOf() map[Attr]ColType {
 	out := make(map[Attr]ColType)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mpq/internal/algebra"
@@ -119,31 +118,12 @@ type Config struct {
 	// Faults arms the fault-injection harness on every prepared network
 	// (chaos tests only; see distsim.Faults). Nil in production.
 	Faults *distsim.Faults
-	// PlannerMode selects the join-ordering strategy: PlannerCost
-	// (default) plans left-deep in FROM order with textbook selectivity
-	// estimation; PlannerGreedy orders joins greedily from predicate
-	// patterns without trusting statistics; PlannerAdaptive plans greedily
-	// and additionally re-optimizes cached plans whose estimates diverge
-	// from observed cardinalities (see ReplanErrorFactor).
-	PlannerMode string
-	// ReplanErrorFactor is the q-error threshold of adaptive mode: a
-	// cache hit whose worst per-node estimate-vs-observed factor exceeds
-	// it is re-planned with the observed cardinalities injected as
-	// estimator overrides. 0 means the default (4); negative disables
-	// re-planning while keeping greedy planning.
-	ReplanErrorFactor float64
-	// ReplanMinRows ignores nodes where both the estimate and the
-	// observation fall below it when computing the re-plan trigger
-	// (small absolute misestimates are noise). 0 means the default (64).
-	ReplanMinRows float64
+	// PlannerMode selects the join-ordering strategy: planner.ModeCost
+	// (default, also "") plans left-deep in FROM order with textbook
+	// selectivity estimation; planner.ModeGreedy orders joins greedily from
+	// predicate patterns without trusting statistics.
+	PlannerMode planner.Mode
 }
-
-// Planner modes for Config.PlannerMode.
-const (
-	PlannerCost     = "cost"
-	PlannerGreedy   = "greedy"
-	PlannerAdaptive = "adaptive"
-)
 
 const defaultCacheSize = 256
 
@@ -186,10 +166,10 @@ func New(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("engine: config needs candidate subjects")
 	}
 	switch cfg.PlannerMode {
-	case "", PlannerCost, PlannerGreedy, PlannerAdaptive:
+	case "", planner.ModeCost, planner.ModeGreedy:
 	default:
-		return nil, fmt.Errorf("engine: unknown planner mode %q (want %s, %s, or %s)",
-			cfg.PlannerMode, PlannerCost, PlannerGreedy, PlannerAdaptive)
+		return nil, fmt.Errorf("engine: unknown planner mode %q (want %s or %s)",
+			cfg.PlannerMode, planner.ModeCost, planner.ModeGreedy)
 	}
 	if cfg.PaillierBits == 0 {
 		cfg.PaillierBits = crypto.DefaultPaillierBits
@@ -223,48 +203,6 @@ type preparedQuery struct {
 	keys      *crypto.KeyStore // full rings, for user-side finalization
 	consts    exec.ConstCache
 	executors []authz.Subject // distinct assignees, sorted
-
-	// observed holds the per-node output cardinalities measured by the most
-	// recent traced run of this plan (Explain or a trace-enabled query),
-	// stored alongside the cached plan as the feedback hook for
-	// cardinality-informed re-optimization: a later planning pass can compare
-	// each node's algebra.Stats estimate against what execution actually saw.
-	observed atomic.Pointer[map[algebra.Node]int64]
-
-	// replanGen counts how many times this cache slot has been
-	// re-optimized with observed cardinalities; it is carried forward on
-	// every swap and capped (maxReplanGen) so oscillating estimates can
-	// never ping-pong the cache. replanning serializes re-plans of one
-	// entry: concurrent hits on a diverged plan elect a single re-planner
-	// and everyone else keeps executing the current plan.
-	replanGen  int
-	replanning atomic.Bool
-}
-
-// recordObserved stores the actual output cardinality of every extended-plan
-// node that carries a span in tr.
-func (pq *preparedQuery) recordObserved(tr *obs.Trace) {
-	m := make(map[algebra.Node]int64)
-	var walk func(n algebra.Node)
-	walk = func(n algebra.Node) {
-		if sp := tr.ByRef(n); sp != nil {
-			m[n] = sp.Rows()
-		}
-		for _, c := range n.Children() {
-			walk(c)
-		}
-	}
-	walk(pq.result.Extended.Root)
-	pq.observed.Store(&m)
-}
-
-// observedRows returns the cardinalities of the last traced run, or nil if
-// the plan has never run traced.
-func (pq *preparedQuery) observedRows() map[algebra.Node]int64 {
-	if p := pq.observed.Load(); p != nil {
-		return *p
-	}
-	return nil
 }
 
 // Response is the outcome of one query.
@@ -332,8 +270,7 @@ func (e *Engine) QueryCtx(ctx context.Context, query string) (*Response, error) 
 
 // query is the shared body of Query and Explain: when tr is non-nil the run
 // executes traced (every compiled operator wrapped in a span, every
-// cross-subject edge recorded) and the observed cardinalities are stored on
-// the prepared plan.
+// cross-subject edge recorded).
 func (e *Engine) query(ctx context.Context, query string, tr *obs.Trace) (_ *Response, _ *preparedQuery, err error) {
 	e.met.queries.Inc()
 	ctx, cancel := e.runContext(ctx)
@@ -369,13 +306,6 @@ func (e *Engine) query(ctx context.Context, query string, tr *obs.Trace) (_ *Res
 		e.met.errors.Inc()
 		return nil, nil, err
 	}
-	if tr == nil && e.adaptive() && pq.observedRows() == nil {
-		// Adaptive mode self-seeds its feedback: the first run of every
-		// prepared plan executes traced so the observed cardinalities
-		// exist by the first cache hit, without requiring callers to use
-		// Explain or ?trace=1.
-		tr = obs.NewTrace()
-	}
 	if hit {
 		e.met.hits.Inc()
 	} else {
@@ -392,9 +322,6 @@ func (e *Engine) query(ctx context.Context, query string, tr *obs.Trace) (_ *Res
 		return nil, nil, err
 	}
 	e.met.observe(e.met.phaseExecute, execStart)
-	if tr != nil {
-		pq.recordObserved(tr)
-	}
 	finStart := time.Now()
 	final, headers, err := e.finalize(pq, table)
 	if err != nil {
@@ -432,15 +359,16 @@ func (e *Engine) query(ctx context.Context, query string, tr *obs.Trace) (_ *Res
 // retry could starve cold queries forever. Either way a served plan is
 // always authorized under exactly the version it reports.
 func (e *Engine) admit(stmt *sql.SelectStmt, fp string) (*preparedQuery, bool, error) {
+	opts := planner.PlanOptions{Mode: e.cfg.PlannerMode}
 	for attempt := 0; ; attempt++ {
 		e.mu.RLock()
 		version := e.policy.Version()
 		if pq := e.cache.get(fp, version); pq != nil {
 			e.mu.RUnlock()
-			return e.maybeReplan(stmt, fp, pq), true, nil
+			return pq, true, nil
 		}
 		if attempt >= maxOptimisticPrepares {
-			pq, err := e.prepare(stmt, version, e.policy, e.planOpts(nil))
+			pq, err := e.prepare(stmt, version, e.policy, opts)
 			if err == nil {
 				e.cache.put(fp, pq)
 			}
@@ -450,7 +378,7 @@ func (e *Engine) admit(stmt *sql.SelectStmt, fp string) (*preparedQuery, bool, e
 		snap := e.policy.Clone()
 		e.mu.RUnlock()
 
-		pq, err := e.prepare(stmt, version, snap, e.planOpts(nil))
+		pq, err := e.prepare(stmt, version, snap, opts)
 
 		e.mu.RLock()
 		current := e.policy.Version()
@@ -609,16 +537,14 @@ type Stats struct {
 	CacheMisses   uint64 `json:"cache_misses"`
 	Errors        uint64 `json:"errors"`
 	Invalidations uint64 `json:"invalidations"`
-	Replans       uint64 `json:"replans"`
 	Transfers     uint64 `json:"transfers"`
 	BytesShipped  uint64 `json:"bytes_shipped"`
 	CachedPlans   int    `json:"cached_plans"`
 	AuthzVersion  uint64 `json:"authz_version"`
 }
 
-// Stats returns a snapshot of the engine counters. The fields (and their
-// JSON keys) are stable; since the registry became the source of truth this
-// is a read-through view over the same counters /metrics exposes.
+// Stats returns a snapshot of the engine counters: a read-through view over
+// the same registry counters /metrics exposes.
 func (e *Engine) Stats() Stats {
 	return Stats{
 		Queries:       e.met.queries.Value(),
@@ -626,7 +552,6 @@ func (e *Engine) Stats() Stats {
 		CacheMisses:   e.met.misses.Value(),
 		Errors:        e.met.errors.Value(),
 		Invalidations: e.met.invalidations.Value(),
-		Replans:       e.met.replans.Value(),
 		Transfers:     e.met.transfers.Value(),
 		BytesShipped:  e.met.bytesShipped.Value(),
 		CachedPlans:   e.cache.len(),

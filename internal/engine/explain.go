@@ -22,8 +22,8 @@ type ExplainNode struct {
 	// with their data authority).
 	Subject string `json:"subject,omitempty"`
 	// EstRows is the optimizer's output-cardinality estimate; Rows is what
-	// the run actually produced. Their ratio is the estimation error the
-	// cardinality-feedback hook exists to correct.
+	// the run actually produced. Their ratio is the optimizer's estimation
+	// error on this operator.
 	EstRows float64 `json:"est_rows"`
 	Rows    int64   `json:"rows"`
 	// Batches and TimeNs account the operator's Next calls: batches
@@ -72,10 +72,8 @@ type Explanation struct {
 
 // Explain executes the query with tracing enabled and returns the annotated
 // extended plan: per-operator rows, batches, and wall time, per-edge
-// shipment accounting, and the run's phase timings. The run is a real query
-// — it counts in the engine statistics, may hit the plan cache, and stores
-// its observed cardinalities on the prepared plan for the
-// cardinality-feedback hook.
+// shipment accounting, and the run's phase timings. The run is a real query:
+// it counts in the engine statistics and may hit the plan cache.
 func (e *Engine) Explain(query string) (*Explanation, error) {
 	_, ex, err := e.QueryTracedCtx(nil, query)
 	return ex, err

@@ -6,6 +6,7 @@ import (
 	"mpq/internal/algebra"
 	"mpq/internal/authz"
 	"mpq/internal/crypto"
+	"mpq/internal/planner"
 	"mpq/internal/sql"
 	"mpq/internal/tpch"
 )
@@ -33,7 +34,7 @@ func TestKeyMaterialDef61(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pq, err := eng.prepare(stmt, eng.policy.Version(), eng.policy, eng.planOpts(nil))
+			pq, err := eng.prepare(stmt, eng.policy.Version(), eng.policy, planner.PlanOptions{})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", sc, q.Name, err)
 			}

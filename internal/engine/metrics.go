@@ -22,7 +22,6 @@ type engineMetrics struct {
 	misses        *obs.Counter
 	errors        *obs.Counter
 	invalidations *obs.Counter
-	replans       *obs.Counter
 	transfers     *obs.Counter
 	bytesShipped  *obs.Counter
 
@@ -47,9 +46,6 @@ type engineMetrics struct {
 	phaseKeys     *obs.Histogram
 	phaseExecute  *obs.Histogram
 	phaseFinalize *obs.Histogram
-	// phaseReplan times complete adaptive re-optimizations (plan through
-	// key distribution, ending at the cache swap).
-	phaseReplan *obs.Histogram
 }
 
 func newEngineMetrics(e *Engine) *engineMetrics {
@@ -66,8 +62,6 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 		"Authorized-plan cache lookups by outcome.", obs.L("result", "miss"))
 	m.invalidations = r.Counter("mpq_engine_plan_cache_flushes_total",
 		"Wholesale plan-cache flushes caused by policy mutations.")
-	m.replans = r.Counter("mpq_engine_replans_total",
-		"Cached plans re-optimized with observed cardinalities after their estimates diverged (adaptive planner mode).")
 	m.transfers = r.Counter("mpq_engine_transfers_total",
 		"Inter-subject shipments recorded across all runs.")
 	m.bytesShipped = r.Counter("mpq_engine_bytes_shipped_total",
@@ -122,7 +116,6 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 	m.phaseKeys = phase("keys")
 	m.phaseExecute = phase("execute")
 	m.phaseFinalize = phase("finalize")
-	m.phaseReplan = phase("replan")
 
 	// Crypto operation counters are process-global atomics (every engine in
 	// the process shares one crypto bill); bridge them in at scrape time.

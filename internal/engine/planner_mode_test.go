@@ -3,24 +3,24 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
+	"mpq/internal/planner"
 	"mpq/internal/tpch"
 )
 
-// TestPlannerModeEquivalence is the cross-mode oracle suite: every TPC-H
-// query, on every authorization scenario, through every planner mode and
-// worker count, must produce exactly the rows of a materializing-runtime
-// oracle engine (the simplest interior, FROM-order plans). Join reordering
-// permutes row order and float accumulation order, so rows are compared
-// canonicalized (sorted, floats rounded) — any divergence means greedy
-// ordering or adaptive re-planning changed the *answer*, not the plan.
-// Adaptive cells run each query twice: the second submission hits the plan
-// cache, may trigger a re-plan from the first run's observed cardinalities,
-// and must still return identical rows. Exercised under -race in CI.
+// TestPlannerModeEquivalence is the greedy planner's oracle suite: every
+// TPC-H query, on every authorization scenario and worker count, must
+// produce exactly the rows of a materializing-runtime oracle engine (the
+// simplest interior, FROM-order plans). Join reordering permutes row order
+// and float accumulation order, so rows are compared canonicalized (sorted,
+// floats rounded) — any divergence means greedy ordering changed the
+// *answer*, not the plan. The default cost planner's cells are
+// TestEncCacheEquivalence's. Exercised under -race in CI.
 func TestPlannerModeEquivalence(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full 22-query × scenario × mode × workers sweep")
+		t.Skip("full 22-query × scenario × workers sweep")
 	}
 	queries := tpch.Queries()
 	for _, sc := range tpch.Scenarios() {
@@ -40,48 +40,56 @@ func TestPlannerModeEquivalence(t *testing.T) {
 				}
 				want[q.Num] = canon(resp.Table)
 			}
-			for _, mode := range []string{PlannerCost, PlannerGreedy, PlannerAdaptive} {
-				for _, workers := range []int{1, 2, 8} {
-					mode, workers := mode, workers
-					t.Run(fmt.Sprintf("%s/w%d", mode, workers), func(t *testing.T) {
-						t.Parallel()
-						cfg := testConfig(t, sc)
-						cfg.PlannerMode = mode
-						cfg.Workers = workers
-						eng, err := New(cfg)
+			for _, workers := range []int{1, 2, 8} {
+				workers := workers
+				t.Run(fmt.Sprintf("%s/w%d", planner.ModeGreedy, workers), func(t *testing.T) {
+					t.Parallel()
+					cfg := testConfig(t, sc)
+					cfg.PlannerMode = planner.ModeGreedy
+					cfg.Workers = workers
+					eng, err := New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, q := range queries {
+						got, err := eng.Query(q.SQL)
 						if err != nil {
-							t.Fatal(err)
+							t.Fatalf("Q%d: %v", q.Num, err)
 						}
-						for _, q := range queries {
-							got, err := eng.Query(q.SQL)
-							if err != nil {
-								t.Fatalf("Q%d: %v", q.Num, err)
-							}
-							if g := canon(got.Table); !bytes.Equal(g, want[q.Num]) {
-								t.Errorf("Q%d: %s/w%d result differs from oracle\ngot:\n%s\nwant:\n%s",
-									q.Num, mode, workers, g, want[q.Num])
-							}
-							if mode != PlannerAdaptive {
-								continue
-							}
-							// Second run: cache hit, possibly served by a
-							// re-planned entry fed with run 1's cardinalities.
-							again, err := eng.Query(q.SQL)
-							if err != nil {
-								t.Fatalf("Q%d (rerun): %v", q.Num, err)
-							}
-							if g := canon(again.Table); !bytes.Equal(g, want[q.Num]) {
-								t.Errorf("Q%d: adaptive re-planned result differs from oracle\ngot:\n%s\nwant:\n%s",
-									q.Num, g, want[q.Num])
-							}
+						if g := canon(got.Table); !bytes.Equal(g, want[q.Num]) {
+							t.Errorf("Q%d: greedy/w%d result differs from oracle\ngot:\n%s\nwant:\n%s",
+								q.Num, workers, g, want[q.Num])
 						}
-						if mode == PlannerAdaptive {
-							t.Logf("%s/%s/w%d: %d re-plans over %d queries",
-								sc, mode, workers, eng.Stats().Replans, len(queries))
-						}
-					})
-				}
+					}
+				})
 			}
 		})
+	}
+}
+
+// TestNewRejectsUnknownPlannerMode: only the cost and greedy planners exist,
+// so a configuration naming any other mode — including the retired
+// "adaptive" — fails at construction with an error naming the valid modes,
+// instead of silently planning some other way.
+func TestNewRejectsUnknownPlannerMode(t *testing.T) {
+	cfg := testConfig(t, tpch.UA)
+	for _, mode := range []planner.Mode{"", planner.ModeCost, planner.ModeGreedy} {
+		cfg.PlannerMode = mode
+		if _, err := New(cfg); err != nil {
+			t.Errorf("mode %q: %v", mode, err)
+		}
+	}
+	for _, mode := range []planner.Mode{"adaptive", "Greedy", "fed"} {
+		cfg.PlannerMode = mode
+		_, err := New(cfg)
+		if err == nil {
+			t.Errorf("mode %q accepted", mode)
+			continue
+		}
+		for _, want := range []string{string(mode), string(planner.ModeCost), string(planner.ModeGreedy)} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("mode %q: error %q does not name %q", mode, err, want)
+			}
+		}
 	}
 }

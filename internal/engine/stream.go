@@ -6,7 +6,6 @@ import (
 
 	"mpq/internal/exec"
 	"mpq/internal/exec/pipeline"
-	"mpq/internal/obs"
 	"mpq/internal/sql"
 )
 
@@ -31,14 +30,7 @@ func (e *Engine) QueryStream(query string, yield func(headers []string, rows [][
 // deadline expiry aborts the run within one batch of work, the engine's
 // Config.QueryTimeout applies when ctx has no deadline, and admission
 // control may reject the query before any work is done (see QueryCtx).
-func (e *Engine) QueryStreamCtx(ctx context.Context, query string, yield func(headers []string, rows [][]exec.Value) error) (*Response, error) {
-	return e.queryStream(ctx, query, nil, yield)
-}
-
-// queryStream is the shared body of QueryStream and the traced streaming
-// path (mpqd's ?trace=1): when tr is non-nil the run executes traced and the
-// observed cardinalities are stored on the prepared plan.
-func (e *Engine) queryStream(ctx context.Context, query string, tr *obs.Trace, yield func(headers []string, rows [][]exec.Value) error) (_ *Response, err error) {
+func (e *Engine) QueryStreamCtx(ctx context.Context, query string, yield func(headers []string, rows [][]exec.Value) error) (_ *Response, err error) {
 	e.met.queries.Inc()
 	ctx, cancel := e.runContext(ctx)
 	if cancel != nil {
@@ -61,10 +53,6 @@ func (e *Engine) queryStream(ctx context.Context, query string, tr *obs.Trace, y
 	if err != nil {
 		e.met.errors.Inc()
 		return nil, err
-	}
-	if tr == nil && e.adaptive() && pq.observedRows() == nil {
-		// Adaptive mode self-seeds its feedback (see Engine.query).
-		tr = obs.NewTrace()
 	}
 	if hit {
 		e.met.hits.Inc()
@@ -101,14 +89,10 @@ func (e *Engine) queryStream(ctx context.Context, query string, tr *obs.Trace, y
 	}
 
 	run := pq.network.Clone()
-	run.Trace = tr
 	if e.cfg.Materializing {
 		// No streaming interior: execute, finalize, replay in batches.
 		var table *exec.Table
 		table, resp.Transfers, err = run.ExecuteParallelCtx(ctx, pq.result.Extended, pq.consts)
-		if err == nil && tr != nil {
-			pq.recordObserved(tr)
-		}
 		if err == nil {
 			table, _, err = e.finalize(pq, table)
 		}
@@ -192,9 +176,6 @@ func (e *Engine) queryStream(ctx context.Context, query string, tr *obs.Trace, y
 		return nil, err
 	}
 	resp.Transfers = transfers
-	if tr != nil {
-		pq.recordObserved(tr)
-	}
 
 	if !streaming {
 		var sorted [][]exec.Value

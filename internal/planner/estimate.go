@@ -6,16 +6,13 @@ import (
 )
 
 // estimator provides textbook selectivity and cardinality estimates from
-// catalog statistics. When an override set is attached, observed values keyed
-// by canonical predicate/group renderings take precedence over the textbook
-// formulas (the adaptive re-planning feedback loop).
+// catalog statistics.
 type estimator struct {
 	cat *algebra.Catalog
-	ov  *Overrides
 }
 
-func newEstimator(cat *algebra.Catalog, ov *Overrides) *estimator {
-	return &estimator{cat: cat, ov: ov}
+func newEstimator(cat *algebra.Catalog) *estimator {
+	return &estimator{cat: cat}
 }
 
 // Default estimates when statistics are missing (System R heuristics).
@@ -38,24 +35,8 @@ func (e *estimator) distinct(a algebra.Attr) float64 {
 	return defaultDistinct
 }
 
-// override returns the observed selectivity recorded for this exact
-// predicate (canonically keyed), when one exists. Conjunctions missing a
-// whole-set entry are not resolved here: the AndPred case of selectivity
-// recurses per conjunct, so regrouped conjuncts still benefit from their
-// individual observations.
-func (e *estimator) override(p algebra.Pred) (float64, bool) {
-	if e.ov == nil || len(e.ov.Sel) == 0 || p == nil {
-		return 0, false
-	}
-	s, ok := e.ov.Sel[PredKey(p)]
-	return s, ok
-}
-
 // selectivity estimates the fraction of tuples a predicate retains.
 func (e *estimator) selectivity(p algebra.Pred) float64 {
-	if s, ok := e.override(p); ok {
-		return s
-	}
 	switch x := p.(type) {
 	case nil:
 		return 1
@@ -105,11 +86,6 @@ func (e *estimator) joinSelectivity(p algebra.Pred) float64 {
 func (e *estimator) groups(keys []algebra.Attr, inRows float64) float64 {
 	if len(keys) == 0 {
 		return 1
-	}
-	if e.ov != nil {
-		if g, ok := e.ov.Groups[GroupKey(keys)]; ok {
-			return g
-		}
 	}
 	g := 1.0
 	for _, k := range keys {

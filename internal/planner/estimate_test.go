@@ -33,7 +33,7 @@ func av(rel, col string, op sql.CompareOp) *algebra.CmpAV {
 // missing-statistics branches so greedy-vs-cost A/B regressions are
 // attributable to ordering, not to silent estimator drift.
 func TestSelectivityGoldens(t *testing.T) {
-	est := newEstimator(statCatalog(), nil)
+	est := newEstimator(statCatalog())
 	cases := []struct {
 		name string
 		pred algebra.Pred
@@ -63,123 +63,5 @@ func TestSelectivityGoldens(t *testing.T) {
 		if got := est.selectivity(tc.pred); got != tc.want {
 			t.Errorf("%s: selectivity = %v, want %v", tc.name, got, tc.want)
 		}
-	}
-}
-
-// TestSelectivityOverrides proves observed selectivities take precedence
-// over the textbook estimates, both for a whole conjunction and — when the
-// planner regroups conjuncts across a different join order — per conjunct.
-func TestSelectivityOverrides(t *testing.T) {
-	cat := statCatalog()
-	c1 := av("WithStats", "k", sql.OpEq)
-	c2 := av("RowsOnly", "k", sql.OpGt)
-	whole := algebra.And(c1, c2)
-
-	ov := NewOverrides()
-	ov.Sel[PredKey(whole)] = 0.125
-	est := newEstimator(cat, ov)
-	if got := est.selectivity(whole); got != 0.125 {
-		t.Errorf("whole-conjunction override = %v, want 0.125", got)
-	}
-	// The same conjuncts in the opposite order produce the same canonical
-	// key, so the override still applies.
-	if got := est.selectivity(algebra.And(c2, c1)); got != 0.125 {
-		t.Errorf("reordered conjunction override = %v, want 0.125", got)
-	}
-
-	// Only one conjunct observed: the conjunction multiplies the override
-	// with the textbook estimate of the other.
-	ov2 := NewOverrides()
-	ov2.Sel[PredKey(c1)] = 0.5
-	est2 := newEstimator(cat, ov2)
-	if got, want := est2.selectivity(whole), 0.5*rangeSel; got != want {
-		t.Errorf("per-conjunct override = %v, want %v", got, want)
-	}
-
-	// Group-count override.
-	keys := []algebra.Attr{algebra.A("WithStats", "k"), algebra.A("WithStats", "s")}
-	ov3 := NewOverrides()
-	ov3.Groups[GroupKey(keys)] = 7
-	est3 := newEstimator(cat, ov3)
-	if got := est3.groups(keys, 1000); got != 7 {
-		t.Errorf("group override = %v, want 7", got)
-	}
-	if got := est3.groups(keys[:1], 1000); got != 50 {
-		t.Errorf("unrelated grouping should keep the textbook estimate, got %v", got)
-	}
-}
-
-// TestCatalogRowOverrides proves the catalog view swaps row estimates
-// without touching the original catalog or unrelated relations.
-func TestCatalogRowOverrides(t *testing.T) {
-	cat := statCatalog()
-	view := cat.WithRowOverrides(map[string]float64{"WithStats": 12, "Ghost": 99, "Bare": -1})
-	if got := view.Relation("WithStats").Rows; got != 12 {
-		t.Errorf("overridden rows = %v, want 12", got)
-	}
-	if got := cat.Relation("WithStats").Rows; got != 1000 {
-		t.Errorf("original catalog mutated: rows = %v", got)
-	}
-	if view.Relation("RowsOnly") != cat.Relation("RowsOnly") {
-		t.Error("relation without override should be shared, not cloned")
-	}
-	if got := view.Relation("Bare").Rows; got != 0 {
-		t.Errorf("negative override should be ignored, rows = %v", got)
-	}
-	if view.Relation("Ghost") != nil {
-		t.Error("override for an unknown relation invented one")
-	}
-}
-
-// TestOverridesFromObserved derives overrides from a traced plan shape and
-// checks every extraction rule: base rows, selection and join selectivity
-// ratios, group counts, and the look-through across cardinality-preserving
-// wrappers.
-func TestOverridesFromObserved(t *testing.T) {
-	cat := statCatalog()
-	ws := cat.Relation("WithStats")
-	ro := cat.Relation("RowsOnly")
-	selPred := av("WithStats", "k", sql.OpEq)
-	joinCond := &algebra.CmpAA{L: algebra.A("WithStats", "k"), Op: sql.OpEq, R: algebra.A("RowsOnly", "k")}
-
-	base1 := algebra.NewBase(ws.Name, ws.Authority, ws.Attrs(), ws.Rows, ws.Widths())
-	sel := algebra.NewSelect(base1, selPred, 0.02)
-	base2 := algebra.NewBase(ro.Name, ro.Authority, ro.Attrs(), ro.Rows, ro.Widths())
-	// A projection wrapper between the join and its right input: the
-	// derivation must look through it to find the scan's cardinality.
-	proj := algebra.NewProject(base2, base2.Schema()[:1])
-	join := algebra.NewJoin(sel, proj, joinCond, 1.0/400)
-	keys := []algebra.Attr{algebra.A("WithStats", "s")}
-	grp := algebra.NewGroupBy(join, keys, []algebra.AggSpec{{Func: sql.AggCount, Star: true}}, 10)
-
-	observed := map[algebra.Node]int64{
-		base1: 2000, // twice the catalog estimate
-		sel:   100,  // selectivity 0.05
-		base2: 400,
-		// proj untraced: join's right side resolves through it to base2
-		join: 8000, // selectivity 8000/(100*400) = 0.2
-		grp:  4,
-	}
-	ov := OverridesFromObserved(grp, observed)
-	if got := ov.BaseRows["WithStats"]; got != 2000 {
-		t.Errorf("BaseRows[WithStats] = %v, want 2000", got)
-	}
-	if got := ov.BaseRows["RowsOnly"]; got != 400 {
-		t.Errorf("BaseRows[RowsOnly] = %v, want 400", got)
-	}
-	if got := ov.Sel[PredKey(selPred)]; got != 0.05 {
-		t.Errorf("selection override = %v, want 0.05", got)
-	}
-	if got := ov.Sel[PredKey(joinCond)]; got != 0.2 {
-		t.Errorf("join override = %v, want 0.2", got)
-	}
-	if got := ov.Groups[GroupKey(keys)]; got != 4 {
-		t.Errorf("group override = %v, want 4", got)
-	}
-	if ov.Empty() {
-		t.Error("derived overrides reported empty")
-	}
-	if !NewOverrides().Empty() || !(*Overrides)(nil).Empty() {
-		t.Error("empty/nil overrides should report Empty")
 	}
 }

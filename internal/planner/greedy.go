@@ -18,21 +18,14 @@ const (
 	// alone, without trusting catalog statistics: start from the relation
 	// with the most selective pushed-down pattern, then repeatedly join
 	// the connected relation with the strongest combination of applicable
-	// join conditions and local patterns. When observed-cardinality
-	// overrides are present the same greedy expansion minimizes the
-	// estimated intermediate result instead, since real numbers exist.
+	// join conditions and local patterns.
 	ModeGreedy Mode = "greedy"
 )
 
 // PlanOptions parameterizes one planning pass. The zero value reproduces
-// Plan's historical behavior exactly (ModeCost, no overrides).
+// Plan's historical behavior exactly (ModeCost).
 type PlanOptions struct {
 	Mode Mode
-	// Overrides injects observed cardinalities from a previous execution
-	// of the same query: base-relation row counts, per-predicate
-	// selectivities, and group counts take precedence over the textbook
-	// estimates wherever a canonical key matches.
-	Overrides *Overrides
 }
 
 // Pattern weights for statistics-free greedy ordering: how selective a basic
@@ -76,13 +69,10 @@ func patternScore(p algebra.Pred) float64 {
 
 // greedyOrder returns the join order for the FROM relations. Ties always
 // break toward FROM position, so the order is deterministic for a given
-// statement. scans maps each relation to its leaf (base + pushed
-// selections); joinConj is the pool of cross-relation join conjuncts; fed
-// selects the cardinality-driven variant used when observed overrides are
-// present (est then carries the overridden numbers).
-func greedyOrder(rels []*algebra.Relation, scans map[string]algebra.Node,
-	relConj map[string][]algebra.Pred, joinConj []algebra.Pred,
-	fed bool, est *estimator) []*algebra.Relation {
+// statement. relConj holds each relation's pushed-down conjuncts; joinConj
+// is the pool of cross-relation join conjuncts.
+func greedyOrder(rels []*algebra.Relation, relConj map[string][]algebra.Pred,
+	joinConj []algebra.Pred) []*algebra.Relation {
 	if len(rels) < 2 {
 		return rels
 	}
@@ -111,32 +101,24 @@ func greedyOrder(rels []*algebra.Relation, scans map[string]algebra.Node,
 		return out
 	}
 
-	rows := func(rel string) float64 { return scans[rel].Stats().Rows }
 	local := make(map[string]float64, len(rels))
 	for _, r := range rels {
 		local[r.Name] = patternScore(algebra.And(relConj[r.Name]...))
 	}
 
-	// Start relation: the most promising leaf on its own — smallest
-	// estimated scan when fed with observations, strongest local pattern
-	// otherwise.
+	// Start relation: the strongest local pattern on its own.
 	start := 0
 	for i := 1; i < len(rels); i++ {
-		if fed {
-			if rows(rels[i].Name) < rows(rels[start].Name) {
-				start = i
-			}
-		} else if local[rels[i].Name] > local[rels[start].Name] {
+		if local[rels[i].Name] > local[rels[start].Name] {
 			start = i
 		}
 	}
 
 	order := []*algebra.Relation{rels[start]}
 	in := map[string]bool{rels[start].Name: true}
-	cur := rows(rels[start].Name)
 	for len(order) < len(rels) {
 		bestIdx := -1
-		var bestScore, bestOut float64
+		var bestScore float64
 		bestConnected := false
 		for i, r := range rels {
 			if in[r.Name] {
@@ -149,33 +131,18 @@ func greedyOrder(rels []*algebra.Relation, scans map[string]algebra.Node,
 				continue
 			}
 			better := bestIdx < 0 || (connected && !bestConnected)
-			if fed {
-				// Cardinality-driven: minimize the estimated
-				// intermediate result of the next join.
-				out := cur * rows(r.Name) * est.selectivity(algebra.And(conds...))
-				if !better && connected == bestConnected {
-					better = out < bestOut
-				}
-				if better {
-					bestIdx, bestOut, bestConnected = i, out, connected
-				}
-			} else {
-				// Statistics-free: maximize applicable join
-				// conditions, then local pattern strength.
-				score := weightJoin*float64(len(conds)) + local[r.Name]
-				if !better && connected == bestConnected {
-					better = score > bestScore
-				}
-				if better {
-					bestIdx, bestScore, bestConnected = i, score, connected
-				}
+			// Maximize applicable join conditions, then local pattern
+			// strength.
+			score := weightJoin*float64(len(conds)) + local[r.Name]
+			if !better && connected == bestConnected {
+				better = score > bestScore
+			}
+			if better {
+				bestIdx, bestScore, bestConnected = i, score, connected
 			}
 		}
 		order = append(order, rels[bestIdx])
 		in[rels[bestIdx].Name] = true
-		if fed {
-			cur = bestOut
-		}
 	}
 	return order
 }

@@ -103,28 +103,6 @@ func TestGreedyDetachesOnConditions(t *testing.T) {
 	}
 }
 
-// TestGreedyCardinalityDriven: with observed overrides present the greedy
-// expansion switches to minimizing estimated intermediate results, so a
-// relation observed to be tiny anchors the order even without any local
-// predicate pattern.
-func TestGreedyCardinalityDriven(t *testing.T) {
-	const q = "select ra from R, S, T where ra = sb and sc = td"
-	ov := NewOverrides()
-	ov.BaseRows["R"] = 2
-	greedy := planMode(t, chainCatalog(), q, PlanOptions{Mode: ModeGreedy, Overrides: ov})
-	if got := leftmostBase(t, greedy.Root); got != "R" {
-		t.Errorf("fed greedy order starts at %s, want R (observed 2 rows)", got)
-	}
-	// The override also rewrites the scan's estimate.
-	algebra.PostOrder(greedy.Root, func(n algebra.Node) {
-		if b, ok := n.(*algebra.Base); ok && b.Name == "R" {
-			if b.Stats().Rows != 2 {
-				t.Errorf("R scan estimate = %v, want 2", b.Stats().Rows)
-			}
-		}
-	})
-}
-
 // TestGreedyDisconnectedFallsBackToProduct: relations sharing no join
 // condition still plan (as a cartesian product), in both modes.
 func TestGreedyDisconnectedFallsBackToProduct(t *testing.T) {

@@ -167,25 +167,20 @@ func (b *binding) toPred(e sql.Expr) (algebra.Pred, error) {
 }
 
 // Plan builds the algebra plan for a parsed statement using the default
-// cost-based strategy (ModeCost, no overrides).
+// cost-based strategy (ModeCost).
 func (p *Planner) Plan(stmt *sql.SelectStmt) (*Plan, error) {
 	return p.PlanWith(stmt, PlanOptions{})
 }
 
 // PlanWith builds the algebra plan for a parsed statement under explicit
-// planning options: the join-ordering mode and, optionally, observed
-// cardinality overrides feeding the estimator.
+// planning options (the join-ordering mode).
 func (p *Planner) PlanWith(stmt *sql.SelectStmt, opts PlanOptions) (*Plan, error) {
 	greedy := opts.Mode == ModeGreedy
-	cat := p.Catalog
-	if opts.Overrides != nil && len(opts.Overrides.BaseRows) > 0 {
-		cat = cat.WithRowOverrides(opts.Overrides.BaseRows)
-	}
-	b, err := bindStmt(cat, stmt)
+	b, err := bindStmt(p.Catalog, stmt)
 	if err != nil {
 		return nil, err
 	}
-	est := newEstimator(cat, opts.Overrides)
+	est := newEstimator(p.Catalog)
 
 	// Resolve all predicate sources.
 	where, err := b.toPred(stmt.Where)
@@ -389,8 +384,7 @@ func (p *Planner) PlanWith(stmt *sql.SelectStmt, opts PlanOptions) (*Plan, error
 	// pattern-based order under ModeGreedy.
 	order := b.inOrder
 	if greedy {
-		order = greedyOrder(b.inOrder, scans, relConj, joinConj,
-			!opts.Overrides.Empty(), est)
+		order = greedyOrder(b.inOrder, relConj, joinConj)
 	}
 	cur := scans[order[0].Name]
 	joined := algebra.NewAttrSet(cur.Schema()...)

@@ -192,7 +192,7 @@ func TestPlannerErrors(t *testing.T) {
 
 func TestSelectivityEstimates(t *testing.T) {
 	cat := exampleCatalog()
-	est := newEstimator(cat, nil)
+	est := newEstimator(cat)
 	eq := &algebra.CmpAV{A: algebra.A("Hosp", "D"), Op: sql.OpEq, V: sql.StringValue("x")}
 	if got := est.selectivity(eq); got != 1.0/50 {
 		t.Errorf("eq selectivity = %v", got)
