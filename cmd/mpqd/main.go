@@ -55,7 +55,6 @@ func main() {
 		sf         = flag.Float64("sf", 0.01, "TPC-H scale factor")
 		seed       = flag.Int64("seed", 1, "data generator seed")
 		batchSize  = flag.Int("batch", 0, "pipeline batch size in rows (0 = default)")
-		workers    = flag.Int("workers", 0, "morsel worker pool size per fragment (0 or 1 = single-threaded)")
 		cacheSize  = flag.Int("cache", 0, "authorized-plan cache entries (0 = default, negative disables)")
 		paillier   = flag.Int("paillier-bits", crypto.DefaultPaillierBits, "Paillier prime size in bits")
 		rtt        = flag.Duration("rtt", 0, "simulated inter-subject link RTT (0 disables)")
@@ -85,7 +84,6 @@ func main() {
 	log.Printf("mpqd: generating TPC-H data (sf=%g seed=%d scenario=%s)", *sf, *seed, sc)
 	cfg := engine.TPCHConfig(sc, *sf, *seed)
 	cfg.BatchSize = *batchSize
-	cfg.Workers = *workers
 	cfg.CacheSize = *cacheSize
 	cfg.PaillierBits = *paillier
 	cfg.MemBudget = *memBudget

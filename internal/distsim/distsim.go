@@ -71,17 +71,12 @@ type Network struct {
 	// ValueCrypto forces subject executors onto the per-value crypto path
 	// (the batched crypto engine's reference for the equivalence tests).
 	ValueCrypto bool
-	// Workers sizes each subject's morsel worker pool: fragments split
-	// their table-anchored pipeline segments into fixed row-ranges executed
-	// concurrently (exec.Executor.Workers). Every fragment worker gets its
-	// own pool, results stay row-for-row identical, and the ledger is
-	// unaffected except for batch counts (morsel boundaries repartition
-	// streams; bytes and rows are unchanged). 0 or 1 = single-threaded.
-	Workers int
-	// MorselRows overrides the fixed morsel length in rows (0 means
-	// exec.DefaultMorselRows). Morsel boundaries never depend on Workers,
-	// so results are deterministic for any setting.
-	MorselRows int
+	// Workers and MorselRows sized the morsel worker pool inside each
+	// fragment, which has been removed: every fragment runs single-threaded
+	// on its own goroutine.
+	//
+	// Deprecated: nothing reads them.
+	Workers, MorselRows int
 	// MemBudget, when positive, bounds the bytes of live pipeline-breaker
 	// state (group tables, hash-join build sides) across all fragments of
 	// one run: each execution creates one shared exec.MemAccountant, and
@@ -171,8 +166,6 @@ func (nw *Network) Clone() *Network {
 		Materializing:  nw.Materializing,
 		CryptoWorkers:  nw.CryptoWorkers,
 		ValueCrypto:    nw.ValueCrypto,
-		Workers:        nw.Workers,
-		MorselRows:     nw.MorselRows,
 		MemBudget:      nw.MemBudget,
 		SpillDir:       nw.SpillDir,
 		PartialShuffle: nw.PartialShuffle,
@@ -186,8 +179,6 @@ func (nw *Network) Clone() *Network {
 		ce.Materializing = nw.Materializing
 		ce.CryptoWorkers = nw.CryptoWorkers
 		ce.ValueCrypto = nw.ValueCrypto
-		ce.Workers = nw.Workers
-		ce.MorselRows = nw.MorselRows
 		ce.AdaptiveBatch = nw.AdaptiveBatch
 		c.subjects[s] = ce
 	}

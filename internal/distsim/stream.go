@@ -170,8 +170,6 @@ func (nw *Network) ExecuteStreamCtx(ctx context.Context, ext *core.ExtendedPlan,
 		c.BatchSize = nw.BatchSize
 		c.CryptoWorkers = nw.CryptoWorkers
 		c.ValueCrypto = nw.ValueCrypto
-		c.Workers = nw.Workers
-		c.MorselRows = nw.MorselRows
 		c.Trace = nw.Trace
 		c.Mem = runMem
 		c.Spill = runSpill

@@ -112,13 +112,13 @@ func chaosKinds() []chaosKind {
 	}
 }
 
-// TestChaosSuite drives all 22 TPC-H queries at 1, 2, and 8 workers under a
-// 4 KiB memory budget (so the spill path is live) with a rotating fault
-// kind per (query, workers) cell. Acceptable outcomes per run: a result
-// byte-identical to the unfaulted oracle, an error wrapping
-// exec.ErrInjected, or a recovered *exec.PanicError. Anything else — a
-// hang, a wrong result, a raw panic escaping, goroutines or spill files
-// left behind — fails the suite.
+// TestChaosSuite drives all 22 TPC-H queries three times under a 4 KiB
+// memory budget (so the spill path is live), each pass on a fresh engine
+// with the fault kinds rotated by one more place, so every query meets three
+// different kinds. Acceptable outcomes per run: a result byte-identical to
+// the unfaulted oracle, an error wrapping exec.ErrInjected, or a recovered
+// *exec.PanicError. Anything else — a hang, a wrong result, a raw panic
+// escaping, goroutines or spill files left behind — fails the suite.
 func TestChaosSuite(t *testing.T) {
 	baseGoroutines := runtime.NumGoroutine()
 
@@ -136,12 +136,10 @@ func TestChaosSuite(t *testing.T) {
 	}
 
 	kinds := chaosKinds()
-	for wi, workers := range []int{1, 2, 8} {
-		wi, workers := wi, workers
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+	for r := 0; r < 3; r++ {
+		t.Run(fmt.Sprintf("rotation=%d", r), func(t *testing.T) {
 			faults := &distsim.Faults{Seed: 7}
 			cfg := testConfig(t, tpch.UAPenc)
-			cfg.Workers = workers
 			cfg.MemBudget = spillBudget
 			cfg.SpillDir = t.TempDir()
 			cfg.Faults = faults
@@ -151,7 +149,7 @@ func TestChaosSuite(t *testing.T) {
 			}
 			var injected, panics, clean int
 			for qi, q := range tpch.Queries() {
-				k := kinds[(qi+wi)%len(kinds)]
+				k := kinds[(qi+r)%len(kinds)]
 				// The miss runs unfaulted, so the faulted run is the plan's
 				// second execution — the one that fills the ciphertext column
 				// cache — and the rotation aborts fills at every kind of point.
@@ -230,7 +228,6 @@ func TestCancellationSweep(t *testing.T) {
 
 	faults := &distsim.Faults{}
 	cfg := testConfig(t, tpch.UAPenc)
-	cfg.Workers = 2
 	cfg.MemBudget = spillBudget
 	cfg.SpillDir = t.TempDir()
 	cfg.Faults = faults
@@ -319,7 +316,6 @@ func TestDeadlineStopsWork(t *testing.T) {
 
 	faults := &distsim.Faults{}
 	cfg := testConfig(t, tpch.UAPenc)
-	cfg.Workers = 2
 	cfg.MemBudget = spillBudget
 	cfg.SpillDir = t.TempDir()
 	cfg.Faults = faults

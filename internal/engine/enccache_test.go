@@ -49,68 +49,60 @@ func oracleAnswers(t *testing.T, cfg Config, queries []tpch.Query) map[int][]byt
 }
 
 // TestEncCacheEquivalence walks all 22 TPC-H queries through miss, fill and
-// two served runs under every scenario at 1, 2 and 8 workers. Every run must
-// equal the oracle's canonical bytes and ship the miss's ledger: the same
-// edges with the same rows, and the same bytes — exactly between the fill
-// and the runs served from it (they ship the very same ciphertexts), and to
-// within 1 % of the miss, whose freshly randomized Paillier elements differ
-// by a leading zero byte here and there and whose racing morsel workers may
-// ship one dictionary twice.
+// two served runs under every scenario. Every run must equal the oracle's
+// canonical bytes and ship the miss's ledger: the same edges with the same
+// rows, and the same bytes — exactly between the fill and the runs served
+// from it (they ship the very same ciphertexts), and to within 1 % of the
+// miss, whose freshly randomized Paillier elements differ by a leading zero
+// byte here and there.
 func TestEncCacheEquivalence(t *testing.T) {
 	queries := tpch.Queries()
 	for _, sc := range tpch.Scenarios() {
-		want := oracleAnswers(t, testConfig(t, sc), queries)
-		for _, workers := range []int{1, 2, 8} {
-			t.Run(fmt.Sprintf("%s/w%d", sc, workers), func(t *testing.T) {
-				cfg := testConfig(t, sc)
-				cfg.Workers = workers
-				eng, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
+		t.Run(string(sc), func(t *testing.T) {
+			cfg := testConfig(t, sc)
+			want := oracleAnswers(t, cfg, queries)
+			eng, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var total exec.EncCacheStats
+			for _, q := range queries {
+				var runs [4]*Response
+				for i := range runs {
+					stats, _ := encDelta(func() { runs[i], err = eng.Query(q.SQL) })
+					if err != nil {
+						t.Fatalf("Q%d run %d: %v", q.Num, i, err)
+					}
+					if runs[i].CacheHit != (i > 0) {
+						t.Fatalf("Q%d run %d: cache hit %v", q.Num, i, runs[i].CacheHit)
+					}
+					if g := canon(runs[i].Table); !bytes.Equal(g, want[q.Num]) {
+						t.Fatalf("Q%d run %d differs from the oracle\ngot:\n%s\nwant:\n%s", q.Num, i, g, want[q.Num])
+					}
+					if diff := ledgerDiff(runs[i].Transfers, runs[0].Transfers); diff != "" {
+						t.Errorf("Q%d run %d ledger differs from the miss: %s", q.Num, i, diff)
+					}
+					if i > 0 && stats.Stream > 0 {
+						t.Errorf("Q%d run %d: %d operators streamed on a hit", q.Num, i, stats.Stream)
+					}
+					total.Fill += stats.Fill
+					total.Serve += stats.Serve
 				}
-				var total exec.EncCacheStats
-				for _, q := range queries {
-					var runs [4]*Response
-					for i := range runs {
-						stats, _ := encDelta(func() { runs[i], err = eng.Query(q.SQL) })
-						if err != nil {
-							t.Fatalf("Q%d run %d: %v", q.Num, i, err)
-						}
-						if runs[i].CacheHit != (i > 0) {
-							t.Fatalf("Q%d run %d: cache hit %v", q.Num, i, runs[i].CacheHit)
-						}
-						if g := canon(runs[i].Table); !bytes.Equal(g, want[q.Num]) {
-							t.Fatalf("Q%d run %d differs from the oracle\ngot:\n%s\nwant:\n%s", q.Num, i, g, want[q.Num])
-						}
-						if diff := ledgerDiff(runs[i].Transfers, runs[0].Transfers); diff != "" {
-							t.Errorf("Q%d run %d ledger differs from the miss: %s", q.Num, i, diff)
-						}
-						if i > 0 && stats.Stream > 0 && workers == 1 {
-							t.Errorf("Q%d run %d: %d operators streamed on a hit", q.Num, i, stats.Stream)
-						}
-						total.Fill += stats.Fill
-						total.Serve += stats.Serve
-					}
-					miss, fill := runs[0].BytesShipped(), runs[1].BytesShipped()
-					if math.Abs(float64(fill-miss)) > 0.01*float64(miss) {
-						t.Errorf("Q%d: fill shipped %d bytes, miss %d", q.Num, fill, miss)
-					}
-					servedSlack := 0.01 * float64(fill) // a dictionary shipped once per racing worker
-					if workers == 1 {
-						servedSlack = 0
-					}
-					for i := 2; i < len(runs); i++ {
-						if served := runs[i].BytesShipped(); math.Abs(float64(served-fill)) > servedSlack {
-							t.Errorf("Q%d run %d: served run shipped %d bytes, its fill %d", q.Num, i, served, fill)
-						}
+				miss, fill := runs[0].BytesShipped(), runs[1].BytesShipped()
+				if math.Abs(float64(fill-miss)) > 0.01*float64(miss) {
+					t.Errorf("Q%d: fill shipped %d bytes, miss %d", q.Num, fill, miss)
+				}
+				for i := 2; i < len(runs); i++ {
+					if served := runs[i].BytesShipped(); served != fill {
+						t.Errorf("Q%d run %d: served run shipped %d bytes, its fill %d", q.Num, i, served, fill)
 					}
 				}
-				if hasEnc := sc != tpch.UA; hasEnc && (total.Fill == 0 || total.Serve < 2*total.Fill) {
-					t.Errorf("cache outcomes over the workload: %+v, want two serves per fill", total)
-				}
-				t.Logf("encrypt-over-scan operators: %d filled, %d served", total.Fill, total.Serve)
-			})
-		}
+			}
+			if hasEnc := sc != tpch.UA; hasEnc && (total.Fill == 0 || total.Serve < 2*total.Fill) {
+				t.Errorf("cache outcomes over the workload: %+v, want two serves per fill", total)
+			}
+			t.Logf("encrypt-over-scan operators: %d filled, %d served", total.Fill, total.Serve)
+		})
 	}
 }
 

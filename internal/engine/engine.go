@@ -67,16 +67,13 @@ type Config struct {
 	// operators and complete sub-result shipments — instead of the batch
 	// pipeline: the reference for the equivalence tests.
 	Materializing bool
-	// Workers sizes each subject's morsel worker pool: table-anchored
-	// pipeline segments (and group-by builds above them) split into fixed
-	// row-ranges over the cached column vectors and execute concurrently,
-	// row-for-row identical to single-threaded execution. 0 or 1 =
-	// single-threaded fragments. Registered UDFs must be safe for
-	// concurrent calls when Workers > 1.
-	Workers int
-	// MorselRows overrides the fixed morsel length in rows (0 means
-	// exec.DefaultMorselRows).
-	MorselRows int
+	// Workers and MorselRows configured morsel parallelism inside a
+	// fragment, which has been removed: every fragment runs single-threaded
+	// on its own goroutine. New accepts Workers 0 or 1 and MorselRows 0 and
+	// rejects anything else.
+	//
+	// Deprecated: leave both zero.
+	Workers, MorselRows int
 	// MemBudget caps the bytes of live operator state (hash-join build
 	// sides, group-by tables) one query run may pin in memory across all
 	// its fragments. When a reservation against the budget fails, the
@@ -170,6 +167,10 @@ func New(cfg Config) (*Engine, error) {
 	default:
 		return nil, fmt.Errorf("engine: unknown planner mode %q (want %s or %s)",
 			cfg.PlannerMode, planner.ModeCost, planner.ModeGreedy)
+	}
+	if cfg.Workers > 1 || cfg.MorselRows != 0 {
+		return nil, fmt.Errorf("engine: morsel parallelism was removed: Workers must be 0 or 1 and MorselRows 0 (got %d and %d)",
+			cfg.Workers, cfg.MorselRows)
 	}
 	if cfg.PaillierBits == 0 {
 		cfg.PaillierBits = crypto.DefaultPaillierBits
@@ -283,9 +284,9 @@ func (e *Engine) query(ctx context.Context, query string, tr *obs.Trace) (_ *Res
 	}
 	defer e.releaseSlot()
 	// Last-resort panic isolation: execution-layer panics are caught at the
-	// morsel and fragment boundaries below, so this boundary covers the
-	// engine's own phases (parse, admission, finalization). The process
-	// serves the next query either way.
+	// fragment boundary below, so this boundary covers the engine's own
+	// phases (parse, admission, finalization). The process serves the next
+	// query either way.
 	defer func() {
 		if r := recover(); r != nil {
 			err = exec.NewPanicError("engine query", r)
@@ -427,8 +428,6 @@ func (e *Engine) prepare(stmt *sql.SelectStmt, version uint64, pol authz.Viewer,
 	nw.Materializing = e.cfg.Materializing
 	nw.CryptoWorkers = e.cfg.CryptoWorkers
 	nw.ValueCrypto = e.cfg.ValueCrypto
-	nw.Workers = e.cfg.Workers
-	nw.MorselRows = e.cfg.MorselRows
 	nw.MemBudget = e.cfg.MemBudget
 	nw.SpillDir = e.cfg.SpillDir
 	nw.PartialShuffle = e.cfg.PartialShuffle

@@ -133,6 +133,35 @@ func TestEngineMatchesCentralized(t *testing.T) {
 	}
 }
 
+// TestNewRejectsRemovedMorselKnobs: morsel parallelism is gone, so a
+// configuration still asking for it fails at construction with an error that
+// says so, instead of silently running single-threaded. Workers 0 and 1
+// (both meant one thread per fragment) stay valid.
+func TestNewRejectsRemovedMorselKnobs(t *testing.T) {
+	for _, workers := range []int{0, 1} {
+		cfg := testConfig(t, tpch.UA)
+		cfg.Workers = workers
+		if _, err := New(cfg); err != nil {
+			t.Errorf("Workers %d: %v", workers, err)
+		}
+	}
+	for name, tweak := range map[string]func(*Config){
+		"Workers 2":      func(c *Config) { c.Workers = 2 },
+		"MorselRows 128": func(c *Config) { c.MorselRows = 128 },
+	} {
+		cfg := testConfig(t, tpch.UA)
+		tweak(&cfg)
+		_, err := New(cfg)
+		if err == nil {
+			t.Errorf("%s accepted", name)
+			continue
+		}
+		if !strings.Contains(err.Error(), "morsel parallelism was removed") {
+			t.Errorf("%s: error %q does not name the removal", name, err)
+		}
+	}
+}
+
 func ledgerDiff(a, b []distsim.Transfer) string {
 	count := func(ts []distsim.Transfer) map[string]int {
 		m := make(map[string]int, len(ts))

@@ -27,13 +27,9 @@ type ExplainNode struct {
 	EstRows float64 `json:"est_rows"`
 	Rows    int64   `json:"rows"`
 	// Batches and TimeNs account the operator's Next calls: batches
-	// produced and inclusive wall time (children included; under morsel
-	// parallelism this is the merge-side wait, not summed worker time).
+	// produced and inclusive wall time (children included).
 	Batches int64 `json:"batches"`
 	TimeNs  int64 `json:"time_ns"`
-	// MorselClaims is the per-worker morsel distribution when the operator
-	// ran morsel-parallel; nil otherwise.
-	MorselClaims []int64 `json:"morsel_claims,omitempty"`
 	// Cached marks an encrypt operator that served its ciphertext from the
 	// plan's ciphertext column cache in this run instead of encrypting.
 	Cached   bool           `json:"cached,omitempty"`
@@ -117,7 +113,6 @@ func buildExplanation(query string, resp *Response, pq *preparedQuery, tr *obs.T
 			en.Rows = sp.Rows()
 			en.Batches = sp.Batches()
 			en.TimeNs = sp.Nanos()
-			en.MorselClaims = sp.MorselClaims()
 			en.Cached = sp.Cached()
 		}
 		for _, c := range n.Children() {
@@ -176,9 +171,6 @@ func (x *Explanation) Text() string {
 		}
 		fmt.Fprintf(&b, " (est=%.0f rows=%d batches=%d time=%s",
 			n.EstRows, n.Rows, n.Batches, time.Duration(n.TimeNs))
-		if len(n.MorselClaims) > 0 {
-			fmt.Fprintf(&b, " morsels=%v", n.MorselClaims)
-		}
 		if n.Cached {
 			b.WriteString(" cached")
 		}

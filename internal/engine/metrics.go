@@ -77,7 +77,7 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 	m.cancels = r.Counter("mpq_engine_canceled_total",
 		"Queries aborted by caller cancellation (client disconnect, shutdown).")
 	m.panics = r.Counter("mpq_engine_panics_recovered_total",
-		"Execution panics caught at a morsel, fragment, or engine boundary and returned as query errors.")
+		"Execution panics caught at a fragment or engine boundary and returned as query errors.")
 
 	r.GaugeFunc("mpq_engine_inflight_queries",
 		"Queries currently holding an admission slot (0 when admission control is off).",

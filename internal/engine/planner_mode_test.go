@@ -2,7 +2,6 @@ package engine
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -11,16 +10,16 @@ import (
 )
 
 // TestPlannerModeEquivalence is the greedy planner's oracle suite: every
-// TPC-H query, on every authorization scenario and worker count, must
-// produce exactly the rows of a materializing-runtime oracle engine (the
-// simplest interior, FROM-order plans). Join reordering permutes row order
-// and float accumulation order, so rows are compared canonicalized (sorted,
-// floats rounded) — any divergence means greedy ordering changed the
-// *answer*, not the plan. The default cost planner's cells are
+// TPC-H query, on every authorization scenario, must produce exactly the
+// rows of a materializing-runtime oracle engine (the simplest interior,
+// FROM-order plans). Join reordering permutes row order and float
+// accumulation order, so rows are compared canonicalized (sorted, floats
+// rounded) — any divergence means greedy ordering changed the *answer*, not
+// the plan. The default cost planner's cells are
 // TestEncCacheEquivalence's. Exercised under -race in CI.
 func TestPlannerModeEquivalence(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full 22-query × scenario × workers sweep")
+		t.Skip("full 22-query × scenario sweep")
 	}
 	queries := tpch.Queries()
 	for _, sc := range tpch.Scenarios() {
@@ -40,29 +39,24 @@ func TestPlannerModeEquivalence(t *testing.T) {
 				}
 				want[q.Num] = canon(resp.Table)
 			}
-			for _, workers := range []int{1, 2, 8} {
-				workers := workers
-				t.Run(fmt.Sprintf("%s/w%d", planner.ModeGreedy, workers), func(t *testing.T) {
-					t.Parallel()
-					cfg := testConfig(t, sc)
-					cfg.PlannerMode = planner.ModeGreedy
-					cfg.Workers = workers
-					eng, err := New(cfg)
+			t.Run(string(planner.ModeGreedy), func(t *testing.T) {
+				cfg := testConfig(t, sc)
+				cfg.PlannerMode = planner.ModeGreedy
+				eng, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, q := range queries {
+					got, err := eng.Query(q.SQL)
 					if err != nil {
-						t.Fatal(err)
+						t.Fatalf("Q%d: %v", q.Num, err)
 					}
-					for _, q := range queries {
-						got, err := eng.Query(q.SQL)
-						if err != nil {
-							t.Fatalf("Q%d: %v", q.Num, err)
-						}
-						if g := canon(got.Table); !bytes.Equal(g, want[q.Num]) {
-							t.Errorf("Q%d: greedy/w%d result differs from oracle\ngot:\n%s\nwant:\n%s",
-								q.Num, workers, g, want[q.Num])
-						}
+					if g := canon(got.Table); !bytes.Equal(g, want[q.Num]) {
+						t.Errorf("Q%d: greedy result differs from oracle\ngot:\n%s\nwant:\n%s",
+							q.Num, g, want[q.Num])
 					}
-				})
-			}
+				}
+			})
 		})
 	}
 }

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"bytes"
-	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -16,50 +15,43 @@ import (
 const spillBudget = 4 << 10
 
 // TestSpillForcedMatchesInMemory runs the full 22-query TPC-H workload under
-// a 4 KiB memory budget at 1, 2, and 8 workers and diffs every result
-// against unbudgeted execution (canonical serialization: rows sorted, so
-// the comparison is insensitive to the per-partition group emission order
-// spilling introduces). It also proves the budget actually bit — spill
-// partitions were created and read back — and that no spill files outlive
-// their runs.
+// a 4 KiB memory budget and diffs every result against unbudgeted execution
+// (canonical serialization: rows sorted, so the comparison is insensitive to
+// the per-partition group emission order spilling introduces). It also
+// proves the budget actually bit — spill partitions were created and read
+// back — and that no spill files outlive their runs.
 func TestSpillForcedMatchesInMemory(t *testing.T) {
 	base, err := New(testConfig(t, tpch.UAPenc))
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := exec.ReadSpillStats()
-	for _, workers := range []int{1, 2, 8} {
-		workers := workers
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			cfg := testConfig(t, tpch.UAPenc)
-			cfg.Workers = workers
-			cfg.MemBudget = spillBudget
-			cfg.SpillDir = t.TempDir()
-			eng, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, q := range tpch.Queries() {
-				want, err := base.Query(q.SQL)
-				if err != nil {
-					t.Fatalf("Q%d baseline: %v", q.Num, err)
-				}
-				got, err := eng.Query(q.SQL)
-				if err != nil {
-					t.Fatalf("Q%d under %d-byte budget: %v", q.Num, spillBudget, err)
-				}
-				if g, w := canon(got.Table), canon(want.Table); !bytes.Equal(g, w) {
-					t.Errorf("Q%d: spill-forced result differs from in-memory\ngot:\n%s\nwant:\n%s", q.Num, g, w)
-				}
-			}
-			left, err := filepath.Glob(filepath.Join(cfg.SpillDir, "*"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(left) != 0 {
-				t.Errorf("orphaned spill files after runs: %v", left)
-			}
-		})
+	cfg := testConfig(t, tpch.UAPenc)
+	cfg.MemBudget = spillBudget
+	cfg.SpillDir = t.TempDir()
+	eng, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range tpch.Queries() {
+		want, err := base.Query(q.SQL)
+		if err != nil {
+			t.Fatalf("Q%d baseline: %v", q.Num, err)
+		}
+		got, err := eng.Query(q.SQL)
+		if err != nil {
+			t.Fatalf("Q%d under %d-byte budget: %v", q.Num, spillBudget, err)
+		}
+		if g, w := canon(got.Table), canon(want.Table); !bytes.Equal(g, w) {
+			t.Errorf("Q%d: spill-forced result differs from in-memory\ngot:\n%s\nwant:\n%s", q.Num, g, w)
+		}
+	}
+	left, err := filepath.Glob(filepath.Join(cfg.SpillDir, "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 0 {
+		t.Errorf("orphaned spill files after runs: %v", left)
 	}
 	after := exec.ReadSpillStats()
 	if after.Partitions <= before.Partitions {

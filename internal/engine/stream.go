@@ -217,8 +217,8 @@ func (e *Engine) QueryStreamCtx(ctx context.Context, query string, yield func(he
 	return e.sealStream(resp, execStart), nil
 }
 
-// admitSQL parses a query and admits its authorized plan (shared by
-// QueryStream and Explain).
+// admitSQL parses a query and admits its authorized plan for QueryStreamCtx
+// (Engine.query parses and admits inline).
 func (e *Engine) admitSQL(query string) (*preparedQuery, bool, error) {
 	start := time.Now()
 	stmt, err := sql.Parse(query)

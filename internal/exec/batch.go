@@ -109,8 +109,8 @@ func Drain(op Operator) (*Table, error) {
 		return nil, err
 	}
 	// Close must run even when Next panics (injected faults, buggy UDFs):
-	// morsel mergers and spill runs hang off it, and a skipped Close leaks
-	// their goroutines and files past the recover boundary above us.
+	// spill runs hang off it, and a skipped Close leaks their files past the
+	// recover boundary above us.
 	closed := false
 	closeOp := func() error { closed = true; return op.Close() }
 	defer func() {
@@ -180,7 +180,13 @@ func (s *colScan) Open() error {
 	if err != nil {
 		return err
 	}
-	s.cols = projectCols(cols, s.project)
+	s.cols = cols
+	if s.project != nil {
+		s.cols = make([]Column, len(s.project))
+		for i, ix := range s.project {
+			s.cols[i] = cols[ix]
+		}
+	}
 	s.n = n
 	s.pos = 0
 	s.cur = s.batch
@@ -190,48 +196,31 @@ func (s *colScan) Open() error {
 	return nil
 }
 
+// Next emits the next at-most-cur-row window as zero-copy column slices; nil
+// once the snapshot is exhausted.
 func (s *colScan) Next() (*Batch, error) {
 	if err := ctxErr(s.ctx); err != nil {
 		return nil, err
 	}
-	b := scanWindow(s.cols, &s.pos, s.n, s.cur)
-	if b != nil && s.cur < s.batch {
+	if s.pos >= s.n {
+		return nil, nil
+	}
+	end := s.pos + s.cur
+	if end > s.n {
+		end = s.n
+	}
+	b := &Batch{Cols: make([]Column, len(s.cols)), N: end - s.pos}
+	for ci := range s.cols {
+		b.Cols[ci] = s.cols[ci].slice(s.pos, end)
+	}
+	s.pos = end
+	if s.cur < s.batch {
 		s.cur *= 2
 		if s.cur > s.batch {
 			s.cur = s.batch
 		}
 	}
 	return b, nil
-}
-
-// projectCols picks the projected column headers (nil = identity).
-func projectCols(cols []Column, project []int) []Column {
-	if project == nil {
-		return cols
-	}
-	out := make([]Column, len(project))
-	for i, ix := range project {
-		out[i] = cols[ix]
-	}
-	return out
-}
-
-// scanWindow emits the next at-most-batch-row window of cols as zero-copy
-// column slices, advancing *pos toward hi; nil when the range is exhausted.
-func scanWindow(cols []Column, pos *int, hi, batch int) *Batch {
-	if *pos >= hi {
-		return nil
-	}
-	end := *pos + batch
-	if end > hi {
-		end = hi
-	}
-	b := &Batch{Cols: make([]Column, len(cols)), N: end - *pos}
-	for ci := range cols {
-		b.Cols[ci] = cols[ci].slice(*pos, end)
-	}
-	*pos = end
-	return b
 }
 
 // identityProjection reports whether indices is 0,1,...,n-1 over a schema

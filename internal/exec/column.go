@@ -56,7 +56,7 @@ type Column struct {
 	// and CipherDict (one ciphertext per distinct plaintext, with the shared
 	// Scheme/KeyID above; every entry's plaintext kind is KString) are
 	// immutable once published and shared across slices, gathers, batches,
-	// and morsel workers. NULL cells carry dictNullCode in their slot.
+	// and concurrent queries. NULL cells carry dictNullCode in their slot.
 	Codes      []uint32
 	Dict       []string
 	CipherDict [][]byte
@@ -263,7 +263,7 @@ func detectColKind(vals []Value) ColKind {
 }
 
 // slice returns the column's window [lo, hi) as a new column header sharing
-// the receiver's cell storage: the zero-copy view scans and morsels serve.
+// the receiver's cell storage: the zero-copy view scans serve.
 // Only the null bitmap may need rebuilding — when lo is word-aligned the
 // bitmap words are shared too, otherwise the window's bits are shifted into
 // a fresh (hi-lo)-bit bitmap.

@@ -36,18 +36,9 @@ func (e *Executor) Build(n algebra.Node) (Operator, error) {
 	}
 	if e.Trace != nil {
 		sp := e.Trace.Span(n, n.Op(), "")
-		// Morsel-parallel operators additionally report which worker claimed
-		// each morsel, exposing scheduler skew in Explain output.
-		switch x := op.(type) {
-		case *parallelOp:
-			x.sp = sp
-		case *groupByOp:
-			x.sp = sp
-		case *cachedEncryptOp:
-			x.sp = sp
-			if p, ok := x.stream.(*parallelOp); ok {
-				p.sp = sp
-			}
+		// A cached encrypt marks its span when it serves.
+		if c, ok := op.(*cachedEncryptOp); ok {
+			c.sp = sp
 		}
 		op = &traceOp{inner: op, sp: sp}
 	}
@@ -79,18 +70,8 @@ func (e *Executor) buildNode(n algebra.Node) (Operator, error) {
 	return e.compileNode(n)
 }
 
-// compileNode compiles n itself: morsel-parallel when its shape and size
-// qualify, otherwise the sequential operator.
+// compileNode compiles n itself into its operator.
 func (e *Executor) compileNode(n algebra.Node) (Operator, error) {
-	if e.parWorkers() > 1 {
-		op, ok, err := e.buildParallel(n)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return op, nil
-		}
-	}
 	switch x := n.(type) {
 	case *algebra.Base:
 		return e.buildBase(x)
@@ -268,34 +249,11 @@ func (e *Executor) buildGroupBy(g *algebra.GroupBy) (Operator, error) {
 			partialIn: true,
 		}, nil
 	}
-	// A group-by above a morsel-parallelizable chain aggregates per-morsel
-	// partial tables on the worker pool instead of draining a child stream
-	// sequentially; the merge in morsel order keeps results bit-identical.
-	// Under a memory budget the build stays sequential: one budgeted table
-	// that can freeze and spill, instead of per-worker tables racing the
-	// shared accountant.
-	var par *chain
-	var child Operator
-	if e.parWorkers() > 1 && e.Mem == nil {
-		c, ok, err := e.planChain(g.Child)
-		if err != nil {
-			return nil, err
-		}
-		if ok && c.t.Len() > e.morselRows() {
-			par = c
-		}
+	child, err := e.Build(g.Child)
+	if err != nil {
+		return nil, err
 	}
-	var in []algebra.Attr
-	if par != nil {
-		in = par.schema
-	} else {
-		var err error
-		child, err = e.Build(g.Child)
-		if err != nil {
-			return nil, err
-		}
-		in = child.Schema()
-	}
+	in := child.Schema()
 	keyIdx := make([]int, len(g.Keys))
 	for i, k := range g.Keys {
 		ix := schemaIndex(in, k)
@@ -320,7 +278,6 @@ func (e *Executor) buildGroupBy(g *algebra.GroupBy) (Operator, error) {
 		child: child, e: e, schema: g.Schema(),
 		keyIdx: keyIdx, aggIdx: aggIdx, specs: g.Aggs,
 		batch: e.batchSize(), ring: e.ringCache(),
-		par: par,
 	}, nil
 }
 
@@ -395,7 +352,7 @@ func (e *Executor) encCols(enc *algebra.Encrypt, in []algebra.Attr) ([]encCol, e
 				idx = append(idx, ci)
 			}
 		}
-		cols = append(cols, newEncCol(a, scheme, ring, idx))
+		cols = append(cols, encCol{attr: a, scheme: scheme, ring: ring, idx: idx})
 	}
 	return cols, nil
 }

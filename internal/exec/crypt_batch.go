@@ -5,7 +5,6 @@ import (
 	"math/big"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"mpq/internal/algebra"
 	"mpq/internal/crypto"
@@ -135,15 +134,14 @@ type dictEncMemo struct {
 // into the cipher-dict column zero-copy. Deterministic scheme only: equal
 // plaintexts must map to equal ciphertexts for cells to share an entry
 // (randomized encryption would link equal cells; OPE rejects strings).
-// memo persists the encrypted dictionary across batches; a racing rebuild
-// under morsel parallelism is idempotent (deterministic ciphertexts).
-func encryptDictColumn(e *Executor, ring *crypto.KeyRing, scheme algebra.Scheme, col *Column, memo *atomic.Pointer[dictEncMemo]) (Column, error) {
+// *memo persists the encrypted dictionary across batches.
+func encryptDictColumn(e *Executor, ring *crypto.KeyRing, scheme algebra.Scheme, col *Column, memo **dictEncMemo) (Column, error) {
 	cipherDict := func(cd [][]byte) Column {
 		dictStats.encCells.Add(uint64(len(col.Codes)))
 		return Column{Kind: ColCipherDict, Scheme: scheme, KeyID: ring.ID,
 			Codes: col.Codes, CipherDict: cd, Nulls: col.Nulls}
 	}
-	if m := memo.Load(); m != nil && m.plainID == DictID(col.Dict) {
+	if m := *memo; m != nil && m.plainID == DictID(col.Dict) {
 		return cipherDict(m.cipherDict), nil
 	}
 	vals := make([]Value, len(col.Dict))
@@ -158,7 +156,7 @@ func encryptDictColumn(e *Executor, ring *crypto.KeyRing, scheme algebra.Scheme,
 		cd[i] = vals[i].C.Data
 	}
 	dictStats.encEntries.Add(uint64(len(cd)))
-	memo.Store(&dictEncMemo{plainID: DictID(col.Dict), cipherDict: cd})
+	*memo = &dictEncMemo{plainID: DictID(col.Dict), cipherDict: cd}
 	return cipherDict(cd), nil
 }
 

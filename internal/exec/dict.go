@@ -8,8 +8,8 @@ import (
 // per cell plus a deduplicated []string dictionary; equality predicates,
 // group-by keys, hash-join probes, and deterministic encryption then work
 // per distinct value instead of per row. The dictionary is immutable once
-// the column is published: slices and gathers share it, morsel workers read
-// it concurrently, and distsim ships it once per edge.
+// the column is published: slices and gathers share it, concurrent queries
+// read it, and distsim ships it once per edge.
 
 // dictNullCode marks a NULL cell's code slot. The null bitmap stays the
 // authoritative NULL signal (exactly as for the other typed layouts, whose

@@ -13,9 +13,8 @@ import (
 // constants against dictionaries, group-by and join keys ride on codes, and
 // projections forward codes zero-copy — and diffs every result row for row
 // against the row-at-a-time materializing oracle (which never sees a dict
-// column). Workers 1/2/8 make the shared-dictionary read paths a data-race
-// check under -race; the dict-off pass proves the policy switch itself
-// changes nothing.
+// column). The dict-off pass proves the policy switch itself changes
+// nothing.
 func TestDictForcedMatchesOracleTPCH(t *testing.T) {
 	const sf = 0.001
 	cat := tpch.Catalog(sf)
@@ -53,29 +52,25 @@ func TestDictForcedMatchesOracleTPCH(t *testing.T) {
 		{"dict-off", exec.DictPolicy{MinRows: 1, MaxRatio: 0}},
 	} {
 		old := exec.SetDictPolicy(pol.policy)
-		for _, workers := range []int{1, 2, 8} {
-			e := exec.NewExecutor()
-			e.Workers = workers
-			e.MorselRows = 64
-			for name, tbl := range tables {
-				// Fresh tables per policy: the columnar cache snapshots under
-				// the policy active at build time.
-				e.Tables[name] = tbl
-				tbl.InvalidateColumns()
+		e := exec.NewExecutor()
+		for name, tbl := range tables {
+			// Fresh tables per policy: the columnar cache snapshots under
+			// the policy active at build time.
+			e.Tables[name] = tbl
+			tbl.InvalidateColumns()
+		}
+		for _, q := range qs {
+			got, _, err := e.RunPlan(q.plan)
+			if err != nil {
+				t.Fatalf("%s Q%d: %v", pol.name, q.num, err)
 			}
-			for _, q := range qs {
-				got, _, err := e.RunPlan(q.plan)
-				if err != nil {
-					t.Fatalf("%s workers=%d Q%d: %v", pol.name, workers, q.num, err)
-				}
-				if got.Len() != q.want.Len() {
-					t.Fatalf("%s workers=%d Q%d: %d rows, want %d", pol.name, workers, q.num, got.Len(), q.want.Len())
-				}
-				for i := range q.want.Rows {
-					g, w := exec.DisplayString(got.Rows[i]), exec.DisplayString(q.want.Rows[i])
-					if g != w {
-						t.Fatalf("%s workers=%d Q%d row %d differs:\ngot:  %s\nwant: %s", pol.name, workers, q.num, i, g, w)
-					}
+			if got.Len() != q.want.Len() {
+				t.Fatalf("%s Q%d: %d rows, want %d", pol.name, q.num, got.Len(), q.want.Len())
+			}
+			for i := range q.want.Rows {
+				g, w := exec.DisplayString(got.Rows[i]), exec.DisplayString(q.want.Rows[i])
+				if g != w {
+					t.Fatalf("%s Q%d row %d differs:\ngot:  %s\nwant: %s", pol.name, q.num, i, g, w)
 				}
 			}
 		}

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"sync/atomic"
 	"testing"
 
 	"mpq/internal/algebra"
@@ -167,7 +166,7 @@ func TestDictEncryptDecryptRoundTrip(t *testing.T) {
 	}
 
 	before := ReadDictStats()
-	var memo atomic.Pointer[dictEncMemo]
+	var memo *dictEncMemo
 	enc, err := encryptDictColumn(e, ring, algebra.SchemeDeterministic, &col, &memo)
 	if err != nil {
 		t.Fatal(err)
@@ -326,7 +325,7 @@ func BenchmarkEncryptDictColumn(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			// Fresh memo per iteration: measure the dictionary encryption
 			// itself, not the cross-batch memo hit.
-			var memo atomic.Pointer[dictEncMemo]
+			var memo *dictEncMemo
 			if _, err := encryptDictColumn(e, ring, algebra.SchemeDeterministic, &col, &memo); err != nil {
 				b.Fatal(err)
 			}

@@ -18,11 +18,10 @@
 //     copying, aggregation accumulates from the typed vectors, and the
 //     encrypt/decrypt operators hand whole columns to the batched crypto
 //     engine. Row-oriented callers convert only at the boundary (Drain,
-//     Batch.Rows). With Executor.Workers > 1, table-anchored pipeline
-//     segments execute morsel-parallel — fixed row-ranges on a worker pool,
-//     merged in morsel order — with results row-for-row identical to
-//     single-threaded execution (see docs/ARCHITECTURE.md, "Morsel-driven
-//     parallelism").
+//     Batch.Rows). A pipeline runs on the goroutine that drains it; the
+//     distributed runtime gives every fragment its own, and only the
+//     encrypt/decrypt operators fan a large batch out to the intra-batch
+//     crypto pool (Executor.CryptoWorkers).
 //
 //   - The row-at-a-time materializing evaluator (Executor.Run with
 //     Materializing set): every operator materializes its full result and

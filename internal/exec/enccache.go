@@ -160,7 +160,7 @@ type cachedEncryptOp struct {
 	rings  []*crypto.KeyRing
 	phe    []*crypto.Paillier // keys of the Paillier columns among them
 	encIdx []int              // encrypted schema positions, in operator order
-	stream Operator           // the uncached operator (sequential or morsel-parallel)
+	stream Operator           // the uncached operator
 	scan   Operator           // the bare child scan; nil when nothing was published at build time
 	sp     *obs.Span          // traced runs: marked cached when serving
 
@@ -303,8 +303,7 @@ func (o *cachedEncryptOp) collected() *encColumns {
 // concatCipherColumns joins the per-batch output columns of one encrypted
 // position into one full-length vector. Only the layouts an encrypt operator
 // emits concatenate, and only when every batch shares layout, scheme, key,
-// and (for dictionary columns) the encrypted dictionary — by content, since
-// morsel workers racing to encrypt it each keep their own identical copy.
+// and (for dictionary columns) the encrypted dictionary, compared by content.
 func concatCipherColumns(parts []Column, n int) (Column, bool) {
 	if len(parts) == 0 {
 		return Column{}, true

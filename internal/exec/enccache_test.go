@@ -293,8 +293,8 @@ func (f *encFixture) encCacheDigest(t testing.TB) [sha256.Size]byte {
 
 // TestEncCacheOperandsNeverMutated runs the two hot consumer shapes over
 // served ciphertext — a filtered group-by with Paillier sums and averages
-// (TPC-H Q1) and a join feeding a Paillier sum (Q18) — ten times each at 1
-// and 4 workers and requires the cached bytes to be untouched: an
+// (TPC-H Q1) and a join feeding a Paillier sum (Q18) — ten times each and
+// requires the cached bytes to be untouched: an
 // accumulator aliasing its first operand would let Paillier.AddTo corrupt
 // the cache for every later run.
 func TestEncCacheOperandsNeverMutated(t *testing.T) {
@@ -320,15 +320,12 @@ func TestEncCacheOperandsNeverMutated(t *testing.T) {
 	}
 	before := f.encCacheDigest(t)
 	want1, want18 := f.run(t, q1).Format(nil), f.run(t, q18).Format(nil)
-	for _, workers := range []int{1, 4} {
-		f.e.Workers, f.e.MorselRows = workers, 64
-		for i := 0; i < 10; i++ {
-			if got := f.run(t, q1).Format(nil); got != want1 {
-				t.Fatalf("workers=%d run %d: Q1 shape changed its answer\n%s\nwant\n%s", workers, i, got, want1)
-			}
-			if got := f.run(t, q18).Format(nil); got != want18 {
-				t.Fatalf("workers=%d run %d: Q18 shape changed its answer\n%s\nwant\n%s", workers, i, got, want18)
-			}
+	for i := 0; i < 10; i++ {
+		if got := f.run(t, q1).Format(nil); got != want1 {
+			t.Fatalf("run %d: Q1 shape changed its answer\n%s\nwant\n%s", i, got, want1)
+		}
+		if got := f.run(t, q18).Format(nil); got != want18 {
+			t.Fatalf("run %d: Q18 shape changed its answer\n%s\nwant\n%s", i, got, want18)
 		}
 	}
 	if f.encCacheDigest(t) != before {
@@ -464,39 +461,35 @@ func TestEncCacheBypass(t *testing.T) {
 	}
 }
 
-// TestEncCacheWorkersAndFaultShim: morsel-parallel fills (batches arrive
-// morsel-split, the dictionary possibly encrypted once per racing worker)
-// publish the same vectors, and an armed-but-silent fault shim or a trace
-// changes nothing about admission.
-func TestEncCacheWorkersAndFaultShim(t *testing.T) {
-	for _, workers := range []int{2, 8} {
-		f := newEncFixture(t, nil)
-		f.e.Workers, f.e.MorselRows = workers, 64
-		f.e.Faults = &FaultPoints{Hook: func(string, int) {}}
-		for i := 0; i < 2; i++ {
-			f.requirePlain(t, fmt.Sprintf("workers=%d run %d", workers, i), f.run(t, f.enc))
+// TestEncCacheFaultShimAndTrace: an armed-but-silent fault shim or a trace
+// changes nothing about admission, and the served run's spans still account
+// the encrypt and its scan.
+func TestEncCacheFaultShimAndTrace(t *testing.T) {
+	f := newEncFixture(t, nil)
+	f.e.Faults = &FaultPoints{Hook: func(string, int) {}}
+	for i := 0; i < 2; i++ {
+		f.requirePlain(t, fmt.Sprintf("run %d", i), f.run(t, f.enc))
+	}
+	tr := obs.NewTrace()
+	ex := f.e.Clone()
+	ex.Trace = tr
+	var got *Table
+	cache, cr := encStatsDelta(func() {
+		var err error
+		if got, err = ex.Run(f.enc); err != nil {
+			t.Fatal(err)
 		}
-		tr := obs.NewTrace()
-		ex := f.e.Clone()
-		ex.Trace = tr
-		var got *Table
-		cache, cr := encStatsDelta(func() {
-			var err error
-			if got, err = ex.Run(f.enc); err != nil {
-				t.Fatal(err)
-			}
-		})
-		f.requirePlain(t, fmt.Sprintf("workers=%d served", workers), got)
-		if cache.Serve != 1 || encrypts(cr) != 0 {
-			t.Fatalf("workers=%d: third run %+v with %d encryptions, want serve", workers, cache, encrypts(cr))
-		}
-		sp := tr.ByRef(f.enc)
-		if sp == nil || !sp.Cached() || sp.Rows() != int64(f.tbl.Len()) || sp.Batches() == 0 {
-			t.Fatalf("workers=%d: served encrypt span %+v", workers, sp)
-		}
-		if scan := tr.ByRef(f.enc.Child); scan == nil || scan.Rows() != int64(f.tbl.Len()) {
-			t.Fatalf("workers=%d: served run lost the scan span", workers)
-		}
+	})
+	f.requirePlain(t, "served", got)
+	if cache.Serve != 1 || encrypts(cr) != 0 {
+		t.Fatalf("third run %+v with %d encryptions, want serve", cache, encrypts(cr))
+	}
+	sp := tr.ByRef(f.enc)
+	if sp == nil || !sp.Cached() || sp.Rows() != int64(f.tbl.Len()) || sp.Batches() == 0 {
+		t.Fatalf("served encrypt span %+v", sp)
+	}
+	if scan := tr.ByRef(f.enc.Child); scan == nil || scan.Rows() != int64(f.tbl.Len()) {
+		t.Fatal("served run lost the scan span")
 	}
 }
 

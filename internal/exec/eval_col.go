@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"mpq/internal/algebra"
 	"mpq/internal/crypto"
@@ -161,10 +160,7 @@ func cmpS(a, b string) int {
 // dictAVMemo caches one attribute-vs-constant predicate's verdict per
 // dictionary entry, so the per-row loop reduces to a code-indexed bool
 // lookup and never touches the dictionary strings (an equality miss keeps
-// every verdict false and selects nothing). Compiled predicate closures are
-// shared read-only across morsel workers, so the memo is published through
-// an atomic pointer; losing a publication race just recomputes an identical
-// table.
+// every verdict false and selects nothing).
 type dictAVMemo struct {
 	plainID  *string // identity of the plaintext dictionary memoized
 	cipherID *[]byte // identity of the cipher dictionary memoized
@@ -186,7 +182,7 @@ func (e *Executor) compileColCmpAV(c *algebra.CmpAV, r *schemaResolver) (colPred
 	rhs := litValue(c.V)
 	op := c.Op
 	cell := e.compileCellAV(c)
-	var memo atomic.Pointer[dictAVMemo]
+	var memo *dictAVMemo // unsynchronized: a compiled pipeline runs on one goroutine
 	return func(b *Batch, sel []int32) ([]int32, error) {
 		col := &b.Cols[ix]
 		out := sel[:0]
@@ -235,8 +231,7 @@ func (e *Executor) compileColCmpAV(c *algebra.CmpAV, r *schemaResolver) (colPred
 			// Resolve the constant against the dictionary once per dict:
 			// verdict[code] answers the comparison (or LIKE match) for every
 			// row carrying that code, so the row loop stays string-free.
-			m := memo.Load()
-			if m == nil || m.plainID != DictID(col.Dict) {
+			if memo == nil || memo.plainID != DictID(col.Dict) {
 				v := make([]bool, len(col.Dict))
 				if op == sql.OpLike {
 					for e, s := range col.Dict {
@@ -247,10 +242,9 @@ func (e *Executor) compileColCmpAV(c *algebra.CmpAV, r *schemaResolver) (colPred
 						v[e] = opHolds(op, cmpS(s, rhs.S))
 					}
 				}
-				m = &dictAVMemo{plainID: DictID(col.Dict), verdict: v}
-				memo.Store(m)
+				memo = &dictAVMemo{plainID: DictID(col.Dict), verdict: v}
 			}
-			verdict := m.verdict
+			verdict := memo.verdict
 			if op == sql.OpLike {
 				for _, i := range sel {
 					if col.IsNull(int(i)) {
@@ -303,8 +297,7 @@ func (e *Executor) compileColCmpAV(c *algebra.CmpAV, r *schemaResolver) (colPred
 				}
 				return nil, fmt.Errorf("exec: cannot evaluate %s over %s ciphertext", op, col.Scheme)
 			}
-			m := memo.Load()
-			if m == nil || m.cipherID != cipherDictID(col.CipherDict) {
+			if memo == nil || memo.cipherID != cipherDictID(col.CipherDict) {
 				kd := konst.C.Data
 				v := make([]bool, len(col.CipherDict))
 				if col.Scheme == algebra.SchemeDeterministic {
@@ -317,10 +310,9 @@ func (e *Executor) compileColCmpAV(c *algebra.CmpAV, r *schemaResolver) (colPred
 						v[e] = opHolds(op, crypto.CompareOPE(ct, kd))
 					}
 				}
-				m = &dictAVMemo{cipherID: cipherDictID(col.CipherDict), verdict: v}
-				memo.Store(m)
+				memo = &dictAVMemo{cipherID: cipherDictID(col.CipherDict), verdict: v}
 			}
-			verdict := m.verdict
+			verdict := memo.verdict
 			for _, i := range sel {
 				if verdict[col.Codes[i]] {
 					out = append(out, i)

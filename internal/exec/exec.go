@@ -55,25 +55,11 @@ type Executor struct {
 	// onto the per-value crypto path (EncryptValue/DecryptValue per cell):
 	// the batched crypto engine's reference for the equivalence tests.
 	ValueCrypto bool
-	// Workers sizes the morsel worker pool: when > 1, pipeline segments
-	// anchored at a table scan (scan, filter, project, UDF, encrypt,
-	// decrypt, hash-join probe) execute fixed row-ranges of the cached
-	// column vectors concurrently, and group-by builds merge per-morsel
-	// partial aggregation tables in morsel order — results stay row-for-row
-	// identical to single-threaded execution. 0 or 1 runs single-threaded.
-	// UDFs must be safe for concurrent calls when Workers > 1.
-	Workers int
-	// MorselRows is the fixed morsel length in rows (0 means
-	// DefaultMorselRows). Morsel boundaries depend only on this value and
-	// the table, never on Workers, so parallel results are deterministic.
-	MorselRows int
 	// Mem, when non-nil, is the per-query memory accountant pipeline
 	// breakers (group-by tables, hash-join build sides) reserve live state
 	// against. A failed reservation switches the operator to grace-hash
 	// spilling through Spill. The accountant is shared — not copied — by
-	// Clone, so one budget governs every fragment of a run. With a budget
-	// set, pipeline breakers run sequentially (morsel-parallel chains that
-	// only stream — scan/filter/project/crypto — still fan out).
+	// Clone, so one budget governs every fragment of a run.
 	Mem *MemAccountant
 	// Spill creates the on-disk partition runs out-of-core operators write.
 	// nil with a budget set is a configuration error surfaced at the first
@@ -151,8 +137,6 @@ func (e *Executor) Clone() *Executor {
 		Materializing: e.Materializing,
 		CryptoWorkers: e.CryptoWorkers,
 		ValueCrypto:   e.ValueCrypto,
-		Workers:       e.Workers,
-		MorselRows:    e.MorselRows,
 		Mem:           e.Mem,
 		Spill:         e.Spill,
 		AdaptiveBatch: e.AdaptiveBatch,

@@ -26,14 +26,15 @@ func ctxErr(ctx context.Context) error {
 	}
 }
 
-// PanicError is a panic caught at an execution boundary (a morsel worker, a
-// parallel merge, a fragment goroutine) and converted into an ordinary
-// query error: the process survives, the run aborts cleanly, and the
-// caller learns where the panic happened and what was thrown. The captured
-// stack is the one of the panicking goroutine, taken inside its recover.
+// PanicError is a panic caught at an execution boundary (a fragment
+// goroutine, or the engine's last-resort guard around a query) and converted
+// into an ordinary query error: the process survives, the run aborts
+// cleanly, and the caller learns where the panic happened and what was
+// thrown. The captured stack is the one of the panicking goroutine, taken
+// inside its recover.
 type PanicError struct {
-	// Where names the boundary that caught the panic, e.g. the operator or
-	// fragment subject ("morsel worker", "fragment at StorageA").
+	// Where names the boundary that caught the panic, e.g. the fragment or
+	// the engine ("fragment σ[...]", "engine query").
 	Where string
 	// Val is the value the code panicked with.
 	Val any

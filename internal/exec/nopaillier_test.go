@@ -59,8 +59,7 @@ func TestPaillierOverSymmetricRingIsTypedError(t *testing.T) {
 			return err
 		},
 		"accumulator.add": func() error { return newAccumulator(sql.AggSum).add(e, sum, Enc(ct())) },
-		"groupAcc.add":    func() error { return withSum().add(Enc(ct()), false, e.ringCache()) },
-		"groupAcc.merge":  func() error { return withSum().merge(withSum(), e.ringCache()) },
+		"groupAcc.add":    func() error { return withSum().add(Enc(ct()), e.ringCache()) },
 		"groupAcc.absorb": func() error { return withSum().absorb(1, Enc(ct()), e.ringCache()) },
 	} {
 		if err := run(); !errors.Is(err, crypto.ErrNoPaillier) {

@@ -5,11 +5,9 @@ import (
 	"context"
 	"fmt"
 	"math/big"
-	"sync/atomic"
 
 	"mpq/internal/algebra"
 	"mpq/internal/crypto"
-	"mpq/internal/obs"
 	"mpq/internal/sql"
 )
 
@@ -94,7 +92,6 @@ type productOp struct {
 	right  Operator
 	schema []algebra.Attr
 	batch  int
-	shared bool // rightRows pre-drained and injected; Open must not re-drain
 
 	rightRows [][]Value
 	curRows   [][]Value
@@ -107,13 +104,11 @@ func (p *productOp) Open() error {
 	if err := p.left.Open(); err != nil {
 		return err
 	}
-	if !p.shared {
-		t, err := Drain(p.right)
-		if err != nil {
-			return err
-		}
-		p.rightRows = t.Rows
+	t, err := Drain(p.right)
+	if err != nil {
+		return err
 	}
+	p.rightRows = t.Rows
 	p.curRows, p.li, p.ri = nil, 0, 0
 	return nil
 }
@@ -177,8 +172,8 @@ type buildRef struct{ b, r int32 }
 // child's batches retained as delivered, plus, per join key, the refs of the
 // matching build rows in build-row order. The index is built straight from
 // the column vectors (appendCellKey, no row materialization) and is
-// immutable once built, so morsel-parallel probe workers share one index
-// read-only.
+// immutable once built, so a grace-hash partition pair hands its index to a
+// fresh probe operator read-only.
 type joinIndex struct {
 	schema  []algebra.Attr
 	batches []*Batch
@@ -190,11 +185,8 @@ type joinIndex struct {
 	uniform []ColKind
 }
 
-// buildJoinIndex drains the build child and indexes it by the hash column.
-// When the child is itself a morsel-parallel chain its batches are produced
-// concurrently (the parallel partition) and merged here into one index in
-// morsel order (the single merge), so refs land in build-row order exactly
-// as under sequential execution.
+// buildJoinIndex drains the build child and indexes it by the hash column;
+// refs land in build-row order.
 func buildJoinIndex(right Operator, hashR int) (*joinIndex, error) {
 	idx := &joinIndex{schema: right.Schema(), refs: make(map[string][]buildRef)}
 	if err := right.Open(); err != nil {
@@ -342,8 +334,6 @@ func (x *joinIndex) gatherCol(ci int, refs []buildRef) Column {
 // through the index refs. A residual condition falls back to materialized
 // rows for its evaluation. Output is emitted in at-most-batch-sized windows,
 // so a skewed many-to-many join never materializes its whole fanout at once.
-// Under morsel parallelism each probe worker holds its own hashJoinOp with a
-// private cursor, all sharing one read-only pre-built index.
 type hashJoinOp struct {
 	left, right  Operator
 	schema       []algebra.Attr
@@ -381,8 +371,7 @@ type hashJoinOp struct {
 	// Dictionary probe memo: when the probe key column is dict-encoded, the
 	// index lookup for each dictionary entry is cached per code, so repeated
 	// probe keys encode and hash once per distinct value. Valid for one
-	// dictionary identity at a time; private to this operator (each morsel
-	// worker probes through its own hashJoinOp).
+	// dictionary identity at a time.
 	probeDict       *string
 	probeCipherDict *[]byte
 	refsByCode      [][]buildRef
@@ -575,9 +564,8 @@ func (j *hashJoinOp) assemble(b *Batch, probeSel []int32, matches []buildRef) (*
 // ---------------------------------------------------------------------------
 // Group by
 
-// ringFn resolves a key ring by id. Each resolution context (an operator,
-// every morsel worker) carries its own memoized instance (ringCache), so
-// parallel partial builds never share a mutable cache.
+// ringFn resolves a key ring by id. Each operator carries its own memoized
+// instance (ringCache), so no two pipelines share a mutable cache.
 type ringFn func(keyID string) (*crypto.KeyRing, error)
 
 // ringCache returns a ringFn memoizing Keys.Get in a private map.
@@ -605,20 +593,15 @@ func pheKey(ring ringFn, keyID string) (*crypto.Paillier, error) {
 	return r.Paillier()
 }
 
-// groupAcc is the per-group accumulator of one aggregate. It runs in one of
-// two modes: fold mode (the sequential build and the final merge target)
-// keeps the classical running state, while gather mode (the per-morsel
-// partial tables of the parallel build) collects plaintext SUM/AVG cells in
-// row order instead of folding them, so the morsel-order merge reproduces
-// the sequential floating-point accumulation bit for bit. MIN/MAX over OPE
-// ciphertext-byte columns additionally track the running extremes as payload
-// references (byteMode) — ciphertext order is byte order, so no Cipher is
-// materialized per candidate.
+// groupAcc is the per-group accumulator of one aggregate: it folds cells in
+// row order, so float sums are bit-identical to the row-at-a-time oracle.
+// MIN/MAX over OPE ciphertext-byte columns additionally track the running
+// extremes as payload references (byteMode) — ciphertext order is byte
+// order, so no Cipher is materialized per candidate.
 type groupAcc struct {
 	fn    sql.AggFunc
 	count int64
 	sum   float64
-	vals  []float64 // gather mode: plaintext SUM/AVG cells in row order
 	min   Value
 	max   Value
 	phe   *big.Int
@@ -632,7 +615,7 @@ type groupAcc struct {
 	minKey, maxKey     string
 }
 
-func (acc *groupAcc) add(v Value, gather bool, ring ringFn) error {
+func (acc *groupAcc) add(v Value, ring ringFn) error {
 	acc.count++
 	switch acc.fn {
 	case sql.AggCount:
@@ -660,11 +643,7 @@ func (acc *groupAcc) add(v Value, gather bool, ring ringFn) error {
 		if err != nil {
 			return err
 		}
-		if gather {
-			acc.vals = append(acc.vals, f)
-		} else {
-			acc.sum += f
-		}
+		acc.sum += f
 		return nil
 	case sql.AggMin, sql.AggMax:
 		if acc.count == 1 {
@@ -699,7 +678,7 @@ func (acc *groupAcc) add(v Value, gather bool, ring ringFn) error {
 // raw payload bytes — OPE order is byte order, exactly compareForSort's
 // rule). It reports whether it handled the cell; callers fall back to add
 // (via Column.Value) otherwise.
-func (acc *groupAcc) addFast(col *Column, ri int, gather bool) bool {
+func (acc *groupAcc) addFast(col *Column, ri int) bool {
 	switch acc.fn {
 	case sql.AggCount:
 		acc.count++
@@ -711,19 +690,11 @@ func (acc *groupAcc) addFast(col *Column, ri int, gather bool) bool {
 		switch col.Kind {
 		case ColInt:
 			acc.count++
-			if gather {
-				acc.vals = append(acc.vals, float64(col.Ints[ri]))
-			} else {
-				acc.sum += float64(col.Ints[ri])
-			}
+			acc.sum += float64(col.Ints[ri])
 			return true
 		case ColFloat:
 			acc.count++
-			if gather {
-				acc.vals = append(acc.vals, col.Floats[ri])
-			} else {
-				acc.sum += col.Floats[ri]
-			}
+			acc.sum += col.Floats[ri]
 			return true
 		}
 		return false
@@ -763,80 +734,6 @@ func (acc *groupAcc) materializeMinMax() {
 	acc.byteMode = false
 }
 
-// merge folds a gather-mode partial into the receiver, in morsel order:
-// gathered plaintext cells are folded one by one (the exact sequential
-// accumulation), Paillier partial products multiply in (associative modular
-// arithmetic, so the product equals the sequential one), and min/max
-// candidates compare under the same strict rule as row-order adds, so ties
-// keep the earliest morsel's value.
-func (acc *groupAcc) merge(p *groupAcc, ring ringFn) error {
-	if p.count == 0 {
-		return nil
-	}
-	first := acc.count == 0
-	acc.count += p.count
-	switch acc.fn {
-	case sql.AggCount:
-		return nil
-	case sql.AggSum, sql.AggAvg:
-		for _, f := range p.vals {
-			acc.sum += f
-		}
-		if p.phe != nil {
-			if acc.phe == nil {
-				acc.phe, acc.pheC = p.phe, p.pheC // the partial owns its product
-			} else {
-				pk, err := pheKey(ring, acc.pheC.KeyID)
-				if err != nil {
-					return err
-				}
-				pk.AddTo(acc.phe, p.phe)
-			}
-		}
-		return nil
-	case sql.AggMin, sql.AggMax:
-		if first {
-			acc.min, acc.max = p.min, p.max
-			acc.byteMode = p.byteMode
-			acc.minB, acc.maxB = p.minB, p.maxB
-			acc.minPlain, acc.maxPlain = p.minPlain, p.maxPlain
-			acc.minKey, acc.maxKey = p.minKey, p.maxKey
-			return nil
-		}
-		if acc.byteMode && p.byteMode {
-			if bytes.Compare(p.minB, acc.minB) < 0 {
-				acc.minB, acc.minPlain, acc.minKey = p.minB, p.minPlain, p.minKey
-			}
-			if bytes.Compare(p.maxB, acc.maxB) > 0 {
-				acc.maxB, acc.maxPlain, acc.maxKey = p.maxB, p.maxPlain, p.maxKey
-			}
-			return nil
-		}
-		if acc.byteMode {
-			acc.materializeMinMax()
-		}
-		if p.byteMode {
-			p.materializeMinMax()
-		}
-		c, err := compareForSort(p.min, acc.min)
-		if err != nil {
-			return err
-		}
-		if c < 0 {
-			acc.min = p.min
-		}
-		c, err = compareForSort(p.max, acc.max)
-		if err != nil {
-			return err
-		}
-		if c > 0 {
-			acc.max = p.max
-		}
-		return nil
-	}
-	return fmt.Errorf("exec: unknown aggregate %q", acc.fn)
-}
-
 func (acc *groupAcc) result() (Value, error) {
 	if acc.byteMode {
 		acc.materializeMinMax()
@@ -872,15 +769,14 @@ type group struct {
 	accs    []*groupAcc
 }
 
-// groupTable hash-aggregates batches: the shared core of the sequential
-// group-by build and of the per-morsel partial tables of the parallel build.
-// Group keys are encoded straight from the column vectors (appendCellKey
-// mirrors groupKey byte for byte); groups are kept in first-seen order.
+// groupTable hash-aggregates batches: the core of the group-by build, of
+// its spill partitions, and of pre-shuffle partial aggregation. Group keys
+// are encoded straight from the column vectors (appendCellKey mirrors
+// groupKey byte for byte); groups are kept in first-seen order.
 type groupTable struct {
 	keyIdx []int
 	aggIdx []int
 	specs  []algebra.AggSpec
-	gather bool
 	ring   ringFn
 	groups map[string]*group
 	order  []string
@@ -889,10 +785,9 @@ type groupTable struct {
 	// Dictionary fast path (single dict-encoded key column): groups resolved
 	// by code instead of encoding and hashing the canonical key per row. The
 	// memo maps each dictionary entry to its group after one canonical
-	// registration, so first-seen order and the hk strings mergeFrom matches
-	// on stay byte-identical to the generic path. Valid for one dictionary
-	// identity at a time; groupTable instances are never shared across
-	// workers.
+	// registration, so first-seen order and the hk strings stay
+	// byte-identical to the generic path. Valid for one dictionary identity
+	// at a time.
 	dictID       *string
 	cipherDictID *[]byte
 	codeGroups   []*group
@@ -920,10 +815,9 @@ type groupTable struct {
 	mergePartials bool
 }
 
-func newGroupTable(keyIdx, aggIdx []int, specs []algebra.AggSpec, gather bool, ring ringFn) *groupTable {
+func newGroupTable(keyIdx, aggIdx []int, specs []algebra.AggSpec, ring ringFn) *groupTable {
 	return &groupTable{
-		keyIdx: keyIdx, aggIdx: aggIdx, specs: specs,
-		gather: gather, ring: ring,
+		keyIdx: keyIdx, aggIdx: aggIdx, specs: specs, ring: ring,
 		groups: make(map[string]*group),
 	}
 }
@@ -1086,49 +980,24 @@ func (gt *groupTable) accumulate(grp *group, b *Batch, ri int) error {
 	for i, sp := range gt.specs {
 		acc := grp.accs[i]
 		if sp.Star {
-			if err := acc.add(Value{}, gt.gather, gt.ring); err != nil {
+			if err := acc.add(Value{}, gt.ring); err != nil {
 				return err
 			}
 			continue
 		}
 		col := &b.Cols[gt.aggIdx[i]]
-		if acc.addFast(col, ri, gt.gather) {
+		if acc.addFast(col, ri) {
 			continue
 		}
-		if err := acc.add(col.Value(ri), gt.gather, gt.ring); err != nil {
+		if err := acc.add(col.Value(ri), gt.ring); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// mergeFrom folds a partial table into the receiver. Called once per morsel
-// in ascending morsel order, it reproduces the sequential build exactly:
-// groups appear in global first-seen order (morsel order is row order) and
-// every accumulator folds its partials in row order.
-func (gt *groupTable) mergeFrom(p *groupTable) error {
-	for _, hk := range p.order {
-		pg := p.groups[hk]
-		grp, ok := gt.groups[hk]
-		if !ok {
-			grp = &group{keyVals: pg.keyVals, accs: make([]*groupAcc, len(pg.accs))}
-			for i, pa := range pg.accs {
-				grp.accs[i] = &groupAcc{fn: pa.fn}
-			}
-			gt.groups[hk] = grp
-			gt.order = append(gt.order, hk)
-		}
-		for i := range grp.accs {
-			if err := grp.accs[i].merge(pg.accs[i], gt.ring); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 type groupByOp struct {
-	child  Operator // input pipeline; nil when par is set
+	child  Operator
 	e      *Executor
 	schema []algebra.Attr
 	keyIdx []int
@@ -1136,8 +1005,6 @@ type groupByOp struct {
 	specs  []algebra.AggSpec
 	batch  int
 	ring   ringFn
-	par    *chain    // morsel-parallel input chain (nil = sequential child)
-	sp     *obs.Span // traced runs: per-worker morsel claim accounting
 
 	// partialIn marks a consumer-side group-by whose input is a
 	// partial-aggregated shuffle edge (ShufflePartialSchema rows); the table
@@ -1153,53 +1020,36 @@ func (g *groupByOp) Schema() []algebra.Attr { return g.schema }
 
 func (g *groupByOp) Open() error {
 	g.built, g.out, g.pos = false, nil, 0
-	if g.par != nil {
-		return nil
-	}
 	return g.child.Open()
 }
 
-func (g *groupByOp) Close() error {
-	if g.par != nil {
-		return nil
-	}
-	return g.child.Close()
-}
+func (g *groupByOp) Close() error { return g.child.Close() }
 
 // build drains the input (the group-by is a pipeline breaker) and
-// hash-aggregates it. The sequential path feeds one fold-mode groupTable
-// batch by batch; the parallel path aggregates per-morsel partial tables on
-// the worker pool and merges them in morsel order (buildParallel). Either
-// way, groups emit in first-seen order and accumulation order per group
-// equals row order, so float summation is bit-identical to the
-// row-at-a-time oracle.
+// hash-aggregates it into one groupTable, batch by batch. Groups emit in
+// first-seen order and accumulation order per group equals row order, so
+// float summation is bit-identical to the row-at-a-time oracle.
 func (g *groupByOp) build() error {
-	gt := newGroupTable(g.keyIdx, g.aggIdx, g.specs, false, g.ring)
+	gt := newGroupTable(g.keyIdx, g.aggIdx, g.specs, g.ring)
 	gt.mergePartials = g.partialIn
-	if g.par != nil {
-		if err := g.buildParallel(gt); err != nil {
+	if g.e != nil && g.e.Mem != nil {
+		gt.mem, gt.spill = g.e.Mem, g.e.Spill
+	}
+	if g.e != nil {
+		gt.ctx = g.e.Ctx
+	}
+	for {
+		b, err := g.child.Next()
+		if err != nil {
+			gt.discard()
 			return err
 		}
-	} else {
-		if g.e != nil && g.e.Mem != nil {
-			gt.mem, gt.spill = g.e.Mem, g.e.Spill
+		if b == nil {
+			break
 		}
-		if g.e != nil {
-			gt.ctx = g.e.Ctx
-		}
-		for {
-			b, err := g.child.Next()
-			if err != nil {
-				gt.discard()
-				return err
-			}
-			if b == nil {
-				break
-			}
-			if err := gt.ingest(b); err != nil {
-				gt.discard()
-				return err
-			}
+		if err := gt.ingest(b); err != nil {
+			gt.discard()
+			return err
 		}
 	}
 
@@ -1294,22 +1144,13 @@ func (u *udfOp) Next() (*Batch, error) {
 
 // encCol is one attribute to encrypt: its schema positions and the scheme
 // and key ring resolved at build time. dictEnc carries the column's
-// encrypted dictionary across batches (and across morsel workers sharing
-// the compiled chain — atomic because workers race to build it; the
-// deterministic rebuild is idempotent).
+// encrypted dictionary across batches.
 type encCol struct {
 	attr    algebra.Attr
 	scheme  algebra.Scheme
 	ring    *crypto.KeyRing
 	idx     []int
-	dictEnc *atomic.Pointer[dictEncMemo]
-}
-
-// newEncCol builds one encryption target, allocating its shared
-// dictionary-encryption memo.
-func newEncCol(attr algebra.Attr, scheme algebra.Scheme, ring *crypto.KeyRing, idx []int) encCol {
-	return encCol{attr: attr, scheme: scheme, ring: ring, idx: idx,
-		dictEnc: new(atomic.Pointer[dictEncMemo])}
+	dictEnc *dictEncMemo
 }
 
 type encryptOp struct {
@@ -1355,7 +1196,8 @@ func (o *encryptOp) Next() (*Batch, error) {
 		return NewBatchFromRows(rows, len(b.Cols))
 	}
 	out := &Batch{Cols: append([]Column(nil), b.Cols...), N: b.N}
-	for _, c := range o.cols {
+	for k := range o.cols {
+		c := &o.cols[k]
 		for _, ci := range c.idx {
 			col := &b.Cols[ci]
 			if col.Kind == ColCipherBytes || col.Kind == ColCipherDict {
@@ -1375,7 +1217,7 @@ func (o *encryptOp) Next() (*Batch, error) {
 				// back: a NULL cell encrypts to a ciphertext (the oracle
 				// encrypts the NULL tag), which the dict layout cannot carry
 				// in its bitmap.
-				enc, err := encryptDictColumn(o.e, c.ring, c.scheme, col, c.dictEnc)
+				enc, err := encryptDictColumn(o.e, c.ring, c.scheme, col, &c.dictEnc)
 				if err != nil {
 					return nil, fmt.Errorf("exec: encrypting %s: %w", c.attr, err)
 				}

@@ -213,7 +213,7 @@ func emitPartitionGroups(gt *groupTable, run SpillRun, emit func(*group) error) 
 	if err != nil {
 		return err
 	}
-	sub := newGroupTable(gt.keyIdx, gt.aggIdx, gt.specs, gt.gather, gt.ring)
+	sub := newGroupTable(gt.keyIdx, gt.aggIdx, gt.specs, gt.ring)
 	sub.mergePartials = gt.mergePartials
 	sub.ctx = gt.ctx
 	if gt.mem != nil && gt.level+1 < maxSpillDepth {
@@ -469,7 +469,7 @@ func (p *partialAggOp) Open() error {
 func (p *partialAggOp) Close() error { return p.child.Close() }
 
 func (p *partialAggOp) build() error {
-	gt := newGroupTable(p.keyIdx, p.aggIdx, p.specs, false, p.ring)
+	gt := newGroupTable(p.keyIdx, p.aggIdx, p.specs, p.ring)
 	if p.e != nil && p.e.Mem != nil {
 		gt.mem, gt.spill = p.e.Mem, p.e.Spill
 	}

@@ -38,8 +38,8 @@ func PumpContext(ctx context.Context, op exec.Operator, emit func(*exec.Batch) e
 	}
 	// A panic unwinding out of Next or emit (an injected fault, a buggy
 	// UDF) must still tear the operator tree down before the fragment
-	// boundary reports it: morsel mergers and spill runs hang off Close,
-	// and skipping it leaks their goroutines and files.
+	// boundary reports it: spill runs hang off Close, and skipping it leaks
+	// their files.
 	closed := false
 	closeOp := func() error { closed = true; return op.Close() }
 	defer func() {

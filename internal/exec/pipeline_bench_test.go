@@ -9,12 +9,10 @@ import (
 	"mpq/internal/tpch"
 )
 
-// BenchmarkInterior compares the batch pipeline — single-threaded and
-// morsel-parallel at 2 workers — against the legacy materializing evaluator
-// on centralized plaintext TPC-H plans: the interior-only speedup, with no
-// distribution, crypto, or link simulation in the way. (The workers=2 cells
-// double as the CI smoke for the morsel pool; CPU-bound scaling is bounded
-// by GOMAXPROCS.)
+// BenchmarkInterior compares the batch pipeline against the legacy
+// materializing evaluator on centralized plaintext TPC-H plans: the
+// interior-only speedup, with no distribution, crypto, or link simulation in
+// the way.
 func BenchmarkInterior(b *testing.B) {
 	const sf = 0.01
 	cat := tpch.Catalog(sf)
@@ -32,14 +30,12 @@ func BenchmarkInterior(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, mode := range []struct {
-			name    string
-			mat     bool
-			workers int
-		}{{"materializing", true, 0}, {"batch", false, 0}, {"batch-w2", false, 2}} {
+			name string
+			mat  bool
+		}{{"materializing", true}, {"batch", false}} {
 			b.Run(fmt.Sprintf("Q%02d/%s", num, mode.name), func(b *testing.B) {
 				e := exec.NewExecutor()
 				e.Materializing = mode.mat
-				e.Workers = mode.workers
 				for name, t := range tables {
 					e.Tables[name] = t
 				}

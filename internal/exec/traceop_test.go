@@ -65,36 +65,6 @@ func TestBuildTraceSpans(t *testing.T) {
 	}
 }
 
-// TestTraceMorselClaimsRecorded: a morsel-parallel traced run must attribute
-// every morsel to a worker on the parallel operator's span.
-func TestTraceMorselClaimsRecorded(t *testing.T) {
-	e := NewExecutor()
-	exampleData(e)
-	e.Workers = 2
-	e.MorselRows = 2 // 8-row table → 4 morsels
-	p, err := planner.New(exampleCatalog()).PlanSQL("select D from Hosp where B > 11")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := obs.NewTrace()
-	e.Trace = tr
-	if _, _, err := e.RunPlan(p); err != nil {
-		t.Fatal(err)
-	}
-	// The parallelized chain root is the filter (or the projection above
-	// it); find any span with morsel claims and check they sum to the
-	// morsel count.
-	var total int64
-	for _, sp := range tr.Spans() {
-		for _, c := range sp.MorselClaims() {
-			total += c
-		}
-	}
-	if total != 4 {
-		t.Fatalf("morsel claims sum = %d, want 4", total)
-	}
-}
-
 // steadySource feeds the same pre-built batch forever: the allocation-free
 // anchor the overhead benchmark drives Next through.
 type steadySource struct {

@@ -34,7 +34,7 @@ func L(k, v string) Label { return Label{Key: k, Value: v} }
 // Counter
 
 // counterShards is the number of independent cells a Counter stripes its
-// value across. Morsel workers on different stacks land on different cells,
+// value across. Goroutines on different stacks land on different cells,
 // so concurrent Add calls do not bounce one cache line between cores.
 const counterShards = 16
 

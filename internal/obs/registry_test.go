@@ -116,7 +116,7 @@ func TestSnapshot(t *testing.T) {
 
 // TestRegistryConcurrent hammers registration, writes, and scrapes from
 // many goroutines; run under -race this proves the registry is safe to
-// share between morsel workers and the /metrics handler.
+// share between concurrent queries and the /metrics handler.
 func TestRegistryConcurrent(t *testing.T) {
 	r := NewRegistry()
 	var wg sync.WaitGroup

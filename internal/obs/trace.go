@@ -21,10 +21,10 @@ func NewTrace() *Trace {
 	return &Trace{byRef: make(map[any]*Span)}
 }
 
-// Span accounts one operator: batches and rows it produced, wall time spent
-// inside its Next calls, and (for parallel operators) how many morsels each
-// worker claimed. Counters are atomics because morsel workers and the merge
-// goroutine touch the same span concurrently.
+// Span accounts one operator: batches and rows it produced and wall time
+// spent inside its Next calls. Counters are atomics: one trace is written
+// from every fragment goroutine of a run, and no lock orders those writes
+// against a reader.
 type Span struct {
 	Op     string // operator rendering, e.g. σ[p_size = 15]
 	Detail string // extra context, e.g. the executing subject
@@ -33,8 +33,7 @@ type Span struct {
 	rows    atomic.Int64
 	batches atomic.Int64
 	nanos   atomic.Int64
-	claims  []atomic.Int64 // per-worker morsel claims; nil for serial ops
-	cached  atomic.Bool    // the operator served a cache instead of computing
+	cached  atomic.Bool // the operator served a cache instead of computing
 }
 
 // Edge accounts one provider→provider (or provider→user) data transfer.
@@ -120,8 +119,6 @@ func (s *Span) Rows() int64 { return s.rows.Load() }
 func (s *Span) Batches() int64 { return s.batches.Load() }
 
 // Nanos returns the wall time spent inside the operator's Next calls.
-// For parallel operators this is the merge-side wait, not summed worker
-// time.
 func (s *Span) Nanos() int64 { return s.nanos.Load() }
 
 // MarkCached records that the operator served its rows from a cache (the
@@ -130,29 +127,3 @@ func (s *Span) MarkCached() { s.cached.Store(true) }
 
 // Cached reports whether MarkCached was called.
 func (s *Span) Cached() bool { return s.cached.Load() }
-
-// InitWorkers sizes the per-worker morsel claim counters. Safe to call
-// once per execution before workers start.
-func (s *Span) InitWorkers(n int) {
-	s.claims = make([]atomic.Int64, n)
-}
-
-// Claim accounts one morsel claimed by worker w.
-func (s *Span) Claim(w int) {
-	if w >= 0 && w < len(s.claims) {
-		s.claims[w].Add(1)
-	}
-}
-
-// MorselClaims returns per-worker morsel claim counts, or nil for serial
-// operators.
-func (s *Span) MorselClaims() []int64 {
-	if s.claims == nil {
-		return nil
-	}
-	out := make([]int64, len(s.claims))
-	for i := range s.claims {
-		out[i] = s.claims[i].Load()
-	}
-	return out
-}

@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 func TestTraceSpans(t *testing.T) {
 	tr := NewTrace()
@@ -25,32 +22,6 @@ func TestTraceSpans(t *testing.T) {
 	}
 	if got := len(tr.Spans()); got != 2 {
 		t.Fatalf("spans = %d, want 2", got)
-	}
-}
-
-func TestTraceMorselClaims(t *testing.T) {
-	tr := NewTrace()
-	s := tr.Span("par", "µ", "")
-	s.InitWorkers(3)
-	var wg sync.WaitGroup
-	for w := 0; w < 3; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i <= w; i++ {
-				s.Claim(w)
-			}
-		}(w)
-	}
-	wg.Wait()
-	claims := s.MorselClaims()
-	if len(claims) != 3 || claims[0] != 1 || claims[1] != 2 || claims[2] != 3 {
-		t.Fatalf("claims = %v", claims)
-	}
-	s.Claim(99) // out of range must not panic
-	serial := tr.Span("ser", "σ", "")
-	if serial.MorselClaims() != nil {
-		t.Fatal("serial span must report nil claims")
 	}
 }
 
