@@ -26,33 +26,37 @@ func TestSpillForcedMatchesInMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := exec.ReadSpillStats()
-	cfg := testConfig(t, tpch.UAPenc)
-	cfg.MemBudget = spillBudget
-	cfg.SpillDir = t.TempDir()
-	eng, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range tpch.Queries() {
-		want, err := base.Query(q.SQL)
+	// Every fragment runs on one goroutine; the cell keeps the name of the
+	// single-worker run it has always been.
+	t.Run("workers=1", func(t *testing.T) {
+		cfg := testConfig(t, tpch.UAPenc)
+		cfg.MemBudget = spillBudget
+		cfg.SpillDir = t.TempDir()
+		eng, err := New(cfg)
 		if err != nil {
-			t.Fatalf("Q%d baseline: %v", q.Num, err)
+			t.Fatal(err)
 		}
-		got, err := eng.Query(q.SQL)
+		for _, q := range tpch.Queries() {
+			want, err := base.Query(q.SQL)
+			if err != nil {
+				t.Fatalf("Q%d baseline: %v", q.Num, err)
+			}
+			got, err := eng.Query(q.SQL)
+			if err != nil {
+				t.Fatalf("Q%d under %d-byte budget: %v", q.Num, spillBudget, err)
+			}
+			if g, w := canon(got.Table), canon(want.Table); !bytes.Equal(g, w) {
+				t.Errorf("Q%d: spill-forced result differs from in-memory\ngot:\n%s\nwant:\n%s", q.Num, g, w)
+			}
+		}
+		left, err := filepath.Glob(filepath.Join(cfg.SpillDir, "*"))
 		if err != nil {
-			t.Fatalf("Q%d under %d-byte budget: %v", q.Num, spillBudget, err)
+			t.Fatal(err)
 		}
-		if g, w := canon(got.Table), canon(want.Table); !bytes.Equal(g, w) {
-			t.Errorf("Q%d: spill-forced result differs from in-memory\ngot:\n%s\nwant:\n%s", q.Num, g, w)
+		if len(left) != 0 {
+			t.Errorf("orphaned spill files after runs: %v", left)
 		}
-	}
-	left, err := filepath.Glob(filepath.Join(cfg.SpillDir, "*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(left) != 0 {
-		t.Errorf("orphaned spill files after runs: %v", left)
-	}
+	})
 	after := exec.ReadSpillStats()
 	if after.Partitions <= before.Partitions {
 		t.Error("no spill partitions created under a 4 KiB budget")
