@@ -61,8 +61,6 @@ func main() {
 		mbps       = flag.Float64("mbps", 50, "simulated link bandwidth in MB/s (with -rtt > 0)")
 		memBudget  = flag.Int64("membudget", 0, "per-query memory budget in bytes; pipeline breakers spill to disk beyond it (0 = unbudgeted)")
 		spillDir   = flag.String("spilldir", "", "directory for spill runs (default: the OS temp dir)")
-		partial    = flag.Bool("partial", false, "fold pre-shuffle partial aggregates at producing subjects")
-		adaptive   = flag.Bool("adaptive", false, "adaptive scan batch sizing (grow from small first batches)")
 		plannerMod = flag.String("planner", "", "planner mode: cost (default; FROM-order joins, textbook estimates) or greedy (joins ordered from predicate patterns)")
 		pprofOn    = flag.Bool("pprof", false, "mount net/http/pprof handlers under /debug/pprof/")
 		timeout    = flag.Duration("timeout", 0, "default per-query deadline; ?timeout= overrides per request (0 = none)")
@@ -88,8 +86,6 @@ func main() {
 	cfg.PaillierBits = *paillier
 	cfg.MemBudget = *memBudget
 	cfg.SpillDir = *spillDir
-	cfg.PartialShuffle = *partial
-	cfg.AdaptiveBatch = *adaptive
 	cfg.PlannerMode = planner.Mode(*plannerMod)
 	cfg.QueryTimeout = *timeout
 	cfg.MaxConcurrent = *maxConc

@@ -41,7 +41,9 @@ type Options struct {
 // approximate edge costs, then refines the assignment by exact-cost local
 // search (each refinement step rebuilds the minimally extended plan and
 // prices it precisely, combining assignment and encryption decisions as
-// Section 6 prescribes when encryption is not negligible).
+// Section 6 prescribes when encryption is not negligible). The chosen plan's
+// pre-shuffle partial aggregation edges are marked last (core.MarkPartials),
+// so every caller executes the same plan; they do not enter the cost.
 func Optimize(sys *core.System, an *core.Analysis, m *cost.Model, opts Options) (*Result, error) {
 	if err := an.Feasible(); err != nil {
 		return nil, err
@@ -83,6 +85,7 @@ func Optimize(sys *core.System, an *core.Analysis, m *cost.Model, opts Options) 
 				opts.MaxSeconds, br.Seconds)
 		}
 	}
+	sys.MarkPartials(ext)
 	return &Result{Lambda: lambda, Extended: ext, Cost: br}, nil
 }
 

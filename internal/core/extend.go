@@ -65,6 +65,10 @@ type ExtendedPlan struct {
 	// it derives from (injected encrypt/decrypt nodes map to the node they
 	// complement).
 	Source map[algebra.Node]algebra.Node
+	// Partials holds the cross-subject edges that carry pre-shuffle partial
+	// aggregation, keyed by the shipped node (see MarkPartials). Nil when
+	// no edge qualifies.
+	Partials map[algebra.Node]PartialEdge
 }
 
 // Extend builds the minimally extended authorized query plan for the given

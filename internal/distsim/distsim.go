@@ -85,14 +85,14 @@ type Network struct {
 	// SpillDir is the directory spill runs are created in when MemBudget is
 	// set ("" = the OS temp dir).
 	SpillDir string
-	// PartialShuffle folds aggregates per group on the producer side of a
-	// shuffle edge feeding a group-by (pre-shuffle partial aggregation):
-	// the edge ships one partial row per group instead of the raw rows, and
-	// the consumer merges the partials. Streaming runtime only.
-	PartialShuffle bool
-	// AdaptiveBatch starts every subject's table scans at a small batch and
-	// grows the window geometrically to BatchSize.
-	AdaptiveBatch bool
+	// PartialShuffle switched pre-shuffle partial aggregation on. It is now
+	// decided per plan (core.ExtendedPlan.Partials, marked by
+	// assignment.Optimize where the producer is authorized), and the
+	// streaming runtime always follows the marks. AdaptiveBatch grew scan
+	// windows from a small first batch; it has been removed.
+	//
+	// Deprecated: nothing reads them.
+	PartialShuffle, AdaptiveBatch bool
 	// Trace, when set, is handed to every subject executor (operator spans)
 	// and receives one obs.Edge per cross-subject transfer, unifying the
 	// ledger's byte accounting with the simulated network waits a query
@@ -158,20 +158,18 @@ func (nw *Network) Clone() *Network {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
 	c := &Network{
-		subjects:       make(map[authz.Subject]*exec.Executor, len(nw.subjects)),
-		UDFs:           nw.UDFs,
-		preRings:       nw.preRings,
-		Delay:          nw.Delay,
-		BatchSize:      nw.BatchSize,
-		Materializing:  nw.Materializing,
-		CryptoWorkers:  nw.CryptoWorkers,
-		ValueCrypto:    nw.ValueCrypto,
-		MemBudget:      nw.MemBudget,
-		SpillDir:       nw.SpillDir,
-		PartialShuffle: nw.PartialShuffle,
-		AdaptiveBatch:  nw.AdaptiveBatch,
-		Trace:          nw.Trace,
-		Faults:         nw.Faults,
+		subjects:      make(map[authz.Subject]*exec.Executor, len(nw.subjects)),
+		UDFs:          nw.UDFs,
+		preRings:      nw.preRings,
+		Delay:         nw.Delay,
+		BatchSize:     nw.BatchSize,
+		Materializing: nw.Materializing,
+		CryptoWorkers: nw.CryptoWorkers,
+		ValueCrypto:   nw.ValueCrypto,
+		MemBudget:     nw.MemBudget,
+		SpillDir:      nw.SpillDir,
+		Trace:         nw.Trace,
+		Faults:        nw.Faults,
 	}
 	for s, e := range nw.subjects {
 		ce := e.Clone()
@@ -179,7 +177,6 @@ func (nw *Network) Clone() *Network {
 		ce.Materializing = nw.Materializing
 		ce.CryptoWorkers = nw.CryptoWorkers
 		ce.ValueCrypto = nw.ValueCrypto
-		ce.AdaptiveBatch = nw.AdaptiveBatch
 		c.subjects[s] = ce
 	}
 	return c

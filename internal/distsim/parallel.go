@@ -24,14 +24,11 @@ import (
 // ledger, in completion order.
 
 // fragInput is one frontier edge of a fragment: the producing fragment,
-// the plan node it evaluates, and the consuming operation (for the ledger
-// and for the streaming runtime's pre-shuffle partial aggregation, which
-// needs the consuming node itself).
+// the plan node it evaluates, and the consuming operation (for the ledger).
 type fragInput struct {
-	from         *fragment
-	node         algebra.Node
-	consumer     string       // Op() of the node consuming the shipment
-	consumerNode algebra.Node // the node consuming the shipment
+	from     *fragment
+	node     algebra.Node
+	consumer string // Op() of the node consuming the shipment
 }
 
 // fragment is the unit of parallel work: a maximal same-subject subtree.
@@ -68,7 +65,7 @@ func partitionFragments(ext *core.ExtendedPlan) []*fragment {
 					walk(c)
 				} else {
 					f.inputs = append(f.inputs, fragInput{
-						from: build(c), node: c, consumer: m.Op(), consumerNode: m,
+						from: build(c), node: c, consumer: m.Op(),
 					})
 				}
 			}

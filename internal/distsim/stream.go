@@ -37,68 +37,12 @@ var errStreamAborted = fmt.Errorf("distsim: stream aborted")
 type streamEdge struct {
 	to authz.Subject // consuming fragment's subject
 	op string        // Op() of the consuming operation, for the ledger
-	// partial, when set, marks a pre-shuffle partial aggregation edge: the
-	// producer evaluates the consumer's selection chain, folds the group-by's
-	// aggregates per group, and ships one partial row per group; the consumer
-	// splices the shuffle in at the group-by's child and merges the partials.
-	partial *partialEdge
-}
-
-// partialEdge is one pre-shuffle partial aggregation opportunity: the
-// consuming fragment's group-by and the selection chain (outermost first)
-// between the group-by's child and the shipped node. The chain may be empty
-// (the edge feeds the group-by directly).
-type partialEdge struct {
-	g       *algebra.GroupBy
-	selects []*algebra.Select
-}
-
-// partialEdgeFor reports whether pre-shuffle partial aggregation applies to
-// the frontier input in of consumer fragment f: the knob is on and a
-// group-by of f reaches the shipped node through selections only. Filters
-// commute with the shuffle — the producer can evaluate the same compiled
-// predicates over rows it already holds — while any other operator
-// (join, decrypt, …) between the group-by and the edge disqualifies it.
-func (nw *Network) partialEdgeFor(f *fragment, in fragInput) *partialEdge {
-	if !nw.PartialShuffle {
-		return nil
-	}
-	switch in.consumerNode.(type) {
-	case *algebra.GroupBy, *algebra.Select:
-	default:
-		return nil // the chain would have to pass through the consuming node
-	}
-	frontier := make(map[algebra.Node]bool, len(f.inputs))
-	for _, x := range f.inputs {
-		frontier[x.node] = true
-	}
-	var found *partialEdge
-	var walk func(n algebra.Node)
-	walk = func(n algebra.Node) {
-		if found != nil || frontier[n] {
-			return // stop at other producers' subtrees
-		}
-		if g, ok := n.(*algebra.GroupBy); ok {
-			var sels []*algebra.Select
-			for cur := g.Child; ; {
-				if cur == in.node {
-					found = &partialEdge{g: g, selects: sels}
-					return
-				}
-				s, ok := cur.(*algebra.Select)
-				if !ok {
-					break
-				}
-				sels = append(sels, s)
-				cur = s.Child
-			}
-		}
-		for _, c := range n.Children() {
-			walk(c)
-		}
-	}
-	walk(f.root)
-	return found
+	// partial, when set, marks a pre-shuffle partial aggregation edge
+	// (core.MarkPartials): the producer evaluates the consumer's selection
+	// chain, folds the group-by's aggregates per group, and ships one
+	// partial row per group; the consumer splices the shuffle in at the
+	// group-by's child and merges the partials.
+	partial *core.PartialEdge
 }
 
 // ExecuteStream runs the extended plan across the network with one worker
@@ -146,10 +90,11 @@ func (nw *Network) ExecuteStreamCtx(ctx context.Context, ext *core.ExtendedPlan,
 	}
 	for _, f := range frags {
 		for _, in := range f.inputs {
-			edges[idx[in.from]] = streamEdge{
-				to: f.subject, op: in.consumer,
-				partial: nw.partialEdgeFor(f, in),
+			e := streamEdge{to: f.subject, op: in.consumer}
+			if pe, ok := ext.Partials[in.node]; ok {
+				e.partial = &pe
 			}
+			edges[idx[in.from]] = e
 		}
 	}
 
@@ -173,7 +118,6 @@ func (nw *Network) ExecuteStreamCtx(ctx context.Context, ext *core.ExtendedPlan,
 		c.Trace = nw.Trace
 		c.Mem = runMem
 		c.Spill = runSpill
-		c.AdaptiveBatch = nw.AdaptiveBatch
 		c.Ctx = runCtx
 		c.Faults = faultOps
 		c.Sources = make(map[algebra.Node]exec.Operator, len(f.inputs))
@@ -255,7 +199,7 @@ func (nw *Network) ExecuteStreamCtx(ctx context.Context, ext *core.ExtendedPlan,
 			}
 
 			for _, in := range f.inputs {
-				if pe := nw.partialEdgeFor(f, in); pe != nil {
+				if pe := edges[idx[in.from]].partial; pe != nil {
 					// The producer evaluates the selection chain and ships
 					// per-group partial aggregates for this edge, so the
 					// source splices in directly under the group-by (the
@@ -265,9 +209,9 @@ func (nw *Network) ExecuteStreamCtx(ctx context.Context, ext *core.ExtendedPlan,
 					if ex.Partials == nil {
 						ex.Partials = make(map[*algebra.GroupBy]bool)
 					}
-					ex.Partials[pe.g] = true
-					ex.Sources[pe.g.Child] = pipeline.NewSource(
-						exec.ShufflePartialSchema(pe.g), outCh[idx[in.from]], done)
+					ex.Partials[pe.GroupBy] = true
+					ex.Sources[pe.GroupBy.Child] = pipeline.NewSource(
+						exec.ShufflePartialSchema(pe.GroupBy), outCh[idx[in.from]], done)
 					continue
 				}
 				ex.Sources[in.node] = pipeline.NewSource(in.node.Schema(), outCh[idx[in.from]], done)
@@ -280,14 +224,14 @@ func (nw *Network) ExecuteStreamCtx(ctx context.Context, ext *core.ExtendedPlan,
 			if pe := edges[i].partial; pe != nil && !isRoot {
 				// Apply the absorbed consumer selections innermost first,
 				// then fold partials per group.
-				for k := len(pe.selects) - 1; k >= 0; k-- {
-					op, err = exec.NewShuffleSelect(ex, pe.selects[k], op)
+				for k := len(pe.Selects) - 1; k >= 0; k-- {
+					op, err = exec.NewShuffleSelect(ex, pe.Selects[k], op)
 					if err != nil {
 						emitErr(wrap(err))
 						return
 					}
 				}
-				op, err = exec.NewShufflePartial(ex, pe.g, op)
+				op, err = exec.NewShufflePartial(ex, pe.GroupBy, op)
 				if err != nil {
 					emitErr(wrap(err))
 					return

@@ -84,15 +84,16 @@ type Config struct {
 	// SpillDir is the directory spill runs are created under when MemBudget
 	// forces state to disk ("" means the OS temp directory).
 	SpillDir string
-	// PartialShuffle enables pre-shuffle partial aggregation: when a
-	// cross-subject edge feeds a group-by directly, the producing fragment
-	// folds COUNT/SUM/MIN/MAX/AVG partials per group before shipping and
-	// the consumer merges them, shrinking the transfer to one row per
-	// group. Results are identical; the ledger records the reduced bytes.
+	// PartialShuffle switched pre-shuffle partial aggregation on. Every
+	// plan now carries it where its producer is authorized
+	// (core.MarkPartials), so New ignores the field either way.
+	//
+	// Deprecated: ignored.
 	PartialShuffle bool
-	// AdaptiveBatch starts table scans at a small pipeline batch size and
-	// grows it geometrically toward BatchSize, so short-circuiting queries
-	// never pay for a full batch of downstream work.
+	// AdaptiveBatch grew scan windows from a small first batch toward
+	// BatchSize; it has been removed, and New rejects true.
+	//
+	// Deprecated: leave it false.
 	AdaptiveBatch bool
 	// QueryTimeout is the default deadline of every query: a run exceeding
 	// it is cancelled within one batch of work and fails with
@@ -171,6 +172,9 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Workers > 1 || cfg.MorselRows != 0 {
 		return nil, fmt.Errorf("engine: morsel parallelism was removed: Workers must be 0 or 1 and MorselRows 0 (got %d and %d)",
 			cfg.Workers, cfg.MorselRows)
+	}
+	if cfg.AdaptiveBatch {
+		return nil, fmt.Errorf("engine: adaptive batch sizing was removed: AdaptiveBatch must be false")
 	}
 	if cfg.PaillierBits == 0 {
 		cfg.PaillierBits = crypto.DefaultPaillierBits
@@ -430,8 +434,6 @@ func (e *Engine) prepare(stmt *sql.SelectStmt, version uint64, pol authz.Viewer,
 	nw.ValueCrypto = e.cfg.ValueCrypto
 	nw.MemBudget = e.cfg.MemBudget
 	nw.SpillDir = e.cfg.SpillDir
-	nw.PartialShuffle = e.cfg.PartialShuffle
-	nw.AdaptiveBatch = e.cfg.AdaptiveBatch
 	nw.Faults = e.cfg.Faults
 	for name, fn := range e.cfg.UDFs {
 		nw.UDFs[name] = fn

@@ -162,6 +162,25 @@ func TestNewRejectsRemovedMorselKnobs(t *testing.T) {
 	}
 }
 
+// TestNewRejectsRemovedAdaptiveBatch: adaptive batch sizing is gone, so a
+// configuration asking for it fails at construction with an error that says
+// so. PartialShuffle is ignored either way: plans mark partial aggregation
+// themselves.
+func TestNewRejectsRemovedAdaptiveBatch(t *testing.T) {
+	cfg := testConfig(t, tpch.UA)
+	cfg.AdaptiveBatch = true
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "adaptive batch sizing was removed") {
+		t.Errorf("AdaptiveBatch: true: got %v, want an error naming the removal", err)
+	}
+	for _, on := range []bool{false, true} {
+		cfg := testConfig(t, tpch.UA)
+		cfg.PartialShuffle = on
+		if _, err := New(cfg); err != nil {
+			t.Errorf("PartialShuffle %v: %v", on, err)
+		}
+	}
+}
+
 func ledgerDiff(a, b []distsim.Transfer) string {
 	count := func(ts []distsim.Transfer) map[string]int {
 		m := make(map[string]int, len(ts))

@@ -1,10 +1,15 @@
 package engine
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
+	"mpq/internal/algebra"
+	"mpq/internal/core"
+	"mpq/internal/distsim"
 	"mpq/internal/exec"
+	"mpq/internal/obs"
 	"mpq/internal/tpch"
 )
 
@@ -21,7 +26,10 @@ func rowStrings(rows [][]exec.Value) []string {
 // through two engines per authorization scenario — one on the batch
 // streaming pipeline, one on the legacy materializing interior — and diffs
 // the distributed results row for row. Both engines decrypt to plaintext,
-// so the comparison is exact: equal values in equal order.
+// so the comparison is exact: equal values in equal order. The ledgers
+// match edge for edge, except that an edge the plan marks for partial
+// aggregation ships one row per group of its group-by (the materializing
+// reference ships the raw rows there).
 func TestBatchPipelineMatchesMaterializing(t *testing.T) {
 	for _, sc := range tpch.Scenarios() {
 		sc := sc
@@ -38,7 +46,8 @@ func TestBatchPipelineMatchesMaterializing(t *testing.T) {
 			}
 			for _, num := range testQueries {
 				sqlText := querySQL(t, num)
-				got, err := batchEng.Query(sqlText)
+				tr := obs.NewTrace()
+				got, pq, err := batchEng.query(nil, sqlText, tr)
 				if err != nil {
 					t.Fatalf("Q%d batch: %v", num, err)
 				}
@@ -56,13 +65,60 @@ func TestBatchPipelineMatchesMaterializing(t *testing.T) {
 					}
 				}
 				// The streaming runtime must account the same shipments per
-				// edge (multiset of from→to/op/rows) as the materializing one.
-				if diff := ledgerDiff(got.Transfers, want.Transfers); diff != "" {
+				// edge (multiset of from→to/op/rows) as the materializing one
+				// on every unmarked edge, and one row per group (the merging
+				// group-by's output rows) on each marked edge.
+				marked := partialEdgeKeys(pq.result.Extended)
+				gotRest, gotMarked := splitLedger(got.Transfers, marked)
+				wantRest, wantMarked := splitLedger(want.Transfers, marked)
+				if diff := ledgerDiff(gotRest, wantRest); diff != "" {
 					t.Errorf("Q%d: transfer ledgers differ: %s", num, diff)
+				}
+				for key, g := range marked {
+					if len(gotMarked[key]) != 1 || len(wantMarked[key]) != 1 {
+						t.Errorf("Q%d: marked edge %s shipped %d/%d times, want once", num, key,
+							len(gotMarked[key]), len(wantMarked[key]))
+						continue
+					}
+					if rows, groups := gotMarked[key][0].Rows, tr.ByRef(g).Rows(); int64(rows) != groups {
+						t.Errorf("Q%d: marked edge %s shipped %d rows for %d groups", num, key, rows, groups)
+					}
 				}
 			}
 		})
 	}
+}
+
+// partialEdgeKeys maps the ledger identity (from→to op) of each edge ext
+// marks for partial aggregation to the group-by the edge folds.
+func partialEdgeKeys(ext *core.ExtendedPlan) map[string]*algebra.GroupBy {
+	keys := make(map[string]*algebra.GroupBy, len(ext.Partials))
+	for shipped, pe := range ext.Partials {
+		var consumer algebra.Node = pe.GroupBy
+		if len(pe.Selects) > 0 {
+			consumer = pe.Selects[len(pe.Selects)-1]
+		}
+		keys[transferKey(distsim.Transfer{
+			From: ext.Assign.Executor(shipped), To: ext.Assign.Executor(pe.GroupBy), Op: consumer.Op(),
+		})] = pe.GroupBy
+	}
+	return keys
+}
+
+func transferKey(t distsim.Transfer) string { return fmt.Sprintf("%s→%s %s", t.From, t.To, t.Op) }
+
+// splitLedger separates the transfers on the marked edges from the rest.
+func splitLedger(ts []distsim.Transfer, marked map[string]*algebra.GroupBy) ([]distsim.Transfer, map[string][]distsim.Transfer) {
+	var rest []distsim.Transfer
+	on := make(map[string][]distsim.Transfer)
+	for _, t := range ts {
+		if k := transferKey(t); marked[k] != nil {
+			on[k] = append(on[k], t)
+		} else {
+			rest = append(rest, t)
+		}
+	}
+	return rest, on
 }
 
 // TestQueryStreamMatchesQuery proves the streaming Query variant delivers

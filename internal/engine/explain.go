@@ -8,6 +8,7 @@ import (
 
 	"mpq/internal/algebra"
 	"mpq/internal/authz"
+	"mpq/internal/exec"
 	"mpq/internal/obs"
 )
 
@@ -19,7 +20,8 @@ type ExplainNode struct {
 	// Op is the operator rendering, e.g. σ[p_size = 15].
 	Op string `json:"op"`
 	// Subject executed the operator (the λ assignment; base relations stay
-	// with their data authority).
+	// with their data authority; selections a partial-aggregated edge moves
+	// run at its producer).
 	Subject string `json:"subject,omitempty"`
 	// EstRows is the optimizer's output-cardinality estimate; Rows is what
 	// the run actually produced. Their ratio is the optimizer's estimation
@@ -99,24 +101,48 @@ func (e *Engine) QueryTracedCtx(ctx context.Context, query string) (*Response, *
 	return resp, buildExplanation(query, resp, pq, tr), nil
 }
 
-// buildExplanation assembles the report from a completed traced run.
+// buildExplanation assembles the report from a completed traced run. On a
+// partial-aggregated edge (core.ExtendedPlan.Partials) the streaming
+// runtime's producer runs the moved selections and a γ-partial fold,
+// rendered between the consumer's merging group-by and the selections at
+// the producer's subject. The materializing reference ships raw rows.
 func buildExplanation(query string, resp *Response, pq *preparedQuery, tr *obs.Trace) *Explanation {
 	ext := pq.result.Extended
-	var build func(n algebra.Node) *ExplainNode
-	build = func(n algebra.Node) *ExplainNode {
-		en := &ExplainNode{
-			Op:      n.Op(),
-			Subject: string(ext.Assign.Executor(n)),
-			EstRows: n.Stats().Rows,
+	producers := make(map[algebra.Node]authz.Subject) // partial γ and moved σ
+	if !pq.network.Materializing {
+		for shipped, pe := range ext.Partials {
+			at := ext.Assign.Executor(shipped)
+			producers[pe.GroupBy] = at
+			for _, s := range pe.Selects {
+				producers[s] = at
+			}
 		}
-		if sp := tr.ByRef(n); sp != nil {
+	}
+	node := func(op string, subject authz.Subject, est float64, ref any) *ExplainNode {
+		en := &ExplainNode{Op: op, Subject: string(subject), EstRows: est}
+		if sp := tr.ByRef(ref); sp != nil {
 			en.Rows = sp.Rows()
 			en.Batches = sp.Batches()
 			en.TimeNs = sp.Nanos()
 			en.Cached = sp.Cached()
 		}
+		return en
+	}
+	var build func(n algebra.Node) *ExplainNode
+	build = func(n algebra.Node) *ExplainNode {
+		en := node(n.Op(), ext.Assign.Executor(n), n.Stats().Rows, n)
+		parent := en
+		if at, ok := producers[n]; ok {
+			if g, isGroupBy := n.(*algebra.GroupBy); isGroupBy {
+				ps := exec.PartialSpan{G: g}
+				parent = node(ps.Op(), at, n.Stats().Rows, ps)
+				en.Children = append(en.Children, parent)
+			} else {
+				en.Subject = string(at)
+			}
+		}
 		for _, c := range n.Children() {
-			en.Children = append(en.Children, build(c))
+			parent.Children = append(parent.Children, build(c))
 		}
 		return en
 	}

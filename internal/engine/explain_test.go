@@ -3,9 +3,12 @@ package engine
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
+	"mpq/internal/distsim"
+	"mpq/internal/exec"
 	"mpq/internal/obs"
 	"mpq/internal/tpch"
 )
@@ -111,6 +114,61 @@ func TestExplainAnnotations(t *testing.T) {
 	}
 	if !again.CacheHit {
 		t.Error("repeated Explain missed the plan cache")
+	}
+}
+
+// TestPartialAggregationInstrumented: the producer-side shuffle operators
+// are traced and faulted like every compiled operator. A traced UAPenc Q1
+// explains the γ-partial fold and the moved selection at A1, the fold
+// shipping one row per result group, and a fault armed on the group-by's
+// rendering fires in A1's fragment before any partial reaches X.
+func TestPartialAggregationInstrumented(t *testing.T) {
+	eng, err := New(testConfig(t, tpch.UAPenc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q1 := querySQL(t, 1)
+	ex, err := eng.Explain(q1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var group, partial *ExplainNode
+	var walk func(n *ExplainNode)
+	walk = func(n *ExplainNode) {
+		for _, c := range n.Children {
+			if strings.HasPrefix(c.Op, "γ-partial[") {
+				group, partial = n, c
+			}
+			walk(c)
+		}
+	}
+	walk(ex.Plan)
+	if partial == nil {
+		t.Fatalf("no γ-partial span in Q1:\n%s", ex.Text())
+	}
+	if partial.Subject != "A1" || group.Subject != "X" {
+		t.Errorf("γ-partial @%s under γ @%s, want A1 under X:\n%s", partial.Subject, group.Subject, ex.Text())
+	}
+	if partial.Rows != int64(ex.Rows) || partial.Batches == 0 || partial.TimeNs == 0 {
+		t.Errorf("γ-partial rows=%d batches=%d time=%d, want %d rows (one per group)",
+			partial.Rows, partial.Batches, partial.TimeNs, ex.Rows)
+	}
+	if len(partial.Children) != 1 || !strings.HasPrefix(partial.Children[0].Op, "σ[") ||
+		partial.Children[0].Subject != "A1" || partial.Children[0].Rows == 0 {
+		t.Errorf("moved selection not traced at A1:\n%s", ex.Text())
+	}
+
+	cfg := testConfig(t, tpch.UAPenc)
+	cfg.Faults = &distsim.Faults{Ops: &exec.FaultPoints{Ops: map[string]exec.FaultSpec{
+		group.Op: {Kind: exec.FaultError, NthBatch: 1},
+	}}}
+	faulty, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = faulty.Query(q1)
+	if !errors.Is(err, exec.ErrInjected) || !strings.Contains(err.Error(), " at A1: ") {
+		t.Errorf("fault armed on %s: got %v, want an injected error in A1's fragment", group.Op, err)
 	}
 }
 

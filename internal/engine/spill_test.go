@@ -69,79 +69,53 @@ func TestSpillForcedMatchesInMemory(t *testing.T) {
 	}
 }
 
-// TestPartialShuffleReducesBytes runs the aggregation-heavy conformance
-// queries with pre-shuffle partial aggregation on and off: results must be
-// identical and the edges feeding a group-by must ship fewer rows (one
-// partial row per group instead of the full filtered input). The assertion
-// is on rows, not bytes — the two engines hold distinct key material, so
-// Paillier ciphertext byte counts are not comparable across them — and it
-// names Q1 specifically: its plan is a group-by reached through a selection
-// chain across the shuffle edge, exactly the shape the fold targets.
-func TestPartialShuffleReducesBytes(t *testing.T) {
-	off, err := New(testConfig(t, tpch.UAPenc))
+// TestPartialAggregationShipsOneRowPerGroup runs the conformance queries
+// under UAPenc against the materializing reference, which never folds
+// partials: results must be identical, and Q1 — a group-by reached through
+// a selection across the shuffle edge, the one UAPenc shape the plan marks —
+// must ship exactly one row per result group on its marked edge. The
+// assertion is on rows, not bytes: the two engines hold distinct key
+// material, so Paillier ciphertext byte counts are not comparable.
+func TestPartialAggregationShipsOneRowPerGroup(t *testing.T) {
+	eng, err := New(testConfig(t, tpch.UAPenc))
 	if err != nil {
 		t.Fatal(err)
 	}
-	onCfg := testConfig(t, tpch.UAPenc)
-	onCfg.PartialShuffle = true
-	on, err := New(onCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shippedRows := func(r *Response) int {
-		n := 0
-		for _, tr := range r.Transfers {
-			n += tr.Rows
-		}
-		return n
-	}
-	for _, num := range testQueries {
-		sqlText := querySQL(t, num)
-		want, err := off.Query(sqlText)
-		if err != nil {
-			t.Fatalf("Q%d off: %v", num, err)
-		}
-		got, err := on.Query(sqlText)
-		if err != nil {
-			t.Fatalf("Q%d partial-shuffle: %v", num, err)
-		}
-		if g, w := canon(got.Table), canon(want.Table); !bytes.Equal(g, w) {
-			t.Errorf("Q%d: partial-shuffle result differs\ngot:\n%s\nwant:\n%s", num, g, w)
-		}
-		if num == 1 {
-			if g, w := shippedRows(got), shippedRows(want); g >= w {
-				t.Errorf("Q1: partial shuffle did not reduce shipped rows (%d -> %d)", w, g)
-			}
-		}
-	}
-}
-
-// TestAdaptiveBatchMatches proves adaptive batch sizing (scans starting at
-// small windows and growing geometrically) changes only batch boundaries,
-// never results.
-func TestAdaptiveBatchMatches(t *testing.T) {
-	plain, err := New(testConfig(t, tpch.UAPenc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	adCfg := testConfig(t, tpch.UAPenc)
-	adCfg.AdaptiveBatch = true
-	adaptive, err := New(adCfg)
+	refCfg := testConfig(t, tpch.UAPenc)
+	refCfg.Materializing = true
+	ref, err := New(refCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, num := range testQueries {
 		sqlText := querySQL(t, num)
-		want, err := plain.Query(sqlText)
+		want, err := ref.Query(sqlText)
+		if err != nil {
+			t.Fatalf("Q%d reference: %v", num, err)
+		}
+		got, pq, err := eng.query(nil, sqlText, nil)
 		if err != nil {
 			t.Fatalf("Q%d: %v", num, err)
 		}
-		got, err := adaptive.Query(sqlText)
-		if err != nil {
-			t.Fatalf("Q%d adaptive: %v", num, err)
-		}
 		if g, w := canon(got.Table), canon(want.Table); !bytes.Equal(g, w) {
-			t.Errorf("Q%d: adaptive-batch result differs\ngot:\n%s\nwant:\n%s", num, g, w)
+			t.Errorf("Q%d: result differs from the reference\ngot:\n%s\nwant:\n%s", num, g, w)
+		}
+		if num != 1 {
+			continue
+		}
+		marked := partialEdgeKeys(pq.result.Extended)
+		if len(marked) != 1 {
+			t.Fatalf("Q1: %d partial-aggregation marks, want 1", len(marked))
+		}
+		_, on := splitLedger(got.Transfers, marked)
+		_, raw := splitLedger(want.Transfers, marked)
+		for key := range marked {
+			if ts := on[key]; len(ts) != 1 || ts[0].Rows != want.Table.Len() {
+				t.Errorf("Q1: edge %s shipped %v, want one transfer of %d rows (one per group)", key, ts, want.Table.Len())
+			}
+			if len(raw[key]) != 1 || raw[key][0].Rows <= want.Table.Len() {
+				t.Errorf("Q1: reference edge %s shipped %v, want the raw rows", key, raw[key])
+			}
 		}
 	}
 }

@@ -34,8 +34,17 @@ func (e *Executor) Build(n algebra.Node) (Operator, error) {
 	if err != nil || materialized {
 		return op, err
 	}
+	return e.instrument(op, n, n.Op(), n.Op()), nil
+}
+
+// instrument wraps a compiled operator in the span registered under ref
+// (rendered as name) when the executor carries a Trace, and in the fault
+// shim of the named fault point when it carries active FaultPoints. Build
+// uses it for every plan node it compiles, and the producer-side shuffle
+// operators for the consumer work they take over.
+func (e *Executor) instrument(op Operator, ref any, name, point string) Operator {
 	if e.Trace != nil {
-		sp := e.Trace.Span(n, n.Op(), "")
+		sp := e.Trace.Span(ref, name, "")
 		// A cached encrypt marks its span when it serves.
 		if c, ok := op.(*cachedEncryptOp); ok {
 			c.sp = sp
@@ -43,12 +52,12 @@ func (e *Executor) Build(n algebra.Node) (Operator, error) {
 		op = &traceOp{inner: op, sp: sp}
 	}
 	if e.Faults.active() {
-		spec, armed := e.Faults.specFor(n.Op())
+		spec, armed := e.Faults.specFor(point)
 		if armed || e.Faults.Hook != nil {
-			op = &faultOp{inner: op, fp: e.Faults, spec: spec, armed: armed, where: n.Op()}
+			op = &faultOp{inner: op, fp: e.Faults, spec: spec, armed: armed, where: point}
 		}
 	}
-	return op, nil
+	return op
 }
 
 // buildNode is the untraced compilation dispatch behind Build.
@@ -58,7 +67,6 @@ func (e *Executor) buildNode(n algebra.Node) (Operator, error) {
 	}
 	if t, ok := e.Materialized[n]; ok {
 		s := newColScan(t, nil, e.batchSize())
-		s.adaptive = e.AdaptiveBatch
 		s.ctx = e.Ctx
 		return s, nil
 	}
@@ -112,7 +120,6 @@ func (e *Executor) buildBase(b *algebra.Base) (Operator, error) {
 		indices = nil
 	}
 	s := newColScan(t, indices, e.batchSize())
-	s.adaptive = e.AdaptiveBatch
 	s.ctx = e.Ctx
 	return s, nil
 }

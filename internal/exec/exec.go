@@ -65,11 +65,6 @@ type Executor struct {
 	// nil with a budget set is a configuration error surfaced at the first
 	// failed reservation.
 	Spill SpillFactory
-	// AdaptiveBatch starts table scans at a small batch and grows the
-	// window geometrically up to BatchSize: first rows reach the client
-	// after a fraction of a full batch's work, while steady-state
-	// throughput still amortizes per-batch overhead at full width.
-	AdaptiveBatch bool
 	// Partials marks group-by nodes whose input arrives as pre-aggregated
 	// partial rows from a producing fragment (pre-shuffle partial
 	// aggregation): Build compiles those group-bys in merge mode instead of
@@ -139,7 +134,6 @@ func (e *Executor) Clone() *Executor {
 		ValueCrypto:   e.ValueCrypto,
 		Mem:           e.Mem,
 		Spill:         e.Spill,
-		AdaptiveBatch: e.AdaptiveBatch,
 		Trace:         e.Trace,
 		Ctx:           e.Ctx,
 		Faults:        e.Faults,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/big"
+	"strings"
 
 	"mpq/internal/algebra"
 	"mpq/internal/sql"
@@ -411,25 +412,34 @@ type partialAggOp struct {
 	pos   int
 }
 
+// PartialSpan keys the trace span of the producer half of g's
+// partial-aggregated shuffle edge; the consumer's merge keeps g's own span.
+type PartialSpan struct{ G *algebra.GroupBy }
+
+// Op renders the producer-side fold, e.g. γ-partial[k; sum(a)].
+func (p PartialSpan) Op() string { return "γ-partial" + strings.TrimPrefix(p.G.Op(), "γ") }
+
 // NewShuffleSelect compiles s's predicate against child's schema and wraps
 // child in the filter: the producer-side evaluation of a consumer selection
 // sitting between a shuffle edge and the group-by it feeds. Filters commute
 // with the shuffle — the producer evaluates the same compiled predicate
 // (shared constant cache, ciphertext comparisons need no key material) over
 // rows it already holds, so the downstream partial fold sees exactly the
-// rows the consumer's filter would have passed.
+// rows the consumer's filter would have passed. The filter carries s's
+// span and fault point, exactly as if Build had compiled s.
 func NewShuffleSelect(e *Executor, s *algebra.Select, child Operator) (Operator, error) {
 	pred, err := e.compileColPred(s.Pred, resolverFor(child.Schema(), s.Child))
 	if err != nil {
 		return nil, err
 	}
-	return &filterOp{child: child, pred: pred}, nil
+	return e.instrument(&filterOp{child: child, pred: pred}, s, s.Op(), s.Op()), nil
 }
 
 // NewShufflePartial wraps child (the producer-side pipeline beneath a
 // shuffle edge feeding g) with a partial aggregation stage emitting
 // ShufflePartialSchema(g) rows. Key and aggregate attributes resolve against
-// the child schema exactly as the consumer group-by would resolve them.
+// the child schema exactly as the consumer group-by would resolve them. The
+// stage is traced under PartialSpan{g} and answers g's fault point.
 func NewShufflePartial(e *Executor, g *algebra.GroupBy, child Operator) (Operator, error) {
 	in := child.Schema()
 	keyIdx := make([]int, len(g.Keys))
@@ -452,11 +462,12 @@ func NewShufflePartial(e *Executor, g *algebra.GroupBy, child Operator) (Operato
 		}
 		aggIdx[i] = ix
 	}
-	return &partialAggOp{
+	op := &partialAggOp{
 		child: child, e: e, schema: ShufflePartialSchema(g),
 		keyIdx: keyIdx, aggIdx: aggIdx, specs: g.Aggs,
 		batch: e.batchSize(), ring: e.ringCache(),
-	}, nil
+	}
+	return e.instrument(op, PartialSpan{g}, PartialSpan{g}.Op(), g.Op()), nil
 }
 
 func (p *partialAggOp) Schema() []algebra.Attr { return p.schema }

@@ -13,6 +13,10 @@ import (
 //     calibration lands in the 35–60% band, see EXPERIMENTS.md);
 //   - UAPmix saves more than UAPenc overall (paper: 71.3%; band 55–80%);
 //   - the cumulative series are monotone.
+//
+// It logs both figures, so the paper's tables are one command away:
+//
+//	go test -v -run TestCostExperimentShape ./internal/tpch
 func TestCostExperimentShape(t *testing.T) {
 	res, err := RunCostExperiment(1)
 	if err != nil {
@@ -74,6 +78,8 @@ func TestCostExperimentShape(t *testing.T) {
 	if len(f9) < 500 || len(f10) < 500 {
 		t.Errorf("figure rendering too short")
 	}
+	t.Logf("Figure 9 — economic cost of evaluating individual queries (normalized, UA = 1)\n\n%s", f9)
+	t.Logf("Figure 10 — cumulative economic cost of evaluating queries\n\n%s", f10)
 }
 
 // TestLIKEBoundQueriesExplained documents the known deviation: LIKE

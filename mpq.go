@@ -26,9 +26,9 @@
 //	internal/tpch       the §7 workload: schema, generator, 22 queries, scenarios
 //
 // The cmd directory holds the executables: cmd/mpqd serves queries over
-// HTTP/JSON on a long-lived engine, cmd/authqry explains authorization
-// decisions, and cmd/tpchbench reproduces the Section 7 economic
-// evaluation. The bench directory is the repository's benchmark
+// HTTP/JSON on a long-lived engine and cmd/authqry explains authorization
+// decisions; go test -v -run TestCostExperimentShape ./internal/tpch
+// reproduces the Section 7 economic evaluation. The bench directory is the repository's benchmark
 // (BENCHMARK.json, bash bench/run.sh).
 package mpq
 
