@@ -85,27 +85,6 @@ func BenchmarkFigure9PerQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkExhaustiveVsDP validates the optimizer: exhaustive enumeration
-// versus the DP-plus-refinement search on the running example, reporting
-// the cost gap (1.0 = optimal).
-func BenchmarkExhaustiveVsDP(b *testing.B) {
-	sys, plan, m := runningExample(b)
-	var gap float64
-	for i := 0; i < b.N; i++ {
-		an := sys.Analyze(plan.Root, nil)
-		dp, err := assignment.Optimize(sys, an, m, assignment.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ex, err := assignment.Exhaustive(sys, an, m)
-		if err != nil {
-			b.Fatal(err)
-		}
-		gap = dp.Cost.Total() / ex.Cost.Total()
-	}
-	b.ReportMetric(gap, "dp/optimal")
-}
-
 // ---------------------------------------------------------------------------
 // Machinery scaling
 

@@ -59,6 +59,39 @@ func TestAttrSetPropertySubsetUnion(t *testing.T) {
 	}
 }
 
+// TestAttrSetUnionIntersectFresh: Union and Intersect pick an operand to
+// clone or iterate by size, so they must give the same set in either
+// operand order, and a result must never alias an operand.
+func TestAttrSetUnionIntersectFresh(t *testing.T) {
+	f := func(xs, ys []uint8) bool {
+		s, u := NewAttrSet(), NewAttrSet()
+		for _, x := range xs {
+			s.Add(A("R", string(rune('a'+x%16))))
+		}
+		for _, y := range ys {
+			u.Add(A("R", string(rune('a'+y%16))))
+		}
+		sBefore, uBefore := s.Clone(), u.Clone()
+		un, in := s.Union(u), s.Intersect(u)
+		if !un.Equal(u.Union(s)) || !in.Equal(u.Intersect(s)) {
+			return false
+		}
+		for _, res := range []AttrSet{un, in, u.Union(s), u.Intersect(s)} {
+			res.Add(A("S", "new"))
+			for a := range sBefore {
+				delete(res, a)
+			}
+			for a := range uBefore {
+				delete(res, a)
+			}
+		}
+		return s.Equal(sBefore) && u.Equal(uBefore)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
 func exampleBase() (*Base, *Base) {
 	hosp := NewBase("Hosp", "H",
 		[]Attr{A("Hosp", "S"), A("Hosp", "D"), A("Hosp", "T")},

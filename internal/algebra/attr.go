@@ -72,8 +72,12 @@ func (s AttrSet) Clone() AttrSet {
 	return c
 }
 
-// Union returns a new set holding s ∪ t.
+// Union returns a new set holding s ∪ t. It clones the larger operand and
+// adds the smaller.
 func (s AttrSet) Union(t AttrSet) AttrSet {
+	if len(s) < len(t) {
+		s, t = t, s
+	}
 	c := s.Clone()
 	for a := range t {
 		c[a] = struct{}{}
@@ -81,8 +85,12 @@ func (s AttrSet) Union(t AttrSet) AttrSet {
 	return c
 }
 
-// Intersect returns a new set holding s ∩ t.
+// Intersect returns a new set holding s ∩ t. It iterates the smaller
+// operand.
 func (s AttrSet) Intersect(t AttrSet) AttrSet {
+	if len(s) > len(t) {
+		s, t = t, s
+	}
 	c := make(AttrSet)
 	for a := range s {
 		if t.Has(a) {
@@ -105,6 +113,9 @@ func (s AttrSet) Diff(t AttrSet) AttrSet {
 
 // SubsetOf reports whether every attribute of s is in t.
 func (s AttrSet) SubsetOf(t AttrSet) bool {
+	if len(s) > len(t) {
+		return false
+	}
 	for a := range s {
 		if !t.Has(a) {
 			return false

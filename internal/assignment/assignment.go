@@ -8,6 +8,7 @@
 package assignment
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -36,14 +37,15 @@ type Options struct {
 }
 
 // Optimize computes the cheapest authorized assignment for the analyzed
-// plan under the model, extends the plan accordingly, and prices it. The
-// search seeds a dynamic program over (node, candidate) states with
-// approximate edge costs, then refines the assignment by exact-cost local
-// search (each refinement step rebuilds the minimally extended plan and
-// prices it precisely, combining assignment and encryption decisions as
-// Section 6 prescribes when encryption is not negligible). The chosen plan's
-// pre-shuffle partial aggregation edges are marked last (core.MarkPartials),
-// so every caller executes the same plan; they do not enter the cost.
+// plan under the model, extends the plan accordingly, and prices it. A
+// dynamic program over (node, candidate) states with approximate edge costs
+// seeds λ; refine then hill-climbs it under the exact cost of the minimally
+// extended plan, combining assignment and encryption decisions as Section 6
+// prescribes when encryption is not negligible. Within one call each
+// distinct λ is extended (without keys) and priced once. Only the winner is
+// extended with keys and priced in full; its pre-shuffle partial
+// aggregation edges are marked last (core.MarkPartials), so every caller
+// executes the same plan; they do not enter the cost.
 func Optimize(sys *core.System, an *core.Analysis, m *cost.Model, opts Options) (*Result, error) {
 	if err := an.Feasible(); err != nil {
 		return nil, err
@@ -53,33 +55,39 @@ func Optimize(sys *core.System, an *core.Analysis, m *cost.Model, opts Options) 
 	// users hold plaintext on all query inputs). Refining both and keeping
 	// the best makes the provider-free solution always reachable, so adding
 	// provider authorizations can never increase the optimized cost.
-	seeds := []core.Assignment{chooseAssignment(sys, an, m)}
+	seeds := []core.Assignment{chooseAssignmentBy(sys, an, m, false)}
 	if allUser := uniformAssignment(an, m.User); allUser != nil {
 		seeds = append(seeds, allUser)
 	}
+	p := &pricer{sys: sys, an: an, m: m, memo: make(map[string]float64)}
+	algebra.PostOrder(an.Root, func(n algebra.Node) {
+		if len(n.Children()) > 0 {
+			p.ops = append(p.ops, n)
+		}
+	})
 	var (
 		lambda core.Assignment
-		ext    *core.ExtendedPlan
-		br     cost.Breakdown
+		best   float64
 	)
 	for i, seed := range seeds {
-		e, b, err := refine(sys, an, m, seed)
+		total, err := p.refine(seed)
 		if err != nil {
 			return nil, err
 		}
-		if i == 0 || b.Total() < br.Total() {
-			lambda, ext, br = seed, e, b
+		if i == 0 || total < best {
+			lambda, best = seed, total
 		}
+	}
+	ext, br, err := priceExtended(sys, an, m, lambda)
+	if err != nil {
+		return nil, err
 	}
 	if opts.MaxSeconds > 0 && br.Seconds > opts.MaxSeconds {
 		// Fall back to the assignment minimizing time instead of cost.
 		lambda = chooseAssignmentBy(sys, an, m, true)
-		var err error
-		ext, err = sys.Extend(an, lambda)
-		if err != nil {
+		if ext, br, err = priceExtended(sys, an, m, lambda); err != nil {
 			return nil, err
 		}
-		br = cost.OfPlan(ext.Root, ext.Assign.Executor, ext.Schemes, ext.Profiles, m)
 		if br.Seconds > opts.MaxSeconds {
 			return nil, fmt.Errorf("assignment: no assignment meets the %.1fs performance threshold (best %.1fs)",
 				opts.MaxSeconds, br.Seconds)
@@ -87,6 +95,15 @@ func Optimize(sys *core.System, an *core.Analysis, m *cost.Model, opts Options) 
 	}
 	sys.MarkPartials(ext)
 	return &Result{Lambda: lambda, Extended: ext, Cost: br}, nil
+}
+
+// priceExtended extends the plan under lambda, keys included, and prices it.
+func priceExtended(sys *core.System, an *core.Analysis, m *cost.Model, lambda core.Assignment) (*core.ExtendedPlan, cost.Breakdown, error) {
+	ext, err := sys.Extend(an, lambda)
+	if err != nil {
+		return nil, cost.Breakdown{}, err
+	}
+	return ext, cost.OfPlan(ext.Root, ext.Assign.Executor, ext.Schemes, ext.Profiles, m), nil
 }
 
 // uniformAssignment assigns every operation to one subject, or nil when the
@@ -117,47 +134,71 @@ func uniformAssignment(an *core.Analysis, s authz.Subject) core.Assignment {
 	return lambda
 }
 
-// refine hill-climbs the assignment under the exact cost of the minimally
-// extended plan: for each operation it tries every candidate while holding
-// the rest fixed, keeping any strict improvement, until a full sweep makes
-// no progress.
-func refine(sys *core.System, an *core.Analysis, m *cost.Model, lambda core.Assignment) (*core.ExtendedPlan, cost.Breakdown, error) {
-	exact := func(l core.Assignment) (*core.ExtendedPlan, cost.Breakdown, error) {
-		ext, err := sys.Extend(an, l)
-		if err != nil {
-			return nil, cost.Breakdown{}, err
-		}
-		return ext, cost.OfPlan(ext.Root, ext.Assign.Executor, ext.Schemes, ext.Profiles, m), nil
+// pricedHook, when non-nil, is called with every assignment a pricer
+// extends. Only tests set it, to count whole-plan extensions.
+var pricedHook func(core.Assignment)
+
+// pricer memoises, for one Optimize call, the exact cost of each λ it has
+// priced, keyed by λ over the plan's operations in post-order. The cost is a
+// pure function of λ for a fixed Analysis and model, so a memoised total
+// equals a recomputed one bit for bit, and nothing outlives the call.
+type pricer struct {
+	sys  *core.System
+	an   *core.Analysis
+	m    *cost.Model
+	ops  []algebra.Node
+	memo map[string]float64
+	key  []byte
+}
+
+func (p *pricer) total(lambda core.Assignment) (float64, error) {
+	p.key = p.key[:0]
+	for _, n := range p.ops {
+		p.key = binary.AppendUvarint(p.key, uint64(len(lambda[n])))
+		p.key = append(p.key, lambda[n]...)
 	}
-	bestExt, bestBr, err := exact(lambda)
+	if t, ok := p.memo[string(p.key)]; ok {
+		return t, nil
+	}
+	if pricedHook != nil {
+		pricedHook(lambda)
+	}
+	ext, err := p.sys.ExtendUnkeyed(p.an, lambda)
 	if err != nil {
-		return nil, cost.Breakdown{}, err
+		return 0, err
 	}
-	var ops []algebra.Node
-	algebra.PostOrder(an.Root, func(n algebra.Node) {
-		if len(n.Children()) > 0 {
-			ops = append(ops, n)
-		}
-	})
+	t := cost.OfPlan(ext.Root, ext.Assign.Executor, ext.Schemes, ext.Profiles, p.m).Total()
+	p.memo[string(p.key)] = t
+	return t, nil
+}
+
+// refine hill-climbs lambda in place under the exact cost: for each
+// operation in post-order it tries every candidate while holding the rest
+// fixed, keeping a trial only when it cuts the cost by more than a relative
+// 1e-9, until a sweep makes no progress or 8 sweeps have run. It returns
+// the cost of the final lambda.
+func (p *pricer) refine(lambda core.Assignment) (float64, error) {
+	best, err := p.total(lambda)
+	if err != nil {
+		return 0, err
+	}
 	const maxSweeps = 8
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		improved := false
-		for _, n := range ops {
+		for _, n := range p.ops {
 			cur := lambda[n]
-			for _, s := range an.Candidates[n] {
+			for _, s := range p.an.Candidates[n] {
 				if s == cur {
 					continue
 				}
 				lambda[n] = s
-				ext, br, err := exact(lambda)
+				t, err := p.total(lambda)
 				if err != nil {
 					lambda[n] = cur
-					return nil, cost.Breakdown{}, err
+					return 0, err
 				}
-				if br.Total() < bestBr.Total()*(1-1e-9) {
-					bestExt, bestBr = ext, br
-					cur = s
-					improved = true
+				if t < best*(1-1e-9) {
+					best, cur, improved = t, s, true
 				} else {
 					lambda[n] = cur
 				}
@@ -168,12 +209,7 @@ func refine(sys *core.System, an *core.Analysis, m *cost.Model, lambda core.Assi
 			break
 		}
 	}
-	return bestExt, bestBr, nil
-}
-
-// chooseAssignment runs the DP minimizing economic cost.
-func chooseAssignment(sys *core.System, an *core.Analysis, m *cost.Model) core.Assignment {
-	return chooseAssignmentBy(sys, an, m, false)
+	return best, nil
 }
 
 // schemeHints predicts, per attribute, the encryption scheme the extension
@@ -483,52 +519,4 @@ func deliveryCost(an *core.Analysis, root algebra.Node, s authz.Subject, m *cost
 		return 0
 	}
 	return bytes * m.NetPerByte(s, m.User)
-}
-
-// Exhaustive enumerates every assignment in the candidate sets and returns
-// the one with minimal exact cost (building the extension for each). It is
-// exponential and intended for tests and small plans, validating the DP.
-func Exhaustive(sys *core.System, an *core.Analysis, m *cost.Model) (*Result, error) {
-	if err := an.Feasible(); err != nil {
-		return nil, err
-	}
-	var ops []algebra.Node
-	algebra.PostOrder(an.Root, func(n algebra.Node) {
-		if len(n.Children()) > 0 {
-			ops = append(ops, n)
-		}
-	})
-	bestCost := math.Inf(1)
-	var bestRes *Result
-	lambda := make(core.Assignment)
-	var rec func(i int) error
-	rec = func(i int) error {
-		if i == len(ops) {
-			ext, err := sys.Extend(an, lambda)
-			if err != nil {
-				return err
-			}
-			br := cost.OfPlan(ext.Root, ext.Assign.Executor, ext.Schemes, ext.Profiles, m)
-			if br.Total() < bestCost {
-				cp := make(core.Assignment, len(lambda))
-				for k, v := range lambda {
-					cp[k] = v
-				}
-				bestRes = &Result{Lambda: cp, Extended: ext, Cost: br}
-				bestCost = br.Total()
-			}
-			return nil
-		}
-		for _, s := range an.Candidates[ops[i]] {
-			lambda[ops[i]] = s
-			if err := rec(i + 1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := rec(0); err != nil {
-		return nil, err
-	}
-	return bestRes, nil
 }

@@ -1,6 +1,7 @@
 package assignment
 
 import (
+	"math"
 	"testing"
 
 	"mpq/internal/algebra"
@@ -92,6 +93,77 @@ func TestDPAgainstExhaustive(t *testing.T) {
 		t.Errorf("DP cost %.6g more than 2x the optimum %.6g\nDP: %v\nopt: %v",
 			dp.Cost.Total(), ex.Cost.Total(), dp.Lambda, ex.Lambda)
 	}
+}
+
+// Exhaustive enumerates every assignment in the candidate sets and returns
+// the one with minimal exact cost (building the extension for each). It is
+// exponential and validates the DP-plus-refinement search on small plans.
+func Exhaustive(sys *core.System, an *core.Analysis, m *cost.Model) (*Result, error) {
+	if err := an.Feasible(); err != nil {
+		return nil, err
+	}
+	var ops []algebra.Node
+	algebra.PostOrder(an.Root, func(n algebra.Node) {
+		if len(n.Children()) > 0 {
+			ops = append(ops, n)
+		}
+	})
+	bestCost := math.Inf(1)
+	var bestRes *Result
+	lambda := make(core.Assignment)
+	var rec func(i int) error
+	rec = func(i int) error {
+		if i == len(ops) {
+			ext, err := sys.Extend(an, lambda)
+			if err != nil {
+				return err
+			}
+			br := cost.OfPlan(ext.Root, ext.Assign.Executor, ext.Schemes, ext.Profiles, m)
+			if br.Total() < bestCost {
+				cp := make(core.Assignment, len(lambda))
+				for k, v := range lambda {
+					cp[k] = v
+				}
+				bestRes = &Result{Lambda: cp, Extended: ext, Cost: br}
+				bestCost = br.Total()
+			}
+			return nil
+		}
+		for _, s := range an.Candidates[ops[i]] {
+			lambda[ops[i]] = s
+			if err := rec(i + 1); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := rec(0); err != nil {
+		return nil, err
+	}
+	return bestRes, nil
+}
+
+// BenchmarkExhaustiveVsDP validates the optimizer: exhaustive enumeration
+// versus the DP-plus-refinement search on the running example, reporting
+// the cost gap (1.0 = optimal).
+func BenchmarkExhaustiveVsDP(b *testing.B) {
+	sys := core.NewSystem(examplePolicy(), "H", "I", "U", "X", "Y", "Z")
+	root := examplePlan()
+	m := paperModel()
+	var gap float64
+	for i := 0; i < b.N; i++ {
+		an := sys.Analyze(root, nil)
+		dp, err := Optimize(sys, an, m, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ex, err := Exhaustive(sys, an, m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		gap = dp.Cost.Total() / ex.Cost.Total()
+	}
+	b.ReportMetric(gap, "dp/optimal")
 }
 
 // TestScenarioOrdering reproduces the qualitative result of Figure 9: the
@@ -234,7 +306,7 @@ func TestDPBreaksTiesInSubjectOrder(t *testing.T) {
 	an := sys.Analyze(examplePlan(), nil)
 	// X and Y are both unlisted: they share the model's default price.
 	m := cost.NewPaperModel("U", []authz.Subject{"H", "I"}, nil)
-	first := chooseAssignment(sys, an, m)
+	first := ChooseAssignment(sys, an, m)
 	usesX := false
 	for _, s := range first {
 		if s == "Y" {
@@ -246,7 +318,7 @@ func TestDPBreaksTiesInSubjectOrder(t *testing.T) {
 		t.Fatalf("no provider assigned, so no tie was exercised: %v", first)
 	}
 	for i := 0; i < 20; i++ {
-		got := chooseAssignment(sys, an, m)
+		got := ChooseAssignment(sys, an, m)
 		for n, s := range first {
 			if got[n] != s {
 				t.Fatalf("run %d: λ(%s) = %s, run 0 chose %s", i, n.Op(), got[n], s)

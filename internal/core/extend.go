@@ -85,6 +85,21 @@ type ExtendedPlan struct {
 // data authority for a base relation); decryption nodes to the assignee of
 // the operation they precede.
 func (s *System) Extend(an *Analysis, lambda Assignment) (*ExtendedPlan, error) {
+	ext, err := s.ExtendUnkeyed(an, lambda)
+	if err != nil {
+		return nil, err
+	}
+	s.establishKeys(ext)
+	return ext, nil
+}
+
+// ExtendUnkeyed is Extend without key establishment (Definition 6.1): it
+// builds the same extended plan, executors, profiles and schemes, but leaves
+// Keys nil and the injected operations without key ids. The cost model does
+// not read keys, so it prices the plan exactly as it prices Extend's; the
+// optimizer uses it for trial assignments and extends the one it keeps with
+// Extend.
+func (s *System) ExtendUnkeyed(an *Analysis, lambda Assignment) (*ExtendedPlan, error) {
 	for n, cands := range an.Candidates {
 		subj, ok := lambda[n]
 		if !ok {
@@ -113,7 +128,6 @@ func (s *System) Extend(an *Analysis, lambda Assignment) (*ExtendedPlan, error) 
 	if err := s.chooseSchemes(ext); err != nil {
 		return nil, err
 	}
-	s.establishKeys(ext)
 	return ext, nil
 }
 
@@ -132,9 +146,14 @@ func (s *System) build(an *Analysis, lambda Assignment, n algebra.Node, ancestor
 	subj := lambda[n]
 	view := an.Views[subj]
 	selfE := view.E
-	childAncestorsE := selfE.Clone()
+	// childAncestorsE is read, never written, so it may share the view's E
+	// (at the root) or the caller's set (when selfE adds nothing to it).
+	childAncestorsE := selfE
 	if ancestorsE != nil {
-		childAncestorsE = childAncestorsE.Union(ancestorsE)
+		childAncestorsE = ancestorsE
+		if !selfE.SubsetOf(ancestorsE) {
+			childAncestorsE = selfE.Union(ancestorsE)
+		}
 	}
 
 	ap := an.Reqs[n]
@@ -375,12 +394,16 @@ func (s *System) chooseSchemes(ext *ExtendedPlan) error {
 			return
 		}
 		children := n.Children()
-		encVisible := algebra.NewAttrSet()
-		for _, c := range children {
-			encVisible = encVisible.Union(ext.Profiles[c].VE)
+		encVisible := func(a algebra.Attr) bool {
+			for _, c := range children {
+				if ext.Profiles[c].VE.Has(a) {
+					return true
+				}
+			}
+			return false
 		}
 		mark := func(a algebra.Attr, op sql.CompareOp) {
-			if !encVisible.Has(a) {
+			if !encVisible(a) {
 				return
 			}
 			switch {
@@ -400,7 +423,7 @@ func (s *System) chooseSchemes(ext *ExtendedPlan) error {
 				case *algebra.CmpAA:
 					mark(c.L, c.Op)
 					mark(c.R, c.Op)
-					if encVisible.Has(c.L) && encVisible.Has(c.R) {
+					if encVisible(c.L) && encVisible(c.R) {
 						sharing.Union(algebra.NewAttrSet(c.L, c.R))
 					}
 				}
@@ -413,12 +436,12 @@ func (s *System) chooseSchemes(ext *ExtendedPlan) error {
 			markPred(x.Cond)
 		case *algebra.GroupBy:
 			for _, k := range x.Keys {
-				if encVisible.Has(k) {
+				if encVisible(k) {
 					need(k).equality = true
 				}
 			}
 			for _, spec := range x.Aggs {
-				if spec.Star || !encVisible.Has(spec.Attr) {
+				if spec.Star || !encVisible(spec.Attr) {
 					continue
 				}
 				switch spec.Func {

@@ -74,12 +74,14 @@ type Config struct {
 	//
 	// Deprecated: leave both zero.
 	Workers, MorselRows int
-	// MemBudget caps the bytes of live operator state (hash-join build
-	// sides, group-by tables) one query run may pin in memory across all
-	// its fragments. When a reservation against the budget fails, the
-	// operator partitions its state to disk (grace-hash spilling) and
-	// recurses over the partitions, trading I/O for a bounded footprint.
-	// 0 or negative disables the budget: queries hold everything resident.
+	// MemBudget caps the bytes one query run may reserve, across all its
+	// fragments, for hash-join build sides and group-by tables; only those
+	// are accounted. When a reservation fails, the operator partitions its
+	// state to disk (grace-hash spilling) and recurses over the partitions.
+	// Exchange buffers, batches in flight, spill partition writers and
+	// read-back, and the column and ciphertext caches are not counted, so
+	// the budget does not bound the query's heap. 0 or negative disables
+	// the budget.
 	MemBudget int64
 	// SpillDir is the directory spill runs are created under when MemBudget
 	// forces state to disk ("" means the OS temp directory).
