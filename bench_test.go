@@ -1,5 +1,6 @@
 // Benchmarks regenerating the paper's evaluation (one benchmark per figure)
-// plus scaling benchmarks for the machinery DESIGN.md calls out; the
+// plus scaling benchmarks for the pipeline's machinery (the stand-ins are
+// listed under "Substitutions" in docs/ARCHITECTURE.md); the
 // Section 5 ablation lives in internal/core beside the strategies it
 // compares. Numbers of interest are emitted as custom metrics:
 //
@@ -8,7 +9,6 @@ package mpq
 
 import (
 	"fmt"
-	"math/big"
 	"testing"
 
 	"mpq/internal/algebra"
@@ -174,58 +174,7 @@ func BenchmarkPlanner(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Crypto and execution micro-benchmarks
-
-// BenchmarkEncryptionSchemes measures per-value encryption for each scheme,
-// grounding the cost model's computational factors.
-func BenchmarkEncryptionSchemes(b *testing.B) {
-	master, err := crypto.NewKey()
-	if err != nil {
-		b.Fatal(err)
-	}
-	payload := []byte("1995-03-15:4711")
-
-	det, _ := crypto.NewDeterministic(master)
-	b.Run("deterministic", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := det.Encrypt(payload); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	rnd, _ := crypto.NewRandomized(master)
-	b.Run("randomized", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := rnd.Encrypt(payload); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	ope := crypto.NewOPE(master)
-	b.Run("ope", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ope.Encrypt(crypto.EncodeInt(int64(i)))
-		}
-	})
-	pk, err := crypto.GeneratePaillier(512)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("paillier-encrypt", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := pk.Encrypt(big.NewInt(int64(i))); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	c1, _ := pk.Encrypt(big.NewInt(123))
-	c2, _ := pk.Encrypt(big.NewInt(456))
-	b.Run("paillier-add", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			pk.Add(c1, c2)
-		}
-	})
-}
+// Execution micro-benchmarks (per-scheme crypto costs: internal/crypto)
 
 // BenchmarkEncryptedExecution measures running the running-example extended
 // plan with real encryption over growing data.

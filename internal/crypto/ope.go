@@ -23,8 +23,8 @@ const OPECiphertextSize = 10
 // (e.g. mOPE): it has the same interface, ciphertext expansion, and
 // computational profile — which is what the paper's cost evaluation
 // exercises — but, like any OPE, it leaks order, and this stateless variant
-// leaks plaintext magnitude as well. See DESIGN.md for the substitution
-// rationale.
+// leaks plaintext magnitude as well. See "Substitutions" in
+// docs/ARCHITECTURE.md for the rationale.
 type OPE struct {
 	key []byte
 }

@@ -76,7 +76,7 @@ func Partition(ext *core.ExtendedPlan) *Dispatch {
 		walk(n)
 		sort.Strings(f.KeyIDs)
 		f.KeyIDs = dedup(f.KeyIDs)
-		f.SQL = renderFragment(f, executor)
+		f.SQL = renderFragment(f, ext)
 		d.Fragments = append(d.Fragments, f)
 		return f
 	}
@@ -110,15 +110,29 @@ func dedup(sorted []string) []string {
 }
 
 // renderFragment renders the fragment as a Figure 8-style sub-query, with
-// ⟦reqS⟧ references for consumed fragments.
-func renderFragment(f *Fragment, executor func(algebra.Node) authz.Subject) string {
+// ⟦reqS⟧ references for consumed fragments. A partial-aggregated edge
+// (core.ExtendedPlan.Partials) is rendered where it runs: the producer's
+// sub-query carries the moved selections and the γ-partial fold, the
+// consumer's only the merging group-by over the shipped partials.
+func renderFragment(f *Fragment, ext *core.ExtendedPlan) string {
+	merges := make(map[algebra.Node]algebra.Node, len(ext.Partials)) // group-by → shipped node
+	for shipped, pe := range ext.Partials {
+		merges[pe.GroupBy] = shipped
+	}
 	inputIdx := 0
 	var render func(n algebra.Node, isRoot bool) string
 	render = func(n algebra.Node, isRoot bool) string {
-		if !isRoot && executor(n) != f.Subject {
+		if !isRoot && ext.Assign.Executor(n) != f.Subject {
 			in := f.Inputs[inputIdx]
 			inputIdx++
 			return "⟦" + in.ID + "⟧"
+		}
+		if pe, ok := ext.Partials[n]; isRoot && ok {
+			out := render(n, false)
+			for i := len(pe.Selects) - 1; i >= 0; i-- {
+				out = fmt.Sprintf("σ[%s](%s)", pe.Selects[i].Pred, out)
+			}
+			return "γ-partial" + strings.TrimPrefix(renderGroupBy(pe.GroupBy, out), "γ")
 		}
 		switch x := n.(type) {
 		case *algebra.Base:
@@ -132,11 +146,10 @@ func renderFragment(f *Fragment, executor func(algebra.Node) authz.Subject) stri
 		case *algebra.Join:
 			return fmt.Sprintf("(%s ⋈[%s] %s)", render(x.L, false), x.Cond, render(x.R, false))
 		case *algebra.GroupBy:
-			aggs := make([]string, len(x.Aggs))
-			for i, a := range x.Aggs {
-				aggs[i] = a.String()
+			if shipped, ok := merges[x]; ok {
+				return renderGroupBy(x, render(shipped, false))
 			}
-			return fmt.Sprintf("γ[%s; %s](%s)", attrList(x.Keys), strings.Join(aggs, ","), render(x.Child, false))
+			return renderGroupBy(x, render(x.Child, false))
 		case *algebra.UDF:
 			return fmt.Sprintf("µ[%s(%s)](%s)", x.Name, attrList(x.Args), render(x.Child, false))
 		case *algebra.Encrypt:
@@ -155,6 +168,15 @@ func renderFragment(f *Fragment, executor func(algebra.Node) authz.Subject) stri
 		return "?"
 	}
 	return fmt.Sprintf("%s@%s ← %s", f.ID, f.Subject, render(f.Root, true))
+}
+
+// renderGroupBy renders γ[keys; aggs](child).
+func renderGroupBy(g *algebra.GroupBy, child string) string {
+	aggs := make([]string, len(g.Aggs))
+	for i, a := range g.Aggs {
+		aggs[i] = a.String()
+	}
+	return fmt.Sprintf("γ[%s; %s](%s)", attrList(g.Keys), strings.Join(aggs, ","), child)
 }
 
 func attrList(attrs []algebra.Attr) string {

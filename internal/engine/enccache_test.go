@@ -10,14 +10,15 @@ import (
 
 	"mpq/internal/crypto"
 	"mpq/internal/exec"
+	"mpq/internal/planner"
 	"mpq/internal/tpch"
 )
 
 // The ciphertext column cache (internal/exec/enccache.go) as the engine sees
 // it: every prepared plan carries one through its network, the first
 // execution of a statement (the plan-cache miss) streams, the second fills,
-// later ones serve. These tests pin that lifecycle end to end against the
-// materializing oracle, which never touches the cache.
+// later ones serve. These tests pin that lifecycle end to end against a
+// centralized plaintext oracle, which never touches the cache.
 
 // encDelta runs fn and reports how the process-global cache outcome counters
 // and the Paillier encryption count moved across it.
@@ -29,21 +30,33 @@ func encDelta(fn func()) (stats exec.EncCacheStats, pheEncrypts uint64) {
 		k1.PheEncrypts - k0.PheEncrypts
 }
 
-// oracleAnswers runs the queries on a materializing engine over cfg's tables.
+// oracleAnswers answers the queries on one trusted executor that holds
+// every table of cfg.Tables in plaintext and runs the planner's plan on the
+// row-at-a-time interior (bench/oracle.go's rule). It shares neither the
+// distributed runtime nor the engine's finalizer: ordering, limit and
+// projection come from RunPlan's Table.SortBy and Table.Project, and no key
+// is generated.
 func oracleAnswers(t *testing.T, cfg Config, queries []tpch.Query) map[int][]byte {
 	t.Helper()
-	cfg.Materializing = true
-	oracle, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	trusted := exec.NewExecutor()
+	trusted.Materializing = true
+	for _, tables := range cfg.Tables {
+		for name, tbl := range tables {
+			trusted.Tables[name] = tbl
+		}
 	}
+	pl := planner.New(cfg.Catalog)
 	want := make(map[int][]byte, len(queries))
 	for _, q := range queries {
-		resp, err := oracle.Query(q.SQL)
+		plan, err := pl.PlanSQL(q.SQL)
 		if err != nil {
 			t.Fatalf("oracle Q%d: %v", q.Num, err)
 		}
-		want[q.Num] = canon(resp.Table)
+		got, _, err := trusted.RunPlan(plan)
+		if err != nil {
+			t.Fatalf("oracle Q%d: %v", q.Num, err)
+		}
+		want[q.Num] = canon(got)
 	}
 	return want
 }
@@ -258,7 +271,7 @@ func TestEncCacheTwoPlansOneKeyID(t *testing.T) {
 	var plans []*preparedQuery
 	for round := 0; round < 4; round++ {
 		for _, q := range queries {
-			resp, pq, err := eng.query(nil, q.SQL, nil)
+			resp, pq, err := eng.run(nil, q.SQL, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

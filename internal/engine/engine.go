@@ -15,7 +15,6 @@ import (
 	"mpq/internal/crypto"
 	"mpq/internal/distsim"
 	"mpq/internal/exec"
-	"mpq/internal/obs"
 	"mpq/internal/planner"
 	"mpq/internal/sql"
 )
@@ -215,7 +214,9 @@ type preparedQuery struct {
 // Response is the outcome of one query.
 type Response struct {
 	// Headers and Table are the user-facing result after decryption,
-	// ordering, projection, and limit.
+	// ordering, projection, and limit. Table's schema is the root schema
+	// projected onto the output columns, also when it has no rows; it is
+	// nil for QueryStream, whose rows went to the callback.
 	Headers []string
 	Table   *exec.Table
 	// CacheHit reports whether the authorized plan came from the cache.
@@ -234,9 +235,10 @@ type Response struct {
 	// the full authorize/extend/assign/key pipeline); ExecTime covers
 	// distributed execution and user-side finalization.
 	PlanTime, ExecTime time.Duration
-	// TimeToFirstRow is the time from execution start until the first
-	// result batch reached the caller. Only QueryStream sets it (zero for
-	// queries that produced no rows).
+	// TimeToFirstRow is the time from execution start until the finalizer
+	// emitted the first result rows: to QueryStream's callback, or into
+	// Table for the other entry points. It is zero for queries that
+	// produced no rows.
 	TimeToFirstRow time.Duration
 	// Rows counts the result rows delivered (Table.Len() for Query, rows
 	// streamed to the callback for QueryStream).
@@ -271,86 +273,8 @@ func (e *Engine) Query(query string) (*Response, error) {
 // when ctx has none; admission control (Config.MaxConcurrent) may reject
 // the query with ErrOverloaded or ErrQueueTimeout before any work is done.
 func (e *Engine) QueryCtx(ctx context.Context, query string) (*Response, error) {
-	resp, _, err := e.query(ctx, query, nil)
+	resp, _, err := e.run(ctx, query, nil, nil)
 	return resp, err
-}
-
-// query is the shared body of Query and Explain: when tr is non-nil the run
-// executes traced (every compiled operator wrapped in a span, every
-// cross-subject edge recorded).
-func (e *Engine) query(ctx context.Context, query string, tr *obs.Trace) (_ *Response, _ *preparedQuery, err error) {
-	e.met.queries.Inc()
-	ctx, cancel := e.runContext(ctx)
-	if cancel != nil {
-		defer cancel()
-	}
-	if err := e.acquireSlot(ctx); err != nil {
-		e.countFailure(err)
-		return nil, nil, err
-	}
-	defer e.releaseSlot()
-	// Last-resort panic isolation: execution-layer panics are caught at the
-	// fragment boundary below, so this boundary covers the engine's own
-	// phases (parse, admission, finalization). The process serves the next
-	// query either way.
-	defer func() {
-		if r := recover(); r != nil {
-			err = exec.NewPanicError("engine query", r)
-			e.countFailure(err)
-		}
-	}()
-	start := time.Now()
-	stmt, err := sql.Parse(query)
-	if err != nil {
-		e.met.errors.Inc()
-		return nil, nil, err
-	}
-	e.met.observe(e.met.phaseParse, start)
-	fp := fingerprint(stmt)
-
-	pq, hit, err := e.admit(stmt, fp)
-	if err != nil {
-		e.met.errors.Inc()
-		return nil, nil, err
-	}
-	if hit {
-		e.met.hits.Inc()
-	} else {
-		e.met.misses.Inc()
-	}
-	planTime := time.Since(start)
-
-	execStart := time.Now()
-	run := pq.network.Clone()
-	run.Trace = tr
-	table, transfers, err := run.ExecuteParallelCtx(ctx, pq.result.Extended, pq.consts)
-	if err != nil {
-		e.countFailure(err)
-		return nil, nil, err
-	}
-	e.met.observe(e.met.phaseExecute, execStart)
-	finStart := time.Now()
-	final, headers, err := e.finalize(pq, table)
-	if err != nil {
-		e.met.errors.Inc()
-		return nil, nil, err
-	}
-	e.met.observe(e.met.phaseFinalize, finStart)
-	resp := &Response{
-		Headers:      headers,
-		Table:        final,
-		CacheHit:     hit,
-		AuthzVersion: pq.version,
-		Executors:    pq.executors,
-		Cost:         pq.result.Cost,
-		Transfers:    transfers,
-		PlanTime:     planTime,
-		ExecTime:     time.Since(execStart),
-		Rows:         final.Len(),
-	}
-	e.met.transfers.Add(uint64(len(transfers)))
-	e.met.bytesShipped.Add(uint64(resp.BytesShipped()))
-	return resp, pq, nil
 }
 
 // admit returns an authorized plan consistent with the current
@@ -476,24 +400,6 @@ func (e *Engine) prepare(stmt *sql.SelectStmt, version uint64, pol authz.Viewer,
 		consts:    consts,
 		executors: executors,
 	}, nil
-}
-
-// finalize is the user-side completion: decrypt the root relation with the
-// query-plan keys, then apply ordering, projection, and limit.
-func (e *Engine) finalize(pq *preparedQuery, got *exec.Table) (*exec.Table, []string, error) {
-	f := exec.NewExecutor()
-	f.Keys = pq.keys
-	f.CryptoWorkers = e.cfg.CryptoWorkers
-	f.ValueCrypto = e.cfg.ValueCrypto
-	dec, err := f.DecryptTable(got)
-	if err != nil {
-		return nil, nil, err
-	}
-	root := pq.result.Extended.Root
-	f.Materialized = map[algebra.Node]*exec.Table{root: dec}
-	extPlan := *pq.plan
-	extPlan.Root = root
-	return f.RunPlan(&extPlan)
 }
 
 // Grant adds the authorization [plain, enc]→subject on rel, invalidating

@@ -47,7 +47,7 @@ func TestBatchPipelineMatchesMaterializing(t *testing.T) {
 			for _, num := range testQueries {
 				sqlText := querySQL(t, num)
 				tr := obs.NewTrace()
-				got, pq, err := batchEng.query(nil, sqlText, tr)
+				got, pq, err := batchEng.run(nil, sqlText, tr, nil)
 				if err != nil {
 					t.Fatalf("Q%d batch: %v", num, err)
 				}
@@ -122,8 +122,9 @@ func splitLedger(ts []distsim.Transfer, marked map[string]*algebra.GroupBy) ([]d
 }
 
 // TestQueryStreamMatchesQuery proves the streaming Query variant delivers
-// exactly the drained result: same rows, same order, same headers — for
-// sorted queries (drain-sort-replay) and unsorted ones (true streaming).
+// exactly the collected result: same rows, same order, same headers — for
+// sorted queries (top-k or drain-and-sort) and unsorted ones (true
+// streaming).
 func TestQueryStreamMatchesQuery(t *testing.T) {
 	eng, err := New(testConfig(t, tpch.UAPenc))
 	if err != nil {

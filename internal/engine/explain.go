@@ -94,7 +94,7 @@ func (e *Engine) QueryTraced(query string) (*Response, *Explanation, error) {
 // QueryTracedCtx is QueryTraced under a caller context.
 func (e *Engine) QueryTracedCtx(ctx context.Context, query string) (*Response, *Explanation, error) {
 	tr := obs.NewTrace()
-	resp, pq, err := e.query(ctx, query, tr)
+	resp, pq, err := e.run(ctx, query, tr, nil)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -25,7 +25,7 @@ func TestTracedRunMatchesUntraced(t *testing.T) {
 	for _, q := range tpch.Queries() {
 		want := canon(centralized(t, q.SQL))
 		tr := obs.NewTrace()
-		resp, _, err := eng.query(nil, q.SQL, tr)
+		resp, _, err := eng.run(nil, q.SQL, tr, nil)
 		if err != nil {
 			t.Fatalf("Q%d traced: %v", q.Num, err)
 		}

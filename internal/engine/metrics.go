@@ -37,8 +37,9 @@ type engineMetrics struct {
 
 	// Per-phase latency of the query lifecycle, in seconds: parse and the
 	// cold-preparation stages (plan, authz, assign, keys), then execute and
-	// finalize per run. Cache hits skip the preparation phases entirely, so
-	// their _count series double as cold-preparation counters.
+	// finalize per run: finalize is the time inside the user-side finalizer,
+	// execute the rest of the run. Cache hits skip the preparation phases
+	// entirely, so their _count series double as cold-preparation counters.
 	phaseParse    *obs.Histogram
 	phasePlan     *obs.Histogram
 	phaseAuthz    *obs.Histogram

@@ -93,7 +93,7 @@ func TestPartialAggregationShipsOneRowPerGroup(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Q%d reference: %v", num, err)
 		}
-		got, pq, err := eng.query(nil, sqlText, nil)
+		got, pq, err := eng.run(nil, sqlText, nil, nil)
 		if err != nil {
 			t.Fatalf("Q%d: %v", num, err)
 		}

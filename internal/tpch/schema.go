@@ -5,7 +5,8 @@
 // the select-from-where-group by-having fragment the paper's model covers,
 // and the three authorization scenarios UA / UAPenc / UAPmix.
 //
-// Substitutions relative to the official benchmark (see DESIGN.md): dates
+// Substitutions relative to the official benchmark (see "Substitutions" in
+// docs/ARCHITECTURE.md): dates
 // are day offsets from 1992-01-01; select-list arithmetic (e.g.
 // l_extendedprice*(1-l_discount)) is precomputed into generated columns
 // (l_revenue, l_discrev, ps_value) because the paper's query fragment has
