@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"mpq/internal/algebra"
 	"mpq/internal/authz"
@@ -38,26 +39,24 @@ type Options struct {
 
 // Optimize computes the cheapest authorized assignment for the analyzed
 // plan under the model, extends the plan accordingly, and prices it. A
-// dynamic program over (node, candidate) states with approximate edge costs
-// seeds λ; refine then hill-climbs it under the exact cost of the minimally
-// extended plan, combining assignment and encryption decisions as Section 6
-// prescribes when encryption is not negligible. Within one call each
-// distinct λ is extended (without keys) and priced once. Only the winner is
-// extended with keys and priced in full; its pre-shuffle partial
-// aggregation edges are marked last (core.MarkPartials), so every caller
-// executes the same plan; they do not enter the cost.
+// dynamic program over (node, candidate) states seeds λ; it prices
+// operators with the cost model's own per-tuple seconds, so it is
+// approximate only in what the extension decides per assignment (schemes
+// and opportunistic decryption). refine then hill-climbs the seed under the
+// exact cost of the minimally extended plan, combining assignment and
+// encryption decisions as Section 6 prescribes when encryption is not
+// negligible. Last, every uniform assignment (all operations at one subject
+// that is a candidate everywhere, the user included) is priced once and
+// wins if strictly cheaper: the provider-free solution therefore stays
+// reachable, so adding provider authorizations can never increase the
+// optimized cost. Within one call each distinct λ is extended (without keys)
+// and priced once. Only the winner is extended with keys and priced in
+// full; its pre-shuffle partial aggregation edges are marked last
+// (core.MarkPartials), so every caller executes the same plan; they do not
+// enter the cost.
 func Optimize(sys *core.System, an *core.Analysis, m *cost.Model, opts Options) (*Result, error) {
 	if err := an.Feasible(); err != nil {
 		return nil, err
-	}
-	// Seed the local search from the DP solution and from the trivial
-	// assignment placing every operation at the user (always a candidate:
-	// users hold plaintext on all query inputs). Refining both and keeping
-	// the best makes the provider-free solution always reachable, so adding
-	// provider authorizations can never increase the optimized cost.
-	seeds := []core.Assignment{chooseAssignmentBy(sys, an, m, false)}
-	if allUser := uniformAssignment(an, m.User); allUser != nil {
-		seeds = append(seeds, allUser)
 	}
 	p := &pricer{sys: sys, an: an, m: m, memo: make(map[string]float64)}
 	algebra.PostOrder(an.Root, func(n algebra.Node) {
@@ -65,17 +64,18 @@ func Optimize(sys *core.System, an *core.Analysis, m *cost.Model, opts Options) 
 			p.ops = append(p.ops, n)
 		}
 	})
-	var (
-		lambda core.Assignment
-		best   float64
-	)
-	for i, seed := range seeds {
-		total, err := p.refine(seed)
+	lambda := chooseAssignmentBy(sys, an, m, false)
+	best, err := p.refine(lambda)
+	if err != nil {
+		return nil, err
+	}
+	for _, uniform := range uniformAssignments(an, p.ops) {
+		total, err := p.total(uniform)
 		if err != nil {
 			return nil, err
 		}
-		if i == 0 || total < best {
-			lambda, best = seed, total
+		if total < best {
+			lambda, best = uniform, total
 		}
 	}
 	ext, br, err := priceExtended(sys, an, m, lambda)
@@ -106,32 +106,26 @@ func priceExtended(sys *core.System, an *core.Analysis, m *cost.Model, lambda co
 	return ext, cost.OfPlan(ext.Root, ext.Assign.Executor, ext.Schemes, ext.Profiles, m), nil
 }
 
-// uniformAssignment assigns every operation to one subject, or nil when the
-// subject is not a candidate everywhere.
-func uniformAssignment(an *core.Analysis, s authz.Subject) core.Assignment {
-	lambda := make(core.Assignment)
-	ok := true
-	algebra.PostOrder(an.Root, func(n algebra.Node) {
-		if len(n.Children()) == 0 {
-			return
-		}
-		found := false
-		for _, c := range an.Candidates[n] {
-			if c == s {
-				found = true
-				break
-			}
-		}
-		if !found {
-			ok = false
-			return
-		}
-		lambda[n] = s
-	})
-	if !ok {
+// uniformAssignments returns, in the first operation's candidate order, one
+// assignment per subject that is a candidate of every operation in ops,
+// placing all of them at that subject.
+func uniformAssignments(an *core.Analysis, ops []algebra.Node) []core.Assignment {
+	if len(ops) == 0 {
 		return nil
 	}
-	return lambda
+	var out []core.Assignment
+next:
+	for _, s := range an.Candidates[ops[0]] {
+		lambda := make(core.Assignment, len(ops))
+		for _, n := range ops {
+			if !slices.Contains(an.Candidates[n], s) {
+				continue next
+			}
+			lambda[n] = s
+		}
+		out = append(out, lambda)
+	}
+	return out
 }
 
 // pricedHook, when non-nil, is called with every assignment a pricer
@@ -220,7 +214,10 @@ func (p *pricer) refine(lambda core.Assignment) (float64, error) {
 // to be opportunistically decrypted rather than evaluated under an
 // expensive scheme (mirroring core.Extend), so it does not force
 // Paillier/OPE on its attributes. The DP uses the hints to price edge
-// encryption and ciphertext-evaluation slowdowns realistically.
+// encryption and ciphertext-evaluation slowdowns. They are fixed before any
+// assignment exists, while core.Extend chooses schemes per assignment: this
+// and opportunistic decryption are all the DP approximates, and refine
+// corrects them under the exact cost.
 func schemeHints(an *core.Analysis) map[algebra.Attr]algebra.Scheme {
 	type need struct{ eq, ord, sum bool }
 	needs := make(map[algebra.Attr]*need)
@@ -413,26 +410,13 @@ func leafCost(b *algebra.Base, m *cost.Model, auth authz.Subject, byTime bool) f
 	return bytes * m.PriceOf(auth).IOPerByte
 }
 
-// opCost prices the evaluation of operation n at subject s, accounting for
-// ciphertext-evaluation slowdowns when s may only access the attributes the
+// opCost prices the evaluation of operation n at subject s with the cost
+// model's own per-tuple operator seconds (cost.OpTuples), raised to the
+// ciphertext-evaluation cost when s may only access an attribute the
 // operation computes on in encrypted form.
 func opCost(an *core.Analysis, n algebra.Node, s authz.Subject, m *cost.Model, byTime bool,
 	hints map[algebra.Attr]algebra.Scheme) float64 {
-	var inRows float64
-	for _, c := range n.Children() {
-		inRows += c.Stats().Rows
-	}
-	var per float64
-	switch n.(type) {
-	case *algebra.UDF:
-		per = 1.0e-4
-	case *algebra.GroupBy:
-		per = 1.5e-6
-	case *algebra.Join, *algebra.Product:
-		per = 2.0e-6
-	default:
-		per = 1.0e-6
-	}
+	per, tuples := cost.OpTuples(n)
 	// Operating over ciphertexts (attributes the subject sees encrypted).
 	view := an.Views[s]
 	for a := range touchedAttrs(n).Intersect(view.E) {
@@ -440,7 +424,7 @@ func opCost(an *core.Analysis, n algebra.Node, s authz.Subject, m *cost.Model, b
 			per = c
 		}
 	}
-	sec := inRows * per
+	sec := tuples * per
 	if byTime {
 		return sec
 	}

@@ -84,13 +84,9 @@ func TestDPAgainstExhaustive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dp.Cost.Total() < ex.Cost.Total()*0.999 {
-		t.Errorf("DP cost %.6g below exhaustive optimum %.6g: exhaustive search broken",
-			dp.Cost.Total(), ex.Cost.Total())
-	}
-	// The DP edge model is approximate; it must stay within 2× of optimal.
-	if dp.Cost.Total() > ex.Cost.Total()*2 {
-		t.Errorf("DP cost %.6g more than 2x the optimum %.6g\nDP: %v\nopt: %v",
+	// On the running example the search reaches the optimum exactly.
+	if dp.Cost.Total() != ex.Cost.Total() {
+		t.Errorf("Optimize cost %.17g, exhaustive optimum %.17g\nOptimize: %v\nopt: %v",
 			dp.Cost.Total(), ex.Cost.Total(), dp.Lambda, ex.Lambda)
 	}
 }

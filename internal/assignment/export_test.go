@@ -6,10 +6,11 @@ import (
 )
 
 // Exports for the external test package: the reference search is built
-// from the same seeds, and the plangen cells use the same random systems.
+// from the same DP seed and uniform assignments, and the plangen cells use
+// the same random systems.
 var (
-	UniformAssignment = uniformAssignment
-	RandomSystem      = randomSystem
+	UniformAssignments = uniformAssignments
+	RandomSystem       = randomSystem
 )
 
 // ChooseAssignment is the DP seed: the DP minimizing economic cost.

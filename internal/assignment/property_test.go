@@ -1,6 +1,7 @@
 package assignment
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -92,7 +93,61 @@ func TestOptimizeAlwaysAuthorizedAndBeatsUserOnly(t *testing.T) {
 			t.Fatalf("seed %d: optimizer (%.6g) worse than all-user (%.6g)",
 				seed, res.Cost.Total(), userCost)
 		}
+
+		// Every uniform assignment is a floor Optimize prices.
+		var ops []algebra.Node
+		algebra.PostOrder(root, func(n algebra.Node) {
+			if len(n.Children()) > 0 {
+				ops = append(ops, n)
+			}
+		})
+		for _, uniform := range uniformAssignments(an, ops) {
+			ext, err := sys.Extend(an, uniform)
+			if err != nil {
+				t.Fatalf("seed %d: uniform extension: %v", seed, err)
+			}
+			if c := cost.OfPlan(ext.Root, ext.Assign.Executor, ext.Schemes, ext.Profiles, m).Total(); res.Cost.Total() > c {
+				t.Fatalf("seed %d: optimizer (%.6g) worse than all at %s (%.6g)",
+					seed, res.Cost.Total(), uniform[ops[0]], c)
+			}
+		}
 	}
+}
+
+// TestOptimizeReachesExhaustiveOptimum runs the random plans and systems of
+// TestOptimizeMatchesReference over seeds 0–2999: wherever Exhaustive finds
+// an optimum, Optimize must reach its cost within a relative 1e-9, and
+// wherever Optimize fails, Exhaustive must fail too. The uniform floor is
+// what closes the gap: refining the DP seed alone, or flooring it with the
+// all-user assignment only, misses the optimum on some of these seeds.
+func TestOptimizeReachesExhaustiveOptimum(t *testing.T) {
+	failed := 0
+	for seed := int64(0); seed < 3000; seed++ {
+		g := plangen.New(plangen.Config{
+			Relations: 1 + int(seed%3), AttrsPerRel: 3 + int(seed%2), ExtraOps: 2 + int(seed%5),
+			UDFs: seed%2 == 0, Seed: seed,
+		})
+		rels := g.Relations()
+		root := g.Plan(rels)
+		sys, m := randomSystem(rels, 1+int(seed%3), g.Rand())
+		an := sys.Analyze(root, nil)
+		res, err := Optimize(sys, an, m, Options{})
+		ex, exErr := Exhaustive(sys, an, m)
+		if err != nil {
+			failed++
+			if exErr == nil {
+				t.Errorf("seed %d: Optimize failed (%v) where Exhaustive found $%.6g", seed, err, ex.Cost.Total())
+			}
+			continue
+		}
+		if exErr != nil {
+			t.Fatalf("seed %d: Exhaustive: %v", seed, exErr)
+		}
+		if got, opt := res.Cost.Total(), ex.Cost.Total(); math.Abs(got-opt) > 1e-9*opt {
+			t.Errorf("seed %d: Optimize $%.9g, exhaustive optimum $%.9g (%+.2f%%)", seed, got, opt, 100*(got/opt-1))
+		}
+	}
+	t.Logf("%d of 3000 seeds infeasible", failed)
 }
 
 // TestOptimizeDeterministic: repeated optimization of the same inputs gives

@@ -54,14 +54,13 @@ func OfPlan(root algebra.Node, exec Executor, schemes map[algebra.Attr]algebra.S
 	algebra.PostOrder(root, func(n algebra.Node) {
 		subj := exec(n)
 		price := m.PriceOf(subj)
-		rows := n.Stats().Rows
 		outBytes := bytesOf(n, profiles[n], schemes)
 
 		var nc NodeCost
 		nc.Subject = subj
 		nc.OutBytes = outBytes
 
-		cpuSec := cpuSeconds(n, rows, profiles, schemes)
+		cpuSec := cpuSeconds(n, profiles, schemes)
 		nc.CPU = cpuSec * price.CPUPerSec
 
 		start := 0.0
@@ -131,66 +130,70 @@ func schemeOf(schemes map[algebra.Attr]algebra.Scheme, a algebra.Attr) algebra.S
 	return algebra.SchemeDeterministic
 }
 
+// OpTuples returns the plaintext CPU seconds per tuple of relational
+// operator n and the tuples it is charged on: its output rows for a scan and
+// a product, the sum of its inputs' rows otherwise (encryption and
+// decryption cost 0 per tuple here: cpuSeconds prices them per value). It is
+// the one price list of operator CPU: the exact cost and the assignment DP
+// both read it.
+func OpTuples(n algebra.Node) (secPerTuple, tuples float64) {
+	var in float64
+	for _, c := range n.Children() {
+		in += c.Stats().Rows
+	}
+	switch n.(type) {
+	case *algebra.Base:
+		return secPerTupleScan, n.Stats().Rows
+	case *algebra.Project:
+		return secPerTupleProject, in
+	case *algebra.Select:
+		return secPerTupleSelect, in
+	case *algebra.Product:
+		return secPerTupleJoin, n.Stats().Rows
+	case *algebra.Join:
+		return secPerTupleJoin, in
+	case *algebra.GroupBy:
+		return secPerTupleGroup, in
+	case *algebra.UDF:
+		return secPerTupleUDF, in
+	}
+	return 0, in
+}
+
 // cpuSeconds estimates the CPU time of evaluating a node.
-func cpuSeconds(n algebra.Node, outRows float64, profiles map[algebra.Node]profile.Profile,
+func cpuSeconds(n algebra.Node, profiles map[algebra.Node]profile.Profile,
 	schemes map[algebra.Attr]algebra.Scheme) float64 {
-	inRows := func(i int) float64 { return n.Children()[i].Stats().Rows }
 	encIn := func(i int) algebra.AttrSet { return profiles[n.Children()[i]].VE }
+	per, tuples := OpTuples(n)
+	// Operating over ciphertexts: the most expensive scheme among the
+	// encrypted attributes the operator computes on sets the per-tuple cost.
+	overCipher := func(attrs, enc algebra.AttrSet) {
+		for a := range attrs {
+			if enc.Has(a) {
+				if s := OpSecondsOverCipher(schemeOf(schemes, a)); s > per {
+					per = s
+				}
+			}
+		}
+	}
 
 	switch x := n.(type) {
-	case *algebra.Base:
-		return x.Stats().Rows * secPerTupleScan
-	case *algebra.Project:
-		return inRows(0) * secPerTupleProject
 	case *algebra.Select:
-		per := secPerTupleSelect
-		for a := range x.Pred.Attrs() {
-			if encIn(0).Has(a) {
-				if s := OpSecondsOverCipher(schemeOf(schemes, a)); s > per {
-					per = s
-				}
-			}
-		}
-		return inRows(0) * per
-	case *algebra.Product:
-		return outRows * secPerTupleJoin
+		overCipher(x.Pred.Attrs(), encIn(0))
 	case *algebra.Join:
-		per := secPerTupleJoin
-		encBoth := encIn(0).Union(encIn(1))
-		for a := range x.Cond.Attrs() {
-			if encBoth.Has(a) {
-				if s := OpSecondsOverCipher(schemeOf(schemes, a)); s > per {
-					per = s
-				}
-			}
-		}
-		return (inRows(0) + inRows(1)) * per
+		overCipher(x.Cond.Attrs(), encIn(0).Union(encIn(1)))
 	case *algebra.GroupBy:
-		per := secPerTupleGroup
-		for a := range x.AggAttrs() {
-			if encIn(0).Has(a) {
-				if s := OpSecondsOverCipher(schemeOf(schemes, a)); s > per {
-					per = s
-				}
-			}
-		}
-		return inRows(0) * per
-	case *algebra.UDF:
-		return inRows(0) * secPerTupleUDF
+		overCipher(x.AggAttrs(), encIn(0))
 	case *algebra.Encrypt:
-		var per float64
 		for _, a := range x.Attrs {
 			per += EncSeconds(schemeOf(x.Schemes, a))
 		}
-		return inRows(0) * per
 	case *algebra.Decrypt:
-		var per float64
 		for _, a := range x.Attrs {
 			per += DecSeconds(schemeOf(schemes, a))
 		}
-		return inRows(0) * per
 	}
-	return 0
+	return tuples * per
 }
 
 // FormatPerNode renders the per-node costs as a table sorted by cost.
