@@ -42,7 +42,6 @@ import (
 	"mpq/internal/distsim"
 	"mpq/internal/engine"
 	"mpq/internal/exec"
-	"mpq/internal/planner"
 	"mpq/internal/tpch"
 )
 
@@ -50,24 +49,23 @@ const maxBodyBytes = 1 << 20
 
 func main() {
 	var (
-		addr       = flag.String("addr", ":8399", "listen address")
-		scenario   = flag.String("scenario", "UAPenc", "authorization scenario: UA, UAPenc, or UAPmix")
-		sf         = flag.Float64("sf", 0.01, "TPC-H scale factor")
-		seed       = flag.Int64("seed", 1, "data generator seed")
-		batchSize  = flag.Int("batch", 0, "pipeline batch size in rows (0 = default)")
-		cacheSize  = flag.Int("cache", 0, "authorized-plan cache entries (0 = default, negative disables)")
-		paillier   = flag.Int("paillier-bits", crypto.DefaultPaillierBits, "Paillier prime size in bits")
-		rtt        = flag.Duration("rtt", 0, "simulated inter-subject link RTT (0 disables)")
-		mbps       = flag.Float64("mbps", 50, "simulated link bandwidth in MB/s (with -rtt > 0)")
-		memBudget  = flag.Int64("membudget", 0, "per-query memory budget in bytes; pipeline breakers spill to disk beyond it (0 = unbudgeted)")
-		spillDir   = flag.String("spilldir", "", "directory for spill runs (default: the OS temp dir)")
-		plannerMod = flag.String("planner", "", "planner mode: cost (default; FROM-order joins, textbook estimates) or greedy (joins ordered from predicate patterns)")
-		pprofOn    = flag.Bool("pprof", false, "mount net/http/pprof handlers under /debug/pprof/")
-		timeout    = flag.Duration("timeout", 0, "default per-query deadline; ?timeout= overrides per request (0 = none)")
-		maxConc    = flag.Int("max-concurrent", 0, "in-flight query cap; overloads get 429/503 instead of queueing unboundedly (0 = unlimited)")
-		maxQueue   = flag.Int("max-queue", 0, "admission wait-queue length beyond the in-flight cap (with -max-concurrent)")
-		queueWait  = flag.Duration("queue-wait", 0, "how long a capped query may wait for a slot before 503 (0 = default)")
-		drain      = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain timeout for in-flight queries on SIGTERM/SIGINT")
+		addr      = flag.String("addr", ":8399", "listen address")
+		scenario  = flag.String("scenario", "UAPenc", "authorization scenario: UA, UAPenc, or UAPmix")
+		sf        = flag.Float64("sf", 0.01, "TPC-H scale factor")
+		seed      = flag.Int64("seed", 1, "data generator seed")
+		batchSize = flag.Int("batch", 0, "pipeline batch size in rows (0 = default)")
+		cacheSize = flag.Int("cache", 0, "authorized-plan cache entries (0 = default, negative disables)")
+		paillier  = flag.Int("paillier-bits", crypto.DefaultPaillierBits, "Paillier prime size in bits")
+		rtt       = flag.Duration("rtt", 0, "simulated inter-subject link RTT (0 disables)")
+		mbps      = flag.Float64("mbps", 50, "simulated link bandwidth in MB/s (with -rtt > 0)")
+		memBudget = flag.Int64("membudget", 0, "per-query memory budget in bytes; pipeline breakers spill to disk beyond it (0 = unbudgeted)")
+		spillDir  = flag.String("spilldir", "", "directory for spill runs (default: the OS temp dir)")
+		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof handlers under /debug/pprof/")
+		timeout   = flag.Duration("timeout", 0, "default per-query deadline; ?timeout= overrides per request (0 = none)")
+		maxConc   = flag.Int("max-concurrent", 0, "in-flight query cap; overloads get 429/503 instead of queueing unboundedly (0 = unlimited)")
+		maxQueue  = flag.Int("max-queue", 0, "admission wait-queue length beyond the in-flight cap (with -max-concurrent)")
+		queueWait = flag.Duration("queue-wait", 0, "how long a capped query may wait for a slot before 503 (0 = default)")
+		drain     = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain timeout for in-flight queries on SIGTERM/SIGINT")
 	)
 	flag.Parse()
 
@@ -86,7 +84,6 @@ func main() {
 	cfg.PaillierBits = *paillier
 	cfg.MemBudget = *memBudget
 	cfg.SpillDir = *spillDir
-	cfg.PlannerMode = planner.Mode(*plannerMod)
 	cfg.QueryTimeout = *timeout
 	cfg.MaxConcurrent = *maxConc
 	cfg.MaxQueue = *maxQueue

@@ -134,7 +134,7 @@ func runStreamTotal(t *testing.T) ([]string, int64) {
 		t.Fatal(err)
 	}
 	var rows [][]exec.Value
-	schema, _, err := nw.ExecuteStream(ext, consts, func(b [][]exec.Value) error {
+	schema, _, err := nw.ExecuteStreamCtx(nil, ext, consts, func(b [][]exec.Value) error {
 		rows = append(rows, b...)
 		return nil
 	})

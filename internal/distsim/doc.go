@@ -10,11 +10,11 @@
 //
 // One runtime executes a prepared Network, with one reference beside it:
 //
-//   - ExecuteStream: one worker goroutine per fragment, exchanging columnar
+//   - ExecuteStreamCtx: one worker goroutine per fragment, exchanging columnar
 //     exec.Batch values over bounded channels; transfer latency overlaps
 //     upstream computation batch by batch, and the ledger accounts each
 //     edge's bytes per shipped batch (batchBytes walks the column vectors).
-//     ExecuteParallel is ExecuteStream with the root collected back into a
+//     ExecuteParallel is ExecuteStreamCtx with the root collected back into a
 //     table, for callers that want the whole relation.
 //   - Materializing (a Network field, not an entry point): ExecuteParallel
 //     ships every fragment's complete sub-result in one piece over the

@@ -85,7 +85,7 @@ func partitionFragments(ext *core.ExtendedPlan) []*fragment {
 // calls on one prepared network are safe.
 //
 // Fragments exchange row batches over channels as they are produced
-// (ExecuteStream); with Materializing set, each fragment ships its complete
+// (ExecuteStreamCtx); with Materializing set, each fragment ships its complete
 // sub-result in one piece — the reference the equivalence tests compare
 // against.
 func (nw *Network) ExecuteParallel(ext *core.ExtendedPlan, consts exec.ConstCache) (*exec.Table, []Transfer, error) {

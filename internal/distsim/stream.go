@@ -45,26 +45,22 @@ type streamEdge struct {
 	partial *core.PartialEdge
 }
 
-// ExecuteStream runs the extended plan across the network with one worker
-// goroutine per fragment, exchanging row batches over channels. Every batch
-// of the root fragment's output is handed to sink in production order; the
-// returned schema describes those rows. The transfers of this run (one per
-// cross-subject edge, bytes accounted per batch) are returned and appended
-// to the network ledger. The network is not otherwise mutated, so
-// concurrent ExecuteStream calls on one prepared network are safe.
-func (nw *Network) ExecuteStream(ext *core.ExtendedPlan, consts exec.ConstCache, sink func(rows [][]exec.Value) error) ([]algebra.Attr, []Transfer, error) {
-	return nw.ExecuteStreamCtx(nil, ext, consts, sink)
-}
-
-// ExecuteStreamCtx is ExecuteStream under a context. Cancellation (or
-// deadline expiry) aborts the run within one batch of work: a watcher
-// closes the run's done channel, unblocking every exchange send and
-// receive, while each fragment executor probes the context at its own batch
-// boundaries. A panic on any fragment goroutine is caught at the fragment
-// boundary and surfaces as that fragment's *exec.PanicError instead of
-// killing the process, and spill runs abandoned on any abort path are swept
-// once every goroutine has stopped. A nil context (or one that can never be
-// cancelled) costs nothing over ExecuteStream.
+// ExecuteStreamCtx runs the extended plan across the network with one
+// worker goroutine per fragment, exchanging row batches over channels.
+// Every batch of the root fragment's output is handed to sink in production
+// order; the returned schema describes those rows. The transfers of this
+// run (one per cross-subject edge, bytes accounted per batch) are returned
+// and appended to the network ledger. The network is not otherwise mutated,
+// so concurrent calls on one prepared network are safe.
+//
+// Cancellation (or deadline expiry) of ctx aborts the run within one batch
+// of work: a watcher closes the run's done channel, unblocking every
+// exchange send and receive, while each fragment executor probes the
+// context at its own batch boundaries. A panic on any fragment goroutine is
+// caught at the fragment boundary and surfaces as that fragment's
+// *exec.PanicError instead of killing the process, and spill runs abandoned
+// on any abort path are swept once every goroutine has stopped. A nil
+// context (or one that can never be cancelled) costs nothing.
 func (nw *Network) ExecuteStreamCtx(ctx context.Context, ext *core.ExtendedPlan, consts exec.ConstCache, sink func(rows [][]exec.Value) error) ([]algebra.Attr, []Transfer, error) {
 	runCtx := ctx
 	if ctx != nil && ctx.Done() == nil {

@@ -79,7 +79,7 @@ func TestExecuteStreamMatchesMaterializing(t *testing.T) {
 	run := nw.Clone()
 	run.BatchSize = 3 // force multi-batch exchanges on the 8-row example
 	var rows [][]exec.Value
-	schema, transfers, err := run.ExecuteStream(ext, consts, func(b [][]exec.Value) error {
+	schema, transfers, err := run.ExecuteStreamCtx(nil, ext, consts, func(b [][]exec.Value) error {
 		rows = append(rows, b...)
 		return nil
 	})
@@ -131,7 +131,7 @@ func TestExecuteStreamMatchesMaterializing(t *testing.T) {
 // build side is empty must still drain its probe side, or the probe
 // fragment's producer would block forever on the bounded exchange channel
 // (regression test: BatchSize 1 makes the 8-row probe stream exceed the
-// channel depth, so an undrained producer deadlocks ExecuteStream).
+// channel depth, so an undrained producer deadlocks ExecuteStreamCtx).
 func TestExecuteStreamEmptyProductDrainsProbe(t *testing.T) {
 	cat := exampleCatalog()
 	// The planner pushes the selection onto Ins, leaving an implicit
@@ -174,7 +174,7 @@ func TestExecuteStreamEmptyProductDrainsProbe(t *testing.T) {
 	finished := make(chan error, 1)
 	var rows [][]exec.Value
 	go func() {
-		_, _, err := run.ExecuteStream(ext, consts, func(b [][]exec.Value) error {
+		_, _, err := run.ExecuteStreamCtx(nil, ext, consts, func(b [][]exec.Value) error {
 			rows = append(rows, b...)
 			return nil
 		})
@@ -186,7 +186,7 @@ func TestExecuteStreamEmptyProductDrainsProbe(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("ExecuteStream deadlocked on an empty product build side")
+		t.Fatal("ExecuteStreamCtx deadlocked on an empty product build side")
 	}
 	if len(rows) != 0 {
 		t.Fatalf("empty product produced %d rows", len(rows))
@@ -220,7 +220,7 @@ func TestExecuteStreamConcurrent(t *testing.T) {
 			run := nw.Clone()
 			run.BatchSize = batch
 			var rows [][]exec.Value
-			schema, _, err := run.ExecuteStream(ext, consts, func(b [][]exec.Value) error {
+			schema, _, err := run.ExecuteStreamCtx(nil, ext, consts, func(b [][]exec.Value) error {
 				rows = append(rows, b...)
 				return nil
 			})

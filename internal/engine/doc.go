@@ -14,7 +14,7 @@
 //     under a read lock on the authorization state, so every admitted plan is
 //     consistent with the version it reports.
 //
-//   - A parallel distributed runtime (distsim.ExecuteStream): plan
+//   - A parallel distributed runtime (distsim.ExecuteStreamCtx): plan
 //     fragments execute as per-subject workers exchanging columnar batches
 //     over channels, so independent subtrees of the assigned plan run
 //     concurrently, and concurrent queries never share mutable executor

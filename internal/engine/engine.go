@@ -117,11 +117,6 @@ type Config struct {
 	// Faults arms the fault-injection harness on every prepared network
 	// (chaos tests only; see distsim.Faults). Nil in production.
 	Faults *distsim.Faults
-	// PlannerMode selects the join-ordering strategy: planner.ModeCost
-	// (default, also "") plans left-deep in FROM order with textbook
-	// selectivity estimation; planner.ModeGreedy orders joins greedily from
-	// predicate patterns without trusting statistics.
-	PlannerMode planner.Mode
 }
 
 const defaultCacheSize = 256
@@ -163,12 +158,6 @@ func New(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("engine: config needs the querying user")
 	case len(cfg.Subjects) == 0:
 		return nil, fmt.Errorf("engine: config needs candidate subjects")
-	}
-	switch cfg.PlannerMode {
-	case "", planner.ModeCost, planner.ModeGreedy:
-	default:
-		return nil, fmt.Errorf("engine: unknown planner mode %q (want %s or %s)",
-			cfg.PlannerMode, planner.ModeCost, planner.ModeGreedy)
 	}
 	if cfg.Workers > 1 || cfg.MorselRows != 0 {
 		return nil, fmt.Errorf("engine: morsel parallelism was removed: Workers must be 0 or 1 and MorselRows 0 (got %d and %d)",
@@ -290,7 +279,6 @@ func (e *Engine) QueryCtx(ctx context.Context, query string) (*Response, error) 
 // retry could starve cold queries forever. Either way a served plan is
 // always authorized under exactly the version it reports.
 func (e *Engine) admit(stmt *sql.SelectStmt, fp string) (*preparedQuery, bool, error) {
-	opts := planner.PlanOptions{Mode: e.cfg.PlannerMode}
 	for attempt := 0; ; attempt++ {
 		e.mu.RLock()
 		version := e.policy.Version()
@@ -299,7 +287,7 @@ func (e *Engine) admit(stmt *sql.SelectStmt, fp string) (*preparedQuery, bool, e
 			return pq, true, nil
 		}
 		if attempt >= maxOptimisticPrepares {
-			pq, err := e.prepare(stmt, version, e.policy, opts)
+			pq, err := e.prepare(stmt, version, e.policy)
 			if err == nil {
 				e.cache.put(fp, pq)
 			}
@@ -309,7 +297,7 @@ func (e *Engine) admit(stmt *sql.SelectStmt, fp string) (*preparedQuery, bool, e
 		snap := e.policy.Clone()
 		e.mu.RUnlock()
 
-		pq, err := e.prepare(stmt, version, snap, opts)
+		pq, err := e.prepare(stmt, version, snap)
 
 		e.mu.RLock()
 		current := e.policy.Version()
@@ -329,12 +317,12 @@ func (e *Engine) admit(stmt *sql.SelectStmt, fp string) (*preparedQuery, bool, e
 // prepare runs the full paper pipeline for one parsed statement against pol
 // (a consistent snapshot of — or, under the read lock, the live —
 // authorization state at the given version).
-func (e *Engine) prepare(stmt *sql.SelectStmt, version uint64, pol authz.Viewer, opts planner.PlanOptions) (*preparedQuery, error) {
+func (e *Engine) prepare(stmt *sql.SelectStmt, version uint64, pol authz.Viewer) (*preparedQuery, error) {
 	sys := core.NewSystem(pol, e.cfg.Subjects...)
 	sys.Caps = e.sys.Caps
 	sys.Types = e.sys.Types
 	planStart := time.Now()
-	plan, err := e.planner.PlanWith(stmt, opts)
+	plan, err := e.planner.Plan(stmt)
 	if err != nil {
 		return nil, err
 	}

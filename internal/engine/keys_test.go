@@ -6,7 +6,6 @@ import (
 	"mpq/internal/algebra"
 	"mpq/internal/authz"
 	"mpq/internal/crypto"
-	"mpq/internal/planner"
 	"mpq/internal/sql"
 	"mpq/internal/tpch"
 )
@@ -34,7 +33,7 @@ func TestKeyMaterialDef61(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pq, err := eng.prepare(stmt, eng.policy.Version(), eng.policy, planner.PlanOptions{})
+			pq, err := eng.prepare(stmt, eng.policy.Version(), eng.policy)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", sc, q.Name, err)
 			}

@@ -89,16 +89,6 @@ func (f *TrackedSpillFactory) NewRun() (SpillRun, error) {
 	return tr, nil
 }
 
-// Live reports how many created runs have not been released yet.
-func (f *TrackedSpillFactory) Live() int {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.live)
-}
-
 // Sweep releases every still-live run. Call it only after every goroutine
 // of the run has stopped (post wg.Wait): releasing a run another goroutine
 // is still appending to would corrupt nothing on disk — Release is an

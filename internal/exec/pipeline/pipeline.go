@@ -16,19 +16,14 @@ import (
 	"mpq/internal/exec"
 )
 
-// Pump opens op, forwards every batch to emit, and closes it. It is the
-// producer side of a batch exchange: fragment workers pump their compiled
-// sub-plan into the channel feeding the consuming subject (an emit error
-// aborts the pump and is returned).
-func Pump(op exec.Operator, emit func(*exec.Batch) error) error {
-	return PumpContext(nil, op, emit)
-}
-
-// PumpContext is Pump with a per-batch cancellation probe: between batches
-// it checks ctx (nil = never cancelled, identical to Pump), so a cancelled
-// or deadline-expired run stops pumping within one batch even when the
-// operator tree contains no context-aware leaf (pure exchange-fed
-// fragments). The operator is closed on every exit path.
+// PumpContext opens op, forwards every batch to emit, and closes it. It is
+// the producer side of a batch exchange: fragment workers pump their
+// compiled sub-plan into the channel feeding the consuming subject (an emit
+// error aborts the pump and is returned). Between batches it checks ctx
+// (nil = never cancelled), so a cancelled or deadline-expired run stops
+// pumping within one batch even when the operator tree contains no
+// context-aware leaf (pure exchange-fed fragments). The operator is closed
+// on every exit path.
 func PumpContext(ctx context.Context, op exec.Operator, emit func(*exec.Batch) error) error {
 	if err := op.Open(); err != nil {
 		op.Close()

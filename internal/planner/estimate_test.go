@@ -30,8 +30,8 @@ func av(rel, col string, op sql.CompareOp) *algebra.CmpAV {
 }
 
 // TestSelectivityGoldens pins the estimator's range, LIKE, inequality, and
-// missing-statistics branches so greedy-vs-cost A/B regressions are
-// attributable to ordering, not to silent estimator drift.
+// missing-statistics branches, so a change in plan cost is never silent
+// estimator drift.
 func TestSelectivityGoldens(t *testing.T) {
 	est := newEstimator(statCatalog())
 	cases := []struct {

@@ -166,16 +166,24 @@ func (b *binding) toPred(e sql.Expr) (algebra.Pred, error) {
 	return nil, fmt.Errorf("planner: unsupported expression %T", e)
 }
 
-// Plan builds the algebra plan for a parsed statement using the default
-// cost-based strategy (ModeCost).
-func (p *Planner) Plan(stmt *sql.SelectStmt) (*Plan, error) {
-	return p.PlanWith(stmt, PlanOptions{})
+// PlanOptions parameterizes nothing: the planner has one join order.
+//
+// Deprecated: kept only for callers of PlanWith; use Plan.
+type PlanOptions struct{}
+
+// PlanWith is Plan; the options are ignored.
+//
+// Deprecated: use Plan.
+func (p *Planner) PlanWith(stmt *sql.SelectStmt, _ PlanOptions) (*Plan, error) {
+	return p.Plan(stmt)
 }
 
-// PlanWith builds the algebra plan for a parsed statement under explicit
-// planning options (the join-ordering mode).
-func (p *Planner) PlanWith(stmt *sql.SelectStmt, opts PlanOptions) (*Plan, error) {
-	greedy := opts.Mode == ModeGreedy
+// Plan builds the algebra plan for a parsed statement: projections and
+// selections pushed down into the leaves, and a left-deep join tree in FROM
+// order with textbook selectivity estimates. The join order is the
+// statement's own: the paper takes the plan as input (its tool read plans
+// from PostgreSQL), and the assignment search starts from it.
+func (p *Planner) Plan(stmt *sql.SelectStmt) (*Plan, error) {
 	b, err := bindStmt(p.Catalog, stmt)
 	if err != nil {
 		return nil, err
@@ -324,7 +332,10 @@ func (p *Planner) PlanWith(stmt *sql.SelectStmt, opts PlanOptions) (*Plan, error
 	// conjuncts, and residual conjuncts.
 	var relConj = make(map[string][]algebra.Pred)
 	var joinConj, residual []algebra.Pred
-	classify := func(c algebra.Pred) {
+	for _, c := range algebra.Conjuncts(where) {
+		if aggRefs(c) {
+			return nil, fmt.Errorf("planner: aggregate in WHERE clause")
+		}
 		rels := relationsOf(c)
 		switch {
 		case len(rels) == 1 && isPushable(c):
@@ -335,27 +346,6 @@ func (p *Planner) PlanWith(stmt *sql.SelectStmt, opts PlanOptions) (*Plan, error
 			joinConj = append(joinConj, c)
 		default:
 			residual = append(residual, c)
-		}
-	}
-	for _, c := range algebra.Conjuncts(where) {
-		if aggRefs(c) {
-			return nil, fmt.Errorf("planner: aggregate in WHERE clause")
-		}
-		classify(c)
-	}
-	if greedy {
-		// Greedy ordering detaches ON conditions from their FROM
-		// positions: their conjuncts join the shared pools (pushable
-		// ones reach the scans, join conjuncts attach at whichever join
-		// first makes them evaluable) so the order is free to deviate
-		// from the statement. Inner-join semantics make this
-		// equivalence-preserving: every conjunct is still applied
-		// exactly once, at or above the point its attributes meet.
-		for i, on := range joinOn {
-			for _, c := range algebra.Conjuncts(on) {
-				classify(c)
-			}
-			joinOn[i] = nil
 		}
 	}
 
@@ -380,17 +370,12 @@ func (p *Planner) PlanWith(stmt *sql.SelectStmt, opts PlanOptions) (*Plan, error
 		scans[rel.Name] = n
 	}
 
-	// Left-deep join tree: FROM order under ModeCost, greedy
-	// pattern-based order under ModeGreedy.
-	order := b.inOrder
-	if greedy {
-		order = greedyOrder(b.inOrder, relConj, joinConj)
-	}
-	cur := scans[order[0].Name]
+	// Left-deep join tree in FROM order.
+	cur := scans[b.inOrder[0].Name]
 	joined := algebra.NewAttrSet(cur.Schema()...)
 	pendingJoin := append([]algebra.Pred{}, joinConj...)
-	for i := 1; i < len(order); i++ {
-		rel := order[i]
+	for i := 1; i < len(b.inOrder); i++ {
+		rel := b.inOrder[i]
 		right := scans[rel.Name]
 		available := joined.Union(algebra.NewAttrSet(right.Schema()...))
 		var conds []algebra.Pred

@@ -253,3 +253,100 @@ func findGroupBy(t *testing.T, root algebra.Node) *algebra.GroupBy {
 	}
 	return g
 }
+
+// chainCatalog builds three relations joinable in a chain R—S—T, with
+// uniquely named columns so unqualified references resolve.
+func chainCatalog() *algebra.Catalog {
+	cat := algebra.NewCatalog()
+	cat.Add(&algebra.Relation{Name: "R", Authority: "X", Rows: 100000, Columns: []algebra.Column{
+		{Name: "ra", Type: algebra.TInt, Width: 4, Distinct: 100000},
+	}})
+	cat.Add(&algebra.Relation{Name: "S", Authority: "X", Rows: 50000, Columns: []algebra.Column{
+		{Name: "sb", Type: algebra.TInt, Width: 4, Distinct: 50000},
+		{Name: "sc", Type: algebra.TInt, Width: 4, Distinct: 50000},
+	}})
+	cat.Add(&algebra.Relation{Name: "T", Authority: "X", Rows: 80000, Columns: []algebra.Column{
+		{Name: "td", Type: algebra.TInt, Width: 4, Distinct: 80000},
+		{Name: "te", Type: algebra.TInt, Width: 4, Distinct: 10},
+	}})
+	return cat
+}
+
+func mustPlanChain(t *testing.T, q string) *Plan {
+	t.Helper()
+	p, err := New(chainCatalog()).PlanSQL(q)
+	if err != nil {
+		t.Fatalf("PlanSQL(%q): %v", q, err)
+	}
+	return p
+}
+
+// leftmostBase returns the base relation at the bottom of the left spine —
+// the relation a left-deep join order starts from.
+func leftmostBase(t *testing.T, root algebra.Node) string {
+	t.Helper()
+	n := root
+	for {
+		if b, ok := n.(*algebra.Base); ok {
+			return b.Name
+		}
+		cs := n.Children()
+		if len(cs) == 0 {
+			t.Fatalf("leaf %s is not a base relation", n.Op())
+		}
+		n = cs[0]
+	}
+}
+
+func countOps(root algebra.Node) (joins, products int) {
+	algebra.PostOrder(root, func(n algebra.Node) {
+		switch n.(type) {
+		case *algebra.Join:
+			joins++
+		case *algebra.Product:
+			products++
+		}
+	})
+	return
+}
+
+// TestJoinOrderFollowsFrom: the left-deep join tree starts from the first
+// FROM relation whatever the predicates' selectivity (T carries the only
+// equality), with comma joins and explicit JOIN ... ON alike, and a chain
+// R—S—T plans with no cartesian product.
+func TestJoinOrderFollowsFrom(t *testing.T) {
+	for _, q := range []string{
+		"select ra from R, S, T where ra = sb and sc = td and te = 1",
+		"select ra from R join S on ra = sb join T on sc = td where te = 1",
+	} {
+		p := mustPlanChain(t, q)
+		if got := leftmostBase(t, p.Root); got != "R" {
+			t.Errorf("%q: join order starts at %s, want R (FROM order)", q, got)
+		}
+		if joins, products := countOps(p.Root); joins != 2 || products != 0 {
+			t.Errorf("%q: %d joins, %d products; want 2 joins, 0 products", q, joins, products)
+		}
+	}
+}
+
+// TestDisconnectedFromPlansAsProduct: relations sharing no join condition
+// still plan, as one cartesian product.
+func TestDisconnectedFromPlansAsProduct(t *testing.T) {
+	p := mustPlanChain(t, "select ra from R, T")
+	if joins, products := countOps(p.Root); joins != 0 || products != 1 {
+		t.Errorf("%d joins, %d products; want the product", joins, products)
+	}
+}
+
+// TestSingleAndTwoRelations: degenerate FROM clauses plan, with the one
+// output column selected.
+func TestSingleAndTwoRelations(t *testing.T) {
+	for _, q := range []string{
+		"select ra from R where ra = 1",
+		"select ra from R join S on ra = sb",
+	} {
+		if p := mustPlanChain(t, q); len(p.Output) != 1 {
+			t.Errorf("%q: %d output columns, want 1", q, len(p.Output))
+		}
+	}
+}

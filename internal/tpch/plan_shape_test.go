@@ -5,7 +5,6 @@ import (
 
 	"mpq/internal/algebra"
 	"mpq/internal/planner"
-	"mpq/internal/sql"
 )
 
 // TestTPCHPlansRespectPushdown verifies the classical-optimization
@@ -81,96 +80,6 @@ func TestTPCHJoinCounts(t *testing.T) {
 		})
 		if joins != leaves-1 {
 			t.Errorf("Q%d: %d joins for %d leaves", q.Num, joins, leaves)
-		}
-	}
-}
-
-// TestTPCHGreedyPlanShapes runs the whole workload through the
-// statistics-free greedy mode and checks the same structural guarantees the
-// cost mode provides: every query stays join-connected (no cartesian
-// products — greedy's connected-first expansion must find the join graph),
-// joins exactly its FROM relations, keeps pushed-down filters below joins,
-// and resolves its outputs. It also pins one ordering difference so the two
-// modes demonstrably diverge: Q3 anchors on the relation carrying the
-// equality pattern (customer's c_mktsegment) rather than FROM order.
-func TestTPCHGreedyPlanShapes(t *testing.T) {
-	cat := Catalog(1)
-	pl := planner.New(cat)
-	for _, q := range Queries() {
-		stmt, err := sql.Parse(q.SQL)
-		if err != nil {
-			t.Fatalf("Q%d: %v", q.Num, err)
-		}
-		plan, err := pl.PlanWith(stmt, planner.PlanOptions{Mode: planner.ModeGreedy})
-		if err != nil {
-			t.Fatalf("Q%d (greedy): %v", q.Num, err)
-		}
-		leaves, joins := 0, 0
-		algebra.PostOrder(plan.Root, func(n algebra.Node) {
-			switch x := n.(type) {
-			case *algebra.Base:
-				leaves++
-			case *algebra.Join:
-				joins++
-			case *algebra.Product:
-				t.Errorf("Q%d (greedy): cartesian product in plan", q.Num)
-			case *algebra.Select:
-				if _, overJoin := x.Child.(*algebra.Join); overJoin {
-					rels := map[string]bool{}
-					aggs := false
-					algebra.WalkPred(x.Pred, func(p algebra.Pred) {
-						switch c := p.(type) {
-						case *algebra.CmpAV:
-							rels[c.A.Rel] = true
-							if c.Agg != "" {
-								aggs = true
-							}
-						case *algebra.CmpAA:
-							rels[c.L.Rel] = true
-							rels[c.R.Rel] = true
-						}
-					})
-					if len(rels) == 1 && !aggs {
-						t.Errorf("Q%d (greedy): single-relation filter %s left above a join", q.Num, x.Pred)
-					}
-				}
-			}
-		})
-		if joins != leaves-1 {
-			t.Errorf("Q%d (greedy): %d joins for %d leaves", q.Num, joins, leaves)
-		}
-		width := len(plan.Root.Schema())
-		for _, oc := range plan.Output {
-			if oc.Index < 0 || oc.Index >= width {
-				t.Errorf("Q%d (greedy): output %q index %d out of range %d", q.Num, oc.Name, oc.Index, width)
-			}
-		}
-	}
-
-	// Ordering divergence pin: Q3 joins customer ⋈ orders ⋈ lineitem and
-	// only customer carries an equality pattern, so greedy starts there;
-	// cost mode keeps the FROM order, which also begins at customer — use
-	// Q5 instead, whose FROM starts at customer but whose region filter
-	// (r_name = '...') makes region the greedy anchor.
-	for _, q := range Queries() {
-		if q.Num != 5 {
-			continue
-		}
-		stmt, _ := sql.Parse(q.SQL)
-		plan, err := pl.PlanWith(stmt, planner.PlanOptions{Mode: planner.ModeGreedy})
-		if err != nil {
-			t.Fatalf("Q5 (greedy): %v", err)
-		}
-		n := plan.Root
-		for {
-			cs := n.Children()
-			if len(cs) == 0 {
-				break
-			}
-			n = cs[0]
-		}
-		if b, ok := n.(*algebra.Base); !ok || b.Name == "customer" {
-			t.Errorf("Q5 (greedy): join order still anchored at FROM head %v — pattern scoring had no effect", n.Op())
 		}
 	}
 }
