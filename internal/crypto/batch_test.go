@@ -183,7 +183,7 @@ func TestPaillierBatchDecryptIdentical(t *testing.T) {
 	for _, m := range msgs {
 		ms = append(ms, big.NewInt(m))
 	}
-	// Large enough to trigger the automatic fixed-base precomputation.
+	// Large enough to trigger the automatic randomizer-table precomputation.
 	for len(ms) < 3*paillierBatchPrecompute {
 		ms = append(ms, big.NewInt(int64(len(ms))))
 	}
@@ -192,7 +192,7 @@ func TestPaillierBatchDecryptIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !pk.Precomputed() {
-		t.Fatalf("batch of %d did not build the fixed-base table", len(ms))
+		t.Fatalf("batch of %d did not build the randomizer tables", len(ms))
 	}
 	for i, m := range ms {
 		got, err := pk.Decrypt(cts[i])

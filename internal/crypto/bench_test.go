@@ -6,7 +6,8 @@ import (
 )
 
 // Crypto microbenchmarks: the per-value entry points against the batched
-// ones, and Paillier with and without the fixed-base table. Recorded per-value costs are bench's crypto.*_ns_per_value.
+// ones, and Paillier with and without its randomizer tables. Recorded
+// per-value costs are bench's crypto.*_ns_per_value.
 
 const benchBatch = 1024
 
@@ -117,10 +118,9 @@ func BenchmarkOPEEncryptBatch(b *testing.B) {
 	}
 }
 
-// benchPaillierBits sizes the benchmark key: large enough that the
-// randomizer exponentiation dominates, small enough to keep -benchtime 1x
-// smoke runs fast.
-const benchPaillierBits = 256
+// benchPaillierBits sizes the benchmark key at the production default, so
+// the recorded figures are the ones a served query pays.
+const benchPaillierBits = DefaultPaillierBits
 
 func benchPaillierMessages(n int) []*big.Int {
 	ms := make([]*big.Int, n)
@@ -145,8 +145,8 @@ func BenchmarkPaillierEncryptValue(b *testing.B) {
 	}
 }
 
-// BenchmarkPaillierEncryptBatch measures EncryptBatch with the fixed-base
-// table built (sustained batch throughput).
+// BenchmarkPaillierEncryptBatch measures EncryptBatch with the randomizer
+// tables built (sustained batch throughput).
 func BenchmarkPaillierEncryptBatch(b *testing.B) {
 	pk, err := GeneratePaillier(benchPaillierBits)
 	if err != nil {
@@ -166,18 +166,20 @@ func BenchmarkPaillierEncryptBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkPaillierPrecompute measures the one-time fixed-base table
-// construction itself.
+// BenchmarkPaillierPrecompute measures the one-time table construction a
+// released key pays on its next batch.
 func BenchmarkPaillierPrecompute(b *testing.B) {
 	pk, err := GeneratePaillier(benchPaillierBits)
 	if err != nil {
 		b.Fatal(err)
 	}
-	hn := new(big.Int).Exp(big.NewInt(7), pk.N, pk.N2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		newFixedBase(hn, pk.N2, pk.N.BitLen(), fixedBaseWindow)
+		pk.ReleasePrecomputed()
+		if err := pk.Precompute(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -120,19 +120,6 @@ func TestPaillierHomomorphism(t *testing.T) {
 	if sum.Int64() != 70 {
 		t.Errorf("homomorphic sum = %v, want 70", sum)
 	}
-	scaled, _ := pk.Decrypt(pk.MulPlain(c1, big.NewInt(3)))
-	if scaled.Int64() != 300 {
-		t.Errorf("homomorphic scale = %v, want 300", scaled)
-	}
-	shifted, _ := pk.Decrypt(pk.AddPlain(c1, big.NewInt(5)))
-	if shifted.Int64() != 105 {
-		t.Errorf("homomorphic plain add = %v, want 105", shifted)
-	}
-	zero, _ := pk.EncryptZero()
-	same, _ := pk.Decrypt(pk.Add(c1, zero))
-	if same.Int64() != 100 {
-		t.Errorf("adding zero changed the value: %v", same)
-	}
 }
 
 func TestPaillierPropertySum(t *testing.T) {
@@ -171,6 +158,9 @@ func TestPaillierPublicOnly(t *testing.T) {
 	if err != nil || got.Int64() != 10 {
 		t.Errorf("provider-side add then authority decrypt = %v, %v", got, err)
 	}
+	// A public copy carries no factorization, so even a batch large enough
+	// to precompute stays on the textbook path.
+	checkTextbookBatch(t, pub, pk)
 }
 
 func TestPaillierMessageBounds(t *testing.T) {

@@ -8,13 +8,16 @@
 // the query-plan keys of Definition 6.1.
 //
 // Every scheme exposes batch entry points (EncryptBatch/DecryptBatch, plus
-// packed-arena EncryptArena variants for the symmetric schemes and
-// fixed-base randomizer precomputation for Paillier) that amortize cipher
-// setup across a whole column of cells; the execution engine's columnar
-// encrypt/decrypt operators call them with one batched call per column (or
-// per scheme-and-key group). Deterministic and OPE batch outputs are
-// bit-identical to the per-value calls; randomized and Paillier outputs
-// decrypt to the same plaintexts.
+// packed-arena EncryptArena variants for the symmetric schemes and, for
+// Paillier, fixed-base randomizer tables over p² and q² joined by CRT) that
+// amortize cipher setup across a whole column of cells; the execution
+// engine's columnar encrypt/decrypt operators call them with one batched
+// call per column (or per scheme-and-key group). Deterministic and OPE
+// batch outputs are bit-identical to the per-value calls; randomized and
+// Paillier outputs decrypt to the same plaintexts. A Paillier key builds
+// its tables only if it holds the factorization n = p·q; a randomizer from
+// them equals the one a single table over n² gives for the same base and
+// exponent.
 //
 // See docs/ARCHITECTURE.md at the repository root for how the crypto batch
 // path plugs into the columnar pipeline.

@@ -36,9 +36,9 @@ type Paillier struct {
 	hp, hq     *big.Int // Lp(g^(p-1) mod p²)⁻¹ mod p and the q analogue
 	qInvP      *big.Int // q⁻¹ mod p (Garner recombination)
 
-	// Fixed-base randomizer table, built lazily; see paillier_precomp.go.
+	// Randomizer tables over p² and q², built lazily; see paillier_precomp.go.
 	preMu sync.Mutex
-	pre   atomic.Pointer[fixedBase]
+	pre   atomic.Pointer[crtTables]
 }
 
 // ErrNoPrivateKey reports a decryption attempted with a public-only key.
@@ -145,8 +145,8 @@ func (p *Paillier) Encrypt(m *big.Int) (*big.Int, error) {
 	if new(big.Int).Abs(m).Cmp(half) >= 0 {
 		return nil, fmt.Errorf("crypto: paillier: message magnitude exceeds n/2")
 	}
-	// r^n mod n² for a fresh randomizer r: fixed-base when the key has been
-	// precomputed, else the textbook full-width exponentiation.
+	// r^n mod n² for a fresh randomizer r: from the CRT tables when the key
+	// has been precomputed, else the textbook full-width exponentiation.
 	rn, err := p.randomizer()
 	if err != nil {
 		return nil, err
@@ -207,25 +207,4 @@ func (p *Paillier) decryptCRT(c *big.Int) *big.Int {
 func (p *Paillier) Add(c1, c2 *big.Int) *big.Int {
 	out := new(big.Int).Mul(c1, c2)
 	return out.Mod(out, p.N2)
-}
-
-// AddPlain homomorphically adds a plaintext constant to a ciphertext.
-func (p *Paillier) AddPlain(c *big.Int, m *big.Int) *big.Int {
-	gm := new(big.Int).Mul(p.encodeSigned(m), p.N)
-	gm.Add(gm, big.NewInt(1))
-	gm.Mod(gm, p.N2)
-	out := new(big.Int).Mul(c, gm)
-	return out.Mod(out, p.N2)
-}
-
-// MulPlain homomorphically multiplies a ciphertext by a plaintext constant:
-// Dec(MulPlain(c, k)) = m · k.
-func (p *Paillier) MulPlain(c *big.Int, k *big.Int) *big.Int {
-	return new(big.Int).Exp(c, p.encodeSigned(k), p.N2)
-}
-
-// EncryptZero returns a fresh encryption of zero (the neutral element for
-// homomorphic accumulation).
-func (p *Paillier) EncryptZero() (*big.Int, error) {
-	return p.Encrypt(big.NewInt(0))
 }

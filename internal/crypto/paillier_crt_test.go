@@ -2,7 +2,9 @@ package crypto
 
 import (
 	"bytes"
+	"crypto/rand"
 	"encoding/gob"
+	"fmt"
 	"math/big"
 	"testing"
 )
@@ -109,6 +111,100 @@ func TestPaillierLegacyBlobFallsBack(t *testing.T) {
 	if err != nil || m.Int64() != 314159 {
 		t.Fatalf("legacy decrypt = %v, %v", m, err)
 	}
+	// Without the factor there are no CRT tables: a batch encrypts on the
+	// textbook path and both the legacy key and the original decrypt it.
+	checkTextbookBatch(t, got.PK, got.PK)
+	checkTextbookBatch(t, got.PK, kr.PK)
+}
+
+// checkTextbookBatch encrypts a 48-value batch with enc, requires that enc
+// built no randomizer tables, and decrypts every value with holder.
+func checkTextbookBatch(t *testing.T, enc, holder *Paillier) {
+	t.Helper()
+	ms := make([]*big.Int, 48)
+	for i := range ms {
+		ms[i] = big.NewInt(int64(i*7919 - 100000))
+	}
+	cts, err := enc.EncryptBatch(ms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if enc.Precomputed() {
+		t.Fatal("key without its factorization built randomizer tables")
+	}
+	for i, m := range ms {
+		got, err := holder.Decrypt(cts[i])
+		if err != nil || got.Cmp(m) != 0 {
+			t.Fatalf("Decrypt(batch[%d]) = %v, %v; want %v", i, got, err, m)
+		}
+	}
+}
+
+// TestPaillierCRTRandomizerMatchesFullWidth proves the half-width tables
+// compute exactly what one full-width exponentiation over n² would: for one
+// h, hn = h^n mod n² and every ρ checked, the CRT randomizer equals
+// hn^ρ mod n² bit for bit, at a test size and at the production size.
+func TestPaillierCRTRandomizerMatchesFullWidth(t *testing.T) {
+	for _, bits := range []int{96, DefaultPaillierBits} {
+		t.Run(fmt.Sprint(bits), func(t *testing.T) {
+			pk, err := GeneratePaillier(bits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := randomUnit(pk.N)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tabs := pk.newCRTTables(h)
+			hn := new(big.Int).Exp(h, pk.N, pk.N2)
+			one := big.NewInt(1)
+			rhos := []*big.Int{
+				big.NewInt(0), one,
+				new(big.Int).Sub(pk.p, one),
+				new(big.Int).Sub(pk.q, one),
+				new(big.Int).Mul(pk.pOrd, pk.qOrd),
+				new(big.Int).Sub(tabs.rhoMax, one),
+			}
+			for i := 0; i < 200; i++ {
+				rho, err := rand.Int(rand.Reader, tabs.rhoMax)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rhos = append(rhos, rho)
+			}
+			for _, rho := range rhos {
+				if got, want := tabs.exp(rho), new(big.Int).Exp(hn, rho, pk.N2); got.Cmp(want) != 0 {
+					t.Fatalf("ρ=%v: CRT randomizer %v, full width %v", rho, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestPaillierCRTRandomizerAllocs guards the allocation count of one
+// table randomizer at the production key size. The bound sits far below
+// one allocation per window digit (206 digits over both tables), so a table
+// product that allocates its result again fails it.
+func TestPaillierCRTRandomizerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	pk, err := GeneratePaillier(DefaultPaillierBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pk.Precompute(); err != nil {
+		t.Fatal(err)
+	}
+	const maxAllocs = 48
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := pk.randomizer(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > maxAllocs {
+		t.Fatalf("one randomizer allocates %.0f values, want <= %d", allocs, maxAllocs)
+	}
 }
 
 // TestPaillierHostileFactorRejected feeds blobs whose factor field does not
@@ -140,10 +236,11 @@ func TestPaillierHostileFactorRejected(t *testing.T) {
 	}
 }
 
-// BenchmarkPaillierDecryptCRT / BenchmarkPaillierDecryptTextbook pin the
-// speedup the CRT path buys on a production-width modulus.
+// BenchmarkPaillierDecrypt (the CRT path every holder takes) and
+// BenchmarkPaillierDecryptTextbook pin the speedup the CRT path buys on a
+// production-width modulus.
 func benchPaillierDecrypt(b *testing.B, crt bool) {
-	pk, err := GeneratePaillier(512)
+	pk, err := GeneratePaillier(DefaultPaillierBits)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -164,5 +261,5 @@ func benchPaillierDecrypt(b *testing.B, crt bool) {
 	}
 }
 
-func BenchmarkPaillierDecryptCRT(b *testing.B)      { benchPaillierDecrypt(b, true) }
+func BenchmarkPaillierDecrypt(b *testing.B)         { benchPaillierDecrypt(b, true) }
 func BenchmarkPaillierDecryptTextbook(b *testing.B) { benchPaillierDecrypt(b, false) }

@@ -8,18 +8,19 @@ import (
 
 // Paillier encryption spends almost all of its time computing the
 // randomizer r^n mod n² (with g = n+1, the message part g^m is a single
-// multiplication). A fixed-base windowed exponentiation table cuts that
-// cost: at first batch use (or an explicit Precompute call) the key picks a
-// random unit h, computes hn = h^n mod n², and tabulates hn^(j·2^(i·w)) for
-// every window digit. A randomizer is then hn^ρ for a fresh random ρ — one
-// table multiplication per window digit, no squarings. Any such value is a
-// valid Paillier randomizer ((h^ρ)^n), so ciphertexts decrypt exactly as
+// multiplication). At first batch use (or an explicit Precompute call) a
+// key that knows n = p·q picks a random unit h and tabulates hn = h^n mod
+// n² modulo p² and modulo q² for every window digit. A randomizer is then
+// hn^ρ for a fresh random ρ: T_p(ρ mod (p−1)) and T_q(ρ mod (q−1)) — one
+// half-width table multiplication per window digit, no squarings — joined
+// by Garner recombination. hn has order dividing p−1 in Z*_{p²} (and q−1
+// in Z*_{q²}), so the result is bit-identical to hn^ρ mod n². Any such
+// value is a valid randomizer ((h^ρ)^n), so ciphertexts decrypt exactly as
 // before; only the (still computationally hidden) randomizer distribution
-// differs, which the decrypt-equivalence oracle accepts.
-//
-// Per-value Encrypt keeps the textbook path until a precomputation is
-// requested; EncryptBatch precomputes automatically for batches worth the
-// table construction.
+// differs from the textbook one, which the decrypt-equivalence oracle
+// accepts. Keys without the factorization (Public copies, legacy wire
+// blobs) build no tables and keep the textbook path, as does per-value
+// Encrypt until a precomputation is requested.
 
 // fixedBaseWindow is the window width in bits of the precomputed tables: a
 // digits×(2^w-1) table turns an e-bit exponentiation into ceil(e/w)
@@ -27,75 +28,102 @@ import (
 const fixedBaseWindow = 5
 
 // paillierBatchPrecompute is the batch size from which EncryptBatch builds
-// the fixed-base table on first use.
+// the randomizer tables on first use.
 const paillierBatchPrecompute = 16
 
 // fixedBase is a windowed fixed-base exponentiation table: table[i][j-1]
 // holds base^(j·2^(i·w)) mod m, so x = base^e is the product of one table
 // entry per non-zero window digit of e.
 type fixedBase struct {
-	window  uint
-	m       *big.Int
-	expBits int
-	table   [][]*big.Int
+	m     *big.Int
+	table [][]*big.Int
 }
 
 // newFixedBase tabulates base^(j·2^(i·w)) mod m for exponents up to expBits
-// bits.
-func newFixedBase(base, m *big.Int, expBits int, window uint) *fixedBase {
-	digits := (expBits + int(window) - 1) / int(window)
-	if digits < 1 {
-		digits = 1
+// bits. Entries are tight copies, not the products' double-width buffers.
+func newFixedBase(base, m *big.Int, expBits int) *fixedBase {
+	digits := (expBits + fixedBaseWindow - 1) / fixedBaseWindow
+	fb := &fixedBase{m: m, table: make([][]*big.Int, digits)}
+	var prod, quo, rem big.Int
+	mulMod := func(x, y *big.Int) *big.Int {
+		quo.QuoRem(prod.Mul(x, y), m, &rem)
+		return new(big.Int).Set(&rem)
 	}
-	size := (1 << window) - 1
-	fb := &fixedBase{window: window, m: m, expBits: digits * int(window), table: make([][]*big.Int, digits)}
-	cur := new(big.Int).Set(base)
-	for i := 0; i < digits; i++ {
-		row := make([]*big.Int, size)
-		row[0] = new(big.Int).Set(cur)
-		for j := 1; j < size; j++ {
-			row[j] = new(big.Int).Mul(row[j-1], cur)
-			row[j].Mod(row[j], m)
+	cur := base
+	for i := range fb.table {
+		row := make([]*big.Int, 1<<fixedBaseWindow-1)
+		row[0] = cur
+		for j := 1; j < len(row); j++ {
+			row[j] = mulMod(row[j-1], cur)
 		}
 		fb.table[i] = row
-		// cur ← base^(2^((i+1)·w)) = row[last] · cur.
-		cur.Mul(row[size-1], cur)
-		cur.Mod(cur, m)
+		cur = mulMod(row[len(row)-1], cur) // base^(2^((i+1)·w))
 	}
 	return fb
 }
 
-// Exp computes base^e mod m for 0 ≤ e < 2^expBits using only table
-// multiplications.
+// Exp computes base^e mod m for 0 ≤ e < 2^(w·len(table)) using only table
+// multiplications, each into a scratch product reduced into the result, so
+// the loop reuses three buffers instead of allocating two per digit.
 func (fb *fixedBase) Exp(e *big.Int) *big.Int {
 	out := big.NewInt(1)
-	mask := uint((1 << fb.window) - 1)
+	var prod, quo big.Int
 	for i, row := range fb.table {
-		d := digitAt(e, uint(i)*fb.window, fb.window) & mask
+		var d uint
+		for b := 0; b < fixedBaseWindow; b++ {
+			d |= e.Bit(i*fixedBaseWindow+b) << b
+		}
 		if d != 0 {
-			out.Mul(out, row[d-1])
-			out.Mod(out, fb.m)
+			quo.QuoRem(prod.Mul(out, row[d-1]), fb.m, out)
 		}
 	}
 	return out
 }
 
-// digitAt extracts w bits of e starting at bit position pos.
-func digitAt(e *big.Int, pos, w uint) uint {
-	var d uint
-	for b := uint(0); b < w; b++ {
-		if e.Bit(int(pos+b)) == 1 {
-			d |= 1 << b
-		}
-	}
-	return d
+// crtTables are a key's randomizer tables: hn mod p² and hn mod q².
+type crtTables struct {
+	key     *Paillier
+	tp, tq  *fixedBase
+	q2InvP2 *big.Int // (q²)⁻¹ mod p² (Garner recombination)
+	// rhoMax bounds ρ at n's width rounded up to a window, so ρ mod (p−1)
+	// and ρ mod (q−1) are close to uniform.
+	rhoMax *big.Int
 }
 
-// Precompute builds the fixed-base randomizer table of the key (idempotent,
-// safe for concurrent use). Encrypt and EncryptBatch then derive
-// randomizers from the table instead of a fresh full-width exponentiation.
+// newCRTTables tabulates hn = h^n mod n² modulo p² and q² (hn mod p² is
+// h^n mod p², so the full-width hn is never formed) for a key that carries
+// its factorization.
+func (p *Paillier) newCRTTables(h *big.Int) *crtTables {
+	rhoBits := (p.N.BitLen() + fixedBaseWindow - 1) / fixedBaseWindow * fixedBaseWindow
+	return &crtTables{
+		key:     p,
+		tp:      newFixedBase(new(big.Int).Exp(h, p.N, p.p2), p.p2, p.pOrd.BitLen()),
+		tq:      newFixedBase(new(big.Int).Exp(h, p.N, p.q2), p.q2, p.qOrd.BitLen()),
+		q2InvP2: new(big.Int).ModInverse(p.q2, p.p2),
+		rhoMax:  new(big.Int).Lsh(big.NewInt(1), uint(rhoBits)),
+	}
+}
+
+// exp returns hn^ρ mod n² for ρ ≥ 0 as x = rq + q²·((rp − rq)·(q²)⁻¹ mod
+// p²), the unique x < n² with x ≡ rp (mod p²) and x ≡ rq (mod q²).
+func (t *crtTables) exp(rho *big.Int) *big.Int {
+	k := t.key
+	var e, quo big.Int
+	quo.QuoRem(rho, k.pOrd, &e)
+	rp := t.tp.Exp(&e)
+	quo.QuoRem(rho, k.qOrd, &e)
+	rq := t.tq.Exp(&e)
+	quo.QuoRem(e.Mul(rp.Sub(rp, rq), t.q2InvP2), k.p2, rp)
+	if rp.Sign() < 0 {
+		rp.Add(rp, k.p2)
+	}
+	return e.Add(e.Mul(rp, k.q2), rq)
+}
+
+// Precompute builds the key's randomizer tables (idempotent, safe for
+// concurrent use); a key without its factorization builds none.
 func (p *Paillier) Precompute() error {
-	if p.pre.Load() != nil {
+	if p.p == nil || p.pre.Load() != nil {
 		return nil
 	}
 	p.preMu.Lock()
@@ -109,35 +137,29 @@ func (p *Paillier) Precompute() error {
 	if err != nil {
 		return err
 	}
-	hn := new(big.Int).Exp(h, p.N, p.N2)
-	p.pre.Store(newFixedBase(hn, p.N2, p.N.BitLen(), fixedBaseWindow))
+	p.pre.Store(p.newCRTTables(h))
 	return nil
 }
 
-// Precomputed reports whether the fixed-base table has been built.
+// Precomputed reports whether the randomizer tables have been built.
 func (p *Paillier) Precomputed() bool { return p.pre.Load() != nil }
 
-// ReleasePrecomputed drops the fixed-base table — 3.8 MB per key at 512-bit
-// primes. Calls in flight keep the table they loaded and later ones rebuild
-// it on demand through Precompute, so a caller that knows the key will not
-// encrypt for a while (a plan whose ciphertext is now cached) can hand the
-// memory back.
+// ReleasePrecomputed drops the randomizer tables — 1.3 MB per key at
+// 512-bit primes. Calls in flight keep the tables they loaded and later
+// ones rebuild them on demand through Precompute, so a caller that knows
+// the key will not encrypt for a while (a plan whose ciphertext is now
+// cached) can hand the memory back.
 func (p *Paillier) ReleasePrecomputed() { p.pre.Store(nil) }
 
-// randomizer derives one fresh randomizer hn^ρ from the table.
-func (fb *fixedBase) randomizer() (*big.Int, error) {
-	rho, err := rand.Int(rand.Reader, new(big.Int).Lsh(big.NewInt(1), uint(fb.expBits)))
-	if err != nil {
-		return nil, err
-	}
-	return fb.Exp(rho), nil
-}
-
-// randomizer returns r^n mod n² for a fresh randomizer r: from the
-// fixed-base table if built, else the textbook full-width exponentiation.
+// randomizer returns r^n mod n² for a fresh randomizer r: hn^ρ from the
+// tables if built, else the textbook full-width exponentiation.
 func (p *Paillier) randomizer() (*big.Int, error) {
-	if fb := p.pre.Load(); fb != nil {
-		return fb.randomizer()
+	if t := p.pre.Load(); t != nil {
+		rho, err := rand.Int(rand.Reader, t.rhoMax)
+		if err != nil {
+			return nil, err
+		}
+		return t.exp(rho), nil
 	}
 	r, err := randomUnit(p.N)
 	if err != nil {
@@ -161,7 +183,7 @@ func randomUnit(n *big.Int) (*big.Int, error) {
 }
 
 // EncryptBatch encrypts a column of signed integer messages, amortizing the
-// randomizer cost: it builds the fixed-base table once for batches of at
+// randomizer cost: it builds the randomizer tables once for batches of at
 // least paillierBatchPrecompute values. Ciphertexts are decrypt-identical to
 // per-value Encrypt results.
 func (p *Paillier) EncryptBatch(ms []*big.Int) ([]*big.Int, error) {

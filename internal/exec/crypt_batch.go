@@ -102,17 +102,6 @@ func encryptColumnPar(e *Executor, ring *crypto.KeyRing, scheme algebra.Scheme, 
 	minChunk := cryptoParMinCells
 	if scheme == algebra.SchemePaillier {
 		minChunk = cryptoParMinPaillier
-		// Build the fixed-base table once, outside the pool, so chunks
-		// never race to construct it back to back.
-		if len(vals) >= minChunk {
-			pk, err := ring.Paillier()
-			if err != nil {
-				return err
-			}
-			if err := pk.Precompute(); err != nil {
-				return err
-			}
-		}
 	}
 	return runChunks(len(vals), e.cryptoWorkers(), minChunk, func(lo, hi int) error {
 		return encryptColumnInto(ring, scheme, vals[lo:hi], dst[lo:hi])

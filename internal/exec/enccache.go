@@ -250,8 +250,9 @@ func (o *cachedEncryptOp) collect(b *Batch) (*Batch, error) {
 		o.filling, o.parts = false, nil
 		if pub != nil {
 			// The plan does not encrypt these columns again while the fill
-			// stands; the keys' fixed-base tables (megabytes each, most of a
-			// cached plan's heap) rebuild on demand if it ever does.
+			// stands; the keys' randomizer tables (over a megabyte each,
+			// most of a cached plan's heap) rebuild on demand if it ever
+			// does.
 			for _, pk := range o.phe {
 				pk.ReleasePrecomputed()
 			}

@@ -152,9 +152,9 @@ func TestEncCacheLifecycle(t *testing.T) {
 		if pub := f.e.enc.published(f.enc); pub != (i >= 1) {
 			t.Fatalf("run %d: published=%v", i, pub)
 		}
-		// Publishing hands back the Paillier key's fixed-base table.
+		// Publishing hands back the Paillier key's randomizer tables.
 		if f.ring.PK.Precomputed() != (i == 0) {
-			t.Fatalf("run %d: fixed-base table present=%v", i, f.ring.PK.Precomputed())
+			t.Fatalf("run %d: randomizer tables present=%v", i, f.ring.PK.Precomputed())
 		}
 	}
 }

@@ -18,7 +18,7 @@
 //	internal/core       minimum views, candidates Λ, minimal extension, keys (§5,6)
 //	internal/assignment cost-minimizing assignment (DP + exact refinement)
 //	internal/cost       the economic model of §7
-//	internal/crypto     deterministic/randomized AES, Paillier, OPE (batched, fixed-base precompute)
+//	internal/crypto     deterministic/randomized AES, Paillier, OPE (batched, CRT fixed-base randomizers)
 //	internal/exec       execution engine, incl. computation over ciphertexts
 //	internal/dispatch   Figure 8 sub-queries, signed/sealed envelopes
 //	internal/distsim    distributed execution simulation (streaming fragment workers + a materializing reference)
