@@ -9,10 +9,11 @@
 package main
 
 import (
+	"cmp"
 	"crypto/rsa"
 	"fmt"
 	"log"
-	"sort"
+	"slices"
 
 	"mpq/internal/algebra"
 	"mpq/internal/assignment"
@@ -90,10 +91,11 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nsealed %d sub-queries (signed by %s, encrypted per recipient)\n", len(envs), user.Subject)
-	for id, env := range envs {
+	for _, f := range d.Fragments {
+		env := envs[f.ID]
 		req, err := dispatch.Open(env, identities[env.To], user.Public())
 		if err != nil {
-			log.Fatalf("verification failed for %s: %v", id, err)
+			log.Fatalf("verification failed for %s: %v", f.ID, err)
 		}
 		fmt.Printf("  %s verified by %s\n", req.Fragment, req.To)
 	}
@@ -150,13 +152,19 @@ func main() {
 	fmt.Print(preview2.Format(headers))
 
 	// The ledger fills in completion order; print it in a stable one.
-	sort.Slice(nw.Transfers, func(i, j int) bool {
-		a, b := nw.Transfers[i], nw.Transfers[j]
-		return a.From < b.From || a.From == b.From && a.Rows < b.Rows
+	// Bytes are left out: Paillier ciphertexts vary in length with their
+	// randomness, so only the row counts repeat from run to run.
+	slices.SortFunc(nw.Transfers, func(a, b distsim.Transfer) int {
+		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To),
+			cmp.Compare(a.Rows, b.Rows), cmp.Compare(a.Op, b.Op))
 	})
-	fmt.Printf("\n== Network ledger: %d transfers, %d bytes total ==\n", len(nw.Transfers), nw.TotalBytes())
+	rows := 0
 	for _, t := range nw.Transfers {
-		fmt.Printf("  %s → %s: %d rows, %d bytes (for %s)\n", t.From, t.To, t.Rows, t.Bytes, trunc(t.Op, 48))
+		rows += t.Rows
+	}
+	fmt.Printf("\n== Network ledger: %d transfers, %d rows total ==\n", len(nw.Transfers), rows)
+	for _, t := range nw.Transfers {
+		fmt.Printf("  %s → %s: %d rows (for %s)\n", t.From, t.To, t.Rows, trunc(t.Op, 48))
 	}
 }
 

@@ -51,7 +51,7 @@ func TestDictWireAccounting(t *testing.T) {
 		t.Errorf("dict wire bytes = %d, want %d", got, 2*first+second)
 	}
 
-	// The non-dict layout of the same cells matches rowsBytes cell for cell.
+	// The non-dict layout of the same cells is accounted cell for cell.
 	vals := make([]exec.Value, len(codes))
 	rows := make([][]exec.Value, len(codes))
 	for i, c := range codes {
@@ -185,4 +185,16 @@ func TestDictStreamShipsFewerBytes(t *testing.T) {
 	}
 	t.Logf("shipped bytes: plain=%d dict=%d (%.1f%% saved)",
 		plainBytes, dictBytes, 100*float64(plainBytes-dictBytes)/float64(plainBytes))
+}
+
+// rowsBytes is the row-wise reference for batchBytes: each cell as
+// valueBytes accounts it.
+func rowsBytes(rows [][]exec.Value) int64 {
+	var total int64
+	for _, row := range rows {
+		for _, v := range row {
+			total += valueBytes(v)
+		}
+	}
+	return total
 }

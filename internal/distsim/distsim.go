@@ -24,26 +24,14 @@ type LinkDelay struct {
 	BytesPerSec float64
 }
 
-func (d *LinkDelay) delayFor(bytes int64) time.Duration {
-	if d == nil {
-		return 0
-	}
-	dur := d.RTT
-	if d.BytesPerSec > 0 {
-		dur += time.Duration(float64(bytes) / d.BytesPerSec * float64(time.Second))
-	}
-	return dur
-}
-
 // Transfer records one inter-subject shipment of an intermediate relation:
-// one ledger entry per cross-subject plan edge, whether the relation moved
-// as a stream of row batches (Batches > 1) whose bytes were accounted per
-// batch or in one piece (the Materializing reference).
+// one ledger entry per cross-subject plan edge, the relation having moved as
+// a stream of row batches whose bytes were accounted per batch.
 type Transfer struct {
 	From, To authz.Subject
 	Rows     int
 	Bytes    int64
-	Batches  int    // batches the shipment was split into (0 or 1 = whole)
+	Batches  int    // batches the shipment was split into
 	Op       string // the operation consuming the shipment
 }
 
@@ -61,16 +49,17 @@ type Network struct {
 	// BatchSize is the pipeline batch size handed to subject executors and
 	// the streaming exchanges (0 means exec.DefaultBatchSize).
 	BatchSize int
-	// Materializing selects the whole-relation runtime: subject executors
-	// evaluate row at a time and ExecuteParallel ships complete sub-results.
-	// Kept as the reference for the equivalence tests.
-	Materializing bool
 	// CryptoWorkers sizes the intra-batch crypto worker pool of every
 	// subject executor (0 = GOMAXPROCS, negative disables).
 	CryptoWorkers int
-	// ValueCrypto forces subject executors onto the per-value crypto path
-	// (the batched crypto engine's reference for the equivalence tests).
-	ValueCrypto bool
+	// Materializing selected a whole-relation runtime that shipped complete
+	// sub-results; ValueCrypto forced the per-value crypto path. Both
+	// were removed: the tests check the one runtime against a central
+	// row-at-a-time evaluation of the extended plan. The fields remain
+	// while bench/layers.go assigns them (ROADMAP item 3(a)).
+	//
+	// Deprecated: nothing reads them.
+	Materializing, ValueCrypto bool
 	// Workers and MorselRows sized the morsel worker pool inside each
 	// fragment, which has been removed: every fragment runs single-threaded
 	// on its own goroutine.
@@ -163,9 +152,7 @@ func (nw *Network) Clone() *Network {
 		preRings:      nw.preRings,
 		Delay:         nw.Delay,
 		BatchSize:     nw.BatchSize,
-		Materializing: nw.Materializing,
 		CryptoWorkers: nw.CryptoWorkers,
-		ValueCrypto:   nw.ValueCrypto,
 		MemBudget:     nw.MemBudget,
 		SpillDir:      nw.SpillDir,
 		Trace:         nw.Trace,
@@ -174,9 +161,7 @@ func (nw *Network) Clone() *Network {
 	for s, e := range nw.subjects {
 		ce := e.Clone()
 		ce.BatchSize = nw.BatchSize
-		ce.Materializing = nw.Materializing
 		ce.CryptoWorkers = nw.CryptoWorkers
-		ce.ValueCrypto = nw.ValueCrypto
 		c.subjects[s] = ce
 	}
 	return c
@@ -270,21 +255,6 @@ func (nw *Network) BytesBetween(from, to authz.Subject) int64 {
 	return total
 }
 
-// tableBytes measures the encoded size of a relation: fixed-width scalars,
-// string lengths, ciphertext lengths, Paillier group element sizes.
-func tableBytes(t *exec.Table) int64 { return rowsBytes(t.Rows) }
-
-// rowsBytes measures the encoded size of a batch of rows.
-func rowsBytes(rows [][]exec.Value) int64 {
-	var total int64
-	for _, row := range rows {
-		for _, v := range row {
-			total += valueBytes(v)
-		}
-	}
-	return total
-}
-
 // dictLedger tracks, for one edge, which dictionaries have already crossed
 // it: a dictionary's content ships once per edge, while every batch ships
 // only its 4-byte codes. Each producer goroutine owns one edge and one
@@ -297,11 +267,10 @@ func newDictLedger() *dictLedger { return &dictLedger{seen: make(map[any]bool)} 
 
 // batchBytes measures the encoded size of a columnar batch without
 // materializing rows: the streaming runtime accounts every shipped batch
-// with it. For the non-dict layouts it matches rowsBytes cell for cell over
-// the same logical rows, so streaming and materializing runs ledger
-// identical byte counts; dict-encoded columns instead account codes per
-// batch plus each dictionary's content once per edge (dl), which is the
-// point of shipping them encoded.
+// with it. For the non-dict layouts it accounts each cell as valueBytes
+// does; dict-encoded columns instead account codes per batch plus each
+// dictionary's content once per edge (dl), which is the point of shipping
+// them encoded.
 func batchBytes(b *exec.Batch, dl *dictLedger) int64 {
 	var total int64
 	for ci := range b.Cols {

@@ -12,12 +12,12 @@ import (
 )
 
 // TestPartialEdgeFollowsMarks runs γ[T; count(*)](σ[S = C](Hosp × Ins)),
-// the product at X and the selection and group-by at Y, streaming and on
-// the materializing reference. When X may see C only encrypted, moving the
-// selection to X would break uniform visibility over S ≃ C, so the plan
-// carries no mark and the stream ships the raw rows, exactly as the
-// reference does. When X may see C in plaintext, the edge is marked and
-// ships one row per group. Results match the reference either way.
+// the product at X and the selection and group-by at Y, streaming, and
+// checks it against the central reference (centralRun). When X may see C
+// only encrypted, moving the selection to X would break uniform visibility
+// over S ≃ C, so the plan carries no mark and the stream ships the raw
+// rows of the product. When X may see C in plaintext, the edge is marked
+// and ships one row per group. Results match the reference either way.
 func TestPartialEdgeFollowsMarks(t *testing.T) {
 	hS, hT, iC := algebra.A("Hosp", "S"), algebra.A("Hosp", "T"), algebra.A("Ins", "C")
 	for _, xPlainC := range []bool{false, true} {
@@ -59,26 +59,24 @@ func TestPartialEdgeFollowsMarks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run := func(materializing bool) ([]string, map[string]int) {
-			r := nw.Clone()
-			r.Materializing = materializing
-			out, ts, err := r.ExecuteParallel(ext, consts)
-			if err != nil {
-				t.Fatalf("materializing=%v: %v", materializing, err)
-			}
+		sorted := func(tbl *exec.Table) []string {
 			var rows []string
-			for _, row := range out.Rows {
+			for _, row := range tbl.Rows {
 				rows = append(rows, exec.DisplayString(row))
 			}
 			sort.Strings(rows)
-			shipped := make(map[string]int)
-			for _, tr := range ts {
-				shipped[EdgeKey(tr.From, tr.To)] += tr.Rows
-			}
-			return rows, shipped
+			return rows
 		}
-		gotRows, got := run(false)
-		wantRows, want := run(true)
+		out, ts, err := nw.Clone().ExecuteParallel(ext, consts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make(map[string]int)
+		for _, tr := range ts {
+			got[EdgeKey(tr.From, tr.To)] += tr.Rows
+		}
+		ref, want := centralRun(t, nw, ext, full, consts)
+		gotRows, wantRows := sorted(out), sorted(ref)
 		if len(gotRows) != 5 || len(gotRows) != len(wantRows) {
 			t.Fatalf("X plaintext on C = %v: %d groups, reference %d, want 5", xPlainC, len(gotRows), len(wantRows))
 		}

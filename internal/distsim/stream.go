@@ -14,10 +14,10 @@ import (
 	"mpq/internal/obs"
 )
 
-// The streaming runtime replaces the materializing fragment workers with a
-// fully pipelined exchange: each fragment compiles its subtree into a batch
-// operator stream whose frontier inputs are channel-fed pipeline sources,
-// and ships every produced batch to its consumer as soon as it exists. A
+// The runtime is a fully pipelined exchange: each fragment compiles its
+// subtree into a batch operator stream whose frontier inputs are
+// channel-fed pipeline sources, and ships every produced batch to its
+// consumer as soon as it exists. A
 // provider can therefore start probing a join while the other side's scan
 // is still running, and wide-area transfer latency overlaps upstream
 // computation batch by batch (RTT is paid once per edge, serialization per
@@ -107,10 +107,8 @@ func (nw *Network) ExecuteStreamCtx(ctx context.Context, ext *core.ExtendedPlan,
 			c.UDFs[name] = fn
 		}
 		c.Consts = consts
-		c.Materializing = false
 		c.BatchSize = nw.BatchSize
 		c.CryptoWorkers = nw.CryptoWorkers
-		c.ValueCrypto = nw.ValueCrypto
 		c.Trace = nw.Trace
 		c.Mem = runMem
 		c.Spill = runSpill

@@ -59,22 +59,12 @@ func streamFixture(t *testing.T) (*Network, *core.ExtendedPlan, *exec.Executor, 
 }
 
 // TestExecuteStreamMatchesMaterializing: the batch-streaming fragment
-// workers compute the same relation as the whole-relation Materializing
-// reference, and the per-edge ledger entries carry the same row totals with
-// the batch split recorded.
+// workers compute the same relation as the central row-at-a-time
+// reference, and the per-edge ledger entries carry the rows of the shipped
+// subtree evaluated centrally, with the batch split recorded.
 func TestExecuteStreamMatchesMaterializing(t *testing.T) {
 	nw, ext, user, consts := streamFixture(t)
-
-	ref := nw.Clone()
-	ref.Materializing = true
-	wantEnc, wantTransfers, err := ref.ExecuteParallel(ext, consts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := user.DecryptTable(wantEnc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, wantEdges := centralRun(t, nw, ext, user.Keys, consts)
 
 	run := nw.Clone()
 	run.BatchSize = 3 // force multi-batch exchanges on the 8-row example
@@ -86,8 +76,8 @@ func TestExecuteStreamMatchesMaterializing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(schema) != len(wantEnc.Schema) {
-		t.Fatalf("schema width %d, want %d", len(schema), len(wantEnc.Schema))
+	if len(schema) != len(want.Schema) {
+		t.Fatalf("schema width %d, want %d", len(schema), len(want.Schema))
 	}
 	gotTbl := exec.NewTable(schema)
 	gotTbl.Rows = rows
@@ -106,13 +96,9 @@ func TestExecuteStreamMatchesMaterializing(t *testing.T) {
 
 	// Ledger: same cross-subject edges with the same totals as the
 	// reference, bytes accounted per batch.
-	wantEdges := map[string]int64{}
-	for _, tr := range wantTransfers {
-		wantEdges[string(tr.From)+"→"+string(tr.To)] += int64(tr.Rows)
-	}
-	gotEdges := map[string]int64{}
+	gotEdges := map[string]int{}
 	for _, tr := range transfers {
-		gotEdges[string(tr.From)+"→"+string(tr.To)] += int64(tr.Rows)
+		gotEdges[EdgeKey(tr.From, tr.To)] += tr.Rows
 		if tr.Rows > run.BatchSize && tr.Batches < 2 {
 			t.Errorf("edge %s→%s shipped %d rows in %d batch(es), expected a split", tr.From, tr.To, tr.Rows, tr.Batches)
 		}
@@ -198,17 +184,7 @@ func TestExecuteStreamEmptyProductDrainsProbe(t *testing.T) {
 // workers of distinct runs must never share mutable state.
 func TestExecuteStreamConcurrent(t *testing.T) {
 	nw, ext, user, consts := streamFixture(t)
-
-	ref := nw.Clone()
-	ref.Materializing = true
-	wantEnc, _, err := ref.ExecuteParallel(ext, consts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := user.DecryptTable(wantEnc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, _ := centralRun(t, nw, ext, user.Keys, consts)
 
 	const runs = 8
 	var wg sync.WaitGroup
@@ -250,5 +226,5 @@ func TestExecuteStreamConcurrent(t *testing.T) {
 type errRowCount struct{ got, want int }
 
 func (e errRowCount) Error() string {
-	return "streamed row count differs from the materializing reference"
+	return "streamed row count differs from the central reference"
 }

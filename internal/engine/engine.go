@@ -49,9 +49,11 @@ type Config struct {
 	// encrypt/decrypt operators and user-side finalization on large
 	// batches: 0 means GOMAXPROCS, negative disables the pool.
 	CryptoWorkers int
-	// ValueCrypto forces the per-value crypto path inside the batch
-	// pipeline (one EncryptValue/DecryptValue call per cell): the batched
-	// crypto engine's reference for the equivalence tests.
+	// ValueCrypto forced the per-value crypto path inside the batch
+	// pipeline; that path has been removed, and New rejects true. The
+	// field remains while bench/layers.go assigns it (ROADMAP item 3(a)).
+	//
+	// Deprecated: leave it false.
 	ValueCrypto bool
 	// LinkDelay, when set, simulates wide-area link latency on every
 	// inter-subject transfer (see distsim.LinkDelay).
@@ -62,9 +64,11 @@ type Config struct {
 	// BatchSize is the number of rows per pipeline batch exchanged between
 	// operators and fragment workers (0 means exec.DefaultBatchSize).
 	BatchSize int
-	// Materializing selects the whole-relation interior — row-at-a-time
-	// operators and complete sub-result shipments — instead of the batch
-	// pipeline: the reference for the equivalence tests.
+	// Materializing selected a whole-relation runtime that shipped complete
+	// sub-results; it has been removed, and New rejects true. The field
+	// remains while bench/layers.go assigns it (ROADMAP item 3(a)).
+	//
+	// Deprecated: leave it false.
 	Materializing bool
 	// Workers and MorselRows configured morsel parallelism inside a
 	// fragment, which has been removed: every fragment runs single-threaded
@@ -165,6 +169,12 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.AdaptiveBatch {
 		return nil, fmt.Errorf("engine: adaptive batch sizing was removed: AdaptiveBatch must be false")
+	}
+	if cfg.Materializing {
+		return nil, fmt.Errorf("engine: the materializing runtime was removed: Materializing must be false")
+	}
+	if cfg.ValueCrypto {
+		return nil, fmt.Errorf("engine: the per-value crypto path was removed: ValueCrypto must be false")
 	}
 	if cfg.PaillierBits == 0 {
 		cfg.PaillierBits = crypto.DefaultPaillierBits
@@ -343,9 +353,7 @@ func (e *Engine) prepare(stmt *sql.SelectStmt, version uint64, pol authz.Viewer)
 	nw := distsim.NewNetwork()
 	nw.Delay = e.cfg.LinkDelay
 	nw.BatchSize = e.cfg.BatchSize
-	nw.Materializing = e.cfg.Materializing
 	nw.CryptoWorkers = e.cfg.CryptoWorkers
-	nw.ValueCrypto = e.cfg.ValueCrypto
 	nw.MemBudget = e.cfg.MemBudget
 	nw.SpillDir = e.cfg.SpillDir
 	nw.Faults = e.cfg.Faults

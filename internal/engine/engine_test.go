@@ -93,7 +93,7 @@ func centralized(t *testing.T, sqlText string) *exec.Table {
 // the Section 7 evaluation, that the parallel distributed runtime returns
 // byte-identical (canonically serialized) results to trusted centralized
 // execution and that a cached re-execution returns the same bytes. (The
-// transfer ledger is checked against the Materializing reference in
+// transfer ledger is checked against the central reference in
 // TestBatchPipelineMatchesMaterializing.)
 func TestEngineMatchesCentralized(t *testing.T) {
 	for _, sc := range tpch.Scenarios() {
@@ -162,15 +162,23 @@ func TestNewRejectsRemovedMorselKnobs(t *testing.T) {
 	}
 }
 
-// TestNewRejectsRemovedAdaptiveBatch: adaptive batch sizing is gone, so a
-// configuration asking for it fails at construction with an error that says
-// so. PartialShuffle is ignored either way: plans mark partial aggregation
-// themselves.
+// TestNewRejectsRemovedAdaptiveBatch: adaptive batch sizing, the
+// materializing runtime and the per-value crypto path are gone, so a
+// configuration asking for one fails at construction with an error that
+// names the field and the removal. PartialShuffle is ignored either way:
+// plans mark partial aggregation themselves.
 func TestNewRejectsRemovedAdaptiveBatch(t *testing.T) {
-	cfg := testConfig(t, tpch.UA)
-	cfg.AdaptiveBatch = true
-	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "adaptive batch sizing was removed") {
-		t.Errorf("AdaptiveBatch: true: got %v, want an error naming the removal", err)
+	for field, tweak := range map[string]func(*Config){
+		"AdaptiveBatch": func(c *Config) { c.AdaptiveBatch = true },
+		"Materializing": func(c *Config) { c.Materializing = true },
+		"ValueCrypto":   func(c *Config) { c.ValueCrypto = true },
+	} {
+		cfg := testConfig(t, tpch.UA)
+		tweak(&cfg)
+		_, err := New(cfg)
+		if err == nil || !strings.Contains(err.Error(), "was removed") || !strings.Contains(err.Error(), field+" must be false") {
+			t.Errorf("%s: true: got %v, want an error naming the field and the removal", field, err)
+		}
 	}
 	for _, on := range []bool{false, true} {
 		cfg := testConfig(t, tpch.UA)

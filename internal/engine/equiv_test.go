@@ -9,7 +9,6 @@ import (
 	"mpq/internal/core"
 	"mpq/internal/distsim"
 	"mpq/internal/exec"
-	"mpq/internal/obs"
 	"mpq/internal/tpch"
 )
 
@@ -22,65 +21,103 @@ func rowStrings(rows [][]exec.Value) []string {
 	return out
 }
 
+// centralRun is the one reference the distributed engine is checked
+// against: pq's extended plan evaluated by exec's row-at-a-time evaluator
+// on a single trusted executor that holds every table of cfg, the full key
+// store and the plan's constants, each node once, children first. It
+// returns the user's answer (the decrypted root, ordered, projected and
+// limited by the plan), every node's relation (the root's decrypted), and
+// one transfer per cross-subject edge carrying the rows of the shipped
+// node's subtree.
+func centralRun(t *testing.T, cfg Config, pq *preparedQuery) (*exec.Table, map[algebra.Node]*exec.Table, []distsim.Transfer) {
+	t.Helper()
+	c := exec.NewExecutor()
+	c.Materializing = true
+	c.Keys = pq.keys
+	c.Consts = pq.consts
+	c.Materialized = make(map[algebra.Node]*exec.Table)
+	for _, tables := range cfg.Tables {
+		for name, tbl := range tables {
+			c.Tables[name] = tbl
+		}
+	}
+	ext := pq.result.Extended
+	at := ext.Assign.Executor
+	var edges []distsim.Transfer
+	var err error
+	algebra.PostOrder(ext.Root, func(n algebra.Node) {
+		if err != nil {
+			return
+		}
+		var rel *exec.Table
+		if rel, err = c.Run(n); err != nil {
+			return
+		}
+		c.Materialized[n] = rel
+		for _, ch := range n.Children() {
+			if at(ch) != at(n) {
+				edges = append(edges, distsim.Transfer{From: at(ch), To: at(n), Rows: c.Materialized[ch].Len(), Op: n.Op()})
+			}
+		}
+	})
+	if err != nil {
+		t.Fatalf("central reference: %v", err)
+	}
+	if c.Materialized[ext.Root], err = c.DecryptTable(c.Materialized[ext.Root]); err != nil {
+		t.Fatalf("central reference: %v", err)
+	}
+	user := *pq.plan
+	user.Root = ext.Root
+	answer, _, err := c.RunPlan(&user)
+	if err != nil {
+		t.Fatalf("central reference: %v", err)
+	}
+	return answer, c.Materialized, edges
+}
+
 // TestBatchPipelineMatchesMaterializing runs the conformance query subset
-// through two engines per authorization scenario — one on the batch
-// streaming pipeline, one on the legacy materializing interior — and diffs
-// the distributed results row for row. Both engines decrypt to plaintext,
-// so the comparison is exact: equal values in equal order. The ledgers
-// match edge for edge, except that an edge the plan marks for partial
-// aggregation ships one row per group of its group-by (the materializing
-// reference ships the raw rows there).
+// under every authorization scenario and checks each run against the
+// central reference (centralRun): the answer row for row (equal values in
+// equal order), and the ledger edge by edge — the shipped subtree's rows on every unmarked edge,
+// and one row per group of the merging group-by on each edge the plan
+// marks for partial aggregation.
 func TestBatchPipelineMatchesMaterializing(t *testing.T) {
 	for _, sc := range tpch.Scenarios() {
 		sc := sc
 		t.Run(string(sc), func(t *testing.T) {
-			batchEng, err := New(testConfig(t, sc))
-			if err != nil {
-				t.Fatal(err)
-			}
-			matCfg := testConfig(t, sc)
-			matCfg.Materializing = true
-			matEng, err := New(matCfg)
+			cfg := testConfig(t, sc)
+			eng, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, num := range testQueries {
-				sqlText := querySQL(t, num)
-				tr := obs.NewTrace()
-				got, pq, err := batchEng.run(nil, sqlText, tr, nil)
+				got, pq, err := eng.run(nil, querySQL(t, num), nil, nil)
 				if err != nil {
-					t.Fatalf("Q%d batch: %v", num, err)
+					t.Fatalf("Q%d: %v", num, err)
 				}
-				want, err := matEng.Query(sqlText)
-				if err != nil {
-					t.Fatalf("Q%d materializing: %v", num, err)
-				}
-				g, w := rowStrings(got.Table.Rows), rowStrings(want.Table.Rows)
+				want, rels, edges := centralRun(t, cfg, pq)
+				g, w := rowStrings(got.Table.Rows), rowStrings(want.Rows)
 				if len(g) != len(w) {
 					t.Fatalf("Q%d: %d rows, want %d", num, len(g), len(w))
 				}
 				for i := range w {
 					if g[i] != w[i] {
-						t.Fatalf("Q%d row %d differs:\nbatch:         %s\nmaterializing: %s", num, i, g[i], w[i])
+						t.Fatalf("Q%d row %d differs:\nstream:  %s\ncentral: %s", num, i, g[i], w[i])
 					}
 				}
-				// The streaming runtime must account the same shipments per
-				// edge (multiset of from→to/op/rows) as the materializing one
-				// on every unmarked edge, and one row per group (the merging
-				// group-by's output rows) on each marked edge.
 				marked := partialEdgeKeys(pq.result.Extended)
 				gotRest, gotMarked := splitLedger(got.Transfers, marked)
-				wantRest, wantMarked := splitLedger(want.Transfers, marked)
+				wantRest, wantMarked := splitLedger(edges, marked)
 				if diff := ledgerDiff(gotRest, wantRest); diff != "" {
 					t.Errorf("Q%d: transfer ledgers differ: %s", num, diff)
 				}
 				for key, g := range marked {
 					if len(gotMarked[key]) != 1 || len(wantMarked[key]) != 1 {
-						t.Errorf("Q%d: marked edge %s shipped %d/%d times, want once", num, key,
+						t.Errorf("Q%d: marked edge %s shipped %d times, reference edges %d, want one each", num, key,
 							len(gotMarked[key]), len(wantMarked[key]))
 						continue
 					}
-					if rows, groups := gotMarked[key][0].Rows, tr.ByRef(g).Rows(); int64(rows) != groups {
+					if rows, groups := gotMarked[key][0].Rows, rels[g].Len(); rows != groups {
 						t.Errorf("Q%d: marked edge %s shipped %d rows for %d groups", num, key, rows, groups)
 					}
 				}

@@ -105,17 +105,15 @@ func (e *Engine) QueryTracedCtx(ctx context.Context, query string) (*Response, *
 // partial-aggregated edge (core.ExtendedPlan.Partials) the streaming
 // runtime's producer runs the moved selections and a γ-partial fold,
 // rendered between the consumer's merging group-by and the selections at
-// the producer's subject. The materializing reference ships raw rows.
+// the producer's subject.
 func buildExplanation(query string, resp *Response, pq *preparedQuery, tr *obs.Trace) *Explanation {
 	ext := pq.result.Extended
 	producers := make(map[algebra.Node]authz.Subject) // partial γ and moved σ
-	if !pq.network.Materializing {
-		for shipped, pe := range ext.Partials {
-			at := ext.Assign.Executor(shipped)
-			producers[pe.GroupBy] = at
-			for _, s := range pe.Selects {
-				producers[s] = at
-			}
+	for shipped, pe := range ext.Partials {
+		at := ext.Assign.Executor(shipped)
+		producers[pe.GroupBy] = at
+		for _, s := range pe.Selects {
+			producers[s] = at
 		}
 	}
 	node := func(op string, subject authz.Subject, est float64, ref any) *ExplainNode {

@@ -171,24 +171,3 @@ func TestPartialAggregationInstrumented(t *testing.T) {
 		t.Errorf("fault armed on %s: got %v, want an injected error in A1's fragment", group.Op, err)
 	}
 }
-
-// TestExplainMaterializing checks the traced Materializing reference: spans
-// must appear (materialized results account rows and inclusive time as one
-// batch) under the whole-relation interior.
-func TestExplainMaterializing(t *testing.T) {
-	t.Run("materializing", func(t *testing.T) {
-		cfg := testConfig(t, tpch.UAPmix)
-		cfg.Materializing = true
-		eng, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ex, err := eng.Explain(querySQL(t, 6))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ex.Plan.Rows == 0 || ex.Plan.TimeNs == 0 {
-			t.Errorf("root rows=%d time=%d, want > 0", ex.Plan.Rows, ex.Plan.TimeNs)
-		}
-	})
-}

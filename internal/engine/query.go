@@ -20,9 +20,8 @@ import (
 //
 // Queries with an ORDER BY cannot stream past the sort: their rows are
 // drained and sorted (or, under a LIMIT, kept in a bounded top-k heap), and
-// the result reaches yield in one piece once execution completes. The
-// Materializing reference has no streaming interior, so its whole result
-// arrives in one piece too. A yield error aborts the run and is returned.
+// the result reaches yield in one piece once execution completes. A yield
+// error aborts the run and is returned.
 func (e *Engine) QueryStream(query string, yield func(headers []string, rows [][]exec.Value) error) (*Response, error) {
 	return e.QueryStreamCtx(nil, query, yield)
 }
@@ -108,18 +107,8 @@ func (e *Engine) run(ctx context.Context, query string, tr *obs.Trace, yield fun
 	})
 	nw := pq.network.Clone()
 	nw.Trace = tr
-	var schema []algebra.Attr
-	if e.cfg.Materializing {
-		// The reference runtime has no stream: its root table is finalized
-		// in one piece.
-		var root *exec.Table
-		if root, resp.Transfers, err = nw.ExecuteParallelCtx(ctx, pq.result.Extended, pq.consts); err == nil {
-			schema = root.Schema
-			err = fin.add(root.Rows)
-		}
-	} else {
-		schema, resp.Transfers, err = nw.ExecuteStreamCtx(ctx, pq.result.Extended, pq.consts, fin.add)
-	}
+	schema, transfers, err := nw.ExecuteStreamCtx(ctx, pq.result.Extended, pq.consts, fin.add)
+	resp.Transfers = transfers
 	if err == nil {
 		err = fin.flush()
 	}
@@ -160,7 +149,6 @@ func (e *Engine) newFinalizer(pq *preparedQuery, emit func(rows [][]exec.Value) 
 	f := &finalizer{dec: exec.NewExecutor(), limit: pq.plan.Limit, emit: emit}
 	f.dec.Keys = pq.keys
 	f.dec.CryptoWorkers = e.cfg.CryptoWorkers
-	f.dec.ValueCrypto = e.cfg.ValueCrypto
 	for _, oc := range pq.plan.Output {
 		f.out = append(f.out, oc.Index)
 	}

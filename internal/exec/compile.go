@@ -366,11 +366,11 @@ func (e *Executor) encCols(enc *algebra.Encrypt, in []algebra.Attr) ([]encCol, e
 
 // encCacheTable returns the table enc's operator would read through the
 // ciphertext column cache: the child must be a bare scan of one of this
-// executor's base tables (not a spliced exchange or sub-result), and the
-// per-value oracle path always encrypts. nil means compile uncached.
+// executor's base tables (not a spliced exchange or sub-result). nil means
+// compile uncached.
 func (e *Executor) encCacheTable(enc *algebra.Encrypt) *Table {
 	b, ok := enc.Child.(*algebra.Base)
-	if !ok || e.enc == nil || e.ValueCrypto {
+	if !ok || e.enc == nil {
 		return nil
 	}
 	if _, ok := e.Sources[b]; ok {

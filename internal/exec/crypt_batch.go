@@ -15,10 +15,10 @@ import (
 // for every cell; the column-wise entry points below amortize all of it
 // per batch — one cipher resolution, one encoding arena, one batched call
 // into internal/crypto — and optionally split large columns across an
-// intra-batch worker pool. The per-value path remains (Materializing
-// oracle, ValueCrypto knob) and every batch result is bit-identical to it
-// for the deterministic schemes, decrypt-identical for the randomized
-// ones.
+// intra-batch worker pool. The per-value path remains only inside the
+// row-at-a-time reference evaluator, and every batch result is
+// bit-identical to it for the deterministic schemes, decrypt-identical for
+// the randomized ones.
 
 // cryptoParMinCells is the column size from which the symmetric batch
 // entry points fan out to the worker pool; below it, goroutine hand-off
@@ -43,10 +43,10 @@ func (e *Executor) cryptoWorkers() int {
 	}
 }
 
-// runChunks splits [0, n) into up to `workers` contiguous chunks of at
-// least minChunk items and runs fn on each concurrently. Chunks are
-// disjoint, so fn may write shared slices index-wise without locks. The
-// first error wins.
+// runChunks splits [0, n) into up to `workers` contiguous chunks whose
+// sizes differ by at most one, each of at least minChunk items, and runs fn
+// on each concurrently. Chunks are disjoint, so fn may write shared slices
+// index-wise without locks. The first error wins.
 func runChunks(n, workers, minChunk int, fn func(lo, hi int) error) error {
 	if workers > n/minChunk {
 		workers = n / minChunk
@@ -59,12 +59,8 @@ func runChunks(n, workers, minChunk int, fn func(lo, hi int) error) error {
 		errMu    sync.Mutex
 		firstErr error
 	)
-	chunk := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+	for i := 0; i < workers; i++ {
+		lo, hi := i*n/workers, (i+1)*n/workers
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
@@ -622,20 +618,6 @@ func (e *Executor) DecryptRows(rows [][]Value) ([][]Value, error) {
 	out := make([][]Value, len(rows))
 	for ri, row := range rows {
 		out[ri] = append(make([]Value, 0, len(row)), row...)
-	}
-	if e.ValueCrypto {
-		for _, row := range out {
-			for ci, v := range row {
-				if v.IsCipher() {
-					pv, err := e.DecryptValue(v.C)
-					if err != nil {
-						return nil, err
-					}
-					row[ci] = pv
-				}
-			}
-		}
-		return out, nil
 	}
 	if err := e.decryptGroups(groupCipherCells(out, nil), out, e.Keys.Get); err != nil {
 		return nil, err

@@ -2,6 +2,8 @@ package exec
 
 import (
 	"fmt"
+	"sort"
+	"sync"
 	"testing"
 
 	"mpq/internal/algebra"
@@ -144,20 +146,18 @@ func TestDecryptRowsEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := NewExecutor()
-	oracle.Keys = e.Keys
-	oracle.ValueCrypto = true
-	want, err := oracle.DecryptRows(rows)
-	if err != nil {
-		t.Fatal(err)
+	if len(got) != len(rows) {
+		t.Fatalf("row counts differ: %d vs %d", len(got), len(rows))
 	}
-	if len(got) != len(want) {
-		t.Fatalf("row counts differ: %d vs %d", len(got), len(want))
-	}
-	for ri := range got {
-		for ci := range got[ri] {
-			if got[ri][ci] != want[ri][ci] {
-				t.Fatalf("row %d col %d: batch %v, per-value %v", ri, ci, got[ri][ci], want[ri][ci])
+	for ri, row := range rows {
+		for ci, want := range row {
+			if want.IsCipher() {
+				if want, err = e.DecryptValue(want.C); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got[ri][ci] != want {
+				t.Fatalf("row %d col %d: batch %v, per-value %v", ri, ci, got[ri][ci], want)
 			}
 		}
 	}
@@ -267,18 +267,20 @@ func TestBatchMillionRows(t *testing.T) {
 	}
 }
 
-// TestEncryptOpBatchVsValueCrypto runs the Encrypt→Decrypt operator
-// pipeline both ways over a plan and diffs the results row for row.
+// TestEncryptOpBatchVsValueCrypto runs an Encrypt→Decrypt plan through the
+// batch operators, with and without the crypto worker pool, and diffs the
+// results row for row against the row-at-a-time evaluator, which encrypts
+// and decrypts value by value.
 func TestEncryptOpBatchVsValueCrypto(t *testing.T) {
 	ring, err := crypto.NewKeyRing("k1", testPaillierBits)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(valueCrypto bool, workers int) *Table {
+	run := func(rowEvaluator bool, workers int) *Table {
 		t.Helper()
 		e := NewExecutor()
 		e.Keys.Add(ring)
-		e.ValueCrypto = valueCrypto
+		e.Materializing = rowEvaluator
 		e.CryptoWorkers = workers
 		a, bAttr := algebra.A("R", "a"), algebra.A("R", "b")
 		tbl := NewTable([]algebra.Attr{a, bAttr})
@@ -316,28 +318,28 @@ func TestEncryptOpBatchVsValueCrypto(t *testing.T) {
 }
 
 // TestDecryptOpErrors keeps the operator-level error contract of the batch
-// path identical to the per-value path.
+// path identical to the row-at-a-time evaluator's per-value path.
 func TestDecryptOpErrors(t *testing.T) {
 	ring, _ := crypto.NewKeyRing("k1", testPaillierBits)
 	a := algebra.A("R", "a")
-	for _, valueCrypto := range []bool{false, true} {
+	for _, rowEvaluator := range []bool{false, true} {
 		// Decrypting a plaintext column errors on both paths.
 		e := NewExecutor()
 		e.Keys.Add(ring)
-		e.ValueCrypto = valueCrypto
+		e.Materializing = rowEvaluator
 		tbl := NewTable([]algebra.Attr{a})
 		tbl.Rows = append(tbl.Rows, []Value{Int(7)})
 		e.Tables["R"] = tbl
 		base := algebra.NewBase("R", "A", tbl.Schema, float64(tbl.Len()), nil)
 		dec := algebra.NewDecrypt(base, tbl.Schema)
 		if _, err := e.Run(dec); err == nil {
-			t.Errorf("valueCrypto=%v: decrypting plaintext succeeded", valueCrypto)
+			t.Errorf("rowEvaluator=%v: decrypting plaintext succeeded", rowEvaluator)
 		}
 
 		// Re-encryption of an already encrypted column errors on both paths.
 		e2 := NewExecutor()
 		e2.Keys.Add(ring)
-		e2.ValueCrypto = valueCrypto
+		e2.Materializing = rowEvaluator
 		tbl2 := NewTable([]algebra.Attr{a})
 		cv, err := EncryptValue(ring, algebra.SchemeDeterministic, Int(1))
 		if err != nil {
@@ -350,7 +352,50 @@ func TestDecryptOpErrors(t *testing.T) {
 		enc.Schemes[a] = algebra.SchemeDeterministic
 		enc.KeyIDs[a] = "k1"
 		if _, err := e2.Run(enc); err == nil {
-			t.Errorf("valueCrypto=%v: re-encryption succeeded", valueCrypto)
+			t.Errorf("rowEvaluator=%v: re-encryption succeeded", rowEvaluator)
+		}
+	}
+}
+
+// TestRunChunksBalanced records every (lo, hi) runChunks hands out: the
+// chunks are disjoint, cover [0, n), number at most `workers`, and each
+// holds at least minChunk cells whenever there is more than one. A ceiling
+// split cut n = 49 on 3 workers into 17/17/15, leaving a 15-cell Paillier
+// chunk below the 16-cell threshold that builds the randomizer tables.
+func TestRunChunksBalanced(t *testing.T) {
+	for _, minChunk := range []int{1, 5, cryptoParMinPaillier} {
+		for n := minChunk; n <= 10*minChunk; n++ {
+			for workers := 1; workers <= 8; workers++ {
+				var mu sync.Mutex
+				var chunks [][2]int
+				if err := runChunks(n, workers, minChunk, func(lo, hi int) error {
+					mu.Lock()
+					chunks = append(chunks, [2]int{lo, hi})
+					mu.Unlock()
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				sort.Slice(chunks, func(i, j int) bool { return chunks[i][0] < chunks[j][0] })
+				if len(chunks) > workers {
+					t.Errorf("n=%d workers=%d minChunk=%d: %d chunks", n, workers, minChunk, len(chunks))
+				}
+				next := 0
+				for _, c := range chunks {
+					if c[0] != next || c[1] <= c[0] {
+						t.Errorf("n=%d workers=%d minChunk=%d: chunks %v overlap or leave a gap", n, workers, minChunk, chunks)
+						break
+					}
+					if len(chunks) > 1 && c[1]-c[0] < minChunk {
+						t.Errorf("n=%d workers=%d minChunk=%d: chunks %v cut one below minChunk", n, workers, minChunk, chunks)
+						break
+					}
+					next = c[1]
+				}
+				if next != n {
+					t.Errorf("n=%d workers=%d minChunk=%d: chunks %v do not cover [0, n)", n, workers, minChunk, chunks)
+				}
+			}
 		}
 	}
 }

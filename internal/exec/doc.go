@@ -23,10 +23,14 @@
 //     encrypt/decrypt operators fan a large batch out to the intra-batch
 //     crypto pool (Executor.CryptoWorkers).
 //
-//   - The row-at-a-time materializing evaluator (Executor.Run with
-//     Materializing set): every operator materializes its full result and
-//     resolves references per row. It is retained as the reference for the
-//     equivalence tests, never as a hot path.
+//   - The row-at-a-time evaluator (exec.go and eval.go, selected by an
+//     Executor field): every operator materializes its full result,
+//     resolves references per row and encrypts or decrypts value by value.
+//     It is the one reference the equivalence tests check the pipeline,
+//     the batched crypto path and the distributed runtime against — for
+//     the latter by evaluating a whole extended plan on one trusted
+//     executor — never a hot path. It bypasses the ciphertext column cache
+//     and ignores Trace and Ctx.
 //
 // See docs/ARCHITECTURE.md at the repository root for the batch contract,
 // the operator inventory, and a worked end-to-end query trace.

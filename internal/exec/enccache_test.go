@@ -435,14 +435,13 @@ func TestEncCacheConcurrentDuringFill(t *testing.T) {
 	}
 }
 
-// TestEncCacheBypass: the per-value oracle, the materializing oracle, and an
-// encrypt whose child is a spliced sub-result never touch the cache.
+// TestEncCacheBypass: the row-at-a-time evaluator and an encrypt whose
+// child is a spliced sub-result never touch the cache.
 func TestEncCacheBypass(t *testing.T) {
 	f := newEncFixture(t, nil)
 	cache, _ := encStatsDelta(func() {
 		for i := 0; i < 3; i++ {
 			for _, tweak := range []func(*Executor){
-				func(e *Executor) { e.ValueCrypto = true },
 				func(e *Executor) { e.Materializing = true },
 				func(e *Executor) { e.Materialized[f.enc.Child] = f.tbl },
 			} {

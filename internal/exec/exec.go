@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/big"
-	"time"
 
 	"mpq/internal/algebra"
 	"mpq/internal/crypto"
@@ -44,16 +43,20 @@ type Executor struct {
 	// DefaultBatchSize).
 	BatchSize int
 	// Materializing selects the row-at-a-time, whole-table evaluator
-	// instead of the batch pipeline. It is kept as the reference for the
-	// equivalence tests.
+	// instead of the batch pipeline: the one reference the equivalence
+	// tests check the pipeline and the distributed runtime against. It
+	// encrypts and decrypts value by value, never through the ciphertext
+	// column cache, and ignores Trace and Ctx.
 	Materializing bool
 	// CryptoWorkers sizes the intra-batch worker pool of the encrypt and
 	// decrypt operators: 0 means GOMAXPROCS, negative disables the pool.
 	// Small batches never fan out regardless.
 	CryptoWorkers int
-	// ValueCrypto forces the batch pipeline's encrypt/decrypt operators
-	// onto the per-value crypto path (EncryptValue/DecryptValue per cell):
-	// the batched crypto engine's reference for the equivalence tests.
+	// ValueCrypto forced the pipeline's encrypt/decrypt operators onto the
+	// per-value crypto path, which has been removed. The field remains
+	// while bench/layers.go assigns it (ROADMAP item 3(a)).
+	//
+	// Deprecated: nothing reads it.
 	ValueCrypto bool
 	// Mem, when non-nil, is the per-query memory accountant pipeline
 	// breakers (group-by tables, hash-join build sides) reserve live state
@@ -77,9 +80,9 @@ type Executor struct {
 	// so a nil Trace leaves the compiled pipeline — and its per-batch cost
 	// — completely untouched (enforced by BenchmarkTraceOverhead).
 	Trace *obs.Trace
-	// Ctx, when non-nil, is the run's cancellation context. Leaf scans,
-	// spill read-back loops, and the materializing evaluator probe it at
-	// batch boundaries, so a cancelled run stops within one batch of work.
+	// Ctx, when non-nil, is the run's cancellation context. Leaf scans and
+	// spill read-back loops probe it at batch boundaries, so a cancelled
+	// run stops within one batch of work.
 	// nil (the default) costs a single pointer comparison per batch.
 	Ctx context.Context
 	// Faults arms the fault-injection harness: Build wraps every compiled
@@ -131,7 +134,6 @@ func (e *Executor) Clone() *Executor {
 		BatchSize:     e.BatchSize,
 		Materializing: e.Materializing,
 		CryptoWorkers: e.CryptoWorkers,
-		ValueCrypto:   e.ValueCrypto,
 		Mem:           e.Mem,
 		Spill:         e.Spill,
 		Trace:         e.Trace,
@@ -143,11 +145,11 @@ func (e *Executor) Clone() *Executor {
 
 // Run evaluates the plan rooted at n and returns the produced relation. The
 // default path compiles the plan into the batch pipeline (Build) and drains
-// it; with Materializing set it falls back to the legacy row-at-a-time
-// recursive evaluator, kept as the reference oracle.
+// it; with Materializing set it runs the row-at-a-time recursive
+// evaluator, the reference the equivalence tests check against.
 func (e *Executor) Run(n algebra.Node) (*Table, error) {
 	if e.Materializing {
-		return e.runMaterializing(n)
+		return e.runRows(n)
 	}
 	if t, ok := e.Materialized[n]; ok {
 		return t, nil
@@ -159,34 +161,13 @@ func (e *Executor) Run(n algebra.Node) (*Table, error) {
 	return Drain(op)
 }
 
-// runMaterializing evaluates the plan by the legacy whole-table recursion:
-// every operator materializes its full result before the parent consumes
-// it, and predicate references are resolved per row. With a Trace attached
-// each node still gets a span — rows and inclusive wall time accounted per
-// materialized result (one batch), so Explain works under the oracle
-// runtime too.
-func (e *Executor) runMaterializing(n algebra.Node) (*Table, error) {
-	if err := ctxErr(e.Ctx); err != nil {
-		return nil, err
-	}
+// runRows evaluates the plan by the whole-table recursion: every operator
+// materializes its full result before the parent consumes it, and
+// predicate references are resolved per row.
+func (e *Executor) runRows(n algebra.Node) (*Table, error) {
 	if t, ok := e.Materialized[n]; ok {
 		return t, nil
 	}
-	if e.Trace == nil {
-		return e.evalMaterializing(n)
-	}
-	start := time.Now()
-	t, err := e.evalMaterializing(n)
-	if err != nil {
-		return nil, err
-	}
-	sp := e.Trace.Span(n, n.Op(), "")
-	sp.AddRows(int64(t.Len()), 1)
-	sp.AddNanos(time.Since(start).Nanoseconds())
-	return t, nil
-}
-
-func (e *Executor) evalMaterializing(n algebra.Node) (*Table, error) {
 	switch x := n.(type) {
 	case *algebra.Base:
 		return e.runBase(x)
@@ -227,7 +208,7 @@ func (e *Executor) runBase(b *algebra.Base) (*Table, error) {
 }
 
 func (e *Executor) runProject(p *algebra.Project) (*Table, error) {
-	in, err := e.runMaterializing(p.Child)
+	in, err := e.runRows(p.Child)
 	if err != nil {
 		return nil, err
 	}
@@ -243,7 +224,7 @@ func (e *Executor) runProject(p *algebra.Project) (*Table, error) {
 }
 
 func (e *Executor) runSelect(s *algebra.Select) (*Table, error) {
-	in, err := e.runMaterializing(s.Child)
+	in, err := e.runRows(s.Child)
 	if err != nil {
 		return nil, err
 	}
@@ -262,11 +243,11 @@ func (e *Executor) runSelect(s *algebra.Select) (*Table, error) {
 }
 
 func (e *Executor) runProduct(p *algebra.Product) (*Table, error) {
-	l, err := e.runMaterializing(p.L)
+	l, err := e.runRows(p.L)
 	if err != nil {
 		return nil, err
 	}
-	r, err := e.runMaterializing(p.R)
+	r, err := e.runRows(p.R)
 	if err != nil {
 		return nil, err
 	}
@@ -285,11 +266,11 @@ func concatRows(a, b []Value) []Value {
 }
 
 func (e *Executor) runJoin(j *algebra.Join) (*Table, error) {
-	l, err := e.runMaterializing(j.L)
+	l, err := e.runRows(j.L)
 	if err != nil {
 		return nil, err
 	}
-	r, err := e.runMaterializing(j.R)
+	r, err := e.runRows(j.R)
 	if err != nil {
 		return nil, err
 	}
@@ -373,7 +354,7 @@ func (e *Executor) runJoin(j *algebra.Join) (*Table, error) {
 }
 
 func (e *Executor) runUDF(u *algebra.UDF) (*Table, error) {
-	in, err := e.runMaterializing(u.Child)
+	in, err := e.runRows(u.Child)
 	if err != nil {
 		return nil, err
 	}
@@ -417,7 +398,7 @@ func (e *Executor) runUDF(u *algebra.UDF) (*Table, error) {
 }
 
 func (e *Executor) runEncrypt(enc *algebra.Encrypt) (*Table, error) {
-	in, err := e.runMaterializing(enc.Child)
+	in, err := e.runRows(enc.Child)
 	if err != nil {
 		return nil, err
 	}
@@ -522,7 +503,7 @@ func EncryptValue(ring *crypto.KeyRing, scheme algebra.Scheme, v Value) (Value, 
 }
 
 func (e *Executor) runDecrypt(dec *algebra.Decrypt) (*Table, error) {
-	in, err := e.runMaterializing(dec.Child)
+	in, err := e.runRows(dec.Child)
 	if err != nil {
 		return nil, err
 	}
@@ -613,7 +594,7 @@ func decryptCipher(ring *crypto.KeyRing, c *Cipher) (Value, error) {
 // deterministic/OPE ciphertexts; sums and averages over Paillier
 // ciphertexts accumulate homomorphically with the public key.
 func (e *Executor) runGroupBy(g *algebra.GroupBy) (*Table, error) {
-	in, err := e.runMaterializing(g.Child)
+	in, err := e.runRows(g.Child)
 	if err != nil {
 		return nil, err
 	}

@@ -1169,31 +1169,11 @@ func (o *encryptOp) Close() error           { return o.child.Close() }
 // the batch crypto API as one call (cipher state resolved once, outputs
 // arena-allocated, large columns fanned out to the worker pool), and the
 // symmetric schemes' results land directly in a ciphertext-byte column —
-// no per-cell Cipher allocation. Untouched columns are forwarded. The
-// ValueCrypto knob keeps the per-value path as the reference for the
-// equivalence tests.
+// no per-cell Cipher allocation. Untouched columns are forwarded.
 func (o *encryptOp) Next() (*Batch, error) {
 	b, err := o.child.Next()
 	if b == nil || err != nil {
 		return nil, err
-	}
-	if o.e.ValueCrypto {
-		rows := b.Rows()
-		for _, nr := range rows {
-			for _, c := range o.cols {
-				for _, ci := range c.idx {
-					if nr[ci].IsCipher() {
-						return nil, fmt.Errorf("exec: re-encrypting %s", c.attr)
-					}
-					cv, err := EncryptValue(c.ring, c.scheme, nr[ci])
-					if err != nil {
-						return nil, fmt.Errorf("exec: encrypting %s: %w", c.attr, err)
-					}
-					nr[ci] = cv
-				}
-			}
-		}
-		return NewBatchFromRows(rows, len(b.Cols))
 	}
 	out := &Batch{Cols: append([]Column(nil), b.Cols...), N: b.N}
 	for k := range o.cols {
@@ -1272,36 +1252,11 @@ func (o *decryptOp) Close() error           { return o.child.Close() }
 // batched call straight off its payload vector (the scheme and key are
 // column metadata — no per-cell grouping needed), generic columns group
 // their cipher cells by scheme and key first, and the decrypted cells land
-// in a freshly typed column. Untouched columns are forwarded. The
-// ValueCrypto knob keeps the per-value path as the reference for the
-// equivalence tests.
+// in a freshly typed column. Untouched columns are forwarded.
 func (o *decryptOp) Next() (*Batch, error) {
 	b, err := o.child.Next()
 	if b == nil || err != nil {
 		return nil, err
-	}
-	if o.e.ValueCrypto {
-		rows := b.Rows()
-		for _, nr := range rows {
-			for _, c := range o.cols {
-				for _, ci := range c.idx {
-					v := nr[ci]
-					if !v.IsCipher() {
-						return nil, fmt.Errorf("exec: decrypting plaintext %s", c.attr)
-					}
-					ring, err := o.ring(v.C.KeyID)
-					if err != nil {
-						return nil, fmt.Errorf("exec: decrypting %s: %w", c.attr, err)
-					}
-					pv, err := decryptCipher(ring, v.C)
-					if err != nil {
-						return nil, fmt.Errorf("exec: decrypting %s: %w", c.attr, err)
-					}
-					nr[ci] = pv
-				}
-			}
-		}
-		return NewBatchFromRows(rows, len(b.Cols))
 	}
 	out := &Batch{Cols: append([]Column(nil), b.Cols...), N: b.N}
 	for _, c := range o.cols {

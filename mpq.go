@@ -21,7 +21,7 @@
 //	internal/crypto     deterministic/randomized AES, Paillier, OPE (batched, CRT fixed-base randomizers)
 //	internal/exec       execution engine, incl. computation over ciphertexts
 //	internal/dispatch   Figure 8 sub-queries, signed/sealed envelopes
-//	internal/distsim    distributed execution simulation (streaming fragment workers + a materializing reference)
+//	internal/distsim    distributed execution simulation (streaming fragment workers)
 //	internal/engine     long-lived concurrent query service: plan cache, versioned authz
 //	internal/tpch       the §7 workload: schema, generator, 22 queries, scenarios
 //
