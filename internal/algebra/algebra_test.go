@@ -16,13 +16,13 @@ func TestAttrSetOps(t *testing.T) {
 	if !s.Has(a) || s.Has(c) {
 		t.Errorf("Has failed")
 	}
-	if got := s.Union(u); len(got) != 3 {
+	if got := s.Union(u); got.Len() != 3 {
 		t.Errorf("Union = %v", got)
 	}
-	if got := s.Intersect(u); len(got) != 1 || !got.Has(b) {
+	if got := s.Intersect(u); got.Len() != 1 || !got.Has(b) {
 		t.Errorf("Intersect = %v", got)
 	}
-	if got := s.Diff(u); len(got) != 1 || !got.Has(a) {
+	if got := s.Diff(u); got.Len() != 1 || !got.Has(a) {
 		t.Errorf("Diff = %v", got)
 	}
 	if !NewAttrSet(a).SubsetOf(s) || s.SubsetOf(u) {
@@ -78,11 +78,11 @@ func TestAttrSetUnionIntersectFresh(t *testing.T) {
 		}
 		for _, res := range []AttrSet{un, in, u.Union(s), u.Intersect(s)} {
 			res.Add(A("S", "new"))
-			for a := range sBefore {
-				delete(res, a)
+			for a := range sBefore.All() {
+				res.Remove(a)
 			}
-			for a := range uBefore {
-				delete(res, a)
+			for a := range uBefore.All() {
+				res.Remove(a)
 			}
 		}
 		return s.Equal(sBefore) && u.Equal(uBefore)

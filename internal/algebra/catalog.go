@@ -87,8 +87,11 @@ type Catalog struct {
 func NewCatalog() *Catalog { return &Catalog{rels: make(map[string]*Relation)} }
 
 // Add registers a relation, replacing any previous definition with the same
-// name.
-func (c *Catalog) Add(r *Relation) { c.rels[r.Name] = r }
+// name, and interns its attributes.
+func (c *Catalog) Add(r *Relation) {
+	c.rels[r.Name] = r
+	internAttrs(r.Attrs())
+}
 
 // Relation returns the named relation, or nil when unknown.
 func (c *Catalog) Relation(name string) *Relation { return c.rels[name] }

@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"mpq/internal/sql"
@@ -126,14 +127,7 @@ func (b *Base) Host() string {
 // EncSet returns the stored-encrypted attributes as a set, restricted to
 // the projected attributes.
 func (b *Base) EncSet() AttrSet {
-	out := NewAttrSet()
-	proj := NewAttrSet(b.Attrs...)
-	for _, a := range b.EncAttrs {
-		if proj.Has(a) {
-			out.Add(a)
-		}
-	}
-	return out
+	return NewAttrSet(b.EncAttrs...).Intersect(NewAttrSet(b.Attrs...))
 }
 
 // Children returns no children: a base relation is a leaf.
@@ -426,14 +420,14 @@ func (u *UDF) Children() []Node { return []Node{u.Child} }
 // output attribute.
 func (u *UDF) Schema() []Attr {
 	consumed := NewAttrSet(u.Args...)
-	consumed = consumed.Diff(NewAttrSet(u.Out))
+	consumed.Remove(u.Out)
 	var out []Attr
 	for _, a := range u.Child.Schema() {
 		if !consumed.Has(a) {
 			out = append(out, a)
 		}
 	}
-	if !NewAttrSet(out...).Has(u.Out) {
+	if !slices.Contains(out, u.Out) {
 		out = append(out, u.Out)
 	}
 	return out

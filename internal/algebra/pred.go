@@ -104,11 +104,9 @@ func joinPreds(ps []Pred, sep string) string {
 }
 
 func unionAttrs(ps []Pred) AttrSet {
-	out := NewAttrSet()
+	var out AttrSet
 	for _, p := range ps {
-		for a := range p.Attrs() {
-			out[a] = struct{}{}
-		}
+		out = out.Union(p.Attrs())
 	}
 	return out
 }
@@ -192,24 +190,4 @@ func ValueAttrs(p Pred) AttrSet {
 		}
 	})
 	return out
-}
-
-// EqualityOnly reports whether every basic comparison in p is an equality.
-// Deterministic encryption supports only equality; range predicates need an
-// order-preserving scheme.
-func EqualityOnly(p Pred) bool {
-	ok := true
-	WalkPred(p, func(q Pred) {
-		switch x := q.(type) {
-		case *CmpAV:
-			if !x.Op.IsEquality() {
-				ok = false
-			}
-		case *CmpAA:
-			if !x.Op.IsEquality() {
-				ok = false
-			}
-		}
-	})
-	return ok
 }

@@ -22,13 +22,6 @@ func PreOrder(n Node, fn func(Node)) {
 	}
 }
 
-// Nodes returns every node of the tree in post-order.
-func Nodes(root Node) []Node {
-	var out []Node
-	PostOrder(root, func(n Node) { out = append(out, n) })
-	return out
-}
-
 // CountNodes returns the number of nodes in the tree.
 func CountNodes(root Node) int {
 	n := 0

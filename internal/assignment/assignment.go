@@ -313,7 +313,7 @@ func touchedAttrs(n algebra.Node) algebra.AttrSet {
 	case *algebra.GroupBy:
 		out := algebra.NewAttrSet(x.Keys...)
 		out = out.Union(x.AggAttrs())
-		delete(out, algebra.CountAttr())
+		out.Remove(algebra.CountAttr())
 		return out
 	case *algebra.UDF:
 		return algebra.NewAttrSet(x.Args...)
@@ -419,7 +419,7 @@ func opCost(an *core.Analysis, n algebra.Node, s authz.Subject, m *cost.Model, b
 	per, tuples := cost.OpTuples(n)
 	// Operating over ciphertexts (attributes the subject sees encrypted).
 	view := an.Views[s]
-	for a := range touchedAttrs(n).Intersect(view.E) {
+	for a := range touchedAttrs(n).Intersect(view.E).All() {
 		if c := cost.OpSecondsOverCipher(hints[a]); c > per {
 			per = c
 		}
@@ -475,11 +475,11 @@ func edgeCost(an *core.Analysis, c algebra.Node, cs authz.Subject, n algebra.Nod
 	// encryption is priced as randomized.
 	schema := algebra.SchemaSet(c)
 	var encSec float64
-	for a := range view.E.Intersect(schema) {
+	for a := range view.E.Intersect(schema).All() {
 		encSec += cost.EncSeconds(hints[a])
 	}
 	var decSec float64
-	for a := range an.Reqs[n].Intersect(schema) {
+	for a := range an.Reqs[n].Intersect(schema).All() {
 		decSec += cost.DecSeconds(hints[a])
 	}
 	sec := rows * (encSec + decSec)

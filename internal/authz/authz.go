@@ -38,7 +38,7 @@ func (a *Authorization) String() string {
 }
 
 func names(s algebra.AttrSet) string {
-	parts := make([]string, 0, len(s))
+	parts := make([]string, 0, s.Len())
 	for _, a := range s.Sorted() {
 		parts = append(parts, a.Name)
 	}
@@ -70,7 +70,7 @@ func NewPolicy() *Policy {
 // an error when plain and enc overlap or when the subject already holds an
 // authorization for the relation (a subject holds at most one, Section 2).
 func (p *Policy) Grant(rel string, subject Subject, plain, enc []string) error {
-	ps, es := algebra.NewAttrSet(), algebra.NewAttrSet()
+	var ps, es algebra.AttrSet
 	for _, n := range plain {
 		ps.Add(algebra.Attr{Rel: rel, Name: n})
 	}
@@ -188,8 +188,6 @@ func (p *Policy) Subjects() []Subject {
 	return out
 }
 
-func newSet() algebra.AttrSet { return algebra.NewAttrSet() }
-
 // View is the overall view of a subject (Section 4, Figure 4): the union,
 // across relations, of the attributes the subject may access in plaintext
 // (P) and in encrypted form only (E).
@@ -202,7 +200,7 @@ type View struct {
 // View computes the overall view of a subject under the policy, applying
 // the 'any' default per relation.
 func (p *Policy) View(subject Subject) View {
-	v := View{Subject: subject, P: algebra.NewAttrSet(), E: algebra.NewAttrSet()}
+	v := View{Subject: subject}
 	for rel := range p.rules {
 		r := p.Rule(rel, subject)
 		if r == nil {
@@ -246,17 +244,17 @@ func (d *DenialReason) Error() string {
 //  2. Rve ∪ Rie ⊆ P_S ∪ E_S           (encrypted attributes authorized)
 //  3. ∀A ∈ R≃: A ⊆ P_S or A ⊆ E_S    (uniform visibility)
 func (v View) Check(pr profile.Profile) error {
-	if bad := pr.VP.Union(pr.IP).Diff(v.P); !bad.Empty() {
-		return &DenialReason{Subject: v.Subject, Condition: 1, Attrs: bad}
+	if !pr.VP.SubsetOf(v.P) || !pr.IP.SubsetOf(v.P) {
+		return &DenialReason{Subject: v.Subject, Condition: 1, Attrs: pr.VP.Union(pr.IP).Diff(v.P)}
 	}
 	pe := v.P.Union(v.E)
-	if bad := pr.VE.Union(pr.IE).Diff(pe); !bad.Empty() {
-		return &DenialReason{Subject: v.Subject, Condition: 2, Attrs: bad}
+	if !pr.VE.SubsetOf(pe) || !pr.IE.SubsetOf(pe) {
+		return &DenialReason{Subject: v.Subject, Condition: 2, Attrs: pr.VE.Union(pr.IE).Diff(pe)}
 	}
-	for _, A := range pr.Eq.Sets() {
-		if !A.SubsetOf(v.P) && !A.SubsetOf(v.E) {
-			return &DenialReason{Subject: v.Subject, Condition: 3, Attrs: A}
-		}
+	if A, bad := pr.Eq.First(func(A algebra.AttrSet) bool {
+		return !A.SubsetOf(v.P) && !A.SubsetOf(v.E)
+	}); bad {
+		return &DenialReason{Subject: v.Subject, Condition: 3, Attrs: A}
 	}
 	return nil
 }

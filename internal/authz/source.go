@@ -73,7 +73,7 @@ func (r *Requester) Relations() []string {
 
 // View assembles the overall view of a subject from per-relation requests.
 func (r *Requester) View(subject Subject) View {
-	v := View{Subject: subject, P: newSet(), E: newSet()}
+	v := View{Subject: subject}
 	for _, rel := range r.relations {
 		if rule := r.Rule(rel, subject); rule != nil {
 			v.P = v.P.Union(rule.Plain)
@@ -113,7 +113,7 @@ func (f *Federation) Add(m Viewer) { f.members = append(f.members, m) }
 
 // View unions the views granted by every member authority.
 func (f *Federation) View(subject Subject) View {
-	v := View{Subject: subject, P: newSet(), E: newSet()}
+	v := View{Subject: subject}
 	for _, m := range f.members {
 		mv := m.View(subject)
 		v.P = v.P.Union(mv.P)

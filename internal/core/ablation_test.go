@@ -212,7 +212,7 @@ func TestExtendMinVisibilityAuthorizedButHeavier(t *testing.T) {
 	if !minAttrs.SubsetOf(maxAttrs) {
 		t.Errorf("minimal encrypts %v, not a subset of maximal %v", minAttrs, maxAttrs)
 	}
-	if len(maxAttrs) <= len(minAttrs) {
+	if maxAttrs.Len() <= minAttrs.Len() {
 		t.Errorf("min-visibility should encrypt strictly more: %v vs %v", maxAttrs, minAttrs)
 	}
 	// Both plans compute relations with identical visible schemas at the

@@ -102,10 +102,7 @@ func (s *System) Analyze(root algebra.Node, reqs PlaintextReqs) *Analysis {
 // visible plaintext attribute outside Ap is encrypted, and every attribute
 // of Ap that is visible encrypted is decrypted.
 func MinimumRequiredView(operand profile.Profile, ap algebra.AttrSet) profile.Profile {
-	encAttrs := operand.VP.Diff(ap).Sorted()
-	out := profile.Encrypt(operand, encAttrs)
-	decAttrs := out.VE.Intersect(ap).Sorted()
-	return profile.Decrypt(out, decAttrs)
+	return profile.Decrypt(profile.Encrypt(operand, operand.VP.Diff(ap)), ap)
 }
 
 // Feasible reports whether every operation of the plan has at least one

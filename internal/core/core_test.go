@@ -440,7 +440,7 @@ func TestMinimumRequiredViewDefinition(t *testing.T) {
 		t.Errorf("min view = %v", mv)
 	}
 	// An Ap attribute arriving encrypted gets decrypted.
-	pe := profile.Encrypt(p, []algebra.Attr{ra, rb})
+	pe := profile.Encrypt(p, set(ra, rb))
 	mv2 := MinimumRequiredView(pe, set(ra))
 	if !mv2.VP.Equal(set(ra)) || !mv2.VE.Equal(set(rb)) {
 		t.Errorf("min view from encrypted = %v", mv2)

@@ -43,7 +43,7 @@ type Key struct {
 // each attribute the weakest scheme its operations allow, so only keys of
 // homomorphically aggregated attributes do).
 func (ext *ExtendedPlan) NeedsPaillier(k Key) bool {
-	for a := range k.Attrs {
+	for a := range k.Attrs.All() {
 		if ext.Schemes[a] == algebra.SchemePaillier {
 			return true
 		}
@@ -119,7 +119,7 @@ func (s *System) ExtendUnkeyed(an *Analysis, lambda Assignment) (*ExtendedPlan, 
 
 	// encView[x] is E_{λ(x)} for the node's assignee; ancestors' sets are
 	// accumulated top-down in build.
-	root, _, err := s.build(an, lambda, an.Root, nil, ext)
+	root, _, err := s.build(an, lambda, an.Root, algebra.AttrSet{}, ext)
 	if err != nil {
 		return nil, err
 	}
@@ -148,12 +148,12 @@ func (s *System) build(an *Analysis, lambda Assignment, n algebra.Node, ancestor
 	selfE := view.E
 	// childAncestorsE is read, never written, so it may share the view's E
 	// (at the root) or the caller's set (when selfE adds nothing to it).
-	childAncestorsE := selfE
-	if ancestorsE != nil {
-		childAncestorsE = ancestorsE
-		if !selfE.SubsetOf(ancestorsE) {
-			childAncestorsE = selfE.Union(ancestorsE)
-		}
+	childAncestorsE := ancestorsE
+	switch {
+	case ancestorsE.Empty():
+		childAncestorsE = selfE
+	case !selfE.SubsetOf(ancestorsE):
+		childAncestorsE = selfE.Union(ancestorsE)
 	}
 
 	ap := an.Reqs[n]
@@ -215,7 +215,7 @@ func (s *System) build(an *Analysis, lambda Assignment, n algebra.Node, ancestor
 			vis := func(i int) (enc, plain algebra.AttrSet) {
 				return comp.Intersect(childProfiles[i].VE), comp.Intersect(childProfiles[i].VP)
 			}
-			allEnc, allPlain := algebra.NewAttrSet(), algebra.NewAttrSet()
+			var allEnc, allPlain algebra.AttrSet
 			for i := range children {
 				e, p := vis(i)
 				allEnc = allEnc.Union(e)
@@ -224,7 +224,7 @@ func (s *System) build(an *Analysis, lambda Assignment, n algebra.Node, ancestor
 			if allEnc.Empty() || allPlain.Empty() {
 				continue // already uniform
 			}
-			if !comp.Intersect(childAncestorsE).Empty() {
+			if comp.Intersects(childAncestorsE) {
 				// Some member may not travel in plaintext: encrypt the
 				// plaintext members on their edges.
 				for i, c := range children {
@@ -262,7 +262,7 @@ func (s *System) addEncrypt(ext *ExtendedPlan, node algebra.Node, prof profile.P
 	encNode := algebra.NewEncrypt(node, attrs.Sorted())
 	ext.Assign[encNode] = executor
 	ext.Source[encNode] = source
-	out := profile.Encrypt(prof, attrs.Sorted())
+	out := profile.Encrypt(prof, attrs)
 	ext.Profiles[encNode] = out
 	return encNode, out
 }
@@ -273,7 +273,7 @@ func (s *System) addDecrypt(ext *ExtendedPlan, node algebra.Node, prof profile.P
 	decNode := algebra.NewDecrypt(node, attrs.Sorted())
 	ext.Assign[decNode] = subj
 	ext.Source[decNode] = source
-	out := profile.Decrypt(prof, attrs.Sorted())
+	out := profile.Decrypt(prof, attrs)
 	ext.Profiles[decNode] = out
 	return decNode, out
 }
@@ -282,7 +282,7 @@ func (s *System) addDecrypt(ext *ExtendedPlan, node algebra.Node, prof profile.P
 // n would demand a costly scheme: additively aggregated attributes
 // (Paillier) and order-compared attributes (OPE).
 func expensiveSchemeAttrs(n algebra.Node) algebra.AttrSet {
-	out := algebra.NewAttrSet()
+	var out algebra.AttrSet
 	markPred := func(p algebra.Pred) {
 		algebra.WalkPred(p, func(q algebra.Pred) {
 			if av, ok := q.(*algebra.CmpAV); ok {
@@ -304,7 +304,7 @@ func expensiveSchemeAttrs(n algebra.Node) algebra.AttrSet {
 	case *algebra.Join:
 		markPred(x.Cond)
 	}
-	delete(out, algebra.CountAttr())
+	out.Remove(algebra.CountAttr())
 	return out
 }
 
@@ -340,10 +340,10 @@ func implicitAdditions(n algebra.Node) algebra.AttrSet {
 		return algebra.ValueAttrs(x.Cond)
 	case *algebra.GroupBy:
 		out := algebra.NewAttrSet(x.Keys...)
-		delete(out, algebra.CountAttr())
+		out.Remove(algebra.CountAttr())
 		return out
 	default:
-		return algebra.NewAttrSet()
+		return algebra.AttrSet{}
 	}
 }
 
@@ -462,27 +462,21 @@ func (s *System) chooseSchemes(ext *ExtendedPlan) error {
 	// Merge the needs of attributes whose ciphertexts must be comparable.
 	for _, set := range sharing.Sets() {
 		merged := &opNeed{}
-		for a := range set {
+		for a := range set.All() {
 			if nd, ok := needs[a]; ok {
 				merged.equality = merged.equality || nd.equality
 				merged.order = merged.order || nd.order
 				merged.sum = merged.sum || nd.sum
 			}
 		}
-		for a := range set {
+		for a := range set.All() {
 			needs[a] = merged
 		}
 	}
 
 	// Attributes encrypted at rest use deterministic encryption (fixed at
 	// storage time); anything sharing their cluster must follow.
-	storedEnc := algebra.NewAttrSet()
-	algebra.PostOrder(ext.Root, func(n algebra.Node) {
-		if b, ok := n.(*algebra.Base); ok {
-			storedEnc = storedEnc.Union(b.EncSet())
-		}
-	})
-	for a := range storedEnc {
+	for a := range storedEncrypted(ext.Root).All() {
 		ext.Schemes[a] = algebra.SchemeDeterministic
 		if nd := needs[a]; nd != nil && (nd.sum || nd.order) {
 			return fmt.Errorf("core: attribute %s is stored deterministically encrypted but needs %s over ciphertexts",
@@ -492,7 +486,7 @@ func (s *System) chooseSchemes(ext *ExtendedPlan) error {
 
 	// Resolve each attribute ever encrypted in the plan.
 	encrypted := encryptedAttrs(ext.Root)
-	for a := range encrypted {
+	for a := range encrypted.All() {
 		nd := needs[a]
 		scheme := algebra.SchemeRandom
 		if nd != nil {
@@ -524,7 +518,7 @@ func (s *System) chooseSchemes(ext *ExtendedPlan) error {
 // encryptedAttrs returns every attribute appearing in an encryption
 // operation of the plan (the set Ak of Definition 6.1).
 func encryptedAttrs(root algebra.Node) algebra.AttrSet {
-	out := algebra.NewAttrSet()
+	var out algebra.AttrSet
 	algebra.PostOrder(root, func(n algebra.Node) {
 		if e, ok := n.(*algebra.Encrypt); ok {
 			out.Add(e.Attrs...)
@@ -549,7 +543,7 @@ func (s *System) establishKeys(ext *ExtendedPlan) {
 	storageOwner := make(map[string]authz.Subject)
 	algebra.PostOrder(ext.Root, func(n algebra.Node) {
 		if b, ok := n.(*algebra.Base); ok {
-			for a := range b.EncSet() {
+			for a := range b.EncSet().All() {
 				storageKey[a] = b.StorageKey
 				storageOwner[b.StorageKey] = authz.Subject(b.Authority)
 			}
@@ -561,7 +555,7 @@ func (s *System) establishKeys(ext *ExtendedPlan) {
 	rootEq := ext.Profiles[ext.Root].Eq
 
 	var clusters []algebra.AttrSet
-	assigned := algebra.NewAttrSet()
+	var assigned algebra.AttrSet
 	for _, eqSet := range rootEq.Sets() {
 		inter := ak.Intersect(eqSet)
 		if !inter.Empty() {
@@ -584,7 +578,7 @@ func (s *System) establishKeys(ext *ExtendedPlan) {
 	byID := make(map[string]int)
 	for _, cl := range clusters {
 		id := ""
-		names := make([]string, 0, len(cl))
+		names := make([]string, 0, cl.Len())
 		for _, a := range cl.Sorted() {
 			names = append(names, a.Name)
 			if sk, ok := storageKey[a]; ok {
@@ -604,7 +598,7 @@ func (s *System) establishKeys(ext *ExtendedPlan) {
 	keyOf := make(map[algebra.Attr]int)
 	ext.Keys = make([]Key, len(named))
 	for i, nc := range named {
-		for a := range nc.cl {
+		for a := range nc.cl.All() {
 			keyOf[a] = i
 		}
 		ext.Keys[i] = Key{ID: nc.id, Attrs: nc.cl}

@@ -30,10 +30,6 @@ func DefaultCapabilities() Capabilities {
 	return Capabilities{Equality: true, Range: true, Sum: true, MinMax: true, UDF: false}
 }
 
-// NoCrypto disables every computation over encrypted data: every operation
-// requires its inputs in plaintext.
-func NoCrypto() Capabilities { return Capabilities{} }
-
 // PlaintextReqs maps each plan node to the set Ap of operand attributes the
 // node's operation needs in plaintext.
 type PlaintextReqs map[algebra.Node]algebra.AttrSet
@@ -51,34 +47,23 @@ type reqState struct {
 	types     map[algebra.Attr]algebra.ColType
 }
 
-// Requirements computes the default plaintext requirements of every node of
-// the plan under the given capabilities. The rules guarantee that a single
-// encryption scheme per attribute suffices: operations whose encrypted
-// evaluation would demand conflicting schemes (e.g. a Paillier sum over an
-// attribute already compared with deterministic/OPE ciphertexts) require
-// plaintext instead, mirroring an optimizer that inserts a decryption.
-func Requirements(root algebra.Node, caps Capabilities) PlaintextReqs {
-	return RequirementsTyped(root, caps, nil)
-}
-
-// RequirementsTyped is Requirements with attribute type information: order
-// comparisons over string attributes always require plaintext, because the
-// OPE scheme encodes numeric and date domains only.
+// RequirementsTyped computes the default plaintext requirements of every
+// node of the plan under the given capabilities, such that one encryption
+// scheme per attribute suffices: an operation whose encrypted evaluation
+// would demand conflicting schemes (e.g. a Paillier sum over an attribute
+// compared below) requires plaintext instead. With attribute types (nil for
+// none), order comparisons over strings require plaintext too: OPE encodes
+// numeric and date domains only.
 func RequirementsTyped(root algebra.Node, caps Capabilities, types map[algebra.Attr]algebra.ColType) PlaintextReqs {
 	reqs := make(PlaintextReqs)
 	states := make(map[algebra.Node]*reqState)
 
 	// Attributes stored encrypted at rest use deterministic encryption:
 	// only equality is evaluable without decrypting them first.
-	storedEnc := algebra.NewAttrSet()
-	algebra.PostOrder(root, func(n algebra.Node) {
-		if b, ok := n.(*algebra.Base); ok {
-			storedEnc = storedEnc.Union(b.EncSet())
-		}
-	})
+	storedEnc := storedEncrypted(root)
 
 	algebra.PostOrder(root, func(n algebra.Node) {
-		st := &reqState{aggOut: make(map[algebra.Attr]sql.AggFunc), compared: algebra.NewAttrSet(), storedEnc: storedEnc, types: types}
+		st := &reqState{aggOut: make(map[algebra.Attr]sql.AggFunc), storedEnc: storedEnc, types: types}
 		for _, c := range n.Children() {
 			cs := states[c]
 			for a, f := range cs.aggOut {
@@ -86,13 +71,13 @@ func RequirementsTyped(root algebra.Node, caps Capabilities, types map[algebra.A
 			}
 			st.compared = st.compared.Union(cs.compared)
 		}
-		ap := algebra.NewAttrSet()
+		var ap algebra.AttrSet
 
 		switch x := n.(type) {
 		case *algebra.Select:
-			addPredReqs(ap, x.Pred, caps, st)
+			addPredReqs(&ap, x.Pred, caps, st)
 		case *algebra.Join:
-			addPredReqs(ap, x.Cond, caps, st)
+			addPredReqs(&ap, x.Cond, caps, st)
 		case *algebra.GroupBy:
 			for _, k := range x.Keys {
 				if algebra.IsSynthetic(k) {
@@ -105,8 +90,7 @@ func RequirementsTyped(root algebra.Node, caps Capabilities, types map[algebra.A
 			}
 			// Attributes under both an additive and an order aggregate
 			// would need conflicting schemes: require plaintext.
-			additive := algebra.NewAttrSet()
-			ordered := algebra.NewAttrSet()
+			var additive, ordered algebra.AttrSet
 			for _, spec := range x.Aggs {
 				if spec.Star || algebra.IsSynthetic(spec.Attr) {
 					continue
@@ -156,11 +140,23 @@ func RequirementsTyped(root algebra.Node, caps Capabilities, types map[algebra.A
 			}
 			st.aggOut[x.Out] = sql.AggNone
 		}
-		delete(ap, algebra.CountAttr())
+		ap.Remove(algebra.CountAttr())
 		reqs[n] = ap
 		states[n] = st
 	})
 	return reqs
+}
+
+// storedEncrypted returns the attributes the plan's base relations hold
+// encrypted at rest.
+func storedEncrypted(root algebra.Node) algebra.AttrSet {
+	var out algebra.AttrSet
+	algebra.PostOrder(root, func(n algebra.Node) {
+		if b, ok := n.(*algebra.Base); ok {
+			out = out.Union(b.EncSet())
+		}
+	})
+	return out
 }
 
 func isAggOut(st *reqState, a algebra.Attr) bool {
@@ -187,7 +183,7 @@ func needsPlainCompare(a algebra.Attr, op sql.CompareOp, caps Capabilities, st *
 		return true // no scheme supports pattern matching
 	case op.IsEquality() || op == sql.OpNeq:
 		return !caps.Equality
-	case st.storedEnc != nil && st.storedEnc.Has(a):
+	case st.storedEnc.Has(a):
 		// Deterministically encrypted at rest: ranges need decryption.
 		return true
 	case st.types != nil && st.types[a] == algebra.TString:
@@ -199,12 +195,12 @@ func needsPlainCompare(a algebra.Attr, op sql.CompareOp, caps Capabilities, st *
 	}
 }
 
-// addPredReqs adds to ap the attributes of pred that must be plaintext for
+// addPredReqs adds to *ap the attributes of pred that must be plaintext for
 // its evaluation. For attribute-attribute conditions, a plaintext need on
 // either side forces both sides to plaintext (the two operands of a
 // comparison must be uniformly visible). Every compared attribute is also
 // recorded in the state for scheme-conflict avoidance.
-func addPredReqs(ap algebra.AttrSet, pred algebra.Pred, caps Capabilities, st *reqState) {
+func addPredReqs(ap *algebra.AttrSet, pred algebra.Pred, caps Capabilities, st *reqState) {
 	algebra.WalkPred(pred, func(p algebra.Pred) {
 		switch c := p.(type) {
 		case *algebra.CmpAV:
@@ -223,6 +219,6 @@ func addPredReqs(ap algebra.AttrSet, pred algebra.Pred, caps Capabilities, st *r
 			st.compared.Add(c.L, c.R)
 		}
 	})
-	delete(ap, algebra.CountAttr())
-	delete(st.compared, algebra.CountAttr())
+	ap.Remove(algebra.CountAttr())
+	st.compared.Remove(algebra.CountAttr())
 }

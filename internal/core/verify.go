@@ -87,10 +87,10 @@ func CheckPlaintextAvailability(root algebra.Node, reqs PlaintextReqs, source ma
 			}
 		}
 		ap := reqs[orig]
-		if ap == nil {
+		if ap.Empty() {
 			return
 		}
-		visible := algebra.NewAttrSet()
+		var visible algebra.AttrSet
 		for _, c := range n.Children() {
 			visible = visible.Union(profiles[c].VP)
 		}

@@ -168,11 +168,9 @@ func cpuSeconds(n algebra.Node, profiles map[algebra.Node]profile.Profile,
 	// Operating over ciphertexts: the most expensive scheme among the
 	// encrypted attributes the operator computes on sets the per-tuple cost.
 	overCipher := func(attrs, enc algebra.AttrSet) {
-		for a := range attrs {
-			if enc.Has(a) {
-				if s := OpSecondsOverCipher(schemeOf(schemes, a)); s > per {
-					per = s
-				}
+		for a := range attrs.Intersect(enc).All() {
+			if s := OpSecondsOverCipher(schemeOf(schemes, a)); s > per {
+				per = s
 			}
 		}
 	}

@@ -153,7 +153,7 @@ func runStreamTotal(t *testing.T) ([]string, int64) {
 	for i, r := range got.Rows {
 		out[i] = exec.DisplayString(r)
 	}
-	return out, nw.TotalBytes()
+	return out, shippedBytes(nw.Transfers)
 }
 
 // TestDictStreamShipsFewerBytes runs the string-heavy streamed query with

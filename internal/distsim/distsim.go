@@ -235,26 +235,6 @@ func (nw *Network) DistributeKeys(ext *core.ExtendedPlan, paillierBits int) (*cr
 	return full, nil
 }
 
-// TotalBytes returns the total bytes shipped between subjects.
-func (nw *Network) TotalBytes() int64 {
-	var total int64
-	for _, t := range nw.Transfers {
-		total += t.Bytes
-	}
-	return total
-}
-
-// BytesBetween returns the bytes shipped from one subject to another.
-func (nw *Network) BytesBetween(from, to authz.Subject) int64 {
-	var total int64
-	for _, t := range nw.Transfers {
-		if t.From == from && t.To == to {
-			total += t.Bytes
-		}
-	}
-	return total
-}
-
 // dictLedger tracks, for one edge, which dictionaries have already crossed
 // it: a dictionary's content ships once per edge, while every batch ships
 // only its 4-byte codes. Each producer goroutine owns one edge and one

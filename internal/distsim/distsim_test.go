@@ -168,10 +168,10 @@ func TestDistributedRunningExample(t *testing.T) {
 	}
 
 	// Transfers occurred on the cross-subject edges: H→X, I→X, X→Y.
-	if nw.BytesBetween("H", "X") == 0 || nw.BytesBetween("I", "X") == 0 || nw.BytesBetween("X", "Y") == 0 {
+	if bytesBetween(nw.Transfers, "H", "X") == 0 || bytesBetween(nw.Transfers, "I", "X") == 0 || bytesBetween(nw.Transfers, "X", "Y") == 0 {
 		t.Errorf("missing transfers: %+v", nw.Transfers)
 	}
-	if nw.TotalBytes() <= 0 {
+	if shippedBytes(nw.Transfers) <= 0 {
 		t.Errorf("transfer ledger empty")
 	}
 

@@ -4,13 +4,15 @@ import (
 	"testing"
 
 	"mpq/internal/algebra"
+	"mpq/internal/authz"
 	"mpq/internal/core"
 	"mpq/internal/exec"
 	"mpq/internal/planner"
 )
 
-// TestLedgerConsistency: per-link totals sum to the global total, and every
-// transfer corresponds to a cross-subject edge of the extended plan.
+// TestLedgerConsistency: the network's ledger records, link by link, the
+// bytes of the transfers the run returned, and every transfer corresponds to
+// a cross-subject edge of the extended plan.
 func TestLedgerConsistency(t *testing.T) {
 	cat := exampleCatalog()
 	plan, err := planner.New(cat).PlanSQL(runningQuery)
@@ -49,14 +51,13 @@ func TestLedgerConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := nw.ExecuteParallel(ext, consts); err != nil {
+	_, run, err := nw.ExecuteParallel(ext, consts)
+	if err != nil {
 		t.Fatal(err)
 	}
 
-	var perLink int64
 	links := map[[2]string]bool{}
 	for _, tr := range nw.Transfers {
-		perLink += tr.Bytes
 		links[[2]string{string(tr.From), string(tr.To)}] = true
 		if tr.From == tr.To {
 			t.Errorf("self transfer recorded: %+v", tr)
@@ -65,8 +66,14 @@ func TestLedgerConsistency(t *testing.T) {
 			t.Errorf("negative accounting: %+v", tr)
 		}
 	}
-	if perLink != nw.TotalBytes() {
-		t.Errorf("ledger sum %d != total %d", perLink, nw.TotalBytes())
+	if got, want := shippedBytes(nw.Transfers), shippedBytes(run); got != want || got <= 0 {
+		t.Errorf("ledger sum %d != run's transfers %d", got, want)
+	}
+	for l := range links {
+		from, to := authz.Subject(l[0]), authz.Subject(l[1])
+		if got, want := bytesBetween(nw.Transfers, from, to), bytesBetween(run, from, to); got != want {
+			t.Errorf("link %v: ledger %d bytes, run's transfers %d", l, got, want)
+		}
 	}
 	// Exactly the cross-subject edges of this assignment: H→X, I→X, X→Y.
 	want := map[[2]string]bool{{"H", "X"}: true, {"I", "X"}: true, {"X", "Y"}: true}
@@ -80,4 +87,24 @@ func TestLedgerConsistency(t *testing.T) {
 			t.Errorf("unexpected link %v", l)
 		}
 	}
+}
+
+// shippedBytes sums the bytes of a list of transfers.
+func shippedBytes(ts []Transfer) int64 {
+	var total int64
+	for _, t := range ts {
+		total += t.Bytes
+	}
+	return total
+}
+
+// bytesBetween sums the bytes shipped from one subject to another.
+func bytesBetween(ts []Transfer, from, to authz.Subject) int64 {
+	var total int64
+	for _, t := range ts {
+		if t.From == from && t.To == to {
+			total += t.Bytes
+		}
+	}
+	return total
 }

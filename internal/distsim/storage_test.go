@@ -116,7 +116,7 @@ func TestStoredEncryptedBaseDistributed(t *testing.T) {
 
 	// The data never left W in plaintext for S and D: the W→X transfer
 	// happened (stored ciphertexts shipped), and W held the storage ring.
-	if nw.BytesBetween("W", "X") == 0 {
+	if bytesBetween(nw.Transfers, "W", "X") == 0 {
 		t.Errorf("expected W→X shipment of the stored relation")
 	}
 }

@@ -298,7 +298,7 @@ func PrepareConstants(root algebra.Node, keys *crypto.KeyStore, kinds AttrKinds)
 			}
 		case *algebra.Base:
 			// Attributes stored encrypted at rest (deterministic).
-			for a := range x.EncSet() {
+			for a := range x.EncSet().All() {
 				schemes[a] = algebra.SchemeDeterministic
 				keyIDs[a] = x.StorageKey
 			}

@@ -102,13 +102,6 @@ func (s *Span) Record(rows int, nanos int64) {
 	s.nanos.Add(nanos)
 }
 
-// AddRows accounts rows produced outside a timed Next call (materialized
-// execution paths).
-func (s *Span) AddRows(rows, batches int64) {
-	s.rows.Add(rows)
-	s.batches.Add(batches)
-}
-
 // AddNanos accounts wall time outside a timed Next call.
 func (s *Span) AddNanos(n int64) { s.nanos.Add(n) }
 

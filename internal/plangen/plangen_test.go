@@ -82,15 +82,15 @@ func TestRandomAttrSubset(t *testing.T) {
 	g := New(DefaultConfig(5))
 	rels := g.Relations()
 	plain, enc := g.RandomAttrSubset(rels)
-	if len(plain.Intersect(enc)) != 0 {
+	if plain.Intersects(enc) {
 		t.Errorf("plain and enc overlap")
 	}
 	total := 0
 	for _, r := range rels {
 		total += len(r.Columns)
 	}
-	if len(plain)+len(enc) == 0 || len(plain)+len(enc) > total {
-		t.Errorf("subset sizes = %d + %d of %d", len(plain), len(enc), total)
+	if plain.Len()+enc.Len() == 0 || plain.Len()+enc.Len() > total {
+		t.Errorf("subset sizes = %d + %d of %d", plain.Len(), enc.Len(), total)
 	}
 }
 

@@ -326,7 +326,7 @@ func (p *Planner) Plan(stmt *sql.SelectStmt) (*Plan, error) {
 			needed.Add(sp.Attr)
 		}
 	}
-	delete(needed, algebra.CountAttr())
+	needed.Remove(algebra.CountAttr())
 
 	// Split WHERE into single-relation conjuncts (pushed down), join
 	// conjuncts, and residual conjuncts.
@@ -502,7 +502,7 @@ func (p *Planner) Plan(stmt *sql.SelectStmt) (*Plan, error) {
 // relationsOf returns the names of the relations a predicate mentions.
 func relationsOf(p algebra.Pred) map[string]struct{} {
 	out := make(map[string]struct{})
-	for a := range p.Attrs() {
+	for a := range p.Attrs().All() {
 		if !algebra.IsSynthetic(a) {
 			out[a.Rel] = struct{}{}
 		}

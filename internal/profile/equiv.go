@@ -7,7 +7,7 @@
 package profile
 
 import (
-	"sort"
+	"slices"
 	"strings"
 
 	"mpq/internal/algebra"
@@ -24,26 +24,24 @@ type EquivSets struct {
 // NewEquivSets returns an empty equivalence structure.
 func NewEquivSets() *EquivSets { return &EquivSets{} }
 
-// Clone returns an independent deep copy.
+// Clone returns an independent copy. It shares the sets themselves, which
+// EquivSets replaces on merge and never mutates in place.
 func (e *EquivSets) Clone() *EquivSets {
-	c := &EquivSets{sets: make([]algebra.AttrSet, len(e.sets))}
-	for i, s := range e.sets {
-		c.sets[i] = s.Clone()
-	}
-	return c
+	return &EquivSets{sets: slices.Clone(e.sets)}
 }
 
 // Union inserts the equivalence relationship among the attributes of A,
 // merging every existing set that intersects A (the ∪ abuse of notation in
-// Section 3.2). A with fewer than two attributes is a no-op.
+// Section 3.2). A with fewer than two attributes is a no-op. e may keep A
+// itself: the caller must not mutate A afterwards.
 func (e *EquivSets) Union(A algebra.AttrSet) {
-	if len(A) < 2 {
+	if A.Len() < 2 {
 		return
 	}
-	merged := A.Clone()
-	var rest []algebra.AttrSet
+	merged := A
+	rest := e.sets[:0:0]
 	for _, s := range e.sets {
-		if len(s.Intersect(merged)) > 0 {
+		if s.Intersects(merged) {
 			merged = merged.Union(s)
 		} else {
 			rest = append(rest, s)
@@ -59,45 +57,30 @@ func (e *EquivSets) UnionAll(o *EquivSets) {
 	}
 }
 
-// SetOf returns the equivalence set containing a, or nil when a is only
-// equivalent to itself.
-func (e *EquivSets) SetOf(a algebra.Attr) algebra.AttrSet {
+// Sets returns the equivalence sets in deterministic order (by rendering).
+func (e *EquivSets) Sets() []algebra.AttrSet { return sortedSets(slices.Clone(e.sets)) }
+
+// First returns the first set, in Sets order, satisfying match.
+func (e *EquivSets) First(match func(algebra.AttrSet) bool) (algebra.AttrSet, bool) {
+	var found []algebra.AttrSet
 	for _, s := range e.sets {
-		if s.Has(a) {
-			return s
+		if match(s) {
+			found = append(found, s)
 		}
 	}
-	return nil
-}
-
-// Sets returns the equivalence sets in deterministic order.
-func (e *EquivSets) Sets() []algebra.AttrSet {
-	out := make([]algebra.AttrSet, len(e.sets))
-	copy(out, e.sets)
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
-	return out
-}
-
-// Attrs returns every attribute appearing in some equivalence set.
-func (e *EquivSets) Attrs() algebra.AttrSet {
-	out := algebra.NewAttrSet()
-	for _, s := range e.sets {
-		out = out.Union(s)
+	if len(found) == 0 {
+		return algebra.AttrSet{}, false
 	}
-	return out
+	return sortedSets(found)[0], true
+}
+
+func sortedSets(sets []algebra.AttrSet) []algebra.AttrSet {
+	slices.SortFunc(sets, func(a, b algebra.AttrSet) int { return strings.Compare(a.String(), b.String()) })
+	return sets
 }
 
 // Len returns the number of equivalence sets (of size ≥ 2).
 func (e *EquivSets) Len() int { return len(e.sets) }
-
-// Same reports whether a and b are equivalent (in the same set, or equal).
-func (e *EquivSets) Same(a, b algebra.Attr) bool {
-	if a == b {
-		return true
-	}
-	s := e.SetOf(a)
-	return s != nil && s.Has(b)
-}
 
 // RefinedBy reports whether every set of e is contained in some set of o
 // (condition ii of Theorem 3.1: equivalence sets only grow up the plan).

@@ -25,10 +25,7 @@ func (e *VisibilityError) Error() string {
 func ForNode(n algebra.Node, operands []Profile) Profile {
 	switch x := n.(type) {
 	case *algebra.Base:
-		if enc := x.EncSet(); !enc.Empty() {
-			return Encrypt(ForBase(x.Attrs), enc.Sorted())
-		}
-		return ForBase(x.Attrs)
+		return Encrypt(ForBase(x.Attrs), x.EncSet())
 	case *algebra.Project:
 		return Project(operands[0], x.Attrs)
 	case *algebra.Select:
@@ -42,9 +39,9 @@ func ForNode(n algebra.Node, operands []Profile) Profile {
 	case *algebra.UDF:
 		return UDF(operands[0], x.Args, x.Out)
 	case *algebra.Encrypt:
-		return Encrypt(operands[0], x.Attrs)
+		return Encrypt(operands[0], algebra.NewAttrSet(x.Attrs...))
 	case *algebra.Decrypt:
-		return Decrypt(operands[0], x.Attrs)
+		return Decrypt(operands[0], algebra.NewAttrSet(x.Attrs...))
 	}
 	panic(fmt.Sprintf("profile: unknown node type %T", n))
 }
@@ -91,7 +88,7 @@ func Validate(root algebra.Node) error {
 }
 
 func validateNode(n algebra.Node, ops []Profile) error {
-	visible := algebra.NewAttrSet()
+	var visible algebra.AttrSet
 	for _, p := range ops {
 		visible = visible.Union(p.Visible())
 	}

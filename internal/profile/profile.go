@@ -11,6 +11,10 @@ import (
 // in plaintext/encrypted form; IP/IE the implicit (indirectly leaked)
 // attributes; Eq the closure of the equivalence relationship among
 // attributes connected by conditions.
+//
+// A profile is immutable once built: the propagation rules below never
+// mutate a profile they are given, and return profiles that share the
+// operand's unchanged sets and equivalence structure.
 type Profile struct {
 	VP algebra.AttrSet // visible plaintext
 	VE algebra.AttrSet // visible encrypted
@@ -20,31 +24,14 @@ type Profile struct {
 }
 
 // New returns an empty profile.
-func New() Profile {
-	return Profile{
-		VP: algebra.NewAttrSet(),
-		VE: algebra.NewAttrSet(),
-		IP: algebra.NewAttrSet(),
-		IE: algebra.NewAttrSet(),
-		Eq: NewEquivSets(),
-	}
-}
+func New() Profile { return Profile{Eq: NewEquivSets()} }
 
 // ForBase returns the profile of a base relation: all attributes visible in
 // plaintext, no implicit content, no equivalences ([{a1..an}, ∅, ∅, ∅, ∅]).
 func ForBase(attrs []algebra.Attr) Profile {
 	p := New()
-	p.VP.Add(attrs...)
+	p.VP = algebra.NewAttrSet(attrs...)
 	return p
-}
-
-// Clone returns an independent deep copy of the profile.
-func (p Profile) Clone() Profile {
-	return Profile{
-		VP: p.VP.Clone(), VE: p.VE.Clone(),
-		IP: p.IP.Clone(), IE: p.IE.Clone(),
-		Eq: p.Eq.Clone(),
-	}
 }
 
 // Visible returns VP ∪ VE.
@@ -52,12 +39,6 @@ func (p Profile) Visible() algebra.AttrSet { return p.VP.Union(p.VE) }
 
 // Implicit returns IP ∪ IE.
 func (p Profile) Implicit() algebra.AttrSet { return p.IP.Union(p.IE) }
-
-// AllAttrs returns every attribute the profile mentions, including those
-// appearing only in equivalence sets.
-func (p Profile) AllAttrs() algebra.AttrSet {
-	return p.Visible().Union(p.Implicit()).Union(p.Eq.Attrs())
-}
 
 // Equal reports whether two profiles are identical.
 func (p Profile) Equal(o Profile) bool {
@@ -73,18 +54,6 @@ func (p Profile) String() string {
 		p.VP, p.VE, p.IP, p.IE, p.Eq)
 }
 
-// visibleOnly keeps only non-synthetic attributes (count(*) carries no
-// attribute information and is exempt from profiles and authorizations).
-func visibleOnly(attrs []algebra.Attr) []algebra.Attr {
-	out := attrs[:0:0]
-	for _, a := range attrs {
-		if !algebra.IsSynthetic(a) {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // ---------------------------------------------------------------------------
 // Operator propagation rules (Figure 2)
 
@@ -92,8 +61,9 @@ func visibleOnly(attrs []algebra.Attr) []algebra.Attr {
 // with the projection list; implicit attributes and equivalences are
 // untouched.
 func Project(p Profile, attrs []algebra.Attr) Profile {
-	A := algebra.NewAttrSet(visibleOnly(attrs)...)
-	out := p.Clone()
+	A := algebra.NewAttrSet(attrs...)
+	A.Remove(algebra.CountAttr()) // count(*) carries no attribute information
+	out := p
 	out.VP = p.VP.Intersect(A)
 	out.VE = p.VE.Intersect(A)
 	return out
@@ -104,12 +74,19 @@ func Project(p Profile, attrs []algebra.Attr) Profile {
 // form it is visible in the operand); every pair of compared attributes
 // ('ai op aj') joins the equivalence sets.
 func Select(p Profile, pred algebra.Pred) Profile {
-	out := p.Clone()
+	out := p
 	va := algebra.ValueAttrs(pred)
-	out.IP = out.IP.Union(p.VP.Intersect(va))
-	out.IE = out.IE.Union(p.VE.Intersect(va))
-	for _, pair := range algebra.AttrPairs(pred) {
-		out.Eq.Union(algebra.NewAttrSet(pair[0], pair[1]))
+	if va.Intersects(p.VP) {
+		out.IP = p.IP.Union(p.VP.Intersect(va))
+	}
+	if va.Intersects(p.VE) {
+		out.IE = p.IE.Union(p.VE.Intersect(va))
+	}
+	if pairs := algebra.AttrPairs(pred); len(pairs) > 0 {
+		out.Eq = p.Eq.Clone()
+		for _, pair := range pairs {
+			out.Eq.Union(algebra.NewAttrSet(pair[0], pair[1]))
+		}
 	}
 	return out
 }
@@ -140,14 +117,11 @@ func Join(l, r Profile, cond algebra.Pred) Profile {
 // attributes A join the implicit component (their grouping leaks their
 // values).
 func GroupBy(p Profile, keys []algebra.Attr, aggAttrs algebra.AttrSet) Profile {
-	A := algebra.NewAttrSet(visibleOnly(keys)...)
-	keep := A.Clone()
-	for a := range aggAttrs {
-		if !algebra.IsSynthetic(a) {
-			keep.Add(a)
-		}
-	}
-	out := p.Clone()
+	A := algebra.NewAttrSet(keys...)
+	A.Remove(algebra.CountAttr())
+	keep := A.Union(aggAttrs)
+	keep.Remove(algebra.CountAttr())
+	out := p
 	out.VP = p.VP.Intersect(keep)
 	out.VE = p.VE.Intersect(keep)
 	out.IP = p.IP.Union(p.VP.Intersect(A))
@@ -160,30 +134,38 @@ func GroupBy(p Profile, keys []algebra.Attr, aggAttrs algebra.AttrSet) Profile {
 // set A becomes an equivalence set (the output depends on every input).
 func UDF(p Profile, args []algebra.Attr, out algebra.Attr) Profile {
 	A := algebra.NewAttrSet(args...)
-	consumed := A.Diff(algebra.NewAttrSet(out))
-	res := p.Clone()
+	consumed := A.Clone()
+	consumed.Remove(out)
+	res := p
 	res.VP = p.VP.Diff(consumed)
 	res.VE = p.VE.Diff(consumed)
+	res.Eq = p.Eq.Clone()
 	res.Eq.Union(A)
 	return res
 }
 
-// Encrypt applies the encryption rule: the attributes move from visible
+// Encrypt applies the encryption rule: the attributes A move from visible
 // plaintext to visible encrypted.
-func Encrypt(p Profile, attrs []algebra.Attr) Profile {
-	A := algebra.NewAttrSet(attrs...)
-	out := p.Clone()
-	out.VP = p.VP.Diff(A)
-	out.VE = p.VE.Union(p.VP.Intersect(A))
+func Encrypt(p Profile, A algebra.AttrSet) Profile {
+	moved := p.VP.Intersect(A)
+	if moved.Empty() {
+		return p
+	}
+	out := p
+	out.VP = p.VP.Diff(moved)
+	out.VE = p.VE.Union(moved)
 	return out
 }
 
-// Decrypt applies the decryption rule: the attributes move from visible
+// Decrypt applies the decryption rule: the attributes A move from visible
 // encrypted to visible plaintext.
-func Decrypt(p Profile, attrs []algebra.Attr) Profile {
-	A := algebra.NewAttrSet(attrs...)
-	out := p.Clone()
-	out.VE = p.VE.Diff(A)
-	out.VP = p.VP.Union(p.VE.Intersect(A))
+func Decrypt(p Profile, A algebra.AttrSet) Profile {
+	moved := p.VE.Intersect(A)
+	if moved.Empty() {
+		return p
+	}
+	out := p
+	out.VE = p.VE.Diff(moved)
+	out.VP = p.VP.Union(moved)
 	return out
 }

@@ -147,7 +147,7 @@ func TestProjectKeepsImplicit(t *testing.T) {
 
 func TestSelectEncryptedAttributeGoesToIE(t *testing.T) {
 	p := ForBase([]algebra.Attr{hS, hD})
-	p = Encrypt(p, []algebra.Attr{hD})
+	p = Encrypt(p, set(hD))
 	p = Select(p, &algebra.CmpAV{A: hD, Op: sql.OpEq, V: sql.NumberValue(1)})
 	if !p.IE.Equal(set(hD)) || !p.IP.Empty() {
 		t.Errorf("implicit = p:%v e:%v", p.IP, p.IE)
@@ -198,7 +198,7 @@ func TestUDFProfile(t *testing.T) {
 
 func TestEncryptDecryptRoundTrip(t *testing.T) {
 	p := ForBase([]algebra.Attr{hS, hB})
-	q := Decrypt(Encrypt(p, []algebra.Attr{hS}), []algebra.Attr{hS})
+	q := Decrypt(Encrypt(p, set(hS)), set(hS))
 	if !q.Equal(p) {
 		t.Errorf("round trip changed profile: %v vs %v", q, p)
 	}
@@ -206,7 +206,7 @@ func TestEncryptDecryptRoundTrip(t *testing.T) {
 
 func TestEncryptOnlyMovesVisiblePlaintext(t *testing.T) {
 	p := ForBase([]algebra.Attr{hS})
-	q := Encrypt(p, []algebra.Attr{hS, hB}) // B is not in the schema
+	q := Encrypt(p, set(hS, hB)) // B is not in the schema
 	if q.VE.Has(hB) {
 		t.Errorf("encrypt introduced a phantom attribute: %v", q.VE)
 	}
@@ -272,20 +272,20 @@ func TestEquivSetsOps(t *testing.T) {
 	if !e.Same(hS, hT) {
 		t.Errorf("transitive same failed")
 	}
-	if e.SetOf(iP) != nil {
-		t.Errorf("SetOf for absent attr should be nil")
+	if !e.SetOf(iP).Empty() {
+		t.Errorf("SetOf for absent attr should be empty")
 	}
 	if !e.Same(iP, iP) {
 		t.Errorf("Same(a,a) must hold")
 	}
 	// Union of a singleton is a no-op.
 	e.Union(set(iP))
-	if e.SetOf(iP) != nil {
+	if !e.SetOf(iP).Empty() {
 		t.Errorf("singleton union should be a no-op")
 	}
 	c := e.Clone()
 	c.Union(set(iP, hD))
-	if e.SetOf(iP) != nil {
+	if !e.SetOf(iP).Empty() {
 		t.Errorf("clone is not independent")
 	}
 }

@@ -230,7 +230,7 @@ func TestPolicyScenarios(t *testing.T) {
 	if vm.P.Empty() || vm.E.Empty() {
 		t.Errorf("UAPmix providers should have both plaintext and encrypted attributes")
 	}
-	if len(vm.P)+len(vm.E) != len(vx.E) {
-		t.Errorf("UAPmix split sizes: %d + %d != %d", len(vm.P), len(vm.E), len(vx.E))
+	if vm.P.Len()+vm.E.Len() != vx.E.Len() {
+		t.Errorf("UAPmix split sizes: %d + %d != %d", vm.P.Len(), vm.E.Len(), vx.E.Len())
 	}
 }
