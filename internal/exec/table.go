@@ -198,22 +198,32 @@ func (t *Table) Format(headers []string) string {
 		}
 	}
 	var sb strings.Builder
-	for i, h := range headers {
-		fmt.Fprintf(&sb, "%-*s  ", widths[i], h)
-	}
-	sb.WriteString("\n")
-	for i := range headers {
-		sb.WriteString(strings.Repeat("-", widths[i]))
-		sb.WriteString("  ")
-	}
-	sb.WriteString("\n")
-	for _, row := range cells {
+	// line writes one grid line; the last column is not padded, so no
+	// line ends in spaces.
+	line := func(row []string) {
 		for i, c := range row {
-			if i < len(widths) {
-				fmt.Fprintf(&sb, "%-*s  ", widths[i], c)
+			if i >= len(widths) {
+				break
+			}
+			if i > 0 {
+				sb.WriteString("  ")
+			}
+			if i == len(widths)-1 {
+				sb.WriteString(c)
+			} else {
+				fmt.Fprintf(&sb, "%-*s", widths[i], c)
 			}
 		}
 		sb.WriteString("\n")
+	}
+	line(headers)
+	rule := make([]string, len(widths))
+	for i, w := range widths {
+		rule[i] = strings.Repeat("-", w)
+	}
+	line(rule)
+	for _, row := range cells {
+		line(row)
 	}
 	return sb.String()
 }
