@@ -103,14 +103,14 @@ func TestFigure8Partition(t *testing.T) {
 	}
 
 	// Rendered sub-queries mention the encryption steps and references.
-	if !strings.Contains(bysubj["H"].SQL, "encrypt(Hosp.S,kSC)") {
-		t.Errorf("H sql = %s", bysubj["H"].SQL)
+	if !strings.Contains(bysubj["H"].SQL(), "encrypt(Hosp.S,kSC)") {
+		t.Errorf("H sql = %s", bysubj["H"].SQL())
 	}
-	if !strings.Contains(bysubj["X"].SQL, "⟦reqH⟧") || !strings.Contains(bysubj["X"].SQL, "⟦reqI⟧") {
-		t.Errorf("X sql = %s", bysubj["X"].SQL)
+	if !strings.Contains(bysubj["X"].SQL(), "⟦reqH⟧") || !strings.Contains(bysubj["X"].SQL(), "⟦reqI⟧") {
+		t.Errorf("X sql = %s", bysubj["X"].SQL())
 	}
-	if !strings.Contains(bysubj["Y"].SQL, "decrypt(Ins.P,kP)") {
-		t.Errorf("Y sql = %s", bysubj["Y"].SQL)
+	if !strings.Contains(bysubj["Y"].SQL(), "decrypt(Ins.P,kP)") {
+		t.Errorf("Y sql = %s", bysubj["Y"].SQL())
 	}
 	if d.Format() == "" {
 		t.Errorf("empty dispatch format")
@@ -139,7 +139,7 @@ func TestPartitionOutsourcedRelation(t *testing.T) {
 	for _, f := range d.Fragments {
 		switch f.Subject {
 		case "H":
-			t.Errorf("fragment at the authority H, which hosts nothing: %s", f.SQL)
+			t.Errorf("fragment at the authority H, which hosts nothing: %s", f.SQL())
 		case "W":
 			atW = f
 		}
@@ -147,8 +147,8 @@ func TestPartitionOutsourcedRelation(t *testing.T) {
 	if atW == nil {
 		t.Fatalf("no fragment at the storage provider W:\n%s", d.Format())
 	}
-	if len(atW.Inputs) != 0 || !strings.Contains(atW.SQL, "(Hosp)") {
-		t.Errorf("W's request does not scan the stored relation itself: %s", atW.SQL)
+	if len(atW.Inputs) != 0 || !strings.Contains(atW.SQL(), "(Hosp)") {
+		t.Errorf("W's request does not scan the stored relation itself: %s", atW.SQL())
 	}
 }
 
@@ -239,7 +239,7 @@ func TestSealDispatch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("open %s: %v", f.ID, err)
 		}
-		if req.SQL != f.SQL {
+		if req.SQL != f.SQL() {
 			t.Errorf("%s: sql mismatch", f.ID)
 		}
 		// Only the keys of this fragment are included.

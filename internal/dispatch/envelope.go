@@ -150,7 +150,7 @@ func SealDispatch(d *Dispatch, user *Identity, recipients map[authz.Subject]*rsa
 			From:     user.Subject,
 			To:       f.Subject,
 			Fragment: f.ID,
-			SQL:      f.SQL,
+			SQL:      f.SQL(),
 			KeyIDs:   f.KeyIDs,
 			KeyBlobs: make(map[string][]byte),
 		}

@@ -5,11 +5,18 @@
 // sub-requests it consumes), bundled with the keys the subject needs, and
 // shipped in a message signed with the user's private key and encrypted for
 // the recipient's public key.
+//
+// Partition is the only code that splits an extended plan into fragments:
+// distsim's runtime runs one worker per fragment of the same Dispatch, so
+// the requests the user signs are the fragments that execute. Partition
+// renders no text; a fragment's sub-query is produced by SQL when it is
+// read (Format, SealDispatch).
 package dispatch
 
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"mpq/internal/algebra"
@@ -24,6 +31,13 @@ type Fragment struct {
 	ID      string
 	Subject authz.Subject
 	Root    algebra.Node // subtree root within the extended plan
+	// Consumer is the operation, in the consuming fragment, that reads this
+	// fragment's result; nil for the root fragment. Root → Consumer is the
+	// one cross-subject edge leaving the fragment: it ships to Consumer's
+	// executor and carries the partial mark ext.Partials[Root], if any.
+	Consumer algebra.Node
+	// Index is the fragment's position in Dispatch.Fragments.
+	Index int
 	// Inputs are the fragments whose results this fragment consumes, in
 	// operand order. Base relations read where they are hosted are not
 	// inputs.
@@ -32,8 +46,8 @@ type Fragment struct {
 	// fragment (Definition 6.1: keys go to the subjects performing the
 	// encryption/decryption operations).
 	KeyIDs []string
-	// SQL is the rendered sub-query in the style of Figure 8.
-	SQL string
+
+	ext *core.ExtendedPlan
 }
 
 // Dispatch is a fragment decomposition of an extended plan: the root
@@ -46,42 +60,56 @@ type Dispatch struct {
 
 // Partition splits an extended plan into per-subject fragments.
 func Partition(ext *core.ExtendedPlan) *Dispatch {
-	d := &Dispatch{}
-	counter := make(map[authz.Subject]int)
-	executor := ext.Assign.Executor
+	p := partitioner{ext: ext, d: &Dispatch{}}
+	p.d.Root = p.build(ext.Root, nil)
+	return p.d
+}
 
-	var build func(n algebra.Node) *Fragment
-	build = func(n algebra.Node) *Fragment {
-		subj := executor(n)
-		counter[subj]++
-		id := fmt.Sprintf("req%s", subj)
-		if counter[subj] > 1 {
-			id = fmt.Sprintf("req%s_%d", subj, counter[subj])
-		}
-		f := &Fragment{ID: id, Subject: subj, Root: n}
+// partitioner carries one Partition call's state; its methods recurse
+// without allocating closures.
+type partitioner struct {
+	ext *core.ExtendedPlan
+	d   *Dispatch
+	// started lists the subject of every fragment begun so far, in
+	// pre-order; it numbers a subject's second and later requests.
+	started []authz.Subject
+}
 
-		// Members: the connected same-subject subtree rooted at n.
-		// Frontier children become inputs (recursively built first).
-		var walk func(m algebra.Node)
-		walk = func(m algebra.Node) {
-			for _, c := range m.Children() {
-				if executor(c) == subj {
-					walk(c)
-				} else {
-					f.Inputs = append(f.Inputs, build(c))
-				}
-			}
-			f.KeyIDs = addNodeKeys(f.KeyIDs, m)
+// build makes the fragment rooted at n, read by consumer, after the
+// fragments it consumes.
+func (p *partitioner) build(n, consumer algebra.Node) *Fragment {
+	subj := p.ext.Assign.Executor(n)
+	seq := 1
+	for _, s := range p.started {
+		if s == subj {
+			seq++
 		}
-		walk(n)
-		sort.Strings(f.KeyIDs)
-		f.KeyIDs = dedup(f.KeyIDs)
-		f.SQL = renderFragment(f, ext)
-		d.Fragments = append(d.Fragments, f)
-		return f
 	}
-	d.Root = build(ext.Root)
-	return d
+	p.started = append(p.started, subj)
+	id := "req" + string(subj)
+	if seq > 1 {
+		id += "_" + strconv.Itoa(seq)
+	}
+	f := &Fragment{ID: id, Subject: subj, Root: n, Consumer: consumer, ext: p.ext}
+	p.walk(f, n)
+	sort.Strings(f.KeyIDs)
+	f.KeyIDs = dedup(f.KeyIDs)
+	f.Index = len(p.d.Fragments)
+	p.d.Fragments = append(p.d.Fragments, f)
+	return f
+}
+
+// walk adds m's same-subject subtree to f; frontier children become inputs
+// (built first).
+func (p *partitioner) walk(f *Fragment, m algebra.Node) {
+	for _, c := range m.Children() {
+		if p.ext.Assign.Executor(c) == f.Subject {
+			p.walk(f, c)
+		} else {
+			f.Inputs = append(f.Inputs, p.build(c, m))
+		}
+	}
+	f.KeyIDs = addNodeKeys(f.KeyIDs, m)
 }
 
 // addNodeKeys appends the key ids used by an encryption/decryption node.
@@ -108,6 +136,9 @@ func dedup(sorted []string) []string {
 	}
 	return out
 }
+
+// SQL renders the fragment as the sub-query of Figure 8.
+func (f *Fragment) SQL() string { return renderFragment(f, f.ext) }
 
 // renderFragment renders the fragment as a Figure 8-style sub-query, with
 // ⟦reqS⟧ references for consumed fragments. A partial-aggregated edge
@@ -191,7 +222,7 @@ func attrList(attrs []algebra.Attr) string {
 func (d *Dispatch) Format() string {
 	var sb strings.Builder
 	for _, f := range d.Fragments {
-		sb.WriteString(f.SQL)
+		sb.WriteString(f.SQL())
 		if len(f.KeyIDs) > 0 {
 			sb.WriteString("   keys: " + strings.Join(f.KeyIDs, ","))
 		}

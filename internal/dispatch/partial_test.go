@@ -40,7 +40,7 @@ func TestPartitionRendersPartialWhereItRuns(t *testing.T) {
 	d := Partition(ext)
 	sqlOf := make(map[string]string)
 	for _, f := range d.Fragments {
-		sqlOf[f.ID] = f.SQL
+		sqlOf[f.ID] = f.SQL()
 	}
 	producer, consumer := sqlOf["reqA1"], sqlOf["reqX"]
 	if !strings.Contains(producer, "← γ-partial[") || !strings.Contains(producer, "(σ[lineitem.l_shipdate <= ") {
@@ -71,7 +71,7 @@ func TestPartitionRendersEachOperationOnce(t *testing.T) {
 			})
 			var text strings.Builder
 			for _, f := range Partition(ext).Fragments {
-				text.WriteString(f.SQL)
+				text.WriteString(f.SQL())
 			}
 			s := text.String()
 			got := [3]int{strings.Count(s, "σ["), strings.Count(s, "γ["), strings.Count(s, "γ-partial[")}

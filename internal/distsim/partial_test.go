@@ -17,7 +17,9 @@ import (
 // only encrypted, moving the selection to X would break uniform visibility
 // over S ≃ C, so the plan carries no mark and the stream ships the raw
 // rows of the product. When X may see C in plaintext, the edge is marked
-// and ships one row per group. Results match the reference either way.
+// and ships one row per group. Results match the reference either way, and
+// either way the ledger is the Figure 8 dispatch's edges (checkDispatchRan):
+// the marked edge still ships from X's request to Y's merging group-by.
 func TestPartialEdgeFollowsMarks(t *testing.T) {
 	hS, hT, iC := algebra.A("Hosp", "S"), algebra.A("Hosp", "T"), algebra.A("Ins", "C")
 	for _, xPlainC := range []bool{false, true} {
@@ -71,6 +73,7 @@ func TestPartialEdgeFollowsMarks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkDispatchRan(t, ext, ts)
 		got := make(map[string]int)
 		for _, tr := range ts {
 			got[EdgeKey(tr.From, tr.To)] += tr.Rows

@@ -9,6 +9,7 @@ import (
 	"mpq/internal/algebra"
 	"mpq/internal/authz"
 	"mpq/internal/core"
+	"mpq/internal/dispatch"
 	"mpq/internal/exec"
 	"mpq/internal/exec/pipeline"
 	"mpq/internal/obs"
@@ -17,8 +18,7 @@ import (
 // The runtime is a fully pipelined exchange: each fragment compiles its
 // subtree into a batch operator stream whose frontier inputs are
 // channel-fed pipeline sources, and ships every produced batch to its
-// consumer as soon as it exists. A
-// provider can therefore start probing a join while the other side's scan
+// consumer as soon as it exists. A provider can therefore start probing a join while the other side's scan
 // is still running, and wide-area transfer latency overlaps upstream
 // computation batch by batch (RTT is paid once per edge, serialization per
 // batch). The ledger still carries exactly one Transfer per cross-subject
@@ -33,20 +33,9 @@ const streamBuffer = 4
 // closed while it was blocked handing a batch over.
 var errStreamAborted = fmt.Errorf("distsim: stream aborted")
 
-// streamEdge is the consumer-side description of one cross-fragment edge.
-type streamEdge struct {
-	to authz.Subject // consuming fragment's subject
-	op string        // Op() of the consuming operation, for the ledger
-	// partial, when set, marks a pre-shuffle partial aggregation edge
-	// (core.MarkPartials): the producer evaluates the consumer's selection
-	// chain, folds the group-by's aggregates per group, and ships one
-	// partial row per group; the consumer splices the shuffle in at the
-	// group-by's child and merges the partials.
-	partial *core.PartialEdge
-}
-
 // ExecuteStreamCtx runs the extended plan across the network with one
-// worker goroutine per fragment, exchanging row batches over channels.
+// worker goroutine per fragment of dispatch.Partition(ext) — the Figure 8
+// requests — exchanging row batches over channels.
 // Every batch of the root fragment's output is handed to sink in production
 // order; the returned schema describes those rows. The transfers of this
 // run (one per cross-subject edge, bytes accounted per batch) are returned
@@ -70,28 +59,13 @@ func (nw *Network) ExecuteStreamCtx(ctx context.Context, ext *core.ExtendedPlan,
 	if nw.Faults != nil {
 		faultOps = nw.Faults.Ops
 	}
-	frags := partitionFragments(ext)
-	root := frags[len(frags)-1] // build appends the root fragment last
-
-	idx := make(map[*fragment]int, len(frags))
-	for i, f := range frags {
-		idx[f] = i
-	}
+	d := dispatch.Partition(ext)
+	frags := d.Fragments
 	// Each non-root fragment feeds exactly one consumer (the plan is a
-	// tree); edges[i] describes the edge leaving fragment i.
-	edges := make([]streamEdge, len(frags))
+	// tree) over outCh[f.Index].
 	outCh := make([]chan pipeline.Msg, len(frags))
 	for i := range frags {
 		outCh[i] = make(chan pipeline.Msg, streamBuffer)
-	}
-	for _, f := range frags {
-		for _, in := range f.inputs {
-			e := streamEdge{to: f.subject, op: in.consumer}
-			if pe, ok := ext.Partials[in.node]; ok {
-				e.partial = &pe
-			}
-			edges[idx[in.from]] = e
-		}
 	}
 
 	// Resolve subject executors up front, before any worker starts, so
@@ -102,7 +76,7 @@ func (nw *Network) ExecuteStreamCtx(ctx context.Context, ext *core.ExtendedPlan,
 	defer sweep() // after wg.Wait below: no goroutine of the run is live
 	clones := make([]*exec.Executor, len(frags))
 	for i, f := range frags {
-		c := nw.Subject(f.subject).Clone()
+		c := nw.Subject(f.Subject).Clone()
 		for name, fn := range nw.UDFs {
 			c.UDFs[name] = fn
 		}
@@ -114,7 +88,7 @@ func (nw *Network) ExecuteStreamCtx(ctx context.Context, ext *core.ExtendedPlan,
 		c.Spill = runSpill
 		c.Ctx = runCtx
 		c.Faults = faultOps
-		c.Sources = make(map[algebra.Node]exec.Operator, len(f.inputs))
+		c.Sources = make(map[algebra.Node]exec.Operator, len(f.Inputs))
 		clones[i] = c
 	}
 
@@ -156,13 +130,29 @@ func (nw *Network) ExecuteStreamCtx(ctx context.Context, ext *core.ExtendedPlan,
 
 	for i, f := range frags {
 		wg.Add(1)
-		go func(i int, f *fragment, ex *exec.Executor) {
+		go func(i int, f *dispatch.Fragment, ex *exec.Executor) {
 			defer wg.Done()
 			defer close(outCh[i])
-			isRoot := f == root
+			isRoot := f == d.Root
+			// The edge leaving this fragment: the consumer's subject and
+			// operation (for the ledger) and, when core.MarkPartials marked
+			// it, a pre-shuffle partial aggregation. The producer then
+			// evaluates the consumer's selection chain, folds the
+			// group-by's aggregates per group and ships one partial row per
+			// group; the consumer splices the shuffle in at the group-by's
+			// child and merges the partials.
+			var to authz.Subject
+			var consumerOp string
+			var partial *core.PartialEdge
+			if !isRoot {
+				to, consumerOp = ext.Assign.Executor(f.Consumer), f.Consumer.Op()
+				if pe, ok := ext.Partials[f.Root]; ok {
+					partial = &pe
+				}
+			}
 
 			wrap := func(err error) error {
-				return fmt.Errorf("distsim: %s at %s: %w", f.root.Op(), f.subject, err)
+				return fmt.Errorf("distsim: %s at %s: %w", f.Root.Op(), f.Subject, err)
 			}
 			emitErr := func(err error) {
 				fail(err)
@@ -179,21 +169,21 @@ func (nw *Network) ExecuteStreamCtx(ctx context.Context, ext *core.ExtendedPlan,
 			// close(outCh) defer so the error message can still be forwarded.
 			defer func() {
 				if r := recover(); r != nil {
-					emitErr(wrap(exec.NewPanicError(fmt.Sprintf("fragment %s", f.root.Op()), r)))
+					emitErr(wrap(exec.NewPanicError(fmt.Sprintf("fragment %s", f.Root.Op()), r)))
 				}
 			}()
-			edgeSpec, edgeArmed := nw.Faults.edgeSpec(f.subject, edges[i].to)
+			edgeSpec, edgeArmed := nw.Faults.edgeSpec(f.Subject, to)
 			var edgeFP *exec.FaultPoints
 			var edgeWhere string
 			if edgeArmed && !isRoot {
 				edgeFP = nw.Faults.points()
-				edgeWhere = "edge " + EdgeKey(f.subject, edges[i].to)
+				edgeWhere = "edge " + EdgeKey(f.Subject, to)
 			} else {
 				edgeArmed = false
 			}
 
-			for _, in := range f.inputs {
-				if pe := edges[idx[in.from]].partial; pe != nil {
+			for _, in := range f.Inputs {
+				if pe, ok := ext.Partials[in.Root]; ok {
 					// The producer evaluates the selection chain and ships
 					// per-group partial aggregates for this edge, so the
 					// source splices in directly under the group-by (the
@@ -205,27 +195,27 @@ func (nw *Network) ExecuteStreamCtx(ctx context.Context, ext *core.ExtendedPlan,
 					}
 					ex.Partials[pe.GroupBy] = true
 					ex.Sources[pe.GroupBy.Child] = pipeline.NewSource(
-						exec.ShufflePartialSchema(pe.GroupBy), outCh[idx[in.from]], done)
+						exec.ShufflePartialSchema(pe.GroupBy), outCh[in.Index], done)
 					continue
 				}
-				ex.Sources[in.node] = pipeline.NewSource(in.node.Schema(), outCh[idx[in.from]], done)
+				ex.Sources[in.Root] = pipeline.NewSource(in.Root.Schema(), outCh[in.Index], done)
 			}
-			op, err := ex.Build(f.root)
+			op, err := ex.Build(f.Root)
 			if err != nil {
 				emitErr(wrap(err))
 				return
 			}
-			if pe := edges[i].partial; pe != nil && !isRoot {
+			if partial != nil {
 				// Apply the absorbed consumer selections innermost first,
 				// then fold partials per group.
-				for k := len(pe.Selects) - 1; k >= 0; k-- {
-					op, err = exec.NewShuffleSelect(ex, pe.Selects[k], op)
+				for k := len(partial.Selects) - 1; k >= 0; k-- {
+					op, err = exec.NewShuffleSelect(ex, partial.Selects[k], op)
 					if err != nil {
 						emitErr(wrap(err))
 						return
 					}
 				}
-				op, err = exec.NewShufflePartial(ex, pe.GroupBy, op)
+				op, err = exec.NewShufflePartial(ex, partial.GroupBy, op)
 				if err != nil {
 					emitErr(wrap(err))
 					return
@@ -302,14 +292,14 @@ func (nw *Network) ExecuteStreamCtx(ctx context.Context, ext *core.ExtendedPlan,
 			}
 			if !isRoot {
 				t := Transfer{
-					From: f.subject, To: edges[i].to,
+					From: f.Subject, To: to,
 					Rows: rows, Bytes: bytes, Batches: batches,
-					Op: edges[i].op,
+					Op: consumerOp,
 				}
 				nw.record(t)
 				if nw.Trace != nil {
 					nw.Trace.AddEdge(obs.Edge{
-						From: string(f.subject), To: string(edges[i].to), Op: edges[i].op,
+						From: string(f.Subject), To: string(to), Op: consumerOp,
 						Rows: int64(rows), Bytes: bytes, Batches: int64(batches),
 						WaitNanos: waited.Nanoseconds(),
 					})

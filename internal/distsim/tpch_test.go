@@ -1,13 +1,15 @@
 package distsim
 
 import (
+	"maps"
 	"math"
 	"testing"
 
 	"mpq/internal/algebra"
-
 	"mpq/internal/assignment"
 	"mpq/internal/authz"
+	"mpq/internal/core"
+	"mpq/internal/dispatch"
 	"mpq/internal/exec"
 	"mpq/internal/planner"
 	"mpq/internal/tpch"
@@ -18,6 +20,8 @@ import (
 // across the simulated network (authorities hold their tables, providers
 // hold public key material only), and verifies the decrypted distributed
 // results row-for-row against trusted centralized plaintext execution.
+// Each run's ledger must be the edges of the Figure 8 dispatch
+// (checkDispatchRan).
 //
 // The subset covers every operator the workload uses: multi-way joins
 // (Q3, Q5, Q10), range and equality selections over ciphertexts, Paillier
@@ -76,10 +80,11 @@ func TestTPCHDistributedMatchesCentralized(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := nw.ExecuteParallel(res.Extended, consts)
+			got, run, err := nw.ExecuteParallel(res.Extended, consts)
 			if err != nil {
 				t.Fatal(err)
 			}
+			checkDispatchRan(t, res.Extended, run)
 
 			// User-side finalization: decrypt, order, project, limit.
 			fexec := exec.NewExecutor()
@@ -108,6 +113,35 @@ func TestTPCHDistributedMatchesCentralized(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// checkDispatchRan fails the test unless the run's transfers, as a
+// multiset of (From, To, Op), are the edges leaving the non-root fragments
+// of dispatch.Partition(ext): (f.Subject, executor(f.Consumer),
+// f.Consumer.Op()). The requests the user signs are then the fragments
+// that ran, one shipment per request.
+func checkDispatchRan(t *testing.T, ext *core.ExtendedPlan, run []Transfer) {
+	t.Helper()
+	type edge struct {
+		from, to authz.Subject
+		op       string
+	}
+	want := make(map[edge]int)
+	d := dispatch.Partition(ext)
+	for _, f := range d.Fragments {
+		if f == d.Root {
+			continue
+		}
+		want[edge{f.Subject, ext.Assign.Executor(f.Consumer), f.Consumer.Op()}]++
+	}
+	got := make(map[edge]int)
+	for _, tr := range run {
+		got[edge{tr.From, tr.To, tr.Op}]++
+	}
+	if !maps.Equal(got, want) {
+		t.Errorf("ledger is not the dispatch: %d transfers for %d requests\nran:      %v\ndispatch: %v",
+			len(run), len(d.Fragments)-1, got, want)
 	}
 }
 
