@@ -186,8 +186,8 @@ func (e *Executor) buildJoin(j *algebra.Join) (Operator, error) {
 	schema := append(append([]algebra.Attr{}, ls...), rs...)
 
 	// Hash join on the first equality pair with one side in each input;
-	// residual conjuncts filter the matches (same operator choice as the
-	// legacy evaluator, decided once at build time).
+	// residual conjuncts filter the joined batches (same operator choice as
+	// the row evaluator, decided once at build time).
 	hashL, hashR := -1, -1
 	var residual []algebra.Pred
 	for _, c := range algebra.Conjuncts(j.Cond) {
@@ -215,21 +215,24 @@ func (e *Executor) buildJoin(j *algebra.Join) (Operator, error) {
 		return &filterOp{child: prod, pred: full}, nil
 	}
 
-	var resPred predFn
-	if rp := algebra.And(residual...); rp != nil {
-		resPred, err = e.compilePred(rp, plainResolver(schema))
-		if err != nil {
-			return nil, err
-		}
-	}
-	return &hashJoinOp{
+	var out Operator = &hashJoinOp{
 		left: l, right: r, schema: schema,
 		hashL: hashL, hashR: hashR,
-		residual: resPred, batch: e.batchSize(),
+		batch:     e.batchSize(),
 		leftWidth: len(ls),
 		mem:       e.Mem, spillFac: e.Spill,
 		ctx: e.Ctx,
-	}, nil
+	}
+	if rp := algebra.And(residual...); rp != nil {
+		// Residual conjuncts filter the joined batches, as the nested loop
+		// filters its product.
+		pred, err := e.compileColPred(rp, plainResolver(schema))
+		if err != nil {
+			return nil, err
+		}
+		out = &filterOp{child: out, pred: pred}
+	}
+	return out, nil
 }
 
 func (e *Executor) buildGroupBy(g *algebra.GroupBy) (Operator, error) {
@@ -448,10 +451,6 @@ func schemaIndex(schema []algebra.Attr, a algebra.Attr) int {
 // ---------------------------------------------------------------------------
 // Predicate compilation
 
-// predFn is a compiled predicate: it evaluates one row with every column
-// reference and constant already resolved.
-type predFn func(row []Value) (bool, error)
-
 // schemaResolver resolves predicate references against a compiled schema,
 // including aggregate references (HAVING avg(P) > 100) mapped to the
 // matching aggregate output column of the group-by beneath. It is the
@@ -505,71 +504,10 @@ func (r *schemaResolver) colFor(a algebra.Attr, agg sql.AggFunc) (int, error) {
 	return -1, fmt.Errorf("exec: attribute %s not in row", a)
 }
 
-// compilePred compiles a predicate tree to a closure over resolved column
-// indexes and pre-fetched encrypted constants.
-func (e *Executor) compilePred(p algebra.Pred, r *schemaResolver) (predFn, error) {
-	switch x := p.(type) {
-	case *algebra.CmpAV:
-		return e.compileCmpAV(x, r)
-	case *algebra.CmpAA:
-		return e.compileCmpAA(x, r)
-	case *algebra.AndPred:
-		subs := make([]predFn, len(x.Preds))
-		for i, q := range x.Preds {
-			f, err := e.compilePred(q, r)
-			if err != nil {
-				return nil, err
-			}
-			subs[i] = f
-		}
-		return func(row []Value) (bool, error) {
-			for _, f := range subs {
-				ok, err := f(row)
-				if err != nil || !ok {
-					return false, err
-				}
-			}
-			return true, nil
-		}, nil
-	case *algebra.OrPred:
-		subs := make([]predFn, len(x.Preds))
-		for i, q := range x.Preds {
-			f, err := e.compilePred(q, r)
-			if err != nil {
-				return nil, err
-			}
-			subs[i] = f
-		}
-		return func(row []Value) (bool, error) {
-			for _, f := range subs {
-				ok, err := f(row)
-				if err != nil {
-					return false, err
-				}
-				if ok {
-					return true, nil
-				}
-			}
-			return false, nil
-		}, nil
-	case *algebra.NotPred:
-		inner, err := e.compilePred(x.Inner, r)
-		if err != nil {
-			return nil, err
-		}
-		return func(row []Value) (bool, error) {
-			ok, err := inner(row)
-			return !ok, err
-		}, nil
-	}
-	return nil, fmt.Errorf("exec: unknown predicate %T", p)
-}
-
 // compileCellAV compiles the cell-level core of an attribute-vs-literal
 // comparison: the encrypted-constant lookup and literal are resolved once,
-// and the returned evaluator decides one materialized cell. The row
-// compiler wraps it with a column index; the columnar compiler uses it as
-// the fallback for generic-layout columns.
+// and the returned evaluator decides one materialized cell. The columnar
+// compiler uses it as the fallback for generic-layout columns.
 func (e *Executor) compileCellAV(c *algebra.CmpAV) cellFn {
 	konst, hasKonst := e.Consts[c]
 	rhs := litValue(c.V)
@@ -612,19 +550,8 @@ func (e *Executor) compileCellAV(c *algebra.CmpAV) cellFn {
 	}
 }
 
-func (e *Executor) compileCmpAV(c *algebra.CmpAV, r *schemaResolver) (predFn, error) {
-	ix, err := r.colFor(c.A, c.Agg)
-	if err != nil {
-		return nil, err
-	}
-	cell := e.compileCellAV(c)
-	return func(row []Value) (bool, error) {
-		return cell(row[ix])
-	}, nil
-}
-
 // cellAA is the cell-level core of an attribute-vs-attribute comparison,
-// shared by the row compiler and the columnar generic fallback.
+// the columnar compiler's fallback for generic-layout columns.
 func (e *Executor) cellAA(c *algebra.CmpAA) func(l, rv Value) (bool, error) {
 	op := c.Op
 	return func(l, rv Value) (bool, error) {
@@ -658,19 +585,4 @@ func (e *Executor) cellAA(c *algebra.CmpAA) func(l, rv Value) (bool, error) {
 			return false, fmt.Errorf("exec: mixed plaintext/ciphertext comparison %s", c)
 		}
 	}
-}
-
-func (e *Executor) compileCmpAA(c *algebra.CmpAA, r *schemaResolver) (predFn, error) {
-	li, err := r.colFor(c.L, sql.AggNone)
-	if err != nil {
-		return nil, err
-	}
-	ri, err := r.colFor(c.R, sql.AggNone)
-	if err != nil {
-		return nil, err
-	}
-	cell := e.cellAA(c)
-	return func(row []Value) (bool, error) {
-		return cell(row[li], row[ri])
-	}, nil
 }

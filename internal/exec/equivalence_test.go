@@ -1,10 +1,14 @@
 package exec_test
 
 import (
+	"fmt"
 	"testing"
 
+	"mpq/internal/algebra"
+	"mpq/internal/crypto"
 	"mpq/internal/exec"
 	"mpq/internal/planner"
+	"mpq/internal/sql"
 	"mpq/internal/tpch"
 )
 
@@ -13,7 +17,10 @@ import (
 // evaluator on the same centralized plaintext tables and diffs the results
 // row for row: the streaming interior must be observationally identical,
 // including row order (every operator preserves its input order) and
-// floating-point accumulation order.
+// floating-point accumulation order. A last case joins on one equality
+// pair with residual conjuncts over a dict-encoded string column holding
+// NULLs and a deterministic-ciphertext column, the shape Q5 and Q9 give
+// the hash join.
 func TestPipelineMatchesMaterializingTPCH(t *testing.T) {
 	const sf = 0.001
 	cat := tpch.Catalog(sf)
@@ -49,6 +56,100 @@ func TestPipelineMatchesMaterializingTPCH(t *testing.T) {
 			diffTables(t, got, want)
 		})
 	}
+	t.Run("residual join", func(t *testing.T) {
+		ring, err := crypto.NewSymmetricKeyRing("k")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rk, rs, rc := algebra.A("R", "k"), algebra.A("R", "s"), algebra.A("R", "c")
+		sk, ss, sc := algebra.A("S", "k"), algebra.A("S", "s"), algebra.A("S", "c")
+		// Promote every string column to a dictionary when the columnar
+		// cache builds; the row evaluator never sees one.
+		defer exec.SetDictPolicy(exec.SetDictPolicy(exec.DictPolicy{MinRows: 1, MaxRatio: 1}))
+		// Row i holds k = i mod 4, a string s (NULL where null(i)) and c,
+		// the deterministic ciphertext of cOf(i).
+		table := func(k, s, c algebra.Attr, n int, null func(int) bool, cOf func(int) int64) *exec.Table {
+			tbl := exec.NewTable([]algebra.Attr{k, s, c})
+			for i := 0; i < n; i++ {
+				sv := exec.String(fmt.Sprintf("s%d", i%2))
+				if null(i) {
+					sv = exec.Null()
+				}
+				cv, err := exec.EncryptValue(ring, algebra.SchemeDeterministic, exec.Int(cOf(i)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := tbl.Append([]exec.Value{exec.Int(int64(i % 4)), sv, cv}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return tbl
+		}
+		// R's NULLs sit at c = 4 and S's at c = 5, so a residual that tests
+		// c first never compares a NULL; one that tests s first does.
+		tables := map[string]*exec.Table{
+			"R": table(rk, rs, rc, 40, func(i int) bool { return i%5 == 4 }, func(i int) int64 { return int64(i % 5) }),
+			"S": table(sk, ss, sc, 30, func(i int) bool { return i%3 == 0 }, func(i int) int64 {
+				if i%3 == 0 {
+					return 5
+				}
+				return int64(i % 4)
+			}),
+		}
+		joinOn := func(residual ...algebra.Pred) algebra.Node {
+			return algebra.NewJoin(
+				algebra.NewBase("R", "A", []algebra.Attr{rk, rs, rc}, 40, nil),
+				algebra.NewBase("S", "B", []algebra.Attr{sk, ss, sc}, 30, nil),
+				algebra.And(append([]algebra.Pred{&algebra.CmpAA{L: rk, Op: sql.OpEq, R: sk}}, residual...)...),
+				0.01)
+		}
+		sEq := &algebra.CmpAA{L: rs, Op: sql.OpEq, R: ss}
+		cEq := &algebra.CmpAA{L: rc, Op: sql.OpEq, R: sc}
+		oracle := exec.NewExecutor()
+		oracle.Materializing = true
+		oracle.Tables = tables
+		pipeline := func(join algebra.Node, size int) (*exec.Table, error) {
+			e := exec.NewExecutor()
+			e.BatchSize = size
+			e.Tables = tables
+			op, err := e.Build(join)
+			if err != nil {
+				return nil, err
+			}
+			return exec.Drain(op)
+		}
+
+		shielded := joinOn(cEq, sEq)
+		want, err := oracle.Run(shielded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Len() == 0 {
+			t.Fatal("the residual join matches nothing: the case tests no rows")
+		}
+		exposed := joinOn(sEq, cEq)
+		_, wantErr := oracle.Run(exposed)
+		if wantErr == nil {
+			t.Fatal("the row evaluator compared a NULL without an error")
+		}
+		for _, size := range []int{2, 1024} {
+			got, err := pipeline(shielded, size)
+			if err != nil {
+				t.Fatalf("batch=%d: %v", size, err)
+			}
+			cols, err := tables["R"].Columns()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cols[1].Kind != exec.ColDict {
+				t.Fatalf("R.s is %v in the columnar cache, want a dictionary", cols[1].Kind)
+			}
+			diffTables(t, got, want)
+			if _, err := pipeline(exposed, size); err == nil || err.Error() != wantErr.Error() {
+				t.Errorf("batch=%d: NULL in the residual gave %v, the row evaluator %v", size, err, wantErr)
+			}
+		}
+	})
 }
 
 // TestPipelineBatchSizeInvariance proves results do not depend on the batch

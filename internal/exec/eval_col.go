@@ -25,8 +25,8 @@ type colPred func(b *Batch, sel []int32) ([]int32, error)
 // cellFn evaluates a compiled comparison against one materialized cell.
 type cellFn func(v Value) (bool, error)
 
-// compileColPred compiles a predicate tree to its columnar form. The
-// resolver is the same schema resolver the row compiler uses.
+// compileColPred compiles a predicate tree to its columnar form, with
+// every reference resolved to a column index through r.
 func (e *Executor) compileColPred(p algebra.Pred, r *schemaResolver) (colPred, error) {
 	switch x := p.(type) {
 	case *algebra.CmpAV:

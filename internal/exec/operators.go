@@ -258,11 +258,6 @@ func uniformKind(batches []*Batch, ci int) ColKind {
 	return first.Kind
 }
 
-// row materializes the build row at rf into dst (len = build width).
-func (x *joinIndex) row(rf buildRef, dst []Value) {
-	x.batches[rf.b].Row(int(rf.r), dst)
-}
-
 // gatherCol assembles the output column for build-side column ci over the
 // matched refs, in match order. When every source batch holds the column in
 // one typed layout (x.uniform, precomputed at index build) the cells are
@@ -328,17 +323,16 @@ func (x *joinIndex) gatherCol(ci int, refs []buildRef) Column {
 // hashJoinOp indexes its build input, then probes it batch by batch: probe
 // keys are computed from the hash column's vector, the index is built
 // straight from the build child's column vectors (no row materialization
-// anywhere on the build path), and when the equality pair is the whole
-// condition the output batch is assembled columnar — probe-side columns
-// typed-gathered by the match selection, build-side columns typed-gathered
-// through the index refs. A residual condition falls back to materialized
-// rows for its evaluation. Output is emitted in at-most-batch-sized windows,
-// so a skewed many-to-many join never materializes its whole fanout at once.
+// anywhere on the build path), and the output batch is assembled columnar —
+// probe-side columns typed-gathered by the match selection, build-side
+// columns typed-gathered through the index refs. Residual conjuncts of the
+// join condition run in a filterOp above the join. Output is emitted in
+// at-most-batch-sized windows, so a skewed many-to-many join never
+// materializes its whole fanout at once.
 type hashJoinOp struct {
 	left, right  Operator
 	schema       []algebra.Attr
 	hashL, hashR int
-	residual     predFn // nil when the equality pair is the whole condition
 	batch        int
 	leftWidth    int
 
@@ -455,14 +449,7 @@ func (j *hashJoinOp) Next() (*Batch, error) {
 		if len(probeSel) == 0 {
 			continue
 		}
-		out, err := j.assemble(cur, probeSel, matches)
-		if err != nil {
-			return nil, err
-		}
-		if out == nil {
-			continue // the residual filtered every pair of this window
-		}
-		return out, nil
+		return j.assemble(cur, probeSel, matches), nil
 	}
 }
 
@@ -521,44 +508,17 @@ func (j *hashJoinOp) resetProbeMemo(n int) {
 }
 
 // assemble builds the output batch for one window of (probe row, build row)
-// pairs, all drawn from probe batch b. Without a residual the output is
-// columnar: probe columns typed-gathered, build columns gathered through the
-// index. With a residual, joined rows are materialized, filtered, and
-// re-columnarized; nil means nothing survived.
-func (j *hashJoinOp) assemble(b *Batch, probeSel []int32, matches []buildRef) (*Batch, error) {
-	if j.residual == nil {
-		out := &Batch{Cols: make([]Column, len(j.schema)), N: len(probeSel)}
-		for ci := 0; ci < j.leftWidth; ci++ {
-			out.Cols[ci] = b.Cols[ci].gather(probeSel)
-		}
-		for ci := j.leftWidth; ci < len(j.schema); ci++ {
-			out.Cols[ci] = j.idx.gatherCol(ci-j.leftWidth, matches)
-		}
-		return out, nil
+// pairs, all drawn from probe batch b: probe columns typed-gathered, build
+// columns gathered through the index.
+func (j *hashJoinOp) assemble(b *Batch, probeSel []int32, matches []buildRef) *Batch {
+	out := &Batch{Cols: make([]Column, len(j.schema)), N: len(probeSel)}
+	for ci := 0; ci < j.leftWidth; ci++ {
+		out.Cols[ci] = b.Cols[ci].gather(probeSel)
 	}
-	var out [][]Value
-	probe := make([]Value, j.leftWidth)
-	build := make([]Value, len(j.schema)-j.leftWidth)
-	lastLi := int32(-1)
-	for p, rf := range matches {
-		if probeSel[p] != lastLi {
-			b.Row(int(probeSel[p]), probe)
-			lastLi = probeSel[p]
-		}
-		j.idx.row(rf, build)
-		row := concatRows(probe, build)
-		ok, err := j.residual(row)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out = append(out, row)
-		}
+	for ci := j.leftWidth; ci < len(j.schema); ci++ {
+		out.Cols[ci] = j.idx.gatherCol(ci-j.leftWidth, matches)
 	}
-	if len(out) == 0 {
-		return nil, nil
-	}
-	return NewBatchFromRows(out, len(j.schema))
+	return out
 }
 
 // ---------------------------------------------------------------------------

@@ -922,7 +922,7 @@ func (g *graceJoin) openPair(pair gracePair) error {
 	inner := &hashJoinOp{
 		left:   probe,
 		schema: j.schema, hashL: j.hashL, hashR: j.hashR,
-		residual: j.residual, batch: j.batch, leftWidth: j.leftWidth,
+		batch: j.batch, leftWidth: j.leftWidth,
 		idx: idx, shared: true, ctx: j.ctx,
 	}
 	if err := inner.Open(); err != nil {
