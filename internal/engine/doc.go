@@ -21,9 +21,9 @@
 //     state (each run clones the prepared network).
 //
 // Every entry point runs one query body with one user-side finalizer:
-// QueryStream delivers decrypted, projected rows to a callback as the root
+// QueryStreamCtx delivers decrypted, projected rows to a callback as the root
 // fragment produces them (the row-oriented API boundary over the columnar
-// interior); Query, QueryTraced and Explain collect the same rows into a
+// interior); Query, QueryTraced and ExplainCtx collect the same rows into a
 // table. See docs/ARCHITECTURE.md at the repository root for the full
 // three-layer picture.
 package engine

@@ -215,7 +215,7 @@ type Response struct {
 	// Headers and Table are the user-facing result after decryption,
 	// ordering, projection, and limit. Table's schema is the root schema
 	// projected onto the output columns, also when it has no rows; it is
-	// nil for QueryStream, whose rows went to the callback.
+	// nil for QueryStreamCtx, whose rows went to the callback.
 	Headers []string
 	Table   *exec.Table
 	// CacheHit reports whether the authorized plan came from the cache.
@@ -235,12 +235,12 @@ type Response struct {
 	// distributed execution and user-side finalization.
 	PlanTime, ExecTime time.Duration
 	// TimeToFirstRow is the time from execution start until the finalizer
-	// emitted the first result rows: to QueryStream's callback, or into
+	// emitted the first result rows: to QueryStreamCtx's callback, or into
 	// Table for the other entry points. It is zero for queries that
 	// produced no rows.
 	TimeToFirstRow time.Duration
 	// Rows counts the result rows delivered (Table.Len() for Query, rows
-	// streamed to the callback for QueryStream).
+	// streamed to the callback for QueryStreamCtx).
 	Rows int
 }
 

@@ -175,7 +175,7 @@ func TestQueryStreamMatchesQuery(t *testing.T) {
 		}
 		var streamed [][]exec.Value
 		var headers []string
-		resp, err := eng.QueryStream(sqlText, func(h []string, rows [][]exec.Value) error {
+		resp, err := eng.QueryStreamCtx(nil, sqlText, func(h []string, rows [][]exec.Value) error {
 			headers = h
 			streamed = append(streamed, rows...)
 			return nil
@@ -230,7 +230,7 @@ func TestQueryStreamConcurrent(t *testing.T) {
 			go func(num int) {
 				defer wg.Done()
 				var got [][]exec.Value
-				_, err := eng.QueryStream(querySQL(t, num), func(_ []string, rows [][]exec.Value) error {
+				_, err := eng.QueryStreamCtx(nil, querySQL(t, num), func(_ []string, rows [][]exec.Value) error {
 					got = append(got, rows...)
 					return nil
 				})

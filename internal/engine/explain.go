@@ -52,7 +52,7 @@ type ExplainEdge struct {
 	WaitNs int64 `json:"wait_ns"`
 }
 
-// Explanation is the outcome of Engine.Explain: the executed, annotated
+// Explanation is the outcome of Engine.ExplainCtx: the executed, annotated
 // extended plan with the run's transfers and lifecycle timings.
 type Explanation struct {
 	Query        string          `json:"query"`
@@ -68,17 +68,12 @@ type Explanation struct {
 	Edges      []ExplainEdge `json:"edges,omitempty"`
 }
 
-// Explain executes the query with tracing enabled and returns the annotated
-// extended plan: per-operator rows, batches, and wall time, per-edge
-// shipment accounting, and the run's phase timings. The run is a real query:
-// it counts in the engine statistics and may hit the plan cache.
-func (e *Engine) Explain(query string) (*Explanation, error) {
-	_, ex, err := e.QueryTracedCtx(nil, query)
-	return ex, err
-}
-
-// ExplainCtx is Explain under a caller context (see QueryCtx for the
-// cancellation, deadline, and admission semantics).
+// ExplainCtx executes the query with tracing enabled and returns the
+// annotated extended plan: per-operator rows, batches, and wall time,
+// per-edge shipment accounting, and the run's phase timings. The run is a
+// real query: it counts in the engine statistics and may hit the plan
+// cache. ctx carries QueryCtx's cancellation, deadline, and admission
+// semantics.
 func (e *Engine) ExplainCtx(ctx context.Context, query string) (*Explanation, error) {
 	_, ex, err := e.QueryTracedCtx(ctx, query)
 	return ex, err

@@ -47,7 +47,7 @@ func TestExplainAnnotations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := eng.Explain(querySQL(t, 3))
+	ex, err := eng.ExplainCtx(nil, querySQL(t, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestExplainAnnotations(t *testing.T) {
 	}
 
 	// An Explain run is a real query: a repeat must hit the plan cache.
-	again, err := eng.Explain(querySQL(t, 3))
+	again, err := eng.ExplainCtx(nil, querySQL(t, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestPartialAggregationInstrumented(t *testing.T) {
 		t.Fatal(err)
 	}
 	q1 := querySQL(t, 1)
-	ex, err := eng.Explain(q1)
+	ex, err := eng.ExplainCtx(nil, q1)
 	if err != nil {
 		t.Fatal(err)
 	}

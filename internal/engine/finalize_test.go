@@ -55,7 +55,7 @@ func TestFinalizeAcrossBatches(t *testing.T) {
 					}
 					var streamed [][]exec.Value
 					yields := 0
-					if _, err := eng.QueryStream(q.SQL, func(_ []string, rows [][]exec.Value) error {
+					if _, err := eng.QueryStreamCtx(nil, q.SQL, func(_ []string, rows [][]exec.Value) error {
 						streamed = append(streamed, rows...)
 						yields++
 						return nil

@@ -54,7 +54,7 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 	m := &engineMetrics{reg: r}
 
 	m.queries = r.Counter("mpq_engine_queries_total",
-		"Queries submitted (Query, QueryStream, and Explain runs).")
+		"Queries submitted (Query, QueryStreamCtx, and ExplainCtx runs).")
 	m.errors = r.Counter("mpq_engine_errors_total",
 		"Queries that failed at any lifecycle phase.")
 	m.hits = r.Counter("mpq_engine_plan_cache_requests_total",

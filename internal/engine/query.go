@@ -10,24 +10,19 @@ import (
 	"mpq/internal/sql"
 )
 
-// QueryStream plans, authorizes, and executes one SQL query like Query, but
-// delivers the finalized result incrementally: yield is called with the
-// output headers and successive batches of fully decrypted, projected
-// output rows as the root fragment produces them, so a caller can start
-// consuming the answer while providers are still computing. The
-// returned Response carries the run's metadata — its Table is nil and
-// TimeToFirstRow records when the first batch reached yield.
+// QueryStreamCtx plans, authorizes, and executes one SQL query like
+// QueryCtx, but delivers the finalized result incrementally: yield is
+// called with the output headers and successive batches of fully
+// decrypted, projected output rows as the root fragment produces them, so
+// a caller can start consuming the answer while providers are still
+// computing. The returned Response carries the run's metadata — its Table
+// is nil and TimeToFirstRow records when the first batch reached yield.
 //
 // Queries with an ORDER BY cannot stream past the sort: their rows are
 // drained and sorted (or, under a LIMIT, kept in a bounded top-k heap), and
 // the result reaches yield in one piece once execution completes. A yield
-// error aborts the run and is returned.
-func (e *Engine) QueryStream(query string, yield func(headers []string, rows [][]exec.Value) error) (*Response, error) {
-	return e.QueryStreamCtx(nil, query, yield)
-}
-
-// QueryStreamCtx is QueryStream under a caller context: cancellation or
-// deadline expiry aborts the run within one batch of work, the engine's
+// error aborts the run and is returned. Cancellation or deadline expiry of
+// ctx aborts the run within one batch of work, the engine's
 // Config.QueryTimeout applies when ctx has no deadline, and admission
 // control may reject the query before any work is done (see QueryCtx).
 func (e *Engine) QueryStreamCtx(ctx context.Context, query string, yield func(headers []string, rows [][]exec.Value) error) (*Response, error) {
@@ -40,7 +35,7 @@ func (e *Engine) QueryStreamCtx(ctx context.Context, query string, yield func(he
 // finalization and metrics. When tr is non-nil the run executes traced
 // (every compiled operator wrapped in a span, every cross-subject edge
 // recorded). Finalized rows go to yield; a nil yield collects them into
-// Response.Table instead, as Query, QueryTraced and Explain want.
+// Response.Table instead, as Query, QueryTraced and ExplainCtx want.
 func (e *Engine) run(ctx context.Context, query string, tr *obs.Trace, yield func(headers []string, rows [][]exec.Value) error) (_ *Response, _ *preparedQuery, err error) {
 	e.met.queries.Inc()
 	ctx, cancel := e.runContext(ctx)
