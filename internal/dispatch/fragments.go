@@ -60,56 +60,42 @@ type Dispatch struct {
 
 // Partition splits an extended plan into per-subject fragments.
 func Partition(ext *core.ExtendedPlan) *Dispatch {
-	p := partitioner{ext: ext, d: &Dispatch{}}
-	p.d.Root = p.build(ext.Root, nil)
-	return p.d
-}
+	d := &Dispatch{}
+	counter := make(map[authz.Subject]int)
+	executor := ext.Assign.Executor
 
-// partitioner carries one Partition call's state; its methods recurse
-// without allocating closures.
-type partitioner struct {
-	ext *core.ExtendedPlan
-	d   *Dispatch
-	// started lists the subject of every fragment begun so far, in
-	// pre-order; it numbers a subject's second and later requests.
-	started []authz.Subject
-}
-
-// build makes the fragment rooted at n, read by consumer, after the
-// fragments it consumes.
-func (p *partitioner) build(n, consumer algebra.Node) *Fragment {
-	subj := p.ext.Assign.Executor(n)
-	seq := 1
-	for _, s := range p.started {
-		if s == subj {
-			seq++
+	var build func(n, consumer algebra.Node) *Fragment
+	build = func(n, consumer algebra.Node) *Fragment {
+		subj := executor(n)
+		counter[subj]++
+		id := "req" + string(subj)
+		if counter[subj] > 1 {
+			id += "_" + strconv.Itoa(counter[subj])
 		}
-	}
-	p.started = append(p.started, subj)
-	id := "req" + string(subj)
-	if seq > 1 {
-		id += "_" + strconv.Itoa(seq)
-	}
-	f := &Fragment{ID: id, Subject: subj, Root: n, Consumer: consumer, ext: p.ext}
-	p.walk(f, n)
-	sort.Strings(f.KeyIDs)
-	f.KeyIDs = dedup(f.KeyIDs)
-	f.Index = len(p.d.Fragments)
-	p.d.Fragments = append(p.d.Fragments, f)
-	return f
-}
+		f := &Fragment{ID: id, Subject: subj, Root: n, Consumer: consumer, ext: ext}
 
-// walk adds m's same-subject subtree to f; frontier children become inputs
-// (built first).
-func (p *partitioner) walk(f *Fragment, m algebra.Node) {
-	for _, c := range m.Children() {
-		if p.ext.Assign.Executor(c) == f.Subject {
-			p.walk(f, c)
-		} else {
-			f.Inputs = append(f.Inputs, p.build(c, m))
+		// Members: the connected same-subject subtree rooted at n.
+		// Frontier children become inputs (recursively built first).
+		var walk func(m algebra.Node)
+		walk = func(m algebra.Node) {
+			for _, c := range m.Children() {
+				if executor(c) == subj {
+					walk(c)
+				} else {
+					f.Inputs = append(f.Inputs, build(c, m))
+				}
+			}
+			f.KeyIDs = addNodeKeys(f.KeyIDs, m)
 		}
+		walk(n)
+		sort.Strings(f.KeyIDs)
+		f.KeyIDs = dedup(f.KeyIDs)
+		f.Index = len(d.Fragments)
+		d.Fragments = append(d.Fragments, f)
+		return f
 	}
-	f.KeyIDs = addNodeKeys(f.KeyIDs, m)
+	d.Root = build(ext.Root, nil)
+	return d
 }
 
 // addNodeKeys appends the key ids used by an encryption/decryption node.

@@ -9,10 +9,12 @@
 // same answers as a trusted centralized execution.
 //
 // One runtime executes a prepared Network: ExecuteStreamCtx runs one worker
-// goroutine per fragment, exchanging columnar exec.Batch values over bounded
-// channels; transfer latency overlaps upstream computation batch by batch,
-// and the ledger accounts each edge's bytes per shipped batch (batchBytes
-// walks the column vectors). ExecuteParallel is ExecuteStreamCtx with the
+// goroutine per fragment of dispatch.Partition — the Figure 8 requests, so
+// the sub-queries the user signs are the ones that run — exchanging
+// columnar exec.Batch values over bounded channels; transfer latency
+// overlaps upstream computation batch by batch, and the ledger accounts
+// each edge's bytes per shipped batch (batchBytes walks the column
+// vectors). ExecuteParallel is ExecuteStreamCtx with the
 // root collected back into a table, for callers that want the whole
 // relation. The tests check it against one central reference: the
 // extended plan evaluated by exec's row-at-a-time evaluator on a trusted

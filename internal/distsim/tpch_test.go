@@ -3,6 +3,7 @@ package distsim
 import (
 	"maps"
 	"math"
+	"slices"
 	"testing"
 
 	"mpq/internal/algebra"
@@ -120,7 +121,8 @@ func TestTPCHDistributedMatchesCentralized(t *testing.T) {
 // multiset of (From, To, Op), are the edges leaving the non-root fragments
 // of dispatch.Partition(ext): (f.Subject, executor(f.Consumer),
 // f.Consumer.Op()). The requests the user signs are then the fragments
-// that ran, one shipment per request.
+// that ran, one shipment per request. Each fragment must sit at its Index,
+// and its Consumer must be the parent of its root, run by another subject.
 func checkDispatchRan(t *testing.T, ext *core.ExtendedPlan, run []Transfer) {
 	t.Helper()
 	type edge struct {
@@ -129,11 +131,21 @@ func checkDispatchRan(t *testing.T, ext *core.ExtendedPlan, run []Transfer) {
 	}
 	want := make(map[edge]int)
 	d := dispatch.Partition(ext)
-	for _, f := range d.Fragments {
+	at := ext.Assign.Executor
+	for i, f := range d.Fragments {
+		if f.Index != i {
+			t.Errorf("%s has Index %d at position %d", f.ID, f.Index, i)
+		}
 		if f == d.Root {
+			if f.Consumer != nil {
+				t.Errorf("root %s ships to %s", f.ID, f.Consumer.Op())
+			}
 			continue
 		}
-		want[edge{f.Subject, ext.Assign.Executor(f.Consumer), f.Consumer.Op()}]++
+		if f.Consumer == nil || !slices.Contains(f.Consumer.Children(), f.Root) || at(f.Consumer) == f.Subject {
+			t.Fatalf("%s does not record the edge leaving its root %s", f.ID, f.Root.Op())
+		}
+		want[edge{f.Subject, at(f.Consumer), f.Consumer.Op()}]++
 	}
 	got := make(map[edge]int)
 	for _, tr := range run {
