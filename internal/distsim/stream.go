@@ -18,7 +18,8 @@ import (
 // The runtime is a fully pipelined exchange: each fragment compiles its
 // subtree into a batch operator stream whose frontier inputs are
 // channel-fed pipeline sources, and ships every produced batch to its
-// consumer as soon as it exists. A provider can therefore start probing a join while the other side's scan
+// consumer as soon as it exists. A
+// provider can therefore start probing a join while the other side's scan
 // is still running, and wide-area transfer latency overlaps upstream
 // computation batch by batch (RTT is paid once per edge, serialization per
 // batch). The ledger still carries exactly one Transfer per cross-subject

@@ -186,8 +186,9 @@ func (e *Executor) buildJoin(j *algebra.Join) (Operator, error) {
 	schema := append(append([]algebra.Attr{}, ls...), rs...)
 
 	// Hash join on the first equality pair with one side in each input;
-	// residual conjuncts filter the joined batches (same operator choice as
-	// the row evaluator, decided once at build time).
+	// residual conjuncts filter the joined batches, as the nested loop
+	// filters its product (same operator choice as the legacy evaluator,
+	// decided once at build time).
 	hashL, hashR := -1, -1
 	var residual []algebra.Pred
 	for _, c := range algebra.Conjuncts(j.Cond) {
@@ -224,8 +225,6 @@ func (e *Executor) buildJoin(j *algebra.Join) (Operator, error) {
 		ctx: e.Ctx,
 	}
 	if rp := algebra.And(residual...); rp != nil {
-		// Residual conjuncts filter the joined batches, as the nested loop
-		// filters its product.
 		pred, err := e.compileColPred(rp, plainResolver(schema))
 		if err != nil {
 			return nil, err
