@@ -124,7 +124,7 @@ func NewPaperModel(user authz.Subject, authorities, providers []authz.Subject) *
 // which requires encryption overhead in the same order of magnitude as
 // per-tuple query processing, i.e. amortized/batched asymmetric operations
 // (precomputed Paillier randomness, vectorized OPE). The values below follow
-// that regime; see EXPERIMENTS.md.
+// that regime; ROADMAP 13(a) pins the per-query figures they give.
 var encSecondsPerValue = map[algebra.Scheme]float64{
 	algebra.SchemeRandom:        3.0e-7,
 	algebra.SchemeDeterministic: 5.0e-7, // extra HMAC pass for the synthetic IV

@@ -54,9 +54,10 @@ type Network struct {
 	CryptoWorkers int
 	// Materializing selected a whole-relation runtime that shipped complete
 	// sub-results; ValueCrypto forced the per-value crypto path. Both
-	// were removed: the tests check the one runtime against a central
-	// row-at-a-time evaluation of the extended plan. The fields remain
-	// while bench/layers.go assigns them (ROADMAP item 3(a)).
+	// were removed: the tests check the one runtime's answers against
+	// internal/sqlref and its ledger against the extended plan run
+	// centrally by the batch pipeline. The fields remain while
+	// bench/layers.go assigns them (ROADMAP item 3(a)).
 	//
 	// Deprecated: nothing reads them.
 	Materializing, ValueCrypto bool

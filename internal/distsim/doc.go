@@ -16,11 +16,11 @@
 // each edge's bytes per shipped batch (batchBytes walks the column
 // vectors). ExecuteParallel is ExecuteStreamCtx with the
 // root collected back into a table, for callers that want the whole
-// relation. The tests check it against one central reference: the
-// extended plan evaluated by exec's row-at-a-time evaluator on a trusted
-// executor holding every table, every key and the plan's constants — its
-// decrypted root is the answer, and the subtree under each cross-subject
-// edge gives that edge's rows. The two deprecated Network fields that once
+// relation. The tests check it against two references: internal/sqlref, a
+// SQL interpreter sharing no code with the engine, for the answer, and the
+// extended plan run by the batch pipeline on a trusted executor holding
+// every table, every key and the plan's constants, whose subtree under each
+// cross-subject edge gives that edge's rows. The two deprecated Network fields that once
 // selected a second runtime and a per-value crypto path are read by
 // nothing; they remain only because bench/layers.go assigns them, and go
 // when that file does (ROADMAP item 3(a)).

@@ -1,7 +1,6 @@
 package distsim
 
 import (
-	"sort"
 	"testing"
 
 	"mpq/internal/algebra"
@@ -13,7 +12,8 @@ import (
 
 // TestPartialEdgeFollowsMarks runs γ[T; count(*)](σ[S = C](Hosp × Ins)),
 // the product at X and the selection and group-by at Y, streaming, and
-// checks it against the central reference (centralRun). When X may see C
+// checks the answer against the SQL reference and the ledger against the
+// central run (centralRun). When X may see C
 // only encrypted, moving the selection to X would break uniform visibility
 // over S ≃ C, so the plan carries no mark and the stream ships the raw
 // rows of the product. When X may see C in plaintext, the edge is marked
@@ -61,14 +61,6 @@ func TestPartialEdgeFollowsMarks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sorted := func(tbl *exec.Table) []string {
-			var rows []string
-			for _, row := range tbl.Rows {
-				rows = append(rows, exec.DisplayString(row))
-			}
-			sort.Strings(rows)
-			return rows
-		}
 		out, ts, err := nw.Clone().ExecuteParallel(ext, consts)
 		if err != nil {
 			t.Fatal(err)
@@ -78,20 +70,18 @@ func TestPartialEdgeFollowsMarks(t *testing.T) {
 		for _, tr := range ts {
 			got[EdgeKey(tr.From, tr.To)] += tr.Rows
 		}
-		ref, want := centralRun(t, nw, ext, full, consts)
-		gotRows, wantRows := sorted(out), sorted(ref)
-		if len(gotRows) != 5 || len(gotRows) != len(wantRows) {
-			t.Fatalf("X plaintext on C = %v: %d groups, reference %d, want 5", xPlainC, len(gotRows), len(wantRows))
+		ref := sqlrefAnswer(t, nw, "select T, count(*) from Hosp join Ins on S = C group by T")
+		if out.Len() != 5 || len(ref.Rows) != 5 {
+			t.Fatalf("X plaintext on C = %v: %d groups, reference %d, want 5", xPlainC, out.Len(), len(ref.Rows))
 		}
-		for i := range wantRows {
-			if gotRows[i] != wantRows[i] {
-				t.Errorf("X plaintext on C = %v: row %d = %s, reference %s", xPlainC, i, gotRows[i], wantRows[i])
-			}
+		if d := answerDiff(ref, out.Rows); d != "" {
+			t.Errorf("X plaintext on C = %v: answer differs from the SQL reference\n%s", xPlainC, d)
 		}
+		want := centralRun(t, nw, ext, full, consts)
 		xy := EdgeKey("X", "Y")
 		wantXY := want[xy]
 		if xPlainC {
-			wantXY = len(wantRows) // one partial row per group
+			wantXY = len(ref.Rows) // one partial row per group
 		}
 		if got[xy] != wantXY || want[xy] != 80 {
 			t.Errorf("X plaintext on C = %v: X→Y shipped %d rows (reference %d), want %d of the reference's 80",

@@ -10,7 +10,6 @@ import (
 
 	"mpq/internal/crypto"
 	"mpq/internal/exec"
-	"mpq/internal/planner"
 	"mpq/internal/tpch"
 )
 
@@ -30,37 +29,6 @@ func encDelta(fn func()) (stats exec.EncCacheStats, pheEncrypts uint64) {
 		k1.PheEncrypts - k0.PheEncrypts
 }
 
-// oracleAnswers answers the queries on one trusted executor that holds
-// every table of cfg.Tables in plaintext and runs the planner's plan on the
-// row-at-a-time interior (bench/oracle.go's rule). It shares neither the
-// distributed runtime nor the engine's finalizer: ordering, limit and
-// projection come from RunPlan's Table.SortBy and Table.Project, and no key
-// is generated.
-func oracleAnswers(t *testing.T, cfg Config, queries []tpch.Query) map[int][]byte {
-	t.Helper()
-	trusted := exec.NewExecutor()
-	trusted.Materializing = true
-	for _, tables := range cfg.Tables {
-		for name, tbl := range tables {
-			trusted.Tables[name] = tbl
-		}
-	}
-	pl := planner.New(cfg.Catalog)
-	want := make(map[int][]byte, len(queries))
-	for _, q := range queries {
-		plan, err := pl.PlanSQL(q.SQL)
-		if err != nil {
-			t.Fatalf("oracle Q%d: %v", q.Num, err)
-		}
-		got, _, err := trusted.RunPlan(plan)
-		if err != nil {
-			t.Fatalf("oracle Q%d: %v", q.Num, err)
-		}
-		want[q.Num] = canon(got)
-	}
-	return want
-}
-
 // TestEncCacheEquivalence walks all 22 TPC-H queries through miss, fill and
 // two served runs under every scenario. Every run must equal the oracle's
 // canonical bytes and ship the miss's ledger: the same edges with the same
@@ -73,7 +41,7 @@ func TestEncCacheEquivalence(t *testing.T) {
 	for _, sc := range tpch.Scenarios() {
 		t.Run(string(sc), func(t *testing.T) {
 			cfg := testConfig(t, sc)
-			want := oracleAnswers(t, cfg, queries)
+			want := oracleAnswers(t, testSF, testSeed, queries)
 			eng, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -89,8 +57,8 @@ func TestEncCacheEquivalence(t *testing.T) {
 					if runs[i].CacheHit != (i > 0) {
 						t.Fatalf("Q%d run %d: cache hit %v", q.Num, i, runs[i].CacheHit)
 					}
-					if g := canon(runs[i].Table); !bytes.Equal(g, want[q.Num]) {
-						t.Fatalf("Q%d run %d differs from the oracle\ngot:\n%s\nwant:\n%s", q.Num, i, g, want[q.Num])
+					if d := want[q.Num].diff(runs[i].Table); d != "" {
+						t.Fatalf("Q%d run %d differs from the oracle\n%s", q.Num, i, d)
 					}
 					if diff := ledgerDiff(runs[i].Transfers, runs[0].Transfers); diff != "" {
 						t.Errorf("Q%d run %d ledger differs from the miss: %s", q.Num, i, diff)
@@ -132,7 +100,7 @@ func TestEncCacheServedHitEncryptsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	q1 := querySQL(t, 1)
-	want := oracleAnswers(t, cfg, []tpch.Query{{Num: 1, SQL: q1}})[1]
+	want := oracleAnswers(t, 0.0004, testSeed, []tpch.Query{{Num: 1, SQL: q1}})[1]
 	for i, wantOutcome := range []exec.EncCacheStats{{Stream: 1}, {Fill: 1}, {Serve: 1}} {
 		var ex *Explanation
 		var resp *Response
@@ -140,8 +108,8 @@ func TestEncCacheServedHitEncryptsNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if g := canon(resp.Table); !bytes.Equal(g, want) {
-			t.Fatalf("run %d differs from the oracle", i)
+		if d := want.diff(resp.Table); d != "" {
+			t.Fatalf("run %d differs from the oracle\n%s", i, d)
 		}
 		if stats != wantOutcome {
 			t.Fatalf("run %d: cache outcome %+v, want %+v", i, stats, wantOutcome)
@@ -186,7 +154,7 @@ func TestEncCacheServedRunsStayCorrect(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := []tpch.Query{{Num: 1, SQL: querySQL(t, 1)}, {Num: 18, SQL: querySQL(t, 18)}}
-	want := oracleAnswers(t, cfg, queries)
+	want := oracleAnswers(t, testSF, testSeed, queries)
 	for _, q := range queries {
 		for i := 0; i < 2; i++ {
 			if _, err := eng.Query(q.SQL); err != nil {
@@ -199,8 +167,8 @@ func TestEncCacheServedRunsStayCorrect(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if g := canon(resp.Table); !bytes.Equal(g, want[q.Num]) {
-					t.Fatalf("Q%d served run %d differs from the oracle\ngot:\n%s\nwant:\n%s", q.Num, i, g, want[q.Num])
+				if d := want[q.Num].diff(resp.Table); d != "" {
+					t.Fatalf("Q%d served run %d differs from the oracle\n%s", q.Num, i, d)
 				}
 			}
 		})
@@ -225,20 +193,21 @@ func TestEncCacheAppendBetweenHits(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := oracleAnswers(t, cfg, []tpch.Query{q1})[1]
-	var lineitem *exec.Table
-	for _, tables := range cfg.Tables {
-		if tbl, ok := tables["lineitem"]; ok {
-			lineitem = tbl
+	tables := make(map[string]*exec.Table)
+	for _, byName := range cfg.Tables {
+		for name, tbl := range byName {
+			tables[name] = tbl
 		}
 	}
+	before := sqlrefAnswer(t, plainTables(tables), q1.SQL)
+	lineitem := tables["lineitem"]
 	for i := 0; i < 50; i++ {
 		if err := lineitem.Append(append([]exec.Value(nil), lineitem.Rows[i]...)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	after := oracleAnswers(t, cfg, []tpch.Query{q1})[1]
-	if bytes.Equal(before, after) {
+	after := sqlrefAnswer(t, plainTables(tables), q1.SQL)
+	if bytes.Equal(before.want(), after.want()) {
 		t.Fatal("fixture: the appended rows do not change Q1's answer")
 	}
 	var resp *Response
@@ -249,8 +218,8 @@ func TestEncCacheAppendBetweenHits(t *testing.T) {
 	if !resp.CacheHit || stats.Serve != 0 || phe == 0 {
 		t.Fatalf("hit after append: cache hit %v, outcome %+v, %d Paillier encryptions; want a re-encrypting hit", resp.CacheHit, stats, phe)
 	}
-	if g := canon(resp.Table); !bytes.Equal(g, after) {
-		t.Fatalf("hit after append answers over the old rows\ngot:\n%s\nwant:\n%s", g, after)
+	if d := after.diff(resp.Table); d != "" {
+		t.Fatalf("hit after append answers over the old rows\n%s", d)
 	}
 }
 
@@ -267,7 +236,7 @@ func TestEncCacheTwoPlansOneKeyID(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := []tpch.Query{{Num: 14, SQL: querySQL(t, 14)}, {Num: 15, SQL: querySQL(t, 15)}}
-	want := oracleAnswers(t, cfg, queries)
+	want := oracleAnswers(t, testSF, testSeed, queries)
 	var plans []*preparedQuery
 	for round := 0; round < 4; round++ {
 		for _, q := range queries {
@@ -275,8 +244,8 @@ func TestEncCacheTwoPlansOneKeyID(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if g := canon(resp.Table); !bytes.Equal(g, want[q.Num]) {
-				t.Fatalf("Q%d round %d differs from the oracle\ngot:\n%s\nwant:\n%s", q.Num, round, g, want[q.Num])
+			if d := want[q.Num].diff(resp.Table); d != "" {
+				t.Fatalf("Q%d round %d differs from the oracle\n%s", q.Num, round, d)
 			}
 			if round == 0 {
 				plans = append(plans, pq)
@@ -317,7 +286,7 @@ func TestEncCacheConcurrentHitsDuringFill(t *testing.T) {
 		t.Fatal(err)
 	}
 	q1 := tpch.Query{Num: 1, SQL: querySQL(t, 1)}
-	want := oracleAnswers(t, cfg, []tpch.Query{q1})[1]
+	want := oracleAnswers(t, testSF, testSeed, []tpch.Query{q1})[1]
 	if _, err := eng.Query(q1.SQL); err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +303,7 @@ func TestEncCacheConcurrentHitsDuringFill(t *testing.T) {
 			switch {
 			case err != nil:
 				errs <- err
-			case !bytes.Equal(canon(resp.Table), want):
+			case want.diff(resp.Table) != "":
 				errs <- fmt.Errorf("concurrent hit differs from the oracle")
 			}
 		}()
@@ -352,7 +321,7 @@ func TestEncCacheConcurrentHitsDuringFill(t *testing.T) {
 	}
 	stats, phe := encDelta(func() {
 		resp, err := eng.Query(q1.SQL)
-		if err != nil || !bytes.Equal(canon(resp.Table), want) {
+		if err != nil || want.diff(resp.Table) != "" {
 			t.Errorf("hit after the fill: err %v", err)
 		}
 	})
@@ -371,7 +340,7 @@ func TestEncCacheDiesWithAuthzVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	q1 := tpch.Query{Num: 1, SQL: querySQL(t, 1)}
-	want := oracleAnswers(t, cfg, []tpch.Query{q1})[1]
+	want := oracleAnswers(t, testSF, testSeed, []tpch.Query{q1})[1]
 	for i := 0; i < 3; i++ {
 		if _, err := eng.Query(q1.SQL); err != nil {
 			t.Fatal(err)
@@ -389,8 +358,8 @@ func TestEncCacheDiesWithAuthzVersion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if g := canon(resp.Table); !bytes.Equal(g, want) {
-			t.Fatalf("run %d after revoke differs from the oracle", i)
+		if d := want.diff(resp.Table); d != "" {
+			t.Fatalf("run %d after revoke differs from the oracle\n%s", i, d)
 		}
 		got := map[string]uint64{"stream": stats.Stream, "fill": stats.Fill, "serve": stats.Serve}
 		for outcome, n := range got {

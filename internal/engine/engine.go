@@ -65,8 +65,11 @@ type Config struct {
 	// operators and fragment workers (0 means exec.DefaultBatchSize).
 	BatchSize int
 	// Materializing selected a whole-relation runtime that shipped complete
-	// sub-results; it has been removed, and New rejects true. The field
-	// remains while bench/layers.go assigns it (ROADMAP item 3(a)).
+	// sub-results; it has been removed, with the row-at-a-time evaluator
+	// behind it, and New rejects true. The tests check answers against
+	// internal/sqlref and ledgers against the extended plan run centrally.
+	// The field remains while bench/layers.go assigns it (ROADMAP item
+	// 3(a)).
 	//
 	// Deprecated: leave it false.
 	Materializing bool

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"mpq/internal/core"
 	"mpq/internal/distsim"
 	"mpq/internal/exec"
+	"mpq/internal/sqlref"
 	"mpq/internal/tpch"
 )
 
@@ -21,18 +23,16 @@ func rowStrings(rows [][]exec.Value) []string {
 	return out
 }
 
-// centralRun is the one reference the distributed engine is checked
-// against: pq's extended plan evaluated by exec's row-at-a-time evaluator
-// on a single trusted executor that holds every table of cfg, the full key
-// store and the plan's constants, each node once, children first. It
-// returns the user's answer (the decrypted root, ordered, projected and
-// limited by the plan), every node's relation (the root's decrypted), and
-// one transfer per cross-subject edge carrying the rows of the shipped
-// node's subtree.
-func centralRun(t *testing.T, cfg Config, pq *preparedQuery) (*exec.Table, map[algebra.Node]*exec.Table, []distsim.Transfer) {
+// centralRun answers "did distribution change anything?": pq's extended
+// plan run by the batch pipeline on a single trusted executor that holds
+// every table of cfg, the full key store and the plan's constants, each
+// node once, children first (Build splices the children already run). It
+// returns every node's relation and one transfer per cross-subject edge
+// carrying the rows of the shipped node's subtree. Whether the answer is
+// right is the SQL reference's question (oracleAnswers).
+func centralRun(t *testing.T, cfg Config, pq *preparedQuery) (map[algebra.Node]*exec.Table, []distsim.Transfer) {
 	t.Helper()
 	c := exec.NewExecutor()
-	c.Materializing = true
 	c.Keys = pq.keys
 	c.Consts = pq.consts
 	c.Materialized = make(map[algebra.Node]*exec.Table)
@@ -63,23 +63,14 @@ func centralRun(t *testing.T, cfg Config, pq *preparedQuery) (*exec.Table, map[a
 	if err != nil {
 		t.Fatalf("central reference: %v", err)
 	}
-	if c.Materialized[ext.Root], err = c.DecryptTable(c.Materialized[ext.Root]); err != nil {
-		t.Fatalf("central reference: %v", err)
-	}
-	user := *pq.plan
-	user.Root = ext.Root
-	answer, _, err := c.RunPlan(&user)
-	if err != nil {
-		t.Fatalf("central reference: %v", err)
-	}
-	return answer, c.Materialized, edges
+	return c.Materialized, edges
 }
 
 // TestBatchPipelineMatchesMaterializing runs the conformance query subset
-// under every authorization scenario and checks each run against the
-// central reference (centralRun): the answer row for row (equal values in
-// equal order), and the ledger edge by edge — the shipped subtree's rows on every unmarked edge,
-// and one row per group of the merging group-by on each edge the plan
+// under every authorization scenario. Each answer must be the SQL
+// reference's (oracleAnswers), and the ledger must be the central run's
+// (centralRun) edge by edge: the shipped subtree's rows on every unmarked
+// edge, and one row per group of the merging group-by on each edge the plan
 // marks for partial aggregation.
 func TestBatchPipelineMatchesMaterializing(t *testing.T) {
 	for _, sc := range tpch.Scenarios() {
@@ -90,21 +81,21 @@ func TestBatchPipelineMatchesMaterializing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var queries []tpch.Query
 			for _, num := range testQueries {
-				got, pq, err := eng.run(nil, querySQL(t, num), nil, nil)
+				queries = append(queries, tpch.Query{Num: num, SQL: querySQL(t, num)})
+			}
+			want := oracleAnswers(t, testSF, testSeed, queries)
+			for _, q := range queries {
+				num := q.Num
+				got, pq, err := eng.run(nil, q.SQL, nil, nil)
 				if err != nil {
 					t.Fatalf("Q%d: %v", num, err)
 				}
-				want, rels, edges := centralRun(t, cfg, pq)
-				g, w := rowStrings(got.Table.Rows), rowStrings(want.Rows)
-				if len(g) != len(w) {
-					t.Fatalf("Q%d: %d rows, want %d", num, len(g), len(w))
+				if d := want[num].diff(got.Table); d != "" {
+					t.Fatalf("Q%d differs from the SQL reference\n%s", num, d)
 				}
-				for i := range w {
-					if g[i] != w[i] {
-						t.Fatalf("Q%d row %d differs:\nstream:  %s\ncentral: %s", num, i, g[i], w[i])
-					}
-				}
+				rels, edges := centralRun(t, cfg, pq)
 				marked := partialEdgeKeys(pq.result.Extended)
 				gotRest, gotMarked := splitLedger(got.Transfers, marked)
 				wantRest, wantMarked := splitLedger(edges, marked)
@@ -268,4 +259,109 @@ func (e errMismatch) Error() string {
 		return "stream mismatch in query result"
 	}
 	return "streamed row count differs from drained result"
+}
+
+// refAnswer is the SQL reference's answer to one statement
+// (internal/sqlref).
+type refAnswer struct{ *sqlref.Result }
+
+// want returns the canonical bytes an engine answer must render to. An
+// aggregate without GROUP BY over no input is the one known divergence:
+// SQL answers one row of NULLs, the engine no row (ROADMAP 16). The check
+// pins the engine's answer there so that the fix shows.
+func (r refAnswer) want() []byte {
+	if r.EmptyAggregate {
+		return r.Canon(nil)
+	}
+	return r.Canon(r.Rows)
+}
+
+// of renders an engine answer to canonical bytes under r's ORDER BY and
+// LIMIT.
+func (r refAnswer) of(tbl *exec.Table) []byte { return r.Canon(plainRows(tbl.Rows)) }
+
+// plainRows converts rows to the reference's Go values; a ciphertext
+// renders unequal to any plaintext.
+func plainRows(rows [][]exec.Value) [][]any {
+	out := make([][]any, len(rows))
+	for i, row := range rows {
+		out[i] = make([]any, len(row))
+		for j, v := range row {
+			switch v.Kind {
+			case exec.KInt:
+				out[i][j] = v.I
+			case exec.KFloat:
+				out[i][j] = v.F
+			case exec.KString:
+				out[i][j] = v.S
+			case exec.KCipher:
+				out[i][j] = v.String()
+			}
+		}
+	}
+	return out
+}
+
+// diff is "" when tbl renders to the reference's bytes, else both renderings.
+func (r refAnswer) diff(tbl *exec.Table) string {
+	if g, w := r.of(tbl), r.want(); !bytes.Equal(g, w) {
+		return fmt.Sprintf("got:\n%s\nwant:\n%s", g, w)
+	}
+	return ""
+}
+
+// plainTables copies tables into the reference's plain values.
+func plainTables(tables map[string]*exec.Table) map[string]sqlref.Table {
+	out := make(map[string]sqlref.Table, len(tables))
+	for name, tbl := range tables {
+		ref := sqlref.Table{Rows: plainRows(tbl.Rows)}
+		for _, a := range tbl.Schema {
+			ref.Cols = append(ref.Cols, a.Name)
+		}
+		out[name] = ref
+	}
+	return out
+}
+
+// sqlrefAnswer answers one statement over tables with the SQL reference.
+func sqlrefAnswer(t *testing.T, tables map[string]sqlref.Table, sqlText string) refAnswer {
+	t.Helper()
+	res, err := sqlref.Query(tables, sqlText)
+	if err != nil {
+		t.Fatalf("SQL reference: %v", err)
+	}
+	return refAnswer{res}
+}
+
+var oracleMemo struct {
+	sync.Mutex
+	tables  map[string]map[string]sqlref.Table
+	answers map[string]refAnswer
+}
+
+// oracleAnswers answers the queries with the SQL reference over the
+// plaintext tables tpch.Generate(sf, seed). It shares no code with the
+// engine, the planner or the executor. Answers do not depend on the
+// scenario, so each (sf, seed, statement) is answered once per test binary.
+func oracleAnswers(t *testing.T, sf float64, seed int64, queries []tpch.Query) map[int]refAnswer {
+	t.Helper()
+	oracleMemo.Lock()
+	defer oracleMemo.Unlock()
+	if oracleMemo.tables == nil {
+		oracleMemo.tables = make(map[string]map[string]sqlref.Table)
+		oracleMemo.answers = make(map[string]refAnswer)
+	}
+	data := fmt.Sprint(sf, "/", seed)
+	if oracleMemo.tables[data] == nil {
+		oracleMemo.tables[data] = plainTables(tpch.Generate(sf, seed))
+	}
+	want := make(map[int]refAnswer, len(queries))
+	for _, q := range queries {
+		key := data + "/" + q.SQL
+		if _, ok := oracleMemo.answers[key]; !ok {
+			oracleMemo.answers[key] = sqlrefAnswer(t, oracleMemo.tables[data], q.SQL)
+		}
+		want[q.Num] = oracleMemo.answers[key]
+	}
+	return want
 }

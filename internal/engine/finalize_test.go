@@ -39,7 +39,7 @@ func TestFinalizeAcrossBatches(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/batch=%d", sc, batch), func(t *testing.T) {
 				cfg := testConfig(t, sc)
 				cfg.BatchSize = batch
-				want := oracleAnswers(t, cfg, queries)
+				want := oracleAnswers(t, testSF, testSeed, queries)
 				eng, err := New(cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -69,18 +69,16 @@ func TestFinalizeAcrossBatches(t *testing.T) {
 					if strings.Join(g, "\n") != strings.Join(s, "\n") {
 						t.Fatalf("Q%d: Query and QueryStream differ\nquery:\n%s\nstream:\n%s", q.Num, g, s)
 					}
+					if d := want[q.Num].diff(got.Table); d != "" {
+						t.Fatalf("Q%d differs from the oracle\n%s", q.Num, d)
+					}
 					if q.Num != 101 {
-						if c := canon(got.Table); !bytes.Equal(c, want[q.Num]) {
-							t.Fatalf("Q%d differs from the oracle\ngot:\n%s\nwant:\n%s", q.Num, c, want[q.Num])
-						}
 						continue
 					}
-					// LIMIT without ORDER BY picks any rows of the answer.
-					if len(g) != limited {
-						t.Fatalf("LIMIT %d returned %d rows", limited, len(g))
-					}
-					all := bytes.Split(want[100], []byte("\n"))
-					for _, row := range bytes.Split(canon(got.Table), []byte("\n")) {
+					// LIMIT without ORDER BY picks any rows of the answer:
+					// the reference checks their number, this their values.
+					all := bytes.Split(want[100].want(), []byte("\n"))
+					for _, row := range bytes.Split(want[100].of(got.Table), []byte("\n")) {
 						if !slices.ContainsFunc(all, func(l []byte) bool { return bytes.Equal(l, row) }) {
 							t.Fatalf("LIMIT row %s is not in the unlimited answer", row)
 						}
@@ -90,8 +88,8 @@ func TestFinalizeAcrossBatches(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if empty.Table.Len() != 0 || len(want[104]) != 0 {
-					t.Fatalf("empty statement returned %d rows (oracle %q)", empty.Table.Len(), want[104])
+				if empty.Table.Len() != 0 || len(want[104].Rows) != 0 {
+					t.Fatalf("empty statement returned %d rows (oracle %d)", empty.Table.Len(), len(want[104].Rows))
 				}
 				if h := strings.Join(empty.Headers, ","); h != "o_orderkey,o_totalprice" {
 					t.Errorf("empty result headers %q", h)

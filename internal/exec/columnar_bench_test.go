@@ -11,10 +11,9 @@ import (
 )
 
 // BenchmarkColumnarOps isolates the operators the columnar layout targets —
-// selective filters and grouped aggregation — on TPC-H-shaped plans, pitting
-// the columnar batch pipeline against the row-at-a-time materializing
-// baseline. BenchmarkInterior covers the full query mix; this benchmark is
-// the per-operator microscope (filter: Q6's conjunctive range scan;
+// selective filters and grouped aggregation — on TPC-H-shaped plans.
+// BenchmarkInterior covers the full query mix; this benchmark is the
+// per-operator microscope (filter: Q6's conjunctive range scan;
 // aggregate: Q1's wide grouped aggregation; filter-aggregate: Q14's
 // join-free shape via Q6 with the revenue aggregate).
 func BenchmarkColumnarOps(b *testing.B) {
@@ -36,24 +35,18 @@ func BenchmarkColumnarOps(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, mode := range []struct {
-			name string
-			mat  bool
-		}{{"row-oracle", true}, {"columnar", false}} {
-			b.Run(fmt.Sprintf("%s/%s", sh.name, mode.name), func(b *testing.B) {
-				e := exec.NewExecutor()
-				e.Materializing = mode.mat
-				for name, t := range tables {
-					e.Tables[name] = t
+		b.Run(sh.name, func(b *testing.B) {
+			e := exec.NewExecutor()
+			for name, t := range tables {
+				e.Tables[name] = t
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := e.RunPlan(plan); err != nil {
+					b.Fatal(err)
 				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, _, err := e.RunPlan(plan); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 

@@ -15,10 +15,9 @@ import (
 // for every cell; the column-wise entry points below amortize all of it
 // per batch — one cipher resolution, one encoding arena, one batched call
 // into internal/crypto — and optionally split large columns across an
-// intra-batch worker pool. The per-value path remains only inside the
-// row-at-a-time reference evaluator, and every batch result is
-// bit-identical to it for the deterministic schemes, decrypt-identical for
-// the randomized ones.
+// intra-batch worker pool. Every batch result is bit-identical to the
+// per-value calls for the deterministic schemes, decrypt-identical for the
+// randomized ones (TestEncryptOpBatchVsValueCrypto).
 
 // cryptoParMinCells is the column size from which the symmetric batch
 // entry points fan out to the worker pool; below it, goroutine hand-off

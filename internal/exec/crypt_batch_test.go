@@ -267,93 +267,99 @@ func TestBatchMillionRows(t *testing.T) {
 	}
 }
 
-// TestEncryptOpBatchVsValueCrypto runs an Encrypt→Decrypt plan through the
-// batch operators, with and without the crypto worker pool, and diffs the
-// results row for row against the row-at-a-time evaluator, which encrypts
-// and decrypts value by value.
+// TestEncryptOpBatchVsValueCrypto runs an Encrypt plan and an
+// Encrypt→Decrypt plan through the batch operators, with and without the
+// crypto worker pool, and checks them cell by cell against direct
+// per-value calls: every ciphertext is EncryptValue's (deterministic and
+// OPE encryption are functions of the plaintext), DecryptValue takes it
+// back to the plaintext, and the round trip returns the input.
 func TestEncryptOpBatchVsValueCrypto(t *testing.T) {
 	ring, err := crypto.NewKeyRing("k1", testPaillierBits)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(rowEvaluator bool, workers int) *Table {
-		t.Helper()
+	a, bAttr := algebra.A("R", "a"), algebra.A("R", "b")
+	schemes := []algebra.Scheme{algebra.SchemeOPE, algebra.SchemeDeterministic}
+	tbl := NewTable([]algebra.Attr{a, bAttr})
+	for i := 0; i < 500; i++ {
+		tbl.Rows = append(tbl.Rows, []Value{Int(int64(i % 17)), String(fmt.Sprintf("v%d", i))})
+	}
+	for _, workers := range []int{1, 4} {
 		e := NewExecutor()
 		e.Keys.Add(ring)
-		e.Materializing = rowEvaluator
 		e.CryptoWorkers = workers
-		a, bAttr := algebra.A("R", "a"), algebra.A("R", "b")
-		tbl := NewTable([]algebra.Attr{a, bAttr})
-		for i := 0; i < 500; i++ {
-			tbl.Rows = append(tbl.Rows, []Value{Int(int64(i % 17)), String(fmt.Sprintf("v%d", i))})
-		}
 		e.Tables["R"] = tbl
 		base := algebra.NewBase("R", "A", tbl.Schema, float64(tbl.Len()), nil)
 		enc := algebra.NewEncrypt(base, tbl.Schema)
-		enc.Schemes[a] = algebra.SchemeOPE
-		enc.Schemes[bAttr] = algebra.SchemeDeterministic
-		enc.KeyIDs[a] = "k1"
-		enc.KeyIDs[bAttr] = "k1"
-		dec := algebra.NewDecrypt(enc, tbl.Schema)
-		out, err := e.Run(dec)
+		for i, attr := range tbl.Schema {
+			enc.Schemes[attr] = schemes[i]
+			enc.KeyIDs[attr] = "k1"
+		}
+		cipher, err := e.Run(enc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return out
-	}
-	want := run(true, 1)
-	for _, workers := range []int{1, 4} {
-		got := run(false, workers)
-		if got.Len() != want.Len() {
-			t.Fatalf("workers=%d: %d rows, want %d", workers, got.Len(), want.Len())
+		plain, err := e.Run(algebra.NewDecrypt(enc, tbl.Schema))
+		if err != nil {
+			t.Fatal(err)
 		}
-		for ri := range got.Rows {
-			for ci := range got.Rows[ri] {
-				if got.Rows[ri][ci] != want.Rows[ri][ci] {
-					t.Fatalf("workers=%d: row %d col %d = %v, want %v", workers, ri, ci, got.Rows[ri][ci], want.Rows[ri][ci])
+		if cipher.Len() != tbl.Len() || plain.Len() != tbl.Len() {
+			t.Fatalf("workers=%d: %d and %d rows, want %d", workers, cipher.Len(), plain.Len(), tbl.Len())
+		}
+		for ri, row := range tbl.Rows {
+			for ci, v := range row {
+				want, err := EncryptValue(ring, schemes[ci], v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := cipher.Rows[ri][ci]
+				if !got.IsCipher() || string(got.C.Data) != string(want.C.Data) {
+					t.Fatalf("workers=%d: row %d col %d = %v, EncryptValue gives %v", workers, ri, ci, got, want)
+				}
+				back, err := e.DecryptValue(got.C)
+				if err != nil || back != v || plain.Rows[ri][ci] != v {
+					t.Fatalf("workers=%d: row %d col %d decrypts to %v (%v) and %v, want %v", workers, ri, ci, back, err, plain.Rows[ri][ci], v)
 				}
 			}
 		}
 	}
 }
 
-// TestDecryptOpErrors keeps the operator-level error contract of the batch
-// path identical to the row-at-a-time evaluator's per-value path.
+// TestDecryptOpErrors: the batch operators refuse what the per-value calls
+// refuse. Decrypting a plaintext column errors (DecryptValue takes only a
+// ciphertext), and so does encrypting an already encrypted column, as
+// EncryptValue does on a ciphertext.
 func TestDecryptOpErrors(t *testing.T) {
 	ring, _ := crypto.NewKeyRing("k1", testPaillierBits)
 	a := algebra.A("R", "a")
-	for _, rowEvaluator := range []bool{false, true} {
-		// Decrypting a plaintext column errors on both paths.
+	run := func(cell Value, wrap func(algebra.Node) algebra.Node) error {
 		e := NewExecutor()
 		e.Keys.Add(ring)
-		e.Materializing = rowEvaluator
 		tbl := NewTable([]algebra.Attr{a})
-		tbl.Rows = append(tbl.Rows, []Value{Int(7)})
+		tbl.Rows = append(tbl.Rows, []Value{cell})
 		e.Tables["R"] = tbl
-		base := algebra.NewBase("R", "A", tbl.Schema, float64(tbl.Len()), nil)
-		dec := algebra.NewDecrypt(base, tbl.Schema)
-		if _, err := e.Run(dec); err == nil {
-			t.Errorf("rowEvaluator=%v: decrypting plaintext succeeded", rowEvaluator)
-		}
+		_, err := e.Run(wrap(algebra.NewBase("R", "A", tbl.Schema, float64(tbl.Len()), nil)))
+		return err
+	}
+	if err := run(Int(7), func(n algebra.Node) algebra.Node { return algebra.NewDecrypt(n, n.Schema()) }); err == nil {
+		t.Error("decrypting plaintext succeeded")
+	}
 
-		// Re-encryption of an already encrypted column errors on both paths.
-		e2 := NewExecutor()
-		e2.Keys.Add(ring)
-		e2.Materializing = rowEvaluator
-		tbl2 := NewTable([]algebra.Attr{a})
-		cv, err := EncryptValue(ring, algebra.SchemeDeterministic, Int(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		tbl2.Rows = append(tbl2.Rows, []Value{cv})
-		e2.Tables["R"] = tbl2
-		base2 := algebra.NewBase("R", "A", tbl2.Schema, float64(tbl2.Len()), nil)
-		enc := algebra.NewEncrypt(base2, tbl2.Schema)
+	cv, err := EncryptValue(ring, algebra.SchemeDeterministic, Int(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := EncryptValue(ring, algebra.SchemeDeterministic, cv); err == nil {
+		t.Error("EncryptValue re-encrypted a ciphertext")
+	}
+	err = run(cv, func(n algebra.Node) algebra.Node {
+		enc := algebra.NewEncrypt(n, n.Schema())
 		enc.Schemes[a] = algebra.SchemeDeterministic
 		enc.KeyIDs[a] = "k1"
-		if _, err := e2.Run(enc); err == nil {
-			t.Errorf("rowEvaluator=%v: re-encryption succeeded", rowEvaluator)
-		}
+		return enc
+	})
+	if err == nil {
+		t.Error("re-encryption succeeded")
 	}
 }
 

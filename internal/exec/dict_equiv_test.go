@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"fmt"
 	"testing"
 
 	"mpq/internal/exec"
@@ -11,39 +12,17 @@ import (
 // TestDictForcedMatchesOracleTPCH runs the 22-query TPC-H workload with
 // dictionary promotion forced onto every string column — predicates resolve
 // constants against dictionaries, group-by and join keys ride on codes, and
-// projections forward codes zero-copy — and diffs every result row for row
-// against the row-at-a-time materializing oracle (which never sees a dict
-// column). The dict-off pass proves the policy switch itself changes
-// nothing.
+// projections forward codes zero-copy — and checks every answer against the
+// SQL reference (internal/sqlref). The dict-off pass must return the
+// dict-on rows in the same order: the policy switch itself changes nothing.
 func TestDictForcedMatchesOracleTPCH(t *testing.T) {
 	const sf = 0.001
 	cat := tpch.Catalog(sf)
 	tables := tpch.Generate(sf, 99)
+	want := tpchAnswers(t)
 	pl := planner.New(cat)
 
-	oracle := exec.NewExecutor()
-	oracle.Materializing = true
-	for name, tbl := range tables {
-		oracle.Tables[name] = tbl
-	}
-	type planned struct {
-		num  int
-		plan *planner.Plan
-		want *exec.Table
-	}
-	var qs []planned
-	for _, q := range tpch.Queries() {
-		plan, err := pl.PlanSQL(q.SQL)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _, err := oracle.RunPlan(plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		qs = append(qs, planned{num: q.Num, plan: plan, want: want})
-	}
-
+	dictOn := make(map[int]*exec.Table)
 	for _, pol := range []struct {
 		name   string
 		policy exec.DictPolicy
@@ -59,19 +38,20 @@ func TestDictForcedMatchesOracleTPCH(t *testing.T) {
 			e.Tables[name] = tbl
 			tbl.InvalidateColumns()
 		}
-		for _, q := range qs {
-			got, _, err := e.RunPlan(q.plan)
+		for _, q := range tpch.Queries() {
+			plan, err := pl.PlanSQL(q.SQL)
 			if err != nil {
-				t.Fatalf("%s Q%d: %v", pol.name, q.num, err)
+				t.Fatal(err)
 			}
-			if got.Len() != q.want.Len() {
-				t.Fatalf("%s Q%d: %d rows, want %d", pol.name, q.num, got.Len(), q.want.Len())
+			got, _, err := e.RunPlan(plan)
+			if err != nil {
+				t.Fatalf("%s Q%d: %v", pol.name, q.Num, err)
 			}
-			for i := range q.want.Rows {
-				g, w := exec.DisplayString(got.Rows[i]), exec.DisplayString(q.want.Rows[i])
-				if g != w {
-					t.Fatalf("%s Q%d row %d differs:\ngot:  %s\nwant: %s", pol.name, q.num, i, g, w)
-				}
+			diffRef(t, fmt.Sprintf("%s Q%d", pol.name, q.Num), got, want[q.Num])
+			if on := dictOn[q.Num]; on != nil {
+				diffTables(t, got, on)
+			} else {
+				dictOn[q.Num] = got
 			}
 		}
 		exec.SetDictPolicy(old)

@@ -1,7 +1,9 @@
 package exec_test
 
 import (
+	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 
 	"mpq/internal/algebra"
@@ -9,30 +11,26 @@ import (
 	"mpq/internal/exec"
 	"mpq/internal/planner"
 	"mpq/internal/sql"
+	"mpq/internal/sqlref"
 	"mpq/internal/tpch"
 )
 
 // TestPipelineMatchesMaterializingTPCH runs the full 22-query TPC-H
-// workload through the batch pipeline and the legacy materializing
-// evaluator on the same centralized plaintext tables and diffs the results
-// row for row: the streaming interior must be observationally identical,
-// including row order (every operator preserves its input order) and
-// floating-point accumulation order. A last case joins on one equality
-// pair with residual conjuncts over a dict-encoded string column holding
-// NULLs and a deterministic-ciphertext column, the shape Q5 and Q9 give
-// the hash join.
+// workload through the batch pipeline on centralized plaintext tables and
+// compares every answer with the SQL reference (internal/sqlref) in
+// canonical bytes. A last case joins on one equality pair with residual
+// conjuncts over a dict-encoded string column holding NULLs and a
+// deterministic-ciphertext column, the shape Q5 and Q9 give the hash join.
 func TestPipelineMatchesMaterializingTPCH(t *testing.T) {
 	const sf = 0.001
 	cat := tpch.Catalog(sf)
 	tables := tpch.Generate(sf, 99)
+	want := tpchAnswers(t)
 	pl := planner.New(cat)
 
 	batch := exec.NewExecutor()
-	oracle := exec.NewExecutor()
-	oracle.Materializing = true
 	for name, tbl := range tables {
 		batch.Tables[name] = tbl
-		oracle.Tables[name] = tbl
 	}
 
 	for _, q := range tpch.Queries() {
@@ -42,18 +40,11 @@ func TestPipelineMatchesMaterializingTPCH(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, gotHdr, err := batch.RunPlan(plan)
+			got, _, err := batch.RunPlan(plan)
 			if err != nil {
 				t.Fatalf("batch pipeline: %v", err)
 			}
-			want, wantHdr, err := oracle.RunPlan(plan)
-			if err != nil {
-				t.Fatalf("materializing oracle: %v", err)
-			}
-			if len(gotHdr) != len(wantHdr) {
-				t.Fatalf("headers differ: %v vs %v", gotHdr, wantHdr)
-			}
-			diffTables(t, got, want)
+			diffRef(t, q.Name, got, want[q.Num])
 		})
 	}
 	t.Run("residual join", func(t *testing.T) {
@@ -64,12 +55,15 @@ func TestPipelineMatchesMaterializingTPCH(t *testing.T) {
 		rk, rs, rc := algebra.A("R", "k"), algebra.A("R", "s"), algebra.A("R", "c")
 		sk, ss, sc := algebra.A("S", "k"), algebra.A("S", "s"), algebra.A("S", "c")
 		// Promote every string column to a dictionary when the columnar
-		// cache builds; the row evaluator never sees one.
+		// cache builds.
 		defer exec.SetDictPolicy(exec.SetDictPolicy(exec.DictPolicy{MinRows: 1, MaxRatio: 1}))
 		// Row i holds k = i mod 4, a string s (NULL where null(i)) and c,
-		// the deterministic ciphertext of cOf(i).
-		table := func(k, s, c algebra.Attr, n int, null func(int) bool, cOf func(int) int64) *exec.Table {
+		// the deterministic ciphertext of cOf(i). The reference's copy holds
+		// cOf(i) itself.
+		plain := make(map[string]sqlref.Table)
+		table := func(name string, k, s, c algebra.Attr, n int, null func(int) bool, cOf func(int) int64) *exec.Table {
 			tbl := exec.NewTable([]algebra.Attr{k, s, c})
+			ref := sqlref.Table{Cols: []string{"k", "s", "c"}}
 			for i := 0; i < n; i++ {
 				sv := exec.String(fmt.Sprintf("s%d", i%2))
 				if null(i) {
@@ -82,14 +76,16 @@ func TestPipelineMatchesMaterializingTPCH(t *testing.T) {
 				if err := tbl.Append([]exec.Value{exec.Int(int64(i % 4)), sv, cv}); err != nil {
 					t.Fatal(err)
 				}
+				ref.Rows = append(ref.Rows, plainRow([]exec.Value{exec.Int(int64(i % 4)), sv, exec.Int(cOf(i))}))
 			}
+			plain[name] = ref
 			return tbl
 		}
 		// R's NULLs sit at c = 4 and S's at c = 5, so a residual that tests
 		// c first never compares a NULL; one that tests s first does.
 		tables := map[string]*exec.Table{
-			"R": table(rk, rs, rc, 40, func(i int) bool { return i%5 == 4 }, func(i int) int64 { return int64(i % 5) }),
-			"S": table(sk, ss, sc, 30, func(i int) bool { return i%3 == 0 }, func(i int) int64 {
+			"R": table("R", rk, rs, rc, 40, func(i int) bool { return i%5 == 4 }, func(i int) int64 { return int64(i % 5) }),
+			"S": table("S", sk, ss, sc, 30, func(i int) bool { return i%3 == 0 }, func(i int) int64 {
 				if i%3 == 0 {
 					return 5
 				}
@@ -105,100 +101,94 @@ func TestPipelineMatchesMaterializingTPCH(t *testing.T) {
 		}
 		sEq := &algebra.CmpAA{L: rs, Op: sql.OpEq, R: ss}
 		cEq := &algebra.CmpAA{L: rc, Op: sql.OpEq, R: sc}
-		oracle := exec.NewExecutor()
-		oracle.Materializing = true
-		oracle.Tables = tables
 		pipeline := func(join algebra.Node, size int) (*exec.Table, error) {
 			e := exec.NewExecutor()
+			e.Keys.Add(ring)
 			e.BatchSize = size
 			e.Tables = tables
 			op, err := e.Build(join)
 			if err != nil {
 				return nil, err
 			}
-			return exec.Drain(op)
+			out, err := exec.Drain(op)
+			if err != nil {
+				return nil, err
+			}
+			return e.DecryptTable(out)
 		}
 
-		shielded := joinOn(cEq, sEq)
-		want, err := oracle.Run(shielded)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want.Len() == 0 {
-			t.Fatal("the residual join matches nothing: the case tests no rows")
-		}
-		exposed := joinOn(sEq, cEq)
-		_, wantErr := oracle.Run(exposed)
-		if wantErr == nil {
-			t.Fatal("the row evaluator compared a NULL without an error")
-		}
-		for _, size := range []int{2, 1024} {
-			got, err := pipeline(shielded, size)
-			if err != nil {
-				t.Fatalf("batch=%d: %v", size, err)
-			}
-			cols, err := tables["R"].Columns()
+		t.Run("NULL-shielded", func(t *testing.T) {
+			want, err := sqlref.Query(plain, `select R.k, R.s, R.c, S.k, S.s, S.c
+				from R join S on R.k = S.k and R.c = S.c and R.s = S.s`)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cols[1].Kind != exec.ColDict {
-				t.Fatalf("R.s is %v in the columnar cache, want a dictionary", cols[1].Kind)
+			if len(want.Rows) == 0 {
+				t.Fatal("the residual join matches nothing: the case tests no rows")
 			}
-			diffTables(t, got, want)
-			if _, err := pipeline(exposed, size); err == nil || err.Error() != wantErr.Error() {
-				t.Errorf("batch=%d: NULL in the residual gave %v, the row evaluator %v", size, err, wantErr)
+			for _, size := range []int{2, 1024} {
+				got, err := pipeline(joinOn(cEq, sEq), size)
+				if err != nil {
+					t.Fatalf("batch=%d: %v", size, err)
+				}
+				cols, err := tables["R"].Columns()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cols[1].Kind != exec.ColDict {
+					t.Fatalf("R.s is %v in the columnar cache, want a dictionary", cols[1].Kind)
+				}
+				diffRef(t, fmt.Sprintf("batch=%d", size), got, want)
 			}
-		}
+		})
+		// SQL makes s = s unknown where either side is NULL and drops the
+		// pair; the pipeline fails the query instead. ROADMAP 16 turns this
+		// case into the reference's answer, as in the NULL-shielded case.
+		t.Run("NULL-exposed", func(t *testing.T) {
+			for _, size := range []int{2, 1024} {
+				if _, err := pipeline(joinOn(sEq, cEq), size); err == nil || err.Error() != "exec: NULL comparison" {
+					t.Errorf("batch=%d: NULL in the residual gave %v, want exec: NULL comparison", size, err)
+				}
+			}
+		})
 	})
 }
 
 // TestPipelineBatchSizeInvariance proves results do not depend on the batch
 // granularity: a batch size of 1 (degenerate row-at-a-time streaming, where
 // every columnar vector holds a single cell), a small odd size, and a batch
-// size larger than every relation produce identical rows for the full
-// 22-query TPC-H workload, all diffed against the row-at-a-time
-// materializing oracle.
+// size larger than every relation produce identical rows in identical order
+// for the full 22-query TPC-H workload, and each answer is the SQL
+// reference's.
 func TestPipelineBatchSizeInvariance(t *testing.T) {
 	const sf = 0.001
 	cat := tpch.Catalog(sf)
 	tables := tpch.Generate(sf, 99)
+	want := tpchAnswers(t)
 	pl := planner.New(cat)
 
-	oracle := exec.NewExecutor()
-	oracle.Materializing = true
-	for name, tbl := range tables {
-		oracle.Tables[name] = tbl
-	}
-	type planned struct {
-		num  int
-		plan *planner.Plan
-		want *exec.Table
-	}
-	var qs []planned
-	for _, q := range tpch.Queries() {
-		plan, err := pl.PlanSQL(q.SQL)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _, err := oracle.RunPlan(plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		qs = append(qs, planned{num: q.Num, plan: plan, want: want})
-	}
-
+	first := make(map[int]*exec.Table)
 	for _, size := range []int{1, 7, 1 << 20} {
 		e := exec.NewExecutor()
 		e.BatchSize = size
 		for name, tbl := range tables {
 			e.Tables[name] = tbl
 		}
-		for _, q := range qs {
-			got, _, err := e.RunPlan(q.plan)
+		for _, q := range tpch.Queries() {
+			plan, err := pl.PlanSQL(q.SQL)
 			if err != nil {
-				t.Fatalf("batch=%d Q%d: %v", size, q.num, err)
+				t.Fatal(err)
 			}
-			diffTables(t, got, q.want)
+			got, _, err := e.RunPlan(plan)
+			if err != nil {
+				t.Fatalf("batch=%d Q%d: %v", size, q.Num, err)
+			}
+			diffRef(t, fmt.Sprintf("batch=%d Q%d", size, q.Num), got, want[q.Num])
+			if first[q.Num] == nil {
+				first[q.Num] = got
+			} else {
+				diffTables(t, got, first[q.Num])
+			}
 		}
 	}
 }
@@ -215,5 +205,82 @@ func diffTables(t *testing.T, got, want *exec.Table) {
 		if g != w {
 			t.Fatalf("row %d differs:\ngot:  %s\nwant: %s", i, g, w)
 		}
+	}
+}
+
+var tpchRef struct {
+	sync.Once
+	answers map[int]*sqlref.Result
+	err     error
+}
+
+// tpchAnswers returns the SQL reference's answers to the 22 queries over
+// tpch.Generate(0.001, 99), computed once per test binary.
+func tpchAnswers(t *testing.T) map[int]*sqlref.Result {
+	t.Helper()
+	tpchRef.Do(func() {
+		tables := make(map[string]sqlref.Table)
+		for name, tbl := range tpch.Generate(0.001, 99) {
+			ref := sqlref.Table{}
+			for _, a := range tbl.Schema {
+				ref.Cols = append(ref.Cols, a.Name)
+			}
+			for _, row := range tbl.Rows {
+				ref.Rows = append(ref.Rows, plainRow(row))
+			}
+			tables[name] = ref
+		}
+		tpchRef.answers = make(map[int]*sqlref.Result)
+		for _, q := range tpch.Queries() {
+			res, err := sqlref.Query(tables, q.SQL)
+			if err != nil {
+				tpchRef.err = fmt.Errorf("reference Q%d: %w", q.Num, err)
+				return
+			}
+			tpchRef.answers[q.Num] = res
+		}
+	})
+	if tpchRef.err != nil {
+		t.Fatal(tpchRef.err)
+	}
+	return tpchRef.answers
+}
+
+// plainRow converts a plaintext row to the reference's Go values; a
+// ciphertext renders unequal to any plaintext.
+func plainRow(row []exec.Value) []any {
+	out := make([]any, len(row))
+	for i, v := range row {
+		switch v.Kind {
+		case exec.KInt:
+			out[i] = v.I
+		case exec.KFloat:
+			out[i] = v.F
+		case exec.KString:
+			out[i] = v.S
+		case exec.KCipher:
+			out[i] = v.String()
+		}
+	}
+	return out
+}
+
+// diffRef fails the test unless got renders to the reference answer's
+// canonical bytes (sqlref.Result.Canon). An aggregate without GROUP BY over
+// no input is the one known divergence: SQL answers one row of NULLs, the
+// pipeline no row (ROADMAP 16). The check pins the pipeline's answer there
+// so that the fix shows.
+func diffRef(t *testing.T, what string, got *exec.Table, ref *sqlref.Result) {
+	t.Helper()
+	rows := make([][]any, got.Len())
+	for i, row := range got.Rows {
+		rows[i] = plainRow(row)
+	}
+	want := ref.Canon(ref.Rows)
+	if ref.EmptyAggregate {
+		want = ref.Canon(nil)
+	}
+	if g := ref.Canon(rows); !bytes.Equal(g, want) {
+		t.Fatalf("%s differs from the SQL reference\ngot:\n%s\nwant:\n%s", what, g, want)
 	}
 }

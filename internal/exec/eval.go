@@ -11,187 +11,11 @@ import (
 	"mpq/internal/sql"
 )
 
-// colResolver maps predicate references to column indices, resolving
-// aggregate references (HAVING avg(P) > 100) to the matching aggregate
-// output column of the group-by beneath.
-type colResolver struct {
-	table   *Table
-	aggCols map[string]int
-}
-
 func aggKey(f sql.AggFunc, a algebra.Attr, star bool) string {
 	if star {
 		return "*" + string(f)
 	}
 	return string(f) + "|" + a.String()
-}
-
-// newColResolver builds a resolver for rows of t produced by source.
-func newColResolver(t *Table, source algebra.Node) *colResolver {
-	r := &colResolver{table: t, aggCols: make(map[string]int)}
-	// Unwrap encryption/decryption wrappers to find a group-by beneath.
-	n := source
-	for {
-		switch x := n.(type) {
-		case *algebra.Encrypt:
-			n = x.Child
-			continue
-		case *algebra.Decrypt:
-			n = x.Child
-			continue
-		case *algebra.GroupBy:
-			for j, sp := range x.Aggs {
-				k := aggKey(sp.Func, sp.Attr, sp.Star)
-				if _, dup := r.aggCols[k]; !dup {
-					r.aggCols[k] = len(x.Keys) + j
-				}
-			}
-		}
-		break
-	}
-	return r
-}
-
-// joinResolver builds a plain resolver over the join output (no aggregate
-// columns can be referenced by a join condition).
-func joinResolver(t *Table, _ *algebra.Join) *colResolver {
-	return &colResolver{table: t, aggCols: map[string]int{}}
-}
-
-// colFor returns the column index for a value comparison's left side.
-func (r *colResolver) colFor(a algebra.Attr, agg sql.AggFunc) (int, error) {
-	if agg != sql.AggNone {
-		if ix, ok := r.aggCols[aggKey(agg, a, algebra.IsSynthetic(a))]; ok {
-			return ix, nil
-		}
-	}
-	if ix := r.table.ColIndex(a); ix >= 0 {
-		return ix, nil
-	}
-	return -1, fmt.Errorf("exec: attribute %s not in row", a)
-}
-
-// evalPred evaluates a predicate over one row.
-func (e *Executor) evalPred(p algebra.Pred, row []Value, r *colResolver) (bool, error) {
-	switch x := p.(type) {
-	case *algebra.CmpAV:
-		return e.evalCmpAV(x, row, r)
-	case *algebra.CmpAA:
-		return e.evalCmpAA(x, row, r)
-	case *algebra.AndPred:
-		for _, q := range x.Preds {
-			ok, err := e.evalPred(q, row, r)
-			if err != nil || !ok {
-				return false, err
-			}
-		}
-		return true, nil
-	case *algebra.OrPred:
-		for _, q := range x.Preds {
-			ok, err := e.evalPred(q, row, r)
-			if err != nil {
-				return false, err
-			}
-			if ok {
-				return true, nil
-			}
-		}
-		return false, nil
-	case *algebra.NotPred:
-		ok, err := e.evalPred(x.Inner, row, r)
-		return !ok, err
-	}
-	return false, fmt.Errorf("exec: unknown predicate %T", p)
-}
-
-func (e *Executor) evalCmpAV(c *algebra.CmpAV, row []Value, r *colResolver) (bool, error) {
-	ix, err := r.colFor(c.A, c.Agg)
-	if err != nil {
-		return false, err
-	}
-	v := row[ix]
-	if v.IsCipher() {
-		return e.evalCipherConst(c, v)
-	}
-	rhs := litValue(c.V)
-	if c.Op == sql.OpLike {
-		if v.Kind != KString || !rhs.IsCipher() && rhs.Kind != KString {
-			return false, fmt.Errorf("exec: LIKE over non-string")
-		}
-		return likeMatch(v.S, rhs.S), nil
-	}
-	cmp, err := compare(v, rhs)
-	if err != nil {
-		return false, err
-	}
-	return opHolds(c.Op, cmp), nil
-}
-
-func (e *Executor) evalCipherConst(c *algebra.CmpAV, v Value) (bool, error) {
-	konst, ok := e.Consts[c]
-	if !ok {
-		return false, fmt.Errorf("exec: no encrypted constant for condition %s (not dispatched?)", c)
-	}
-	if !konst.IsCipher() {
-		return false, fmt.Errorf("exec: constant for %s is not encrypted", c)
-	}
-	switch v.C.Scheme {
-	case algebra.SchemeDeterministic:
-		if c.Op != sql.OpEq && c.Op != sql.OpNeq {
-			return false, fmt.Errorf("exec: %s over deterministic ciphertext", c.Op)
-		}
-		eq := crypto.Equal(v.C.Data, konst.C.Data)
-		if c.Op == sql.OpNeq {
-			return !eq, nil
-		}
-		return eq, nil
-	case algebra.SchemeOPE:
-		cmp := crypto.CompareOPE(v.C.Data, konst.C.Data)
-		return opHolds(c.Op, cmp), nil
-	default:
-		return false, fmt.Errorf("exec: cannot evaluate %s over %s ciphertext", c.Op, v.C.Scheme)
-	}
-}
-
-func (e *Executor) evalCmpAA(c *algebra.CmpAA, row []Value, r *colResolver) (bool, error) {
-	li, err := r.colFor(c.L, sql.AggNone)
-	if err != nil {
-		return false, err
-	}
-	ri, err := r.colFor(c.R, sql.AggNone)
-	if err != nil {
-		return false, err
-	}
-	l, rv := row[li], row[ri]
-	switch {
-	case l.IsCipher() && rv.IsCipher():
-		if l.C.Scheme != rv.C.Scheme {
-			return false, fmt.Errorf("exec: comparing %s with %s ciphertexts", l.C.Scheme, rv.C.Scheme)
-		}
-		switch l.C.Scheme {
-		case algebra.SchemeDeterministic:
-			if c.Op != sql.OpEq && c.Op != sql.OpNeq {
-				return false, fmt.Errorf("exec: %s over deterministic ciphertexts", c.Op)
-			}
-			eq := crypto.Equal(l.C.Data, rv.C.Data)
-			if c.Op == sql.OpNeq {
-				return !eq, nil
-			}
-			return eq, nil
-		case algebra.SchemeOPE:
-			return opHolds(c.Op, crypto.CompareOPE(l.C.Data, rv.C.Data)), nil
-		default:
-			return false, fmt.Errorf("exec: cannot compare %s ciphertexts", l.C.Scheme)
-		}
-	case !l.IsCipher() && !rv.IsCipher():
-		cmp, err := compare(l, rv)
-		if err != nil {
-			return false, err
-		}
-		return opHolds(c.Op, cmp), nil
-	default:
-		return false, fmt.Errorf("exec: mixed plaintext/ciphertext comparison %s", c)
-	}
 }
 
 // opHolds evaluates a three-way comparison result against an operator.

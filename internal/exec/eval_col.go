@@ -12,11 +12,11 @@ import (
 // Columnar predicate evaluation: compiled predicates consume a batch and a
 // selection vector (ascending row indexes still alive) and return the
 // surviving subset, so conjunct k only ever touches the rows conjunct k-1
-// kept — the vectorized counterpart of row-at-a-time short-circuiting. The
-// monomorphic fast paths run tight loops over the typed column vectors
-// (int64, float64, string, ciphertext bytes) with no Value boxing; columns
-// in the generic layout fall back to the shared per-cell evaluators, which
-// keep the row path's semantics (and error messages) exactly.
+// kept — the vectorized counterpart of short-circuiting. The monomorphic
+// fast paths run tight loops over the typed column vectors (int64, float64,
+// string, ciphertext bytes) with no Value boxing; columns in the generic
+// layout fall back to per-cell evaluators with the same semantics (and
+// error messages).
 
 // colPred filters sel against b's columns. sel is ascending and may be
 // rewritten in place; the result is the surviving subset, still ascending.

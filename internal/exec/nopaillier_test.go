@@ -38,7 +38,6 @@ func TestPaillierOverSymmetricRingIsTypedError(t *testing.T) {
 	ct := func() *Cipher {
 		return &Cipher{Scheme: algebra.SchemePaillier, KeyID: "kS", Phe: big.NewInt(5), Div: 1, Plain: KInt}
 	}
-	sum := algebra.AggSpec{Func: sql.AggSum, Attr: v}
 	withSum := func() *groupAcc { return &groupAcc{fn: sql.AggSum, count: 1, phe: big.NewInt(3), pheC: ct()} }
 
 	for name, run := range map[string]func() error{
@@ -58,7 +57,6 @@ func TestPaillierOverSymmetricRingIsTypedError(t *testing.T) {
 			_, err := e.decryptColumn(&col, e.Keys.Get)
 			return err
 		},
-		"accumulator.add": func() error { return newAccumulator(sql.AggSum).add(e, sum, Enc(ct())) },
 		"groupAcc.add":    func() error { return withSum().add(Enc(ct()), e.ringCache()) },
 		"groupAcc.absorb": func() error { return withSum().absorb(1, Enc(ct()), e.ringCache()) },
 	} {

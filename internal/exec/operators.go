@@ -162,6 +162,11 @@ func (p *productOp) Next() (*Batch, error) {
 	return nil, nil
 }
 
+func concatRows(a, b []Value) []Value {
+	row := make([]Value, 0, len(a)+len(b))
+	return append(append(row, a...), b...)
+}
+
 // ---------------------------------------------------------------------------
 // Hash join
 
@@ -554,7 +559,7 @@ func pheKey(ring ringFn, keyID string) (*crypto.Paillier, error) {
 }
 
 // groupAcc is the per-group accumulator of one aggregate: it folds cells in
-// row order, so float sums are bit-identical to the row-at-a-time oracle.
+// row order, so float sums do not depend on the batch size.
 // MIN/MAX over OPE ciphertext-byte columns additionally track the running
 // extremes as payload references (byteMode) — ciphertext order is byte
 // order, so no Cipher is materialized per candidate.
@@ -988,7 +993,7 @@ func (g *groupByOp) Close() error { return g.child.Close() }
 // build drains the input (the group-by is a pipeline breaker) and
 // hash-aggregates it into one groupTable, batch by batch. Groups emit in
 // first-seen order and accumulation order per group equals row order, so
-// float summation is bit-identical to the row-at-a-time oracle.
+// float summation does not depend on the batch size.
 func (g *groupByOp) build() error {
 	gt := newGroupTable(g.keyIdx, g.aggIdx, g.specs, g.ring)
 	gt.mergePartials = g.partialIn

@@ -4,9 +4,8 @@
 // can exchange row batches instead of whole relations.
 //
 // The package deliberately holds no evaluation logic of its own: operator
-// semantics live in internal/exec (where the row-at-a-time evaluator
-// remains available as the equivalence reference); pipeline owns how
-// compiled streams are driven and exchanged.
+// semantics live in internal/exec; pipeline owns how compiled streams are
+// driven and exchanged.
 package pipeline
 
 import (

@@ -9,10 +9,9 @@ import (
 	"mpq/internal/tpch"
 )
 
-// BenchmarkInterior compares the batch pipeline against the legacy
-// materializing evaluator on centralized plaintext TPC-H plans: the
-// interior-only speedup, with no distribution, crypto, or link simulation in
-// the way.
+// BenchmarkInterior times the batch pipeline on centralized plaintext
+// TPC-H plans: the interior alone, with no distribution, crypto, or link
+// simulation in the way.
 func BenchmarkInterior(b *testing.B) {
 	const sf = 0.01
 	cat := tpch.Catalog(sf)
@@ -29,23 +28,17 @@ func BenchmarkInterior(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, mode := range []struct {
-			name string
-			mat  bool
-		}{{"materializing", true}, {"batch", false}} {
-			b.Run(fmt.Sprintf("Q%02d/%s", num, mode.name), func(b *testing.B) {
-				e := exec.NewExecutor()
-				e.Materializing = mode.mat
-				for name, t := range tables {
-					e.Tables[name] = t
+		b.Run(fmt.Sprintf("Q%02d", num), func(b *testing.B) {
+			e := exec.NewExecutor()
+			for name, t := range tables {
+				e.Tables[name] = t
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := e.RunPlan(plan); err != nil {
+					b.Fatal(err)
 				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, _, err := e.RunPlan(plan); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }

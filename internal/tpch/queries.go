@@ -4,8 +4,11 @@ package tpch
 // the select-from-where-group by-having fragment of the paper's model.
 // Restatements preserve each query's table access pattern, join graph, and
 // operator mix; constructs outside the fragment (subqueries, CASE
-// arithmetic, outer joins, DISTINCT counts) are simplified as documented in
-// EXPERIMENTS.md. Dates are day offsets from 1992-01-01.
+// arithmetic, outer joins, DISTINCT counts) are simplified as the
+// "Substitutions" section of docs/ARCHITECTURE.md lists: subqueries become
+// joins and group-bys, and arithmetic becomes columns the generator
+// precomputes.
+// Dates are day offsets from 1992-01-01.
 type Query struct {
 	Num  int
 	Name string
