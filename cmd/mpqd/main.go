@@ -58,8 +58,7 @@ func main() {
 		paillier  = flag.Int("paillier-bits", crypto.DefaultPaillierBits, "Paillier prime size in bits")
 		rtt       = flag.Duration("rtt", 0, "simulated inter-subject link RTT (0 disables)")
 		mbps      = flag.Float64("mbps", 50, "simulated link bandwidth in MB/s (with -rtt > 0)")
-		memBudget = flag.Int64("membudget", 0, "per-query memory budget in bytes; pipeline breakers spill to disk beyond it (0 = unbudgeted)")
-		spillDir  = flag.String("spilldir", "", "directory for spill runs (default: the OS temp dir)")
+		memBudget = flag.Int64("membudget", 0, "per-query memory budget in bytes for hash-join build sides and group-by tables; a query that needs more fails (0 = unbudgeted)")
 		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof handlers under /debug/pprof/")
 		timeout   = flag.Duration("timeout", 0, "default per-query deadline; ?timeout= overrides per request (0 = none)")
 		maxConc   = flag.Int("max-concurrent", 0, "in-flight query cap; overloads get 429/503 instead of queueing unboundedly (0 = unlimited)")
@@ -83,7 +82,6 @@ func main() {
 	cfg.CacheSize = *cacheSize
 	cfg.PaillierBits = *paillier
 	cfg.MemBudget = *memBudget
-	cfg.SpillDir = *spillDir
 	cfg.QueryTimeout = *timeout
 	cfg.MaxConcurrent = *maxConc
 	cfg.MaxQueue = *maxQueue

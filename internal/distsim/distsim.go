@@ -9,7 +9,6 @@ import (
 	"mpq/internal/core"
 	"mpq/internal/crypto"
 	"mpq/internal/exec"
-	"mpq/internal/exec/spill"
 	"mpq/internal/obs"
 )
 
@@ -67,13 +66,16 @@ type Network struct {
 	//
 	// Deprecated: nothing reads them.
 	Workers, MorselRows int
-	// MemBudget, when positive, bounds the bytes of live pipeline-breaker
-	// state (group tables, hash-join build sides) across all fragments of
-	// one run: each execution creates one shared exec.MemAccountant, and
-	// operators that cross it grace-hash spill to disk through SpillDir.
+	// MemBudget, when positive, is the per-query memory budget: each
+	// execution creates one exec.MemAccountant shared by all its fragments.
+	// The budget caps hash-join build sides and group-by tables, and a
+	// query that needs more fails with exec.ErrMemoryBudget.
 	MemBudget int64
-	// SpillDir is the directory spill runs are created in when MemBudget is
-	// set ("" = the OS temp dir).
+	// SpillDir named the directory of the spill runs, which have been
+	// removed. The field remains while bench/layers.go assigns it (ROADMAP
+	// item 3(a)).
+	//
+	// Deprecated: nothing reads it.
 	SpillDir string
 	// PartialShuffle switched pre-shuffle partial aggregation on. It is now
 	// decided per plan (core.ExtendedPlan.Partials, marked by
@@ -155,7 +157,6 @@ func (nw *Network) Clone() *Network {
 		BatchSize:     nw.BatchSize,
 		CryptoWorkers: nw.CryptoWorkers,
 		MemBudget:     nw.MemBudget,
-		SpillDir:      nw.SpillDir,
 		Trace:         nw.Trace,
 		Faults:        nw.Faults,
 	}
@@ -168,19 +169,15 @@ func (nw *Network) Clone() *Network {
 	return c
 }
 
-// runResources creates the per-run memory accountant and spill factory of
-// one execution (nil, nil when no budget is set). One accountant is shared
-// by every fragment executor of the run, so the budget caps the run's total
-// live breaker state, not each operator's. The spill factory is tracked: the
-// returned sweep (never nil) deletes every run a panic or cancellation
-// abandoned mid-build; call it only after all goroutines of the run have
-// stopped.
-func (nw *Network) runResources() (*exec.MemAccountant, exec.SpillFactory, func()) {
+// runMem creates the memory accountant of one execution (nil when no budget
+// is set). One accountant is shared by every fragment executor of the run,
+// so the budget caps the run's total build sides and group tables, not each
+// operator's.
+func (nw *Network) runMem() *exec.MemAccountant {
 	if nw.MemBudget <= 0 {
-		return nil, nil, func() {}
+		return nil
 	}
-	tf := exec.NewTrackedSpillFactory(spill.NewFactory(nw.SpillDir))
-	return exec.NewMemAccountant(nw.MemBudget), tf, func() { tf.Sweep() }
+	return exec.NewMemAccountant(nw.MemBudget)
 }
 
 // record appends a transfer to the ledger, safely from concurrent workers.

@@ -48,9 +48,8 @@ var errStreamAborted = fmt.Errorf("distsim: stream aborted")
 // exchange send and receive, while each fragment executor probes the
 // context at its own batch boundaries. A panic on any fragment goroutine is
 // caught at the fragment boundary and surfaces as that fragment's
-// *exec.PanicError instead of killing the process, and spill runs abandoned
-// on any abort path are swept once every goroutine has stopped. A nil
-// context (or one that can never be cancelled) costs nothing.
+// *exec.PanicError instead of killing the process. A nil context (or one
+// that can never be cancelled) costs nothing.
 func (nw *Network) ExecuteStreamCtx(ctx context.Context, ext *core.ExtendedPlan, consts exec.ConstCache, sink func(rows [][]exec.Value) error) ([]algebra.Attr, []Transfer, error) {
 	runCtx := ctx
 	if ctx != nil && ctx.Done() == nil {
@@ -73,8 +72,7 @@ func (nw *Network) ExecuteStreamCtx(ctx context.Context, ext *core.ExtendedPlan,
 	// goroutines never touch the subject map. One memory accountant spans
 	// the whole run: every fragment's reservations draw on the same
 	// per-query budget, exactly as they would on one overloaded host.
-	runMem, runSpill, sweep := nw.runResources()
-	defer sweep() // after wg.Wait below: no goroutine of the run is live
+	runMem := nw.runMem()
 	clones := make([]*exec.Executor, len(frags))
 	for i, f := range frags {
 		c := nw.Subject(f.Subject).Clone()
@@ -86,7 +84,6 @@ func (nw *Network) ExecuteStreamCtx(ctx context.Context, ext *core.ExtendedPlan,
 		c.CryptoWorkers = nw.CryptoWorkers
 		c.Trace = nw.Trace
 		c.Mem = runMem
-		c.Spill = runSpill
 		c.Ctx = runCtx
 		c.Faults = faultOps
 		c.Sources = make(map[algebra.Node]exec.Operator, len(f.Inputs))

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -21,8 +20,7 @@ import (
 // The chaos suite's contract, from the lifecycle-robustness work: under any
 // injected fault — errors, panics, or delays at operator and edge points —
 // every query must end in either a byte-correct result or a clean, typed
-// error. Never a hang, a leaked goroutine, an orphan spill file, or a
-// corrupt partial result.
+// error. Never a hang, a leaked goroutine, or a corrupt partial result.
 
 // waitGoroutines polls until the goroutine count settles back to the
 // baseline (transient background work — randomizer refills, timer
@@ -43,20 +41,6 @@ func waitGoroutines(t *testing.T, base int) {
 				n, base, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(50 * time.Millisecond)
-	}
-}
-
-// assertNoSpillOrphans fails if any file survives in the engine's spill
-// directory — checked after every faulted or cancelled run, because abort
-// paths are exactly where cleanup used to be skipped.
-func assertNoSpillOrphans(t *testing.T, dir string) {
-	t.Helper()
-	left, err := filepath.Glob(filepath.Join(dir, "*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(left) != 0 {
-		t.Fatalf("orphaned spill files after aborted run: %v", left)
 	}
 }
 
@@ -112,13 +96,13 @@ func chaosKinds() []chaosKind {
 	}
 }
 
-// TestChaosSuite drives all 22 TPC-H queries three times under a 4 KiB
-// memory budget (so the spill path is live), each pass on a fresh engine
-// with the fault kinds rotated by one more place, so every query meets three
-// different kinds. Acceptable outcomes per run: a result byte-identical to
-// the unfaulted oracle, an error wrapping exec.ErrInjected, or a recovered
-// *exec.PanicError. Anything else — a hang, a wrong result, a raw panic
-// escaping, goroutines or spill files left behind — fails the suite.
+// TestChaosSuite drives all 22 TPC-H queries three times, each pass on a
+// fresh engine with the fault kinds rotated by one more place, so every
+// query meets three different kinds. Acceptable outcomes per run: a result
+// byte-identical to the unfaulted oracle, an error wrapping
+// exec.ErrInjected, or a recovered *exec.PanicError. Anything else — a
+// hang, a wrong result, a raw panic escaping, goroutines left behind —
+// fails the suite.
 func TestChaosSuite(t *testing.T) {
 	baseGoroutines := runtime.NumGoroutine()
 
@@ -140,8 +124,6 @@ func TestChaosSuite(t *testing.T) {
 		t.Run(fmt.Sprintf("rotation=%d", r), func(t *testing.T) {
 			faults := &distsim.Faults{Seed: 7}
 			cfg := testConfig(t, tpch.UAPenc)
-			cfg.MemBudget = spillBudget
-			cfg.SpillDir = t.TempDir()
 			cfg.Faults = faults
 			eng, err := New(cfg)
 			if err != nil {
@@ -186,7 +168,6 @@ func TestChaosSuite(t *testing.T) {
 					t.Errorf("Q%d/%s: unclassified failure (neither injected nor recovered panic): %v",
 						q.Num, k.name, err)
 				}
-				assertNoSpillOrphans(t, cfg.SpillDir)
 				// An aborted fill publishes nothing: the run after it (a fresh
 				// fill, or served if the fill completed before the fault) is
 				// still the oracle's.
@@ -215,9 +196,7 @@ func TestChaosSuite(t *testing.T) {
 // produces, then a second run cancels at a seeded-random event in that
 // range via the fault harness's observation hook. Outcome must be either a
 // byte-correct result (cancel arrived after the result was sealed) or a
-// clean context.Canceled — with no goroutine leaked and no spill file
-// orphaned, which extends the orphan-file invariant to cancelled
-// mid-spill runs (the 4 KiB budget keeps the spill path live).
+// clean context.Canceled — with no goroutine leaked.
 func TestCancellationSweep(t *testing.T) {
 	baseGoroutines := runtime.NumGoroutine()
 
@@ -228,8 +207,6 @@ func TestCancellationSweep(t *testing.T) {
 
 	faults := &distsim.Faults{}
 	cfg := testConfig(t, tpch.UAPenc)
-	cfg.MemBudget = spillBudget
-	cfg.SpillDir = t.TempDir()
 	cfg.Faults = faults
 	eng, err := New(cfg)
 	if err != nil {
@@ -282,7 +259,6 @@ func TestCancellationSweep(t *testing.T) {
 			t.Errorf("Q%d: cancellation at event %d surfaced as %v, want context.Canceled", q.Num, target, err)
 		}
 		cancel()
-		assertNoSpillOrphans(t, cfg.SpillDir)
 
 		// Pass 2 was the plan's second execution — the fill of its ciphertext
 		// column cache — so the cancel landed mid-fill. Nothing partial may
@@ -309,15 +285,13 @@ func TestCancellationSweep(t *testing.T) {
 // TestDeadlineStopsWork proves Config.QueryTimeout observably stops a
 // running query: with every operator delayed 25ms per batch, a 50ms
 // deadline must surface context.DeadlineExceeded within a few batches of
-// work — not after the delays have been paid in full — release its spill
-// files, and increment the deadline metric.
+// work — not after the delays have been paid in full — and increment the
+// deadline metric.
 func TestDeadlineStopsWork(t *testing.T) {
 	baseGoroutines := runtime.NumGoroutine()
 
 	faults := &distsim.Faults{}
 	cfg := testConfig(t, tpch.UAPenc)
-	cfg.MemBudget = spillBudget
-	cfg.SpillDir = t.TempDir()
 	cfg.Faults = faults
 	cfg.QueryTimeout = 50 * time.Millisecond
 	eng, err := New(cfg)
@@ -343,7 +317,6 @@ func TestDeadlineStopsWork(t *testing.T) {
 	if got := eng.met.timeouts.Value(); got != 1 {
 		t.Errorf("mpq_engine_deadline_exceeded_total = %d, want 1", got)
 	}
-	assertNoSpillOrphans(t, cfg.SpillDir)
 	waitGoroutines(t, baseGoroutines)
 }
 

@@ -80,17 +80,17 @@ type Config struct {
 	//
 	// Deprecated: leave both zero.
 	Workers, MorselRows int
-	// MemBudget caps the bytes one query run may reserve, across all its
-	// fragments, for hash-join build sides and group-by tables; only those
-	// are accounted. When a reservation fails, the operator partitions its
-	// state to disk (grace-hash spilling) and recurses over the partitions.
-	// Exchange buffers, batches in flight, spill partition writers and
-	// read-back, and the column and ciphertext caches are not counted, so
-	// the budget does not bound the query's heap. 0 or negative disables
-	// the budget.
+	// MemBudget is the per-query memory budget in bytes, across all of a
+	// run's fragments: it caps hash-join build sides and group-by tables,
+	// and a query that needs more fails with exec.ErrMemoryBudget. 0 or
+	// negative disables it.
 	MemBudget int64
-	// SpillDir is the directory spill runs are created under when MemBudget
-	// forces state to disk ("" means the OS temp directory).
+	// SpillDir named the directory of the spill runs, which have been
+	// removed: a query over its MemBudget fails instead. The field remains
+	// while bench/layers.go assigns it (ROADMAP item 3(a)), and New rejects
+	// a non-empty value.
+	//
+	// Deprecated: leave it empty.
 	SpillDir string
 	// PartialShuffle switched pre-shuffle partial aggregation on. Every
 	// plan now carries it where its producer is authorized
@@ -178,6 +178,9 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.ValueCrypto {
 		return nil, fmt.Errorf("engine: the per-value crypto path was removed: ValueCrypto must be false")
+	}
+	if cfg.SpillDir != "" {
+		return nil, fmt.Errorf("engine: spilling was removed: SpillDir must be empty")
 	}
 	if cfg.PaillierBits == 0 {
 		cfg.PaillierBits = crypto.DefaultPaillierBits
@@ -269,10 +272,10 @@ func (e *Engine) Query(query string) (*Response, error) {
 }
 
 // QueryCtx is Query under a caller context: cancellation or deadline expiry
-// aborts the run within one batch of work (spill files deleted, memory
-// released, fragment goroutines joined) and the error carries the context's
-// cause. The engine's Config.QueryTimeout applies as the default deadline
-// when ctx has none; admission control (Config.MaxConcurrent) may reject
+// aborts the run within one batch of work (memory released, fragment
+// goroutines joined) and the error carries the context's cause. The
+// engine's Config.QueryTimeout applies as the default deadline when ctx
+// has none; admission control (Config.MaxConcurrent) may reject
 // the query with ErrOverloaded or ErrQueueTimeout before any work is done.
 func (e *Engine) QueryCtx(ctx context.Context, query string) (*Response, error) {
 	resp, _, err := e.run(ctx, query, nil, nil)
@@ -358,7 +361,6 @@ func (e *Engine) prepare(stmt *sql.SelectStmt, version uint64, pol authz.Viewer)
 	nw.BatchSize = e.cfg.BatchSize
 	nw.CryptoWorkers = e.cfg.CryptoWorkers
 	nw.MemBudget = e.cfg.MemBudget
-	nw.SpillDir = e.cfg.SpillDir
 	nw.Faults = e.cfg.Faults
 	for name, fn := range e.cfg.UDFs {
 		nw.UDFs[name] = fn

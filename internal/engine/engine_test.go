@@ -163,21 +163,25 @@ func TestNewRejectsRemovedMorselKnobs(t *testing.T) {
 }
 
 // TestNewRejectsRemovedAdaptiveBatch: adaptive batch sizing, the
-// materializing runtime and the per-value crypto path are gone, so a
-// configuration asking for one fails at construction with an error that
-// names the field and the removal. PartialShuffle is ignored either way:
+// materializing runtime, the per-value crypto path and spilling are gone,
+// so a configuration asking for one fails at construction with an error
+// that names the field and the removal. PartialShuffle is ignored either way:
 // plans mark partial aggregation themselves.
 func TestNewRejectsRemovedAdaptiveBatch(t *testing.T) {
-	for field, tweak := range map[string]func(*Config){
-		"AdaptiveBatch": func(c *Config) { c.AdaptiveBatch = true },
-		"Materializing": func(c *Config) { c.Materializing = true },
-		"ValueCrypto":   func(c *Config) { c.ValueCrypto = true },
+	for field, c := range map[string]struct {
+		tweak func(*Config)
+		want  string
+	}{
+		"AdaptiveBatch": {func(c *Config) { c.AdaptiveBatch = true }, "AdaptiveBatch must be false"},
+		"Materializing": {func(c *Config) { c.Materializing = true }, "Materializing must be false"},
+		"ValueCrypto":   {func(c *Config) { c.ValueCrypto = true }, "ValueCrypto must be false"},
+		"SpillDir":      {func(c *Config) { c.SpillDir = t.TempDir() }, "SpillDir must be empty"},
 	} {
 		cfg := testConfig(t, tpch.UA)
-		tweak(&cfg)
+		c.tweak(&cfg)
 		_, err := New(cfg)
-		if err == nil || !strings.Contains(err.Error(), "was removed") || !strings.Contains(err.Error(), field+" must be false") {
-			t.Errorf("%s: true: got %v, want an error naming the field and the removal", field, err)
+		if err == nil || !strings.Contains(err.Error(), "was removed") || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s set: got %v, want an error naming the removal and %q", field, err, c.want)
 		}
 	}
 	for _, on := range []bool{false, true} {
@@ -186,6 +190,26 @@ func TestNewRejectsRemovedAdaptiveBatch(t *testing.T) {
 		if _, err := New(cfg); err != nil {
 			t.Errorf("PartialShuffle %v: %v", on, err)
 		}
+	}
+}
+
+// TestDistinctIsRefused: the engine has no duplicate elimination, so SELECT
+// DISTINCT fails before planning anything instead of answering with
+// duplicates.
+func TestDistinctIsRefused(t *testing.T) {
+	eng, err := New(testConfig(t, tpch.UA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := eng.Query("select distinct o_orderpriority from orders")
+	if err == nil || !strings.Contains(err.Error(), "DISTINCT") {
+		t.Fatalf("select distinct: got %v, want an error naming DISTINCT", err)
+	}
+	if resp != nil {
+		t.Errorf("select distinct answered %d rows alongside its error", len(resp.Table.Rows))
+	}
+	if _, err := eng.Query("select o_orderpriority from orders where o_orderdate >= 1100"); err != nil {
+		t.Errorf("the engine stops answering after a refused DISTINCT: %v", err)
 	}
 }
 

@@ -200,31 +200,9 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 	encCache("fill", func(s exec.EncCacheStats) uint64 { return s.Fill })
 	encCache("serve", func(s exec.EncCacheStats) uint64 { return s.Serve })
 
-	// Out-of-core execution: process-global spill counters (bridged like the
-	// dictionary stats) plus this engine's configured budget.
-	const spillHelp = "Serialized bytes moved between budgeted operators and spill runs, by direction."
-	r.CounterFunc("mpq_exec_spill_bytes_total", spillHelp, func() float64 {
-		return float64(exec.ReadSpillStats().BytesWritten)
-	}, obs.L("dir", "write"))
-	r.CounterFunc("mpq_exec_spill_bytes_total", spillHelp, func() float64 {
-		return float64(exec.ReadSpillStats().BytesRead)
-	}, obs.L("dir", "read"))
-	r.CounterFunc("mpq_exec_spill_partitions_total",
-		"Spill partitions created (first write to a run).", func() float64 {
-			return float64(exec.ReadSpillStats().Partitions)
-		})
 	r.GaugeFunc("mpq_exec_mem_budget_bytes",
-		"Per-query memory budget for live operator state (0 = unbudgeted).",
+		"Per-query memory budget for hash-join build sides and group-by tables (0 = unbudgeted).",
 		func() float64 { return float64(e.cfg.MemBudget) })
-	const spillPhaseHelp = "Spill frame I/O latency in seconds, by phase."
-	r.HistogramFunc("mpq_exec_spill_phase_seconds", spillPhaseHelp,
-		exec.SpillPhaseBuckets, func() obs.HistogramSnapshot {
-			return exec.ReadSpillPhase("write")
-		}, obs.L("phase", "write"))
-	r.HistogramFunc("mpq_exec_spill_phase_seconds", spillPhaseHelp,
-		exec.SpillPhaseBuckets, func() obs.HistogramSnapshot {
-			return exec.ReadSpillPhase("read")
-		}, obs.L("phase", "read"))
 
 	return m
 }

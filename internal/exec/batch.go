@@ -109,8 +109,8 @@ func Drain(op Operator) (*Table, error) {
 		return nil, err
 	}
 	// Close must run even when Next panics (injected faults, buggy UDFs):
-	// spill runs hang off it, and a skipped Close leaks their files past the
-	// recover boundary above us.
+	// memory reservations hang off it, and a skipped Close leaks them past
+	// the recover boundary above us.
 	closed := false
 	closeOp := func() error { closed = true; return op.Close() }
 	defer func() {

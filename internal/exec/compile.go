@@ -221,8 +221,7 @@ func (e *Executor) buildJoin(j *algebra.Join) (Operator, error) {
 		hashL: hashL, hashR: hashR,
 		batch:     e.batchSize(),
 		leftWidth: len(ls),
-		mem:       e.Mem, spillFac: e.Spill,
-		ctx: e.Ctx,
+		mem:       e.Mem, node: j,
 	}
 	if rp := algebra.And(residual...); rp != nil {
 		pred, err := e.compileColPred(rp, plainResolver(schema))
@@ -252,7 +251,7 @@ func (e *Executor) buildGroupBy(g *algebra.GroupBy) (Operator, error) {
 			aggIdx[i] = len(g.Keys) + 2*i + 1
 		}
 		return &groupByOp{
-			child: child, e: e, schema: g.Schema(),
+			child: child, e: e, node: g, schema: g.Schema(),
 			keyIdx: keyIdx, aggIdx: aggIdx, specs: g.Aggs,
 			batch: e.batchSize(), ring: e.ringCache(),
 			partialIn: true,
@@ -284,7 +283,7 @@ func (e *Executor) buildGroupBy(g *algebra.GroupBy) (Operator, error) {
 		aggIdx[i] = ix
 	}
 	return &groupByOp{
-		child: child, e: e, schema: g.Schema(),
+		child: child, e: e, node: g, schema: g.Schema(),
 		keyIdx: keyIdx, aggIdx: aggIdx, specs: g.Aggs,
 		batch: e.batchSize(), ring: e.ringCache(),
 	}, nil

@@ -112,16 +112,13 @@ func DictID(dict []string) *string {
 	return &dict[0]
 }
 
-// CipherDictID is DictID for cipher dictionaries.
-func CipherDictID(dict [][]byte) *[]byte {
+// cipherDictID is DictID for cipher dictionaries.
+func cipherDictID(dict [][]byte) *[]byte {
 	if len(dict) == 0 {
 		return nil
 	}
 	return &dict[0]
 }
-
-// cipherDictID is the package-internal alias of CipherDictID.
-func cipherDictID(dict [][]byte) *[]byte { return CipherDictID(dict) }
 
 // maybeDictColumn promotes a freshly built ColStr column to ColDict when the
 // current policy says the distinct ratio makes it a win, and returns the

@@ -50,16 +50,11 @@ type Executor struct {
 	//
 	// Deprecated: nothing reads it.
 	ValueCrypto bool
-	// Mem, when non-nil, is the per-query memory accountant pipeline
-	// breakers (group-by tables, hash-join build sides) reserve live state
-	// against. A failed reservation switches the operator to grace-hash
-	// spilling through Spill. The accountant is shared — not copied — by
-	// Clone, so one budget governs every fragment of a run.
+	// Mem, when non-nil, is the per-query memory accountant: the budget
+	// caps hash-join build sides and group-by tables, and a query that
+	// needs more fails with ErrMemoryBudget. The accountant is shared — not
+	// copied — by Clone, so one budget governs every fragment of a run.
 	Mem *MemAccountant
-	// Spill creates the on-disk partition runs out-of-core operators write.
-	// nil with a budget set is a configuration error surfaced at the first
-	// failed reservation.
-	Spill SpillFactory
 	// Partials marks group-by nodes whose input arrives as pre-aggregated
 	// partial rows from a producing fragment (pre-shuffle partial
 	// aggregation): Build compiles those group-bys in merge mode instead of
@@ -72,9 +67,9 @@ type Executor struct {
 	// so a nil Trace leaves the compiled pipeline — and its per-batch cost
 	// — completely untouched (enforced by BenchmarkTraceOverhead).
 	Trace *obs.Trace
-	// Ctx, when non-nil, is the run's cancellation context. Leaf scans and
-	// spill read-back loops probe it at batch boundaries, so a cancelled
-	// run stops within one batch of work.
+	// Ctx, when non-nil, is the run's cancellation context. Leaf scans
+	// probe it at batch boundaries, so a cancelled run stops within one
+	// batch of work.
 	// nil (the default) costs a single pointer comparison per batch.
 	Ctx context.Context
 	// Faults arms the fault-injection harness: Build wraps every compiled
@@ -126,7 +121,6 @@ func (e *Executor) Clone() *Executor {
 		BatchSize:     e.BatchSize,
 		CryptoWorkers: e.CryptoWorkers,
 		Mem:           e.Mem,
-		Spill:         e.Spill,
 		Trace:         e.Trace,
 		Ctx:           e.Ctx,
 		Faults:        e.Faults,

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
-	"sync"
 )
 
 // ctxErr is the per-batch cancellation probe of the batch pipeline. A nil
@@ -52,74 +51,4 @@ func (p *PanicError) Error() string {
 // function, so it cannot live here).
 func NewPanicError(where string, val any) *PanicError {
 	return &PanicError{Where: where, Val: val, Stack: debug.Stack()}
-}
-
-// TrackedSpillFactory wraps a SpillFactory and remembers every run it has
-// created that was not yet released. Ordinary operator teardown releases
-// runs explicitly; a panic or cancellation can abandon runs mid-build, and
-// Sweep is the backstop that deletes them once the run's goroutines have
-// all stopped — the invariant "no orphan spill files on any abort path"
-// rests on it. Safe for concurrent use: fragments of one distributed run
-// share a single tracked factory.
-type TrackedSpillFactory struct {
-	inner SpillFactory
-	mu    sync.Mutex
-	live  map[*trackedRun]struct{}
-}
-
-// NewTrackedSpillFactory wraps fac (nil returns nil, preserving the
-// "unbudgeted run" convention).
-func NewTrackedSpillFactory(fac SpillFactory) *TrackedSpillFactory {
-	if fac == nil {
-		return nil
-	}
-	return &TrackedSpillFactory{inner: fac, live: make(map[*trackedRun]struct{})}
-}
-
-// NewRun creates a run on the wrapped factory and registers it for Sweep.
-func (f *TrackedSpillFactory) NewRun() (SpillRun, error) {
-	r, err := f.inner.NewRun()
-	if err != nil {
-		return nil, err
-	}
-	tr := &trackedRun{SpillRun: r, fac: f}
-	f.mu.Lock()
-	f.live[tr] = struct{}{}
-	f.mu.Unlock()
-	return tr, nil
-}
-
-// Sweep releases every still-live run. Call it only after every goroutine
-// of the run has stopped (post wg.Wait): releasing a run another goroutine
-// is still appending to would corrupt nothing on disk — Release is an
-// unlink — but would surface confusing write errors instead of the real
-// abort cause.
-func (f *TrackedSpillFactory) Sweep() int {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	runs := make([]*trackedRun, 0, len(f.live))
-	for tr := range f.live {
-		runs = append(runs, tr)
-	}
-	f.mu.Unlock()
-	for _, tr := range runs {
-		tr.Release()
-	}
-	return len(runs)
-}
-
-// trackedRun forwards to the wrapped run and unregisters itself on Release
-// (idempotent, like the underlying Release contract).
-type trackedRun struct {
-	SpillRun
-	fac *TrackedSpillFactory
-}
-
-func (t *trackedRun) Release() error {
-	t.fac.mu.Lock()
-	delete(t.fac.live, t)
-	t.fac.mu.Unlock()
-	return t.SpillRun.Release()
 }

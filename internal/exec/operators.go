@@ -2,7 +2,6 @@ package exec
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"math/big"
 
@@ -177,8 +176,7 @@ type buildRef struct{ b, r int32 }
 // child's batches retained as delivered, plus, per join key, the refs of the
 // matching build rows in build-row order. The index is built straight from
 // the column vectors (appendCellKey, no row materialization) and is
-// immutable once built, so a grace-hash partition pair hands its index to a
-// fresh probe operator read-only.
+// immutable once built.
 type joinIndex struct {
 	schema  []algebra.Attr
 	batches []*Batch
@@ -191,22 +189,37 @@ type joinIndex struct {
 }
 
 // buildJoinIndex drains the build child and indexes it by the hash column;
-// refs land in build-row order.
-func buildJoinIndex(right Operator, hashR int) (*joinIndex, error) {
-	idx := &joinIndex{schema: right.Schema(), refs: make(map[string][]buildRef)}
+// refs land in build-row order. Under a memory accountant (mem non-nil)
+// every retained batch first reserves its estimated footprint for op, and
+// a refused reservation ends the build with ErrMemoryBudget; reserved is
+// what the index holds, released by the caller when done probing. Without
+// one nothing is estimated.
+func buildJoinIndex(right Operator, hashR int, mem *MemAccountant, op opNamer) (idx *joinIndex, reserved int64, err error) {
+	idx = &joinIndex{schema: right.Schema(), refs: make(map[string][]buildRef)}
 	if err := right.Open(); err != nil {
 		right.Close()
-		return nil, err
+		return nil, 0, err
+	}
+	fail := func(err error) (*joinIndex, int64, error) {
+		right.Close()
+		mem.Release(reserved)
+		return nil, 0, err
 	}
 	var keyBuf []byte
 	for {
 		b, err := right.Next()
 		if err != nil {
-			right.Close()
-			return nil, err
+			return fail(err)
 		}
 		if b == nil {
 			break
+		}
+		if mem != nil {
+			cost := batchMemBytes(b) + 32*int64(b.N)
+			if err := mem.reserve(op, cost); err != nil {
+				return fail(err)
+			}
+			reserved += cost
 		}
 		bi := int32(len(idx.batches))
 		idx.batches = append(idx.batches, b)
@@ -214,20 +227,20 @@ func buildJoinIndex(right Operator, hashR int) (*joinIndex, error) {
 		for ri := 0; ri < b.N; ri++ {
 			keyBuf, err = appendCellKey(keyBuf[:0], col, ri)
 			if err != nil {
-				right.Close()
-				return nil, err
+				return fail(err)
 			}
 			idx.refs[string(keyBuf)] = append(idx.refs[string(keyBuf)], buildRef{bi, int32(ri)})
 		}
 	}
 	if err := right.Close(); err != nil {
-		return nil, err
+		mem.Release(reserved)
+		return nil, 0, err
 	}
 	idx.uniform = make([]ColKind, len(idx.schema))
 	for ci := range idx.uniform {
 		idx.uniform[ci] = uniformKind(idx.batches, ci)
 	}
-	return idx, nil
+	return idx, reserved, nil
 }
 
 // uniformKind returns the layout every batch holds column ci in, or ColAny
@@ -341,20 +354,13 @@ type hashJoinOp struct {
 	batch        int
 	leftWidth    int
 
-	idx    *joinIndex
-	shared bool // idx was pre-built and injected; Open must not rebuild it
+	idx *joinIndex
 
-	// Out-of-core state (grace-hash spilling). With mem set, the build side
-	// is indexed under reservation (idxReserved, returned at Close); if it
-	// does not fit, both sides co-partition to spill runs and grace drives
-	// the pair-by-pair partitioned join instead of the resident cursor.
+	// With mem set, the build side is indexed under reservation for node
+	// (idxReserved, returned at Close).
 	mem         *MemAccountant
-	spillFac    SpillFactory
+	node        *algebra.Join
 	idxReserved int64
-	grace       *graceJoin
-	// ctx cancels spill read-back loops (grace pairs replay whole runs, so
-	// without it a cancelled run would finish the current pair first).
-	ctx context.Context
 
 	// Probe cursor: the current probe batch, the next probe row, and the
 	// unconsumed matches of the last keyed row.
@@ -383,30 +389,17 @@ func (j *hashJoinOp) Open() error {
 	if err := j.left.Open(); err != nil {
 		return err
 	}
-	j.grace = nil
-	if !j.shared {
-		if j.mem != nil {
-			if err := j.openBudgeted(); err != nil {
-				return err
-			}
-		} else {
-			idx, err := buildJoinIndex(j.right, j.hashR)
-			if err != nil {
-				return err
-			}
-			j.idx = idx
-		}
+	idx, reserved, err := buildJoinIndex(j.right, j.hashR, j.mem, j.node)
+	if err != nil {
+		return err
 	}
+	j.idx, j.idxReserved = idx, reserved
 	j.cur, j.li, j.curMatches, j.matchIdx = nil, 0, nil, 0
 	return nil
 }
 
 func (j *hashJoinOp) Close() error {
-	if j.grace != nil {
-		j.grace.discard()
-		j.grace = nil
-	}
-	if j.mem != nil && j.idxReserved > 0 {
+	if j.idxReserved > 0 {
 		j.mem.Release(j.idxReserved)
 		j.idxReserved = 0
 		j.idx = nil
@@ -415,9 +408,6 @@ func (j *hashJoinOp) Close() error {
 }
 
 func (j *hashJoinOp) Next() (*Batch, error) {
-	if j.grace != nil {
-		return j.grace.next()
-	}
 	for {
 		if j.cur == nil {
 			b, err := j.left.Next()
@@ -734,10 +724,10 @@ type group struct {
 	accs    []*groupAcc
 }
 
-// groupTable hash-aggregates batches: the core of the group-by build, of
-// its spill partitions, and of pre-shuffle partial aggregation. Group keys
-// are encoded straight from the column vectors (appendCellKey mirrors
-// groupKey byte for byte); groups are kept in first-seen order.
+// groupTable hash-aggregates batches: the core of the group-by build and of
+// pre-shuffle partial aggregation. Group keys are encoded straight from the
+// column vectors (appendCellKey mirrors groupKey byte for byte); groups are
+// kept in first-seen order.
 type groupTable struct {
 	keyIdx []int
 	aggIdx []int
@@ -757,22 +747,11 @@ type groupTable struct {
 	cipherDictID *[]byte
 	codeGroups   []*group
 
-	// Out-of-core state (grace-hash spilling). When mem is set, every new
-	// group reserves its estimated footprint; the first failed reservation
-	// freezes the resident group set — resident groups keep folding their
-	// rows in row order (bit-exact float accumulation) — and rows of unseen
-	// keys are hash-routed into spill partitions, re-aggregated recursively
-	// on read-back (emitGroups). level salts the partition hash so each
-	// recursion level re-partitions differently.
+	// When mem is set, every new group reserves its estimated footprint for
+	// op (reserved, returned by releaseMem).
 	mem      *MemAccountant
-	spill    SpillFactory
-	level    int
+	op       opNamer
 	reserved int64
-	frozen   bool
-	parts    []SpillRun
-	partSel  [][]int32
-	// ctx cancels the partition read-back recursion of emitGroups.
-	ctx context.Context
 
 	// mergePartials switches ingestion to pre-aggregated partial rows
 	// (pre-shuffle partial aggregation): keys in the leading columns, then
@@ -785,6 +764,34 @@ func newGroupTable(keyIdx, aggIdx []int, specs []algebra.AggSpec, ring ringFn) *
 		keyIdx: keyIdx, aggIdx: aggIdx, specs: specs, ring: ring,
 		groups: make(map[string]*group),
 	}
+}
+
+// budgeted charges the table's groups to e's memory accountant, if it has
+// one, under op's name.
+func (gt *groupTable) budgeted(e *Executor, op opNamer) *groupTable {
+	if e != nil && e.Mem != nil {
+		gt.mem, gt.op = e.Mem, op
+	}
+	return gt
+}
+
+// fill drains child into the table, batch by batch.
+func (gt *groupTable) fill(child Operator) error {
+	for {
+		b, err := child.Next()
+		if err != nil || b == nil {
+			return err
+		}
+		if err := gt.ingest(b); err != nil {
+			return err
+		}
+	}
+}
+
+// releaseMem returns the table's group reservations to the accountant.
+func (gt *groupTable) releaseMem() {
+	gt.mem.Release(gt.reserved)
+	gt.reserved = 0
 }
 
 // ingest accumulates one batch under the table's mode: raw rows by default,
@@ -823,15 +830,11 @@ func (gt *groupTable) addBatch(b *Batch) error {
 		if err != nil {
 			return err
 		}
-		if grp == nil {
-			gt.route(ri)
-			continue
-		}
 		if err := gt.accumulate(grp, b, ri); err != nil {
 			return err
 		}
 	}
-	return gt.flushRouted(b)
+	return nil
 }
 
 // addBatchDict is addBatch for a single dict-encoded key column: each row
@@ -872,22 +875,13 @@ func (gt *groupTable) addBatchDict(b *Batch, col *Column, dictLen int) error {
 			if err != nil {
 				return err
 			}
-			if grp != nil {
-				gt.codeGroups[code] = grp
-			}
-		}
-		if grp == nil {
-			// Frozen and unseen: gt.keyBuf still holds the row's canonical
-			// key (both the NULL and the unmemoized-code branches encode it;
-			// memoized codes always resolve to a resident group).
-			gt.route(ri)
-			continue
+			gt.codeGroups[code] = grp
 		}
 		if err := gt.accumulate(grp, b, ri); err != nil {
 			return err
 		}
 	}
-	return gt.flushRouted(b)
+	return nil
 }
 
 // resetCodeGroups sizes the code→group memo for a new dictionary, reusing
@@ -905,26 +899,17 @@ func (gt *groupTable) resetCodeGroups(n int) {
 
 // groupFor returns the group registered under hk, creating it (key values
 // pinned from row ri) in first-seen order on first use. Under a memory
-// budget, registering a new group first reserves its estimated footprint;
-// the first failed reservation freezes the resident set, after which unseen
-// keys return (nil, nil) — the caller's signal to spill the row.
+// budget, registering a new group first reserves its estimated footprint,
+// and a refused reservation is an ErrMemoryBudget error.
 func (gt *groupTable) groupFor(hk string, b *Batch, ri int) (*group, error) {
 	grp, ok := gt.groups[hk]
 	if ok {
 		return grp, nil
 	}
-	if gt.frozen {
-		return nil, nil
-	}
 	if gt.mem != nil {
 		cost := groupCost(len(hk), len(gt.keyIdx), len(gt.specs))
-		if !gt.mem.Reserve(cost) {
-			if gt.spill == nil {
-				return nil, fmt.Errorf("exec: memory budget exhausted (%d of %d bytes) and no spill factory configured",
-					gt.mem.Used(), gt.mem.Budget())
-			}
-			gt.freeze()
-			return nil, nil
+		if err := gt.mem.reserve(gt.op, cost); err != nil {
+			return nil, err
 		}
 		gt.reserved += cost
 	}
@@ -964,6 +949,7 @@ func (gt *groupTable) accumulate(grp *group, b *Batch, ri int) error {
 type groupByOp struct {
 	child  Operator
 	e      *Executor
+	node   *algebra.GroupBy
 	schema []algebra.Attr
 	keyIdx []int
 	aggIdx []int
@@ -995,31 +981,15 @@ func (g *groupByOp) Close() error { return g.child.Close() }
 // first-seen order and accumulation order per group equals row order, so
 // float summation does not depend on the batch size.
 func (g *groupByOp) build() error {
-	gt := newGroupTable(g.keyIdx, g.aggIdx, g.specs, g.ring)
+	gt := newGroupTable(g.keyIdx, g.aggIdx, g.specs, g.ring).budgeted(g.e, g.node)
 	gt.mergePartials = g.partialIn
-	if g.e != nil && g.e.Mem != nil {
-		gt.mem, gt.spill = g.e.Mem, g.e.Spill
+	defer gt.releaseMem()
+	if err := gt.fill(g.child); err != nil {
+		return err
 	}
-	if g.e != nil {
-		gt.ctx = g.e.Ctx
-	}
-	for {
-		b, err := g.child.Next()
-		if err != nil {
-			gt.discard()
-			return err
-		}
-		if b == nil {
-			break
-		}
-		if err := gt.ingest(b); err != nil {
-			gt.discard()
-			return err
-		}
-	}
-
 	g.out = make([][]Value, 0, len(gt.order))
-	return emitGroups(gt, func(grp *group) error {
+	for _, hk := range gt.order {
+		grp := gt.groups[hk]
 		row := make([]Value, 0, len(grp.keyVals)+len(g.specs))
 		row = append(row, grp.keyVals...)
 		for i := range g.specs {
@@ -1030,8 +1000,8 @@ func (g *groupByOp) build() error {
 			row = append(row, v)
 		}
 		g.out = append(g.out, row)
-		return nil
-	})
+	}
+	return nil
 }
 
 func (g *groupByOp) Next() (*Batch, error) {

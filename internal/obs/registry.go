@@ -147,9 +147,7 @@ type series struct {
 	counter *Counter
 	gauge   *Gauge
 	hist    *Histogram
-	fn      func() float64           // CounterFunc / GaugeFunc collectors
-	histFn  func() HistogramSnapshot // HistogramFunc collectors
-	bounds  []float64                // bucket bounds for histFn series
+	fn      func() float64 // CounterFunc / GaugeFunc collectors
 }
 
 // family groups all series sharing one metric name.
@@ -264,32 +262,6 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...L
 	f.series = append(f.series, &series{labels: labels, fn: fn})
 }
 
-// HistogramSnapshot is a point-in-time view of a fixed-bucket histogram
-// maintained outside the registry: per-bucket counts (len(bounds)+1, the
-// last being the +Inf bucket), total count, and observation sum.
-type HistogramSnapshot struct {
-	Counts []uint64
-	Sum    float64
-	Count  uint64
-}
-
-// HistogramFunc registers a histogram whose buckets are read from fn at
-// scrape time — the bridge for package-level atomic bucket counters that
-// cannot depend on a registry. fn must return len(bounds)+1 counts.
-func (r *Registry) HistogramFunc(name, help string, bounds []float64, fn func() HistogramSnapshot, labels ...Label) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.lookup(name, help, kindHistogram)
-	if s := f.find(labels); s != nil {
-		s.histFn = fn
-		s.bounds = append([]float64(nil), bounds...)
-		return
-	}
-	f.series = append(f.series, &series{
-		labels: labels, histFn: fn, bounds: append([]float64(nil), bounds...),
-	})
-}
-
 // GaugeFunc registers a gauge whose value is read from fn at scrape time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
 	r.mu.Lock()
@@ -363,18 +335,8 @@ func writeHistogram(w io.Writer, name string, s *series) {
 	fmt.Fprintf(w, "%s_count%s %d\n", name, renderLabels(s.labels, "", ""), count)
 }
 
-// histState reads a histogram series' buckets regardless of whether it is
-// registry-owned or fn-backed.
+// histState reads a histogram series' buckets.
 func histState(s *series) (bounds []float64, counts []uint64, sum float64, count uint64) {
-	if s.histFn != nil {
-		snap := s.histFn()
-		counts = snap.Counts
-		if len(counts) != len(s.bounds)+1 {
-			counts = make([]uint64, len(s.bounds)+1)
-			copy(counts, snap.Counts)
-		}
-		return s.bounds, counts, snap.Sum, snap.Count
-	}
 	h := s.hist
 	counts = make([]uint64, len(h.bounds)+1)
 	for i := range counts {

@@ -16,6 +16,7 @@ import (
 // stress binding and classification, not just well-formed workload SQL.
 var extraPlanSeeds = []string{
 	`select distinct C from Hosp h, Ins c where not (B = 1 or B != 2)`,
+	`select C from Hosp h, Ins c where not (B = 1 or B != 2)`,
 	`select T, avg(P) from Hosp join Ins on S=C where D='stroke' group by T having avg(P)>100`,
 	`select S from Hosp where D like 'fl%' and B < 100 order by S desc limit 3`,
 	`select count(*) from Hosp, Ins`,

@@ -182,8 +182,12 @@ func (p *Planner) PlanWith(stmt *sql.SelectStmt, _ PlanOptions) (*Plan, error) {
 // selections pushed down into the leaves, and a left-deep join tree in FROM
 // order with textbook selectivity estimates. The join order is the
 // statement's own: the paper takes the plan as input (its tool read plans
-// from PostgreSQL), and the assignment search starts from it.
+// from PostgreSQL), and the assignment search starts from it. SELECT
+// DISTINCT is refused: no plan operator removes duplicate rows.
 func (p *Planner) Plan(stmt *sql.SelectStmt) (*Plan, error) {
+	if stmt.Distinct {
+		return nil, fmt.Errorf("planner: SELECT DISTINCT is not supported")
+	}
 	b, err := bindStmt(p.Catalog, stmt)
 	if err != nil {
 		return nil, err

@@ -190,6 +190,24 @@ func TestPlannerErrors(t *testing.T) {
 	}
 }
 
+// TestPlannerRefusesDistinct: no plan operator removes duplicates, so a
+// DISTINCT statement fails to plan with an error naming DISTINCT instead of
+// planning as if the keyword were absent.
+func TestPlannerRefusesDistinct(t *testing.T) {
+	for _, q := range []string{
+		"select distinct S from Hosp",
+		"select distinct D, avg(P) from Hosp group by D",
+	} {
+		_, err := New(exampleCatalog()).PlanSQL(q)
+		if err == nil || !strings.Contains(err.Error(), "DISTINCT") {
+			t.Errorf("PlanSQL(%q) = %v, want an error naming DISTINCT", q, err)
+		}
+	}
+	if _, err := New(exampleCatalog()).PlanSQL("select S from Hosp"); err != nil {
+		t.Errorf("the same statement without DISTINCT: %v", err)
+	}
+}
+
 func TestSelectivityEstimates(t *testing.T) {
 	cat := exampleCatalog()
 	est := newEstimator(cat)
