@@ -141,14 +141,15 @@ func main() {
 const statusCanceled = 499
 
 // statusFor maps a query error to its HTTP status via the engine's
-// classification: overload sheds with 429, queue timeouts with 503,
-// deadlines with 504, client cancellations with 499, recovered panics with
-// 500, and everything else stays 422 (the query itself was bad).
+// classification: overload sheds with 429, queue timeouts and memory-budget
+// refusals with 503, deadlines with 504, client cancellations with 499,
+// recovered panics with 500, and everything else stays 422 (the query
+// itself was bad).
 func statusFor(err error) int {
 	switch engine.ClassifyErr(err) {
 	case engine.KindOverloaded:
 		return http.StatusTooManyRequests
-	case engine.KindQueueTimeout:
+	case engine.KindQueueTimeout, engine.KindMemoryBudget:
 		return http.StatusServiceUnavailable
 	case engine.KindTimeout:
 		return http.StatusGatewayTimeout

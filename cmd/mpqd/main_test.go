@@ -185,3 +185,35 @@ func TestPprofGated(t *testing.T) {
 		t.Errorf("pprof with -pprof = %d", resp.StatusCode)
 	}
 }
+
+// TestMemoryRefusalIs503 checks that a query refused by the memory budget
+// answers 503 (the server is short of memory, not the query malformed),
+// while a malformed query still answers 422.
+func TestMemoryRefusalIs503(t *testing.T) {
+	cfg := engine.TPCHConfig(tpch.UA, 0.001, 7)
+	cfg.MemBudget = 4 << 10
+	eng, err := engine.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer((&server{eng: eng}).routes(false))
+	t.Cleanup(ts.Close)
+	for _, c := range []struct {
+		sql  string
+		want int
+	}{
+		{"select o_orderpriority, count(*) from orders, lineitem where o_orderkey = l_orderkey group by o_orderpriority", http.StatusServiceUnavailable},
+		{"select no_such_column from orders", http.StatusUnprocessableEntity},
+	} {
+		body, err := json.Marshal(map[string]string{"sql": c.sql})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp := postJSON(t, ts.URL+"/query", string(body))
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("%s: status %d (%s), want %d", c.sql, resp.StatusCode, strings.TrimSpace(string(msg)), c.want)
+		}
+	}
+}

@@ -77,12 +77,6 @@ func (s *ctrState) xor(block cipher.Block, iv []byte, dst, src []byte) {
 	}
 }
 
-// ctrXOR is the one-shot form of ctrState.xor.
-func ctrXOR(block cipher.Block, iv []byte, dst, src []byte) {
-	var s ctrState
-	s.xor(block, iv, dst, src)
-}
-
 // packSlices copies scattered plaintext slices into one packed arena (slot
 // i at bounds[i]:bounds[i+1]), the input form of the arena entry points.
 func packSlices(pts [][]byte) (arena []byte, bounds []int) {

@@ -252,3 +252,9 @@ func TestPaillierConcurrentBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// ctrXOR is the one-shot form of ctrState.xor.
+func ctrXOR(block cipher.Block, iv []byte, dst, src []byte) {
+	var s ctrState
+	s.xor(block, iv, dst, src)
+}

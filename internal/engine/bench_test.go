@@ -61,3 +61,29 @@ func BenchmarkQueryConcurrentClients(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkHitPath is the plan-cache hit path of bench/run.sh's ua_hot
+// workload on one client: under UA at sf 0.01 every plan is cached before
+// the timer starts, and one op is one pass over the 22 TPC-H queries, so it
+// measures execution (scans, hash joins, group-bys, exchanges), not
+// planning. CI bounds its allocs/op.
+func BenchmarkHitPath(b *testing.B) {
+	eng, err := New(TPCHConfig(tpch.UA, 0.01, testSeed))
+	if err != nil {
+		b.Fatal(err)
+	}
+	queries := tpch.Queries()
+	pass := func() {
+		for _, q := range queries {
+			if _, err := eng.Query(q.SQL); err != nil {
+				b.Fatalf("Q%d: %v", q.Num, err)
+			}
+		}
+	}
+	pass() // prepare and cache every plan
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
+	}
+}

@@ -32,6 +32,7 @@ const (
 	KindTimeout      = "timeout"       // deadline exceeded (HTTP 504)
 	KindCanceled     = "canceled"      // caller cancelled (HTTP 499)
 	KindPanic        = "panic"         // recovered execution panic (HTTP 500)
+	KindMemoryBudget = "memory_budget" // exec.ErrMemoryBudget (HTTP 503)
 	KindError        = "error"         // any other failure (HTTP 4xx/5xx)
 )
 
@@ -46,6 +47,8 @@ func ClassifyErr(err error) string {
 		return KindQueueTimeout
 	case errors.As(err, &pe):
 		return KindPanic
+	case errors.Is(err, exec.ErrMemoryBudget):
+		return KindMemoryBudget
 	case errors.Is(err, context.DeadlineExceeded):
 		return KindTimeout
 	case errors.Is(err, context.Canceled):
@@ -143,7 +146,8 @@ func (e *Engine) runContext(ctx context.Context) (context.Context, context.Cance
 }
 
 // countFailure increments the error counter and the failure-mode counter the
-// error classifies into (timeouts, cancellations, recovered panics).
+// error classifies into (timeouts, cancellations, recovered panics, memory
+// refusals).
 func (e *Engine) countFailure(err error) {
 	e.met.errors.Inc()
 	switch ClassifyErr(err) {
@@ -153,5 +157,7 @@ func (e *Engine) countFailure(err error) {
 		e.met.cancels.Inc()
 	case KindPanic:
 		e.met.panics.Inc()
+	case KindMemoryBudget:
+		e.met.memRefusals.Inc()
 	}
 }

@@ -125,3 +125,39 @@ func TestMemBudgetRefusesCleanly(t *testing.T) {
 			refused, answered, budget)
 	}
 }
+
+// TestMemoryRefusalIsItsOwnClass pins how a memory-budget refusal is
+// reported: ClassifyErr calls it KindMemoryBudget (mpqd answers 503), and it
+// counts in mpq_engine_memory_refusals_total as well as in
+// mpq_engine_errors_total. A malformed query stays KindError and counts as
+// an error only.
+func TestMemoryRefusalIsItsOwnClass(t *testing.T) {
+	cfg := testConfig(t, tpch.UA)
+	cfg.MemBudget = 4 << 10
+	eng, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = eng.Query(querySQL(t, 18))
+	if !errors.Is(err, exec.ErrMemoryBudget) {
+		t.Fatalf("Q18 under 4 KiB: got %v, want exec.ErrMemoryBudget", err)
+	}
+	if kind := ClassifyErr(err); kind != KindMemoryBudget {
+		t.Errorf("ClassifyErr(refusal) = %q, want %q", kind, KindMemoryBudget)
+	}
+	if _, err = eng.Query("select no_such_column from orders"); err == nil {
+		t.Fatal("malformed query answered")
+	}
+	if kind := ClassifyErr(err); kind != KindError {
+		t.Errorf("ClassifyErr(malformed query) = %q, want %q", kind, KindError)
+	}
+	var buf bytes.Buffer
+	if err := eng.Metrics().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{"mpq_engine_memory_refusals_total 1\n", "mpq_engine_errors_total 2\n"} {
+		if !strings.Contains(buf.String(), line) {
+			t.Errorf("/metrics lacks %q", strings.TrimSpace(line))
+		}
+	}
+}

@@ -34,6 +34,7 @@ type engineMetrics struct {
 	timeouts      *obs.Counter
 	cancels       *obs.Counter
 	panics        *obs.Counter
+	memRefusals   *obs.Counter
 
 	// Per-phase latency of the query lifecycle, in seconds: parse and the
 	// cold-preparation stages (plan, authz, assign, keys), then execute and
@@ -79,6 +80,8 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 		"Queries aborted by caller cancellation (client disconnect, shutdown).")
 	m.panics = r.Counter("mpq_engine_panics_recovered_total",
 		"Execution panics caught at a fragment or engine boundary and returned as query errors.")
+	m.memRefusals = r.Counter("mpq_engine_memory_refusals_total",
+		"Queries refused because a hash-join build side or group-by table exceeded Config.MemBudget.")
 
 	r.GaugeFunc("mpq_engine_inflight_queries",
 		"Queries currently holding an admission slot (0 when admission control is off).",

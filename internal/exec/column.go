@@ -418,13 +418,3 @@ func appendCellKey(buf []byte, c *Column, i int) ([]byte, error) {
 		return append(buf, k...), nil
 	}
 }
-
-// cellKey returns cell i's canonical grouping key as a string (the
-// single-cell form hash joins probe with).
-func cellKey(c *Column, i int) (string, error) {
-	b, err := appendCellKey(nil, c, i)
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
-}

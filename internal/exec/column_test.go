@@ -258,3 +258,12 @@ func TestAppendCellKeyMirrorsGroupKey(t *testing.T) {
 		t.Fatal("rnd cipher keyed a group (row side)")
 	}
 }
+
+// cellKey returns cell i's canonical grouping key as a string.
+func cellKey(c *Column, i int) (string, error) {
+	b, err := appendCellKey(nil, c, i)
+	if err != nil {
+		return "", err
+	}
+	return string(b), nil
+}

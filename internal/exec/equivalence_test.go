@@ -284,3 +284,89 @@ func diffRef(t *testing.T, what string, got *exec.Table, ref *sqlref.Result) {
 		t.Fatalf("%s differs from the SQL reference\ngot:\n%s\nwant:\n%s", what, g, want)
 	}
 }
+
+// TestNullJoinKeysMatchReference puts NULLs in the hash-key columns of both
+// join inputs, int and dictionary keys alike, and compares the pipeline
+// with the SQL reference at batch sizes 1, 7 and 1024: a NULL key joins
+// nothing, neither on the build side nor on the probe side, whether the
+// build side is keyed by int64s (T.k holds no NULL) or by canonical bytes.
+// Grouping by the same columns keeps the NULLs as one group.
+func TestNullJoinKeysMatchReference(t *testing.T) {
+	defer exec.SetDictPolicy(exec.SetDictPolicy(exec.DictPolicy{MinRows: 1, MaxRatio: 1}))
+	plain := make(map[string]sqlref.Table)
+	tables := make(map[string]*exec.Table)
+	bases := make(map[string]*algebra.Base)
+	// Row i of a table holds k = i mod 5 and s = "s<i mod 3>", each NULL
+	// where its null function says, and v = i.
+	add := func(name string, n int, nullK, nullS func(int) bool) {
+		schema := []algebra.Attr{algebra.A(name, "k"), algebra.A(name, "s"), algebra.A(name, "v")}
+		tbl := exec.NewTable(schema)
+		ref := sqlref.Table{Cols: []string{"k", "s", "v"}}
+		for i := 0; i < n; i++ {
+			row := []exec.Value{exec.Int(int64(i % 5)), exec.String(fmt.Sprintf("s%d", i%3)), exec.Int(int64(i))}
+			if nullK(i) {
+				row[0] = exec.Null()
+			}
+			if nullS(i) {
+				row[1] = exec.Null()
+			}
+			if err := tbl.Append(row); err != nil {
+				t.Fatal(err)
+			}
+			ref.Rows = append(ref.Rows, plainRow(row))
+		}
+		plain[name], tables[name] = ref, tbl
+		bases[name] = algebra.NewBase(name, "A", schema, float64(n), nil)
+	}
+	never := func(int) bool { return false }
+	add("R", 40, func(i int) bool { return i%4 == 1 }, func(i int) bool { return i%7 == 2 })
+	add("S", 30, func(i int) bool { return i%3 == 0 }, func(i int) bool { return i%4 == 3 })
+	add("T", 20, never, never)
+	join := func(l, r, col string) algebra.Node {
+		return algebra.NewJoin(bases[l], bases[r],
+			&algebra.CmpAA{L: algebra.A(l, col), Op: sql.OpEq, R: algebra.A(r, col)}, 0.1)
+	}
+	group := func(col string) algebra.Node {
+		return algebra.NewGroupBy(bases["R"], []algebra.Attr{algebra.A("R", col)}, []algebra.AggSpec{
+			{Func: sql.AggCount, Star: true}, {Func: sql.AggSum, Attr: algebra.A("R", "v")}}, 5)
+	}
+	cases := []struct {
+		name string
+		plan algebra.Node
+		sql  string
+	}{
+		{"int keys, NULLs on both sides", join("R", "S", "k"), "select R.k, R.s, R.v, S.k, S.s, S.v from R join S on R.k = S.k"},
+		{"int keys, NULL probes only", join("R", "T", "k"), "select R.k, R.s, R.v, T.k, T.s, T.v from R join T on R.k = T.k"},
+		{"int keys, NULL builds only", join("T", "R", "k"), "select T.k, T.s, T.v, R.k, R.s, R.v from T join R on T.k = R.k"},
+		{"dictionary keys", join("R", "S", "s"), "select R.k, R.s, R.v, S.k, S.s, S.v from R join S on R.s = S.s"},
+		{"group by an int key", group("k"), "select k, count(*), sum(v) from R group by k"},
+		{"group by a dictionary key", group("s"), "select s, count(*), sum(v) from R group by s"},
+	}
+	for _, c := range cases {
+		want, err := sqlref.Query(plain, c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, size := range []int{1, 7, 1024} {
+			e := exec.NewExecutor()
+			e.BatchSize = size
+			e.Tables = tables
+			op, err := e.Build(c.plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := exec.Drain(op)
+			if err != nil {
+				t.Fatalf("%s, batch=%d: %v", c.name, size, err)
+			}
+			diffRef(t, fmt.Sprintf("%s, batch=%d", c.name, size), got, want)
+		}
+	}
+	cols, err := tables["R"].Columns()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cols[0].Kind != exec.ColInt || cols[1].Kind != exec.ColDict {
+		t.Fatalf("R's key columns are %v and %v in the columnar cache, want ColInt and ColDict", cols[0].Kind, cols[1].Kind)
+	}
+}

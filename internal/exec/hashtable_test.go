@@ -1,0 +1,368 @@
+package exec
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"sync"
+	"testing"
+
+	"mpq/internal/algebra"
+	"mpq/internal/crypto"
+)
+
+// The flat hash tables of the hash join and the group-by must find exactly
+// what a map keyed by the canonical cell key (appendCellKey) finds. The
+// reference below is that map, kept here and nowhere else.
+
+// batchSource replays a fixed list of batches.
+type batchSource struct {
+	schema  []algebra.Attr
+	batches []*Batch
+	pos     int
+}
+
+func (s *batchSource) Schema() []algebra.Attr { return s.schema }
+func (s *batchSource) Open() error            { s.pos = 0; return nil }
+func (s *batchSource) Close() error           { return nil }
+func (s *batchSource) Next() (*Batch, error) {
+	if s.pos == len(s.batches) {
+		return nil, nil
+	}
+	s.pos++
+	return s.batches[s.pos-1], nil
+}
+
+var tableLayouts = []ColKind{ColInt, ColFloat, ColStr, ColDict, ColCipherBytes, ColCipherDict, ColAny}
+
+var layoutNames = map[ColKind]string{ColInt: "ColInt", ColFloat: "ColFloat", ColStr: "ColStr", ColDict: "ColDict",
+	ColCipherBytes: "ColCipherBytes", ColCipherDict: "ColCipherDict", ColAny: "ColAny"}
+
+// keyDomain renders key number v in each layout's form: ints and floats of
+// the same number never match each other, strings and their deterministic
+// ciphertexts match only within the plaintext or the ciphertext layouts.
+type keyDomain struct {
+	ring *crypto.KeyRing
+	strs []string
+	dets [][]byte
+}
+
+func newKeyDomain(t *testing.T, n int) *keyDomain {
+	ring, err := crypto.NewSymmetricKeyRing("kt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &keyDomain{ring: ring, strs: make([]string, n), dets: make([][]byte, n)}
+	for v := range d.strs {
+		d.strs[v] = fmt.Sprintf("k%d", v)
+		c, err := EncryptValue(ring, algebra.SchemeDeterministic, String(d.strs[v]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.dets[v] = c.C.Data
+	}
+	return d
+}
+
+// column builds keys as one column of the given layout; v < 0 is NULL. A
+// ColAny column mixes ints, floats and strings.
+func (d *keyDomain) column(kind ColKind, keys []int, rng *rand.Rand) Column {
+	n := len(keys)
+	c := Column{Kind: kind}
+	switch kind {
+	case ColInt:
+		c.Ints = make([]int64, n)
+	case ColFloat:
+		c.Floats = make([]float64, n)
+	case ColStr:
+		c.Strs = make([]string, n)
+	case ColCipherBytes:
+		c.Scheme, c.KeyID = algebra.SchemeDeterministic, d.ring.ID
+		c.Bytes, c.Plains = make([][]byte, n), make([]Kind, n)
+	case ColDict, ColCipherDict:
+		c.Codes = make([]uint32, n)
+		c.Dict = d.strs
+		if kind == ColCipherDict {
+			c.Dict, c.CipherDict = nil, d.dets
+			c.Scheme, c.KeyID = algebra.SchemeDeterministic, d.ring.ID
+		}
+	case ColAny:
+		c.Vals = make([]Value, n)
+	}
+	for i, v := range keys {
+		if v < 0 {
+			if kind == ColAny {
+				c.Vals[i] = Null()
+			} else {
+				c.setNull(i, n)
+			}
+			if kind == ColDict || kind == ColCipherDict {
+				c.Codes[i] = dictNullCode
+			}
+			continue
+		}
+		switch kind {
+		case ColInt:
+			c.Ints[i] = int64(v)
+		case ColFloat:
+			c.Floats[i] = float64(v)
+		case ColStr:
+			c.Strs[i] = d.strs[v]
+		case ColCipherBytes:
+			c.Bytes[i], c.Plains[i] = d.dets[v], KString
+		case ColDict, ColCipherDict:
+			c.Codes[i] = uint32(v)
+		case ColAny:
+			c.Vals[i] = []Value{Int(int64(v)), Float(float64(v)), String(d.strs[v])}[rng.Intn(3)]
+		}
+	}
+	return c
+}
+
+// batches cuts keys into batches of random sizes, one key column each.
+func (d *keyDomain) batches(kind ColKind, keys []int, rng *rand.Rand) []*Batch {
+	var out []*Batch
+	for len(keys) > 0 {
+		n := 1 + rng.Intn(700)
+		if n > len(keys) {
+			n = len(keys)
+		}
+		out = append(out, &Batch{Cols: []Column{d.column(kind, keys[:n], rng)}, N: n})
+		keys = keys[n:]
+	}
+	return out
+}
+
+// randomKeys draws n keys from [0, domain), a tenth of them NULL when nulls
+// is set.
+func randomKeys(rng *rand.Rand, n, domain int, nulls bool) []int {
+	keys := make([]int, n)
+	for i := range keys {
+		keys[i] = rng.Intn(domain)
+		if nulls && rng.Intn(10) == 0 {
+			keys[i] = -1
+		}
+	}
+	return keys
+}
+
+// refJoin is the reference join index: canonical key → build rows in
+// build-row order, NULL keys left out.
+func refJoin(t *testing.T, build []*Batch) map[string][]buildRef {
+	ref := make(map[string][]buildRef)
+	for bi, b := range build {
+		for ri := 0; ri < b.N; ri++ {
+			if b.Cols[0].IsNull(ri) {
+				continue
+			}
+			k, err := cellKey(&b.Cols[0], ri)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref[k] = append(ref[k], buildRef{int32(bi), int32(ri)})
+		}
+	}
+	return ref
+}
+
+// probeAll probes every row of probe into idx and returns each row's
+// matches, in chain order.
+func probeAll(idx *joinIndex, probe []*Batch) ([][]buildRef, error) {
+	var out [][]buildRef
+	var buf []byte
+	for _, b := range probe {
+		for ri := 0; ri < b.N; ri++ {
+			e, k, kb, err := idx.seek(&b.Cols[0], ri, buf)
+			if err != nil {
+				return nil, err
+			}
+			buf = kb
+			var m []buildRef
+			for ; e >= 0; e = idx.advance(e, k, kb) {
+				m = append(m, idx.rows[e])
+			}
+			out = append(out, m)
+		}
+	}
+	return out, nil
+}
+
+func checkProbes(t *testing.T, what string, ref map[string][]buildRef, probe []*Batch, got [][]buildRef) {
+	t.Helper()
+	i := 0
+	for _, b := range probe {
+		for ri := 0; ri < b.N; ri++ {
+			var want []buildRef
+			if !b.Cols[0].IsNull(ri) {
+				k, err := cellKey(&b.Cols[0], ri)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = ref[k]
+			}
+			if fmt.Sprint(got[i]) != fmt.Sprint(want) {
+				t.Fatalf("%s: probe row %d (%v) found %v, want %v", what, i, b.Cols[0].Value(ri), got[i], want)
+			}
+			i++
+		}
+	}
+}
+
+func buildIndex(t *testing.T, build []*Batch) *joinIndex {
+	t.Helper()
+	src := &batchSource{schema: []algebra.Attr{algebra.A("B", "k")}, batches: build}
+	idx, _, err := buildJoinIndex(src, 0, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return idx
+}
+
+// TestJoinTableMatchesCanonicalMap probes every build × probe layout pair
+// with random keys, duplicates and NULLs, against the canonical-key map. The
+// large case indexes 12 000 build rows over 6 000 keys, so bucket chains
+// hold colliding keys as well as duplicates.
+func TestJoinTableMatchesCanonicalMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	dom := newKeyDomain(t, 6000)
+	for _, bk := range tableLayouts {
+		for _, pk := range tableLayouts {
+			for _, c := range []struct {
+				name                   string
+				build, probe           int
+				domain                 int
+				buildNulls, probeNulls bool
+			}{
+				{"empty build", 0, 200, 50, false, true},
+				{"duplicates", 400, 300, 40, false, false},
+				{"NULL probes", 400, 300, 40, false, true},
+				{"NULLs on both sides", 400, 300, 40, true, true},
+				{"collisions", 12000, 3000, 6000, false, false},
+			} {
+				what := fmt.Sprintf("%s build × %s probe, %s", layoutNames[bk], layoutNames[pk], c.name)
+				build := dom.batches(bk, randomKeys(rng, c.build, c.domain, c.buildNulls), rng)
+				probe := dom.batches(pk, randomKeys(rng, c.probe, c.domain, c.probeNulls), rng)
+				idx := buildIndex(t, build)
+				if want := (bk == ColInt || c.build == 0) && !c.buildNulls; idx.keys.intKeys != want {
+					t.Fatalf("%s: intKeys = %v, want %v", what, idx.keys.intKeys, want)
+				}
+				got, err := probeAll(idx, probe)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				checkProbes(t, what, refJoin(t, build), probe, got)
+			}
+		}
+	}
+}
+
+// TestJoinTableConcurrentProbes probes one built index from eight
+// goroutines at once; CI runs it under the race detector.
+func TestJoinTableConcurrentProbes(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	dom := newKeyDomain(t, 2000)
+	for _, bk := range []ColKind{ColInt, ColDict} {
+		build := dom.batches(bk, randomKeys(rng, 10000, 2000, false), rng)
+		idx := buildIndex(t, build)
+		ref := refJoin(t, build)
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			probe := dom.batches(tableLayouts[g%len(tableLayouts)], randomKeys(rng, 2000, 2000, true), rng)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got, err := probeAll(idx, probe)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				checkProbes(t, fmt.Sprintf("%s build, goroutine %d", layoutNames[bk], g), ref, probe, got)
+			}()
+		}
+		wg.Wait()
+	}
+}
+
+// TestGroupTableMatchesCanonicalMap feeds random key tuples of every pair
+// of layouts into a groupTable and checks each row lands in the group the
+// canonical-key map assigns in first-seen order, NULLs forming one group.
+func TestGroupTableMatchesCanonicalMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	dom := newKeyDomain(t, 6000)
+	for _, ak := range tableLayouts {
+		for _, bk := range tableLayouts {
+			n, domain := 3000, 40
+			if ak == bk {
+				n, domain = 12000, 6000 // single-layout pairs also grow the table far
+			}
+			a, b := randomKeys(rng, n, domain, true), randomKeys(rng, n, 3, true)
+			gt := newGroupTable([]int{0, 1}, nil, nil, nil)
+			ref := make(map[string]int)
+			for len(a) > 0 {
+				m := 1 + rng.Intn(500)
+				if m > len(a) {
+					m = len(a)
+				}
+				batch := &Batch{Cols: []Column{dom.column(ak, a[:m], rng), dom.column(bk, b[:m], rng)}, N: m}
+				a, b = a[m:], b[m:]
+				for ri := 0; ri < m; ri++ {
+					grp, err := gt.groupFor(batch, ri)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ka, _ := cellKey(&batch.Cols[0], ri)
+					kb, _ := cellKey(&batch.Cols[1], ri)
+					k := ka + "\x1f" + kb
+					want, ok := ref[k]
+					if !ok {
+						want = len(ref)
+						ref[k] = want
+					}
+					if want >= len(gt.groups) || gt.groups[want] != grp {
+						t.Fatalf("%s × %s: row %v lands in the wrong group (want group %d of %d)",
+							layoutNames[ak], layoutNames[bk], [2]Value{batch.Cols[0].Value(ri), batch.Cols[1].Value(ri)}, want, len(gt.groups))
+					}
+				}
+			}
+			if len(gt.groups) != len(ref) {
+				t.Fatalf("%s × %s: %d groups, want %d", layoutNames[ak], layoutNames[bk], len(gt.groups), len(ref))
+			}
+		}
+	}
+}
+
+// TestHashTablesRefuseUnlinkableKeys checks that randomized and Paillier
+// ciphertexts still cannot key a join build, a join probe (into an int or
+// a byte table) or a group.
+func TestHashTablesRefuseUnlinkableKeys(t *testing.T) {
+	ring, err := crypto.NewKeyRing("kp", 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rnd, err := EncryptValue(ring, algebra.SchemeRandom, Int(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	phe, err := EncryptValue(ring, algebra.SchemePaillier, Int(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []Value{rnd, phe} {
+		col := NewColumn([]Value{v, v})
+		bad := []*Batch{{Cols: []Column{col}, N: 2}}
+		src := &batchSource{schema: []algebra.Attr{algebra.A("B", "k")}, batches: bad}
+		if _, _, err := buildJoinIndex(src, 0, nil, nil); err == nil || !strings.Contains(err.Error(), "cannot group/join") {
+			t.Errorf("%s build: err %v, want cannot group/join", v.C.Scheme, err)
+		}
+		for _, keys := range [][]Value{{Int(1)}, {String("a")}} {
+			good := NewColumn(keys)
+			idx := buildIndex(t, []*Batch{{Cols: []Column{good}, N: 1}})
+			if _, err := probeAll(idx, bad); err == nil || !strings.Contains(err.Error(), "cannot group/join") {
+				t.Errorf("%s probe into %s table: err %v, want cannot group/join", v.C.Scheme, layoutNames[good.Kind], err)
+			}
+		}
+		if _, err := newGroupTable([]int{0}, nil, nil, nil).groupFor(bad[0], 0); err == nil || !strings.Contains(err.Error(), "cannot group/join") {
+			t.Errorf("%s group: err %v, want cannot group/join", v.C.Scheme, err)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 )
 
 // ErrMemoryBudget is the error a query fails with when a hash-join build
@@ -69,10 +70,13 @@ func (m *MemAccountant) Used() int64 {
 	return m.used.Load()
 }
 
-// groupCost estimates the resident footprint of one new group: map entry and
-// key string, pinned key values, and one accumulator per aggregate.
-func groupCost(hkLen, nkeys, naggs int) int64 {
-	return int64(96 + 2*hkLen + nkeys*48 + naggs*112)
+// groupCost is what one new group adds to a groupTable: its key bytes and
+// their offset, its chain link, up to four bucket heads and its slot in
+// groups (keyTable.add keeps at least two buckets per entry), then the group
+// with its pinned key values and one accumulator per aggregate.
+func groupCost(keyLen, nkeys, naggs int) int64 {
+	return int64(keyLen) + 4 + 4 + 16 + 8 + int64(unsafe.Sizeof(group{})) +
+		int64(nkeys)*int64(unsafe.Sizeof(Value{})) + int64(naggs)*int64(unsafe.Sizeof(groupAcc{}))
 }
 
 // batchMemBytes estimates the resident footprint of a retained batch, per

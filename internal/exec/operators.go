@@ -2,7 +2,9 @@ package exec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"math/big"
 
 	"mpq/internal/algebra"
@@ -167,20 +169,102 @@ func concatRows(a, b []Value) []Value {
 }
 
 // ---------------------------------------------------------------------------
+// Hash tables
+
+// hashSeed keys the byte-key hash of every keyTable. Hashes never leave the
+// process.
+var hashSeed = maphash.MakeSeed()
+
+// keyTable is the flat bucket-chain hash table behind the hash join and the
+// group-by. Entries are numbered from 0. heads maps a bucket to its first
+// entry and next links each entry to the following one in its bucket, both
+// as entry+1, so zero means none and fresh slices need no initialization.
+// An entry's key is an int64 (intKeys) or its canonical key bytes
+// (appendCellKey) kept back to back in one arena.
+type keyTable struct {
+	heads   []int32
+	next    []int32
+	shift   uint // the bucket of hash h is h >> shift
+	intKeys bool
+	ints    []int64 // intKeys: entry e's key
+	arena   []byte  // otherwise entry e's key is arena[offs[e]:offs[e+1]]
+	offs    []int32
+}
+
+func hashInt(k int64) uint64 { return uint64(k) * 0x9e3779b97f4a7c15 }
+
+func (t *keyTable) key(e int32) []byte { return t.arena[t.offs[e]:t.offs[e+1]] }
+
+// first returns the first entry of the bucket hash h falls in, or -1.
+func (t *keyTable) first(h uint64) int32 { return t.heads[h>>t.shift] - 1 }
+
+// chain sizes heads to a power of two at least twice the entries (one per
+// slot of next) and links every entry, last first, so each chain lists its
+// entries in entry order.
+func (t *keyTable) chain() {
+	size, shift := 1, uint(64)
+	for size < 2*len(t.next) {
+		size, shift = size<<1, shift-1
+	}
+	t.heads, t.shift = make([]int32, size), shift
+	for e := int32(len(t.next)) - 1; e >= 0; e-- {
+		var h uint64
+		if t.intKeys {
+			h = hashInt(t.ints[e])
+		} else {
+			h = maphash.Bytes(hashSeed, t.key(e))
+		}
+		t.next[e], t.heads[h>>shift] = t.heads[h>>shift], e+1
+	}
+}
+
+// add appends an entry under byte key k of hash h, chaining afresh once the
+// entries pass half the buckets.
+func (t *keyTable) add(k []byte, h uint64) {
+	t.arena = append(t.arena, k...)
+	t.offs = append(t.offs, int32(len(t.arena)))
+	t.next = append(t.next, 0)
+	if n := len(t.next); 2*n > len(t.heads) {
+		t.chain()
+	} else {
+		t.next[n-1], t.heads[h>>t.shift] = t.heads[h>>t.shift], int32(n)
+	}
+}
+
+// scanInt and scanBytes walk the chain from entry e (-1 for none) to the
+// first entry whose key equals k, or -1.
+func (t *keyTable) scanInt(e int32, k int64) int32 {
+	for e >= 0 && t.ints[e] != k {
+		e = t.next[e] - 1
+	}
+	return e
+}
+
+func (t *keyTable) scanBytes(e int32, k []byte) int32 {
+	for e >= 0 && !bytes.Equal(t.key(e), k) {
+		e = t.next[e] - 1
+	}
+	return e
+}
+
+// ---------------------------------------------------------------------------
 // Hash join
 
 // buildRef addresses one build-side row: batch index, row index.
 type buildRef struct{ b, r int32 }
 
 // joinIndex is the build side of a hash join in columnar form: the build
-// child's batches retained as delivered, plus, per join key, the refs of the
-// matching build rows in build-row order. The index is built straight from
-// the column vectors (appendCellKey, no row materialization) and is
-// immutable once built.
+// child's batches retained as delivered, and a keyTable whose entry e is
+// build row rows[e], in build-row order, so a chain lists a key's matches in
+// build-row order. When every build batch holds the key as a NULL-free
+// ColInt, the table keys the int64s; otherwise it keys canonical key bytes.
+// A row with a NULL key gets no entry: in SQL it joins nothing. The index is
+// immutable once built, so any number of probes may read it at once.
 type joinIndex struct {
 	schema  []algebra.Attr
 	batches []*Batch
-	refs    map[string][]buildRef
+	rows    []buildRef
+	keys    keyTable
 	// uniform caches, per build column, the layout shared by every batch
 	// (scheme and key id included for cipher columns) — ColAny when the
 	// batches disagree, so gathers take the generic path. Computed once at
@@ -188,51 +272,42 @@ type joinIndex struct {
 	uniform []ColKind
 }
 
-// buildJoinIndex drains the build child and indexes it by the hash column;
-// refs land in build-row order. Under a memory accountant (mem non-nil)
-// every retained batch first reserves its estimated footprint for op, and
-// a refused reservation ends the build with ErrMemoryBudget; reserved is
-// what the index holds, released by the caller when done probing. Without
-// one nothing is estimated.
+// buildJoinIndex drains the build child and indexes it by the hash column.
+// Under a memory accountant (mem non-nil) every retained batch first
+// reserves its estimated footprint for op, and then the built table its
+// bytes; a refused reservation ends the build with ErrMemoryBudget.
+// reserved is what the index holds, released by the caller when done
+// probing. Without one nothing is estimated.
 func buildJoinIndex(right Operator, hashR int, mem *MemAccountant, op opNamer) (idx *joinIndex, reserved int64, err error) {
-	idx = &joinIndex{schema: right.Schema(), refs: make(map[string][]buildRef)}
-	if err := right.Open(); err != nil {
-		right.Close()
-		return nil, 0, err
-	}
-	fail := func(err error) (*joinIndex, int64, error) {
-		right.Close()
-		mem.Release(reserved)
-		return nil, 0, err
-	}
-	var keyBuf []byte
-	for {
-		b, err := right.Next()
-		if err != nil {
-			return fail(err)
-		}
-		if b == nil {
+	idx = &joinIndex{schema: right.Schema()}
+	err = right.Open()
+	for err == nil {
+		var b *Batch
+		if b, err = right.Next(); b == nil || err != nil {
 			break
 		}
 		if mem != nil {
-			cost := batchMemBytes(b) + 32*int64(b.N)
-			if err := mem.reserve(op, cost); err != nil {
-				return fail(err)
+			cost := batchMemBytes(b)
+			if err = mem.reserve(op, cost); err != nil {
+				break
 			}
 			reserved += cost
 		}
-		bi := int32(len(idx.batches))
 		idx.batches = append(idx.batches, b)
-		col := &b.Cols[hashR]
-		for ri := 0; ri < b.N; ri++ {
-			keyBuf, err = appendCellKey(keyBuf[:0], col, ri)
-			if err != nil {
-				return fail(err)
-			}
-			idx.refs[string(keyBuf)] = append(idx.refs[string(keyBuf)], buildRef{bi, int32(ri)})
+	}
+	if cerr := right.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = idx.index(hashR)
+	}
+	if t := &idx.keys; err == nil && mem != nil { // int32 links and offsets, int64 keys, 8-byte rows
+		cost := 4*int64(len(t.heads)+len(t.next)+len(t.offs)) + 8*int64(len(t.ints)+len(idx.rows)) + int64(len(t.arena))
+		if err = mem.reserve(op, cost); err == nil {
+			reserved += cost
 		}
 	}
-	if err := right.Close(); err != nil {
+	if err != nil {
 		mem.Release(reserved)
 		return nil, 0, err
 	}
@@ -241,6 +316,83 @@ func buildJoinIndex(right Operator, hashR int, mem *MemAccountant, op opNamer) (
 		idx.uniform[ci] = uniformKind(idx.batches, ci)
 	}
 	return idx, reserved, nil
+}
+
+// index keys every retained build row by column hashR and chains the table.
+func (x *joinIndex) index(hashR int) error {
+	t, n := &x.keys, 0
+	t.intKeys = true
+	for _, b := range x.batches {
+		c := &b.Cols[hashR]
+		t.intKeys = t.intKeys && c.Kind == ColInt && !c.hasNulls()
+		n += b.N
+	}
+	x.rows = make([]buildRef, 0, n)
+	if t.intKeys {
+		t.ints = make([]int64, 0, n)
+	} else {
+		t.offs = make([]int32, 1, n+1)
+	}
+	var err error
+	for bi, b := range x.batches {
+		col := &b.Cols[hashR]
+		if t.intKeys {
+			t.ints = append(t.ints, col.Ints[:b.N]...)
+		}
+		for ri := 0; ri < b.N; ri++ {
+			if !t.intKeys {
+				if col.IsNull(ri) {
+					continue
+				}
+				if t.arena, err = appendCellKey(t.arena, col, ri); err != nil {
+					return err
+				}
+				t.offs = append(t.offs, int32(len(t.arena)))
+			}
+			x.rows = append(x.rows, buildRef{int32(bi), int32(ri)})
+		}
+	}
+	t.next = make([]int32, len(x.rows))
+	t.chain()
+	return nil
+}
+
+// seek returns the first entry whose key equals probe row ri's, or -1, and
+// the probe key for advance: an int64 in int mode, canonical bytes in buf
+// otherwise. A NULL probe key matches nothing, and a probe key of another
+// kind than the table's int64s (a float, a string, a ciphertext) matches
+// none of them. An encrypted NULL is no NULL cell but the ciphertext of a
+// one-byte plaintext, so under det two of them still join (ROADMAP 16's
+// security note decides its form).
+func (x *joinIndex) seek(col *Column, ri int, buf []byte) (int32, int64, []byte, error) {
+	t := &x.keys
+	if col.IsNull(ri) {
+		return -1, 0, buf, nil
+	}
+	if t.intKeys && col.Kind == ColInt {
+		k := col.Ints[ri]
+		return t.scanInt(t.first(hashInt(k)), k), k, buf, nil
+	}
+	buf, err := appendCellKey(buf[:0], col, ri)
+	switch {
+	case err != nil:
+		return -1, 0, buf, err
+	case !t.intKeys:
+		return t.scanBytes(t.first(maphash.Bytes(hashSeed, buf)), buf), 0, buf, nil
+	case len(buf) != 9 || buf[0] != 1:
+		return -1, 0, buf, nil
+	}
+	k := int64(binary.BigEndian.Uint64(buf[1:]))
+	return t.scanInt(t.first(hashInt(k)), k), k, buf, nil
+}
+
+// advance returns the entry after e whose key equals the probe key seek
+// returned with e, or -1.
+func (x *joinIndex) advance(e int32, k int64, kb []byte) int32 {
+	if e = x.keys.next[e] - 1; x.keys.intKeys {
+		return x.keys.scanInt(e, k)
+	}
+	return x.keys.scanBytes(e, kb)
 }
 
 // uniformKind returns the layout every batch holds column ci in, or ColAny
@@ -339,12 +491,12 @@ func (x *joinIndex) gatherCol(ci int, refs []buildRef) Column {
 }
 
 // hashJoinOp indexes its build input, then probes it batch by batch: probe
-// keys are computed from the hash column's vector, the index is built
-// straight from the build child's column vectors (no row materialization
-// anywhere on the build path), and the output batch is assembled columnar —
-// probe-side columns typed-gathered by the match selection, build-side
-// columns typed-gathered through the index refs. Residual conjuncts of the
-// join condition run in a filterOp above the join. Output is emitted in
+// keys are read from the hash column's vector, the index is built straight
+// from the build child's column vectors (no row materialization anywhere on
+// the build path), and the output batch is assembled columnar — probe-side
+// columns typed-gathered by the match selection, build-side columns
+// typed-gathered through the index rows. Residual conjuncts of the join
+// condition run in a filterOp above the join. Output is emitted in
 // at-most-batch-sized windows, so a skewed many-to-many join never
 // materializes its whole fanout at once.
 type hashJoinOp struct {
@@ -363,24 +515,16 @@ type hashJoinOp struct {
 	idxReserved int64
 
 	// Probe cursor: the current probe batch, the next probe row, and the
-	// unconsumed matches of the last keyed row.
-	cur        *Batch
-	li         int
-	curMatches []buildRef
-	matchIdx   int
+	// next unconsumed match of the last probed row (-1 for none) with that
+	// row's key.
+	cur    *Batch
+	li     int
+	match  int32
+	key    int64
+	keyBuf []byte
 
 	selBuf   []int32    // reused (probe row, build row) pair buffers
 	matchBuf []buildRef //
-	keyBuf   []byte
-
-	// Dictionary probe memo: when the probe key column is dict-encoded, the
-	// index lookup for each dictionary entry is cached per code, so repeated
-	// probe keys encode and hash once per distinct value. Valid for one
-	// dictionary identity at a time.
-	probeDict       *string
-	probeCipherDict *[]byte
-	refsByCode      [][]buildRef
-	refsSeen        []bool
 }
 
 func (j *hashJoinOp) Schema() []algebra.Attr { return j.schema }
@@ -394,7 +538,7 @@ func (j *hashJoinOp) Open() error {
 		return err
 	}
 	j.idx, j.idxReserved = idx, reserved
-	j.cur, j.li, j.curMatches, j.matchIdx = nil, 0, nil, 0
+	j.cur, j.li, j.match = nil, 0, -1
 	return nil
 }
 
@@ -414,30 +558,30 @@ func (j *hashJoinOp) Next() (*Batch, error) {
 			if b == nil || err != nil {
 				return nil, err
 			}
-			j.cur, j.li, j.curMatches, j.matchIdx = b, 0, nil, 0
+			j.cur, j.li, j.match = b, 0, -1
 		}
 		// Collect up to batch (probe row, build row) pairs from the
 		// current probe batch, in probe order.
 		probeSel := j.selBuf[:0]
 		matches := j.matchBuf[:0]
 		for {
-			for j.matchIdx < len(j.curMatches) && len(probeSel) < j.batch {
+			for j.match >= 0 && len(probeSel) < j.batch {
 				probeSel = append(probeSel, int32(j.li-1))
-				matches = append(matches, j.curMatches[j.matchIdx])
-				j.matchIdx++
+				matches = append(matches, j.idx.rows[j.match])
+				j.match = j.idx.advance(j.match, j.key, j.keyBuf)
 			}
 			if len(probeSel) == j.batch || j.li == j.cur.N {
 				break
 			}
-			refs, err := j.probeRefs(&j.cur.Cols[j.hashL], j.li)
+			var err error
+			j.match, j.key, j.keyBuf, err = j.idx.seek(&j.cur.Cols[j.hashL], j.li, j.keyBuf)
 			if err != nil {
 				return nil, err
 			}
-			j.curMatches, j.matchIdx = refs, 0
 			j.li++
 		}
 		cur := j.cur
-		if j.li == cur.N && j.matchIdx == len(j.curMatches) {
+		if j.li == cur.N && j.match < 0 {
 			j.cur = nil // probe batch exhausted; fetch the next one
 		}
 		j.selBuf, j.matchBuf = probeSel, matches
@@ -445,60 +589,6 @@ func (j *hashJoinOp) Next() (*Batch, error) {
 			continue
 		}
 		return j.assemble(cur, probeSel, matches), nil
-	}
-}
-
-// probeRefs returns the build refs matching probe row ri of the key column.
-// Dict-encoded key columns answer from the per-code memo after one canonical
-// lookup per dictionary entry; every other layout (and NULL dict cells,
-// whose code slot is a sentinel) encodes the canonical key per row.
-func (j *hashJoinOp) probeRefs(col *Column, ri int) ([]buildRef, error) {
-	switch {
-	case col.Kind == ColDict && !col.IsNull(ri):
-		if id := DictID(col.Dict); j.probeDict != id {
-			j.probeDict, j.probeCipherDict = id, nil
-			j.resetProbeMemo(len(col.Dict))
-		}
-	case col.Kind == ColCipherDict && !col.IsNull(ri) &&
-		(col.Scheme == algebra.SchemeDeterministic || col.Scheme == algebra.SchemeOPE):
-		if id := cipherDictID(col.CipherDict); j.probeCipherDict != id {
-			j.probeCipherDict, j.probeDict = id, nil
-			j.resetProbeMemo(len(col.CipherDict))
-		}
-	default:
-		var err error
-		j.keyBuf, err = appendCellKey(j.keyBuf[:0], col, ri)
-		if err != nil {
-			return nil, err
-		}
-		return j.idx.refs[string(j.keyBuf)], nil
-	}
-	code := col.Codes[ri]
-	if !j.refsSeen[code] {
-		var err error
-		j.keyBuf, err = appendCellKey(j.keyBuf[:0], col, ri)
-		if err != nil {
-			return nil, err
-		}
-		j.refsByCode[code] = j.idx.refs[string(j.keyBuf)]
-		j.refsSeen[code] = true
-	}
-	return j.refsByCode[code], nil
-}
-
-// resetProbeMemo sizes the per-code memo for a new dictionary, reusing the
-// previous dictionary's storage when it fits.
-func (j *hashJoinOp) resetProbeMemo(n int) {
-	if cap(j.refsByCode) < n {
-		j.refsByCode = make([][]buildRef, n)
-		j.refsSeen = make([]bool, n)
-		return
-	}
-	j.refsByCode = j.refsByCode[:n]
-	j.refsSeen = j.refsSeen[:n]
-	for i := range j.refsSeen {
-		j.refsByCode[i] = nil
-		j.refsSeen[i] = false
 	}
 }
 
@@ -721,31 +811,24 @@ func (acc *groupAcc) result() (Value, error) {
 // and one accumulator per aggregate.
 type group struct {
 	keyVals []Value
-	accs    []*groupAcc
+	accs    []groupAcc
 }
 
 // groupTable hash-aggregates batches: the core of the group-by build and of
-// pre-shuffle partial aggregation. Group keys are encoded straight from the
-// column vectors (appendCellKey mirrors groupKey byte for byte); groups are
-// kept in first-seen order.
+// pre-shuffle partial aggregation. A row's group key is its key cells'
+// canonical bytes (appendCellKey, each cell closed by 0x1f), encoded
+// straight from the column vectors into a reused buffer and looked up in a
+// keyTable whose entry g is groups[g], so groups are kept, and emitted, in
+// first-seen order. A NULL key cell encodes as one byte, so NULLs form one
+// group.
 type groupTable struct {
 	keyIdx []int
 	aggIdx []int
 	specs  []algebra.AggSpec
 	ring   ringFn
-	groups map[string]*group
-	order  []string
+	keys   keyTable
+	groups []*group
 	keyBuf []byte
-
-	// Dictionary fast path (single dict-encoded key column): groups resolved
-	// by code instead of encoding and hashing the canonical key per row. The
-	// memo maps each dictionary entry to its group after one canonical
-	// registration, so first-seen order and the hk strings stay
-	// byte-identical to the generic path. Valid for one dictionary identity
-	// at a time.
-	dictID       *string
-	cipherDictID *[]byte
-	codeGroups   []*group
 
 	// When mem is set, every new group reserves its estimated footprint for
 	// op (reserved, returned by releaseMem).
@@ -760,10 +843,8 @@ type groupTable struct {
 }
 
 func newGroupTable(keyIdx, aggIdx []int, specs []algebra.AggSpec, ring ringFn) *groupTable {
-	return &groupTable{
-		keyIdx: keyIdx, aggIdx: aggIdx, specs: specs, ring: ring,
-		groups: make(map[string]*group),
-	}
+	return &groupTable{keyIdx: keyIdx, aggIdx: aggIdx, specs: specs, ring: ring,
+		keys: keyTable{heads: make([]int32, 1), shift: 64, offs: []int32{0}}}
 }
 
 // budgeted charges the table's groups to e's memory accountant, if it has
@@ -805,28 +886,8 @@ func (gt *groupTable) ingest(b *Batch) error {
 
 // addBatch accumulates one batch, row by row in row order.
 func (gt *groupTable) addBatch(b *Batch) error {
-	if len(gt.keyIdx) == 1 {
-		col := &b.Cols[gt.keyIdx[0]]
-		switch col.Kind {
-		case ColDict:
-			return gt.addBatchDict(b, col, len(col.Dict))
-		case ColCipherDict:
-			if col.Scheme == algebra.SchemeDeterministic || col.Scheme == algebra.SchemeOPE {
-				return gt.addBatchDict(b, col, len(col.CipherDict))
-			}
-		}
-	}
-	var err error
 	for ri := 0; ri < b.N; ri++ {
-		gt.keyBuf = gt.keyBuf[:0]
-		for _, ix := range gt.keyIdx {
-			gt.keyBuf, err = appendCellKey(gt.keyBuf, &b.Cols[ix], ri)
-			if err != nil {
-				return err
-			}
-			gt.keyBuf = append(gt.keyBuf, '\x1f')
-		}
-		grp, err := gt.groupFor(string(gt.keyBuf), b, ri)
+		grp, err := gt.groupFor(b, ri)
 		if err != nil {
 			return err
 		}
@@ -837,98 +898,47 @@ func (gt *groupTable) addBatch(b *Batch) error {
 	return nil
 }
 
-// addBatchDict is addBatch for a single dict-encoded key column: each row
-// resolves its group by code through the memo; only a code's first row (and
-// NULL cells, whose code slot is the sentinel) encodes the canonical key,
-// keeping group registration — hk strings, first-seen order, key values —
-// byte-identical to the generic path.
-func (gt *groupTable) addBatchDict(b *Batch, col *Column, dictLen int) error {
-	if col.Kind == ColDict {
-		if id := DictID(col.Dict); gt.dictID != id || gt.cipherDictID != nil {
-			gt.dictID, gt.cipherDictID = id, nil
-			gt.resetCodeGroups(dictLen)
-		}
-	} else {
-		if id := cipherDictID(col.CipherDict); gt.cipherDictID != id || gt.dictID != nil {
-			gt.cipherDictID, gt.dictID = id, nil
-			gt.resetCodeGroups(dictLen)
-		}
-	}
+// groupFor returns the group of row ri's key cells (columns keyIdx),
+// creating it (key values pinned from row ri) in first-seen order on first
+// use. Under a memory budget, registering a new group first reserves its
+// estimated footprint, and a refused reservation is an ErrMemoryBudget
+// error.
+func (gt *groupTable) groupFor(b *Batch, ri int) (*group, error) {
 	var err error
-	for ri := 0; ri < b.N; ri++ {
-		var grp *group
-		if col.IsNull(ri) {
-			gt.keyBuf = append(append(gt.keyBuf[:0], '\x00'), '\x1f')
-			grp, err = gt.groupFor(string(gt.keyBuf), b, ri)
-			if err != nil {
-				return err
-			}
-		} else if code := col.Codes[ri]; gt.codeGroups[code] != nil {
-			grp = gt.codeGroups[code]
-		} else {
-			gt.keyBuf, err = appendCellKey(gt.keyBuf[:0], col, ri)
-			if err != nil {
-				return err
-			}
-			gt.keyBuf = append(gt.keyBuf, '\x1f')
-			grp, err = gt.groupFor(string(gt.keyBuf), b, ri)
-			if err != nil {
-				return err
-			}
-			gt.codeGroups[code] = grp
+	gt.keyBuf = gt.keyBuf[:0]
+	for _, ix := range gt.keyIdx {
+		if gt.keyBuf, err = appendCellKey(gt.keyBuf, &b.Cols[ix], ri); err != nil {
+			return nil, err
 		}
-		if err := gt.accumulate(grp, b, ri); err != nil {
-			return err
-		}
+		gt.keyBuf = append(gt.keyBuf, '\x1f')
 	}
-	return nil
-}
-
-// resetCodeGroups sizes the code→group memo for a new dictionary, reusing
-// the previous dictionary's storage when it fits.
-func (gt *groupTable) resetCodeGroups(n int) {
-	if cap(gt.codeGroups) < n {
-		gt.codeGroups = make([]*group, n)
-		return
-	}
-	gt.codeGroups = gt.codeGroups[:n]
-	for i := range gt.codeGroups {
-		gt.codeGroups[i] = nil
-	}
-}
-
-// groupFor returns the group registered under hk, creating it (key values
-// pinned from row ri) in first-seen order on first use. Under a memory
-// budget, registering a new group first reserves its estimated footprint,
-// and a refused reservation is an ErrMemoryBudget error.
-func (gt *groupTable) groupFor(hk string, b *Batch, ri int) (*group, error) {
-	grp, ok := gt.groups[hk]
-	if ok {
-		return grp, nil
+	h := maphash.Bytes(hashSeed, gt.keyBuf)
+	if g := gt.keys.scanBytes(gt.keys.first(h), gt.keyBuf); g >= 0 {
+		return gt.groups[g], nil
 	}
 	if gt.mem != nil {
-		cost := groupCost(len(hk), len(gt.keyIdx), len(gt.specs))
+		cost := groupCost(len(gt.keyBuf), len(gt.keyIdx), len(gt.specs))
 		if err := gt.mem.reserve(gt.op, cost); err != nil {
 			return nil, err
 		}
 		gt.reserved += cost
 	}
-	grp = &group{keyVals: make([]Value, len(gt.keyIdx)), accs: make([]*groupAcc, len(gt.specs))}
+	grp := &group{keyVals: make([]Value, len(gt.keyIdx)), accs: make([]groupAcc, len(gt.specs))}
 	for i, ix := range gt.keyIdx {
 		grp.keyVals[i] = b.Cols[ix].Value(ri)
 	}
 	for i, sp := range gt.specs {
-		grp.accs[i] = &groupAcc{fn: sp.Func}
+		grp.accs[i].fn = sp.Func
 	}
-	gt.groups[hk] = grp
-	gt.order = append(gt.order, hk)
+	gt.keys.add(gt.keyBuf, h)
+	gt.groups = append(gt.groups, grp)
 	return grp, nil
 }
 
 // accumulate folds row ri of b into grp's accumulators.
 func (gt *groupTable) accumulate(grp *group, b *Batch, ri int) error {
 	for i, sp := range gt.specs {
-		acc := grp.accs[i]
+		acc := &grp.accs[i]
 		if sp.Star {
 			if err := acc.add(Value{}, gt.ring); err != nil {
 				return err
@@ -987,9 +997,8 @@ func (g *groupByOp) build() error {
 	if err := gt.fill(g.child); err != nil {
 		return err
 	}
-	g.out = make([][]Value, 0, len(gt.order))
-	for _, hk := range gt.order {
-		grp := gt.groups[hk]
+	g.out = make([][]Value, 0, len(gt.groups))
+	for _, grp := range gt.groups {
 		row := make([]Value, 0, len(grp.keyVals)+len(g.specs))
 		row = append(row, grp.keyVals...)
 		for i := range g.specs {

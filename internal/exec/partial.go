@@ -123,17 +123,8 @@ func (acc *groupAcc) absorb(count int64, payload Value, ring ringFn) error {
 // per aggregate, folded in via absorb.
 func (gt *groupTable) addPartialBatch(b *Batch) error {
 	nk := len(gt.keyIdx)
-	var err error
 	for ri := 0; ri < b.N; ri++ {
-		gt.keyBuf = gt.keyBuf[:0]
-		for k := 0; k < nk; k++ {
-			gt.keyBuf, err = appendCellKey(gt.keyBuf, &b.Cols[k], ri)
-			if err != nil {
-				return err
-			}
-			gt.keyBuf = append(gt.keyBuf, '\x1f')
-		}
-		grp, err := gt.groupFor(string(gt.keyBuf), b, ri)
+		grp, err := gt.groupFor(b, ri)
 		if err != nil {
 			return err
 		}
@@ -243,9 +234,8 @@ func (p *partialAggOp) build() error {
 	if err := gt.fill(p.child); err != nil {
 		return err
 	}
-	p.out = make([][]Value, 0, len(gt.order))
-	for _, hk := range gt.order {
-		grp := gt.groups[hk]
+	p.out = make([][]Value, 0, len(gt.groups))
+	for _, grp := range gt.groups {
 		row := make([]Value, 0, len(grp.keyVals)+2*len(p.specs))
 		row = append(row, grp.keyVals...)
 		for i := range p.specs {
