@@ -167,6 +167,11 @@ func (p *Paillier) Decrypt(c *big.Int) (*big.Int, error) {
 	if !p.HasPrivate() {
 		return nil, ErrNoPrivateKey
 	}
+	return p.decrypt(c), nil
+}
+
+// decrypt is Decrypt for a private key, without the counter.
+func (p *Paillier) decrypt(c *big.Int) *big.Int {
 	var m *big.Int
 	if p.p != nil {
 		m = p.decryptCRT(c)
@@ -181,7 +186,7 @@ func (p *Paillier) Decrypt(c *big.Int) (*big.Int, error) {
 	if m.Cmp(half) > 0 {
 		m.Sub(m, p.N)
 	}
-	return m, nil
+	return m
 }
 
 // decryptCRT recovers m mod n by decrypting mod p² and q² separately —
@@ -201,6 +206,97 @@ func (p *Paillier) decryptCRT(c *big.Int) *big.Int {
 	h.Mod(h, p.p)
 	m := h.Mul(h, p.q)
 	return m.Add(m, mq)
+}
+
+// pheSlotBits is the width w of one packed plaintext slot in DecryptBatch.
+const pheSlotBits = 128
+
+var (
+	pheSlotBase = new(big.Int).Lsh(big.NewInt(1), pheSlotBits)   // 2^w
+	pheSlotMask = new(big.Int).Sub(pheSlotBase, big.NewInt(1))   // 2^w − 1
+	pheSlotMax  = new(big.Int).Lsh(big.NewInt(1), pheSlotBits-1) // 2^(w−1)
+)
+
+// errBatchBound reports a DecryptBatch plaintext of magnitude 2^127 or more.
+var errBatchBound = errors.New("crypto: paillier: batch plaintext exceeds 2^127")
+
+// DecryptBatch decrypts ciphertexts whose plaintexts satisfy |m| < 2^127 and
+// returns, in order, what Decrypt returns for each.
+//
+// It rests on two exact facts. A plaintext with |m| < p/2 is fully
+// determined by m mod p, so the q² half of decryptCRT is wasted work. And
+// decryption mod p is additively homomorphic, so s ciphertexts fold into one
+// by Horner's rule mod p², C ← C^(2^w)·c_j, whose plaintext is
+// Σ m_j·2^(w·(s−1−j)). One exponentiation by p−1 decrypts it, and the m_j
+// are read back as balanced base-2^w digits, the last ciphertext in the
+// lowest slot. With w = 128 and s = ⌊(bits(p)−2)/w⌋ — 3 at 512-bit primes,
+// 7 at 1024-bit — the packed value has magnitude below 2^(bits(p)−3) < p/2,
+// so it too is determined mod p.
+//
+// The executor's ciphertexts meet the bound: its fixed-point encoding
+// scales an int64 by 10⁴, so |v| < 2^77, and a cell needs 2^50 homomorphic
+// additions to reach 2^127. A batch whose first slot overflows is an
+// error; an overflow in a lower slot carries silently.
+//
+// A key without its factorization, or whose p is too narrow for one slot,
+// decrypts value by value. A public-only key returns ErrNoPrivateKey. Like
+// len(cs) calls to Decrypt, it counts len(cs) Paillier decryptions.
+func (p *Paillier) DecryptBatch(cs []*big.Int) ([]*big.Int, error) {
+	cryptoStats.decryptBatches.Add(1)
+	cryptoStats.pheDecrypts.Add(uint64(len(cs)))
+	if !p.HasPrivate() {
+		return nil, ErrNoPrivateKey
+	}
+	out := make([]*big.Int, len(cs))
+	slots := 0
+	if p.p != nil {
+		slots = (p.p.BitLen() - 2) / pheSlotBits
+	}
+	if slots == 0 {
+		for i, c := range cs {
+			out[i] = p.decrypt(c)
+		}
+		return out, nil
+	}
+	for lo := 0; lo < len(cs); lo += slots {
+		hi := min(lo+slots, len(cs))
+		if err := p.decryptPacked(cs[lo:hi], out[lo:hi]); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// decryptPacked decrypts up to one key's slot count of ciphertexts with one
+// exponentiation mod p² (see DecryptBatch), writing the plaintexts to out.
+func (p *Paillier) decryptPacked(cs, out []*big.Int) error {
+	var acc, c, quo big.Int
+	quo.QuoRem(cs[0], p.p2, &acc)
+	for _, ct := range cs[1:] {
+		// acc^(2^w) as (acc^(2^(w−1)))²: big.Int.Exp walks every word of
+		// the exponent, and 2^(w−1) spans one word fewer than 2^w.
+		acc.Exp(&acc, pheSlotMax, p.p2)
+		quo.QuoRem(c.Mul(&acc, &acc), p.p2, &acc)
+		quo.QuoRem(ct, p.p2, &c)
+		quo.QuoRem(c.Mul(&acc, &c), p.p2, &acc)
+	}
+	m := lOf(acc.Exp(&acc, p.pOrd, p.p2), p.p)
+	quo.QuoRem(m.Mul(m, p.hp), p.p, m)
+	if m.Cmp(c.Rsh(p.p, 1)) > 0 {
+		m.Sub(m, p.p)
+	}
+	for i := len(cs) - 1; i >= 0; i-- {
+		d := new(big.Int).And(m, pheSlotMask) // two's complement low w bits
+		if d.Cmp(pheSlotMax) >= 0 {
+			d.Sub(d, pheSlotBase)
+		}
+		out[i] = d
+		m.Rsh(m.Sub(m, d), pheSlotBits)
+	}
+	if m.Sign() != 0 {
+		return errBatchBound
+	}
+	return nil
 }
 
 // Add homomorphically adds two ciphertexts: Dec(Add(c1,c2)) = m1 + m2.

@@ -263,3 +263,24 @@ func benchPaillierDecrypt(b *testing.B, crt bool) {
 
 func BenchmarkPaillierDecrypt(b *testing.B)         { benchPaillierDecrypt(b, true) }
 func BenchmarkPaillierDecryptTextbook(b *testing.B) { benchPaillierDecrypt(b, false) }
+
+// BenchmarkPaillierDecryptBatch decrypts the 600 ciphertexts a served
+// UAPenc Q18 decrypts, through DecryptBatch at 512-bit primes; one op is
+// the whole batch (BenchmarkPaillierDecrypt's op is one value).
+func BenchmarkPaillierDecryptBatch(b *testing.B) {
+	pk, err := GeneratePaillier(DefaultPaillierBits)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cts, err := pk.EncryptBatch(benchPaillierMessages(600))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := pk.DecryptBatch(cts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

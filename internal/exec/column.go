@@ -372,7 +372,9 @@ func (c *Column) gather(sel []int32) Column {
 
 // appendCellKey appends cell i's canonical grouping key to buf, mirroring
 // groupKey byte for byte (group-by and hash-join keys computed from columns
-// must collide exactly with keys computed from materialized rows).
+// must collide exactly with keys computed from materialized rows). Every
+// cell key is self-delimiting, so keys of several cells concatenate
+// injectively.
 func appendCellKey(buf []byte, c *Column, i int) ([]byte, error) {
 	if c.Kind != ColAny && c.IsNull(i) {
 		return append(buf, '\x00'), nil
@@ -389,24 +391,20 @@ func appendCellKey(buf []byte, c *Column, i int) ([]byte, error) {
 		binary.BigEndian.PutUint64(b[1:], math.Float64bits(c.Floats[i]))
 		return append(buf, b[:]...), nil
 	case ColStr:
-		buf = append(buf, 's')
-		return append(buf, c.Strs[i]...), nil
+		return appendLenKey(buf, 's', c.Strs[i]), nil
 	case ColCipherBytes:
 		switch c.Scheme {
 		case algebra.SchemeDeterministic, algebra.SchemeOPE:
-			buf = append(buf, 'c')
-			return append(buf, c.Bytes[i]...), nil
+			return appendLenKey(buf, 'c', c.Bytes[i]), nil
 		default:
 			return nil, fmt.Errorf("exec: cannot group/join on %s ciphertext", c.Scheme)
 		}
 	case ColDict:
-		buf = append(buf, 's')
-		return append(buf, c.Dict[c.Codes[i]]...), nil
+		return appendLenKey(buf, 's', c.Dict[c.Codes[i]]), nil
 	case ColCipherDict:
 		switch c.Scheme {
 		case algebra.SchemeDeterministic, algebra.SchemeOPE:
-			buf = append(buf, 'c')
-			return append(buf, c.CipherDict[c.Codes[i]]...), nil
+			return appendLenKey(buf, 'c', c.CipherDict[c.Codes[i]]), nil
 		default:
 			return nil, fmt.Errorf("exec: cannot group/join on %s ciphertext", c.Scheme)
 		}

@@ -10,14 +10,14 @@ import (
 	"mpq/internal/crypto"
 )
 
-// The batch crypto path. The per-value EncryptValue/DecryptValue calls
-// resolve the ring's cipher, allocate an encoding, and build cipher state
-// for every cell; the column-wise entry points below amortize all of it
-// per batch — one cipher resolution, one encoding arena, one batched call
-// into internal/crypto — and optionally split large columns across an
-// intra-batch worker pool. Every batch result is bit-identical to the
-// per-value calls for the deterministic schemes, decrypt-identical for the
-// randomized ones (TestEncryptOpBatchVsValueCrypto).
+// The batch crypto path. Per-value crypto (EncryptValue, and the tests'
+// DecryptValue oracle) resolves the ring's cipher, allocates an encoding
+// and builds cipher state for every cell; the column-wise entry points
+// below amortize all of it per batch — one cipher resolution, one encoding
+// arena, one batched call into internal/crypto — and optionally split
+// large columns across an intra-batch worker pool. Every batch result is
+// bit-identical to the per-value calls for the deterministic schemes,
+// decrypt-identical for the randomized ones (TestEncryptOpBatchVsValueCrypto).
 
 // cryptoParMinCells is the column size from which the symmetric batch
 // entry points fan out to the worker pool; below it, goroutine hand-off
@@ -266,36 +266,24 @@ type groupKeyID struct {
 	keyID  string
 }
 
-// groupCipherCells partitions the cipher cells of the given columns (nil =
-// every cipher cell of every row) by scheme and key id.
-func groupCipherCells(rows [][]Value, cols []int) []*cipherGroup {
+// groupCipherCells partitions every cipher cell of every row by scheme and
+// key id, groups in first-seen order.
+func groupCipherCells(rows [][]Value) []*cipherGroup {
 	groups := make(map[groupKeyID]*cipherGroup)
 	var order []*cipherGroup
-	add := func(ri, ci int, c *Cipher) {
-		k := groupKeyID{c.Scheme, c.KeyID}
-		g, ok := groups[k]
-		if !ok {
-			g = &cipherGroup{scheme: c.Scheme, keyID: c.KeyID}
-			groups[k] = g
-			order = append(order, g)
-		}
-		g.cells = append(g.cells, cell{ri, ci})
-	}
-	if cols == nil {
-		for ri, row := range rows {
-			for ci, v := range row {
-				if v.IsCipher() {
-					add(ri, ci, v.C)
-				}
+	for ri, row := range rows {
+		for ci, v := range row {
+			if !v.IsCipher() {
+				continue
 			}
-		}
-		return order
-	}
-	for _, ci := range cols {
-		for ri, row := range rows {
-			if ci < len(row) && row[ci].IsCipher() {
-				add(ri, ci, row[ci].C)
+			k := groupKeyID{v.C.Scheme, v.C.KeyID}
+			g, ok := groups[k]
+			if !ok {
+				g = &cipherGroup{scheme: v.C.Scheme, keyID: v.C.KeyID}
+				groups[k] = g
+				order = append(order, g)
 			}
+			g.cells = append(g.cells, cell{ri, ci})
 		}
 	}
 	return order
@@ -314,80 +302,43 @@ func (e *Executor) decryptGroup(ring *crypto.KeyRing, g *cipherGroup, rows [][]V
 }
 
 // decryptCells batch-decrypts one chunk of same-scheme, same-key cells,
-// writing plaintext values back into rows.
+// writing plaintext values back into rows. Paillier cells decrypt through
+// Paillier.DecryptBatch, several per exponentiation; the other schemes
+// through decryptBytesInto.
 func decryptCells(ring *crypto.KeyRing, scheme algebra.Scheme, cells []cell, rows [][]Value) error {
-	switch scheme {
-	case algebra.SchemeDeterministic, algebra.SchemeRandom:
-		cts := make([][]byte, len(cells))
-		for i, c := range cells {
-			cts[i] = rows[c.ri][c.ci].C.Data
-		}
-		var (
-			pts [][]byte
-			err error
-		)
-		if scheme == algebra.SchemeDeterministic {
-			d, derr := ring.Det()
-			if derr != nil {
-				return derr
-			}
-			pts, err = d.DecryptBatch(cts)
-		} else {
-			r, rerr := ring.Rnd()
-			if rerr != nil {
-				return rerr
-			}
-			pts, err = r.DecryptBatch(cts)
-		}
-		if err != nil {
-			return err
-		}
-		for i, c := range cells {
-			v, err := decodePlain(pts[i])
-			if err != nil {
-				return err
-			}
-			rows[c.ri][c.ci] = v
-		}
-	case algebra.SchemeOPE:
-		o, err := ring.OPE()
-		if err != nil {
-			return err
-		}
-		cts := make([][]byte, len(cells))
-		for i, c := range cells {
-			cts[i] = rows[c.ri][c.ci].C.Data
-		}
-		encs, err := o.DecryptBatch(cts)
-		if err != nil {
-			return err
-		}
-		for i, c := range cells {
-			v, err := opeDecode(encs[i], rows[c.ri][c.ci].C.Plain)
-			if err != nil {
-				return err
-			}
-			rows[c.ri][c.ci] = v
-		}
-	case algebra.SchemePaillier:
+	out := make([]Value, len(cells))
+	if scheme == algebra.SchemePaillier {
 		pk, err := pheDecrypter(ring)
 		if err != nil {
 			return err
 		}
-		for _, c := range cells {
-			ct := rows[c.ri][c.ci].C
-			m, err := pk.Decrypt(ct.Phe)
-			if err != nil {
-				return err
-			}
-			v, err := pheDecode(m, ct.Div, ct.Plain)
-			if err != nil {
-				return err
-			}
-			rows[c.ri][c.ci] = v
+		cts := make([]*big.Int, len(cells))
+		for i, c := range cells {
+			cts[i] = rows[c.ri][c.ci].C.Phe
 		}
-	default:
-		return fmt.Errorf("exec: unknown scheme %q", scheme)
+		ms, err := pk.DecryptBatch(cts)
+		if err != nil {
+			return err
+		}
+		for i, c := range cells {
+			ct := rows[c.ri][c.ci].C
+			if out[i], err = pheDecode(ms[i], ct.Div, ct.Plain); err != nil {
+				return err
+			}
+		}
+	} else {
+		cts := make([][]byte, len(cells))
+		plains := make([]Kind, len(cells))
+		for i, c := range cells {
+			ct := rows[c.ri][c.ci].C
+			cts[i], plains[i] = ct.Data, ct.Plain
+		}
+		if err := decryptBytesInto(ring, scheme, cts, plains, out); err != nil {
+			return err
+		}
+	}
+	for i, c := range cells {
+		rows[c.ri][c.ci] = out[i]
 	}
 	return nil
 }
@@ -441,42 +392,16 @@ func (e *Executor) decryptColumn(col *Column, resolve func(string) (*crypto.KeyR
 		}
 		return NewColumn(vals), nil
 	}
+	// Each cell of a generic column is a one-cell row over vals, so the
+	// cells group by scheme and key and decrypt in place as DecryptRows'
+	// do.
 	copy(vals, col.Vals)
-	// Group cell positions by scheme and key, then decrypt each group
-	// batch-wise in place.
-	type posGroup struct {
-		scheme algebra.Scheme
-		keyID  string
-		pos    []int32
-	}
-	groups := make(map[groupKeyID]*posGroup)
-	var order []*posGroup
+	rows := make([][]Value, n)
 	for i := range vals {
-		c := vals[i].C
-		k := groupKeyID{c.Scheme, c.KeyID}
-		g, ok := groups[k]
-		if !ok {
-			g = &posGroup{scheme: c.Scheme, keyID: c.KeyID}
-			groups[k] = g
-			order = append(order, g)
-		}
-		g.pos = append(g.pos, int32(i))
+		rows[i] = vals[i : i+1 : i+1]
 	}
-	for _, g := range order {
-		ring, err := resolve(g.keyID)
-		if err != nil {
-			return Column{}, err
-		}
-		minChunk := cryptoParMinCells
-		if g.scheme == algebra.SchemePaillier {
-			minChunk = cryptoParMinPaillier
-		}
-		err = runChunks(len(g.pos), e.cryptoWorkers(), minChunk, func(lo, hi int) error {
-			return decryptPosCells(ring, g.scheme, g.pos[lo:hi], vals)
-		})
-		if err != nil {
-			return Column{}, err
-		}
+	if err := e.decryptGroups(groupCipherCells(rows), rows, resolve); err != nil {
+		return Column{}, err
 	}
 	return NewColumn(vals), nil
 }
@@ -535,52 +460,6 @@ func decryptBytesInto(ring *crypto.KeyRing, scheme algebra.Scheme, cts [][]byte,
 	return fmt.Errorf("exec: unknown scheme %q", scheme)
 }
 
-// decryptPosCells batch-decrypts one chunk of same-scheme, same-key cells
-// of a generic column in place (pos indexes vals).
-func decryptPosCells(ring *crypto.KeyRing, scheme algebra.Scheme, pos []int32, vals []Value) error {
-	switch scheme {
-	case algebra.SchemeDeterministic, algebra.SchemeRandom, algebra.SchemeOPE:
-		cts := make([][]byte, len(pos))
-		for i, p := range pos {
-			cts[i] = vals[p].C.Data
-		}
-		var plains []Kind
-		if scheme == algebra.SchemeOPE {
-			plains = make([]Kind, len(pos))
-			for i, p := range pos {
-				plains[i] = vals[p].C.Plain
-			}
-		}
-		out := make([]Value, len(pos))
-		if err := decryptBytesInto(ring, scheme, cts, plains, out); err != nil {
-			return err
-		}
-		for i, p := range pos {
-			vals[p] = out[i]
-		}
-		return nil
-	case algebra.SchemePaillier:
-		pk, err := pheDecrypter(ring)
-		if err != nil {
-			return err
-		}
-		for _, p := range pos {
-			ct := vals[p].C
-			m, err := pk.Decrypt(ct.Phe)
-			if err != nil {
-				return err
-			}
-			v, err := pheDecode(m, ct.Div, ct.Plain)
-			if err != nil {
-				return err
-			}
-			vals[p] = v
-		}
-		return nil
-	}
-	return fmt.Errorf("exec: unknown scheme %q", scheme)
-}
-
 // pheDecrypter returns the ring's Paillier key if it can decrypt.
 func pheDecrypter(ring *crypto.KeyRing) (*crypto.Paillier, error) {
 	pk, err := ring.Paillier()
@@ -610,15 +489,14 @@ func (e *Executor) decryptGroups(groups []*cipherGroup, rows [][]Value, resolve 
 
 // DecryptRows returns a copy of the rows with every ciphertext decrypted
 // using the executor's keys, leaving the input untouched (it may alias
-// upstream storage). It is the batch counterpart of per-value DecryptValue
-// over a row window: ciphers are grouped by scheme and key and decrypted
+// upstream storage). Ciphers are grouped by scheme and key and decrypted
 // column-batch-wise, with large batches fanned out to the worker pool.
 func (e *Executor) DecryptRows(rows [][]Value) ([][]Value, error) {
 	out := make([][]Value, len(rows))
 	for ri, row := range rows {
 		out[ri] = append(make([]Value, 0, len(row)), row...)
 	}
-	if err := e.decryptGroups(groupCipherCells(out, nil), out, e.Keys.Get); err != nil {
+	if err := e.decryptGroups(groupCipherCells(out), out, e.Keys.Get); err != nil {
 		return nil, err
 	}
 	return out, nil

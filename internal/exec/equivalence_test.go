@@ -370,3 +370,101 @@ func TestNullJoinKeysMatchReference(t *testing.T) {
 		t.Fatalf("R's key columns are %v and %v in the columnar cache, want ColInt and ColDict", cols[0].Kind, cols[1].Kind)
 	}
 }
+
+// TestGroupKeysAreInjective groups by two string columns whose values hold
+// the bytes a separator-closed key encoding would confuse: ("x\x1fsy", "z")
+// and ("x", "y\x1fsz") are two groups, as the SQL reference says, whether
+// the columns are plain strings or dictionary-encoded.
+func TestGroupKeysAreInjective(t *testing.T) {
+	a, b, v := algebra.A("G", "a"), algebra.A("G", "b"), algebra.A("G", "v")
+	pairs := [][2]string{{"x\x1fsy", "z"}, {"x", "y\x1fsz"}, {"x", "y\x1fsz"}, {"", "\x00"}, {"\x00", ""}}
+	for _, policy := range []exec.DictPolicy{{MinRows: 1 << 30}, {MinRows: 1, MaxRatio: 1}} {
+		prev := exec.SetDictPolicy(policy)
+		tbl := exec.NewTable([]algebra.Attr{a, b, v})
+		ref := sqlref.Table{Cols: []string{"a", "b", "v"}}
+		for i, p := range pairs {
+			row := []exec.Value{exec.String(p[0]), exec.String(p[1]), exec.Int(int64(i))}
+			if err := tbl.Append(row); err != nil {
+				t.Fatal(err)
+			}
+			ref.Rows = append(ref.Rows, plainRow(row))
+		}
+		want, err := sqlref.Query(map[string]sqlref.Table{"G": ref}, "select a, b, count(*), sum(v) from G group by a, b")
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := exec.NewExecutor()
+		e.Tables["G"] = tbl
+		op, err := e.Build(algebra.NewGroupBy(algebra.NewBase("G", "A", []algebra.Attr{a, b, v}, float64(len(pairs)), nil),
+			[]algebra.Attr{a, b}, []algebra.AggSpec{{Func: sql.AggCount, Star: true}, {Func: sql.AggSum, Attr: v}}, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := exec.Drain(op)
+		exec.SetDictPolicy(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		diffRef(t, fmt.Sprintf("dict policy %+v", policy), got, want)
+	}
+}
+
+// TestPaillierSumAvgMatchesReference groups 900 rows into 600 keys over a
+// Paillier column at the production key size, where decryption packs
+// several ciphertexts per exponentiation. Each group holds ints or floats
+// of both signs; SUM and AVG (a ciphertext with a divisor) decrypt through
+// the decrypt operator (decryptColumn) and through DecryptTable
+// (DecryptRows), and both answers equal the SQL reference's.
+func TestPaillierSumAvgMatchesReference(t *testing.T) {
+	ring, err := crypto.NewKeyRing("kp", crypto.DefaultPaillierBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, v := algebra.A("T", "k"), algebra.A("T", "v")
+	tbl := exec.NewTable([]algebra.Attr{k, v})
+	ref := sqlref.Table{Cols: []string{"k", "v"}}
+	for i := 0; i < 900; i++ {
+		g := i % 600
+		x := exec.Int(int64((i*7919)%100003 - 50000))
+		if g%2 == 1 {
+			x = exec.Float(float64((i*104729)%20011-10000) * 0.25)
+		}
+		row := []exec.Value{exec.Int(int64(g)), x}
+		if err := tbl.Append(row); err != nil {
+			t.Fatal(err)
+		}
+		ref.Rows = append(ref.Rows, plainRow(row))
+	}
+	want, err := sqlref.Query(map[string]sqlref.Table{"T": ref}, "select k, sum(v), avg(v) from T group by k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := exec.NewExecutor()
+	e.Keys.Add(ring)
+	e.Tables["T"] = tbl
+	enc := algebra.NewEncrypt(algebra.NewBase("T", "A", []algebra.Attr{k, v}, 900, nil), []algebra.Attr{v})
+	enc.Schemes[v] = algebra.SchemePaillier
+	enc.KeyIDs[v] = "kp"
+	grp := algebra.NewGroupBy(enc, []algebra.Attr{k},
+		[]algebra.AggSpec{{Func: sql.AggSum, Attr: v}, {Func: sql.AggAvg, Attr: v}}, 600)
+	sums, err := e.Run(grp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sums.Rows[0][1].IsCipher() || !sums.Rows[0][2].IsCipher() {
+		t.Fatalf("the group-by answered plaintext %v", sums.Rows[0])
+	}
+	rows, err := e.DecryptTable(sums)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diffRef(t, "DecryptTable", rows, want)
+	e.Materialized = map[algebra.Node]*exec.Table{grp: sums}
+	dec := algebra.NewDecrypt(grp, []algebra.Attr{v})
+	dec.KeyIDs[v] = "kp"
+	cols, err := e.Run(dec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diffRef(t, "the decrypt operator", cols, want)
+}

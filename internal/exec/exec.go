@@ -205,60 +205,3 @@ func EncryptValue(ring *crypto.KeyRing, scheme algebra.Scheme, v Value) (Value, 
 	}
 	return Enc(c), nil
 }
-
-// DecryptValue decrypts one ciphertext with the executor's keys.
-func (e *Executor) DecryptValue(c *Cipher) (Value, error) {
-	ring, err := e.Keys.Get(c.KeyID)
-	if err != nil {
-		return Value{}, err
-	}
-	return decryptCipher(ring, c)
-}
-
-// decryptCipher decrypts one ciphertext with an already-resolved key ring
-// (the batch pipeline caches ring lookups per operator).
-func decryptCipher(ring *crypto.KeyRing, c *Cipher) (Value, error) {
-	switch c.Scheme {
-	case algebra.SchemeDeterministic:
-		d, err := ring.Det()
-		if err != nil {
-			return Value{}, err
-		}
-		pt, err := d.Decrypt(c.Data)
-		if err != nil {
-			return Value{}, err
-		}
-		return decodePlain(pt)
-	case algebra.SchemeRandom:
-		r, err := ring.Rnd()
-		if err != nil {
-			return Value{}, err
-		}
-		pt, err := r.Decrypt(c.Data)
-		if err != nil {
-			return Value{}, err
-		}
-		return decodePlain(pt)
-	case algebra.SchemeOPE:
-		o, err := ring.OPE()
-		if err != nil {
-			return Value{}, err
-		}
-		enc, err := o.Decrypt(c.Data)
-		if err != nil {
-			return Value{}, err
-		}
-		return opeDecode(enc, c.Plain)
-	case algebra.SchemePaillier:
-		pk, err := pheDecrypter(ring)
-		if err != nil {
-			return Value{}, err
-		}
-		m, err := pk.Decrypt(c.Phe)
-		if err != nil {
-			return Value{}, err
-		}
-		return pheDecode(m, c.Div, c.Plain)
-	}
-	return Value{}, fmt.Errorf("exec: unknown scheme %q", c.Scheme)
-}

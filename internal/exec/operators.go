@@ -816,7 +816,7 @@ type group struct {
 
 // groupTable hash-aggregates batches: the core of the group-by build and of
 // pre-shuffle partial aggregation. A row's group key is its key cells'
-// canonical bytes (appendCellKey, each cell closed by 0x1f), encoded
+// canonical bytes (appendCellKey, self-delimiting per cell), encoded
 // straight from the column vectors into a reused buffer and looked up in a
 // keyTable whose entry g is groups[g], so groups are kept, and emitted, in
 // first-seen order. A NULL key cell encodes as one byte, so NULLs form one
@@ -910,7 +910,6 @@ func (gt *groupTable) groupFor(b *Batch, ri int) (*group, error) {
 		if gt.keyBuf, err = appendCellKey(gt.keyBuf, &b.Cols[ix], ri); err != nil {
 			return nil, err
 		}
-		gt.keyBuf = append(gt.keyBuf, '\x1f')
 	}
 	h := maphash.Bytes(hashSeed, gt.keyBuf)
 	if g := gt.keys.scanBytes(gt.keys.first(h), gt.keyBuf); g >= 0 {

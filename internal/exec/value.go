@@ -246,6 +246,14 @@ func compare(a, b Value) (int, error) {
 	return 0, fmt.Errorf("exec: incomparable kinds %d and %d", a.Kind, b.Kind)
 }
 
+// appendLenKey appends the key of a string or ciphertext cell: the tag, the
+// length as a uvarint, then the bytes. The length prefix keeps a key of
+// several cells injective whatever bytes a cell holds.
+func appendLenKey[T string | []byte](buf []byte, tag byte, b T) []byte {
+	buf = binary.AppendUvarint(append(buf, tag), uint64(len(b)))
+	return append(buf, b...)
+}
+
 // groupKey returns a canonical string encoding of a value usable as a hash
 // key: plaintext values by content, deterministic/OPE ciphertexts by their
 // ciphertext bytes (equal plaintexts yield equal ciphertexts).
@@ -264,11 +272,11 @@ func groupKey(v Value) (string, error) {
 		binary.BigEndian.PutUint64(buf[1:], math.Float64bits(v.F))
 		return string(buf[:]), nil
 	case KString:
-		return "s" + v.S, nil
+		return string(appendLenKey(nil, 's', v.S)), nil
 	case KCipher:
 		switch v.C.Scheme {
 		case algebra.SchemeDeterministic, algebra.SchemeOPE:
-			return "c" + string(v.C.Data), nil
+			return string(appendLenKey(nil, 'c', v.C.Data)), nil
 		default:
 			return "", fmt.Errorf("exec: cannot group/join on %s ciphertext", v.C.Scheme)
 		}
