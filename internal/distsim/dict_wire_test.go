@@ -134,8 +134,8 @@ func runStreamTotal(t *testing.T) ([]string, int64) {
 		t.Fatal(err)
 	}
 	var rows [][]exec.Value
-	schema, _, err := nw.ExecuteStreamCtx(nil, ext, consts, func(b [][]exec.Value) error {
-		rows = append(rows, b...)
+	schema, _, err := nw.ExecuteStreamCtx(nil, ext, consts, func(b *exec.Batch) error {
+		rows = append(rows, b.Rows()...)
 		return nil
 	})
 	if err != nil {

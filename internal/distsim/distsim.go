@@ -1,6 +1,7 @@
 package distsim
 
 import (
+	"maps"
 	"sync"
 	"time"
 
@@ -141,16 +142,17 @@ func (nw *Network) Subject(s authz.Subject) *exec.Executor {
 	return e
 }
 
-// Clone returns a network whose subjects share the receiver's tables, key
-// material, and UDF registries but carry fresh per-execution state and an
-// empty transfer ledger. A prepared network (subjects registered, keys
-// distributed) can be cloned once per run, so concurrent executions of the
-// same cached plan never share mutable executor state.
+// Clone returns a network sharing the receiver's subject executors (their
+// tables, key material and caches), UDF registry and settings, with its own
+// subject map and an empty transfer ledger. A prepared network (subjects
+// registered, keys distributed) can be cloned once per run so each run
+// reads its own ledger and trace; the per-execution executor state is
+// created by ExecuteStreamCtx, which clones each fragment's executor.
 func (nw *Network) Clone() *Network {
 	nw.mu.Lock()
 	defer nw.mu.Unlock()
-	c := &Network{
-		subjects:      make(map[authz.Subject]*exec.Executor, len(nw.subjects)),
+	return &Network{
+		subjects:      maps.Clone(nw.subjects),
 		UDFs:          nw.UDFs,
 		preRings:      nw.preRings,
 		Delay:         nw.Delay,
@@ -160,13 +162,6 @@ func (nw *Network) Clone() *Network {
 		Trace:         nw.Trace,
 		Faults:        nw.Faults,
 	}
-	for s, e := range nw.subjects {
-		ce := e.Clone()
-		ce.BatchSize = nw.BatchSize
-		ce.CryptoWorkers = nw.CryptoWorkers
-		c.subjects[s] = ce
-	}
-	return c
 }
 
 // runMem creates the memory accountant of one execution (nil when no budget

@@ -23,8 +23,8 @@ import (
 // concurrent ExecuteParallel calls on one prepared network are safe.
 func (nw *Network) ExecuteParallel(ext *core.ExtendedPlan, consts exec.ConstCache) (*exec.Table, []Transfer, error) {
 	var rows [][]exec.Value
-	schema, transfers, err := nw.ExecuteStreamCtx(nil, ext, consts, func(b [][]exec.Value) error {
-		rows = append(rows, b...)
+	schema, transfers, err := nw.ExecuteStreamCtx(nil, ext, consts, func(b *exec.Batch) error {
+		rows = append(rows, b.Rows()...)
 		return nil
 	})
 	if err != nil {

@@ -38,9 +38,9 @@ var errStreamAborted = fmt.Errorf("distsim: stream aborted")
 // worker goroutine per fragment of dispatch.Partition(ext) — the Figure 8
 // requests — exchanging row batches over channels.
 // Every batch of the root fragment's output is handed to sink in production
-// order; the returned schema describes those rows. The transfers of this
-// run (one per cross-subject edge, bytes accounted per batch) are returned
-// and appended to the network ledger. The network is not otherwise mutated,
+// order, as the columnar batch it is; the returned schema describes its
+// columns. The transfers of this run (one per cross-subject edge, bytes
+// accounted per batch) are returned and appended to the network ledger. The network is not otherwise mutated,
 // so concurrent calls on one prepared network are safe.
 //
 // Cancellation (or deadline expiry) of ctx aborts the run within one batch
@@ -50,7 +50,7 @@ var errStreamAborted = fmt.Errorf("distsim: stream aborted")
 // caught at the fragment boundary and surfaces as that fragment's
 // *exec.PanicError instead of killing the process. A nil context (or one
 // that can never be cancelled) costs nothing.
-func (nw *Network) ExecuteStreamCtx(ctx context.Context, ext *core.ExtendedPlan, consts exec.ConstCache, sink func(rows [][]exec.Value) error) ([]algebra.Attr, []Transfer, error) {
+func (nw *Network) ExecuteStreamCtx(ctx context.Context, ext *core.ExtendedPlan, consts exec.ConstCache, sink func(*exec.Batch) error) ([]algebra.Attr, []Transfer, error) {
 	runCtx := ctx
 	if ctx != nil && ctx.Done() == nil {
 		runCtx = nil // context.Background etc: keep the zero-cost path
@@ -230,7 +230,7 @@ func (nw *Network) ExecuteStreamCtx(ctx context.Context, ext *core.ExtendedPlan,
 			first := true
 			var sinkErr error
 			aborted := false
-			pumpErr := pipeline.PumpContext(runCtx, op, func(b *exec.Batch) error {
+			pumpErr := exec.PumpContext(runCtx, op, func(b *exec.Batch) error {
 				rows += b.N
 				batches++
 				if edgeArmed {
@@ -240,10 +240,8 @@ func (nw *Network) ExecuteStreamCtx(ctx context.Context, ext *core.ExtendedPlan,
 				}
 				if isRoot {
 					// The root's hand-off to the dispatching user is not a
-					// simulated link and is not in the ledger: materialize
-					// the columnar batch into rows at this API boundary
-					// only.
-					if err := sink(b.Rows()); err != nil {
+					// simulated link and is not in the ledger.
+					if err := sink(b); err != nil {
 						sinkErr = err
 						return err
 					}

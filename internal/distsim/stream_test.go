@@ -71,8 +71,8 @@ func TestExecuteStreamMatchesReferences(t *testing.T) {
 	run := nw.Clone()
 	run.BatchSize = 3 // force multi-batch exchanges on the 8-row example
 	var rows [][]exec.Value
-	schema, transfers, err := run.ExecuteStreamCtx(nil, ext, consts, func(b [][]exec.Value) error {
-		rows = append(rows, b...)
+	schema, transfers, err := run.ExecuteStreamCtx(nil, ext, consts, func(b *exec.Batch) error {
+		rows = append(rows, b.Rows()...)
 		return nil
 	})
 	if err != nil {
@@ -157,8 +157,8 @@ func TestExecuteStreamEmptyProductDrainsProbe(t *testing.T) {
 	finished := make(chan error, 1)
 	var rows [][]exec.Value
 	go func() {
-		_, _, err := run.ExecuteStreamCtx(nil, ext, consts, func(b [][]exec.Value) error {
-			rows = append(rows, b...)
+		_, _, err := run.ExecuteStreamCtx(nil, ext, consts, func(b *exec.Batch) error {
+			rows = append(rows, b.Rows()...)
 			return nil
 		})
 		finished <- err
@@ -193,8 +193,8 @@ func TestExecuteStreamConcurrent(t *testing.T) {
 			run := nw.Clone()
 			run.BatchSize = batch
 			var rows [][]exec.Value
-			schema, _, err := run.ExecuteStreamCtx(nil, ext, consts, func(b [][]exec.Value) error {
-				rows = append(rows, b...)
+			schema, _, err := run.ExecuteStreamCtx(nil, ext, consts, func(b *exec.Batch) error {
+				rows = append(rows, b.Rows()...)
 				return nil
 			})
 			if err != nil {

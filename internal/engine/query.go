@@ -156,33 +156,39 @@ func (e *Engine) newFinalizer(pq *preparedQuery, emit func(rows [][]exec.Value) 
 	return f
 }
 
-// add takes one batch of root rows, in production order.
-func (f *finalizer) add(rows [][]exec.Value) error {
-	if f.specs == nil && f.limit >= 0 {
-		rows = rows[:min(len(rows), f.limit-f.emitted)] // the rest drains undecrypted
+// add takes one batch of the root's output, in production order. It
+// decrypts the batch column by column and builds its rows once: projected
+// onto the output when they are emitted at once, whole for the sort.
+func (f *finalizer) add(b *exec.Batch) error {
+	if f.specs == nil && f.limit >= 0 && b.N > f.limit-f.emitted {
+		b = b.Head(f.limit - f.emitted) // the rest drains undecrypted
 	}
-	if len(rows) == 0 {
+	if b.N == 0 {
 		return nil
 	}
 	start := time.Now()
 	defer func() { f.spent += time.Since(start) }()
-	dec, err := f.dec.DecryptRows(rows)
+	dec, err := f.dec.DecryptBatch(b)
 	switch {
 	case err != nil:
 		return err
 	case f.topk != nil:
-		for _, row := range dec {
+		for _, row := range dec.Rows() {
 			if err := f.topk.Add(row); err != nil {
 				return err
 			}
 		}
 		return nil
 	case f.specs != nil:
-		f.drained = append(f.drained, dec...)
+		f.drained = append(f.drained, dec.Rows()...)
 		return nil
 	}
-	f.emitted += len(dec)
-	return f.emitRows(dec)
+	out := &exec.Batch{Cols: make([]exec.Column, len(f.out)), N: dec.N}
+	for j, ix := range f.out {
+		out.Cols[j] = dec.Cols[ix]
+	}
+	f.emitted += out.N
+	return f.emit(out.Rows())
 }
 
 // flush completes a sorted result once the root is exhausted.
@@ -201,24 +207,19 @@ func (f *finalizer) flush() error {
 	} else if err := (&exec.Table{Rows: sorted}).SortBy(f.specs); err != nil {
 		return err
 	}
-	return f.emitRows(sorted)
-}
-
-// emitRows projects decrypted root rows onto the output columns and hands
-// them on; empty batches are not emitted.
-func (f *finalizer) emitRows(rows [][]exec.Value) error {
-	if len(rows) == 0 {
+	if len(sorted) == 0 {
 		return nil
 	}
-	out := make([][]exec.Value, len(rows))
-	for i, row := range rows {
-		pr := make([]exec.Value, len(f.out))
+	// The rows are the finalizer's own: project each onto the output in
+	// place.
+	buf := make([]exec.Value, len(f.out))
+	for i, row := range sorted {
 		for j, ix := range f.out {
-			pr[j] = row[ix]
+			buf[j] = row[ix]
 		}
-		out[i] = pr
+		sorted[i] = append(row[:0], buf...)
 	}
-	return f.emit(out)
+	return f.emit(sorted)
 }
 
 // project is the output schema: the root schema projected by plan.Output.

@@ -61,7 +61,7 @@ func NewBatchFromRows(rows [][]Value, width int) (*Batch, error) {
 }
 
 // Rows materializes the batch row-major: the conversion shim for the
-// table-oriented call sites (Drain, the distributed root sink, build sides).
+// row-oriented call sites (Drain, ExecuteParallel, the user's finalizer).
 func (b *Batch) Rows() [][]Value {
 	out := make([][]Value, b.N)
 	cells := make([]Value, b.N*len(b.Cols))
@@ -80,6 +80,16 @@ func (b *Batch) Row(i int, dst []Value) {
 	for ci := range b.Cols {
 		dst[ci] = b.Cols[ci].Value(i)
 	}
+}
+
+// Head returns the batch's first n rows (n ≤ N) as a view sharing its
+// column storage.
+func (b *Batch) Head(n int) *Batch {
+	out := &Batch{Cols: make([]Column, len(b.Cols)), N: n}
+	for ci := range b.Cols {
+		out.Cols[ci] = b.Cols[ci].slice(0, n)
+	}
+	return out
 }
 
 // Gather returns a new batch holding the selected rows, in selection order:
@@ -104,13 +114,33 @@ func (e *Executor) batchSize() int {
 // as a table: the compatibility bridge between the columnar interior and
 // the *Table call sites.
 func Drain(op Operator) (*Table, error) {
-	if err := op.Open(); err != nil {
-		op.Close()
+	out := NewTable(op.Schema())
+	err := PumpContext(nil, op, func(b *Batch) error {
+		out.Rows = append(out.Rows, b.Rows()...)
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	// Close must run even when Next panics (injected faults, buggy UDFs):
-	// memory reservations hang off it, and a skipped Close leaks them past
-	// the recover boundary above us.
+	return out, nil
+}
+
+// PumpContext opens op, forwards every batch to emit, and closes it: the one
+// loop that runs a compiled pipeline, behind Drain and the fragment workers
+// that pump their sub-plan into an exchange (an emit error aborts the pump and is
+// returned). Between batches it checks ctx (nil = never cancelled), so a
+// cancelled or deadline-expired run stops pumping within one batch even
+// when the operator tree contains no context-aware leaf (pure exchange-fed
+// fragments). The operator is closed on every exit path.
+func PumpContext(ctx context.Context, op Operator, emit func(*Batch) error) error {
+	if err := op.Open(); err != nil {
+		op.Close()
+		return err
+	}
+	// A panic unwinding out of Next or emit (an injected fault, a buggy
+	// UDF) must still tear the operator tree down before the recover
+	// boundary above reports it: memory reservations hang off Close, and
+	// skipping it leaks them.
 	closed := false
 	closeOp := func() error { closed = true; return op.Close() }
 	defer func() {
@@ -118,22 +148,29 @@ func Drain(op Operator) (*Table, error) {
 			op.Close()
 		}
 	}()
-	out := NewTable(op.Schema())
 	for {
+		if ctx != nil {
+			select {
+			case <-ctx.Done():
+				closeOp()
+				return context.Cause(ctx)
+			default:
+			}
+		}
 		b, err := op.Next()
 		if err != nil {
 			closeOp()
-			return nil, err
+			return err
 		}
 		if b == nil {
 			break
 		}
-		out.Rows = append(out.Rows, b.Rows()...)
+		if err := emit(b); err != nil {
+			closeOp()
+			return err
+		}
 	}
-	if err := closeOp(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return closeOp()
 }
 
 // colScan streams a table's cached column vectors in zero-copy batch

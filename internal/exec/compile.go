@@ -169,8 +169,21 @@ func (e *Executor) buildProduct(p *algebra.Product) (Operator, error) {
 	if err != nil {
 		return nil, err
 	}
-	schema := append(append([]algebra.Attr{}, l.Schema()...), r.Schema()...)
-	return &productOp{left: l, right: r, schema: schema, batch: e.batchSize()}, nil
+	return e.newJoinOp(l, r, -1, -1, p), nil
+}
+
+// newJoinOp joins l and r on l's column hashL equal to r's column hashR,
+// or, with both -1, pairs every row of l with every row of r. The build
+// side r is reserved against the memory budget as node.
+func (e *Executor) newJoinOp(l, r Operator, hashL, hashR int, node opNamer) *hashJoinOp {
+	ls := l.Schema()
+	return &hashJoinOp{
+		left: l, right: r, schema: append(append([]algebra.Attr{}, ls...), r.Schema()...),
+		hashL: hashL, hashR: hashR,
+		batch:     e.batchSize(),
+		leftWidth: len(ls),
+		mem:       e.Mem, node: node,
+	}
 }
 
 func (e *Executor) buildJoin(j *algebra.Join) (Operator, error) {
@@ -183,12 +196,11 @@ func (e *Executor) buildJoin(j *algebra.Join) (Operator, error) {
 		return nil, err
 	}
 	ls, rs := l.Schema(), r.Schema()
-	schema := append(append([]algebra.Attr{}, ls...), rs...)
 
 	// Hash join on the first equality pair with one side in each input;
-	// residual conjuncts filter the joined batches, as the nested loop
-	// filters its product (same operator choice as the legacy evaluator,
-	// decided once at build time).
+	// residual conjuncts filter the joined batches. Without such a pair every
+	// conjunct is residual: the nested loop, a keyless product under the
+	// full condition.
 	hashL, hashR := -1, -1
 	var residual []algebra.Pred
 	for _, c := range algebra.Conjuncts(j.Cond) {
@@ -204,89 +216,26 @@ func (e *Executor) buildJoin(j *algebra.Join) (Operator, error) {
 		}
 		residual = append(residual, c)
 	}
-
-	if hashL < 0 {
-		// Nested loop for non-equality joins: stream the product, filter
-		// by the full condition.
-		full, err := e.compileColPred(j.Cond, plainResolver(schema))
-		if err != nil {
-			return nil, err
-		}
-		prod := &productOp{left: l, right: r, schema: schema, batch: e.batchSize()}
-		return &filterOp{child: prod, pred: full}, nil
+	out := e.newJoinOp(l, r, hashL, hashR, j)
+	rp := algebra.And(residual...)
+	if rp == nil {
+		return out, nil
 	}
-
-	var out Operator = &hashJoinOp{
-		left: l, right: r, schema: schema,
-		hashL: hashL, hashR: hashR,
-		batch:     e.batchSize(),
-		leftWidth: len(ls),
-		mem:       e.Mem, node: j,
+	pred, err := e.compileColPred(rp, plainResolver(out.schema))
+	if err != nil {
+		return nil, err
 	}
-	if rp := algebra.And(residual...); rp != nil {
-		pred, err := e.compileColPred(rp, plainResolver(schema))
-		if err != nil {
-			return nil, err
-		}
-		out = &filterOp{child: out, pred: pred}
-	}
-	return out, nil
+	return &filterOp{child: out, pred: pred}, nil
 }
 
 func (e *Executor) buildGroupBy(g *algebra.GroupBy) (Operator, error) {
-	// Consumer side of a partial-aggregated shuffle edge: the input rows are
-	// ShufflePartialSchema partials (keys leading, then one (count, payload)
-	// column pair per aggregate), merged instead of folded.
-	if e.Partials[g] {
-		child, err := e.Build(g.Child)
-		if err != nil {
-			return nil, err
-		}
-		keyIdx := make([]int, len(g.Keys))
-		for i := range keyIdx {
-			keyIdx[i] = i
-		}
-		aggIdx := make([]int, len(g.Aggs))
-		for i := range aggIdx {
-			aggIdx[i] = len(g.Keys) + 2*i + 1
-		}
-		return &groupByOp{
-			child: child, e: e, node: g, schema: g.Schema(),
-			keyIdx: keyIdx, aggIdx: aggIdx, specs: g.Aggs,
-			batch: e.batchSize(), ring: e.ringCache(),
-			partialIn: true,
-		}, nil
-	}
 	child, err := e.Build(g.Child)
 	if err != nil {
 		return nil, err
 	}
-	in := child.Schema()
-	keyIdx := make([]int, len(g.Keys))
-	for i, k := range g.Keys {
-		ix := schemaIndex(in, k)
-		if ix < 0 {
-			return nil, fmt.Errorf("exec: group key %s not in input", k)
-		}
-		keyIdx[i] = ix
-	}
-	aggIdx := make([]int, len(g.Aggs))
-	for i, sp := range g.Aggs {
-		if sp.Star {
-			aggIdx[i] = -1
-			continue
-		}
-		ix := schemaIndex(in, sp.Attr)
-		if ix < 0 {
-			return nil, fmt.Errorf("exec: aggregate attribute %s not in input", sp.Attr)
-		}
-		aggIdx[i] = ix
-	}
-	return &groupByOp{
-		child: child, e: e, node: g, schema: g.Schema(),
-		keyIdx: keyIdx, aggIdx: aggIdx, specs: g.Aggs,
-		batch: e.batchSize(), ring: e.ringCache(),
-	}, nil
+	// Consumer side of a partial-aggregated shuffle edge: the input rows are
+	// ShufflePartialSchema partials, merged instead of folded.
+	return e.newGroupByOp(g, child, e.Partials[g], false)
 }
 
 func (e *Executor) buildUDF(u *algebra.UDF) (Operator, error) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/big"
 	"runtime"
+	"slices"
 	"sync"
 
 	"mpq/internal/algebra"
@@ -250,105 +251,43 @@ func encryptColumnInto(ring *crypto.KeyRing, scheme algebra.Scheme, vals, dst []
 // ---------------------------------------------------------------------------
 // Batch decryption
 
-// cell addresses one encrypted value inside a batch of rows.
-type cell struct{ ri, ci int }
-
-// cipherGroup collects the cells of one batch sharing a scheme and key, so
-// they decrypt through one batched call.
-type cipherGroup struct {
-	scheme algebra.Scheme
-	keyID  string
-	cells  []cell
-}
-
-type groupKeyID struct {
-	scheme algebra.Scheme
-	keyID  string
-}
-
-// groupCipherCells partitions every cipher cell of every row by scheme and
-// key id, groups in first-seen order.
-func groupCipherCells(rows [][]Value) []*cipherGroup {
-	groups := make(map[groupKeyID]*cipherGroup)
-	var order []*cipherGroup
-	for ri, row := range rows {
-		for ci, v := range row {
-			if !v.IsCipher() {
+// DecryptBatch returns b with every ciphertext decrypted by the executor's
+// keys, leaving b untouched: each column holding ciphertexts is replaced by
+// its decryptColumn, the others are shared. This is the
+// user-side step of Section 6. A cipher-dictionary column decrypts cell by
+// cell here, as its generic form: a result window is often far smaller than
+// the scan dictionary it shares.
+func (e *Executor) DecryptBatch(b *Batch) (*Batch, error) {
+	out := &Batch{Cols: append([]Column(nil), b.Cols...), N: b.N}
+	for ci := range out.Cols {
+		col := &out.Cols[ci]
+		switch col.Kind {
+		case ColCipherBytes:
+		case ColCipherDict:
+			cells := NewColumn(col.AppendValues(nil))
+			col = &cells
+		case ColAny:
+			if !slices.ContainsFunc(col.Vals, Value.IsCipher) {
 				continue
 			}
-			k := groupKeyID{v.C.Scheme, v.C.KeyID}
-			g, ok := groups[k]
-			if !ok {
-				g = &cipherGroup{scheme: v.C.Scheme, keyID: v.C.KeyID}
-				groups[k] = g
-				order = append(order, g)
-			}
-			g.cells = append(g.cells, cell{ri, ci})
+		default:
+			continue
 		}
-	}
-	return order
-}
-
-// decryptGroup decrypts one scheme/key group of cells in place, fanning
-// large groups out to the worker pool.
-func (e *Executor) decryptGroup(ring *crypto.KeyRing, g *cipherGroup, rows [][]Value) error {
-	minChunk := cryptoParMinCells
-	if g.scheme == algebra.SchemePaillier {
-		minChunk = cryptoParMinPaillier
-	}
-	return runChunks(len(g.cells), e.cryptoWorkers(), minChunk, func(lo, hi int) error {
-		return decryptCells(ring, g.scheme, g.cells[lo:hi], rows)
-	})
-}
-
-// decryptCells batch-decrypts one chunk of same-scheme, same-key cells,
-// writing plaintext values back into rows. Paillier cells decrypt through
-// Paillier.DecryptBatch, several per exponentiation; the other schemes
-// through decryptBytesInto.
-func decryptCells(ring *crypto.KeyRing, scheme algebra.Scheme, cells []cell, rows [][]Value) error {
-	out := make([]Value, len(cells))
-	if scheme == algebra.SchemePaillier {
-		pk, err := pheDecrypter(ring)
+		dec, err := e.decryptColumn(col, e.Keys.Get)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		cts := make([]*big.Int, len(cells))
-		for i, c := range cells {
-			cts[i] = rows[c.ri][c.ci].C.Phe
-		}
-		ms, err := pk.DecryptBatch(cts)
-		if err != nil {
-			return err
-		}
-		for i, c := range cells {
-			ct := rows[c.ri][c.ci].C
-			if out[i], err = pheDecode(ms[i], ct.Div, ct.Plain); err != nil {
-				return err
-			}
-		}
-	} else {
-		cts := make([][]byte, len(cells))
-		plains := make([]Kind, len(cells))
-		for i, c := range cells {
-			ct := rows[c.ri][c.ci].C
-			cts[i], plains[i] = ct.Data, ct.Plain
-		}
-		if err := decryptBytesInto(ring, scheme, cts, plains, out); err != nil {
-			return err
-		}
+		out.Cols[ci] = dec
 	}
-	for i, c := range cells {
-		rows[c.ri][c.ci] = out[i]
-	}
-	return nil
+	return out, nil
 }
 
 // decryptColumn decrypts one cipher column into its replacement plaintext
 // column. A ciphertext-byte column decrypts straight off its payload vector
 // — the scheme and key are column metadata, so there is nothing to group —
-// while a generic column's cells are grouped by scheme and key first.
-// Large columns fan out to the intra-batch worker pool. The caller has
-// already verified every cell is a ciphertext.
+// while a generic column's cipher cells are grouped by scheme and key first
+// and its plaintext cells pass through. Large columns fan out to the
+// intra-batch worker pool.
 func (e *Executor) decryptColumn(col *Column, resolve func(string) (*crypto.KeyRing, error)) (Column, error) {
 	if col.Kind == ColCipherDict {
 		// Decrypt the dictionary once and fan the codes back out: the
@@ -392,18 +331,81 @@ func (e *Executor) decryptColumn(col *Column, resolve func(string) (*crypto.KeyR
 		}
 		return NewColumn(vals), nil
 	}
-	// Each cell of a generic column is a one-cell row over vals, so the
-	// cells group by scheme and key and decrypt in place as DecryptRows'
-	// do.
+	// A generic column's cipher cells group by scheme and key, in first-seen
+	// order, and each group decrypts in place; plaintext cells pass through.
 	copy(vals, col.Vals)
-	rows := make([][]Value, n)
-	for i := range vals {
-		rows[i] = vals[i : i+1 : i+1]
+	type schemeKey struct {
+		scheme algebra.Scheme
+		keyID  string
 	}
-	if err := e.decryptGroups(groupCipherCells(rows), rows, resolve); err != nil {
-		return Column{}, err
+	var order []schemeKey
+	groups := make(map[schemeKey][]int)
+	for i := range vals {
+		if vals[i].IsCipher() {
+			k := schemeKey{vals[i].C.Scheme, vals[i].C.KeyID}
+			if _, ok := groups[k]; !ok {
+				order = append(order, k)
+			}
+			groups[k] = append(groups[k], i)
+		}
+	}
+	for _, k := range order {
+		ring, err := resolve(k.keyID)
+		if err != nil {
+			return Column{}, err
+		}
+		minChunk, at := cryptoParMinCells, groups[k]
+		if k.scheme == algebra.SchemePaillier {
+			minChunk = cryptoParMinPaillier
+		}
+		err = runChunks(len(at), e.cryptoWorkers(), minChunk, func(lo, hi int) error {
+			return decryptAt(ring, k.scheme, vals, at[lo:hi])
+		})
+		if err != nil {
+			return Column{}, err
+		}
 	}
 	return NewColumn(vals), nil
+}
+
+// decryptAt batch-decrypts the cells of vals at positions at, ciphertexts
+// under one scheme and key, in place. Paillier cells decrypt through
+// Paillier.DecryptBatch, several per exponentiation; the other schemes
+// through decryptBytesInto.
+func decryptAt(ring *crypto.KeyRing, scheme algebra.Scheme, vals []Value, at []int) error {
+	if scheme == algebra.SchemePaillier {
+		pk, err := pheDecrypter(ring)
+		if err != nil {
+			return err
+		}
+		cts := make([]*big.Int, len(at))
+		for i, p := range at {
+			cts[i] = vals[p].C.Phe
+		}
+		ms, err := pk.DecryptBatch(cts)
+		if err != nil {
+			return err
+		}
+		for i, p := range at {
+			if vals[p], err = pheDecode(ms[i], vals[p].C.Div, vals[p].C.Plain); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	cts := make([][]byte, len(at))
+	plains := make([]Kind, len(at))
+	for i, p := range at {
+		cts[i], plains[i] = vals[p].C.Data, vals[p].C.Plain
+	}
+	out := make([]Value, len(at))
+	if err := decryptBytesInto(ring, scheme, cts, plains, out); err != nil {
+		return err
+	}
+	for i, p := range at {
+		vals[p] = out[i]
+	}
+	return nil
 }
 
 // decryptBytesInto batch-decrypts one chunk of a ciphertext-byte column's
@@ -470,34 +472,4 @@ func pheDecrypter(ring *crypto.KeyRing) (*crypto.Paillier, error) {
 		return nil, fmt.Errorf("exec: key %s lacks the Paillier private part", ring.ID)
 	}
 	return pk, nil
-}
-
-// decryptGroups resolves each group's ring through resolve and decrypts all
-// groups in place.
-func (e *Executor) decryptGroups(groups []*cipherGroup, rows [][]Value, resolve func(string) (*crypto.KeyRing, error)) error {
-	for _, g := range groups {
-		ring, err := resolve(g.keyID)
-		if err != nil {
-			return err
-		}
-		if err := e.decryptGroup(ring, g, rows); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// DecryptRows returns a copy of the rows with every ciphertext decrypted
-// using the executor's keys, leaving the input untouched (it may alias
-// upstream storage). Ciphers are grouped by scheme and key and decrypted
-// column-batch-wise, with large batches fanned out to the worker pool.
-func (e *Executor) DecryptRows(rows [][]Value) ([][]Value, error) {
-	out := make([][]Value, len(rows))
-	for ri, row := range rows {
-		out[ri] = append(make([]Value, 0, len(row)), row...)
-	}
-	if err := e.decryptGroups(groupCipherCells(out), out, e.Keys.Get); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -106,9 +106,9 @@ func TestEncryptColumnEquivalence(t *testing.T) {
 	}
 }
 
-// TestDecryptRowsEquivalence proves batch decryption (grouped by scheme and
+// TestDecryptTableEquivalence proves batch decryption (grouped by scheme and
 // key, mixed plaintext cells passed through) matches the per-value path.
-func TestDecryptRowsEquivalence(t *testing.T) {
+func TestDecryptTableEquivalence(t *testing.T) {
 	ring1, _ := crypto.NewKeyRing("k1", testPaillierBits)
 	ring2, _ := crypto.NewKeyRing("k2", testPaillierBits)
 	e := NewExecutor()
@@ -142,10 +142,12 @@ func TestDecryptRowsEquivalence(t *testing.T) {
 		rows = append(rows, []Value{Int(int64(i)), det, rnd, Null(), ope, phe, String("plain")})
 	}
 
-	got, err := e.DecryptRows(rows)
+	tbl := &Table{Schema: make([]algebra.Attr, len(rows[0])), Rows: rows}
+	dec, err := e.DecryptTable(tbl)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := dec.Rows
 	if len(got) != len(rows) {
 		t.Fatalf("row counts differ: %d vs %d", len(got), len(rows))
 	}
@@ -163,7 +165,65 @@ func TestDecryptRowsEquivalence(t *testing.T) {
 	}
 	// Inputs untouched: the ciphers must still be ciphers.
 	if !rows[0][1].IsCipher() {
-		t.Fatalf("DecryptRows mutated its input")
+		t.Fatalf("DecryptTable mutated its input")
+	}
+}
+
+// TestDecryptColumnMixedKeys decrypts one generic column mixing plaintext
+// cells, NULLs and ciphertexts of three schemes under two keys, with a
+// forced worker pool so each Paillier group splits into chunks decrypted
+// at once: every cipher cell decrypts to its plaintext, every plaintext
+// cell passes through, and the input column is left as it was.
+func TestDecryptColumnMixedKeys(t *testing.T) {
+	ring1, _ := crypto.NewKeyRing("k1", testPaillierBits)
+	ring2, _ := crypto.NewKeyRing("k2", testPaillierBits)
+	e := NewExecutor()
+	e.Keys.Add(ring1)
+	e.Keys.Add(ring2)
+	e.CryptoWorkers = 4
+	var cells, want []Value
+	for i := 0; i < 256; i++ {
+		v := Int(int64(i))
+		ring := ring1
+		if i/4%2 == 1 {
+			ring = ring2
+		}
+		var scheme algebra.Scheme
+		switch i % 4 {
+		case 0:
+			if i%8 == 0 {
+				v = Null()
+			}
+			cells, want = append(cells, v), append(want, v)
+			continue
+		case 1:
+			scheme = algebra.SchemeDeterministic
+		case 2:
+			scheme = algebra.SchemeOPE
+		case 3:
+			scheme = algebra.SchemePaillier
+		}
+		ct, err := EncryptValue(ring, scheme, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells, want = append(cells, ct), append(want, v)
+	}
+	col := NewColumn(cells)
+	if col.Kind != ColAny {
+		t.Fatalf("mixed column laid out as %d, want ColAny", col.Kind)
+	}
+	got, err := e.decryptColumn(&col, e.Keys.Get)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range want {
+		if g := got.Value(i); g != w {
+			t.Fatalf("cell %d: %v, want %v", i, g, w)
+		}
+		if col.Vals[i] != cells[i] {
+			t.Fatalf("decryptColumn mutated input cell %d", i)
+		}
 	}
 }
 
@@ -195,13 +255,13 @@ func TestEncryptColumnWorkerPool(t *testing.T) {
 		for i := range rows {
 			rows[i] = []Value{dst[i]}
 		}
-		back, err := e.DecryptRows(rows)
+		back, err := e.DecryptTable(&Table{Schema: make([]algebra.Attr, 1), Rows: rows})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range back {
-			if back[i][0] != vals[i] {
-				t.Fatalf("%s pooled round trip row %d = %v, want %v", scheme, i, back[i][0], vals[i])
+		for i, row := range back.Rows {
+			if row[0] != vals[i] {
+				t.Fatalf("%s pooled round trip row %d = %v, want %v", scheme, i, row[0], vals[i])
 			}
 		}
 	}
@@ -237,17 +297,14 @@ func TestBatchMillionRows(t *testing.T) {
 	if err := encryptColumnPar(e, ring, algebra.SchemeRandom, vals, dst); err != nil {
 		t.Fatal(err)
 	}
-	rows := make([][]Value, n)
-	for i := range rows {
-		rows[i] = dst[i : i+1]
-	}
-	back, err := e.DecryptRows(rows)
+	col := NewColumn(dst)
+	back, err := e.decryptColumn(&col, e.Keys.Get)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i += 10007 {
-		if back[i][0] != vals[i] {
-			t.Fatalf("row %d = %v, want %v", i, back[i][0], vals[i])
+		if v := back.Value(i); v != vals[i] {
+			t.Fatalf("row %d = %v, want %v", i, v, vals[i])
 		}
 	}
 	// Deterministic 1M: batch output must be bit-identical to the

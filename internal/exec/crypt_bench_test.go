@@ -119,10 +119,15 @@ func BenchmarkDecryptBatch(b *testing.B) {
 			e := NewExecutor()
 			e.Keys.Add(ring)
 			rows := benchCipherRows(b, ring, scheme, benchN(scheme, 1024))
+			cells := make([]Value, len(rows))
+			for i, row := range rows {
+				cells[i] = row[0]
+			}
+			batch := &Batch{Cols: []Column{NewColumn(cells)}, N: len(cells)}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i += len(rows) {
-				if _, err := e.DecryptRows(rows); err != nil {
+				if _, err := e.DecryptBatch(batch); err != nil {
 					b.Fatal(err)
 				}
 			}

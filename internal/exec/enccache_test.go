@@ -95,11 +95,11 @@ func (f *encFixture) requirePlain(t testing.TB, label string, got *Table) {
 	}
 	dec := NewExecutor()
 	dec.Keys.Add(f.ring)
-	rows, err := dec.DecryptRows(got.Rows)
+	plain, err := dec.DecryptTable(got)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	for ri, row := range rows {
+	for ri, row := range plain.Rows {
 		for ci, v := range row {
 			want := f.tbl.Rows[ri][ci]
 			if ci == 4 { // Paillier fixed point: four decimals

@@ -413,8 +413,8 @@ func TestGroupKeysAreInjective(t *testing.T) {
 // Paillier column at the production key size, where decryption packs
 // several ciphertexts per exponentiation. Each group holds ints or floats
 // of both signs; SUM and AVG (a ciphertext with a divisor) decrypt through
-// the decrypt operator (decryptColumn) and through DecryptTable
-// (DecryptRows), and both answers equal the SQL reference's.
+// the decrypt operator and through DecryptTable (the finalizer's
+// DecryptBatch), and both answers equal the SQL reference's.
 func TestPaillierSumAvgMatchesReference(t *testing.T) {
 	ring, err := crypto.NewKeyRing("kp", crypto.DefaultPaillierBits)
 	if err != nil {

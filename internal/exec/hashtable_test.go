@@ -306,7 +306,7 @@ func TestGroupTableMatchesCanonicalMap(t *testing.T) {
 				batch := &Batch{Cols: []Column{dom.column(ak, a[:m], rng), dom.column(bk, b[:m], rng)}, N: m}
 				a, b = a[m:], b[m:]
 				for ri := 0; ri < m; ri++ {
-					grp, err := gt.groupFor(batch, ri)
+					g, err := gt.groupFor(batch, ri)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -318,14 +318,14 @@ func TestGroupTableMatchesCanonicalMap(t *testing.T) {
 						want = len(ref)
 						ref[k] = want
 					}
-					if want >= len(gt.groups) || gt.groups[want] != grp {
+					if want >= gt.groups() || g != want {
 						t.Fatalf("%s × %s: row %v lands in the wrong group (want group %d of %d)",
-							layoutNames[ak], layoutNames[bk], [2]Value{batch.Cols[0].Value(ri), batch.Cols[1].Value(ri)}, want, len(gt.groups))
+							layoutNames[ak], layoutNames[bk], [2]Value{batch.Cols[0].Value(ri), batch.Cols[1].Value(ri)}, want, gt.groups())
 					}
 				}
 			}
-			if len(gt.groups) != len(ref) {
-				t.Fatalf("%s × %s: %d groups, want %d", layoutNames[ak], layoutNames[bk], len(gt.groups), len(ref))
+			if gt.groups() != len(ref) {
+				t.Fatalf("%s × %s: %d groups, want %d", layoutNames[ak], layoutNames[bk], gt.groups(), len(ref))
 			}
 		}
 	}

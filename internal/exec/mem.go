@@ -71,11 +71,11 @@ func (m *MemAccountant) Used() int64 {
 }
 
 // groupCost is what one new group adds to a groupTable: its key bytes and
-// their offset, its chain link, up to four bucket heads and its slot in
-// groups (keyTable.add keeps at least two buckets per entry), then the group
-// with its pinned key values and one accumulator per aggregate.
+// their offset, its chain link and up to four bucket heads (keyTable.add
+// keeps at least two buckets per entry), then its pinned key values and one
+// accumulator per aggregate.
 func groupCost(keyLen, nkeys, naggs int) int64 {
-	return int64(keyLen) + 4 + 4 + 16 + 8 + int64(unsafe.Sizeof(group{})) +
+	return int64(keyLen) + 4 + 4 + 16 +
 		int64(nkeys)*int64(unsafe.Sizeof(Value{})) + int64(naggs)*int64(unsafe.Sizeof(groupAcc{}))
 }
 

@@ -5,8 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"mpq/internal/algebra"
 	"mpq/internal/exec"
 	"mpq/internal/planner"
+	"mpq/internal/sql"
 	"mpq/internal/tpch"
 )
 
@@ -54,5 +56,54 @@ func TestMemBudgetReleasesReservations(t *testing.T) {
 	}
 	if n := ex.Mem.Used(); n != 0 {
 		t.Errorf("refused run still holds %d reserved bytes", n)
+	}
+}
+
+// TestMemBudgetRefusesProductBuildSide runs a Cartesian product and a
+// non-equi join, whose build sides are retained whole, under a budget
+// smaller than the build side: each fails with ErrMemoryBudget naming its
+// operator, and holds nothing afterwards. Under an ample budget both answer.
+func TestMemBudgetRefusesProductBuildSide(t *testing.T) {
+	a, b := algebra.A("R", "a"), algebra.A("S", "b")
+	ex := exec.NewExecutor()
+	ra, rb := exec.NewTable([]algebra.Attr{a}), exec.NewTable([]algebra.Attr{b})
+	for i := int64(0); i < 200; i++ {
+		ra.Append([]exec.Value{exec.Int(i)})
+		rb.Append([]exec.Value{exec.Int(i)})
+	}
+	ex.Tables["R"], ex.Tables["S"] = ra, rb
+	base := func() (algebra.Node, algebra.Node) {
+		return algebra.NewBase("R", "A", []algebra.Attr{a}, 200, nil), algebra.NewBase("S", "B", []algebra.Attr{b}, 200, nil)
+	}
+	l, r := base()
+	prod := algebra.NewProduct(l, r)
+	l, r = base()
+	lt := algebra.NewJoin(l, r, &algebra.CmpAA{L: a, Op: sql.OpLt, R: b}, 0.5)
+	for _, c := range []struct {
+		node algebra.Node
+		rows int
+	}{{prod, 200 * 200}, {lt, 200 * 199 / 2}} {
+		ex.Mem = exec.NewMemAccountant(1 << 10)
+		_, err := ex.Run(c.node)
+		if !errors.Is(err, exec.ErrMemoryBudget) {
+			t.Fatalf("%s under 1 KiB: got %v, want ErrMemoryBudget", c.node.Op(), err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, c.node.Op()+" needs") {
+			t.Errorf("refusal %q does not name %s", msg, c.node.Op())
+		}
+		if n := ex.Mem.Used(); n != 0 {
+			t.Errorf("%s: refused run still holds %d reserved bytes", c.node.Op(), n)
+		}
+		ex.Mem = exec.NewMemAccountant(1 << 20)
+		got, err := ex.Run(c.node)
+		if err != nil {
+			t.Fatalf("%s under 1 MiB: %v", c.node.Op(), err)
+		}
+		if got.Len() != c.rows {
+			t.Errorf("%s: %d rows, want %d", c.node.Op(), got.Len(), c.rows)
+		}
+		if n := ex.Mem.Used(); n != 0 {
+			t.Errorf("%s: answered run still holds %d reserved bytes", c.node.Op(), n)
+		}
 	}
 }

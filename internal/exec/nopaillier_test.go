@@ -51,14 +51,20 @@ func TestPaillierOverSymmetricRingIsTypedError(t *testing.T) {
 		},
 		"Build(Encrypt)": func() error { _, err := e.Build(enc); return err },
 		"DecryptValue":   func() error { _, err := e.DecryptValue(ct()); return err },
-		"DecryptRows":    func() error { _, err := e.DecryptRows([][]Value{{Enc(ct())}}); return err },
+		"DecryptTable": func() error {
+			_, err := e.DecryptTable(&Table{Schema: []algebra.Attr{v}, Rows: [][]Value{{Enc(ct())}}})
+			return err
+		},
 		"decryptColumn": func() error {
 			col := NewColumn([]Value{Enc(ct()), Enc(ct())})
 			_, err := e.decryptColumn(&col, e.Keys.Get)
 			return err
 		},
-		"groupAcc.add":    func() error { return withSum().add(Enc(ct()), e.ringCache()) },
 		"groupAcc.absorb": func() error { return withSum().absorb(1, Enc(ct()), e.ringCache()) },
+		"groupTable.ingest": func() error {
+			gt := newGroupTable(nil, []int{0}, []algebra.AggSpec{{Func: sql.AggSum, Attr: v}}, e.ringCache())
+			return gt.ingest(&Batch{Cols: []Column{NewColumn([]Value{Enc(ct()), Enc(ct())})}, N: 2})
+		},
 	} {
 		if err := run(); !errors.Is(err, crypto.ErrNoPaillier) {
 			t.Errorf("%s over a symmetric-only ring: err = %v, want ErrNoPaillier", name, err)

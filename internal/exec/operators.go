@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math/big"
+	"slices"
 
 	"mpq/internal/algebra"
 	"mpq/internal/crypto"
@@ -83,89 +84,6 @@ func (f *filterOp) Next() (*Batch, error) {
 			return b.Gather(sel), nil
 		}
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Cartesian product
-
-type productOp struct {
-	left   Operator
-	right  Operator
-	schema []algebra.Attr
-	batch  int
-
-	rightRows [][]Value
-	curRows   [][]Value
-	li, ri    int
-}
-
-func (p *productOp) Schema() []algebra.Attr { return p.schema }
-
-func (p *productOp) Open() error {
-	if err := p.left.Open(); err != nil {
-		return err
-	}
-	t, err := Drain(p.right)
-	if err != nil {
-		return err
-	}
-	p.rightRows = t.Rows
-	p.curRows, p.li, p.ri = nil, 0, 0
-	return nil
-}
-
-func (p *productOp) Close() error { return p.left.Close() }
-
-func (p *productOp) Next() (*Batch, error) {
-	if len(p.rightRows) == 0 {
-		// The product is empty, but the probe side must still be drained:
-		// under the streaming runtime its producer may be another subject's
-		// fragment worker, which can only complete its stream (and ledger
-		// entry) once every batch is consumed.
-		for {
-			b, err := p.left.Next()
-			if err != nil {
-				return nil, err
-			}
-			if b == nil {
-				return nil, nil
-			}
-		}
-	}
-	out := make([][]Value, 0, p.batch)
-	for {
-		if p.curRows == nil {
-			b, err := p.left.Next()
-			if err != nil {
-				return nil, err
-			}
-			if b == nil {
-				break
-			}
-			p.curRows, p.li, p.ri = b.Rows(), 0, 0
-		}
-		out = append(out, concatRows(p.curRows[p.li], p.rightRows[p.ri]))
-		p.ri++
-		if p.ri == len(p.rightRows) {
-			p.ri = 0
-			p.li++
-			if p.li == len(p.curRows) {
-				p.curRows = nil
-			}
-		}
-		if len(out) == p.batch {
-			return NewBatchFromRows(out, len(p.schema))
-		}
-	}
-	if len(out) > 0 {
-		return NewBatchFromRows(out, len(p.schema))
-	}
-	return nil, nil
-}
-
-func concatRows(a, b []Value) []Value {
-	row := make([]Value, 0, len(a)+len(b))
-	return append(append(row, a...), b...)
 }
 
 // ---------------------------------------------------------------------------
@@ -258,13 +176,16 @@ type buildRef struct{ b, r int32 }
 // build row rows[e], in build-row order, so a chain lists a key's matches in
 // build-row order. When every build batch holds the key as a NULL-free
 // ColInt, the table keys the int64s; otherwise it keys canonical key bytes.
-// A row with a NULL key gets no entry: in SQL it joins nothing. The index is
+// A row with a NULL key gets no entry: in SQL it joins nothing. A keyless
+// index (a Cartesian product, or the nested loop under a non-equi join) has
+// no key table: every build row matches every probe row. The index is
 // immutable once built, so any number of probes may read it at once.
 type joinIndex struct {
 	schema  []algebra.Attr
 	batches []*Batch
 	rows    []buildRef
 	keys    keyTable
+	keyless bool
 	// uniform caches, per build column, the layout shared by every batch
 	// (scheme and key id included for cipher columns) — ColAny when the
 	// batches disagree, so gathers take the generic path. Computed once at
@@ -272,10 +193,11 @@ type joinIndex struct {
 	uniform []ColKind
 }
 
-// buildJoinIndex drains the build child and indexes it by the hash column.
-// Under a memory accountant (mem non-nil) every retained batch first
-// reserves its estimated footprint for op, and then the built table its
-// bytes; a refused reservation ends the build with ErrMemoryBudget.
+// buildJoinIndex drains the build child and indexes it by the hash column
+// hashR, or keyless when hashR < 0. Under a memory accountant (mem non-nil)
+// every retained batch first reserves its estimated footprint for op, and
+// then the built table its bytes; a refused reservation ends the build with
+// ErrMemoryBudget.
 // reserved is what the index holds, released by the caller when done
 // probing. Without one nothing is estimated.
 func buildJoinIndex(right Operator, hashR int, mem *MemAccountant, op opNamer) (idx *joinIndex, reserved int64, err error) {
@@ -318,16 +240,27 @@ func buildJoinIndex(right Operator, hashR int, mem *MemAccountant, op opNamer) (
 	return idx, reserved, nil
 }
 
-// index keys every retained build row by column hashR and chains the table.
+// index keys every retained build row by column hashR and chains the table;
+// keyless (hashR < 0), it only lists the rows.
 func (x *joinIndex) index(hashR int) error {
 	t, n := &x.keys, 0
+	for _, b := range x.batches {
+		n += b.N
+	}
+	x.rows = make([]buildRef, 0, n)
+	if x.keyless = hashR < 0; x.keyless {
+		for bi, b := range x.batches {
+			for ri := 0; ri < b.N; ri++ {
+				x.rows = append(x.rows, buildRef{int32(bi), int32(ri)})
+			}
+		}
+		return nil
+	}
 	t.intKeys = true
 	for _, b := range x.batches {
 		c := &b.Cols[hashR]
 		t.intKeys = t.intKeys && c.Kind == ColInt && !c.hasNulls()
-		n += b.N
 	}
-	x.rows = make([]buildRef, 0, n)
 	if t.intKeys {
 		t.ints = make([]int64, 0, n)
 	} else {
@@ -363,9 +296,13 @@ func (x *joinIndex) index(hashR int) error {
 // kind than the table's int64s (a float, a string, a ciphertext) matches
 // none of them. An encrypted NULL is no NULL cell but the ciphertext of a
 // one-byte plaintext, so under det two of them still join (ROADMAP 16's
-// security note decides its form).
+// security note decides its form). A keyless index ignores col and returns
+// its first row.
 func (x *joinIndex) seek(col *Column, ri int, buf []byte) (int32, int64, []byte, error) {
 	t := &x.keys
+	if x.keyless {
+		return x.advance(-1, 0, nil), 0, buf, nil
+	}
 	if col.IsNull(ri) {
 		return -1, 0, buf, nil
 	}
@@ -387,8 +324,14 @@ func (x *joinIndex) seek(col *Column, ri int, buf []byte) (int32, int64, []byte,
 }
 
 // advance returns the entry after e whose key equals the probe key seek
-// returned with e, or -1.
+// returned with e, or -1. Keyless, every entry matches.
 func (x *joinIndex) advance(e int32, k int64, kb []byte) int32 {
+	if x.keyless {
+		if e++; int(e) < len(x.rows) {
+			return e
+		}
+		return -1
+	}
 	if e = x.keys.next[e] - 1; x.keys.intKeys {
 		return x.keys.scanInt(e, k)
 	}
@@ -498,7 +441,8 @@ func (x *joinIndex) gatherCol(ci int, refs []buildRef) Column {
 // typed-gathered through the index rows. Residual conjuncts of the join
 // condition run in a filterOp above the join. Output is emitted in
 // at-most-batch-sized windows, so a skewed many-to-many join never
-// materializes its whole fanout at once.
+// materializes its whole fanout at once. With no hash columns (hashL and
+// hashR -1) the index is keyless and the operator is the Cartesian product.
 type hashJoinOp struct {
 	left, right  Operator
 	schema       []algebra.Attr
@@ -511,7 +455,7 @@ type hashJoinOp struct {
 	// With mem set, the build side is indexed under reservation for node
 	// (idxReserved, returned at Close).
 	mem         *MemAccountant
-	node        *algebra.Join
+	node        opNamer
 	idxReserved int64
 
 	// Probe cursor: the current probe batch, the next probe row, and the
@@ -573,8 +517,12 @@ func (j *hashJoinOp) Next() (*Batch, error) {
 			if len(probeSel) == j.batch || j.li == j.cur.N {
 				break
 			}
+			var key *Column
+			if j.hashL >= 0 {
+				key = &j.cur.Cols[j.hashL]
+			}
 			var err error
-			j.match, j.key, j.keyBuf, err = j.idx.seek(&j.cur.Cols[j.hashL], j.li, j.keyBuf)
+			j.match, j.key, j.keyBuf, err = j.idx.seek(key, j.li, j.keyBuf)
 			if err != nil {
 				return nil, err
 			}
@@ -639,78 +587,87 @@ func pheKey(ring ringFn, keyID string) (*crypto.Paillier, error) {
 }
 
 // groupAcc is the per-group accumulator of one aggregate: it folds cells in
-// row order, so float sums do not depend on the batch size.
-// MIN/MAX over OPE ciphertext-byte columns additionally track the running
-// extremes as payload references (byteMode) — ciphertext order is byte
-// order, so no Cipher is materialized per candidate.
+// row order, so float sums do not depend on the batch size. A raw cell is a
+// partial of count 1 (absorb(1, v)), so one fold serves rows and shipped
+// partials alike.
+// MIN/MAX over OPE ciphertext-byte columns track the running extreme as a
+// payload reference (byteMode) — ciphertext order is byte order, so no
+// Cipher is materialized per candidate.
 type groupAcc struct {
 	fn    sql.AggFunc
 	count int64
 	sum   float64
-	min   Value
-	max   Value
+	ext   Value // MIN/MAX: the extreme so far
 	phe   *big.Int
 	pheC  *Cipher
 
-	// OPE byte fast path: valid while byteMode is set; the first candidate
-	// from any other layout materializes min/max and clears it.
-	byteMode           bool
-	minB, maxB         []byte
-	minPlain, maxPlain Kind
-	minKey, maxKey     string
+	// OPE byte fast path: while byteMode is set the extreme is payload extB
+	// under key extKey; the first candidate from any other layout
+	// materializes ext and clears it.
+	byteMode bool
+	extPlain Kind
+	extB     []byte
+	extKey   string
 }
 
-func (acc *groupAcc) add(v Value, ring ringFn) error {
-	acc.count++
+// wins reports whether a candidate comparing c to the extreme replaces it:
+// strictly, so earlier candidates win ties.
+func (acc *groupAcc) wins(c int) bool {
+	return acc.fn == sql.AggMin && c < 0 || acc.fn == sql.AggMax && c > 0
+}
+
+// absorb folds count rows summarized by payload into the accumulator: a raw
+// cell with count 1, or a shipped partial. Counts add, sums add (Paillier
+// sums homomorphically), extremes compare under compareForSort's strict
+// rule, so earlier candidates win ties. The inverse of partial.
+func (acc *groupAcc) absorb(count int64, payload Value, ring ringFn) error {
+	if count == 0 {
+		return nil
+	}
+	first := acc.count == 0
+	acc.count += count
 	switch acc.fn {
 	case sql.AggCount:
 		return nil
 	case sql.AggSum, sql.AggAvg:
-		if v.IsCipher() {
-			if v.C.Scheme != algebra.SchemePaillier {
-				return fmt.Errorf("exec: %s over %s ciphertext", acc.fn, v.C.Scheme)
-			}
-			pk, err := pheKey(ring, v.C.KeyID)
-			if err != nil {
-				return err
+		if payload.IsCipher() {
+			if payload.C.Scheme != algebra.SchemePaillier {
+				return fmt.Errorf("exec: %s over %s ciphertext", acc.fn, payload.C.Scheme)
 			}
 			if acc.phe == nil {
 				// Copy: the accumulator owns its sum so AddTo can
 				// accumulate in place without a per-row allocation.
-				acc.phe = new(big.Int).Set(v.C.Phe)
-				acc.pheC = v.C
-			} else {
-				pk.AddTo(acc.phe, v.C.Phe)
+				acc.phe = new(big.Int).Set(payload.C.Phe)
+				acc.pheC = payload.C
+				return nil
 			}
+			pk, err := pheKey(ring, payload.C.KeyID)
+			if err != nil {
+				return err
+			}
+			pk.AddTo(acc.phe, payload.C.Phe)
 			return nil
 		}
-		f, err := v.AsFloat()
+		f, err := payload.AsFloat()
 		if err != nil {
 			return err
 		}
 		acc.sum += f
 		return nil
 	case sql.AggMin, sql.AggMax:
-		if acc.count == 1 {
-			acc.min, acc.max = v, v
+		if first {
+			acc.ext = payload
 			return nil
 		}
 		if acc.byteMode {
-			acc.materializeMinMax()
+			acc.materialize()
 		}
-		c, err := compareForSort(v, acc.min)
+		c, err := compareForSort(payload, acc.ext)
 		if err != nil {
 			return err
 		}
-		if c < 0 {
-			acc.min = v
-		}
-		c, err = compareForSort(v, acc.max)
-		if err != nil {
-			return err
-		}
-		if c > 0 {
-			acc.max = v
+		if acc.wins(c) {
+			acc.ext = payload
 		}
 		return nil
 	}
@@ -721,8 +678,8 @@ func (acc *groupAcc) add(v Value, ring ringFn) error {
 // Value: the monomorphic path for COUNT, for SUM/AVG over int64/float64
 // vectors, and for MIN/MAX over OPE ciphertext-byte vectors (compared as
 // raw payload bytes — OPE order is byte order, exactly compareForSort's
-// rule). It reports whether it handled the cell; callers fall back to add
-// (via Column.Value) otherwise.
+// rule). It reports whether it handled the cell; callers fall back to
+// absorb (via Column.Value) otherwise.
 func (acc *groupAcc) addFast(col *Column, ri int) bool {
 	switch acc.fn {
 	case sql.AggCount:
@@ -747,88 +704,90 @@ func (acc *groupAcc) addFast(col *Column, ri int) bool {
 		if col.Kind != ColCipherBytes || col.Scheme != algebra.SchemeOPE {
 			return false
 		}
-		if acc.count == 0 {
-			acc.count++
+		switch {
+		case acc.count == 0:
 			acc.byteMode = true
-			acc.minB, acc.maxB = col.Bytes[ri], col.Bytes[ri]
-			acc.minPlain, acc.maxPlain = col.Plains[ri], col.Plains[ri]
-			acc.minKey, acc.maxKey = col.KeyID, col.KeyID
+		case !acc.byteMode:
+			return false // an earlier candidate forced Value mode
+		case !acc.wins(bytes.Compare(col.Bytes[ri], acc.extB)):
+			acc.count++
 			return true
 		}
-		if !acc.byteMode {
-			return false // an earlier candidate forced Value mode
-		}
 		acc.count++
-		b := col.Bytes[ri]
-		if bytes.Compare(b, acc.minB) < 0 {
-			acc.minB, acc.minPlain, acc.minKey = b, col.Plains[ri], col.KeyID
-		}
-		if bytes.Compare(b, acc.maxB) > 0 {
-			acc.maxB, acc.maxPlain, acc.maxKey = b, col.Plains[ri], col.KeyID
-		}
+		acc.extB, acc.extPlain, acc.extKey = col.Bytes[ri], col.Plains[ri], col.KeyID
 		return true
 	}
 	return false
 }
 
-// materializeMinMax converts the OPE byte-reference extremes into the
-// Cipher values the Value path (and the final result) carries.
-func (acc *groupAcc) materializeMinMax() {
-	acc.min = Enc(&Cipher{Scheme: algebra.SchemeOPE, KeyID: acc.minKey, Data: acc.minB, Plain: acc.minPlain})
-	acc.max = Enc(&Cipher{Scheme: algebra.SchemeOPE, KeyID: acc.maxKey, Data: acc.maxB, Plain: acc.maxPlain})
+// materialize converts the OPE byte-reference extreme into the Cipher value
+// the Value path (and the final result) carries.
+func (acc *groupAcc) materialize() {
+	acc.ext = Enc(&Cipher{Scheme: algebra.SchemeOPE, KeyID: acc.extKey, Data: acc.extB, Plain: acc.extPlain})
 	acc.byteMode = false
 }
 
-func (acc *groupAcc) result() (Value, error) {
+// partial freezes the accumulator into its shuffle form: the row count it
+// folded plus the payload the consumer resumes from. COUNT's payload is
+// NULL (the count carries it), SUM and AVG ship the sum (plaintext float or
+// Paillier cipher), MIN and MAX the extreme.
+func (acc *groupAcc) partial() (int64, Value, error) {
 	if acc.byteMode {
-		acc.materializeMinMax()
+		acc.materialize()
 	}
 	switch acc.fn {
 	case sql.AggCount:
-		return Int(acc.count), nil
-	case sql.AggSum:
+		return acc.count, Null(), nil
+	case sql.AggSum, sql.AggAvg:
 		if acc.phe != nil {
-			return Enc(&Cipher{Scheme: algebra.SchemePaillier, KeyID: acc.pheC.KeyID, Phe: acc.phe, Div: 1, Plain: acc.pheC.Plain}), nil
+			return acc.count, Enc(&Cipher{Scheme: algebra.SchemePaillier, KeyID: acc.pheC.KeyID,
+				Phe: acc.phe, Div: 1, Plain: acc.pheC.Plain}), nil
 		}
-		return Float(acc.sum), nil
-	case sql.AggAvg:
-		if acc.phe != nil {
-			return Enc(&Cipher{Scheme: algebra.SchemePaillier, KeyID: acc.pheC.KeyID, Phe: acc.phe, Div: acc.count, Plain: KFloat}), nil
-		}
-		if acc.count == 0 {
-			return Null(), nil
-		}
-		return Float(acc.sum / float64(acc.count)), nil
-	case sql.AggMin:
-		return acc.min, nil
-	case sql.AggMax:
-		return acc.max, nil
+		return acc.count, Float(acc.sum), nil
+	case sql.AggMin, sql.AggMax:
+		return acc.count, acc.ext, nil
 	}
-	return Value{}, fmt.Errorf("exec: unknown aggregate %q", acc.fn)
+	return 0, Value{}, fmt.Errorf("exec: unknown aggregate %q", acc.fn)
 }
 
-// group is one aggregation group: the key values pinned from its first row
-// and one accumulator per aggregate.
-type group struct {
-	keyVals []Value
-	accs    []groupAcc
+// result is the aggregate's final value, derived from its partial: COUNT is
+// the count, AVG divides the sum by it (a Paillier sum carries the divisor
+// for the key holder to apply), and AVG over no rows is NULL.
+func (acc *groupAcc) result() (Value, error) {
+	count, v, err := acc.partial()
+	switch {
+	case err != nil:
+		return Value{}, err
+	case acc.fn == sql.AggCount:
+		return Int(count), nil
+	case acc.fn != sql.AggAvg:
+		return v, nil
+	case v.IsCipher():
+		v.C.Div, v.C.Plain = count, KFloat // partial's Cipher is fresh
+		return v, nil
+	case count == 0:
+		return Null(), nil
+	}
+	return Float(v.F / float64(count)), nil
 }
 
-// groupTable hash-aggregates batches: the core of the group-by build and of
-// pre-shuffle partial aggregation. A row's group key is its key cells'
-// canonical bytes (appendCellKey, self-delimiting per cell), encoded
-// straight from the column vectors into a reused buffer and looked up in a
-// keyTable whose entry g is groups[g], so groups are kept, and emitted, in
-// first-seen order. A NULL key cell encodes as one byte, so NULLs form one
-// group.
+// groupTable hash-aggregates batches: the core of the group-by, final or
+// partial. A row's group key is its key cells' canonical bytes
+// (appendCellKey, self-delimiting per cell), encoded straight from the
+// column vectors into a reused buffer and looked up in a keyTable whose
+// entry g is group g, so groups are kept, and emitted, in first-seen order.
+// A NULL key cell encodes as one byte, so NULLs form one group. Group g's
+// key values, pinned from its first row, are keyVals[k][g], and its
+// accumulators are accs[g*len(specs):(g+1)*len(specs)].
 type groupTable struct {
-	keyIdx []int
-	aggIdx []int
-	specs  []algebra.AggSpec
-	ring   ringFn
-	keys   keyTable
-	groups []*group
-	keyBuf []byte
+	keyIdx  []int
+	aggIdx  []int
+	specs   []algebra.AggSpec
+	ring    ringFn
+	keys    keyTable
+	keyVals [][]Value
+	accs    []groupAcc
+	keyBuf  []byte
 
 	// When mem is set, every new group reserves its estimated footprint for
 	// op (reserved, returned by releaseMem).
@@ -837,15 +796,19 @@ type groupTable struct {
 	reserved int64
 
 	// mergePartials switches ingestion to pre-aggregated partial rows
-	// (pre-shuffle partial aggregation): keys in the leading columns, then
-	// one (count, payload) column pair per aggregate, folded in via absorb.
+	// (ShufflePartialSchema): keys in the leading columns, then one (count,
+	// payload) column pair per aggregate, folded in via absorb.
 	mergePartials bool
 }
 
 func newGroupTable(keyIdx, aggIdx []int, specs []algebra.AggSpec, ring ringFn) *groupTable {
 	return &groupTable{keyIdx: keyIdx, aggIdx: aggIdx, specs: specs, ring: ring,
-		keys: keyTable{heads: make([]int32, 1), shift: 64, offs: []int32{0}}}
+		keys:    keyTable{heads: make([]int32, 1), shift: 64, offs: []int32{0}},
+		keyVals: make([][]Value, len(keyIdx))}
 }
+
+// groups returns the number of groups.
+func (gt *groupTable) groups() int { return len(gt.keys.next) }
 
 // budgeted charges the table's groups to e's memory accountant, if it has
 // one, under op's name.
@@ -875,24 +838,31 @@ func (gt *groupTable) releaseMem() {
 	gt.reserved = 0
 }
 
-// ingest accumulates one batch under the table's mode: raw rows by default,
-// pre-aggregated partial rows under mergePartials.
+// ingest accumulates one batch, row by row in row order: raw rows by
+// default, pre-aggregated partial rows under mergePartials.
 func (gt *groupTable) ingest(b *Batch) error {
-	if gt.mergePartials {
-		return gt.addPartialBatch(b)
-	}
-	return gt.addBatch(b)
-}
-
-// addBatch accumulates one batch, row by row in row order.
-func (gt *groupTable) addBatch(b *Batch) error {
+	nk, ns := len(gt.keyIdx), len(gt.specs)
 	for ri := 0; ri < b.N; ri++ {
-		grp, err := gt.groupFor(b, ri)
+		g, err := gt.groupFor(b, ri)
 		if err != nil {
 			return err
 		}
-		if err := gt.accumulate(grp, b, ri); err != nil {
-			return err
+		accs := gt.accs[g*ns : (g+1)*ns]
+		for i, sp := range gt.specs {
+			acc := &accs[i]
+			switch {
+			case gt.mergePartials:
+				err = acc.absorb(b.Cols[nk+2*i].Value(ri).I, b.Cols[nk+2*i+1].Value(ri), gt.ring)
+			case sp.Star:
+				err = acc.absorb(1, Value{}, gt.ring)
+			default:
+				if col := &b.Cols[gt.aggIdx[i]]; !acc.addFast(col, ri) {
+					err = acc.absorb(1, col.Value(ri), gt.ring)
+				}
+			}
+			if err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -903,62 +873,97 @@ func (gt *groupTable) addBatch(b *Batch) error {
 // use. Under a memory budget, registering a new group first reserves its
 // estimated footprint, and a refused reservation is an ErrMemoryBudget
 // error.
-func (gt *groupTable) groupFor(b *Batch, ri int) (*group, error) {
+func (gt *groupTable) groupFor(b *Batch, ri int) (int, error) {
 	var err error
 	gt.keyBuf = gt.keyBuf[:0]
 	for _, ix := range gt.keyIdx {
 		if gt.keyBuf, err = appendCellKey(gt.keyBuf, &b.Cols[ix], ri); err != nil {
-			return nil, err
+			return -1, err
 		}
 	}
 	h := maphash.Bytes(hashSeed, gt.keyBuf)
 	if g := gt.keys.scanBytes(gt.keys.first(h), gt.keyBuf); g >= 0 {
-		return gt.groups[g], nil
+		return int(g), nil
 	}
 	if gt.mem != nil {
 		cost := groupCost(len(gt.keyBuf), len(gt.keyIdx), len(gt.specs))
 		if err := gt.mem.reserve(gt.op, cost); err != nil {
-			return nil, err
+			return -1, err
 		}
 		gt.reserved += cost
 	}
-	grp := &group{keyVals: make([]Value, len(gt.keyIdx)), accs: make([]groupAcc, len(gt.specs))}
-	for i, ix := range gt.keyIdx {
-		grp.keyVals[i] = b.Cols[ix].Value(ri)
+	for k, ix := range gt.keyIdx {
+		gt.keyVals[k] = grow(gt.keyVals[k], 1)
+		gt.keyVals[k][len(gt.keyVals[k])-1] = b.Cols[ix].Value(ri)
 	}
+	gt.accs = grow(gt.accs, len(gt.specs))
 	for i, sp := range gt.specs {
-		grp.accs[i].fn = sp.Func
+		gt.accs[len(gt.accs)-len(gt.specs)+i].fn = sp.Func
 	}
 	gt.keys.add(gt.keyBuf, h)
-	gt.groups = append(gt.groups, grp)
-	return grp, nil
+	return gt.groups() - 1, nil
 }
 
-// accumulate folds row ri of b into grp's accumulators.
-func (gt *groupTable) accumulate(grp *group, b *Batch, ri int) error {
-	for i, sp := range gt.specs {
-		acc := &grp.accs[i]
-		if sp.Star {
-			if err := acc.add(Value{}, gt.ring); err != nil {
-				return err
-			}
-			continue
-		}
-		col := &b.Cols[gt.aggIdx[i]]
-		if acc.addFast(col, ri) {
-			continue
-		}
-		if err := acc.add(col.Value(ri), gt.ring); err != nil {
-			return err
-		}
+// grow extends s by n zero elements, doubling its capacity when full: the
+// group vectors' reallocations then total at most their final size, where
+// append's gentler growth of large slices would total several times it.
+func grow[T any](s []T, n int) []T {
+	if len(s)+n > cap(s) {
+		s = slices.Grow(s, max(len(s), n))
 	}
-	return nil
+	return s[:len(s)+n]
 }
 
+// window renders groups [lo, hi) as one batch: the key columns, then per
+// aggregate its result or, under partial, its (count, payload) pair.
+func (gt *groupTable) window(lo, hi int, partial bool) (*Batch, error) {
+	ns, n := len(gt.specs), hi-lo
+	out := &Batch{Cols: make([]Column, 0, len(gt.keyIdx)+2*ns), N: n}
+	for _, vals := range gt.keyVals {
+		out.Cols = append(out.Cols, NewColumn(vals[lo:hi]))
+	}
+	vals := make([]Value, n)
+	var counts []Value
+	if partial {
+		counts = make([]Value, n)
+	}
+	for i := range gt.specs {
+		for g := lo; g < hi; g++ {
+			acc := &gt.accs[g*ns+i]
+			var err error
+			if partial {
+				var c int64
+				c, vals[g-lo], err = acc.partial()
+				counts[g-lo] = Int(c)
+			} else {
+				vals[g-lo], err = acc.result()
+			}
+			if err != nil {
+				return nil, err
+			}
+		}
+		if partial {
+			out.Cols = append(out.Cols, NewColumn(counts))
+		}
+		out.Cols = append(out.Cols, NewColumn(vals))
+	}
+	return out, nil
+}
+
+// groupByOp drains its input (the group-by is a pipeline breaker) into one
+// groupTable and emits one row per group, in first-seen order, in
+// at-most-batch-sized windows. Accumulation order per group equals row
+// order, so float summation does not depend on the batch size. The final
+// group-by emits g's schema. Pre-shuffle partial aggregation uses the same
+// operator twice: the producer of a marked shuffle edge emits partials
+// (partialOut, ShufflePartialSchema rows, one per group), and the
+// consumer's group-by merges them (partialIn); with a single producer
+// folding in row order the merged result is bit-identical to the
+// unshuffled fold.
 type groupByOp struct {
 	child  Operator
 	e      *Executor
-	node   *algebra.GroupBy
+	span   opNamer // names the operator's memory reservations
 	schema []algebra.Attr
 	keyIdx []int
 	aggIdx []int
@@ -966,69 +971,74 @@ type groupByOp struct {
 	batch  int
 	ring   ringFn
 
-	// partialIn marks a consumer-side group-by whose input is a
-	// partial-aggregated shuffle edge (ShufflePartialSchema rows); the table
-	// then merges shipped partials instead of folding raw rows.
-	partialIn bool
+	partialIn, partialOut bool
 
-	built bool
-	out   [][]Value
-	pos   int
+	gt  *groupTable // built by the first Next
+	pos int
+}
+
+// newGroupByOp compiles g over child: the final group-by, the producer half
+// of a partial-aggregated shuffle edge (partialOut) or its consumer half
+// (partialIn), whose input keys lead and whose aggregates are (count,
+// payload) column pairs.
+func (e *Executor) newGroupByOp(g *algebra.GroupBy, child Operator, partialIn, partialOut bool) (*groupByOp, error) {
+	op := &groupByOp{
+		child: child, e: e, span: g, schema: g.Schema(),
+		keyIdx: make([]int, len(g.Keys)), aggIdx: make([]int, len(g.Aggs)), specs: g.Aggs,
+		batch: e.batchSize(), ring: e.ringCache(),
+		partialIn: partialIn, partialOut: partialOut,
+	}
+	if partialOut {
+		op.span, op.schema = PartialSpan{g}, ShufflePartialSchema(g)
+	}
+	in := child.Schema()
+	for i, k := range g.Keys {
+		op.keyIdx[i] = i // a partial's keys lead
+		if partialIn {
+			continue
+		}
+		if op.keyIdx[i] = schemaIndex(in, k); op.keyIdx[i] < 0 {
+			return nil, fmt.Errorf("exec: group key %s not in input", k)
+		}
+	}
+	for i, sp := range g.Aggs {
+		op.aggIdx[i] = -1 // COUNT(*), or a partial's (count, payload) pair
+		if partialIn || sp.Star {
+			continue
+		}
+		if op.aggIdx[i] = schemaIndex(in, sp.Attr); op.aggIdx[i] < 0 {
+			return nil, fmt.Errorf("exec: aggregate attribute %s not in input", sp.Attr)
+		}
+	}
+	return op, nil
 }
 
 func (g *groupByOp) Schema() []algebra.Attr { return g.schema }
 
 func (g *groupByOp) Open() error {
-	g.built, g.out, g.pos = false, nil, 0
+	g.gt, g.pos = nil, 0
 	return g.child.Open()
 }
 
 func (g *groupByOp) Close() error { return g.child.Close() }
 
-// build drains the input (the group-by is a pipeline breaker) and
-// hash-aggregates it into one groupTable, batch by batch. Groups emit in
-// first-seen order and accumulation order per group equals row order, so
-// float summation does not depend on the batch size.
-func (g *groupByOp) build() error {
-	gt := newGroupTable(g.keyIdx, g.aggIdx, g.specs, g.ring).budgeted(g.e, g.node)
-	gt.mergePartials = g.partialIn
-	defer gt.releaseMem()
-	if err := gt.fill(g.child); err != nil {
-		return err
-	}
-	g.out = make([][]Value, 0, len(gt.groups))
-	for _, grp := range gt.groups {
-		row := make([]Value, 0, len(grp.keyVals)+len(g.specs))
-		row = append(row, grp.keyVals...)
-		for i := range g.specs {
-			v, err := grp.accs[i].result()
-			if err != nil {
-				return err
-			}
-			row = append(row, v)
-		}
-		g.out = append(g.out, row)
-	}
-	return nil
-}
-
 func (g *groupByOp) Next() (*Batch, error) {
-	if !g.built {
-		if err := g.build(); err != nil {
+	if g.gt == nil {
+		gt := newGroupTable(g.keyIdx, g.aggIdx, g.specs, g.ring).budgeted(g.e, g.span)
+		gt.mergePartials = g.partialIn
+		err := gt.fill(g.child)
+		gt.releaseMem()
+		if err != nil {
 			return nil, err
 		}
-		g.built = true
+		g.gt = gt
 	}
-	if g.pos >= len(g.out) {
+	lo := g.pos
+	if lo >= g.gt.groups() {
 		return nil, nil
 	}
-	end := g.pos + g.batch
-	if end > len(g.out) {
-		end = len(g.out)
-	}
-	window := g.out[g.pos:end]
-	g.pos = end
-	return NewBatchFromRows(window, len(g.schema))
+	g.pos = min(lo+g.batch, g.gt.groups())
+	return g.gt.window(lo, g.pos, g.partialOut)
 }
 
 // ---------------------------------------------------------------------------

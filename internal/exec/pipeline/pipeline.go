@@ -1,68 +1,16 @@
-// Package pipeline is the streaming layer over the batch execution engine:
-// it drives compiled Open/Next/Close operator streams (exec.Build), adapts
-// channels into pipeline sources so plan fragments on different subjects
-// can exchange row batches instead of whole relations.
+// Package pipeline is the exchange layer over the batch execution engine:
+// it adapts channels into pipeline sources so plan fragments on different
+// subjects can exchange row batches instead of whole relations.
 //
 // The package deliberately holds no evaluation logic of its own: operator
-// semantics live in internal/exec; pipeline owns how compiled streams are
-// driven and exchanged.
+// semantics, and the pump that drives a compiled stream (exec.PumpContext),
+// live in internal/exec; pipeline owns how batches are exchanged.
 package pipeline
 
 import (
-	"context"
-
 	"mpq/internal/algebra"
 	"mpq/internal/exec"
 )
-
-// PumpContext opens op, forwards every batch to emit, and closes it. It is
-// the producer side of a batch exchange: fragment workers pump their
-// compiled sub-plan into the channel feeding the consuming subject (an emit
-// error aborts the pump and is returned). Between batches it checks ctx
-// (nil = never cancelled), so a cancelled or deadline-expired run stops
-// pumping within one batch even when the operator tree contains no
-// context-aware leaf (pure exchange-fed fragments). The operator is closed
-// on every exit path.
-func PumpContext(ctx context.Context, op exec.Operator, emit func(*exec.Batch) error) error {
-	if err := op.Open(); err != nil {
-		op.Close()
-		return err
-	}
-	// A panic unwinding out of Next or emit (an injected fault, a buggy
-	// UDF) must still tear the operator tree down before the fragment
-	// boundary reports it: memory reservations hang off Close, and skipping
-	// it leaks them.
-	closed := false
-	closeOp := func() error { closed = true; return op.Close() }
-	defer func() {
-		if !closed {
-			op.Close()
-		}
-	}()
-	for {
-		if ctx != nil {
-			select {
-			case <-ctx.Done():
-				closeOp()
-				return context.Cause(ctx)
-			default:
-			}
-		}
-		b, err := op.Next()
-		if err != nil {
-			closeOp()
-			return err
-		}
-		if b == nil {
-			break
-		}
-		if err := emit(b); err != nil {
-			closeOp()
-			return err
-		}
-	}
-	return closeOp()
-}
 
 // Msg is one hop of a batch exchange: a batch, or the producer's terminal
 // error. The producer closes the channel after the last message.

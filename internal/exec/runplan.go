@@ -35,17 +35,18 @@ func (e *Executor) RunPlan(p *planner.Plan) (*Table, []string, error) {
 }
 
 // DecryptTable returns a copy of the relation with every encrypted value
-// the executor holds keys for decrypted. This is the user-side finalization
-// step: the querying user receives the (possibly encrypted) result of the
-// root fragment and decrypts it with the query-plan keys before consuming
-// it. Decryption runs on the batched path (DecryptRows): ciphers grouped by
-// scheme and key, one batched call per group.
+// the executor holds keys for decrypted, leaving t untouched. This is the
+// user-side finalization step on a whole relation: the rows are
+// columnarized and decrypted by DecryptBatch, column by column.
 func (e *Executor) DecryptTable(t *Table) (*Table, error) {
-	rows, err := e.DecryptRows(t.Rows)
+	b, err := NewBatchFromRows(t.Rows, len(t.Schema))
+	if err == nil {
+		b, err = e.DecryptBatch(b)
+	}
 	if err != nil {
 		return nil, err
 	}
 	out := NewTable(t.Schema)
-	out.Rows = rows
+	out.Rows = b.Rows()
 	return out, nil
 }
