@@ -43,7 +43,7 @@ func batchMessages(t *testing.T, pk *Paillier, n int) ([]*big.Int, []*big.Int) {
 	}
 	for i := edges; i+1 < n; i += 3 {
 		ms[i] = new(big.Int).Add(ms[i], ms[i+1])
-		cts[i] = pk.AddTo(new(big.Int).Set(cts[i]), cts[i+1])
+		cts[i] = pk.AddTo(new(big.Int).Set(cts[i]), cts[i+1], new(AddScratch))
 	}
 	return ms, cts
 }

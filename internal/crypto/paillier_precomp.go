@@ -220,10 +220,17 @@ func (p *Paillier) EncryptBatch(ms []*big.Int) ([]*big.Int, error) {
 	return out, nil
 }
 
+// AddScratch holds the product and quotient of AddTo. Reused across
+// additions, it keeps them allocation-free. One scratch serves one
+// goroutine at a time.
+type AddScratch struct{ prod, quo big.Int }
+
 // AddTo homomorphically accumulates a ciphertext into acc in place
-// (Dec(acc) gains m), avoiding the per-addition allocation of Add on the
-// aggregation hot path. acc must be owned by the caller.
-func (p *Paillier) AddTo(acc, c *big.Int) *big.Int {
-	acc.Mul(acc, c)
-	return acc.Mod(acc, p.N2)
+// (Dec(acc) gains m): the product goes to s and its remainder mod n² back
+// to acc, so repeated additions allocate nothing once s and acc have grown.
+// acc must be owned by the caller.
+func (p *Paillier) AddTo(acc, c *big.Int, s *AddScratch) *big.Int {
+	s.prod.Mul(acc, c)
+	s.quo.QuoRem(&s.prod, p.N2, acc) // both factors are in [0, n²): the remainder is Mod's
+	return acc
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"runtime/metrics"
 	"testing"
 
 	"mpq/internal/tpch"
@@ -66,7 +67,9 @@ func BenchmarkQueryConcurrentClients(b *testing.B) {
 // workload on one client: under UA at sf 0.01 every plan is cached before
 // the timer starts, and one op is one pass over the 22 TPC-H queries, so it
 // measures execution (scans, hash joins, group-bys, exchanges), not
-// planning. CI bounds its allocs/op.
+// planning. It also reports the CPU seconds the garbage collector spent
+// per pass (gc-cpu-s/op, from runtime/metrics). CI bounds its allocs/op and
+// B/op.
 func BenchmarkHitPath(b *testing.B) {
 	eng, err := New(TPCHConfig(tpch.UA, 0.01, testSeed))
 	if err != nil {
@@ -81,9 +84,15 @@ func BenchmarkHitPath(b *testing.B) {
 		}
 	}
 	pass() // prepare and cache every plan
+	gc := []metrics.Sample{{Name: "/cpu/classes/gc/total:cpu-seconds"}}
+	metrics.Read(gc)
+	before := gc[0].Value.Float64()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pass()
 	}
+	b.StopTimer()
+	metrics.Read(gc)
+	b.ReportMetric((gc[0].Value.Float64()-before)/float64(b.N), "gc-cpu-s/op")
 }

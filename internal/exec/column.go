@@ -1,10 +1,6 @@
 package exec
 
 import (
-	"encoding/binary"
-	"fmt"
-	"math"
-
 	"mpq/internal/algebra"
 )
 
@@ -370,49 +366,25 @@ func (c *Column) gather(sel []int32) Column {
 	return out
 }
 
-// appendCellKey appends cell i's canonical grouping key to buf, mirroring
-// groupKey byte for byte (group-by and hash-join keys computed from columns
-// must collide exactly with keys computed from materialized rows). Every
-// cell key is self-delimiting, so keys of several cells concatenate
-// injectively.
+// appendCellKey appends cell i's canonical grouping key to buf: byte for
+// byte appendValueKey's for the cell's value, without materializing a
+// Cipher for a ciphertext layout (the hash join's index and probes mix
+// both). Every cell key is self-delimiting, so keys of several cells
+// concatenate injectively.
 func appendCellKey(buf []byte, c *Column, i int) ([]byte, error) {
-	if c.Kind != ColAny && c.IsNull(i) {
-		return append(buf, '\x00'), nil
-	}
-	switch c.Kind {
-	case ColInt:
-		var b [9]byte
-		b[0] = 1
-		binary.BigEndian.PutUint64(b[1:], uint64(c.Ints[i]))
-		return append(buf, b[:]...), nil
-	case ColFloat:
-		var b [9]byte
-		b[0] = 2
-		binary.BigEndian.PutUint64(b[1:], math.Float64bits(c.Floats[i]))
-		return append(buf, b[:]...), nil
-	case ColStr:
-		return appendLenKey(buf, 's', c.Strs[i]), nil
-	case ColCipherBytes:
-		switch c.Scheme {
-		case algebra.SchemeDeterministic, algebra.SchemeOPE:
-			return appendLenKey(buf, 'c', c.Bytes[i]), nil
-		default:
-			return nil, fmt.Errorf("exec: cannot group/join on %s ciphertext", c.Scheme)
-		}
-	case ColDict:
-		return appendLenKey(buf, 's', c.Dict[c.Codes[i]]), nil
-	case ColCipherDict:
-		switch c.Scheme {
-		case algebra.SchemeDeterministic, algebra.SchemeOPE:
-			return appendLenKey(buf, 'c', c.CipherDict[c.Codes[i]]), nil
-		default:
-			return nil, fmt.Errorf("exec: cannot group/join on %s ciphertext", c.Scheme)
-		}
-	default:
-		k, err := groupKey(c.Vals[i])
-		if err != nil {
+	if (c.Kind == ColCipherBytes || c.Kind == ColCipherDict) && !c.IsNull(i) {
+		if err := keyScheme(c.Scheme); err != nil {
 			return nil, err
 		}
-		return append(buf, k...), nil
+		return appendLenKey(buf, 'c', cipherCell(c, i)), nil
 	}
+	return appendValueKey(buf, c.Value(i))
+}
+
+// cipherCell returns cell i of a ColCipherBytes or ColCipherDict column.
+func cipherCell(c *Column, i int) []byte {
+	if c.Kind == ColCipherDict {
+		return c.CipherDict[c.Codes[i]]
+	}
+	return c.Bytes[i]
 }

@@ -207,7 +207,7 @@ func TestBatchRowsRoundTrip(t *testing.T) {
 }
 
 // TestAppendCellKeyMirrorsGroupKey checks the column-side grouping key
-// encoder against the row-side groupKey byte for byte: hash joins probe
+// encoder against the value-side one byte for byte: hash joins probe
 // with column keys against an index built from row keys, so the encodings
 // must collide exactly.
 func TestAppendCellKeyMirrorsGroupKey(t *testing.T) {
@@ -257,6 +257,12 @@ func TestAppendCellKeyMirrorsGroupKey(t *testing.T) {
 	if _, err := groupKey(rnd); err == nil {
 		t.Fatal("rnd cipher keyed a group (row side)")
 	}
+}
+
+// groupKey returns v's canonical grouping key as a string.
+func groupKey(v Value) (string, error) {
+	b, err := appendValueKey(nil, v)
+	return string(b), err
 }
 
 // cellKey returns cell i's canonical grouping key as a string.

@@ -12,10 +12,10 @@
 // bitmap). Scans serve zero-copy windows of each table's cached columnar
 // store (Table.Columns, built once per relation), filters narrow selection
 // vectors over the vectors, projections forward column slices without
-// copying, aggregation accumulates from the typed vectors and emits column
-// vectors, joins and products gather them, and the encrypt/decrypt
-// operators and the user-side DecryptBatch hand whole columns to the
-// batched crypto engine. No operator builds rows: row-oriented callers
+// copying, aggregation keeps typed key vectors and per-aggregate
+// accumulator vectors and emits slices of them, joins and products gather
+// them, and the encrypt/decrypt operators and the user-side DecryptBatch
+// hand whole columns to the batched crypto engine. No operator builds rows: row-oriented callers
 // convert only at the boundary (Drain, Batch.Rows). A pipeline runs on the goroutine that drains it; the
 // distributed runtime gives every fragment its own, and only the
 // encrypt/decrypt operators fan a large batch out to the intra-batch crypto

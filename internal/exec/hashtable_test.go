@@ -2,7 +2,9 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -283,9 +285,12 @@ func TestJoinTableConcurrentProbes(t *testing.T) {
 	}
 }
 
-// TestGroupTableMatchesCanonicalMap feeds random key tuples of every pair
-// of layouts into a groupTable and checks each row lands in the group the
-// canonical-key map assigns in first-seen order, NULLs forming one group.
+// TestGroupTableMatchesCanonicalMap feeds key tuples into a groupTable and
+// checks each row lands in the group the canonical-key map assigns in
+// first-seen order, NULLs forming one group, and that the emitted key
+// columns hold each group's first-seen cells. It runs random keys over
+// every pair of layouts, then key columns whose layout, dictionary or
+// cells change between the batches of one table.
 func TestGroupTableMatchesCanonicalMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	dom := newKeyDomain(t, 6000)
@@ -296,39 +301,158 @@ func TestGroupTableMatchesCanonicalMap(t *testing.T) {
 				n, domain = 12000, 6000 // single-layout pairs also grow the table far
 			}
 			a, b := randomKeys(rng, n, domain, true), randomKeys(rng, n, 3, true)
-			gt := newGroupTable([]int{0, 1}, nil, nil, nil)
-			ref := make(map[string]int)
+			var batches []*Batch
 			for len(a) > 0 {
-				m := 1 + rng.Intn(500)
-				if m > len(a) {
-					m = len(a)
-				}
-				batch := &Batch{Cols: []Column{dom.column(ak, a[:m], rng), dom.column(bk, b[:m], rng)}, N: m}
+				m := min(1+rng.Intn(500), len(a))
+				batches = append(batches, &Batch{Cols: []Column{dom.column(ak, a[:m], rng), dom.column(bk, b[:m], rng)}, N: m})
 				a, b = a[m:], b[m:]
-				for ri := 0; ri < m; ri++ {
-					g, err := gt.groupFor(batch, ri)
-					if err != nil {
-						t.Fatal(err)
-					}
-					ka, _ := cellKey(&batch.Cols[0], ri)
-					kb, _ := cellKey(&batch.Cols[1], ri)
-					k := ka + "\x1f" + kb
-					want, ok := ref[k]
-					if !ok {
-						want = len(ref)
-						ref[k] = want
-					}
-					if want >= gt.groups() || g != want {
-						t.Fatalf("%s × %s: row %v lands in the wrong group (want group %d of %d)",
-							layoutNames[ak], layoutNames[bk], [2]Value{batch.Cols[0].Value(ri), batch.Cols[1].Value(ri)}, want, gt.groups())
-					}
-				}
 			}
-			if gt.groups() != len(ref) {
-				t.Fatalf("%s × %s: %d groups, want %d", layoutNames[ak], layoutNames[bk], gt.groups(), len(ref))
+			checkGroupTable(t, layoutNames[ak]+" × "+layoutNames[bk], batches)
+		}
+	}
+
+	one := func(c Column) *Batch { return &Batch{Cols: []Column{c}, N: c.Len()} }
+	ints := func(vs ...Value) Column { return Column{Kind: ColAny, Vals: vs} }
+	// A second dictionary holding dom.strs in reverse order.
+	rev := slices.Clone(dom.strs)
+	slices.Reverse(rev)
+	revDict := func(keys []int) Column {
+		c := dom.column(ColDict, keys, rng)
+		c.Dict = rev
+		for i, v := range keys {
+			if v >= 0 {
+				c.Codes[i] = uint32(len(rev) - 1 - v)
+			}
+		}
+		return c
+	}
+	seq := func(lo, hi int) []int {
+		keys := make([]int, 0, hi-lo)
+		for v := lo; v < hi; v++ {
+			keys = append(keys, v)
+		}
+		return keys
+	}
+	nullAfter := append(seq(30, 100), -1, 5, -1, 120)
+	negZero, nan2 := math.Copysign(0, -1), math.Float64frombits(0x7ff8000000000001)
+	for _, c := range []struct {
+		name    string
+		batches []*Batch
+	}{
+		{"ColInt, then ColAny ints", []*Batch{
+			one(dom.column(ColInt, []int{3, 1, 3, -1, 7}, rng)),
+			one(ints(Int(7), Int(2), Null(), Int(3), Int(1))),
+			one(dom.column(ColInt, []int{2, 9, 1}, rng)),
+		}},
+		{"ColStr, then ColDict", []*Batch{
+			one(dom.column(ColStr, []int{4, 8, 4, -1}, rng)),
+			one(dom.column(ColDict, []int{8, 5, -1, 4, 5}, rng)),
+		}},
+		{"ColDict under two dictionaries", []*Batch{
+			one(dom.column(ColDict, []int{10, 11, 10}, rng)),
+			one(revDict([]int{11, 12, -1, 10})),
+			one(dom.column(ColDict, []int{12, 13, -1}, rng)),
+		}},
+		{"ColCipherBytes, then ColCipherDict under one key", []*Batch{
+			one(intPlains(dom.column(ColCipherBytes, []int{1, 2, 1}, rng))),
+			one(dom.column(ColCipherDict, []int{2, 3, 1, 3}, rng)),
+		}},
+		{"first NULL after more than 64 groups", []*Batch{
+			one(dom.column(ColInt, seq(0, 70), rng)),
+			one(dom.column(ColInt, nullAfter, rng)),
+			one(dom.column(ColStr, seq(0, 70), rng)),
+		}},
+		{"first NULL after more than 64 string groups", []*Batch{
+			one(dom.column(ColStr, seq(0, 130), rng)),
+			one(dom.column(ColDict, nullAfter, rng)),
+		}},
+		{"-0.0 against 0.0, and NaN", []*Batch{
+			one(NewColumn([]Value{Float(0), Float(negZero), Float(math.NaN()), Float(nan2)})),
+			one(NewColumn([]Value{Float(math.NaN()), Float(negZero), Float(0), Float(nan2), Null()})),
+		}},
+		{"int 1 against float 1.0", []*Batch{
+			one(NewColumn([]Value{Float(1), Float(2)})),
+			one(dom.column(ColInt, []int{1, 2}, rng)),
+			one(ints(Int(1), Float(1), Int(3), Float(3))),
+		}},
+	} {
+		checkGroupTable(t, c.name, c.batches)
+	}
+}
+
+// intPlains marks every cell of a ciphertext column as an encrypted int.
+func intPlains(c Column) Column {
+	for i := range c.Plains {
+		c.Plains[i] = KInt
+	}
+	return c
+}
+
+// checkGroupTable ingests batches into one groupTable keyed by all their
+// columns, checking every row's group against the canonical-key map, and
+// then that the emitted key columns, in windows of 100 groups, hold each
+// group's first-seen cells.
+func checkGroupTable(t *testing.T, what string, batches []*Batch) {
+	t.Helper()
+	nk := len(batches[0].Cols)
+	keyIdx := make([]int, nk)
+	for k := range keyIdx {
+		keyIdx[k] = k
+	}
+	gt := newGroupTable(keyIdx, nil, nil, nil)
+	ref := make(map[string]int)
+	var first [][]Value // group → its first row's key cells
+	for bi, b := range batches {
+		gs, err := gt.assign(b)
+		if err != nil {
+			t.Fatalf("%s: batch %d: %v", what, bi, err)
+		}
+		for ri := 0; ri < b.N; ri++ {
+			var k string
+			row := make([]Value, nk)
+			for ci := range b.Cols {
+				ck, err := cellKey(&b.Cols[ci], ri)
+				if err != nil {
+					t.Fatal(err)
+				}
+				k += ck
+				row[ci] = b.Cols[ci].Value(ri)
+			}
+			want, ok := ref[k]
+			if !ok {
+				want = len(ref)
+				ref[k] = want
+				first = append(first, row)
+			}
+			if want >= gt.groups() || int(gs[ri]) != want {
+				t.Fatalf("%s: batch %d row %v lands in group %d, want group %d of %d", what, bi, row, gs[ri], want, gt.groups())
 			}
 		}
 	}
+	if gt.groups() != len(ref) {
+		t.Fatalf("%s: %d groups, want %d", what, gt.groups(), len(ref))
+	}
+	for lo := 0; lo < gt.groups(); lo += 100 {
+		w := gt.window(lo, min(lo+100, gt.groups()), false)
+		for g := lo; g < lo+w.N; g++ {
+			for k := range w.Cols {
+				if got, want := w.Cols[k].Value(g-lo), first[g][k]; !sameCell(got, want) {
+					t.Fatalf("%s: group %d emits key %d as %v (layout %s), first seen as %v", what, g, k, got, layoutNames[w.Cols[k].Kind], want)
+				}
+			}
+		}
+	}
+}
+
+// sameCell reports whether two cells are the same value: kind, content,
+// floats by bit pattern, and a ciphertext's scheme, key, bytes and plain
+// kind.
+func sameCell(a, b Value) bool {
+	if a.Kind != b.Kind || a.I != b.I || math.Float64bits(a.F) != math.Float64bits(b.F) || a.S != b.S {
+		return false
+	}
+	return a.C == nil || b.C != nil && a.C.Scheme == b.C.Scheme && a.C.KeyID == b.C.KeyID &&
+		string(a.C.Data) == string(b.C.Data) && a.C.Plain == b.C.Plain
 }
 
 // TestHashTablesRefuseUnlinkableKeys checks that randomized and Paillier
@@ -361,7 +485,7 @@ func TestHashTablesRefuseUnlinkableKeys(t *testing.T) {
 				t.Errorf("%s probe into %s table: err %v, want cannot group/join", v.C.Scheme, layoutNames[good.Kind], err)
 			}
 		}
-		if _, err := newGroupTable([]int{0}, nil, nil, nil).groupFor(bad[0], 0); err == nil || !strings.Contains(err.Error(), "cannot group/join") {
+		if _, err := newGroupTable([]int{0}, nil, nil, nil).assign(bad[0]); err == nil || !strings.Contains(err.Error(), "cannot group/join") {
 			t.Errorf("%s group: err %v, want cannot group/join", v.C.Scheme, err)
 		}
 	}

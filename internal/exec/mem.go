@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync/atomic"
 	"unsafe"
+
+	"mpq/internal/sql"
 )
 
 // ErrMemoryBudget is the error a query fails with when a hash-join build
@@ -70,13 +72,32 @@ func (m *MemAccountant) Used() int64 {
 	return m.used.Load()
 }
 
-// groupCost is what one new group adds to a groupTable: its key bytes and
-// their offset, its chain link and up to four bucket heads (keyTable.add
-// keeps at least two buckets per entry), then its pinned key values and one
-// accumulator per aggregate.
-func groupCost(keyLen, nkeys, naggs int) int64 {
-	return int64(keyLen) + 4 + 4 + 16 +
-		int64(nkeys)*int64(unsafe.Sizeof(Value{})) + int64(naggs)*int64(unsafe.Sizeof(groupAcc{}))
+// keyCellBytes is a key vector's cell size by layout. String and
+// ciphertext cells share their bytes with the input.
+var keyCellBytes = [...]int64{ColAny: int64(unsafe.Sizeof(Value{})), ColInt: 8, ColFloat: 8, ColStr: 16, ColCipherBytes: 24 + 1}
+
+// groupCost is what one new group adds to a groupTable: its chain link, its
+// hash and up to four bucket heads (keyTable.add keeps at least two buckets
+// per entry), one cell per key vector, and per aggregate its count and the
+// cells its function keeps. The limbs of Paillier sums are not counted.
+func groupCost(keys []keyVec, aggs []aggVec) int64 {
+	cost := int64(4 + 8 + 16)
+	for k := range keys {
+		cost += keyCellBytes[keys[k].Kind]
+	}
+	for i := range aggs {
+		a := &aggs[i]
+		cost += 8 // its count
+		switch {
+		case a.phe != nil:
+			cost += 8 + 2*8
+		case a.fn == sql.AggSum || a.fn == sql.AggAvg:
+			cost += 8
+		case a.fn != sql.AggCount:
+			cost += keyCellBytes[a.ext.Kind]
+		}
+	}
+	return cost
 }
 
 // batchMemBytes estimates the resident footprint of a retained batch, per

@@ -107,3 +107,48 @@ func TestMemBudgetRefusesProductBuildSide(t *testing.T) {
 		}
 	}
 }
+
+// TestGroupByHoldsReservationUntilClose drains a budgeted group-by window by
+// window: its table stays resident while the windows are emitted, so its
+// reservation must too, and Close must return all of it.
+func TestGroupByHoldsReservationUntilClose(t *testing.T) {
+	k, v := algebra.A("R", "k"), algebra.A("R", "v")
+	ex := exec.NewExecutor()
+	r := exec.NewTable([]algebra.Attr{k, v})
+	for i := int64(0); i < 3000; i++ {
+		r.Append([]exec.Value{exec.Int(i % 2000), exec.Float(float64(i))})
+	}
+	ex.Tables["R"] = r
+	ex.Mem = exec.NewMemAccountant(1 << 30)
+	g := algebra.NewGroupBy(algebra.NewBase("R", "A", r.Schema, 3000, nil), []algebra.Attr{k},
+		[]algebra.AggSpec{{Func: sql.AggSum, Attr: v}}, 2000)
+	op, err := ex.Build(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := op.Open(); err != nil {
+		t.Fatal(err)
+	}
+	groups := 0
+	for {
+		b, err := op.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b == nil {
+			break
+		}
+		if groups += b.N; ex.Mem.Used() <= 0 {
+			t.Fatalf("after %d of 2000 groups emitted the group-by holds no reservation", groups)
+		}
+	}
+	if err := op.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if groups != 2000 {
+		t.Errorf("%d groups, want 2000", groups)
+	}
+	if n := ex.Mem.Used(); n != 0 {
+		t.Errorf("closed group-by still holds %d reserved bytes", n)
+	}
+}

@@ -38,7 +38,9 @@ func TestPaillierOverSymmetricRingIsTypedError(t *testing.T) {
 	ct := func() *Cipher {
 		return &Cipher{Scheme: algebra.SchemePaillier, KeyID: "kS", Phe: big.NewInt(5), Div: 1, Plain: KInt}
 	}
-	withSum := func() *groupAcc { return &groupAcc{fn: sql.AggSum, count: 1, phe: big.NewInt(3), pheC: ct()} }
+	withSum := func() *aggVec {
+		return &aggVec{fn: sql.AggSum, count: []int64{1}, sum: []float64{0}, phe: []*big.Int{big.NewInt(3)}, pheC: []*Cipher{ct()}}
+	}
 
 	for name, run := range map[string]func() error{
 		"EncryptValue": func() error { _, err := EncryptValue(sym, algebra.SchemePaillier, Int(1)); return err },
@@ -60,7 +62,9 @@ func TestPaillierOverSymmetricRingIsTypedError(t *testing.T) {
 			_, err := e.decryptColumn(&col, e.Keys.Get)
 			return err
 		},
-		"groupAcc.absorb": func() error { return withSum().absorb(1, Enc(ct()), e.ringCache()) },
+		"aggVec.absorb": func() error {
+			return withSum().absorb(0, 1, Enc(ct()), newGroupTable(nil, nil, nil, e.ringCache()))
+		},
 		"groupTable.ingest": func() error {
 			gt := newGroupTable(nil, []int{0}, []algebra.AggSpec{{Func: sql.AggSum, Attr: v}}, e.ringCache())
 			return gt.ingest(&Batch{Cols: []Column{NewColumn([]Value{Enc(ct()), Enc(ct())})}, N: 2})

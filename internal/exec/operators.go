@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/maphash"
+	"math"
 	"math/big"
 	"slices"
 
@@ -97,8 +98,9 @@ var hashSeed = maphash.MakeSeed()
 // group-by. Entries are numbered from 0. heads maps a bucket to its first
 // entry and next links each entry to the following one in its bucket, both
 // as entry+1, so zero means none and fresh slices need no initialization.
-// An entry's key is an int64 (intKeys) or its canonical key bytes
-// (appendCellKey) kept back to back in one arena.
+// A join's entry key is an int64 (intKeys) or its canonical key bytes
+// (appendCellKey) kept back to back in one arena. A group table keeps only
+// each entry's hash; its keys live in the group's key vectors.
 type keyTable struct {
 	heads   []int32
 	next    []int32
@@ -107,6 +109,7 @@ type keyTable struct {
 	ints    []int64 // intKeys: entry e's key
 	arena   []byte  // otherwise entry e's key is arena[offs[e]:offs[e+1]]
 	offs    []int32
+	hashes  []uint64 // group table: entry e's hash
 }
 
 func hashInt(k int64) uint64 { return uint64(k) * 0x9e3779b97f4a7c15 }
@@ -127,21 +130,22 @@ func (t *keyTable) chain() {
 	t.heads, t.shift = make([]int32, size), shift
 	for e := int32(len(t.next)) - 1; e >= 0; e-- {
 		var h uint64
-		if t.intKeys {
+		switch {
+		case t.hashes != nil:
+			h = t.hashes[e]
+		case t.intKeys:
 			h = hashInt(t.ints[e])
-		} else {
+		default:
 			h = maphash.Bytes(hashSeed, t.key(e))
 		}
 		t.next[e], t.heads[h>>shift] = t.heads[h>>shift], e+1
 	}
 }
 
-// add appends an entry under byte key k of hash h, chaining afresh once the
+// add appends a group table's entry of hash h, chaining afresh once the
 // entries pass half the buckets.
-func (t *keyTable) add(k []byte, h uint64) {
-	t.arena = append(t.arena, k...)
-	t.offs = append(t.offs, int32(len(t.arena)))
-	t.next = append(t.next, 0)
+func (t *keyTable) add(h uint64) {
+	t.hashes, t.next = push(t.hashes, h), push(t.next, 0)
 	if n := len(t.next); 2*n > len(t.heads) {
 		t.chain()
 	} else {
@@ -586,238 +590,50 @@ func pheKey(ring ringFn, keyID string) (*crypto.Paillier, error) {
 	return r.Paillier()
 }
 
-// groupAcc is the per-group accumulator of one aggregate: it folds cells in
-// row order, so float sums do not depend on the batch size. A raw cell is a
-// partial of count 1 (absorb(1, v)), so one fold serves rows and shipped
-// partials alike.
-// MIN/MAX over OPE ciphertext-byte columns track the running extreme as a
-// payload reference (byteMode) — ciphertext order is byte order, so no
-// Cipher is materialized per candidate.
-type groupAcc struct {
-	fn    sql.AggFunc
-	count int64
-	sum   float64
-	ext   Value // MIN/MAX: the extreme so far
-	phe   *big.Int
-	pheC  *Cipher
-
-	// OPE byte fast path: while byteMode is set the extreme is payload extB
-	// under key extKey; the first candidate from any other layout
-	// materializes ext and clears it.
-	byteMode bool
-	extPlain Kind
-	extB     []byte
-	extKey   string
-}
-
-// wins reports whether a candidate comparing c to the extreme replaces it:
-// strictly, so earlier candidates win ties.
-func (acc *groupAcc) wins(c int) bool {
-	return acc.fn == sql.AggMin && c < 0 || acc.fn == sql.AggMax && c > 0
-}
-
-// absorb folds count rows summarized by payload into the accumulator: a raw
-// cell with count 1, or a shipped partial. Counts add, sums add (Paillier
-// sums homomorphically), extremes compare under compareForSort's strict
-// rule, so earlier candidates win ties. The inverse of partial.
-func (acc *groupAcc) absorb(count int64, payload Value, ring ringFn) error {
-	if count == 0 {
-		return nil
-	}
-	first := acc.count == 0
-	acc.count += count
-	switch acc.fn {
-	case sql.AggCount:
-		return nil
-	case sql.AggSum, sql.AggAvg:
-		if payload.IsCipher() {
-			if payload.C.Scheme != algebra.SchemePaillier {
-				return fmt.Errorf("exec: %s over %s ciphertext", acc.fn, payload.C.Scheme)
-			}
-			if acc.phe == nil {
-				// Copy: the accumulator owns its sum so AddTo can
-				// accumulate in place without a per-row allocation.
-				acc.phe = new(big.Int).Set(payload.C.Phe)
-				acc.pheC = payload.C
-				return nil
-			}
-			pk, err := pheKey(ring, payload.C.KeyID)
-			if err != nil {
-				return err
-			}
-			pk.AddTo(acc.phe, payload.C.Phe)
-			return nil
-		}
-		f, err := payload.AsFloat()
-		if err != nil {
-			return err
-		}
-		acc.sum += f
-		return nil
-	case sql.AggMin, sql.AggMax:
-		if first {
-			acc.ext = payload
-			return nil
-		}
-		if acc.byteMode {
-			acc.materialize()
-		}
-		c, err := compareForSort(payload, acc.ext)
-		if err != nil {
-			return err
-		}
-		if acc.wins(c) {
-			acc.ext = payload
-		}
-		return nil
-	}
-	return fmt.Errorf("exec: unknown aggregate %q", acc.fn)
-}
-
-// addFast accumulates one cell of a typed column without materializing a
-// Value: the monomorphic path for COUNT, for SUM/AVG over int64/float64
-// vectors, and for MIN/MAX over OPE ciphertext-byte vectors (compared as
-// raw payload bytes — OPE order is byte order, exactly compareForSort's
-// rule). It reports whether it handled the cell; callers fall back to
-// absorb (via Column.Value) otherwise.
-func (acc *groupAcc) addFast(col *Column, ri int) bool {
-	switch acc.fn {
-	case sql.AggCount:
-		acc.count++
-		return true
-	case sql.AggSum, sql.AggAvg:
-		if col.IsNull(ri) {
-			return false
-		}
-		switch col.Kind {
-		case ColInt:
-			acc.count++
-			acc.sum += float64(col.Ints[ri])
-			return true
-		case ColFloat:
-			acc.count++
-			acc.sum += col.Floats[ri]
-			return true
-		}
-		return false
-	case sql.AggMin, sql.AggMax:
-		if col.Kind != ColCipherBytes || col.Scheme != algebra.SchemeOPE {
-			return false
-		}
-		switch {
-		case acc.count == 0:
-			acc.byteMode = true
-		case !acc.byteMode:
-			return false // an earlier candidate forced Value mode
-		case !acc.wins(bytes.Compare(col.Bytes[ri], acc.extB)):
-			acc.count++
-			return true
-		}
-		acc.count++
-		acc.extB, acc.extPlain, acc.extKey = col.Bytes[ri], col.Plains[ri], col.KeyID
-		return true
-	}
-	return false
-}
-
-// materialize converts the OPE byte-reference extreme into the Cipher value
-// the Value path (and the final result) carries.
-func (acc *groupAcc) materialize() {
-	acc.ext = Enc(&Cipher{Scheme: algebra.SchemeOPE, KeyID: acc.extKey, Data: acc.extB, Plain: acc.extPlain})
-	acc.byteMode = false
-}
-
-// partial freezes the accumulator into its shuffle form: the row count it
-// folded plus the payload the consumer resumes from. COUNT's payload is
-// NULL (the count carries it), SUM and AVG ship the sum (plaintext float or
-// Paillier cipher), MIN and MAX the extreme.
-func (acc *groupAcc) partial() (int64, Value, error) {
-	if acc.byteMode {
-		acc.materialize()
-	}
-	switch acc.fn {
-	case sql.AggCount:
-		return acc.count, Null(), nil
-	case sql.AggSum, sql.AggAvg:
-		if acc.phe != nil {
-			return acc.count, Enc(&Cipher{Scheme: algebra.SchemePaillier, KeyID: acc.pheC.KeyID,
-				Phe: acc.phe, Div: 1, Plain: acc.pheC.Plain}), nil
-		}
-		return acc.count, Float(acc.sum), nil
-	case sql.AggMin, sql.AggMax:
-		return acc.count, acc.ext, nil
-	}
-	return 0, Value{}, fmt.Errorf("exec: unknown aggregate %q", acc.fn)
-}
-
-// result is the aggregate's final value, derived from its partial: COUNT is
-// the count, AVG divides the sum by it (a Paillier sum carries the divisor
-// for the key holder to apply), and AVG over no rows is NULL.
-func (acc *groupAcc) result() (Value, error) {
-	count, v, err := acc.partial()
-	switch {
-	case err != nil:
-		return Value{}, err
-	case acc.fn == sql.AggCount:
-		return Int(count), nil
-	case acc.fn != sql.AggAvg:
-		return v, nil
-	case v.IsCipher():
-		v.C.Div, v.C.Plain = count, KFloat // partial's Cipher is fresh
-		return v, nil
-	case count == 0:
-		return Null(), nil
-	}
-	return Float(v.F / float64(count)), nil
-}
-
 // groupTable hash-aggregates batches: the core of the group-by, final or
-// partial. A row's group key is its key cells' canonical bytes
-// (appendCellKey, self-delimiting per cell), encoded straight from the
-// column vectors into a reused buffer and looked up in a keyTable whose
-// entry g is group g, so groups are kept, and emitted, in first-seen order.
-// A NULL key cell encodes as one byte, so NULLs form one group. Group g's
-// key values, pinned from its first row, are keyVals[k][g], and its
-// accumulators are accs[g*len(specs):(g+1)*len(specs)].
+// partial. Group g's key cells are cell g of keyVecs, one vector per key
+// column, pinned from the group's first row. A row's hash is mixed from its
+// key cells (cellHash), a keyTable whose entry g is group g lists the
+// candidates under it, and a candidate whose key vectors hold the row's
+// cells is the row's group. Groups are kept, and emitted, in first-seen
+// order; NULLs form one group. Each aggregate accumulates in an aggVec.
 type groupTable struct {
 	keyIdx  []int
-	aggIdx  []int
-	specs   []algebra.AggSpec
+	aggIdx  []int // -1 for COUNT(*)
 	ring    ringFn
 	keys    keyTable
-	keyVals [][]Value
-	accs    []groupAcc
-	keyBuf  []byte
+	keyVecs []keyVec
+	aggs    []aggVec
+	pheAdd  crypto.AddScratch
 
-	// When mem is set, every new group reserves its estimated footprint for
-	// op (reserved, returned by releaseMem).
+	rowHash  []uint64 // per batch: each row's key hash
+	rowGroup []int32  // and its group
+
+	// Every new group reserves its estimated footprint for op under mem, if
+	// set (reserved, returned by releaseMem).
 	mem      *MemAccountant
 	op       opNamer
 	reserved int64
 
-	// mergePartials switches ingestion to pre-aggregated partial rows
-	// (ShufflePartialSchema): keys in the leading columns, then one (count,
-	// payload) column pair per aggregate, folded in via absorb.
+	// mergePartials switches ingestion to partial rows (ShufflePartialSchema):
+	// the keys, then a (count, payload) column pair per aggregate.
 	mergePartials bool
 }
 
 func newGroupTable(keyIdx, aggIdx []int, specs []algebra.AggSpec, ring ringFn) *groupTable {
-	return &groupTable{keyIdx: keyIdx, aggIdx: aggIdx, specs: specs, ring: ring,
-		keys:    keyTable{heads: make([]int32, 1), shift: 64, offs: []int32{0}},
-		keyVals: make([][]Value, len(keyIdx))}
+	gt := &groupTable{keyIdx: keyIdx, aggIdx: aggIdx, ring: ring,
+		keys:    keyTable{heads: make([]int32, 1), shift: 64},
+		keyVecs: make([]keyVec, len(keyIdx)), aggs: make([]aggVec, len(specs))}
+	for i, sp := range specs {
+		if gt.aggs[i].fn = sp.Func; sp.Func == sql.AggMin || sp.Func == sql.AggMax {
+			gt.aggs[i].ext = Column{Kind: ColCipherBytes, Scheme: algebra.SchemeOPE}
+		}
+	}
+	return gt
 }
 
 // groups returns the number of groups.
 func (gt *groupTable) groups() int { return len(gt.keys.next) }
-
-// budgeted charges the table's groups to e's memory accountant, if it has
-// one, under op's name.
-func (gt *groupTable) budgeted(e *Executor, op opNamer) *groupTable {
-	if e != nil && e.Mem != nil {
-		gt.mem, gt.op = e.Mem, op
-	}
-	return gt
-}
 
 // fill drains child into the table, batch by batch.
 func (gt *groupTable) fill(child Operator) error {
@@ -838,70 +654,86 @@ func (gt *groupTable) releaseMem() {
 	gt.reserved = 0
 }
 
-// ingest accumulates one batch, row by row in row order: raw rows by
-// default, pre-aggregated partial rows under mergePartials.
+// ingest accumulates one batch: it finds every row's group, then folds each
+// aggregate's cells into those groups in row order: raw rows by default,
+// (count, payload) partials under mergePartials.
 func (gt *groupTable) ingest(b *Batch) error {
-	nk, ns := len(gt.keyIdx), len(gt.specs)
-	for ri := 0; ri < b.N; ri++ {
-		g, err := gt.groupFor(b, ri)
+	gs, err := gt.assign(b)
+	if err != nil {
+		return err
+	}
+	nk := len(gt.keyIdx)
+	for i := range gt.aggs {
+		a := &gt.aggs[i]
+		a.resize(gt.groups())
+		switch {
+		case gt.mergePartials:
+			counts := &b.Cols[nk+2*i]
+			if counts.Kind != ColInt || counts.hasNulls() {
+				return fmt.Errorf("exec: partial counts of %s are not integers", a.fn)
+			}
+			err = a.add(gs, counts.Ints, &b.Cols[nk+2*i+1], gt)
+		case gt.aggIdx[i] < 0:
+			err = a.add(gs, nil, nil, gt)
+		default:
+			err = a.add(gs, nil, &b.Cols[gt.aggIdx[i]], gt)
+		}
 		if err != nil {
 			return err
-		}
-		accs := gt.accs[g*ns : (g+1)*ns]
-		for i, sp := range gt.specs {
-			acc := &accs[i]
-			switch {
-			case gt.mergePartials:
-				err = acc.absorb(b.Cols[nk+2*i].Value(ri).I, b.Cols[nk+2*i+1].Value(ri), gt.ring)
-			case sp.Star:
-				err = acc.absorb(1, Value{}, gt.ring)
-			default:
-				if col := &b.Cols[gt.aggIdx[i]]; !acc.addFast(col, ri) {
-					err = acc.absorb(1, col.Value(ri), gt.ring)
-				}
-			}
-			if err != nil {
-				return err
-			}
 		}
 	}
 	return nil
 }
 
-// groupFor returns the group of row ri's key cells (columns keyIdx),
-// creating it (key values pinned from row ri) in first-seen order on first
-// use. Under a memory budget, registering a new group first reserves its
-// estimated footprint, and a refused reservation is an ErrMemoryBudget
-// error.
-func (gt *groupTable) groupFor(b *Batch, ri int) (int, error) {
-	var err error
-	gt.keyBuf = gt.keyBuf[:0]
+// assign returns the group of every row of b, in a vector reused across
+// batches, registering new keys in first-seen order. Under a memory budget
+// a new group first reserves its estimated footprint, and a refused
+// reservation is an ErrMemoryBudget error.
+func (gt *groupTable) assign(b *Batch) ([]int32, error) {
+	hs := grow(gt.rowHash[:0], b.N)
+	clear(hs)
 	for _, ix := range gt.keyIdx {
-		if gt.keyBuf, err = appendCellKey(gt.keyBuf, &b.Cols[ix], ri); err != nil {
-			return -1, err
+		for ri := range hs {
+			c, err := cellHash(&b.Cols[ix], ri)
+			if err != nil {
+				return nil, err
+			}
+			hs[ri] = hashInt(int64(hs[ri] ^ c))
 		}
 	}
-	h := maphash.Bytes(hashSeed, gt.keyBuf)
-	if g := gt.keys.scanBytes(gt.keys.first(h), gt.keyBuf); g >= 0 {
-		return int(g), nil
-	}
-	if gt.mem != nil {
-		cost := groupCost(len(gt.keyBuf), len(gt.keyIdx), len(gt.specs))
-		if err := gt.mem.reserve(gt.op, cost); err != nil {
-			return -1, err
+	cost := groupCost(gt.keyVecs, gt.aggs)
+	gs := grow(gt.rowGroup[:0], b.N)
+	t := &gt.keys
+	for ri, h := range hs {
+		g := t.first(h)
+		for g >= 0 && (t.hashes[g] != h || !gt.holds(int(g), b, ri)) {
+			g = t.next[g] - 1
 		}
-		gt.reserved += cost
+		if g < 0 {
+			if err := gt.mem.reserve(gt.op, cost); err != nil {
+				return nil, err
+			}
+			gt.reserved += cost
+			g = int32(gt.groups())
+			for k, ix := range gt.keyIdx {
+				gt.keyVecs[k].add(&b.Cols[ix], ri)
+			}
+			t.add(h)
+		}
+		gs[ri] = g
 	}
+	gt.rowHash, gt.rowGroup = hs, gs
+	return gs, nil
+}
+
+// holds reports whether group g's key cells hold row ri's.
+func (gt *groupTable) holds(g int, b *Batch, ri int) bool {
 	for k, ix := range gt.keyIdx {
-		gt.keyVals[k] = grow(gt.keyVals[k], 1)
-		gt.keyVals[k][len(gt.keyVals[k])-1] = b.Cols[ix].Value(ri)
+		if !gt.keyVecs[k].holds(g, &b.Cols[ix], ri) {
+			return false
+		}
 	}
-	gt.accs = grow(gt.accs, len(gt.specs))
-	for i, sp := range gt.specs {
-		gt.accs[len(gt.accs)-len(gt.specs)+i].fn = sp.Func
-	}
-	gt.keys.add(gt.keyBuf, h)
-	return gt.groups() - 1, nil
+	return true
 }
 
 // grow extends s by n zero elements, doubling its capacity when full: the
@@ -914,40 +746,310 @@ func grow[T any](s []T, n int) []T {
 	return s[:len(s)+n]
 }
 
+// push appends v to s, growing it as grow does.
+func push[T any](s []T, v T) []T {
+	s = grow(s, 1)
+	s[len(s)-1] = v
+	return s
+}
+
 // window renders groups [lo, hi) as one batch: the key columns, then per
-// aggregate its result or, under partial, its (count, payload) pair.
-func (gt *groupTable) window(lo, hi int, partial bool) (*Batch, error) {
-	ns, n := len(gt.specs), hi-lo
-	out := &Batch{Cols: make([]Column, 0, len(gt.keyIdx)+2*ns), N: n}
-	for _, vals := range gt.keyVals {
-		out.Cols = append(out.Cols, NewColumn(vals[lo:hi]))
+// aggregate its result or, under partial, its (count, payload) pair. A
+// typed key vector is emitted as a zero-copy slice, and a fallback one
+// through NewColumn, which picks the layout its cells share.
+func (gt *groupTable) window(lo, hi int, partial bool) *Batch {
+	out := &Batch{Cols: make([]Column, 0, len(gt.keyVecs)+2*len(gt.aggs)), N: hi - lo}
+	for k := range gt.keyVecs {
+		if col := gt.keyVecs[k].slice(lo, hi); col.Kind == ColAny {
+			out.Cols = append(out.Cols, NewColumn(col.Vals))
+		} else {
+			out.Cols = append(out.Cols, col)
+		}
 	}
-	vals := make([]Value, n)
-	var counts []Value
+	for i := range gt.aggs {
+		out.Cols = gt.aggs[i].window(out.Cols, lo, hi, partial)
+	}
+	return out
+}
+
+// cellHash hashes cell i of c by its key, alike in every layout: ints by
+// value, floats by bit pattern, strings by their bytes, det and OPE
+// ciphertexts by their payload. Other ciphertexts key nothing.
+func cellHash(c *Column, i int) (uint64, error) {
+	if c.Kind == ColCipherBytes || c.Kind == ColCipherDict {
+		if c.IsNull(i) {
+			return 1, nil
+		}
+		return maphash.Bytes(hashSeed, cipherCell(c, i)), keyScheme(c.Scheme)
+	}
+	switch v := c.Value(i); v.Kind {
+	case KNull:
+		return 1, nil
+	case KInt:
+		return hashInt(v.I), nil
+	case KFloat:
+		return hashInt(int64(math.Float64bits(v.F))), nil
+	case KString:
+		return maphash.String(hashSeed, v.S), nil
+	case KCipher:
+		return maphash.Bytes(hashSeed, v.C.Data), keyScheme(v.C.Scheme)
+	default:
+		return 0, fmt.Errorf("exec: cannot key kind %d", v.Kind)
+	}
+}
+
+// keyVec holds one key column's cell of every group, in the column's own
+// layout: ColInt, ColFloat, ColStr (dictionary cells resolved to their
+// entries) or ColCipherBytes (det or OPE payloads with their scheme, key
+// and plain kinds), its null bitmap covering every cell once a NULL
+// arrives. It falls back to ColAny when a new group's cell comes in another
+// layout or under another key, or a ciphertext vector meets a NULL.
+type keyVec struct{ Column }
+
+// keyLayout is the key vector layout holding a column layout's cells.
+var keyLayout = [...]ColKind{ColAny: ColAny, ColInt: ColInt, ColFloat: ColFloat, ColStr: ColStr,
+	ColCipherBytes: ColCipherBytes, ColDict: ColStr, ColCipherDict: ColCipherBytes}
+
+// add appends src's cell ri as the vector's next cell.
+func (kv *keyVec) add(src *Column, ri int) {
+	g, null := kv.Len(), src.IsNull(ri)
+	want := Column{Kind: keyLayout[src.Kind], Scheme: src.Scheme, KeyID: src.KeyID}
+	if g == 0 {
+		kv.Column = want
+	}
+	if kv.Kind != ColAny && (kv.Kind != want.Kind || kv.Scheme != want.Scheme || kv.KeyID != want.KeyID ||
+		null && kv.Kind == ColCipherBytes) { // a NULL is no ciphertext
+		kv.Column = Column{Kind: ColAny, Vals: kv.AppendValues(make([]Value, 0, 2*g))}
+	}
+	if kv.Kind != ColAny && (null || kv.Nulls != nil) {
+		kv.Nulls = grow(kv.Nulls, g>>6+1-len(kv.Nulls)) // cover cell g
+		if null {
+			kv.setNull(g, 0)
+		}
+	}
+	switch kv.Kind {
+	case ColInt:
+		kv.Ints = push(kv.Ints, src.Value(ri).I)
+	case ColFloat:
+		kv.Floats = push(kv.Floats, src.Value(ri).F)
+	case ColStr:
+		kv.Strs = push(kv.Strs, src.Value(ri).S)
+	case ColCipherBytes: // a cipher dictionary's entries are strings
+		kv.Bytes, kv.Plains = push(kv.Bytes, cipherCell(src, ri)), push(kv.Plains, KString)
+		if src.Kind == ColCipherBytes {
+			kv.Plains[g] = src.Plains[ri]
+		}
+	default:
+		kv.Vals = push(kv.Vals, src.Value(ri))
+	}
+}
+
+// holds reports whether cell g holds the key of src's cell ri: both NULL,
+// or of one kind and equal, floats by bit pattern and ciphertexts by their
+// bytes.
+func (kv *keyVec) holds(g int, src *Column, ri int) bool {
+	switch {
+	case kv.Kind == ColInt && src.Kind == ColInt && kv.Nulls == nil && src.Nulls == nil:
+		return kv.Ints[g] == src.Ints[ri]
+	case kv.Kind == ColCipherBytes && (src.Kind == ColCipherBytes || src.Kind == ColCipherDict):
+		return !src.IsNull(ri) && bytes.Equal(kv.Bytes[g], cipherCell(src, ri))
+	}
+	a, b := kv.Value(g), src.Value(ri)
+	switch {
+	case a.Kind != b.Kind:
+		return false
+	case a.Kind == KFloat:
+		return math.Float64bits(a.F) == math.Float64bits(b.F)
+	case a.Kind == KCipher:
+		return bytes.Equal(a.C.Data, b.C.Data)
+	}
+	return a.I == b.I && a.S == b.S
+}
+
+// aggVec accumulates one aggregate for every group in vectors indexed by
+// group, folding cells in row order, so float sums do not depend on the
+// batch size. A raw cell is a partial of count 1, so one fold serves rows
+// and shipped partials alike. Each function keeps only what it needs.
+type aggVec struct {
+	fn    sql.AggFunc
+	count []int64
+	sum   []float64
+	phe   []*big.Int // group g's homomorphic sum, nil before its first ciphertext
+	pheC  []*Cipher  // and that ciphertext, whose key and plain kind the sum keeps
+
+	// ext holds MIN or MAX extremes, as OPE ciphertext bytes compared as
+	// bytes (OPE order is byte order, compareForSort's rule) while every
+	// batch brings them under one key; any other batch moves every extreme
+	// to ColAny for good.
+	ext Column
+}
+
+// resize extends the vectors to n groups.
+func (a *aggVec) resize(n int) {
+	k := n - len(a.count)
+	a.count = grow(a.count, k)
+	switch {
+	case a.fn == sql.AggSum || a.fn == sql.AggAvg:
+		if a.sum = grow(a.sum, k); a.phe != nil {
+			a.phe, a.pheC = grow(a.phe, k), grow(a.pheC, k)
+		}
+	case a.ext.Kind == ColCipherBytes:
+		a.ext.Bytes, a.ext.Plains = grow(a.ext.Bytes, k), grow(a.ext.Plains, k)
+	case a.fn != sql.AggCount:
+		a.ext.Vals = grow(a.ext.Vals, k)
+	}
+}
+
+// wins reports whether a candidate comparing c to the extreme replaces it:
+// strictly, so earlier candidates win ties.
+func (a *aggVec) wins(c int) bool {
+	return a.fn == sql.AggMin && c < 0 || a.fn == sql.AggMax && c > 0
+}
+
+// add folds cell ri of col into group gs[ri], row by row. The cell
+// summarizes counts[ri] rows of a shipped partial or, with counts nil, one
+// raw row; col is nil for COUNT(*). Raw COUNTs, SUM and AVG over NULL-free
+// int64 or float64 vectors, and MIN and MAX over OPE ciphertext bytes read
+// the vectors; any other cell is materialized and absorbed.
+func (a *aggVec) add(gs []int32, counts []int64, col *Column, gt *groupTable) error {
+	sum := a.fn == sql.AggSum || a.fn == sql.AggAvg
+	switch {
+	case counts != nil:
+	case a.fn == sql.AggCount:
+		for _, g := range gs {
+			a.count[g]++
+		}
+		return nil
+	case sum && col.Kind == ColInt && !col.hasNulls():
+		for ri, g := range gs {
+			a.count[g]++
+			a.sum[g] += float64(col.Ints[ri])
+		}
+		return nil
+	case sum && col.Kind == ColFloat && !col.hasNulls():
+		for ri, g := range gs {
+			a.count[g]++
+			a.sum[g] += col.Floats[ri]
+		}
+		return nil
+	case a.ext.Kind == ColCipherBytes && col.Kind == ColCipherBytes && col.Scheme == algebra.SchemeOPE &&
+		(a.ext.KeyID == "" || a.ext.KeyID == col.KeyID):
+		a.ext.KeyID = col.KeyID
+		for ri, g := range gs {
+			if a.count[g] == 0 || a.wins(bytes.Compare(col.Bytes[ri], a.ext.Bytes[g])) {
+				a.ext.Bytes[g], a.ext.Plains[g] = col.Bytes[ri], col.Plains[ri]
+			}
+			a.count[g]++
+		}
+		return nil
+	}
+	if a.ext.Kind == ColCipherBytes {
+		a.ext = Column{Kind: ColAny, Vals: a.ext.AppendValues(nil)} // a group without a candidate yet is not read
+	}
+	for ri, g := range gs {
+		n := int64(1)
+		if counts != nil {
+			n = counts[ri]
+		}
+		if err := a.absorb(g, n, col.Value(ri), gt); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// absorb folds count rows summarized by payload into group g: counts add,
+// sums add (Paillier sums homomorphically, in place), extremes compare
+// under compareForSort's strict rule, so earlier candidates win ties. The
+// inverse of window's partial.
+func (a *aggVec) absorb(g int32, count int64, payload Value, gt *groupTable) error {
+	if count == 0 {
+		return nil
+	}
+	first := a.count[g] == 0
+	a.count[g] += count
+	switch a.fn {
+	case sql.AggCount:
+		return nil
+	case sql.AggSum, sql.AggAvg:
+		if !payload.IsCipher() {
+			f, err := payload.AsFloat()
+			a.sum[g] += f
+			return err
+		}
+		c := payload.C
+		if c.Scheme != algebra.SchemePaillier {
+			return fmt.Errorf("exec: %s over %s ciphertext", a.fn, c.Scheme)
+		}
+		if a.phe == nil {
+			a.phe, a.pheC = make([]*big.Int, len(a.count)), make([]*Cipher, len(a.count))
+		}
+		if a.phe[g] == nil {
+			// Copy: the group owns its sum, so AddTo can accumulate in place.
+			a.phe[g], a.pheC[g] = new(big.Int).Set(c.Phe), c
+			return nil
+		}
+		pk, err := pheKey(gt.ring, c.KeyID)
+		if err != nil {
+			return err
+		}
+		pk.AddTo(a.phe[g], c.Phe, &gt.pheAdd)
+		return nil
+	case sql.AggMin, sql.AggMax:
+		if first {
+			a.ext.Vals[g] = payload
+			return nil
+		}
+		c, err := compareForSort(payload, a.ext.Vals[g])
+		if err == nil && a.wins(c) {
+			a.ext.Vals[g] = payload
+		}
+		return err
+	}
+	return fmt.Errorf("exec: unknown aggregate %q", a.fn)
+}
+
+// window appends the aggregate's columns for groups [lo, hi) to cols: the
+// count and the payload a consumer resumes from (NULL for COUNT, the sum,
+// or the extreme) under partial, else the result: COUNT is the count, AVG
+// divides the sum by it (a Paillier sum carries the divisor for the key
+// holder to apply), and AVG over no rows is NULL. Counts, plaintext sums
+// and OPE extremes are zero-copy slices of the vectors.
+func (a *aggVec) window(cols []Column, lo, hi int, partial bool) []Column {
 	if partial {
-		counts = make([]Value, n)
+		cols = append(cols, Column{Kind: ColInt, Ints: a.count[lo:hi]})
 	}
-	for i := range gt.specs {
-		for g := lo; g < hi; g++ {
-			acc := &gt.accs[g*ns+i]
-			var err error
-			if partial {
-				var c int64
-				c, vals[g-lo], err = acc.partial()
-				counts[g-lo] = Int(c)
-			} else {
-				vals[g-lo], err = acc.result()
-			}
-			if err != nil {
-				return nil, err
-			}
-		}
-		if partial {
-			out.Cols = append(out.Cols, NewColumn(counts))
-		}
-		out.Cols = append(out.Cols, NewColumn(vals))
+	switch {
+	case a.fn == sql.AggCount && partial:
+		return append(cols, Column{Kind: ColAny, Vals: make([]Value, hi-lo)})
+	case a.fn == sql.AggCount:
+		return append(cols, Column{Kind: ColInt, Ints: a.count[lo:hi]})
+	case a.ext.Kind == ColCipherBytes:
+		return append(cols, a.ext.slice(lo, hi))
+	case a.fn == sql.AggMin || a.fn == sql.AggMax:
+		return append(cols, NewColumn(a.ext.Vals[lo:hi]))
+	case a.phe == nil && (a.fn == sql.AggSum || partial):
+		return append(cols, Column{Kind: ColFloat, Floats: a.sum[lo:hi]})
 	}
-	return out, nil
+	vals := make([]Value, hi-lo) // Paillier sums and AVG results
+	for g := lo; g < hi; g++ {
+		n, v := a.count[g], Float(a.sum[g])
+		if a.phe != nil && a.phe[g] != nil {
+			c := a.pheC[g]
+			v = Enc(&Cipher{Scheme: algebra.SchemePaillier, KeyID: c.KeyID, Phe: a.phe[g], Div: 1, Plain: c.Plain})
+		}
+		switch {
+		case partial || a.fn != sql.AggAvg:
+		case v.IsCipher():
+			v.C.Div, v.C.Plain = n, KFloat
+		case n == 0:
+			v = Null()
+		default:
+			v = Float(v.F / float64(n))
+		}
+		vals[g-lo] = v
+	}
+	return append(cols, NewColumn(vals))
 }
 
 // groupByOp drains its input (the group-by is a pipeline breaker) into one
@@ -1020,15 +1122,22 @@ func (g *groupByOp) Open() error {
 	return g.child.Open()
 }
 
-func (g *groupByOp) Close() error { return g.child.Close() }
+// Close returns the table's reservation: the table stays resident, and
+// charged, while its windows are emitted.
+func (g *groupByOp) Close() error {
+	if g.gt != nil {
+		g.gt.releaseMem()
+		g.gt = nil
+	}
+	return g.child.Close()
+}
 
 func (g *groupByOp) Next() (*Batch, error) {
 	if g.gt == nil {
-		gt := newGroupTable(g.keyIdx, g.aggIdx, g.specs, g.ring).budgeted(g.e, g.span)
-		gt.mergePartials = g.partialIn
-		err := gt.fill(g.child)
-		gt.releaseMem()
-		if err != nil {
+		gt := newGroupTable(g.keyIdx, g.aggIdx, g.specs, g.ring)
+		gt.mem, gt.op, gt.mergePartials = g.e.Mem, g.span, g.partialIn
+		if err := gt.fill(g.child); err != nil {
+			gt.releaseMem()
 			return nil, err
 		}
 		g.gt = gt
@@ -1038,7 +1147,7 @@ func (g *groupByOp) Next() (*Batch, error) {
 		return nil, nil
 	}
 	g.pos = min(lo+g.batch, g.gt.groups())
-	return g.gt.window(lo, g.pos, g.partialOut)
+	return g.gt.window(lo, g.pos, g.partialOut), nil
 }
 
 // ---------------------------------------------------------------------------

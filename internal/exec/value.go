@@ -254,32 +254,33 @@ func appendLenKey[T string | []byte](buf []byte, tag byte, b T) []byte {
 	return append(buf, b...)
 }
 
-// groupKey returns a canonical string encoding of a value usable as a hash
-// key: plaintext values by content, deterministic/OPE ciphertexts by their
-// ciphertext bytes (equal plaintexts yield equal ciphertexts).
-func groupKey(v Value) (string, error) {
+// appendValueKey appends v's canonical grouping key to buf: plaintext
+// values by kind and content, deterministic/OPE ciphertexts by their bytes
+// (equal plaintexts yield equal ciphertexts).
+func appendValueKey(buf []byte, v Value) ([]byte, error) {
 	switch v.Kind {
 	case KNull:
-		return "\x00", nil
+		return append(buf, 0), nil
 	case KInt:
-		var buf [9]byte
-		buf[0] = 1
-		binary.BigEndian.PutUint64(buf[1:], uint64(v.I))
-		return string(buf[:]), nil
+		return binary.BigEndian.AppendUint64(append(buf, 1), uint64(v.I)), nil
 	case KFloat:
-		var buf [9]byte
-		buf[0] = 2
-		binary.BigEndian.PutUint64(buf[1:], math.Float64bits(v.F))
-		return string(buf[:]), nil
+		return binary.BigEndian.AppendUint64(append(buf, 2), math.Float64bits(v.F)), nil
 	case KString:
-		return string(appendLenKey(nil, 's', v.S)), nil
+		return appendLenKey(buf, 's', v.S), nil
 	case KCipher:
-		switch v.C.Scheme {
-		case algebra.SchemeDeterministic, algebra.SchemeOPE:
-			return string(appendLenKey(nil, 'c', v.C.Data)), nil
-		default:
-			return "", fmt.Errorf("exec: cannot group/join on %s ciphertext", v.C.Scheme)
+		if err := keyScheme(v.C.Scheme); err != nil {
+			return nil, err
 		}
+		return appendLenKey(buf, 'c', v.C.Data), nil
 	}
-	return "", fmt.Errorf("exec: cannot key kind %d", v.Kind)
+	return nil, fmt.Errorf("exec: cannot key kind %d", v.Kind)
+}
+
+// keyScheme refuses a ciphertext scheme that cannot key a group or a join:
+// only deterministic and OPE ciphertexts are linkable.
+func keyScheme(s algebra.Scheme) error {
+	if s != algebra.SchemeDeterministic && s != algebra.SchemeOPE {
+		return fmt.Errorf("exec: cannot group/join on %s ciphertext", s)
+	}
+	return nil
 }
