@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"slices"
+
 	"mpq/internal/algebra"
 )
 
@@ -88,7 +90,17 @@ func (c *Column) IsNull(i int) bool {
 	if c.Kind == ColAny {
 		return c.Vals[i].Kind == KNull
 	}
-	return c.Nulls != nil && c.Nulls[i>>6]&(1<<(uint(i)&63)) != 0
+	return bit(c.Nulls, i)
+}
+
+// bit reports whether a null bitmap marks cell i.
+func bit(words []uint64, i int) bool {
+	return words != nil && words[i>>6]&(1<<(uint(i)&63)) != 0
+}
+
+// anyBit reports whether a null bitmap marks any cell.
+func anyBit(words []uint64) bool {
+	return slices.ContainsFunc(words, func(w uint64) bool { return w != 0 })
 }
 
 // setNull marks cell i NULL, growing the bitmap on first use.
@@ -100,14 +112,7 @@ func (c *Column) setNull(i, n int) {
 }
 
 // hasNulls reports whether any cell is NULL (typed layouts only).
-func (c *Column) hasNulls() bool {
-	for _, w := range c.Nulls {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
+func (c *Column) hasNulls() bool { return anyBit(c.Nulls) }
 
 // Value materializes cell i. For the typed layouts this is allocation-free;
 // for ColCipherBytes it allocates one Cipher (boundary shims only — hot

@@ -1,20 +1,22 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"mpq/internal/algebra"
-	"mpq/internal/crypto"
 	"mpq/internal/sql"
 )
 
-// Build compiles the plan rooted at n into a batch pipeline. Everything
-// that the legacy evaluator resolved per row — column indexes, predicate
-// constant lookups, projection maps, UDF registrations, encryption key
-// rings — is resolved here, once, so Next calls touch only slices and
-// closures. Nodes present in Sources splice in an already-built operator
-// (the streaming runtime's cross-subject exchanges); nodes present in
-// Materialized scan the pre-computed relation.
+// Build compiles the plan rooted at n into a batch pipeline. Column
+// indexes, predicate constant lookups and admissibility, projection maps,
+// UDF registrations and encryption key rings are resolved here, once, so
+// Next calls touch only slices and closures; an inadmissible comparison is
+// a build error whether or not any row would reach it. Nodes present in
+// Sources splice in an already-built operator (the streaming runtime's
+// cross-subject exchanges); nodes present in Materialized scan the
+// pre-computed relation.
 //
 // With a Trace attached, every compiled operator is wrapped in a span
 // recording rows, batches, and wall time per Next. With active FaultPoints,
@@ -221,7 +223,7 @@ func (e *Executor) buildJoin(j *algebra.Join) (Operator, error) {
 	if rp == nil {
 		return out, nil
 	}
-	pred, err := e.compileColPred(rp, plainResolver(out.schema))
+	pred, err := e.compileColPred(rp, plainResolver(out.schema, j.L, j.R))
 	if err != nil {
 		return nil, err
 	}
@@ -258,7 +260,7 @@ func (e *Executor) buildUDF(u *algebra.UDF) (Operator, error) {
 	}
 	outSchema := u.Schema()
 	// srcIdx maps each output position to its input column, or -1 for the
-	// UDF result — the per-row ColIndex calls of the legacy path, hoisted.
+	// UDF result.
 	srcIdx := make([]int, len(outSchema))
 	for i, a := range outSchema {
 		if a == u.Out {
@@ -400,17 +402,18 @@ func schemaIndex(schema []algebra.Attr, a algebra.Attr) int {
 
 // schemaResolver resolves predicate references against a compiled schema,
 // including aggregate references (HAVING avg(P) > 100) mapped to the
-// matching aggregate output column of the group-by beneath. It is the
-// build-time counterpart of the legacy per-row colResolver.
+// matching aggregate output column of the group-by beneath, and gives each
+// reference the form the plan beneath declares for it.
 type schemaResolver struct {
 	schema  []algebra.Attr
 	aggCols map[string]int
+	sources [2]algebra.Node // the plan producing schema: one input, or a join's two
 }
 
 // resolverFor builds a resolver for rows of the given schema produced by
 // source (unwrapping encryption/decryption to find a group-by beneath).
 func resolverFor(schema []algebra.Attr, source algebra.Node) *schemaResolver {
-	r := &schemaResolver{schema: schema, aggCols: make(map[string]int)}
+	r := &schemaResolver{schema: schema, aggCols: make(map[string]int), sources: [2]algebra.Node{source}}
 	n := source
 	for {
 		switch x := n.(type) {
@@ -434,102 +437,93 @@ func resolverFor(schema []algebra.Attr, source algebra.Node) *schemaResolver {
 }
 
 // plainResolver builds a resolver with no aggregate columns (join
-// conditions cannot reference aggregates).
-func plainResolver(schema []algebra.Attr) *schemaResolver {
-	return &schemaResolver{schema: schema, aggCols: map[string]int{}}
+// conditions cannot reference aggregates) for the rows of the plans l and r
+// side by side; either may be nil.
+func plainResolver(schema []algebra.Attr, l, r algebra.Node) *schemaResolver {
+	return &schemaResolver{schema: schema, aggCols: map[string]int{}, sources: [2]algebra.Node{l, r}}
 }
 
-func (r *schemaResolver) colFor(a algebra.Attr, agg sql.AggFunc) (int, error) {
+// colFor returns the column index of reference a (under aggregate agg) and
+// its declared form.
+func (r *schemaResolver) colFor(a algebra.Attr, agg sql.AggFunc) (int, algebra.Scheme, error) {
 	if agg != sql.AggNone {
 		if ix, ok := r.aggCols[aggKey(agg, a, algebra.IsSynthetic(a))]; ok {
-			return ix, nil
+			return ix, r.form(a, agg), nil
 		}
 	}
 	if ix := schemaIndex(r.schema, a); ix >= 0 {
-		return ix, nil
+		return ix, r.form(a, sql.AggNone), nil
 	}
-	return -1, fmt.Errorf("exec: attribute %s not in row", a)
+	return -1, plain, fmt.Errorf("exec: attribute %s not in row", a)
 }
 
-// compileCellAV compiles the cell-level core of an attribute-vs-literal
-// comparison: the encrypted-constant lookup and literal are resolved once,
-// and the returned evaluator decides one materialized cell. The columnar
-// compiler uses it as the fallback for generic-layout columns.
-func (e *Executor) compileCellAV(c *algebra.CmpAV) cellFn {
-	konst, hasKonst := e.Consts[c]
-	rhs := litValue(c.V)
-	op := c.Op
-	return func(v Value) (bool, error) {
-		if v.IsCipher() {
-			if !hasKonst {
-				return false, fmt.Errorf("exec: no encrypted constant for condition %s (not dispatched?)", c)
-			}
-			if !konst.IsCipher() {
-				return false, fmt.Errorf("exec: constant for %s is not encrypted", c)
-			}
-			switch v.C.Scheme {
-			case algebra.SchemeDeterministic:
-				if op != sql.OpEq && op != sql.OpNeq {
-					return false, fmt.Errorf("exec: %s over deterministic ciphertext", op)
-				}
-				eq := crypto.Equal(v.C.Data, konst.C.Data)
-				if op == sql.OpNeq {
-					return !eq, nil
-				}
-				return eq, nil
-			case algebra.SchemeOPE:
-				return opHolds(op, crypto.CompareOPE(v.C.Data, konst.C.Data)), nil
-			default:
-				return false, fmt.Errorf("exec: cannot evaluate %s over %s ciphertext", op, v.C.Scheme)
-			}
+// form is the form the first source producing a declares for it.
+func (r *schemaResolver) form(a algebra.Attr, agg sql.AggFunc) algebra.Scheme {
+	for _, n := range r.sources {
+		if f, ok := declaredForm(n, a, agg); ok {
+			return f
 		}
-		if op == sql.OpLike {
-			if v.Kind != KString || !rhs.IsCipher() && rhs.Kind != KString {
-				return false, fmt.Errorf("exec: LIKE over non-string")
-			}
-			return likeMatch(v.S, rhs.S), nil
-		}
-		cmp, err := compare(v, rhs)
-		if err != nil {
-			return false, err
-		}
-		return opHolds(op, cmp), nil
 	}
+	return plain
 }
 
-// cellAA is the cell-level core of an attribute-vs-attribute comparison,
-// the columnar compiler's fallback for generic-layout columns.
-func (e *Executor) cellAA(c *algebra.CmpAA) func(l, rv Value) (bool, error) {
-	op := c.Op
-	return func(l, rv Value) (bool, error) {
-		switch {
-		case l.IsCipher() && rv.IsCipher():
-			if l.C.Scheme != rv.C.Scheme {
-				return false, fmt.Errorf("exec: comparing %s with %s ciphertexts", l.C.Scheme, rv.C.Scheme)
+// declaredForm returns the form the plan rooted at n gives attribute a, and
+// whether n produces a at all: an Encrypt sets its scheme, a Decrypt clears
+// it, an attribute stored encrypted at rest is deterministic, a UDF result
+// and a count are plaintext, and any other aggregate keeps its operand's
+// form. agg names the aggregate whose output a is, as the resolver matched
+// it, or is sql.AggNone. The walk allocates nothing: it runs for every
+// comparison of every build.
+func declaredForm(n algebra.Node, a algebra.Attr, agg sql.AggFunc) (algebra.Scheme, bool) {
+	for {
+		switch x := n.(type) {
+		case *algebra.Base:
+			found := slices.Contains(x.Attrs, a)
+			if found && slices.Contains(x.EncAttrs, a) {
+				return algebra.SchemeDeterministic, true
 			}
-			switch l.C.Scheme {
-			case algebra.SchemeDeterministic:
-				if op != sql.OpEq && op != sql.OpNeq {
-					return false, fmt.Errorf("exec: %s over deterministic ciphertexts", op)
+			return plain, found
+		case *algebra.Encrypt:
+			if slices.Contains(x.Attrs, a) {
+				return cmp.Or(x.Schemes[a], algebra.SchemeDeterministic), true // encCols' default
+			}
+			n = x.Child
+		case *algebra.Decrypt:
+			if slices.Contains(x.Attrs, a) {
+				return plain, true
+			}
+			n = x.Child
+		case *algebra.UDF:
+			if a == x.Out {
+				return plain, true
+			}
+			n = x.Child
+		case *algebra.GroupBy:
+			if agg != sql.AggNone || !slices.Contains(x.Keys, a) {
+				i := slices.IndexFunc(x.Aggs, func(sp algebra.AggSpec) bool {
+					return sp.Out() == a && (agg == sql.AggNone || agg == sp.Func)
+				})
+				if i < 0 || x.Aggs[i].Func == sql.AggCount {
+					return plain, i >= 0
 				}
-				eq := crypto.Equal(l.C.Data, rv.C.Data)
-				if op == sql.OpNeq {
-					return !eq, nil
-				}
-				return eq, nil
-			case algebra.SchemeOPE:
-				return opHolds(op, crypto.CompareOPE(l.C.Data, rv.C.Data)), nil
-			default:
-				return false, fmt.Errorf("exec: cannot compare %s ciphertexts", l.C.Scheme)
 			}
-		case !l.IsCipher() && !rv.IsCipher():
-			cmp, err := compare(l, rv)
-			if err != nil {
-				return false, err
+			n, agg = x.Child, sql.AggNone
+		case *algebra.Project:
+			n = x.Child
+		case *algebra.Select:
+			n = x.Child
+		case *algebra.Join:
+			if f, ok := declaredForm(x.L, a, agg); ok {
+				return f, true
 			}
-			return opHolds(op, cmp), nil
+			n = x.R
+		case *algebra.Product:
+			if f, ok := declaredForm(x.L, a, agg); ok {
+				return f, true
+			}
+			n = x.R
 		default:
-			return false, fmt.Errorf("exec: mixed plaintext/ciphertext comparison %s", c)
+			return plain, false
 		}
 	}
 }

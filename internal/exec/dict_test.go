@@ -243,7 +243,7 @@ func dictPredBatch(tb testing.TB, n int) (*Batch, colPred) {
 	e := NewExecutor()
 	pred, err := e.compileColPred(
 		&algebra.CmpAV{A: a, Op: sql.OpEq, V: sql.StringValue("entry-03")},
-		plainResolver([]algebra.Attr{a}))
+		plainResolver([]algebra.Attr{a}, nil, nil))
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -165,10 +165,13 @@ func TestValueEdgeCases(t *testing.T) {
 		t.Errorf("grouping on randomized ciphertext accepted")
 	}
 	// NULL comparisons are errors.
-	if _, err := compare(Null(), Int(1)); err == nil {
-		t.Errorf("null comparison accepted")
+	if _, err := cellVerdict(sql.OpEq, plain, Null(), Int(1)); err == nil || err.Error() != "exec: NULL comparison" {
+		t.Errorf("null comparison gave %v, want exec: NULL comparison", err)
 	}
-	if _, err := compare(Int(1), String("x")); err == nil {
+	if _, err := cellVerdict(sql.OpLike, plain, Null(), String("x%")); err == nil || err.Error() != "exec: NULL comparison" {
+		t.Errorf("null under LIKE gave %v, want exec: NULL comparison", err)
+	}
+	if _, err := cellVerdict(sql.OpEq, plain, Int(1), String("x")); err == nil {
 		t.Errorf("cross-kind comparison accepted")
 	}
 }

@@ -92,10 +92,11 @@ func TestPipelineMatchesMaterializingTPCH(t *testing.T) {
 				return int64(i % 4)
 			}),
 		}
+		// c is declared stored encrypted at rest, as its cells are.
 		joinOn := func(residual ...algebra.Pred) algebra.Node {
 			return algebra.NewJoin(
-				algebra.NewBase("R", "A", []algebra.Attr{rk, rs, rc}, 40, nil),
-				algebra.NewBase("S", "B", []algebra.Attr{sk, ss, sc}, 30, nil),
+				algebra.NewStoredBase("R", "A", "", []algebra.Attr{rk, rs, rc}, []algebra.Attr{rc}, ring.ID, 40, nil),
+				algebra.NewStoredBase("S", "B", "", []algebra.Attr{sk, ss, sc}, []algebra.Attr{sc}, ring.ID, 30, nil),
 				algebra.And(append([]algebra.Pred{&algebra.CmpAA{L: rk, Op: sql.OpEq, R: sk}}, residual...)...),
 				0.01)
 		}

@@ -215,33 +215,17 @@ func pheDecode(m *big.Int, div int64, plain Kind) (Value, error) {
 	return Float(out), nil
 }
 
-// compare orders two plaintext values of the same kind: -1, 0, +1.
+// compare orders two non-NULL plaintext values of the same kind, or two
+// numbers: -1, 0, +1. Its callers settle NULL first (cellVerdict,
+// compareForSort).
 func compare(a, b Value) (int, error) {
-	if a.Kind == KNull || b.Kind == KNull {
-		return 0, fmt.Errorf("exec: NULL comparison")
-	}
-	// Numeric cross-kind comparison.
-	if (a.Kind == KInt || a.Kind == KFloat) && (b.Kind == KInt || b.Kind == KFloat) {
+	switch {
+	case a.Kind == KString && b.Kind == KString:
+		return cmp3(a.S, b.S), nil
+	case (a.Kind == KInt || a.Kind == KFloat) && (b.Kind == KInt || b.Kind == KFloat):
 		af, _ := a.AsFloat()
 		bf, _ := b.AsFloat()
-		switch {
-		case af < bf:
-			return -1, nil
-		case af > bf:
-			return 1, nil
-		default:
-			return 0, nil
-		}
-	}
-	if a.Kind == KString && b.Kind == KString {
-		switch {
-		case a.S < b.S:
-			return -1, nil
-		case a.S > b.S:
-			return 1, nil
-		default:
-			return 0, nil
-		}
+		return cmp3(af, bf), nil
 	}
 	return 0, fmt.Errorf("exec: incomparable kinds %d and %d", a.Kind, b.Kind)
 }
