@@ -309,7 +309,8 @@ func TestNullComparisonInEveryLayout(t *testing.T) {
 
 // TestHavingCountOverEncryptedAttribute: a count is plaintext whatever its
 // operand's form, so HAVING count(p) > 1 over a det-encrypted p compares
-// plaintext counts, with the constant the dispatcher prepares for p.
+// plaintext counts against the plaintext literal, and the dispatcher
+// encrypts no constant for it.
 func TestHavingCountOverEncryptedAttribute(t *testing.T) {
 	ring, err := crypto.NewKeyRing("k", testPaillierBits)
 	if err != nil {
@@ -329,6 +330,9 @@ func TestHavingCountOverEncryptedAttribute(t *testing.T) {
 	e.Tables["R"] = tbl
 	if e.Consts, err = PrepareConstants(sel, e.Keys, AttrKinds{g: KString, p: KInt}); err != nil {
 		t.Fatal(err)
+	}
+	if len(e.Consts) != 0 {
+		t.Fatalf("dispatched %d constants for a plaintext count, want none", len(e.Consts))
 	}
 	res, err := e.Run(sel)
 	if err != nil {

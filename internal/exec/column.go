@@ -371,21 +371,6 @@ func (c *Column) gather(sel []int32) Column {
 	return out
 }
 
-// appendCellKey appends cell i's canonical grouping key to buf: byte for
-// byte appendValueKey's for the cell's value, without materializing a
-// Cipher for a ciphertext layout (the hash join's index and probes mix
-// both). Every cell key is self-delimiting, so keys of several cells
-// concatenate injectively.
-func appendCellKey(buf []byte, c *Column, i int) ([]byte, error) {
-	if (c.Kind == ColCipherBytes || c.Kind == ColCipherDict) && !c.IsNull(i) {
-		if err := keyScheme(c.Scheme); err != nil {
-			return nil, err
-		}
-		return appendLenKey(buf, 'c', cipherCell(c, i)), nil
-	}
-	return appendValueKey(buf, c.Value(i))
-}
-
 // cipherCell returns cell i of a ColCipherBytes or ColCipherDict column.
 func cipherCell(c *Column, i int) []byte {
 	if c.Kind == ColCipherDict {

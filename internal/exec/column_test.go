@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -207,9 +208,9 @@ func TestBatchRowsRoundTrip(t *testing.T) {
 }
 
 // TestAppendCellKeyMirrorsGroupKey checks the column-side grouping key
-// encoder against the value-side one byte for byte: hash joins probe
-// with column keys against an index built from row keys, so the encodings
-// must collide exactly.
+// encoder against the value-side one byte for byte: the hash-table tests
+// key their reference maps by column keys, so a cell must key exactly as
+// its value does in every layout.
 func TestAppendCellKeyMirrorsGroupKey(t *testing.T) {
 	ring, err := crypto.NewKeyRing("kk", 128)
 	if err != nil {
@@ -272,4 +273,49 @@ func cellKey(c *Column, i int) (string, error) {
 		return "", err
 	}
 	return string(b), nil
+}
+
+// appendCellKey appends cell i's canonical grouping key to buf: byte for
+// byte appendValueKey's for the cell's value, without materializing a
+// Cipher for a ciphertext layout. Every cell key is self-delimiting, so
+// keys of several cells concatenate injectively. It is the reference the
+// hash tables' tests compare cellHash and sameKey against.
+func appendCellKey(buf []byte, c *Column, i int) ([]byte, error) {
+	if (c.Kind == ColCipherBytes || c.Kind == ColCipherDict) && !c.IsNull(i) {
+		if err := keyScheme(c.Scheme); err != nil {
+			return nil, err
+		}
+		return appendLenKey(buf, 'c', cipherCell(c, i)), nil
+	}
+	return appendValueKey(buf, c.Value(i))
+}
+
+// appendLenKey appends the key of a string or ciphertext cell: the tag, the
+// length as a uvarint, then the bytes. The length prefix keeps a key of
+// several cells injective whatever bytes a cell holds.
+func appendLenKey[T string | []byte](buf []byte, tag byte, b T) []byte {
+	buf = binary.AppendUvarint(append(buf, tag), uint64(len(b)))
+	return append(buf, b...)
+}
+
+// appendValueKey appends v's canonical grouping key to buf: plaintext
+// values by kind and content, deterministic/OPE ciphertexts by their bytes
+// (equal plaintexts yield equal ciphertexts).
+func appendValueKey(buf []byte, v Value) ([]byte, error) {
+	switch v.Kind {
+	case KNull:
+		return append(buf, 0), nil
+	case KInt:
+		return binary.BigEndian.AppendUint64(append(buf, 1), uint64(v.I)), nil
+	case KFloat:
+		return binary.BigEndian.AppendUint64(append(buf, 2), math.Float64bits(v.F)), nil
+	case KString:
+		return appendLenKey(buf, 's', v.S), nil
+	case KCipher:
+		if err := keyScheme(v.C.Scheme); err != nil {
+			return nil, err
+		}
+		return appendLenKey(buf, 'c', v.C.Data), nil
+	}
+	return nil, fmt.Errorf("exec: cannot key kind %d", v.Kind)
 }

@@ -443,59 +443,63 @@ func plainResolver(schema []algebra.Attr, l, r algebra.Node) *schemaResolver {
 	return &schemaResolver{schema: schema, aggCols: map[string]int{}, sources: [2]algebra.Node{l, r}}
 }
 
-// colFor returns the column index of reference a (under aggregate agg) and
-// its declared form.
-func (r *schemaResolver) colFor(a algebra.Attr, agg sql.AggFunc) (int, algebra.Scheme, error) {
+// colFor returns the column index of reference a (under aggregate agg), its
+// declared form and, for a ciphertext, the id of its key.
+func (r *schemaResolver) colFor(a algebra.Attr, agg sql.AggFunc) (int, algebra.Scheme, string, error) {
 	if agg != sql.AggNone {
 		if ix, ok := r.aggCols[aggKey(agg, a, algebra.IsSynthetic(a))]; ok {
-			return ix, r.form(a, agg), nil
+			f, k := r.form(a, agg)
+			return ix, f, k, nil
 		}
 	}
 	if ix := schemaIndex(r.schema, a); ix >= 0 {
-		return ix, r.form(a, sql.AggNone), nil
+		f, k := r.form(a, sql.AggNone)
+		return ix, f, k, nil
 	}
-	return -1, plain, fmt.Errorf("exec: attribute %s not in row", a)
+	return -1, plain, "", fmt.Errorf("exec: attribute %s not in row", a)
 }
 
-// form is the form the first source producing a declares for it.
-func (r *schemaResolver) form(a algebra.Attr, agg sql.AggFunc) algebra.Scheme {
+// form is the form, and key id, the first source producing a declares for
+// it.
+func (r *schemaResolver) form(a algebra.Attr, agg sql.AggFunc) (algebra.Scheme, string) {
 	for _, n := range r.sources {
-		if f, ok := declaredForm(n, a, agg); ok {
-			return f
+		if f, k, ok := declaredForm(n, a, agg); ok {
+			return f, k
 		}
 	}
-	return plain
+	return plain, ""
 }
 
-// declaredForm returns the form the plan rooted at n gives attribute a, and
-// whether n produces a at all: an Encrypt sets its scheme, a Decrypt clears
-// it, an attribute stored encrypted at rest is deterministic, a UDF result
-// and a count are plaintext, and any other aggregate keeps its operand's
-// form. agg names the aggregate whose output a is, as the resolver matched
-// it, or is sql.AggNone. The walk allocates nothing: it runs for every
-// comparison of every build.
-func declaredForm(n algebra.Node, a algebra.Attr, agg sql.AggFunc) (algebra.Scheme, bool) {
+// declaredForm returns the form the plan rooted at n gives attribute a, the
+// id of its key when that form is a ciphertext, and whether n produces a
+// at all: an Encrypt sets its scheme and key, a Decrypt clears them, an
+// attribute stored encrypted at rest is deterministic under the storage
+// key, a UDF result and a count are plaintext, and any other aggregate
+// keeps its operand's form. agg names the aggregate whose output a is, as
+// the resolver matched it, or is sql.AggNone. The walk allocates nothing:
+// it runs for every comparison of every build.
+func declaredForm(n algebra.Node, a algebra.Attr, agg sql.AggFunc) (algebra.Scheme, string, bool) {
 	for {
 		switch x := n.(type) {
 		case *algebra.Base:
 			found := slices.Contains(x.Attrs, a)
 			if found && slices.Contains(x.EncAttrs, a) {
-				return algebra.SchemeDeterministic, true
+				return algebra.SchemeDeterministic, x.StorageKey, true
 			}
-			return plain, found
+			return plain, "", found
 		case *algebra.Encrypt:
 			if slices.Contains(x.Attrs, a) {
-				return cmp.Or(x.Schemes[a], algebra.SchemeDeterministic), true // encCols' default
+				return cmp.Or(x.Schemes[a], algebra.SchemeDeterministic), x.KeyIDs[a], true // encCols' default
 			}
 			n = x.Child
 		case *algebra.Decrypt:
 			if slices.Contains(x.Attrs, a) {
-				return plain, true
+				return plain, "", true
 			}
 			n = x.Child
 		case *algebra.UDF:
 			if a == x.Out {
-				return plain, true
+				return plain, "", true
 			}
 			n = x.Child
 		case *algebra.GroupBy:
@@ -504,7 +508,7 @@ func declaredForm(n algebra.Node, a algebra.Attr, agg sql.AggFunc) (algebra.Sche
 					return sp.Out() == a && (agg == sql.AggNone || agg == sp.Func)
 				})
 				if i < 0 || x.Aggs[i].Func == sql.AggCount {
-					return plain, i >= 0
+					return plain, "", i >= 0
 				}
 			}
 			n, agg = x.Child, sql.AggNone
@@ -513,17 +517,17 @@ func declaredForm(n algebra.Node, a algebra.Attr, agg sql.AggFunc) (algebra.Sche
 		case *algebra.Select:
 			n = x.Child
 		case *algebra.Join:
-			if f, ok := declaredForm(x.L, a, agg); ok {
-				return f, true
+			if f, k, ok := declaredForm(x.L, a, agg); ok {
+				return f, k, true
 			}
 			n = x.R
 		case *algebra.Product:
-			if f, ok := declaredForm(x.L, a, agg); ok {
-				return f, true
+			if f, k, ok := declaredForm(x.L, a, agg); ok {
+				return f, k, true
 			}
 			n = x.R
 		default:
-			return plain, false
+			return plain, "", false
 		}
 	}
 }

@@ -442,7 +442,7 @@ func TestEncCacheBypass(t *testing.T) {
 	cache, _ := encStatsDelta(func() {
 		for i := 0; i < 3; i++ {
 			ex := f.e.Clone()
-			ex.Materialized[f.enc.Child] = f.tbl
+			ex.Materialized = map[algebra.Node]*Table{f.enc.Child: f.tbl}
 			got, err := ex.Run(f.enc)
 			if err != nil {
 				t.Fatal(err)

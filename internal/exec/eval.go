@@ -7,7 +7,6 @@ import (
 
 	"mpq/internal/algebra"
 	"mpq/internal/crypto"
-	"mpq/internal/profile"
 	"mpq/internal/sql"
 )
 
@@ -105,59 +104,36 @@ func KindsFromCatalog(cat *algebra.Catalog) AttrKinds {
 }
 
 // PrepareConstants walks an extended plan and pre-encrypts every literal
-// compared against an attribute that is encrypted at that point, using the
-// keys of the dispatching subject. The resulting cache ships with the
-// sub-queries so that providers can evaluate conditions over ciphertexts
-// without holding keys.
+// compared against an attribute the plan declares encrypted at that point,
+// under its declared scheme and key, using the keys of the dispatching
+// subject. It resolves each comparison with the resolver Build compiles it
+// with, so it encrypts exactly the constants the executor reads: none for a
+// count, which is plaintext whatever its operand's form. The resulting
+// cache ships with the sub-queries so that providers can evaluate
+// conditions over ciphertexts without holding keys.
 func PrepareConstants(root algebra.Node, keys *crypto.KeyStore, kinds AttrKinds) (ConstCache, error) {
-	// Per-attribute scheme and key from the plan's encryption operations.
-	schemes := make(map[algebra.Attr]algebra.Scheme)
-	keyIDs := make(map[algebra.Attr]string)
-	algebra.PostOrder(root, func(n algebra.Node) {
-		switch x := n.(type) {
-		case *algebra.Encrypt:
-			for _, a := range x.Attrs {
-				schemes[a] = x.Schemes[a]
-				keyIDs[a] = x.KeyIDs[a]
-			}
-		case *algebra.Base:
-			// Attributes stored encrypted at rest (deterministic).
-			for a := range x.EncSet().All() {
-				schemes[a] = algebra.SchemeDeterministic
-				keyIDs[a] = x.StorageKey
-			}
-		}
-	})
-	profiles := profile.ForPlan(root)
 	cache := make(ConstCache)
 	var firstErr error
-
 	algebra.PostOrder(root, func(n algebra.Node) {
-		if firstErr != nil {
-			return
-		}
 		var pred algebra.Pred
+		var r *schemaResolver
 		switch x := n.(type) {
 		case *algebra.Select:
-			pred = x.Pred
+			pred, r = x.Pred, resolverFor(x.Child.Schema(), x.Child)
 		case *algebra.Join:
-			pred = x.Cond
+			pred, r = x.Cond, plainResolver(x.Schema(), x.L, x.R)
 		default:
 			return
 		}
-		encrypted := algebra.NewAttrSet()
-		for _, c := range n.Children() {
-			encrypted = encrypted.Union(profiles[c].VE)
-		}
 		algebra.WalkPred(pred, func(q algebra.Pred) {
-			if firstErr != nil {
-				return
-			}
 			av, ok := q.(*algebra.CmpAV)
-			if !ok || !encrypted.Has(av.A) {
+			if !ok || firstErr != nil {
 				return
 			}
-			scheme, keyID := schemes[av.A], keyIDs[av.A]
+			_, scheme, keyID, err := r.colFor(av.A, av.Agg)
+			if err != nil || scheme == plain {
+				return // a reference outside the row fails Build instead
+			}
 			if keyID == "" {
 				firstErr = fmt.Errorf("exec: no key recorded for encrypted attribute %s", av.A)
 				return

@@ -373,7 +373,7 @@ func newDictAVMemo(col *Column, op sql.CompareOp, k *Column) *dictAVMemo {
 // Dictionary columns resolve the constant against the dictionary once and
 // then test codes.
 func (e *Executor) compileColCmpAV(c *algebra.CmpAV, r *schemaResolver) (colPred, error) {
-	ix, form, err := r.colFor(c.A, c.Agg)
+	ix, form, _, err := r.colFor(c.A, c.Agg)
 	if err != nil {
 		return nil, err
 	}
@@ -419,11 +419,11 @@ func (e *Executor) compileColCmpAV(c *algebra.CmpAV, r *schemaResolver) (colPred
 
 // compileColCmpAA compiles an attribute-vs-attribute comparison.
 func (e *Executor) compileColCmpAA(c *algebra.CmpAA, r *schemaResolver) (colPred, error) {
-	li, lf, err := r.colFor(c.L, sql.AggNone)
+	li, lf, _, err := r.colFor(c.L, sql.AggNone)
 	if err != nil {
 		return nil, err
 	}
-	ri, rf, err := r.colFor(c.R, sql.AggNone)
+	ri, rf, _, err := r.colFor(c.R, sql.AggNone)
 	if err != nil {
 		return nil, err
 	}

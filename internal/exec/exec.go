@@ -101,10 +101,10 @@ func NewExecutor() *Executor {
 
 // Clone returns an executor sharing the receiver's durable state — tables
 // and key material, which Run never mutates, and the ciphertext column
-// cache, which synchronizes itself — with fresh per-execution state
-// (dispatched constants, materialized sub-results) and a private copy
-// of the UDF registry (the distributed simulator merges network-wide UDFs
-// into it per run). Concurrent plan executions each run on their own clone
+// cache, which synchronizes itself — with no per-execution state (nil
+// dispatched constants and materialized sub-results, which a run sets as
+// it needs them) and a private copy of the UDF registry (the distributed
+// simulator merges network-wide UDFs into it per run). Concurrent plan executions each run on their own clone
 // of a subject's long-lived executor, so evaluation never races on shared
 // maps.
 func (e *Executor) Clone() *Executor {
@@ -116,8 +116,6 @@ func (e *Executor) Clone() *Executor {
 		Tables:        e.Tables,
 		Keys:          e.Keys,
 		UDFs:          udfs,
-		Consts:        make(ConstCache),
-		Materialized:  make(map[algebra.Node]*Table),
 		BatchSize:     e.BatchSize,
 		CryptoWorkers: e.CryptoWorkers,
 		Mem:           e.Mem,

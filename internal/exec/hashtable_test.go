@@ -167,20 +167,31 @@ func refJoin(t *testing.T, build []*Batch) map[string][]buildRef {
 	return ref
 }
 
+// nonNull counts the non-NULL keys of batches.
+func nonNull(batches []*Batch) int {
+	n := 0
+	for _, b := range batches {
+		for ri := 0; ri < b.N; ri++ {
+			if !b.Cols[0].IsNull(ri) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // probeAll probes every row of probe into idx and returns each row's
 // matches, in chain order.
 func probeAll(idx *joinIndex, probe []*Batch) ([][]buildRef, error) {
 	var out [][]buildRef
-	var buf []byte
 	for _, b := range probe {
-		for ri := 0; ri < b.N; ri++ {
-			e, k, kb, err := idx.seek(&b.Cols[0], ri, buf)
-			if err != nil {
-				return nil, err
-			}
-			buf = kb
+		hs := make([]uint64, b.N)
+		if err := hashKeys(hs, &b.Cols[0]); err != nil {
+			return nil, err
+		}
+		for ri, h := range hs {
 			var m []buildRef
-			for ; e >= 0; e = idx.advance(e, k, kb) {
+			for e := idx.seek(&b.Cols[0], ri, h); e >= 0; e = idx.advance(e, h, &b.Cols[0], ri) {
 				m = append(m, idx.rows[e])
 			}
 			out = append(out, m)
@@ -245,8 +256,8 @@ func TestJoinTableMatchesCanonicalMap(t *testing.T) {
 				build := dom.batches(bk, randomKeys(rng, c.build, c.domain, c.buildNulls), rng)
 				probe := dom.batches(pk, randomKeys(rng, c.probe, c.domain, c.probeNulls), rng)
 				idx := buildIndex(t, build)
-				if want := (bk == ColInt || c.build == 0) && !c.buildNulls; idx.keys.intKeys != want {
-					t.Fatalf("%s: intKeys = %v, want %v", what, idx.keys.intKeys, want)
+				if want := nonNull(build); len(idx.rows) != want || len(idx.keys.hashes) != want {
+					t.Fatalf("%s: %d rows and %d hashes indexed, want one per non-NULL key, %d", what, len(idx.rows), len(idx.keys.hashes), want)
 				}
 				got, err := probeAll(idx, probe)
 				if err != nil {
@@ -489,4 +500,115 @@ func TestHashTablesRefuseUnlinkableKeys(t *testing.T) {
 			t.Errorf("%s group: err %v, want cannot group/join", v.C.Scheme, err)
 		}
 	}
+}
+
+// TestJoinAndGroupTablesAgree checks that the hash join and the group-by
+// answer "one key?" alike: over random cells in every pair of layouts, two
+// non-NULL cells join exactly when one group table puts them in one group.
+// Besides keyDomain's cells, int columns carry ints holding a float's bit
+// pattern, which hash as that float does, and generic columns carry those
+// ints and det ciphertexts.
+func TestJoinAndGroupTablesAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	dom := newKeyDomain(t, 30)
+	floatBits := func(v int) int64 { return int64(math.Float64bits(float64(v))) }
+	batches := func(kind ColKind, keys []int) []*Batch {
+		var out []*Batch
+		for len(keys) > 0 {
+			n := min(1+rng.Intn(100), len(keys))
+			c := dom.column(kind, keys[:n], rng)
+			for i, v := range keys[:n] {
+				switch {
+				case v < 0 || rng.Intn(4) > 0:
+				case kind == ColInt:
+					c.Ints[i] = floatBits(v)
+				case kind == ColAny:
+					det := Enc(&Cipher{Scheme: algebra.SchemeDeterministic, KeyID: dom.ring.ID, Data: dom.dets[v], Plain: KString})
+					c.Vals[i] = []Value{Int(floatBits(v)), det}[rng.Intn(2)]
+				}
+			}
+			out = append(out, &Batch{Cols: []Column{c}, N: n})
+			keys = keys[n:]
+		}
+		return out
+	}
+	joined := 0
+	for _, bk := range tableLayouts {
+		for _, pk := range tableLayouts {
+			what := layoutNames[bk] + " build × " + layoutNames[pk] + " probe"
+			build := batches(bk, randomKeys(rng, 300, 30, true))
+			joined += checkJoinAgreesWithGroups(t, what, build, batches(pk, randomKeys(rng, 300, 30, true)))
+		}
+	}
+	if joined == 0 {
+		t.Fatal("no random pair joined")
+	}
+
+	one := func(c Column) []*Batch { return []*Batch{{Cols: []Column{c}, N: c.Len()}} }
+	bits, oneF := Column{Kind: ColInt, Ints: []int64{4607182418800017408}}, Column{Kind: ColFloat, Floats: []float64{1}}
+	hb, _ := cellHash(&bits, 0)
+	if hf, _ := cellHash(&oneF, 0); hb != hf {
+		t.Fatal("int 4607182418800017408 and float 1.0 no longer share a hash: the cases below test nothing")
+	}
+	for _, c := range []struct {
+		name         string
+		build, probe Column
+		want         int
+	}{
+		{"int 4607182418800017408 against float 1.0", bits, oneF, 0},
+		{"float 1.0 against int 4607182418800017408", oneF, bits, 0},
+		{"det cipher bytes against cipher dict of one value", dom.column(ColCipherBytes, []int{5}, rng), dom.column(ColCipherDict, []int{5}, rng), 1},
+		{"det cipher dict against cipher bytes of one value", dom.column(ColCipherDict, []int{7}, rng), dom.column(ColCipherBytes, []int{7}, rng), 1},
+	} {
+		if got := checkJoinAgreesWithGroups(t, c.name, one(c.build), one(c.probe)); got != c.want {
+			t.Errorf("%s: %d pairs joined, want %d", c.name, got, c.want)
+		}
+	}
+}
+
+// checkJoinAgreesWithGroups indexes build, probes it with probe, and feeds
+// both into one group table: each non-NULL probe row must join exactly the
+// non-NULL build rows of its group, in build-row order, and a NULL one
+// nothing. It returns the number of pairs joined.
+func checkJoinAgreesWithGroups(t *testing.T, what string, build, probe []*Batch) int {
+	t.Helper()
+	got, err := probeAll(buildIndex(t, build), probe)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	gt := newGroupTable([]int{0}, nil, nil, nil)
+	var refs []buildRef
+	var groups []int32 // of refs
+	for bi, b := range build {
+		gs, err := gt.assign(b)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		for ri := 0; ri < b.N; ri++ {
+			if !b.Cols[0].IsNull(ri) {
+				refs, groups = append(refs, buildRef{int32(bi), int32(ri)}), append(groups, gs[ri])
+			}
+		}
+	}
+	i, joined := 0, 0
+	for _, b := range probe {
+		gs, err := gt.assign(b)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		for ri := 0; ri < b.N; ri++ {
+			var want []buildRef
+			for k, g := range groups {
+				if g == gs[ri] && !b.Cols[0].IsNull(ri) {
+					want = append(want, refs[k])
+				}
+			}
+			if fmt.Sprint(got[i]) != fmt.Sprint(want) {
+				t.Fatalf("%s: probe row %d (%v) joined %v, its group holds %v", what, i, b.Cols[0].Value(ri), got[i], want)
+			}
+			joined += len(got[i])
+			i++
+		}
+	}
+	return joined
 }

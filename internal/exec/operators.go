@@ -2,7 +2,6 @@ package exec
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"hash/maphash"
 	"math"
@@ -90,31 +89,25 @@ func (f *filterOp) Next() (*Batch, error) {
 // ---------------------------------------------------------------------------
 // Hash tables
 
-// hashSeed keys the byte-key hash of every keyTable. Hashes never leave the
-// process.
+// hashSeed keys the byte and string hashes of cellHash. Hashes never leave
+// the process.
 var hashSeed = maphash.MakeSeed()
 
 // keyTable is the flat bucket-chain hash table behind the hash join and the
-// group-by. Entries are numbered from 0. heads maps a bucket to its first
-// entry and next links each entry to the following one in its bucket, both
-// as entry+1, so zero means none and fresh slices need no initialization.
-// A join's entry key is an int64 (intKeys) or its canonical key bytes
-// (appendCellKey) kept back to back in one arena. A group table keeps only
-// each entry's hash; its keys live in the group's key vectors.
+// group-by. Entries are numbered from 0, and each keeps only its key's hash
+// (hashKeys): the key cells stay with their owner, a join's build batches
+// or a group table's key vectors, which confirm a hash hit with sameKey.
+// heads maps a bucket to its first entry and next links each entry to the
+// following one in its bucket, both as entry+1, so zero means none and
+// fresh slices need no initialization.
 type keyTable struct {
-	heads   []int32
-	next    []int32
-	shift   uint // the bucket of hash h is h >> shift
-	intKeys bool
-	ints    []int64 // intKeys: entry e's key
-	arena   []byte  // otherwise entry e's key is arena[offs[e]:offs[e+1]]
-	offs    []int32
-	hashes  []uint64 // group table: entry e's hash
+	heads  []int32
+	next   []int32
+	shift  uint     // the bucket of hash h is h >> shift
+	hashes []uint64 // entry e's hash
 }
 
 func hashInt(k int64) uint64 { return uint64(k) * 0x9e3779b97f4a7c15 }
-
-func (t *keyTable) key(e int32) []byte { return t.arena[t.offs[e]:t.offs[e+1]] }
 
 // first returns the first entry of the bucket hash h falls in, or -1.
 func (t *keyTable) first(h uint64) int32 { return t.heads[h>>t.shift] - 1 }
@@ -129,21 +122,13 @@ func (t *keyTable) chain() {
 	}
 	t.heads, t.shift = make([]int32, size), shift
 	for e := int32(len(t.next)) - 1; e >= 0; e-- {
-		var h uint64
-		switch {
-		case t.hashes != nil:
-			h = t.hashes[e]
-		case t.intKeys:
-			h = hashInt(t.ints[e])
-		default:
-			h = maphash.Bytes(hashSeed, t.key(e))
-		}
-		t.next[e], t.heads[h>>shift] = t.heads[h>>shift], e+1
+		b := t.hashes[e] >> shift
+		t.next[e], t.heads[b] = t.heads[b], e+1
 	}
 }
 
-// add appends a group table's entry of hash h, chaining afresh once the
-// entries pass half the buckets.
+// add appends an entry of hash h, chaining afresh once the entries pass
+// half the buckets.
 func (t *keyTable) add(h uint64) {
 	t.hashes, t.next = push(t.hashes, h), push(t.next, 0)
 	if n := len(t.next); 2*n > len(t.heads) {
@@ -151,22 +136,6 @@ func (t *keyTable) add(h uint64) {
 	} else {
 		t.next[n-1], t.heads[h>>t.shift] = t.heads[h>>t.shift], int32(n)
 	}
-}
-
-// scanInt and scanBytes walk the chain from entry e (-1 for none) to the
-// first entry whose key equals k, or -1.
-func (t *keyTable) scanInt(e int32, k int64) int32 {
-	for e >= 0 && t.ints[e] != k {
-		e = t.next[e] - 1
-	}
-	return e
-}
-
-func (t *keyTable) scanBytes(e int32, k []byte) int32 {
-	for e >= 0 && !bytes.Equal(t.key(e), k) {
-		e = t.next[e] - 1
-	}
-	return e
 }
 
 // ---------------------------------------------------------------------------
@@ -178,18 +147,20 @@ type buildRef struct{ b, r int32 }
 // joinIndex is the build side of a hash join in columnar form: the build
 // child's batches retained as delivered, and a keyTable whose entry e is
 // build row rows[e], in build-row order, so a chain lists a key's matches in
-// build-row order. When every build batch holds the key as a NULL-free
-// ColInt, the table keys the int64s; otherwise it keys canonical key bytes.
-// A row with a NULL key gets no entry: in SQL it joins nothing. A keyless
-// index (a Cartesian product, or the nested loop under a non-equi join) has
-// no key table: every build row matches every probe row. The index is
-// immutable once built, so any number of probes may read it at once.
+// build-row order. An entry keeps the cellHash of its row's key cell, and a
+// probe confirms a hash hit by comparing that cell, in place in column
+// hashR of its batch, with the probe cell through sameKey: the group-by's
+// rule. A row with a NULL key gets no entry: in SQL it joins nothing. A
+// keyless index (hashR < 0: a Cartesian product, or the nested loop under a
+// non-equi join) has no key table: every build row matches every probe row.
+// The index is immutable once built, so any number of probes may read it
+// at once.
 type joinIndex struct {
 	schema  []algebra.Attr
 	batches []*Batch
 	rows    []buildRef
 	keys    keyTable
-	keyless bool
+	hashR   int
 	// uniform caches, per build column, the layout shared by every batch
 	// (scheme and key id included for cipher columns) — ColAny when the
 	// batches disagree, so gathers take the generic path. Computed once at
@@ -227,8 +198,8 @@ func buildJoinIndex(right Operator, hashR int, mem *MemAccountant, op opNamer) (
 	if err == nil {
 		err = idx.index(hashR)
 	}
-	if t := &idx.keys; err == nil && mem != nil { // int32 links and offsets, int64 keys, 8-byte rows
-		cost := 4*int64(len(t.heads)+len(t.next)+len(t.offs)) + 8*int64(len(t.ints)+len(idx.rows)) + int64(len(t.arena))
+	if t := &idx.keys; err == nil && mem != nil { // int32 links, 8-byte hashes and rows
+		cost := 4*int64(len(t.heads)+len(t.next)) + 8*int64(len(t.hashes)+len(idx.rows))
 		if err = mem.reserve(op, cost); err == nil {
 			reserved += cost
 		}
@@ -244,15 +215,16 @@ func buildJoinIndex(right Operator, hashR int, mem *MemAccountant, op opNamer) (
 	return idx, reserved, nil
 }
 
-// index keys every retained build row by column hashR and chains the table;
-// keyless (hashR < 0), it only lists the rows.
+// index hashes every retained build row's key cell (column hashR), leaves
+// out the rows whose key is NULL, and chains the table; keyless (hashR <
+// 0), it only lists the rows.
 func (x *joinIndex) index(hashR int) error {
 	t, n := &x.keys, 0
 	for _, b := range x.batches {
 		n += b.N
 	}
-	x.rows = make([]buildRef, 0, n)
-	if x.keyless = hashR < 0; x.keyless {
+	x.rows, x.hashR = make([]buildRef, 0, n), hashR
+	if hashR < 0 {
 		for bi, b := range x.batches {
 			for ri := 0; ri < b.N; ri++ {
 				x.rows = append(x.rows, buildRef{int32(bi), int32(ri)})
@@ -260,86 +232,72 @@ func (x *joinIndex) index(hashR int) error {
 		}
 		return nil
 	}
-	t.intKeys = true
-	for _, b := range x.batches {
-		c := &b.Cols[hashR]
-		t.intKeys = t.intKeys && c.Kind == ColInt && !c.hasNulls()
-	}
-	if t.intKeys {
-		t.ints = make([]int64, 0, n)
-	} else {
-		t.offs = make([]int32, 1, n+1)
-	}
-	var err error
+	t.hashes = make([]uint64, 0, n)
 	for bi, b := range x.batches {
-		col := &b.Cols[hashR]
-		if t.intKeys {
-			t.ints = append(t.ints, col.Ints[:b.N]...)
+		col, lo := &b.Cols[hashR], len(t.hashes)
+		t.hashes = grow(t.hashes, b.N)
+		clear(t.hashes[lo:])
+		if err := hashKeys(t.hashes[lo:], col); err != nil {
+			return err
 		}
-		for ri := 0; ri < b.N; ri++ {
-			if !t.intKeys {
-				if col.IsNull(ri) {
-					continue
-				}
-				if t.arena, err = appendCellKey(t.arena, col, ri); err != nil {
-					return err
-				}
-				t.offs = append(t.offs, int32(len(t.arena)))
+		w := lo
+		for ri, h := range t.hashes[lo:] { // drop NULL keys, in place
+			if !col.IsNull(ri) {
+				t.hashes[w], w = h, w+1
+				x.rows = append(x.rows, buildRef{int32(bi), int32(ri)})
 			}
-			x.rows = append(x.rows, buildRef{int32(bi), int32(ri)})
 		}
+		t.hashes = t.hashes[:w]
 	}
 	t.next = make([]int32, len(x.rows))
 	t.chain()
 	return nil
 }
 
-// seek returns the first entry whose key equals probe row ri's, or -1, and
-// the probe key for advance: an int64 in int mode, canonical bytes in buf
-// otherwise. A NULL probe key matches nothing, and a probe key of another
-// kind than the table's int64s (a float, a string, a ciphertext) matches
-// none of them. An encrypted NULL is no NULL cell but the ciphertext of a
+// seek returns the first entry whose key is probe row ri's cell of col, or
+// -1; h is that cell's hash as hashKeys gives it. A NULL probe key matches
+// nothing. An encrypted NULL is no NULL cell but the ciphertext of a
 // one-byte plaintext, so under det two of them still join (ROADMAP 16's
-// security note decides its form). A keyless index ignores col and returns
-// its first row.
-func (x *joinIndex) seek(col *Column, ri int, buf []byte) (int32, int64, []byte, error) {
-	t := &x.keys
-	if x.keyless {
-		return x.advance(-1, 0, nil), 0, buf, nil
-	}
-	if col.IsNull(ri) {
-		return -1, 0, buf, nil
-	}
-	if t.intKeys && col.Kind == ColInt {
-		k := col.Ints[ri]
-		return t.scanInt(t.first(hashInt(k)), k), k, buf, nil
-	}
-	buf, err := appendCellKey(buf[:0], col, ri)
+// security note decides its form). A keyless index ignores col and h and
+// returns its first row.
+func (x *joinIndex) seek(col *Column, ri int, h uint64) int32 {
 	switch {
-	case err != nil:
-		return -1, 0, buf, err
-	case !t.intKeys:
-		return t.scanBytes(t.first(maphash.Bytes(hashSeed, buf)), buf), 0, buf, nil
-	case len(buf) != 9 || buf[0] != 1:
-		return -1, 0, buf, nil
+	case x.hashR < 0:
+		return x.advance(-1, 0, nil, 0)
+	case col.IsNull(ri):
+		return -1
 	}
-	k := int64(binary.BigEndian.Uint64(buf[1:]))
-	return t.scanInt(t.first(hashInt(k)), k), k, buf, nil
+	return x.scan(x.keys.first(h), h, col, ri)
 }
 
-// advance returns the entry after e whose key equals the probe key seek
-// returned with e, or -1. Keyless, every entry matches.
-func (x *joinIndex) advance(e int32, k int64, kb []byte) int32 {
-	if x.keyless {
+// advance returns the entry after e whose key is probe row ri's cell of
+// col, of hash h, or -1. Keyless, every entry matches.
+func (x *joinIndex) advance(e int32, h uint64, col *Column, ri int) int32 {
+	if x.hashR < 0 {
 		if e++; int(e) < len(x.rows) {
 			return e
 		}
 		return -1
 	}
-	if e = x.keys.next[e] - 1; x.keys.intKeys {
-		return x.keys.scanInt(e, k)
+	return x.scan(x.keys.next[e]-1, h, col, ri)
+}
+
+// scan walks the chain from entry e (-1 for none) to the first entry of
+// hash h whose build cell is one key with probe row ri's cell of col, or -1.
+func (x *joinIndex) scan(e int32, h uint64, col *Column, ri int) int32 {
+	t := &x.keys
+	for ; e >= 0; e = t.next[e] - 1 {
+		if t.hashes[e] != h {
+			continue
+		}
+		rf := x.rows[e]
+		// Both cells are non-NULL here, and hashInt is a bijection: two
+		// ints of one hash are one key.
+		if c := &x.batches[rf.b].Cols[x.hashR]; c.Kind == ColInt && col.Kind == ColInt || sameKey(c, int(rf.r), col, ri) {
+			return e
+		}
 	}
-	return x.keys.scanBytes(e, kb)
+	return -1
 }
 
 // uniformKind returns the layout every batch holds column ci in, or ColAny
@@ -462,14 +420,13 @@ type hashJoinOp struct {
 	node        opNamer
 	idxReserved int64
 
-	// Probe cursor: the current probe batch, the next probe row, and the
-	// next unconsumed match of the last probed row (-1 for none) with that
-	// row's key.
+	// Probe cursor: the current probe batch and its rows' key hashes (all
+	// zero when keyless), the next probe row, and the next unconsumed match
+	// of the last probed row (-1 for none).
 	cur    *Batch
+	hashes []uint64
 	li     int
 	match  int32
-	key    int64
-	keyBuf []byte
 
 	selBuf   []int32    // reused (probe row, build row) pair buffers
 	matchBuf []buildRef //
@@ -507,29 +464,32 @@ func (j *hashJoinOp) Next() (*Batch, error) {
 				return nil, err
 			}
 			j.cur, j.li, j.match = b, 0, -1
+			j.hashes = grow(j.hashes[:0], b.N)
+			clear(j.hashes)
+			if j.hashL >= 0 {
+				if err := hashKeys(j.hashes, &b.Cols[j.hashL]); err != nil {
+					return nil, err
+				}
+			}
 		}
 		// Collect up to batch (probe row, build row) pairs from the
 		// current probe batch, in probe order.
 		probeSel := j.selBuf[:0]
 		matches := j.matchBuf[:0]
+		var key *Column
+		if j.hashL >= 0 {
+			key = &j.cur.Cols[j.hashL]
+		}
 		for {
 			for j.match >= 0 && len(probeSel) < j.batch {
 				probeSel = append(probeSel, int32(j.li-1))
 				matches = append(matches, j.idx.rows[j.match])
-				j.match = j.idx.advance(j.match, j.key, j.keyBuf)
+				j.match = j.idx.advance(j.match, j.hashes[j.li-1], key, j.li-1)
 			}
 			if len(probeSel) == j.batch || j.li == j.cur.N {
 				break
 			}
-			var key *Column
-			if j.hashL >= 0 {
-				key = &j.cur.Cols[j.hashL]
-			}
-			var err error
-			j.match, j.key, j.keyBuf, err = j.idx.seek(key, j.li, j.keyBuf)
-			if err != nil {
-				return nil, err
-			}
+			j.match = j.idx.seek(key, j.li, j.hashes[j.li])
 			j.li++
 		}
 		cur := j.cur
@@ -693,12 +653,8 @@ func (gt *groupTable) assign(b *Batch) ([]int32, error) {
 	hs := grow(gt.rowHash[:0], b.N)
 	clear(hs)
 	for _, ix := range gt.keyIdx {
-		for ri := range hs {
-			c, err := cellHash(&b.Cols[ix], ri)
-			if err != nil {
-				return nil, err
-			}
-			hs[ri] = hashInt(int64(hs[ri] ^ c))
+		if err := hashKeys(hs, &b.Cols[ix]); err != nil {
+			return nil, err
 		}
 	}
 	cost := groupCost(gt.keyVecs, gt.aggs)
@@ -729,7 +685,7 @@ func (gt *groupTable) assign(b *Batch) ([]int32, error) {
 // holds reports whether group g's key cells hold row ri's.
 func (gt *groupTable) holds(g int, b *Batch, ri int) bool {
 	for k, ix := range gt.keyIdx {
-		if !gt.keyVecs[k].holds(g, &b.Cols[ix], ri) {
+		if !sameKey(&gt.keyVecs[k].Column, g, &b.Cols[ix], ri) {
 			return false
 		}
 	}
@@ -774,17 +730,19 @@ func (gt *groupTable) window(lo, hi int, partial bool) *Batch {
 
 // cellHash hashes cell i of c by its key, alike in every layout: ints by
 // value, floats by bit pattern, strings by their bytes, det and OPE
-// ciphertexts by their payload. Other ciphertexts key nothing.
+// ciphertexts by their payload, and every NULL to 1. Other ciphertexts key
+// nothing. Keys sameKey holds equal hash equal.
 func cellHash(c *Column, i int) (uint64, error) {
-	if c.Kind == ColCipherBytes || c.Kind == ColCipherDict {
-		if c.IsNull(i) {
-			return 1, nil
-		}
+	null := c.IsNull(i)
+	switch {
+	case c.Kind == ColInt && !null:
+		return hashInt(c.Ints[i]), nil
+	case null:
+		return 1, nil
+	case c.Kind == ColCipherBytes || c.Kind == ColCipherDict:
 		return maphash.Bytes(hashSeed, cipherCell(c, i)), keyScheme(c.Scheme)
 	}
 	switch v := c.Value(i); v.Kind {
-	case KNull:
-		return 1, nil
 	case KInt:
 		return hashInt(v.I), nil
 	case KFloat:
@@ -796,6 +754,56 @@ func cellHash(c *Column, i int) (uint64, error) {
 	default:
 		return 0, fmt.Errorf("exec: cannot key kind %d", v.Kind)
 	}
+}
+
+// hashKeys mixes the cellHash of every cell of c into hs, one per row, so
+// zeroed hashes become the cells' cellHash and a row keyed by several
+// columns mixes them in turn. A NULL-free ColInt column is hashed in bulk.
+func hashKeys(hs []uint64, c *Column) error {
+	if c.Kind == ColInt && !c.hasNulls() {
+		for ri, k := range c.Ints[:len(hs)] {
+			hs[ri] = mixHash(hs[ri], hashInt(k))
+		}
+		return nil
+	}
+	for ri := range hs {
+		h, err := cellHash(c, ri)
+		if err != nil {
+			return err
+		}
+		hs[ri] = mixHash(hs[ri], h)
+	}
+	return nil
+}
+
+// mixHash mixes the next key column's hash h into a row's hash so far. The
+// fold before the multiplication keeps hashInt from meeting its own
+// product: an int hashed twice, k times the constant squared, lands 15 000
+// sequential keys in a tenth of the buckets they would otherwise fill.
+func mixHash(row, h uint64) uint64 { return hashInt(int64(row^row>>32)) ^ h }
+
+// sameKey reports whether cell i of c and cell j of d are one key, the rule
+// of both the hash join and the group-by: both NULL, or of one kind and
+// equal, floats by bit pattern and ciphertexts by their bytes, in whatever
+// layouts they come. Int 1 and float 1.0 are two keys.
+func sameKey(c *Column, i int, d *Column, j int) bool {
+	switch {
+	case c.Kind == ColInt && d.Kind == ColInt && !bit(c.Nulls, i) && !bit(d.Nulls, j):
+		return c.Ints[i] == d.Ints[j]
+	case (c.Kind == ColCipherBytes || c.Kind == ColCipherDict) && (d.Kind == ColCipherBytes || d.Kind == ColCipherDict) &&
+		!c.IsNull(i) && !d.IsNull(j):
+		return bytes.Equal(cipherCell(c, i), cipherCell(d, j))
+	}
+	a, b := c.Value(i), d.Value(j)
+	switch {
+	case a.Kind != b.Kind:
+		return false
+	case a.Kind == KFloat:
+		return math.Float64bits(a.F) == math.Float64bits(b.F)
+	case a.Kind == KCipher:
+		return bytes.Equal(a.C.Data, b.C.Data)
+	}
+	return a.I == b.I && a.S == b.S
 }
 
 // keyVec holds one key column's cell of every group, in the column's own
@@ -842,28 +850,6 @@ func (kv *keyVec) add(src *Column, ri int) {
 	default:
 		kv.Vals = push(kv.Vals, src.Value(ri))
 	}
-}
-
-// holds reports whether cell g holds the key of src's cell ri: both NULL,
-// or of one kind and equal, floats by bit pattern and ciphertexts by their
-// bytes.
-func (kv *keyVec) holds(g int, src *Column, ri int) bool {
-	switch {
-	case kv.Kind == ColInt && src.Kind == ColInt && kv.Nulls == nil && src.Nulls == nil:
-		return kv.Ints[g] == src.Ints[ri]
-	case kv.Kind == ColCipherBytes && (src.Kind == ColCipherBytes || src.Kind == ColCipherDict):
-		return !src.IsNull(ri) && bytes.Equal(kv.Bytes[g], cipherCell(src, ri))
-	}
-	a, b := kv.Value(g), src.Value(ri)
-	switch {
-	case a.Kind != b.Kind:
-		return false
-	case a.Kind == KFloat:
-		return math.Float64bits(a.F) == math.Float64bits(b.F)
-	case a.Kind == KCipher:
-		return bytes.Equal(a.C.Data, b.C.Data)
-	}
-	return a.I == b.I && a.S == b.S
 }
 
 // aggVec accumulates one aggregate for every group in vectors indexed by

@@ -17,7 +17,7 @@ const partialRel = "§partial"
 
 // ShufflePartialSchema is the wire schema of a partial-aggregated shuffle
 // edge: the group-by keys followed by one (count, payload) column pair per
-// aggregate, as groupAcc.partial freezes it.
+// aggregate, as groupTable.window emits them under partial.
 func ShufflePartialSchema(g *algebra.GroupBy) []algebra.Attr {
 	out := make([]algebra.Attr, 0, len(g.Keys)+2*len(g.Aggs))
 	out = append(out, g.Keys...)

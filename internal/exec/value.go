@@ -230,36 +230,6 @@ func compare(a, b Value) (int, error) {
 	return 0, fmt.Errorf("exec: incomparable kinds %d and %d", a.Kind, b.Kind)
 }
 
-// appendLenKey appends the key of a string or ciphertext cell: the tag, the
-// length as a uvarint, then the bytes. The length prefix keeps a key of
-// several cells injective whatever bytes a cell holds.
-func appendLenKey[T string | []byte](buf []byte, tag byte, b T) []byte {
-	buf = binary.AppendUvarint(append(buf, tag), uint64(len(b)))
-	return append(buf, b...)
-}
-
-// appendValueKey appends v's canonical grouping key to buf: plaintext
-// values by kind and content, deterministic/OPE ciphertexts by their bytes
-// (equal plaintexts yield equal ciphertexts).
-func appendValueKey(buf []byte, v Value) ([]byte, error) {
-	switch v.Kind {
-	case KNull:
-		return append(buf, 0), nil
-	case KInt:
-		return binary.BigEndian.AppendUint64(append(buf, 1), uint64(v.I)), nil
-	case KFloat:
-		return binary.BigEndian.AppendUint64(append(buf, 2), math.Float64bits(v.F)), nil
-	case KString:
-		return appendLenKey(buf, 's', v.S), nil
-	case KCipher:
-		if err := keyScheme(v.C.Scheme); err != nil {
-			return nil, err
-		}
-		return appendLenKey(buf, 'c', v.C.Data), nil
-	}
-	return nil, fmt.Errorf("exec: cannot key kind %d", v.Kind)
-}
-
 // keyScheme refuses a ciphertext scheme that cannot key a group or a join:
 // only deterministic and OPE ciphertexts are linkable.
 func keyScheme(s algebra.Scheme) error {
