@@ -54,13 +54,14 @@ type Fragment struct {
 // fragment produces the query result; Fragments lists every fragment with
 // inputs before their consumers.
 type Dispatch struct {
+	Plan      *core.ExtendedPlan // the plan partitioned
 	Root      *Fragment
 	Fragments []*Fragment
 }
 
 // Partition splits an extended plan into per-subject fragments.
 func Partition(ext *core.ExtendedPlan) *Dispatch {
-	d := &Dispatch{}
+	d := &Dispatch{Plan: ext}
 	counter := make(map[authz.Subject]int)
 	executor := ext.Assign.Executor
 

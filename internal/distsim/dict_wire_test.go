@@ -6,6 +6,7 @@ import (
 
 	"mpq/internal/algebra"
 	"mpq/internal/core"
+	"mpq/internal/dispatch"
 	"mpq/internal/exec"
 	"mpq/internal/planner"
 )
@@ -134,7 +135,7 @@ func runStreamTotal(t *testing.T) ([]string, int64) {
 		t.Fatal(err)
 	}
 	var rows [][]exec.Value
-	schema, _, err := nw.ExecuteStreamCtx(nil, ext, consts, func(b *exec.Batch) error {
+	schema, _, err := nw.ExecuteStreamCtx(nil, dispatch.Partition(ext), consts, func(b *exec.Batch) error {
 		rows = append(rows, b.Rows()...)
 		return nil
 	})

@@ -14,9 +14,9 @@
 // columnar exec.Batch values over bounded channels; transfer latency
 // overlaps upstream computation batch by batch, and the ledger accounts
 // each edge's bytes per shipped batch (batchBytes walks the column
-// vectors). ExecuteParallel is ExecuteStreamCtx with the
-// root collected back into a table, for callers that want the whole
-// relation. The tests check it against two references: internal/sqlref, a
+// vectors). ExecuteParallel partitions the plan and runs ExecuteStreamCtx
+// with the root collected back into a table, for callers that want the
+// whole relation. The tests check it against two references: internal/sqlref, a
 // SQL interpreter sharing no code with the engine, for the answer, and the
 // extended plan run by the batch pipeline on a trusted executor holding
 // every table, every key and the plan's constants, whose subtree under each

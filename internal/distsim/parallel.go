@@ -2,6 +2,7 @@ package distsim
 
 import (
 	"mpq/internal/core"
+	"mpq/internal/dispatch"
 	"mpq/internal/exec"
 )
 
@@ -15,15 +16,15 @@ import (
 // fragment form a chain on one subject's executor. Every cross-fragment
 // shipment is recorded in the transfer ledger, in completion order.
 
-// ExecuteParallel runs the extended plan across the network with one
-// goroutine per fragment (ExecuteStreamCtx, without a context) and collects
-// the root's batches into one relation. It returns that relation and the
+// ExecuteParallel partitions the extended plan and runs it across the
+// network with one goroutine per fragment (ExecuteStreamCtx, without a
+// context), collecting the root's batches into one relation. It returns that relation and the
 // transfers of this run; the same transfers are also appended to the
 // network ledger. The network itself is not otherwise mutated, so
 // concurrent ExecuteParallel calls on one prepared network are safe.
 func (nw *Network) ExecuteParallel(ext *core.ExtendedPlan, consts exec.ConstCache) (*exec.Table, []Transfer, error) {
 	var rows [][]exec.Value
-	schema, transfers, err := nw.ExecuteStreamCtx(nil, ext, consts, func(b *exec.Batch) error {
+	schema, transfers, err := nw.ExecuteStreamCtx(nil, dispatch.Partition(ext), consts, func(b *exec.Batch) error {
 		rows = append(rows, b.Rows()...)
 		return nil
 	})

@@ -34,9 +34,10 @@ const streamBuffer = 4
 // closed while it was blocked handing a batch over.
 var errStreamAborted = fmt.Errorf("distsim: stream aborted")
 
-// ExecuteStreamCtx runs the extended plan across the network with one
-// worker goroutine per fragment of dispatch.Partition(ext) — the Figure 8
-// requests — exchanging row batches over channels.
+// ExecuteStreamCtx runs a partitioned extended plan across the network with
+// one worker goroutine per fragment of d — the Figure 8 requests —
+// exchanging row batches over channels. A prepared plan partitions once and
+// passes the same Dispatch to every execution; nothing here mutates it.
 // Every batch of the root fragment's output is handed to sink in production
 // order, as the columnar batch it is; the returned schema describes its
 // columns. The transfers of this run (one per cross-subject edge, bytes
@@ -50,7 +51,7 @@ var errStreamAborted = fmt.Errorf("distsim: stream aborted")
 // caught at the fragment boundary and surfaces as that fragment's
 // *exec.PanicError instead of killing the process. A nil context (or one
 // that can never be cancelled) costs nothing.
-func (nw *Network) ExecuteStreamCtx(ctx context.Context, ext *core.ExtendedPlan, consts exec.ConstCache, sink func(*exec.Batch) error) ([]algebra.Attr, []Transfer, error) {
+func (nw *Network) ExecuteStreamCtx(ctx context.Context, d *dispatch.Dispatch, consts exec.ConstCache, sink func(*exec.Batch) error) ([]algebra.Attr, []Transfer, error) {
 	runCtx := ctx
 	if ctx != nil && ctx.Done() == nil {
 		runCtx = nil // context.Background etc: keep the zero-cost path
@@ -59,8 +60,7 @@ func (nw *Network) ExecuteStreamCtx(ctx context.Context, ext *core.ExtendedPlan,
 	if nw.Faults != nil {
 		faultOps = nw.Faults.Ops
 	}
-	d := dispatch.Partition(ext)
-	frags := d.Fragments
+	ext, frags := d.Plan, d.Fragments
 	// Each non-root fragment feeds exactly one consumer (the plan is a
 	// tree) over outCh[f.Index].
 	outCh := make([]chan pipeline.Msg, len(frags))

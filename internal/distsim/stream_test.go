@@ -8,6 +8,7 @@ import (
 
 	"mpq/internal/algebra"
 	"mpq/internal/core"
+	"mpq/internal/dispatch"
 	"mpq/internal/exec"
 	"mpq/internal/planner"
 )
@@ -71,7 +72,7 @@ func TestExecuteStreamMatchesReferences(t *testing.T) {
 	run := nw.Clone()
 	run.BatchSize = 3 // force multi-batch exchanges on the 8-row example
 	var rows [][]exec.Value
-	schema, transfers, err := run.ExecuteStreamCtx(nil, ext, consts, func(b *exec.Batch) error {
+	schema, transfers, err := run.ExecuteStreamCtx(nil, dispatch.Partition(ext), consts, func(b *exec.Batch) error {
 		rows = append(rows, b.Rows()...)
 		return nil
 	})
@@ -157,7 +158,7 @@ func TestExecuteStreamEmptyProductDrainsProbe(t *testing.T) {
 	finished := make(chan error, 1)
 	var rows [][]exec.Value
 	go func() {
-		_, _, err := run.ExecuteStreamCtx(nil, ext, consts, func(b *exec.Batch) error {
+		_, _, err := run.ExecuteStreamCtx(nil, dispatch.Partition(ext), consts, func(b *exec.Batch) error {
 			rows = append(rows, b.Rows()...)
 			return nil
 		})
@@ -193,7 +194,7 @@ func TestExecuteStreamConcurrent(t *testing.T) {
 			run := nw.Clone()
 			run.BatchSize = batch
 			var rows [][]exec.Value
-			schema, _, err := run.ExecuteStreamCtx(nil, ext, consts, func(b *exec.Batch) error {
+			schema, _, err := run.ExecuteStreamCtx(nil, dispatch.Partition(ext), consts, func(b *exec.Batch) error {
 				rows = append(rows, b.Rows()...)
 				return nil
 			})

@@ -133,8 +133,10 @@ func TestChaosSuite(t *testing.T) {
 			for qi, q := range tpch.Queries() {
 				k := kinds[(qi+r)%len(kinds)]
 				// The miss runs unfaulted, so the faulted run is the plan's
-				// second execution — the one that fills the ciphertext column
-				// cache — and the rotation aborts fills at every kind of point.
+				// second execution, whose encrypt operators fill the
+				// ciphertext column cache in Open, before their first batch:
+				// the rotation's faults land beside and after fills at every
+				// kind of point.
 				requireOracle := func(stage string) {
 					t.Helper()
 					faults.Ops, faults.Edges = nil, nil
@@ -168,9 +170,9 @@ func TestChaosSuite(t *testing.T) {
 					t.Errorf("Q%d/%s: unclassified failure (neither injected nor recovered panic): %v",
 						q.Num, k.name, err)
 				}
-				// An aborted fill publishes nothing: the run after it (a fresh
-				// fill, or served if the fill completed before the fault) is
-				// still the oracle's.
+				// A fill publishes only once its encryption completed, so the
+				// run after the fault (served from that fill, or a fresh fill)
+				// is still the oracle's.
 				requireOracle("run after the fault")
 			}
 			// Non-vacuity: the rotation must actually have fired faults of
@@ -260,16 +262,18 @@ func TestCancellationSweep(t *testing.T) {
 		}
 		cancel()
 
-		// Pass 2 was the plan's second execution — the fill of its ciphertext
-		// column cache — so the cancel landed mid-fill. Nothing partial may
-		// have been published: the next run is still the oracle's.
+		// Pass 2 was the plan's second execution, whose encrypt operators
+		// fill the ciphertext column cache in Open. The cancel landed after
+		// a fragment's fill was published, or stopped a fill still running
+		// within one batch of work, publishing nothing: either way the next
+		// run is still the oracle's.
 		faults.Ops = nil
 		resp, err = eng.Query(q.SQL)
 		if err != nil {
-			t.Fatalf("Q%d after the cancelled fill: %v", q.Num, err)
+			t.Fatalf("Q%d after the cancelled run: %v", q.Num, err)
 		}
 		if g, w := canon(resp.Table), canon(want.Table); !bytes.Equal(g, w) {
-			t.Fatalf("Q%d after the cancelled fill differs from the oracle", q.Num)
+			t.Fatalf("Q%d after the cancelled run differs from the oracle", q.Num)
 		}
 	}
 	if cancelled == 0 {

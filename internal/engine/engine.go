@@ -13,6 +13,7 @@ import (
 	"mpq/internal/core"
 	"mpq/internal/cost"
 	"mpq/internal/crypto"
+	"mpq/internal/dispatch"
 	"mpq/internal/distsim"
 	"mpq/internal/exec"
 	"mpq/internal/planner"
@@ -210,8 +211,9 @@ type preparedQuery struct {
 	version   uint64
 	plan      *planner.Plan
 	result    *assignment.Result
-	network   *distsim.Network // subjects registered, keys distributed
-	keys      *crypto.KeyStore // full rings, for user-side finalization
+	dispatch  *dispatch.Dispatch // result.Extended's fragments, partitioned once
+	network   *distsim.Network   // subjects registered, keys distributed
+	keys      *crypto.KeyStore   // full rings, for user-side finalization
 	consts    exec.ConstCache
 	executors []authz.Subject // distinct assignees, sorted
 }
@@ -396,6 +398,7 @@ func (e *Engine) prepare(stmt *sql.SelectStmt, version uint64, pol authz.Viewer)
 		version:   version,
 		plan:      plan,
 		result:    res,
+		dispatch:  dispatch.Partition(res.Extended),
 		network:   nw,
 		keys:      full,
 		consts:    consts,

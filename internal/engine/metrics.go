@@ -193,7 +193,7 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 	r.GaugeFunc("mpq_exec_enc_cache_bytes",
 		"Bytes of ciphertext held by the ciphertext column caches of live prepared plans.",
 		func() float64 { return float64(exec.ReadEncCacheStats().Bytes) })
-	const encCacheHelp = "Executions of encrypt-over-scan operators by cache outcome: stream (encrypted, nothing kept), fill (encrypted, output collected for publication), serve (served from the cache, no crypto calls)."
+	const encCacheHelp = "Executions of encrypt-over-scan operators by cache outcome: stream (encrypted, nothing kept), fill (the table's columns encrypted whole and published, then served), serve (served from the cache, no crypto calls)."
 	encCache := func(outcome string, read func(exec.EncCacheStats) uint64) {
 		r.CounterFunc("mpq_exec_enc_cache_total", encCacheHelp, func() float64 {
 			return float64(read(exec.ReadEncCacheStats()))

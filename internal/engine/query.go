@@ -102,7 +102,7 @@ func (e *Engine) run(ctx context.Context, query string, tr *obs.Trace, yield fun
 	})
 	nw := pq.network.Clone()
 	nw.Trace = tr
-	schema, transfers, err := nw.ExecuteStreamCtx(ctx, pq.result.Extended, pq.consts, fin.add)
+	schema, transfers, err := nw.ExecuteStreamCtx(ctx, pq.dispatch, pq.consts, fin.add)
 	resp.Transfers = transfers
 	if err == nil {
 		err = fin.flush()

@@ -371,6 +371,14 @@ func (c *Column) gather(sel []int32) Column {
 	return out
 }
 
+// strCell returns cell i of a ColStr or ColDict column.
+func strCell(c *Column, i int) string {
+	if c.Kind == ColDict {
+		return c.Dict[c.Codes[i]]
+	}
+	return c.Strs[i]
+}
+
 // cipherCell returns cell i of a ColCipherBytes or ColCipherDict column.
 func cipherCell(c *Column, i int) []byte {
 	if c.Kind == ColCipherDict {

@@ -337,8 +337,8 @@ func (e *Executor) encCacheTable(enc *algebra.Encrypt) *Table {
 // buildCachedEncrypt compiles an encrypt-over-scan node behind the
 // ciphertext column cache. The streaming operator is compiled exactly as it
 // would be uncached (so every build-time check still runs); the bare scan
-// is compiled beside it only when there is a published fill to serve, so a
-// streaming run builds — and traces — exactly the operators it always did.
+// is compiled beside it only once the node has run, so a first touch
+// builds — and traces — exactly the operators it always did.
 func (e *Executor) buildCachedEncrypt(enc *algebra.Encrypt, t *Table) (Operator, error) {
 	stream, err := e.compileNode(enc)
 	if err != nil {
@@ -348,7 +348,7 @@ func (e *Executor) buildCachedEncrypt(enc *algebra.Encrypt, t *Table) (Operator,
 	if err != nil {
 		return nil, err
 	}
-	op := &cachedEncryptOp{cache: e.enc, node: enc, t: t, stream: stream}
+	op := &cachedEncryptOp{e: e, cache: e.enc, node: enc, t: t, cols: cols, stream: stream}
 	for _, c := range cols {
 		op.rings = append(op.rings, c.ring)
 		op.encIdx = append(op.encIdx, c.idx...)
@@ -360,7 +360,7 @@ func (e *Executor) buildCachedEncrypt(enc *algebra.Encrypt, t *Table) (Operator,
 			op.phe = append(op.phe, pk)
 		}
 	}
-	if e.enc.published(enc) {
+	if e.enc.touched(enc) {
 		if op.scan, err = e.Build(enc.Child); err != nil {
 			return nil, err
 		}

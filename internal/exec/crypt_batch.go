@@ -11,8 +11,8 @@ import (
 	"mpq/internal/crypto"
 )
 
-// The batch crypto path. Per-value crypto (EncryptValue, and the tests'
-// DecryptValue oracle) resolves the ring's cipher, allocates an encoding
+// The batch crypto path. Per-value crypto (the tests' encryptValueRef and
+// DecryptValue oracles) resolves the ring's cipher, allocates an encoding
 // and builds cipher state for every cell; the column-wise entry points
 // below amortize all of it per batch — one cipher resolution, one encoding
 // arena, one batched call into internal/crypto — and optionally split
@@ -80,28 +80,30 @@ func runChunks(n, workers, minChunk int, fn func(lo, hi int) error) error {
 // ---------------------------------------------------------------------------
 // Batch encryption
 
-// EncryptColumn encrypts a column of plaintext values under one scheme with
-// one key ring, the batch counterpart of per-value EncryptValue calls.
-// Deterministic and OPE outputs are bit-identical to EncryptValue;
-// randomized and Paillier outputs decrypt to the same plaintexts.
-func EncryptColumn(ring *crypto.KeyRing, scheme algebra.Scheme, vals []Value) ([]Value, error) {
-	out := make([]Value, len(vals))
-	if err := encryptColumnInto(ring, scheme, vals, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// encryptColumnPar is EncryptColumn with the executor's intra-batch worker
-// pool applied to large columns.
+// encryptColumnPar encrypts vals into dst with the executor's intra-batch
+// worker pool applied to large columns. A column longer than the batch size
+// (a whole table column filling the ciphertext cache) is walked in
+// batch-size ranges with the run's context probed between them, so a
+// cancelled run stops within one batch of work.
 func encryptColumnPar(e *Executor, ring *crypto.KeyRing, scheme algebra.Scheme, vals, dst []Value) error {
 	minChunk := cryptoParMinCells
 	if scheme == algebra.SchemePaillier {
 		minChunk = cryptoParMinPaillier
 	}
-	return runChunks(len(vals), e.cryptoWorkers(), minChunk, func(lo, hi int) error {
-		return encryptColumnInto(ring, scheme, vals[lo:hi], dst[lo:hi])
-	})
+	step := e.batchSize()
+	for lo := 0; lo < len(vals); lo += step {
+		if err := ctxErr(e.Ctx); err != nil {
+			return err
+		}
+		v, d := vals[lo:min(lo+step, len(vals))], dst[lo:]
+		err := runChunks(len(v), e.cryptoWorkers(), minChunk, func(lo, hi int) error {
+			return encryptColumnInto(ring, scheme, v[lo:hi], d[lo:hi])
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // dictEncMemo caches one plaintext dictionary's encryption, so every batch

@@ -1,7 +1,9 @@
 package exec
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"testing"
@@ -58,10 +60,10 @@ func requireDecryptsTo(t *testing.T, ring *crypto.KeyRing, cv Value, want Value)
 	}
 }
 
-// TestEncryptColumnEquivalence proves the batch entry point matches the
-// per-value path on every scheme: bit-identical ciphertexts for the
-// deterministic schemes, decrypt-identical for the randomized ones —
-// across empty batches, NULLs, and batch sizes 1 and 7 (size 1M runs in
+// TestEncryptColumnEquivalence proves the batch entry point, and
+// EncryptValue's one-cell batch, match the per-value path on every scheme:
+// bit-identical ciphertexts for the deterministic schemes, decrypt-identical
+// for the randomized ones — across empty batches, NULLs, and batch sizes 1 and 7 (size 1M runs in
 // TestBatchMillionRows).
 func TestEncryptColumnEquivalence(t *testing.T) {
 	ring, err := crypto.NewKeyRing("k1", testPaillierBits)
@@ -84,22 +86,28 @@ func TestEncryptColumnEquivalence(t *testing.T) {
 					t.Fatalf("batch returned %d values for %d inputs", len(got), n)
 				}
 				for i, v := range vals {
-					want, err := EncryptValue(ring, scheme, v)
+					want, err := encryptValueRef(ring, scheme, v)
 					if err != nil {
 						t.Fatal(err)
 					}
-					switch scheme {
-					case algebra.SchemeDeterministic, algebra.SchemeOPE:
-						// Deterministic schemes: byte-identical.
-						if string(got[i].C.Data) != string(want.C.Data) {
-							t.Fatalf("batch ciphertext %d differs from per-value path", i)
-						}
-						if got[i].C.Plain != want.C.Plain || got[i].C.KeyID != want.C.KeyID {
-							t.Fatalf("batch cipher metadata %d differs", i)
-						}
+					one, err := EncryptValue(ring, scheme, v)
+					if err != nil {
+						t.Fatal(err)
 					}
-					// All schemes: decrypts to the original value.
-					requireDecryptsTo(t, ring, got[i], v)
+					for _, c := range []Value{got[i], one} {
+						switch scheme {
+						case algebra.SchemeDeterministic, algebra.SchemeOPE:
+							// Deterministic schemes: byte-identical.
+							if string(c.C.Data) != string(want.C.Data) {
+								t.Fatalf("batch ciphertext %d differs from per-value path", i)
+							}
+							if c.C.Plain != want.C.Plain || c.C.KeyID != want.C.KeyID {
+								t.Fatalf("batch cipher metadata %d differs", i)
+							}
+						}
+						// All schemes: decrypts to the original value.
+						requireDecryptsTo(t, ring, c, v)
+					}
 				}
 			})
 		}
@@ -314,7 +322,7 @@ func TestBatchMillionRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i += 50021 {
-		want, err := EncryptValue(ring, algebra.SchemeDeterministic, vals[i])
+		want, err := encryptValueRef(ring, algebra.SchemeDeterministic, vals[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,7 +335,7 @@ func TestBatchMillionRows(t *testing.T) {
 // TestEncryptOpBatchVsValueCrypto runs an Encrypt plan and an
 // Encrypt→Decrypt plan through the batch operators, with and without the
 // crypto worker pool, and checks them cell by cell against direct
-// per-value calls: every ciphertext is EncryptValue's (deterministic and
+// per-value calls: every ciphertext is encryptValueRef's (deterministic and
 // OPE encryption are functions of the plaintext), DecryptValue takes it
 // back to the plaintext, and the round trip returns the input.
 func TestEncryptOpBatchVsValueCrypto(t *testing.T) {
@@ -365,13 +373,13 @@ func TestEncryptOpBatchVsValueCrypto(t *testing.T) {
 		}
 		for ri, row := range tbl.Rows {
 			for ci, v := range row {
-				want, err := EncryptValue(ring, schemes[ci], v)
+				want, err := encryptValueRef(ring, schemes[ci], v)
 				if err != nil {
 					t.Fatal(err)
 				}
 				got := cipher.Rows[ri][ci]
 				if !got.IsCipher() || string(got.C.Data) != string(want.C.Data) {
-					t.Fatalf("workers=%d: row %d col %d = %v, EncryptValue gives %v", workers, ri, ci, got, want)
+					t.Fatalf("workers=%d: row %d col %d = %v, the per-value path gives %v", workers, ri, ci, got, want)
 				}
 				back, err := e.DecryptValue(got.C)
 				if err != nil || back != v || plain.Rows[ri][ci] != v {
@@ -518,4 +526,101 @@ func decryptCipher(ring *crypto.KeyRing, c *Cipher) (Value, error) {
 		return pheDecode(m, c.Div, c.Plain)
 	}
 	return Value{}, fmt.Errorf("exec: unknown scheme %q", c.Scheme)
+}
+
+// EncryptColumn encrypts a column of plaintext values under one scheme with
+// one key ring, the batch counterpart of per-value encryption.
+func EncryptColumn(ring *crypto.KeyRing, scheme algebra.Scheme, vals []Value) ([]Value, error) {
+	out := make([]Value, len(vals))
+	if err := encryptColumnInto(ring, scheme, vals, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// encryptValueRef encrypts one plaintext value through its scheme's
+// per-value crypto call: the oracle the batch encryption path (and
+// EncryptValue, a one-cell batch) is checked against.
+func encryptValueRef(ring *crypto.KeyRing, scheme algebra.Scheme, v Value) (Value, error) {
+	c := &Cipher{Scheme: scheme, KeyID: ring.ID, Plain: v.Kind}
+	switch scheme {
+	case algebra.SchemeDeterministic:
+		d, err := ring.Det()
+		if err != nil {
+			return Value{}, err
+		}
+		pt, err := encodePlain(v)
+		if err != nil {
+			return Value{}, err
+		}
+		ct, err := d.Encrypt(pt)
+		if err != nil {
+			return Value{}, err
+		}
+		c.Data = ct
+	case algebra.SchemeRandom:
+		r, err := ring.Rnd()
+		if err != nil {
+			return Value{}, err
+		}
+		pt, err := encodePlain(v)
+		if err != nil {
+			return Value{}, err
+		}
+		ct, err := r.Encrypt(pt)
+		if err != nil {
+			return Value{}, err
+		}
+		c.Data = ct
+	case algebra.SchemeOPE:
+		o, err := ring.OPE()
+		if err != nil {
+			return Value{}, err
+		}
+		enc, err := opeEncode(v)
+		if err != nil {
+			return Value{}, err
+		}
+		c.Data = o.Encrypt(enc)
+	case algebra.SchemePaillier:
+		pk, err := ring.Paillier()
+		if err != nil {
+			return Value{}, err
+		}
+		m, err := pheEncode(v)
+		if err != nil {
+			return Value{}, err
+		}
+		ct, err := pk.Encrypt(m)
+		if err != nil {
+			return Value{}, err
+		}
+		c.Phe = ct
+		c.Div = 1
+	default:
+		return Value{}, fmt.Errorf("exec: unknown scheme %q", scheme)
+	}
+	return Enc(c), nil
+}
+
+// encodePlain serializes a plaintext value for symmetric encryption, one
+// buffer per value: the oracle of writePlain's arena slots.
+func encodePlain(v Value) ([]byte, error) {
+	switch v.Kind {
+	case KInt:
+		buf := make([]byte, 9)
+		buf[0] = byte(KInt)
+		binary.BigEndian.PutUint64(buf[1:], uint64(v.I))
+		return buf, nil
+	case KFloat:
+		buf := make([]byte, 9)
+		buf[0] = byte(KFloat)
+		binary.BigEndian.PutUint64(buf[1:], math.Float64bits(v.F))
+		return buf, nil
+	case KString:
+		return append([]byte{byte(KString)}, v.S...), nil
+	case KNull:
+		return []byte{byte(KNull)}, nil
+	}
+	return nil, fmt.Errorf("exec: cannot encode %v", v)
 }

@@ -23,7 +23,8 @@
 //
 // The equivalence tests check answers against internal/sqlref, a SQL
 // interpreter that shares no code with this package, and the batched
-// crypto path against EncryptValue and the tests' DecryptValue oracle.
+// crypto path against the tests' per-value encryptValueRef and DecryptValue
+// oracles.
 //
 // See docs/ARCHITECTURE.md at the repository root for the batch contract,
 // the operator inventory, and a worked end-to-end query trace.

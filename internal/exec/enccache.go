@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"bytes"
 	"fmt"
 	"math/big"
 	"runtime"
@@ -32,9 +31,10 @@ import (
 // Append, and InvalidateColumns all fall back to re-encryption.
 //
 // Admission is second touch, observed here and not configured: the first
-// execution of an operator streams and keeps nothing, the second collects
-// its output and publishes it only at a clean end of stream, later ones
-// serve. Statements that never repeat therefore never pay for a fill.
+// execution of an operator streams and keeps nothing; the second encrypts
+// the table snapshot's encrypted columns whole in Open, publishes them, and
+// serves its own windows from them; later ones serve. Statements that never
+// repeat therefore never pay for a fill.
 //
 // Bound: at most what one execution ships on the plan's encrypt-over-scan
 // edges, per cached plan. It is plan state, like the key rings, and is not
@@ -46,12 +46,12 @@ type encCache struct {
 
 // encEntry is one encrypt-over-scan operator's admission state.
 type encEntry struct {
-	filling bool        // one execution is collecting; concurrent ones stream
+	filling bool        // one execution is encrypting; concurrent ones stream
 	pub     *encColumns // nil until a fill published (or after it went stale)
 }
 
-// encColumns is one published fill: what the operator emitted for one table
-// snapshot under one set of key rings.
+// encColumns is one published fill: the operator's encrypted columns of one
+// table snapshot under one set of key rings.
 type encColumns struct {
 	src   *Column           // first header of the table's column snapshot
 	n     int               // rows of that snapshot
@@ -65,7 +65,7 @@ type encColumns struct {
 type EncCacheStats struct {
 	Bytes  int64
 	Stream uint64 // encrypted on the fly, nothing kept
-	Fill   uint64 // encrypted on the fly, output collected for publication
+	Fill   uint64 // the table's columns encrypted whole and published, then served
 	Serve  uint64 // served from the cache, no crypto calls
 }
 
@@ -84,16 +84,16 @@ func ReadEncCacheStats() EncCacheStats {
 	}
 }
 
-// published reports whether node has a fill to serve from.
-func (c *encCache) published(node *algebra.Encrypt) bool {
+// touched reports whether node has run before: only then does its
+// operator build the bare scan that a fill or a served run reads through.
+func (c *encCache) touched(node *algebra.Encrypt) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ent := c.entries[node]
-	return ent != nil && ent.pub != nil
+	return c.entries[node] != nil
 }
 
 // admit decides how one execution of node runs against the given table
-// snapshot and key rings: from the returned fill (serve), as the collecting
+// snapshot and key rings: from the returned fill (serve), as the filling
 // execution (fill true), or streaming. canServe is false when the caller has
 // no scan to serve windows over.
 func (c *encCache) admit(node *algebra.Encrypt, src *Column, n int, rings []*crypto.KeyRing, canServe bool) (pub *encColumns, fill bool) {
@@ -117,7 +117,7 @@ func (c *encCache) admit(node *algebra.Encrypt, src *Column, n int, rings []*cry
 			return p, false
 		}
 	}
-	if ent.pub == nil && !ent.filling && src != nil {
+	if ent.pub == nil && !ent.filling && src != nil && canServe {
 		ent.filling = true
 		encCacheStats.fill.Add(1)
 		return nil, true
@@ -126,8 +126,8 @@ func (c *encCache) admit(node *algebra.Encrypt, src *Column, n int, rings []*cry
 	return nil, false
 }
 
-// finish ends node's collecting execution, publishing pub when the fill
-// completed cleanly (nil abandons it).
+// finish ends node's filling execution, publishing pub (nil when the fill
+// failed, leaving the entry fillable).
 func (c *encCache) finish(node *algebra.Encrypt, pub *encColumns) {
 	c.mu.Lock()
 	ent := c.entries[node]
@@ -148,28 +148,26 @@ func (c *encCache) finish(node *algebra.Encrypt, pub *encColumns) {
 }
 
 // cachedEncryptOp runs an encrypt operator whose child is a bare base scan
-// through the executor's ciphertext column cache. Open picks the mode: serve
-// replaces the encrypted positions of the scan's plaintext windows with
-// windows of the published vectors; fill forwards the streaming operator's
-// batches while collecting their encrypted columns; stream is the streaming
-// operator untouched.
+// through the executor's ciphertext column cache. Open picks the mode:
+// serve replaces the encrypted positions of the scan's plaintext windows
+// with windows of the published vectors; fill first encrypts and publishes
+// those vectors, then serves; stream is the streaming operator untouched.
 type cachedEncryptOp struct {
+	e      *Executor
 	cache  *encCache
 	node   *algebra.Encrypt
 	t      *Table
-	rings  []*crypto.KeyRing
+	cols   []encCol           // the encrypted attributes, resolved as the streaming operator resolves them
+	rings  []*crypto.KeyRing  // per encrypted attribute, in operator order
 	phe    []*crypto.Paillier // keys of the Paillier columns among them
 	encIdx []int              // encrypted schema positions, in operator order
 	stream Operator           // the uncached operator
-	scan   Operator           // the bare child scan; nil when nothing was published at build time
+	scan   Operator           // the bare child scan; nil on the node's first touch
 	sp     *obs.Span          // traced runs: marked cached when serving
 
-	cur     Operator    // the operator this execution pulls from
-	serve   *encColumns // serving from this fill
-	filling bool        // collecting into parts
-	src     *Column     // filling: the table snapshot admitted under
-	parts   [][]Column  // filling: per encrypted position, the batches so far
-	rows    int         // rows emitted by this execution
+	cur   Operator    // the operator this execution pulls from
+	serve *encColumns // serving from this fill
+	rows  int         // rows emitted by this execution
 }
 
 func (o *cachedEncryptOp) Schema() []algebra.Attr { return o.stream.Schema() }
@@ -177,7 +175,7 @@ func (o *cachedEncryptOp) Schema() []algebra.Attr { return o.stream.Schema() }
 // Open opens the scan before validating the published fill against the
 // table: a snapshot that still matches afterwards is the one the scan took.
 func (o *cachedEncryptOp) Open() error {
-	o.serve, o.parts, o.rows = nil, nil, 0
+	o.serve, o.rows = nil, 0
 	if o.scan != nil {
 		o.cur = o.scan
 		if err := o.scan.Open(); err != nil {
@@ -192,35 +190,58 @@ func (o *cachedEncryptOp) Open() error {
 	if len(cols) > 0 {
 		src = &cols[0]
 	}
-	o.serve, o.filling = o.cache.admit(o.node, src, n, o.rings, o.scan != nil)
-	if o.serve != nil {
-		if o.sp != nil {
-			o.sp.MarkCached()
+	pub, fill := o.cache.admit(o.node, src, n, o.rings, o.scan != nil)
+	if fill {
+		pub, err = o.fill(cols, src, n)
+		o.cache.finish(o.node, pub)
+		if err != nil {
+			return err
 		}
+		// The plan does not encrypt these columns again while the fill
+		// stands; the keys' randomizer tables (over a megabyte each, most
+		// of a cached plan's heap) rebuild on demand if it ever does.
+		for _, pk := range o.phe {
+			pk.ReleasePrecomputed()
+		}
+	} else if pub != nil && o.sp != nil {
+		o.sp.MarkCached()
+	}
+	if o.serve = pub; pub != nil {
 		return nil
 	}
 	if o.scan != nil {
 		o.scan.Close()
 	}
-	if o.filling {
-		o.src, o.parts = src, make([][]Column, len(o.encIdx))
-	}
 	o.cur = o.stream
 	return o.stream.Open()
 }
 
+// fill encrypts the snapshot's encrypted columns whole through encryptCol,
+// compacting each before the next is encrypted, so the fill's peak holds one
+// uncompacted column.
+func (o *cachedEncryptOp) fill(cols []Column, src *Column, n int) (*encColumns, error) {
+	pub := &encColumns{src: src, n: n, rings: o.rings, cols: make([]Column, 0, len(o.encIdx))}
+	var buf []Value
+	for k := range o.cols {
+		c := &o.cols[k]
+		col := &cols[o.t.ColIndex(c.attr)]
+		for range c.idx {
+			enc, err := o.e.encryptCol(c, col, &buf)
+			if err != nil {
+				return nil, err
+			}
+			pub.cols = append(pub.cols, compactPaillier(enc))
+		}
+	}
+	return pub, nil
+}
+
 func (o *cachedEncryptOp) Next() (*Batch, error) {
 	b, err := o.cur.Next()
-	if err != nil {
-		return nil, err
+	if err != nil || o.serve == nil {
+		return b, err
 	}
-	switch {
-	case o.serve != nil:
-		return o.serveWindow(b)
-	case o.filling:
-		return o.collect(b)
-	}
-	return b, nil
+	return o.serveWindow(b)
 }
 
 // serveWindow swaps the published ciphertext windows into the encrypted
@@ -241,98 +262,13 @@ func (o *cachedEncryptOp) serveWindow(b *Batch) (*Batch, error) {
 	return out, nil
 }
 
-// collect forwards one freshly encrypted batch, keeping its (compacted)
-// encrypted columns; the clean end of stream publishes them.
-func (o *cachedEncryptOp) collect(b *Batch) (*Batch, error) {
-	if b == nil {
-		pub := o.collected()
-		o.cache.finish(o.node, pub)
-		o.filling, o.parts = false, nil
-		if pub != nil {
-			// The plan does not encrypt these columns again while the fill
-			// stands; the keys' randomizer tables (over a megabyte each,
-			// most of a cached plan's heap) rebuild on demand if it ever
-			// does.
-			for _, pk := range o.phe {
-				pk.ReleasePrecomputed()
-			}
-		}
-		return nil, nil
-	}
-	out := &Batch{Cols: append([]Column(nil), b.Cols...), N: b.N}
-	for k, ci := range o.encIdx {
-		out.Cols[ci] = compactPaillier(b.Cols[ci])
-		o.parts[k] = append(o.parts[k], out.Cols[ci])
-	}
-	o.rows += b.N
-	return out, nil
-}
-
-// Close abandons a fill that did not reach a clean end of stream (error,
-// cancellation, a consumer that stopped early).
 func (o *cachedEncryptOp) Close() error {
-	if o.filling {
-		o.cache.finish(o.node, nil)
-		o.filling = false
-	}
 	if o.cur == nil {
 		return nil
 	}
 	cur := o.cur
 	o.cur = nil
 	return cur.Close()
-}
-
-// collected assembles what a fill gathered into publishable vectors, or nil
-// when the table changed under the run or the batches do not concatenate.
-func (o *cachedEncryptOp) collected() *encColumns {
-	cols, n, err := o.t.snapshotColumns()
-	if err != nil || len(cols) == 0 || &cols[0] != o.src || o.rows != n {
-		return nil
-	}
-	pub := &encColumns{src: o.src, n: n, rings: o.rings, cols: make([]Column, len(o.parts))}
-	for k, parts := range o.parts {
-		col, ok := concatCipherColumns(parts, n)
-		if !ok {
-			return nil
-		}
-		pub.cols[k] = col
-	}
-	return pub
-}
-
-// concatCipherColumns joins the per-batch output columns of one encrypted
-// position into one full-length vector. Only the layouts an encrypt operator
-// emits concatenate, and only when every batch shares layout, scheme, key,
-// and (for dictionary columns) the encrypted dictionary, compared by content.
-func concatCipherColumns(parts []Column, n int) (Column, bool) {
-	if len(parts) == 0 {
-		return Column{}, true
-	}
-	first := &parts[0]
-	out := Column{Kind: first.Kind, Scheme: first.Scheme, KeyID: first.KeyID, CipherDict: first.CipherDict}
-	switch out.Kind {
-	case ColCipherBytes:
-		out.Bytes, out.Plains = make([][]byte, 0, n), make([]Kind, 0, n)
-	case ColCipherDict:
-		out.Codes = make([]uint32, 0, n)
-	case ColAny:
-		out.Vals = make([]Value, 0, n)
-	default:
-		return Column{}, false
-	}
-	for i := range parts {
-		p := &parts[i]
-		if p.Kind != out.Kind || p.Scheme != out.Scheme || p.KeyID != out.KeyID ||
-			!slices.EqualFunc(p.CipherDict, out.CipherDict, bytes.Equal) || p.hasNulls() {
-			return Column{}, false
-		}
-		out.Bytes = append(out.Bytes, p.Bytes...)
-		out.Plains = append(out.Plains, p.Plains...)
-		out.Codes = append(out.Codes, p.Codes...)
-		out.Vals = append(out.Vals, p.Vals...)
-	}
-	return out, true
 }
 
 // compactPaillier re-homes a column of Paillier ciphertexts: group elements

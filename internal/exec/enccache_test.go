@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -39,7 +40,20 @@ func encFixtureRow(i int) []Value {
 	}
 }
 
-// newEncFixture builds the fixture over tbl (nil = a fresh 300-row table).
+// encFixtureTable returns a fresh 300-row table R(k, s, d, r, v), with
+// mend applied to its rows when not nil.
+func encFixtureTable(mend func(rows [][]Value)) *Table {
+	tbl := NewTable([]algebra.Attr{algebra.A("R", "k"), algebra.A("R", "s"), algebra.A("R", "d"), algebra.A("R", "r"), algebra.A("R", "v")})
+	for i := 0; i < encFixtureRows; i++ {
+		tbl.Rows = append(tbl.Rows, encFixtureRow(i))
+	}
+	if mend != nil {
+		mend(tbl.Rows)
+	}
+	return tbl
+}
+
+// newEncFixture builds the fixture over tbl (nil = encFixtureTable(nil)).
 // Every fixture uses the key id "kR" with its own ring, exactly as two
 // prepared plans encrypting the same attribute do.
 func newEncFixture(t testing.TB, tbl *Table) *encFixture {
@@ -50,10 +64,7 @@ func newEncFixture(t testing.TB, tbl *Table) *encFixture {
 	}
 	schema := []algebra.Attr{f.k, f.s, f.d, f.r, f.v}
 	if tbl == nil {
-		tbl = NewTable(schema)
-		for i := 0; i < encFixtureRows; i++ {
-			tbl.Rows = append(tbl.Rows, encFixtureRow(i))
-		}
+		tbl = encFixtureTable(nil)
 	}
 	ring, err := crypto.NewKeyRing("kR", testPaillierBits)
 	if err != nil {
@@ -135,27 +146,37 @@ func encrypts(s crypto.Stats) uint64 {
 
 // TestEncCacheLifecycle pins second-touch admission: the first execution
 // streams and keeps nothing, the second fills, later ones serve without a
-// single crypto call, and every one of them decrypts to the table.
+// single crypto call, and every one of them decrypts to the table. A NULL
+// in the dictionary column changes nothing: the fill encrypts the column
+// cell by cell and publishes it.
 func TestEncCacheLifecycle(t *testing.T) {
-	f := newEncFixture(t, nil)
-	want := []EncCacheStats{{Stream: 1}, {Fill: 1}, {Serve: 1}, {Serve: 1}}
-	for i, w := range want {
-		var got *Table
-		cache, cr := encStatsDelta(func() { got = f.run(t, f.enc) })
-		f.requirePlain(t, fmt.Sprintf("run %d", i), got)
-		if cache.Stream != w.Stream || cache.Fill != w.Fill || cache.Serve != w.Serve {
-			t.Fatalf("run %d: outcome %+v, want %+v", i, cache, w)
-		}
-		if served := w.Serve == 1; served != (encrypts(cr) == 0) {
-			t.Fatalf("run %d: served=%v but %d values were encrypted", i, served, encrypts(cr))
-		}
-		if pub := f.e.enc.published(f.enc); pub != (i >= 1) {
-			t.Fatalf("run %d: published=%v", i, pub)
-		}
-		// Publishing hands back the Paillier key's randomizer tables.
-		if f.ring.PK.Precomputed() != (i == 0) {
-			t.Fatalf("run %d: randomizer tables present=%v", i, f.ring.PK.Precomputed())
-		}
+	withNull := encFixtureTable(func(rows [][]Value) { rows[200][0] = Null() })
+	if cols, err := withNull.Columns(); err != nil || cols[0].Kind != ColDict || !cols[0].hasNulls() {
+		t.Fatalf("fixture: want a dictionary column holding a NULL (%v)", err)
+	}
+	for name, tbl := range map[string]*Table{"plain": nil, "NULL in the dictionary column": withNull} {
+		t.Run(name, func(t *testing.T) {
+			f := newEncFixture(t, tbl)
+			want := []EncCacheStats{{Stream: 1}, {Fill: 1}, {Serve: 1}, {Serve: 1}}
+			for i, w := range want {
+				var got *Table
+				cache, cr := encStatsDelta(func() { got = f.run(t, f.enc) })
+				f.requirePlain(t, fmt.Sprintf("run %d", i), got)
+				if cache.Stream != w.Stream || cache.Fill != w.Fill || cache.Serve != w.Serve {
+					t.Fatalf("run %d: outcome %+v, want %+v", i, cache, w)
+				}
+				if served := w.Serve == 1; served != (encrypts(cr) == 0) {
+					t.Fatalf("run %d: served=%v but %d values were encrypted", i, served, encrypts(cr))
+				}
+				if pub := f.published(); pub != (i >= 1) {
+					t.Fatalf("run %d: published=%v", i, pub)
+				}
+				// Publishing hands back the Paillier key's randomizer tables.
+				if f.ring.PK.Precomputed() != (i == 0) {
+					t.Fatalf("run %d: randomizer tables present=%v", i, f.ring.PK.Precomputed())
+				}
+			}
+		})
 	}
 }
 
@@ -260,6 +281,14 @@ func TestEncCacheKeyIdentity(t *testing.T) {
 	}
 }
 
+// published reports whether the fixture's operator has a fill to serve.
+func (f *encFixture) published() bool {
+	f.e.enc.mu.Lock()
+	defer f.e.enc.mu.Unlock()
+	ent := f.e.enc.entries[f.enc]
+	return ent != nil && ent.pub != nil
+}
+
 // encCacheDigest hashes every byte of ciphertext the fixture's published
 // fill holds.
 func (f *encFixture) encCacheDigest(t testing.TB) [sha256.Size]byte {
@@ -333,11 +362,12 @@ func TestEncCacheOperandsNeverMutated(t *testing.T) {
 	}
 }
 
-// TestEncCacheAbandonedFill: a fill that does not reach a clean end of
-// stream — its consumer stops early, the run is cancelled, an operator below
-// fails — publishes nothing; the next execution fills again and is correct.
-func TestEncCacheAbandonedFill(t *testing.T) {
-	abandon := map[string]func(t *testing.T, f *encFixture){
+// TestEncCacheFailureAfterFill: a fill completes in Open, so a run that
+// fails afterwards — its consumer stops early, the run is cancelled, the
+// scan below fails — leaves a correct published fill, and the next
+// execution serves it.
+func TestEncCacheFailureAfterFill(t *testing.T) {
+	fail := map[string]func(t *testing.T, f *encFixture){
 		"early close": func(t *testing.T, f *encFixture) {
 			op, err := f.e.Clone().Build(f.enc)
 			if err != nil {
@@ -360,8 +390,8 @@ func TestEncCacheAbandonedFill(t *testing.T) {
 					cancel()
 				}
 			}}
-			if _, err := ex.Run(f.enc); err == nil {
-				t.Fatal("cancelled run succeeded")
+			if _, err := ex.Run(f.enc); !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled run: %v", err)
 			}
 		},
 		"scan fault": func(t *testing.T, f *encFixture) {
@@ -369,31 +399,109 @@ func TestEncCacheAbandonedFill(t *testing.T) {
 			ex.Faults = &FaultPoints{Ops: map[string]FaultSpec{
 				f.enc.Child.Op(): {Kind: FaultError, NthBatch: 3},
 			}}
-			if _, err := ex.Run(f.enc); err == nil {
-				t.Fatal("faulted run succeeded")
+			if _, err := ex.Run(f.enc); !errors.Is(err, ErrInjected) {
+				t.Fatalf("faulted run: %v", err)
 			}
 		},
 	}
-	for name, fail := range abandon {
+	for name, fail := range fail {
 		t.Run(name, func(t *testing.T) {
 			f := newEncFixture(t, nil)
 			f.run(t, f.enc) // first touch
 			cache, _ := encStatsDelta(func() { fail(t, f) })
-			if cache.Fill != 1 || f.e.enc.published(f.enc) {
-				t.Fatalf("the failing run should have been an unpublished fill: %+v", cache)
+			if cache.Fill != 1 || !f.published() {
+				t.Fatalf("the failing run should have published its fill: %+v", cache)
 			}
 			var got *Table
-			cache, _ = encStatsDelta(func() { got = f.run(t, f.enc) })
-			f.requirePlain(t, "run after the abandoned fill", got)
-			if cache.Fill != 1 || cache.Serve != 0 {
-				t.Fatalf("run after the abandoned fill: %+v, want a fresh fill", cache)
-			}
-			cache, _ = encStatsDelta(func() { got = f.run(t, f.enc) })
-			f.requirePlain(t, "served run", got)
-			if cache.Serve != 1 {
-				t.Fatalf("run after the completed fill: %+v, want serve", cache)
+			cache, cr := encStatsDelta(func() { got = f.run(t, f.enc) })
+			f.requirePlain(t, "run after the failed run", got)
+			if cache.Serve != 1 || encrypts(cr) != 0 {
+				t.Fatalf("run after the failed run: %+v with %d encryptions, want serve", cache, encrypts(cr))
 			}
 		})
+	}
+}
+
+// TestEncCacheFailedFillPublishesNothing: a fill whose encryption fails — a
+// NULL in the Paillier column, which pheEncode refuses — fails its run,
+// publishes nothing and leaves the entry fillable: once the cell is
+// mended, the next execution fills and the one after serves.
+func TestEncCacheFailedFillPublishesNothing(t *testing.T) {
+	tbl := encFixtureTable(func(rows [][]Value) { rows[200][4] = Null() })
+	f := newEncFixture(t, tbl)
+	for i, w := range []EncCacheStats{{Stream: 1}, {Fill: 1}, {Fill: 1}} {
+		cache, _ := encStatsDelta(func() {
+			if _, err := f.e.Clone().Run(f.enc); err == nil {
+				t.Fatalf("run %d encrypted a NULL under Paillier", i)
+			}
+		})
+		if cache != w || f.published() {
+			t.Fatalf("run %d: outcome %+v, published=%v; want %+v and nothing published", i, cache, f.published(), w)
+		}
+	}
+	tbl.Rows[200][4] = encFixtureRow(200)[4]
+	tbl.InvalidateColumns()
+	for i, w := range []EncCacheStats{{Fill: 1}, {Serve: 1}} {
+		var got *Table
+		cache, _ := encStatsDelta(func() { got = f.run(t, f.enc) })
+		f.requirePlain(t, fmt.Sprintf("run %d after the mend", i), got)
+		if cache != w {
+			t.Fatalf("run %d after the mend: outcome %+v, want %+v", i, cache, w)
+		}
+	}
+}
+
+// pheCancelCtx reports itself cancelled once the process has performed
+// `after` more Paillier encryptions than it had when the context was made.
+type pheCancelCtx struct {
+	context.Context
+	at   uint64
+	done chan struct{}
+	once sync.Once
+}
+
+func newPheCancelCtx(after uint64) *pheCancelCtx {
+	return &pheCancelCtx{Context: context.Background(), at: crypto.ReadStats().PheEncrypts + after, done: make(chan struct{})}
+}
+
+func (c *pheCancelCtx) Done() <-chan struct{} {
+	if crypto.ReadStats().PheEncrypts >= c.at {
+		c.once.Do(func() { close(c.done) })
+	}
+	return c.done
+}
+
+func (c *pheCancelCtx) Err() error {
+	select {
+	case <-c.done:
+		return context.Canceled
+	default:
+		return nil
+	}
+}
+
+// TestEncCacheCancelDuringFill cancels a fill once it has encrypted one
+// batch of its five-batch Paillier column: the run returns the context's
+// error within one more batch of work and publishes nothing.
+func TestEncCacheCancelDuringFill(t *testing.T) {
+	f := newEncFixture(t, nil)
+	f.run(t, f.enc) // first touch
+	batch := uint64(f.e.BatchSize)
+	if encFixtureRows < 3*batch {
+		t.Fatalf("fixture: %d rows are fewer than three batches", encFixtureRows)
+	}
+	ex := f.e.Clone()
+	ex.Ctx = newPheCancelCtx(batch)
+	var err error
+	cache, cr := encStatsDelta(func() { _, err = ex.Run(f.enc) })
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled fill: %v", err)
+	}
+	if cache.Fill != 1 || f.published() {
+		t.Fatalf("cancelled fill: outcome %+v, published=%v", cache, f.published())
+	}
+	if cr.PheEncrypts < batch || cr.PheEncrypts > 2*batch {
+		t.Fatalf("cancelled fill encrypted %d Paillier cells, want one to two batches of %d", cr.PheEncrypts, batch)
 	}
 }
 

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"context"
-	"fmt"
 
 	"mpq/internal/algebra"
 	"mpq/internal/crypto"
@@ -140,66 +139,13 @@ func (e *Executor) Run(n algebra.Node) (*Table, error) {
 }
 
 // EncryptValue encrypts one plaintext value under the scheme with the key
-// ring. Besides the Encrypt plan operator, data authorities use it to
-// encrypt relations at rest before outsourcing their storage.
+// ring, as a one-cell batch. Besides the Encrypt plan operator, data
+// authorities use it to encrypt relations at rest before outsourcing their
+// storage.
 func EncryptValue(ring *crypto.KeyRing, scheme algebra.Scheme, v Value) (Value, error) {
-	c := &Cipher{Scheme: scheme, KeyID: ring.ID, Plain: v.Kind}
-	switch scheme {
-	case algebra.SchemeDeterministic:
-		d, err := ring.Det()
-		if err != nil {
-			return Value{}, err
-		}
-		pt, err := encodePlain(v)
-		if err != nil {
-			return Value{}, err
-		}
-		ct, err := d.Encrypt(pt)
-		if err != nil {
-			return Value{}, err
-		}
-		c.Data = ct
-	case algebra.SchemeRandom:
-		r, err := ring.Rnd()
-		if err != nil {
-			return Value{}, err
-		}
-		pt, err := encodePlain(v)
-		if err != nil {
-			return Value{}, err
-		}
-		ct, err := r.Encrypt(pt)
-		if err != nil {
-			return Value{}, err
-		}
-		c.Data = ct
-	case algebra.SchemeOPE:
-		o, err := ring.OPE()
-		if err != nil {
-			return Value{}, err
-		}
-		enc, err := opeEncode(v)
-		if err != nil {
-			return Value{}, err
-		}
-		c.Data = o.Encrypt(enc)
-	case algebra.SchemePaillier:
-		pk, err := ring.Paillier()
-		if err != nil {
-			return Value{}, err
-		}
-		m, err := pheEncode(v)
-		if err != nil {
-			return Value{}, err
-		}
-		ct, err := pk.Encrypt(m)
-		if err != nil {
-			return Value{}, err
-		}
-		c.Phe = ct
-		c.Div = 1
-	default:
-		return Value{}, fmt.Errorf("exec: unknown scheme %q", scheme)
+	out := []Value{v}
+	if err := encryptColumnInto(ring, scheme, out, out); err != nil {
+		return Value{}, err
 	}
-	return Enc(c), nil
+	return out[0], nil
 }

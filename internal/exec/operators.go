@@ -731,7 +731,8 @@ func (gt *groupTable) window(lo, hi int, partial bool) *Batch {
 // cellHash hashes cell i of c by its key, alike in every layout: ints by
 // value, floats by bit pattern, strings by their bytes, det and OPE
 // ciphertexts by their payload, and every NULL to 1. Other ciphertexts key
-// nothing. Keys sameKey holds equal hash equal.
+// nothing. Keys sameKey holds equal hash equal. Typed cells are read in
+// place; only a ColAny cell is a Value already.
 func cellHash(c *Column, i int) (uint64, error) {
 	null := c.IsNull(i)
 	switch {
@@ -739,10 +740,14 @@ func cellHash(c *Column, i int) (uint64, error) {
 		return hashInt(c.Ints[i]), nil
 	case null:
 		return 1, nil
+	case c.Kind == ColFloat:
+		return hashInt(int64(math.Float64bits(c.Floats[i]))), nil
+	case c.Kind == ColStr || c.Kind == ColDict:
+		return maphash.String(hashSeed, strCell(c, i)), nil
 	case c.Kind == ColCipherBytes || c.Kind == ColCipherDict:
 		return maphash.Bytes(hashSeed, cipherCell(c, i)), keyScheme(c.Scheme)
 	}
-	switch v := c.Value(i); v.Kind {
+	switch v := c.Vals[i]; v.Kind {
 	case KInt:
 		return hashInt(v.I), nil
 	case KFloat:
@@ -785,13 +790,23 @@ func mixHash(row, h uint64) uint64 { return hashInt(int64(row^row>>32)) ^ h }
 // sameKey reports whether cell i of c and cell j of d are one key, the rule
 // of both the hash join and the group-by: both NULL, or of one kind and
 // equal, floats by bit pattern and ciphertexts by their bytes, in whatever
-// layouts they come. Int 1 and float 1.0 are two keys.
+// layouts they come. Int 1 and float 1.0 are two keys. Typed cells are read
+// in place, a dictionary's through its codes; a ColAny operand compares as
+// Values.
 func sameKey(c *Column, i int, d *Column, j int) bool {
-	switch {
-	case c.Kind == ColInt && d.Kind == ColInt && !bit(c.Nulls, i) && !bit(d.Nulls, j):
+	switch cl, dl := keyLayout[c.Kind], keyLayout[d.Kind]; {
+	case cl == ColInt && dl == ColInt && !bit(c.Nulls, i) && !bit(d.Nulls, j):
 		return c.Ints[i] == d.Ints[j]
-	case (c.Kind == ColCipherBytes || c.Kind == ColCipherDict) && (d.Kind == ColCipherBytes || d.Kind == ColCipherDict) &&
-		!c.IsNull(i) && !d.IsNull(j):
+	case cl == ColAny || dl == ColAny:
+	case c.IsNull(i) || d.IsNull(j):
+		return c.IsNull(i) && d.IsNull(j)
+	case cl != dl:
+		return false
+	case cl == ColFloat:
+		return math.Float64bits(c.Floats[i]) == math.Float64bits(d.Floats[j])
+	case cl == ColStr:
+		return strCell(c, i) == strCell(d, j)
+	case cl == ColCipherBytes:
 		return bytes.Equal(cipherCell(c, i), cipherCell(d, j))
 	}
 	a, b := c.Value(i), d.Value(j)
@@ -1213,11 +1228,8 @@ func (o *encryptOp) Schema() []algebra.Attr { return o.child.Schema() }
 func (o *encryptOp) Open() error            { return o.child.Open() }
 func (o *encryptOp) Close() error           { return o.child.Close() }
 
-// Next encrypts column-wise: each designated column's cells are handed to
-// the batch crypto API as one call (cipher state resolved once, outputs
-// arena-allocated, large columns fanned out to the worker pool), and the
-// symmetric schemes' results land directly in a ciphertext-byte column —
-// no per-cell Cipher allocation. Untouched columns are forwarded.
+// Next encrypts column-wise through encryptCol; untouched columns are
+// forwarded.
 func (o *encryptOp) Next() (*Batch, error) {
 	b, err := o.child.Next()
 	if b == nil || err != nil {
@@ -1227,40 +1239,42 @@ func (o *encryptOp) Next() (*Batch, error) {
 	for k := range o.cols {
 		c := &o.cols[k]
 		for _, ci := range c.idx {
-			col := &b.Cols[ci]
-			if col.Kind == ColCipherBytes || col.Kind == ColCipherDict {
-				return nil, fmt.Errorf("exec: re-encrypting %s", c.attr)
+			if out.Cols[ci], err = o.e.encryptCol(c, &b.Cols[ci], &o.colBuf); err != nil {
+				return nil, err
 			}
-			if col.Kind == ColAny {
-				for i := range col.Vals {
-					if col.Vals[i].IsCipher() {
-						return nil, fmt.Errorf("exec: re-encrypting %s", c.attr)
-					}
-				}
-			}
-			if col.Kind == ColDict && c.scheme == algebra.SchemeDeterministic && !col.hasNulls() {
-				// Deterministic encryption maps equal plaintexts to equal
-				// ciphertexts, so encrypting the dictionary once covers every
-				// cell; the codes forward zero-copy. Nullable columns fall
-				// back: a NULL cell encrypts to a ciphertext (the oracle
-				// encrypts the NULL tag), which the dict layout cannot carry
-				// in its bitmap.
-				enc, err := encryptDictColumn(o.e, c.ring, c.scheme, col, &c.dictEnc)
-				if err != nil {
-					return nil, fmt.Errorf("exec: encrypting %s: %w", c.attr, err)
-				}
-				out.Cols[ci] = enc
-				continue
-			}
-			vals := col.AppendValues(o.colBuf[:0])
-			o.colBuf = vals[:0]
-			if err := encryptColumnPar(o.e, c.ring, c.scheme, vals, vals); err != nil {
-				return nil, fmt.Errorf("exec: encrypting %s: %w", c.attr, err)
-			}
-			out.Cols[ci] = cipherColumn(c.scheme, c.ring.ID, vals)
 		}
 	}
 	return out, nil
+}
+
+// encryptCol encrypts one plaintext column of c's attribute, a batch window
+// or a whole table column alike: the cells are handed to the batch crypto
+// API as one call (cipher state resolved once, outputs arena-allocated,
+// large columns fanned out to the worker pool), and the symmetric schemes'
+// results land directly in a ciphertext-byte column with no per-cell
+// Cipher allocation. buf is a reusable gather buffer.
+func (e *Executor) encryptCol(c *encCol, col *Column, buf *[]Value) (Column, error) {
+	if col.Kind == ColCipherBytes || col.Kind == ColCipherDict || slices.ContainsFunc(col.Vals, Value.IsCipher) {
+		return Column{}, fmt.Errorf("exec: re-encrypting %s", c.attr)
+	}
+	if col.Kind == ColDict && c.scheme == algebra.SchemeDeterministic && !col.hasNulls() {
+		// Deterministic encryption maps equal plaintexts to equal
+		// ciphertexts, so encrypting the dictionary once covers every
+		// cell; the codes forward zero-copy. Nullable columns fall back: a
+		// NULL cell encrypts to a ciphertext (the oracle encrypts the NULL
+		// tag), which the dict layout cannot carry in its bitmap.
+		enc, err := encryptDictColumn(e, c.ring, c.scheme, col, &c.dictEnc)
+		if err != nil {
+			return Column{}, fmt.Errorf("exec: encrypting %s: %w", c.attr, err)
+		}
+		return enc, nil
+	}
+	vals := col.AppendValues((*buf)[:0])
+	*buf = vals[:0]
+	if err := encryptColumnPar(e, c.ring, c.scheme, vals, vals); err != nil {
+		return Column{}, fmt.Errorf("exec: encrypting %s: %w", c.attr, err)
+	}
+	return cipherColumn(c.scheme, c.ring.ID, vals), nil
 }
 
 // cipherColumn packs a freshly encrypted cell vector into a column: the

@@ -85,27 +85,6 @@ func (v Value) AsFloat() (float64, error) {
 	return 0, fmt.Errorf("exec: value %v is not numeric", v)
 }
 
-// encodePlain serializes a plaintext value for symmetric encryption.
-func encodePlain(v Value) ([]byte, error) {
-	switch v.Kind {
-	case KInt:
-		buf := make([]byte, 9)
-		buf[0] = byte(KInt)
-		binary.BigEndian.PutUint64(buf[1:], uint64(v.I))
-		return buf, nil
-	case KFloat:
-		buf := make([]byte, 9)
-		buf[0] = byte(KFloat)
-		binary.BigEndian.PutUint64(buf[1:], math.Float64bits(v.F))
-		return buf, nil
-	case KString:
-		return append([]byte{byte(KString)}, v.S...), nil
-	case KNull:
-		return []byte{byte(KNull)}, nil
-	}
-	return nil, fmt.Errorf("exec: cannot encode %v", v)
-}
-
 // plainSize returns the encoded size of a plaintext value, so batch
 // encryption can pre-size one arena for a whole column.
 func plainSize(v Value) (int, error) {
@@ -120,7 +99,7 @@ func plainSize(v Value) (int, error) {
 	return 0, fmt.Errorf("exec: cannot encode %v", v)
 }
 
-// writePlain writes the encodePlain encoding of v into buf, which must be
+// writePlain writes the plaintext encoding of v into buf, which must be
 // exactly plainSize(v) bytes (an arena slot).
 func writePlain(buf []byte, v Value) error {
 	switch v.Kind {
@@ -143,7 +122,7 @@ func writePlain(buf []byte, v Value) error {
 	return fmt.Errorf("exec: cannot encode %v", v)
 }
 
-// decodePlain reverses encodePlain.
+// decodePlain reverses writePlain.
 func decodePlain(b []byte) (Value, error) {
 	if len(b) == 0 {
 		return Value{}, fmt.Errorf("exec: empty plaintext encoding")
